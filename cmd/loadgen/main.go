@@ -54,8 +54,6 @@ func main() {
 
 		repl     = flag.String("repl", "LRU", "replacement policy: paper name (LRU | Context | Random) or any registered policy")
 		noLocks  = flag.Bool("no-locks", false, "disable object-granularity locking (structure guard still serializes writes)")
-		lockSh   = flag.Int("lock-shards", 0, "lock-table shard count (0 = auto-size to GOMAXPROCS)")
-		bufSh    = flag.Int("buffer-shards", 0, "buffer-pool shard count (0 = auto-size to GOMAXPROCS)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 		quantOut = flag.Bool("q", false, "print only the one-line summary")
@@ -68,8 +66,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.ReadWriteRatio = *rw
 	cfg.Locking = !*noLocks
-	cfg.LockShards = *lockSh
-	cfg.BufferShards = *bufSh
 	cfg.Backend = *backend
 	cfg.DataDir = *dataDir
 	cfg.Fsync = *fsyncPol
@@ -154,10 +150,10 @@ func main() {
 	fmt.Printf("  logical: ops=%d not-found=%d  physical: reads=%d writes=%d log=%d background=%d\n",
 		res.LogicalOps, res.NotFoundReads, res.PhysReads, res.PhysWrites, res.LogIOs, res.BackgroundIOs)
 	fmt.Printf("  pool: hit=%.3f resident=%d/%d shards=%d evictions=%d flushes=%d\n",
-		res.HitRatio, res.PoolResident, res.PoolCapacity, res.Config.BufferShards, res.Pool.Evictions, res.Pool.Flushes)
+		res.HitRatio, res.PoolResident, res.PoolCapacity, res.PoolShards, res.Pool.Evictions, res.Pool.Flushes)
 	if res.Config.Locking {
 		fmt.Printf("  locks: requests=%d conflicts=%d max-waiters=%d shards=%d\n",
-			res.Locks.Requests, res.Locks.Conflicts, res.Locks.MaxWaiters, res.Config.LockShards)
+			res.Locks.Requests, res.Locks.Conflicts, res.Locks.MaxWaiters, res.LockShards)
 	}
 	if d := res.Durability; d != (oodb.DurableStats{}) {
 		fmt.Printf("  wal: appends=%d fsyncs=%d bytes=%d page(r/w)=%d/%d committed=%d\n",

@@ -43,8 +43,6 @@ func main() {
 
 		tier     = flag.String("tier", "", "single run: scale tier (default | medium | large) — sets sizing, workload, and scale mechanics; explicit flags still override")
 		calendar = flag.String("calendar", "", "event-calendar implementation: heap (reference, default) | wheel (flat cost at large event counts)")
-		lockSh   = flag.Int("lock-shards", 0, "lock-table shard count, rounded up to a power of two (0 = single shard; never changes simulated behavior)")
-		bufSh    = flag.Int("buffer-shards", 0, "buffer-pool shard count, rounded up to a power of two (0 = single shard; never changes simulated behavior)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 
@@ -168,7 +166,6 @@ func main() {
 		s := singleRun{
 			scale: *scale, txns: *txns, seed: *seed, set: set,
 			tier: *tier, calendar: *calendar,
-			lockShards: *lockSh, bufferShards: *bufSh,
 			density: *density, rw: *rw, cluster: *cluster, repl: *repl,
 			prefetch: *prefetch, strategy: *strategy, observe: *observe,
 			checkpoint: *ckptFile, checkpointAt: *ckptAt, resume: *resume,
@@ -251,11 +248,9 @@ type singleRun struct {
 	dataDir string
 	fsync   string
 
-	tier         string
-	calendar     string
-	lockShards   int
-	bufferShards int
-	set          map[string]bool // flags the user passed explicitly
+	tier     string
+	calendar string
+	set      map[string]bool // flags the user passed explicitly
 }
 
 func (s singleRun) config() (oodb.SimConfig, error) {
@@ -275,12 +270,6 @@ func (s singleRun) config() (oodb.SimConfig, error) {
 		}
 		if s.calendar != "" {
 			cfg.Calendar = s.calendar
-		}
-		if s.set["lock-shards"] {
-			cfg.LockShards = s.lockShards
-		}
-		if s.set["buffer-shards"] {
-			cfg.BufferShards = s.bufferShards
 		}
 		// Policy flags are orthogonal to tier sizing and still apply;
 		// workload-shape flags are not — the tier defines the workload.
@@ -332,8 +321,6 @@ func (s singleRun) config() (oodb.SimConfig, error) {
 	if s.calendar != "" {
 		cfg.Calendar = s.calendar
 	}
-	cfg.LockShards = s.lockShards
-	cfg.BufferShards = s.bufferShards
 	if cfg.Density, err = oodb.ParseDensity(s.density); err != nil {
 		return cfg, err
 	}

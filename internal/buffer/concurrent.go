@@ -106,6 +106,9 @@ func (p *ConcurrentPool) Shards() int { return len(p.shards) }
 // Capacity returns the total frame count.
 func (p *ConcurrentPool) Capacity() int { return p.cap }
 
+// fibMix spreads sequential page IDs across shards (Fibonacci hashing).
+const fibMix = 0x9E3779B97F4A7C15
+
 func (p *ConcurrentPool) shardFor(pg storage.PageID) *cshard {
 	return &p.shards[(uint64(pg)*fibMix>>32)&p.mask]
 }

@@ -75,7 +75,7 @@ func (s Stats) HitRatio() float64 {
 type Pool struct {
 	capacity int
 	policy   Policy
-	resident *frameTable
+	resident map[storage.PageID]frame
 	pinnedFn func(storage.PageID) bool // p.pinned, bound once
 	stats    Stats
 	io       storage.PageIO // nil = count only, no physical transfer
@@ -91,49 +91,33 @@ type frame struct {
 // resident page is pinned.
 var ErrAllPinned = errors.New("buffer: all pages pinned")
 
-// NewPool creates a single-shard pool with the given frame count and
-// replacement policy (the right shape for paper-scale pools of a few
-// thousand frames).
+// NewPool creates a pool with the given frame count and replacement
+// policy. The pool is single-threaded, like the simulator that drives it;
+// ConcurrentPool is the goroutine-safe one.
 func NewPool(capacity int, policy Policy) *Pool {
-	return NewPoolSharded(capacity, policy, 1)
-}
-
-// NewPoolSharded creates a pool whose resident-page table is sharded by
-// page-ID hash (rounded up to a power of two; shards < 1 selects one).
-// Shard count never changes observable behavior — replacement order is a
-// global property and stays with the policy — it only spreads table
-// locking for concurrent residency probes. A one-shard pool skips the
-// locks entirely and so, like the pre-sharding pool, is single-threaded;
-// concurrent probes require two or more shards.
-func NewPoolSharded(capacity int, policy Policy, shards int) *Pool {
 	if capacity < 1 {
 		panic("buffer: capacity must be at least 1")
 	}
 	p := &Pool{
 		capacity: capacity,
 		policy:   policy,
-		resident: newFrameTable(capacity, shards),
+		resident: make(map[storage.PageID]frame, capacity),
 	}
 	p.pinnedFn = p.pinned
 	return p
 }
 
-// Shards returns the resident-table shard count.
-func (p *Pool) Shards() int { return len(p.resident.shards) }
-
 // Capacity returns the frame count.
 func (p *Pool) Capacity() int { return p.capacity }
 
 // Resident returns the number of resident pages.
-func (p *Pool) Resident() int { return p.resident.len() }
+func (p *Pool) Resident() int { return len(p.resident) }
 
 // Contains reports whether pg is resident.
 func (p *Pool) Contains(pg storage.PageID) bool {
-	return p.resident.contains(pg)
+	_, ok := p.resident[pg]
+	return ok
 }
-
-// Policy returns the replacement policy.
-func (p *Pool) Policy() Policy { return p.policy }
 
 // SetRecorder installs the instrumentation hook; nil disables it.
 func (p *Pool) SetRecorder(r obs.Recorder) { p.rec = r }
@@ -151,19 +135,18 @@ func (p *Pool) Stats() Stats { return p.stats }
 func (p *Pool) ResetStats() { p.stats = Stats{} }
 
 func (p *Pool) pinned(pg storage.PageID) bool {
-	f, _ := p.resident.get(pg)
-	return f.pins > 0
+	return p.resident[pg].pins > 0
 }
 
 // admit evicts if the pool is full (recording the victim in res) and makes
 // pg resident.
 func (p *Pool) admit(pg storage.PageID, res *AccessResult) error {
-	if p.resident.len() >= p.capacity {
+	if len(p.resident) >= p.capacity {
 		victim, ok := p.policy.Victim(p.pinnedFn)
 		if !ok {
 			return ErrAllPinned
 		}
-		vf, _ := p.resident.get(victim)
+		vf := p.resident[victim]
 		res.Victim = victim
 		res.VictimDirty = vf.dirty
 		if vf.dirty {
@@ -184,10 +167,10 @@ func (p *Pool) admit(pg storage.PageID, res *AccessResult) error {
 		if p.rec != nil {
 			p.rec.Count(obs.PoolEvict, 1)
 		}
-		p.resident.delete(victim)
+		delete(p.resident, victim)
 		p.policy.Removed(victim)
 	}
-	p.resident.set(pg, frame{})
+	p.resident[pg] = frame{}
 	p.policy.Admitted(pg)
 	return nil
 }
@@ -198,7 +181,7 @@ func (p *Pool) Access(pg storage.PageID) (AccessResult, error) {
 	if pg == storage.NilPage {
 		return AccessResult{}, fmt.Errorf("buffer: access to nil page")
 	}
-	if p.resident.contains(pg) {
+	if p.Contains(pg) {
 		p.stats.Hits++
 		if p.rec != nil {
 			p.rec.Count(obs.PoolHit, 1)
@@ -232,7 +215,7 @@ func (p *Pool) Install(pg storage.PageID) (AccessResult, error) {
 	if pg == storage.NilPage {
 		return AccessResult{}, fmt.Errorf("buffer: install of nil page")
 	}
-	if p.resident.contains(pg) {
+	if p.Contains(pg) {
 		p.stats.Hits++
 		if p.rec != nil {
 			p.rec.Count(obs.PoolHit, 1)
@@ -250,33 +233,33 @@ func (p *Pool) Install(pg storage.PageID) (AccessResult, error) {
 // MarkDirty flags a resident page as modified. Marking a non-resident page
 // is a model bug and returns an error.
 func (p *Pool) MarkDirty(pg storage.PageID) error {
-	f, ok := p.resident.get(pg)
+	f, ok := p.resident[pg]
 	if !ok {
 		return fmt.Errorf("buffer: MarkDirty on non-resident page %d", pg)
 	}
 	f.dirty = true
-	p.resident.set(pg, f)
+	p.resident[pg] = f
 	return nil
 }
 
 // IsDirty reports whether pg is resident and dirty.
 func (p *Pool) IsDirty(pg storage.PageID) bool {
-	f, ok := p.resident.get(pg)
+	f, ok := p.resident[pg]
 	return ok && f.dirty
 }
 
 // Clean clears the dirty flag (after an explicit write-back).
 func (p *Pool) Clean(pg storage.PageID) {
-	if f, ok := p.resident.get(pg); ok {
+	if f, ok := p.resident[pg]; ok {
 		f.dirty = false
-		p.resident.set(pg, f)
+		p.resident[pg] = f
 	}
 }
 
 // Boost raises pg's replacement priority if it is resident; non-resident
 // pages are ignored (prefetch-within-buffer never triggers I/O).
 func (p *Pool) Boost(pg storage.PageID) {
-	if p.resident.contains(pg) {
+	if p.Contains(pg) {
 		p.stats.Boosts++
 		if p.rec != nil {
 			p.rec.Count(obs.PoolBoost, 1)
@@ -288,18 +271,18 @@ func (p *Pool) Boost(pg storage.PageID) {
 // Pin prevents pg from being evicted until Unpin. Pinning a non-resident
 // page is an error.
 func (p *Pool) Pin(pg storage.PageID) error {
-	f, ok := p.resident.get(pg)
+	f, ok := p.resident[pg]
 	if !ok {
 		return fmt.Errorf("buffer: Pin on non-resident page %d", pg)
 	}
 	f.pins++
-	p.resident.set(pg, f)
+	p.resident[pg] = f
 	return nil
 }
 
 // Unpin releases one pin on pg.
 func (p *Pool) Unpin(pg storage.PageID) error {
-	f, ok := p.resident.get(pg)
+	f, ok := p.resident[pg]
 	if !ok {
 		return fmt.Errorf("buffer: Unpin on non-resident page %d", pg)
 	}
@@ -307,15 +290,8 @@ func (p *Pool) Unpin(pg storage.PageID) error {
 		return fmt.Errorf("buffer: Unpin on unpinned page %d", pg)
 	}
 	f.pins--
-	p.resident.set(pg, f)
+	p.resident[pg] = f
 	return nil
-}
-
-// ForEachResident calls fn for every resident page, in no particular order.
-func (p *Pool) ForEachResident(fn func(pg storage.PageID, dirty bool)) {
-	p.resident.forEach(func(pg storage.PageID, f frame) {
-		fn(pg, f.dirty)
-	})
 }
 
 // FlushDirty writes every dirty resident page through the PageIO backend
@@ -324,11 +300,11 @@ func (p *Pool) ForEachResident(fn func(pg storage.PageID, dirty bool)) {
 // Without a PageIO backend it only clears the flags.
 func (p *Pool) FlushDirty() error {
 	var dirty []storage.PageID
-	p.resident.forEach(func(pg storage.PageID, f frame) {
+	for pg, f := range p.resident {
 		if f.dirty {
 			dirty = append(dirty, pg)
 		}
-	})
+	}
 	for _, pg := range dirty {
 		if p.io != nil {
 			if err := p.io.WritePage(pg); err != nil {

@@ -174,13 +174,13 @@ func (p *Pool) Snapshot() (PoolState, error) {
 	}
 	st := PoolState{
 		Capacity: p.capacity,
-		Frames:   make([]FrameState, 0, p.resident.len()),
+		Frames:   make([]FrameState, 0, len(p.resident)),
 		Stats:    p.stats,
 		Policy:   sp.Snapshot(),
 	}
-	p.resident.forEach(func(pg storage.PageID, f frame) {
+	for pg, f := range p.resident {
 		st.Frames = append(st.Frames, FrameState{Page: pg, Dirty: f.dirty, Pins: f.pins})
-	})
+	}
 	sort.Slice(st.Frames, func(i, j int) bool { return st.Frames[i].Page < st.Frames[j].Page })
 	return st, nil
 }
@@ -210,7 +210,7 @@ func (p *Pool) Restore(st PoolState) error {
 	if err := sp.Restore(st.Policy); err != nil {
 		return err
 	}
-	p.resident.reset(resident)
+	p.resident = resident
 	p.stats = st.Stats
 	return nil
 }

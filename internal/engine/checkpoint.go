@@ -33,10 +33,11 @@ import (
 // the StatsReservoir configuration field, which changes every fingerprint).
 // Version 4 added the write pipeline: the OCB generator state grew write
 // operation counters and object-base tails, and the engine state grew the
-// conservation and ignored-ratio-change counters. Older checkpoints no
-// longer load; they fail with the typed checkpoint.ErrVersion rather than a
-// misleading fingerprint mismatch.
-const CheckpointVersion = 4
+// conservation and ignored-ratio-change counters. Version 5 removed the
+// two shard-count configuration fields, which changes every fingerprint.
+// Older checkpoints no longer load; they fail with the typed
+// checkpoint.ErrVersion rather than a misleading fingerprint mismatch.
+const CheckpointVersion = 5
 
 // checkpointKind tags engine checkpoints inside the shared envelope.
 const checkpointKind = "engine-checkpoint"
@@ -63,18 +64,13 @@ type MetricsState struct {
 	RespRead  stats.TallyState
 	RespWrite stats.TallyState
 
-	LogicalOps   int
-	PhysReads    int
-	PhysWrites   int
-	LogWrites    int
-	BgReads      int
+	Ops          IOCounts
 	PerKindCount [workload.NumQueryKinds]int
 	PerKindIOs   [workload.NumQueryKinds]int
 	PerKindResp  [workload.NumQueryKinds]stats.TallyState
 
 	Warmup       int
 	Skipped      int
-	NotFound     int
 	RatioIgnored int
 }
 
@@ -83,14 +79,9 @@ func (m *Metrics) snapshot() MetricsState {
 		RespAll:      m.respAll.Snapshot(),
 		RespRead:     m.respRead.Snapshot(),
 		RespWrite:    m.respWrite.Snapshot(),
-		LogicalOps:   m.logicalOps,
-		PhysReads:    m.physReads,
-		PhysWrites:   m.physWrites,
-		LogWrites:    m.logWrites,
-		BgReads:      m.bgReads,
+		Ops:          m.ops,
 		Warmup:       m.warmup,
 		Skipped:      m.skipped,
-		NotFound:     m.notFound,
 		RatioIgnored: m.ratioIgnored,
 	}
 	st.PerKindCount = m.perKindCount
@@ -111,11 +102,7 @@ func (m *Metrics) restore(st MetricsState) error {
 	if err := m.respWrite.Restore(st.RespWrite); err != nil {
 		return err
 	}
-	m.logicalOps = st.LogicalOps
-	m.physReads = st.PhysReads
-	m.physWrites = st.PhysWrites
-	m.logWrites = st.LogWrites
-	m.bgReads = st.BgReads
+	m.ops = st.Ops
 	m.perKindCount = st.PerKindCount
 	m.perKindIOs = st.PerKindIOs
 	for k := range m.perKindResp {
@@ -125,7 +112,6 @@ func (m *Metrics) restore(st MetricsState) error {
 	}
 	m.warmup = st.Warmup
 	m.skipped = st.Skipped
-	m.notFound = st.NotFound
 	m.ratioIgnored = st.RatioIgnored
 	return nil
 }
@@ -301,9 +287,9 @@ func (e *Engine) Snapshot() (*Checkpoint, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: cluster strategy %s does not support checkpointing", e.clust.Name())
 	}
-	pf, ok := e.pf.(prefetchSnapshotter)
+	pf, ok := st.pf.(prefetchSnapshotter)
 	if !ok {
-		return nil, fmt.Errorf("engine: prefetch strategy %T does not support checkpointing", e.pf)
+		return nil, fmt.Errorf("engine: prefetch strategy %T does not support checkpointing", st.pf)
 	}
 	sm, ok := e.store.(*storage.Manager)
 	if !ok {
@@ -412,9 +398,9 @@ func (e *Engine) restore(ck *Checkpoint) error {
 	if !ok {
 		return fmt.Errorf("cluster strategy %s does not support checkpointing", e.clust.Name())
 	}
-	pf, ok := e.pf.(prefetchSnapshotter)
+	pf, ok := st.pf.(prefetchSnapshotter)
 	if !ok {
-		return fmt.Errorf("prefetch strategy %T does not support checkpointing", e.pf)
+		return fmt.Errorf("prefetch strategy %T does not support checkpointing", st.pf)
 	}
 	sm, ok := e.store.(*storage.Manager)
 	if !ok {

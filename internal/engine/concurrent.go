@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -10,14 +9,8 @@ import (
 	"time"
 
 	"oodb/internal/buffer"
-	"oodb/internal/core"
-	"oodb/internal/lock"
-	"oodb/internal/model"
-	"oodb/internal/ocb"
 	"oodb/internal/sim"
 	"oodb/internal/stats"
-	"oodb/internal/storage"
-	"oodb/internal/txlog"
 	"oodb/internal/workload"
 )
 
@@ -29,9 +22,9 @@ import (
 // Where Engine interleaves transactions on a discrete-event calendar (every
 // run byte-identical), Concurrent interleaves them on the Go scheduler, so
 // throughput and tail latency come from real contention on the sharded
-// structures PR 6 built: the Fibonacci-hashed lock table and the per-shard
-// buffer pool. The logical results stay checkable: the access layer's
-// digest folds per session and combines order-independently, and a
+// structures: the Fibonacci-hashed lock table and the per-shard buffer
+// pool. The logical results stay checkable: the access layer's digest
+// folds per session and combines order-independently, and a
 // one-session run draws the identical transaction stream as the serial
 // engine (same seed-derived "workload" stream, same session-length
 // bookkeeping), so serial digest == 1-session concurrent digest is an
@@ -55,18 +48,10 @@ import (
 // pool, lock, cluster, and log statistics (internally consistent or
 // merged) carry the run's accounting instead.
 type Concurrent struct {
-	cfg Config
+	*world
 	opt ConcurrentOptions
 
-	graph   *model.Graph
-	store   storage.Backend
-	durable storage.Durable // non-nil iff the backend is persistent
-	pool    *buffer.ConcurrentPool
-	clust   core.ClusterStrategy
-	log     *txlog.Manager
-	locks   *lock.Manager // nil when cfg.Locking is false
-	db      *workload.Database
-	ocbBase *ocb.Base
+	pool *buffer.ConcurrentPool // the world's frames, typed for its invariants
 
 	// mu is the structure guard: shared by readers (concurrent logical
 	// reads), exclusive for writers (graph/storage/cluster/log mutation).
@@ -129,22 +114,16 @@ type csession struct {
 	resp stats.Stream // latency in seconds
 
 	completed int
-	logical   int
-	notFound  int
-	physReads int
-	physWrite int
-	logIOs    int
-	bgIOs     int
+	ops       IOCounts
 	kind      [workload.NumQueryKinds]int
 
 	err error
 }
 
-// NewConcurrent builds the shared stack and the session set. Construction
-// is deliberately identical to New: same workload generation, same
-// seed-derived streams, same clustering replay of the creation order, same
-// statistics reset — the measured run starts on the database the policy
-// would have built, exactly as the simulator's does.
+// NewConcurrent builds the world (see buildWorld) over a sharded
+// ConcurrentPool and attaches the session set to it. Both drivers call the
+// same buildWorld, so the measured run starts on exactly the database the
+// simulator's does.
 func NewConcurrent(cfg Config, opt ConcurrentOptions) (*Concurrent, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -162,230 +141,65 @@ func NewConcurrent(cfg Config, opt ConcurrentOptions) (*Concurrent, error) {
 	// no atomics); drop it rather than race on it.
 	cfg.Recorder = nil
 
-	// Auto-size the sharded structures to the machine when the caller
-	// didn't choose: the next power of two >= GOMAXPROCS spreads P
-	// simultaneously running sessions over at least P shards.
-	if cfg.LockShards == 0 {
-		cfg.LockShards = ceilPow2(runtime.GOMAXPROCS(0))
-	}
-	if cfg.BufferShards == 0 {
-		cfg.BufferShards = ceilPow2(runtime.GOMAXPROCS(0))
-	}
-	bufShards := ceilPow2(cfg.BufferShards)
-	for bufShards > 1 && bufShards > cfg.Buffers {
-		bufShards /= 2 // every shard must own at least one frame
-	}
-	cfg.BufferShards = bufShards
-	cfg.LockShards = ceilPow2(cfg.LockShards)
-
-	s, err := sim.NewWithCalendar(cfg.Seed, cfg.Calendar)
-	if err != nil {
-		return nil, err
+	// The sharded structures size themselves to the machine: the next power
+	// of two >= GOMAXPROCS spreads P simultaneously running sessions over at
+	// least P shards (the lock table rounds up itself). Every pool shard
+	// must own at least one frame.
+	procs := runtime.GOMAXPROCS(0)
+	bufShards := 1
+	for bufShards < procs && bufShards*2 <= cfg.Buffers {
+		bufShards *= 2
 	}
 
-	var (
-		db    *workload.Database
-		base  *ocb.Base
-		graph *model.Graph
-		store *storage.Manager
-	)
-	if cfg.Workload == WorkloadOCB {
-		b, err := ocb.Generate(cfg.OCB, cfg.DBBytes, cfg.PageSize, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("engine: generating OCB object base: %w", err)
+	c := &Concurrent{opt: opt}
+	w, err := buildWorld(cfg, procs, func(w *world) (framePool, error) {
+		// One policy instance per pool shard, each sized to its shard's frame
+		// quota with its own RNG stream — victim selection runs under the
+		// shard lock, so per-shard state needs no further synchronization.
+		policies := make([]buffer.Policy, bufShards)
+		for i := range policies {
+			stream := w.sim.Stream(fmt.Sprintf("random-replacement-%d", i))
+			p, err := w.newPolicy(buffer.ShardCapacity(cfg.Buffers, bufShards, i),
+				func() *rand.Rand { return stream })
+			if err != nil {
+				return nil, err
+			}
+			policies[i] = p
 		}
-		base, graph, store = b, b.Graph, b.Store
-	} else {
-		spec := workload.DefaultDBSpec(cfg.Density, cfg.DBBytes)
-		spec.Seed = cfg.Seed
-		d, err := workload.Generate(spec, cfg.PageSize)
-		if err != nil {
-			return nil, fmt.Errorf("engine: generating database: %w", err)
-		}
-		db, graph, store = d, d.Graph, d.Store
-	}
-
-	replName := cfg.ReplacementName
-	if replName == "" {
-		switch cfg.Replacement {
-		case core.ReplLRU:
-			replName = "lru"
-		case core.ReplRandom:
-			replName = "random"
-		case core.ReplContext:
-			replName = "context-sensitive"
-		default:
-			return nil, fmt.Errorf("engine: unknown replacement policy %v", cfg.Replacement)
-		}
-	}
-	// One policy instance per pool shard, each sized to its shard's frame
-	// quota with its own RNG stream — victim selection runs under the shard
-	// lock, so per-shard state needs no further synchronization.
-	policies := make([]buffer.Policy, bufShards)
-	for i := range policies {
-		stream := s.Stream(fmt.Sprintf("random-replacement-%d", i))
-		policies[i], err = buffer.NewPolicyByName(replName, buffer.PolicyConfig{
-			Frames: buffer.ShardCapacity(cfg.Buffers, bufShards, i),
-			RNG:    func() *rand.Rand { return stream },
-		})
+		// Page I/O from this pool under a persistent backend is safe because
+		// every fault originates inside execute, which holds the structure
+		// guard — the manager state a frame write reads is stable for the
+		// duration.
+		pool, err := buffer.NewConcurrentPool(cfg.Buffers, policies)
 		if err != nil {
 			return nil, err
 		}
-	}
-	pool, err := buffer.NewConcurrentPool(cfg.Buffers, policies)
-	if err != nil {
-		return nil, err
-	}
-
-	// Backend wrapping mirrors the serial engine. Page I/O from the pool is
-	// safe here because every fault originates inside execute, which holds
-	// the structure guard — the manager state a frame write reads is stable
-	// for the duration.
-	fsync, err := storage.ParseFsync(cfg.Fsync)
-	if err != nil {
-		return nil, err
-	}
-	bk, err := storage.NewBackendByName(cfg.Backend, store, storage.BackendOptions{
-		Dir: cfg.DataDir, Fsync: fsync,
+		c.pool = pool
+		return pool, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	c.world = w
 
-	stratName := cfg.ClusterStrategy
-	if stratName == "" {
-		stratName = "affinity"
-	}
-	clust, err := core.NewClusterStrategy(stratName, core.ClusterSeam{
-		Graph: graph, Store: bk, Pool: pool,
-		Policy: cfg.Cluster, Split: cfg.Split,
-		Hints: cfg.Hints, Hint: cfg.HintKind,
-		PageSize:            cfg.PageSize,
-		NoSiblingCandidates: cfg.NoSiblingCandidates,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	log := txlog.NewManager(cfg.LogBufBytes)
-
-	c := &Concurrent{
-		cfg: cfg, opt: opt,
-		graph: graph, store: bk, pool: pool, clust: clust, log: log,
-		db: db, ocbBase: base,
-	}
-	if d, ok := bk.(storage.Durable); ok {
-		c.durable = d
-		pool.SetPageIO(d)
-		log.SetDurable(d)
-	}
-	if cfg.Locking {
-		c.locks = lock.NewManagerSharded(cfg.LockShards)
-	}
-
-	_, boostContext := policies[0].(*core.ContextPolicy)
-	// One shared strategy instance across sessions: its access feed must be
-	// race-free under the shared guard, which AccessObserver contracts.
-	obsv, _ := clust.(core.AccessObserver)
-	ocbDepth := 0
-	var sizeTable [workload.NumSizeClasses]int
-	if base != nil {
-		p := cfg.OCB.WithDefaults()
-		ocbDepth = p.Depth
-		sizeTable = ocbSizeTable(p.BaseSize)
-	}
 	c.sessions = make([]*csession, opt.Sessions)
 	for i := range c.sessions {
 		// Session 0 draws the serial engine's own "workload" stream: a
 		// one-session run replays the identical transaction sequence, the
 		// digest-equality oracle the tests pin. Extra sessions get their
-		// own derived streams.
+		// own derived streams, and every session its own name space for the
+		// objects it creates.
 		wrkName := "workload"
 		if i > 0 {
 			wrkName = fmt.Sprintf("workload-%d", i)
 		}
-		wrk := s.Stream(wrkName)
-		var gen workload.Source
-		if base != nil {
-			gen = ocb.NewGenerator(base, cfg.OCB, wrk)
-		} else {
-			gen = workload.NewGenerator(db, workload.DefaultParams(cfg.Density, cfg.ReadWriteRatio), wrk)
-		}
-		// Per-session prefetcher: it keeps scratch buffers and counters.
-		pf := &core.Prefetcher{
-			Graph: graph, Store: bk, Pool: pool,
-			Policy: cfg.Prefetch, Hints: cfg.Hints, Hint: cfg.HintKind,
-		}
 		c.sessions[i] = &csession{
 			id:    i,
-			think: s.Stream(fmt.Sprintf("think-%d", i)),
-			stack: &stack{
-				graph: graph, store: bk, pool: pool,
-				clust: clust, pf: pf, log: log, gen: gen,
-				obsv:         obsv,
-				boostContext: boostContext,
-				boostLimit:   cfg.ContextBoostLimit,
-				ocbDepth:     ocbDepth,
-				sizeBytes:    sizeTable,
-				digest:       digestOffset,
-				// Distinct name spaces for created objects across sessions.
-				nameSeq: i << 32,
-			},
-		}
-	}
-
-	// Construct the physical database exactly as the serial engine does —
-	// single-threaded, untimed, statistics reset afterwards.
-	var order []model.ObjectID
-	if base != nil {
-		order = base.Order
-	} else {
-		order = db.ConstructionOrder(s.Stream("construction"), 4)
-	}
-	for _, id := range order {
-		o := graph.Object(id)
-		if o == nil {
-			return nil, fmt.Errorf("engine: construction order references unknown object %d", id)
-		}
-		if _, err := clust.PlaceNew(o); err != nil {
-			return nil, fmt.Errorf("engine: constructing database: placing %d: %w", id, err)
-		}
-	}
-	if store.NumPlaced() != graph.NumObjects() {
-		return nil, fmt.Errorf("engine: construction placed %d of %d objects",
-			store.NumPlaced(), graph.NumObjects())
-	}
-	pool.ResetStats()
-	clust.ResetStats()
-	log.ResetStats()
-	if c.durable != nil {
-		if err := c.durable.CommitBootstrap(); err != nil {
-			return nil, fmt.Errorf("engine: committing construction bootstrap: %w", err)
+			think: w.sim.Stream(fmt.Sprintf("think-%d", i)),
+			stack: w.newStack(wrkName, i<<32),
 		}
 	}
 	return c, nil
-}
-
-// Close flushes the buffer pool's dirty pages and releases the persistent
-// backend's files; a memory-backed engine closes as a no-op. Idempotent.
-// Call after Run has returned — Close does not quiesce the sessions.
-func (c *Concurrent) Close() error {
-	if c.durable == nil {
-		return nil
-	}
-	d := c.durable
-	c.durable = nil
-	flushErr := c.pool.FlushDirty()
-	return errors.Join(flushErr, d.Close())
-}
-
-// ceilPow2 rounds n up to the next power of two (minimum 1).
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // Run drives the configured transaction count through the session
@@ -409,21 +223,13 @@ func (c *Concurrent) Run() (ConcurrentResults, error) {
 	elapsed := time.Since(start)
 
 	r := ConcurrentResults{
-		Config:       c.cfg,
-		Sessions:     c.opt.Sessions,
-		Elapsed:      elapsed,
-		Pool:         c.pool.Stats(),
-		PoolResident: c.pool.Resident(),
-		PoolCapacity: c.pool.Capacity(),
-		HitRatio:     c.pool.Stats().HitRatio(),
-		KindCount:    make(map[string]int),
+		ResultCore: c.report(),
+		Sessions:   c.opt.Sessions,
+		PoolShards: c.pool.Shards(),
+		Elapsed:    elapsed,
 	}
 	if c.locks != nil {
-		r.Locks = c.locks.Stats()
-		r.LocksHeld = c.locks.Locked()
-	}
-	if c.durable != nil {
-		r.Durability = c.durable.DurableStats()
+		r.LockShards = c.locks.Shards()
 	}
 	for _, cs := range c.sessions {
 		if cs.err != nil {
@@ -435,12 +241,7 @@ func (c *Concurrent) Run() (ConcurrentResults, error) {
 		r.LogicalDigest ^= cs.stack.digest
 		r.ConservationViolations += cs.stack.conserve
 		r.Completed += cs.completed
-		r.LogicalOps += cs.logical
-		r.NotFoundReads += cs.notFound
-		r.PhysReads += cs.physReads
-		r.PhysWrites += cs.physWrite
-		r.LogIOs += cs.logIOs
-		r.BackgroundIOs += cs.bgIOs
+		r.IOCounts.add(cs.ops)
 		r.Latency.Merge(&cs.hist)
 		r.Resp.Merge(cs.resp)
 		for k := workload.QueryKind(0); k < workload.NumQueryKinds; k++ {
@@ -449,9 +250,6 @@ func (c *Concurrent) Run() (ConcurrentResults, error) {
 			}
 		}
 	}
-	r.FinalStateDigest = finalStateDigest(c.graph)
-	r.LiveObjects = c.graph.NumObjects()
-	r.PlacedObjects = c.store.NumPlaced()
 	if sec := elapsed.Seconds(); sec > 0 {
 		r.Throughput = float64(r.Completed) / sec
 	}
@@ -565,13 +363,7 @@ func (c *Concurrent) execute(cs *csession, txn int) error {
 	)
 	if req.Kind.IsWrite() {
 		c.mu.Lock()
-		err = c.log.Begin(txn)
-		if err == nil {
-			res, err = cs.stack.Execute(txn, req)
-			if err2 := c.log.End(txn); err == nil {
-				err = err2
-			}
-		}
+		res, err = c.transact(cs.stack, txn, req)
 		c.mu.Unlock()
 	} else {
 		// Reads never touch the log (before-images are write-only), so the
@@ -586,75 +378,28 @@ func (c *Concurrent) execute(cs *csession, txn int) error {
 	}
 
 	cs.completed++
-	cs.logical += res.Logical
-	cs.notFound += res.NotFound
-	cs.bgIOs += len(res.Background)
+	cs.ops.note(res)
 	cs.kind[req.Kind]++
-	for _, io := range res.IOs {
-		switch {
-		case io.Log:
-			cs.logIOs++
-		case io.Kind == core.ReadIO:
-			cs.physReads++
-		default:
-			cs.physWrite++
-		}
-	}
 	return nil
 }
 
-// ConcurrentResults summarizes one concurrent run: the same logical
-// observables the serial Results carries (digest, operation counts, pool
-// and lock statistics) plus wall-clock latency distribution and throughput.
+// ConcurrentResults summarizes one concurrent run: the shared ResultCore
+// (totals; warmup transactions are excluded from the latency distribution
+// but not from the counters or the digest) plus the wall-clock latency
+// distribution.
 type ConcurrentResults struct {
-	Config   Config
+	ResultCore
 	Sessions int
 
+	// PoolShards and LockShards are the shard counts the engine sized its
+	// buffer pool and lock table to (LockShards is 0 with locking off).
+	PoolShards int
+	LockShards int
+
 	// Wall-clock measurements.
-	Elapsed    time.Duration
-	Throughput float64      // completed transactions per second
-	Latency    stats.Hist   // per-transaction latency, microseconds
-	Resp       stats.Stream // per-transaction latency, seconds
-
-	// Logical accounting (totals; warmup transactions are excluded from
-	// the latency distribution but not from these counters or the digest).
-	Completed     int
-	LogicalOps    int
-	NotFoundReads int
-	PhysReads     int
-	PhysWrites    int
-	LogIOs        int
-	BackgroundIOs int
-	KindCount     map[string]int
-
-	// Component statistics.
-	Pool         buffer.Stats
-	HitRatio     float64
-	PoolResident int
-	PoolCapacity int
-	Locks        lock.Stats
-	LocksHeld    int
-
-	// LogicalDigest is the XOR of the per-session read digests. With one
-	// session it equals the serial engine's LogicalDigest for the same
-	// configuration — the cross-engine oracle invariant.
-	LogicalDigest uint64
-	// FinalStateDigest folds the end-of-run logical database (see the
-	// serial Results field). With one session on a write-enabled stream it
-	// equals the serial engine's — the write-path cross-engine invariant.
-	FinalStateDigest uint64
-	// ConservationViolations sums the per-session conservation counters
-	// (placed-object count vs live-object count after every write; must be
-	// zero).
-	ConservationViolations int
-	// LiveObjects and PlacedObjects expose the end-of-run counts behind the
-	// conservation invariant.
-	LiveObjects   int
-	PlacedObjects int
-
-	// Durability reports the real physical I/O a persistent backend
-	// performed (zero value under the in-memory backend).
-	Durability storage.DurableStats
+	Elapsed time.Duration
+	Latency stats.Hist   // per-transaction latency, microseconds
+	Resp    stats.Stream // per-transaction latency, seconds
 }
 
 // String renders a one-line summary.

@@ -195,41 +195,34 @@ func TestConcurrentSameSeedLogicalInvariants(t *testing.T) {
 	}
 }
 
-// TestConcurrentAutoSharding: unset shard counts size themselves to the
-// machine; explicit counts are honored (rounded to powers of two, buffer
-// shards clamped to the frame count).
+// TestConcurrentAutoSharding: the pool and lock table size themselves to
+// the machine, a tiny pool clamps its shard count down to keep a frame per
+// shard, and the run reports what it chose.
 func TestConcurrentAutoSharding(t *testing.T) {
+	want := 1 // the next power of two >= GOMAXPROCS
+	for want < runtime.GOMAXPROCS(0) {
+		want *= 2
+	}
+
 	cfg := quickConfig(50)
-
-	c, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: 2})
-	if err != nil {
-		t.Fatalf("NewConcurrent: %v", err)
+	res := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 2})
+	if res.LockShards != want {
+		t.Fatalf("lock shards = %d, want %d", res.LockShards, want)
 	}
-	want := ceilPow2(runtime.GOMAXPROCS(0))
-	if got := c.pool.Shards(); got != want && got != cfg.Buffers {
-		t.Fatalf("auto buffer shards = %d, want %d (or frame-clamped %d)", got, want, cfg.Buffers)
+	if wantBuf := min(want, cfg.Buffers); res.PoolShards != wantBuf {
+		t.Fatalf("pool shards = %d, want %d", res.PoolShards, wantBuf)
 	}
 
-	cfg.BufferShards = 4
-	cfg.LockShards = 4
-	c, err = NewConcurrent(cfg, ConcurrentOptions{Sessions: 2})
-	if err != nil {
-		t.Fatalf("NewConcurrent explicit shards: %v", err)
-	}
-	if got := c.pool.Shards(); got != 4 {
-		t.Fatalf("explicit buffer shards = %d, want 4", got)
+	cfg.Locking = false
+	if res := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 2}); res.LockShards != 0 {
+		t.Fatalf("lock shards = %d with locking off, want 0", res.LockShards)
 	}
 
-	// A tiny pool clamps the shard count down to keep a frame per shard.
 	tiny := quickConfig(50)
 	tiny.Buffers = 3
-	tiny.BufferShards = 64
-	c, err = NewConcurrent(tiny, ConcurrentOptions{Sessions: 1})
-	if err != nil {
-		t.Fatalf("NewConcurrent tiny pool: %v", err)
-	}
-	if got := c.pool.Shards(); got != 2 {
-		t.Fatalf("clamped buffer shards = %d, want 2", got)
+	res = runConcurrent(t, tiny, ConcurrentOptions{Sessions: 1})
+	if wantBuf := min(want, 2); res.PoolShards != wantBuf {
+		t.Fatalf("clamped pool shards = %d, want %d", res.PoolShards, wantBuf)
 	}
 }
 

@@ -115,14 +115,6 @@ type Config struct {
 	// per-event cost flat at large pending-event populations (it wins
 	// above roughly a thousand concurrent users).
 	Calendar string
-	// LockShards is the lock-table shard count (rounded up to a power of
-	// two); 0 or 1 keeps the single-shard default. Sharding never changes
-	// observable behavior.
-	LockShards int
-	// BufferShards is the buffer-pool resident-table shard count (rounded
-	// up to a power of two); 0 or 1 keeps the single-shard default.
-	// Sharding never changes observable behavior.
-	BufferShards int
 	// StatsReservoir, when positive, bounds the response-time samples
 	// retained for percentile reporting to a uniform reservoir of this
 	// size per metric, making metrics memory O(1) in the transaction
@@ -363,14 +355,11 @@ func (c Config) Fingerprint() string {
 	c.Trace = nil
 	c.Record = nil
 	c.Replay = nil
-	// The scale mechanics below change how state is organized, not what the
-	// simulation does — the calendar dispatches in heap order and shard
-	// counts are invisible to single-threaded behavior (the differential
-	// tests assert both). Excluding them lets a checkpoint taken at one
-	// scale wiring resume under another, e.g. heap/unsharded → wheel/sharded.
+	// The calendar changes how pending events are organized, not what the
+	// simulation does — every calendar dispatches in heap order (the
+	// differential tests assert it). Excluding it lets a checkpoint taken
+	// under one calendar resume under the other.
 	c.Calendar = ""
-	c.LockShards = 0
-	c.BufferShards = 0
 	// The storage backend changes where state lives, not what the simulation
 	// computes — the file backend's logical digest is asserted equal to the
 	// memory backend's — so a checkpoint is portable across backends.

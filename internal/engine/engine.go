@@ -8,44 +8,29 @@ import (
 
 	"oodb/internal/buffer"
 	"oodb/internal/core"
-	"oodb/internal/lock"
 	"oodb/internal/model"
 	"oodb/internal/obs"
-	"oodb/internal/ocb"
 	"oodb/internal/sim"
-	"oodb/internal/storage"
 	"oodb/internal/trace"
-	"oodb/internal/txlog"
 	"oodb/internal/workload"
 )
 
-// Engine is one simulated DBMS server plus its client workstations. It owns
-// the timed layer (stations, users, transactions); all functional work goes
+// Engine is one simulated DBMS server plus its client workstations: the
+// discrete-event driver over the shared world. It owns the timed layer
+// (calendar, stations, users, transactions); all functional work goes
 // through the AccessLayer seam.
 type Engine struct {
-	cfg Config
+	*world
 
-	sim     *sim.Sim
-	db      *workload.Database // OCT database; nil under the OCB workload
-	ocbBase *ocb.Base          // OCB object base; nil under the OCT workload
-	graph   *model.Graph
-	store   storage.Backend
-	durable storage.Durable // non-nil iff the backend is persistent
-	pool    *buffer.Pool
-	clust   core.ClusterStrategy
-	tuner   core.PolicyTuner // clust's run-time tuning hook; nil if untunable
-	pf      core.PrefetchStrategy
-	log     *txlog.Manager
-	gen     workload.Source
-	access  AccessLayer
-	rec     obs.Recorder // nil = uninstrumented
+	pool   *buffer.Pool     // the world's frames, typed for checkpointing
+	tuner  core.PolicyTuner // clust's run-time tuning hook; nil if untunable
+	gen    workload.Source
+	access AccessLayer
 
 	cpu     *sim.Station
 	disks   []*sim.Station
 	logDisk *sim.Station
-	locks   *lock.Manager // nil when Config.Locking is false
 
-	wrkRNG *rand.Rand // workload choices
 	txnSeq int
 
 	// adapt drives the phased-R/W and adaptive-clustering extensions; nil
@@ -69,244 +54,57 @@ type Engine struct {
 	stopped   bool
 }
 
-// New builds an engine: it generates the logical database, then constructs
-// the physical database by replaying the creation sequences through the
-// configured clustering policy (construction I/Os are not timed and all
-// statistics are reset afterwards — the measured run starts on the database
-// that policy would have built).
+// New builds the world (see buildWorld) over the serial pool and attaches
+// the timed layer to it.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := sim.NewWithCalendar(cfg.Seed, cfg.Calendar)
-	if err != nil {
-		return nil, err
+	e := &Engine{}
+	var err error
+	// The attachments that can fail come first, so no error path is left
+	// once the world holds an open storage backend.
+	if cfg.Record != nil {
+		if e.record, err = trace.NewWriter(cfg.Record); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.Replay != nil {
+		if e.replay, err = trace.NewReader(cfg.Replay); err != nil {
+			return nil, err
+		}
 	}
 
-	// Either workload family yields a (graph, store) pair; everything below
-	// the workload seam is family-agnostic.
-	var (
-		db    *workload.Database
-		base  *ocb.Base
-		graph *model.Graph
-		store *storage.Manager
-	)
-	if cfg.Workload == WorkloadOCB {
-		b, err := ocb.Generate(cfg.OCB, cfg.DBBytes, cfg.PageSize, cfg.Seed)
+	// One pool, one global policy: victim order is observable behavior on
+	// the simulated path, and a single goroutine has no use for shard locks.
+	w, err := buildWorld(cfg, 1, func(w *world) (framePool, error) {
+		// The stream is created lazily so deterministic replays are
+		// unaffected unless a stochastic policy actually draws from it.
+		policy, err := w.newPolicy(cfg.Buffers, func() *rand.Rand { return w.sim.Stream("random-replacement") })
 		if err != nil {
-			return nil, fmt.Errorf("engine: generating OCB object base: %w", err)
+			return nil, err
 		}
-		base, graph, store = b, b.Graph, b.Store
-	} else {
-		spec := workload.DefaultDBSpec(cfg.Density, cfg.DBBytes)
-		spec.Seed = cfg.Seed
-		d, err := workload.Generate(spec, cfg.PageSize)
-		if err != nil {
-			return nil, fmt.Errorf("engine: generating database: %w", err)
-		}
-		db, graph, store = d, d.Graph, d.Store
-	}
-
-	// Replacement policies come from the name registry; the Table 4.1 enum
-	// maps onto registered names and Config.ReplacementName may select any
-	// other registered policy (e.g. "clock") directly.
-	replName := cfg.ReplacementName
-	if replName == "" {
-		switch cfg.Replacement {
-		case core.ReplLRU:
-			replName = "lru"
-		case core.ReplRandom:
-			replName = "random"
-		case core.ReplContext:
-			replName = "context-sensitive"
-		default:
-			return nil, fmt.Errorf("engine: unknown replacement policy %v", cfg.Replacement)
-		}
-	}
-	policy, err := buffer.NewPolicyByName(replName, buffer.PolicyConfig{
-		Frames: cfg.Buffers,
-		// Lazily created so deterministic replays are unaffected unless a
-		// stochastic policy actually draws from it.
-		RNG: func() *rand.Rand { return s.Stream("random-replacement") },
+		e.pool = buffer.NewPool(cfg.Buffers, policy)
+		return e.pool, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	pool := buffer.NewPoolSharded(cfg.Buffers, policy, cfg.BufferShards)
-	pool.SetRecorder(cfg.Recorder)
-	store.SetRecorder(cfg.Recorder)
-
-	// The storage backend wraps the in-memory manager: "memory" is the
-	// identity wrapping, "file" journals every placement to a WAL and bears
-	// real page I/O. Everything downstream sees only storage.Backend.
-	fsync, err := storage.ParseFsync(cfg.Fsync)
-	if err != nil {
-		return nil, err
-	}
-	bk, err := storage.NewBackendByName(cfg.Backend, store, storage.BackendOptions{
-		Dir: cfg.DataDir, Fsync: fsync, Recorder: cfg.Recorder,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Clustering strategies come from their own registry; "affinity" is the
-	// paper's algorithm and the default.
-	stratName := cfg.ClusterStrategy
-	if stratName == "" {
-		stratName = "affinity"
-	}
-	clust, err := core.NewClusterStrategy(stratName, core.ClusterSeam{
-		Graph: graph, Store: bk, Pool: pool,
-		Policy: cfg.Cluster, Split: cfg.Split,
-		Hints: cfg.Hints, Hint: cfg.HintKind,
-		PageSize:            cfg.PageSize,
-		NoSiblingCandidates: cfg.NoSiblingCandidates,
-		Recorder:            cfg.Recorder,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	pf := &core.Prefetcher{
-		Graph: graph, Store: bk, Pool: pool,
-		Policy: cfg.Prefetch, Hints: cfg.Hints, Hint: cfg.HintKind,
-	}
-	pf.SetRecorder(cfg.Recorder)
-
-	log := txlog.NewManager(cfg.LogBufBytes)
-	log.SetRecorder(cfg.Recorder)
-
-	e := &Engine{
-		cfg: cfg, sim: s, db: db, ocbBase: base, graph: graph, store: bk,
-		pool: pool, clust: clust, pf: pf,
-		log:    log,
-		rec:    cfg.Recorder,
-		wrkRNG: s.Stream("workload"),
-	}
-	// A persistent backend is discovered by capability, the same pattern as
-	// the cluster strategies' PolicyTuner: the pool gets real page I/O, the
-	// txlog gets durable transaction boundaries, the memory path pays nothing.
-	if d, ok := bk.(storage.Durable); ok {
-		e.durable = d
-		pool.SetPageIO(d)
-		log.SetDurable(d)
-	}
-	e.tuner, _ = clust.(core.PolicyTuner)
-	if base != nil {
-		e.gen = ocb.NewGenerator(base, cfg.OCB, e.wrkRNG)
-	} else {
-		e.gen = workload.NewGenerator(db, workload.DefaultParams(cfg.Density, cfg.ReadWriteRatio), e.wrkRNG)
-	}
-	// The context-sensitive policy is the one that consumes per-read
-	// structural boosts; other policies ignore them, so the access layer
-	// skips computing the boost set entirely.
-	_, boostContext := policy.(*core.ContextPolicy)
-	// Dynamic clustering strategies consume the access-pattern feed; the
-	// capability is discovered once, like PolicyTuner and storage.Durable.
-	obsv, _ := clust.(core.AccessObserver)
-	e.access = &stack{
-		graph: graph, store: bk, pool: pool,
-		clust: clust, pf: pf, log: log, gen: e.gen,
-		rec:          cfg.Recorder,
-		obsv:         obsv,
-		boostContext: boostContext,
-		boostLimit:   cfg.ContextBoostLimit,
-		digest:       digestOffset,
-	}
-	if base != nil {
-		p := cfg.OCB.WithDefaults()
-		st := e.access.(*stack)
-		st.ocbDepth = p.Depth
-		st.sizeBytes = ocbSizeTable(p.BaseSize)
-	}
+	e.world = w
+	e.tuner, _ = w.clust.(core.PolicyTuner)
+	st := w.newStack("workload", 0)
+	e.access, e.gen = st, st.gen
 	e.metrics.init(cfg)
 
-	e.cpu = sim.NewStation(s, "cpu", 1)
+	e.cpu = sim.NewStation(w.sim, "cpu", 1)
 	for d := 0; d < cfg.Disks; d++ {
-		e.disks = append(e.disks, sim.NewStation(s, fmt.Sprintf("disk%d", d), 1))
+		e.disks = append(e.disks, sim.NewStation(w.sim, fmt.Sprintf("disk%d", d), 1))
 	}
-	e.logDisk = sim.NewStation(s, "logdisk", 1)
-
-	if cfg.Locking {
-		e.locks = lock.NewManagerSharded(cfg.LockShards)
-		e.locks.SetRecorder(cfg.Recorder)
-	}
+	e.logDisk = sim.NewStation(w.sim, "logdisk", 1)
 	if len(cfg.PhasedRW) > 0 || cfg.AdaptiveClustering {
 		e.adapt = newAdaptiveState(cfg)
 	}
-
-	if cfg.Record != nil {
-		w, err := trace.NewWriter(cfg.Record)
-		if err != nil {
-			return nil, err
-		}
-		e.record = w
-	}
-	if cfg.Replay != nil {
-		r, err := trace.NewReader(cfg.Replay)
-		if err != nil {
-			return nil, err
-		}
-		e.replay = r
-	}
-
-	if err := e.constructDatabase(); err != nil {
-		return nil, err
-	}
-	if e.durable != nil {
-		// The construction placements were journaled under the bootstrap
-		// pseudo-transaction; commit them durably before the run starts so
-		// recovery always has the baseline every run transaction builds on.
-		if err := e.durable.CommitBootstrap(); err != nil {
-			return nil, fmt.Errorf("engine: committing construction bootstrap: %w", err)
-		}
-	}
 	return e, nil
-}
-
-// Close flushes the buffer pool's dirty pages and releases the persistent
-// backend's files; a memory-backed engine closes as a no-op. Idempotent.
-func (e *Engine) Close() error {
-	if e.durable == nil {
-		return nil
-	}
-	d := e.durable
-	e.durable = nil
-	flushErr := e.pool.FlushDirty()
-	return errors.Join(flushErr, d.Close())
-}
-
-// constructDatabase replays the interleaved creation order through the
-// clustering policy, then resets every statistic so the measured run starts
-// clean. The buffer pool's state is kept: the run begins with the pool warm,
-// as a long-lived server's would be. The OCB base carries its own creation
-// order (references always point backwards in it); the OCT database
-// interleaves its creation sequences from a dedicated stream.
-func (e *Engine) constructDatabase() error {
-	var order []model.ObjectID
-	if e.ocbBase != nil {
-		order = e.ocbBase.Order
-	} else {
-		order = e.db.ConstructionOrder(e.sim.Stream("construction"), 4)
-	}
-	for _, id := range order {
-		o := e.graph.Object(id)
-		if o == nil {
-			return fmt.Errorf("engine: construction order references unknown object %d", id)
-		}
-		if _, err := e.clust.PlaceNew(o); err != nil {
-			return fmt.Errorf("engine: constructing database: placing %d: %w", id, err)
-		}
-	}
-	if e.store.NumPlaced() != e.graph.NumObjects() {
-		return fmt.Errorf("engine: construction placed %d of %d objects",
-			e.store.NumPlaced(), e.graph.NumObjects())
-	}
-	e.pool.ResetStats()
-	e.clust.ResetStats()
-	e.log.ResetStats()
-	return nil
 }
 
 // Run simulates until the configured number of transactions has completed
@@ -472,8 +270,8 @@ func (e *Engine) startTxn(done func()) {
 			}
 		}
 	}
-	if e.rec != nil {
-		e.rec.Count(obs.EngineTxn, 1)
+	if e.cfg.Recorder != nil {
+		e.cfg.Recorder.Count(obs.EngineTxn, 1)
 	}
 
 	// Concurrency control first: the transaction queues on conflicting
@@ -485,29 +283,20 @@ func (e *Engine) startTxn(done func()) {
 
 // runLocked executes a transaction that holds its locks.
 func (e *Engine) runLocked(txn int, req workload.Op, t0 sim.Time, done func()) {
-	if err := e.log.Begin(txn); err != nil {
-		e.fail(err)
-		return
-	}
-	res, err := e.access.Execute(txn, req)
-	if err2 := e.log.End(txn); err == nil {
-		err = err2
-	}
+	res, err := e.transact(e.access, txn, req)
 	if err != nil {
 		e.fail(err)
 		return
 	}
 
 	ios := res.IOs
-	e.metrics.notFound += res.NotFound
-	e.metrics.note(req.Kind, res.Logical, ios)
+	e.metrics.note(req.Kind, res)
 	// Background prefetch I/Os load the disks (and are accounted) but do
 	// not serialize into this transaction's response path. Copied because
 	// res.Background is scratch-backed and the disk callbacks outlive it.
 	bg := append([]core.PhysIO(nil), res.Background...)
-	e.metrics.noteBackground(bg)
-	if e.rec != nil && len(bg) > 0 {
-		e.rec.Count(obs.EngineBackgroundIO, len(bg))
+	if e.cfg.Recorder != nil && len(bg) > 0 {
+		e.cfg.Recorder.Count(obs.EngineBackgroundIO, len(bg))
 	}
 	for _, io := range bg {
 		e.diskFor(io).Request(e.cfg.DiskServiceTime, nil)

@@ -19,11 +19,9 @@ type Metrics struct {
 	respRead  stats.Tally
 	respWrite stats.Tally
 
-	logicalOps   int
-	physReads    int
-	physWrites   int
-	logWrites    int
-	bgReads      int // background prefetch I/Os
+	// ops accounts the measured transactions; warm-up transactions count
+	// only toward its NotFoundReads.
+	ops          IOCounts
 	perKindCount [workload.NumQueryKinds]int
 	perKindIOs   [workload.NumQueryKinds]int
 	perKindResp  [workload.NumQueryKinds]stats.Tally
@@ -32,10 +30,6 @@ type Metrics struct {
 	// discarded; skipped counts how many have been discarded so far.
 	warmup  int
 	skipped int
-
-	// notFound counts logical reads of objects deleted between transaction
-	// generation and execution.
-	notFound int
 
 	// ratioIgnored counts phased read/write-ratio changes the workload
 	// source refused to honor (SetReadWriteRatio returned false).
@@ -72,30 +66,14 @@ func (m *Metrics) init(cfg Config) {
 // inWarmup reports whether measurements are still being discarded.
 func (m *Metrics) inWarmup() bool { return m.skipped < m.warmup }
 
-func (m *Metrics) noteBackground(ios []core.PhysIO) {
+func (m *Metrics) note(kind workload.QueryKind, res AccessResult) {
 	if m.inWarmup() {
+		m.ops.NotFoundReads += res.NotFound
 		return
 	}
-	m.bgReads += len(ios)
-}
-
-func (m *Metrics) note(kind workload.QueryKind, logical int, ios []core.PhysIO) {
-	if m.inWarmup() {
-		return
-	}
-	m.logicalOps += logical
+	m.ops.note(res)
 	m.perKindCount[kind]++
-	m.perKindIOs[kind] += len(ios)
-	for _, io := range ios {
-		switch {
-		case io.Log:
-			m.logWrites++
-		case io.Kind == core.ReadIO:
-			m.physReads++
-		default:
-			m.physWrites++
-		}
-	}
+	m.perKindIOs[kind] += len(res.IOs)
 }
 
 func (m *Metrics) complete(kind workload.QueryKind, resp float64) {
@@ -112,9 +90,129 @@ func (m *Metrics) complete(kind workload.QueryKind, resp float64) {
 	}
 }
 
-// Results summarizes one simulation run.
-type Results struct {
+// IOCounts is the logical and physical I/O accounting of a set of
+// transactions.
+type IOCounts struct {
+	LogicalOps    int
+	PhysReads     int
+	PhysWrites    int
+	LogIOs        int // physical log-disk writes charged to transactions
+	BackgroundIOs int // asynchronous prefetch I/Os
+	NotFoundReads int // logical reads that found the object deleted
+}
+
+// note adds one executed transaction.
+func (c *IOCounts) note(res AccessResult) {
+	c.LogicalOps += res.Logical
+	c.BackgroundIOs += len(res.Background)
+	c.NotFoundReads += res.NotFound
+	for _, io := range res.IOs {
+		switch {
+		case io.Log:
+			c.LogIOs++
+		case io.Kind == core.ReadIO:
+			c.PhysReads++
+		default:
+			c.PhysWrites++
+		}
+	}
+}
+
+// add folds another set's counts in.
+func (c *IOCounts) add(o IOCounts) {
+	c.LogicalOps += o.LogicalOps
+	c.PhysReads += o.PhysReads
+	c.PhysWrites += o.PhysWrites
+	c.LogIOs += o.LogIOs
+	c.BackgroundIOs += o.BackgroundIOs
+	c.NotFoundReads += o.NotFoundReads
+}
+
+// ResultCore is what every driver reports about a run: the logical
+// accounting, the shared components' statistics, and the differential-
+// oracle observables. Results and ConcurrentResults embed it and add their
+// own clock's measurements. Each driver applies its own warm-up rule to the
+// counters (the serial engine excludes warm-up transactions from them, the
+// concurrent engine only from its latency distribution).
+type ResultCore struct {
 	Config Config
+
+	Completed int
+	// Throughput is completed transactions per second of the driver's clock
+	// (simulated seconds for Results, wall-clock for ConcurrentResults).
+	Throughput float64
+	IOCounts
+	// KindCount maps query-kind name to its transaction count.
+	KindCount map[string]int
+
+	// Component statistics. PoolResident and PoolCapacity expose end-of-run
+	// buffer occupancy for the occupancy conservation invariant; Locks is
+	// the zero value when locking is disabled, and LocksHeld — objects still
+	// locked at end of run — must be zero.
+	Pool         buffer.Stats
+	HitRatio     float64
+	PoolResident int
+	PoolCapacity int
+	Locks        lock.Stats
+	LocksHeld    int
+
+	// --- Differential-oracle observables ---
+
+	// LogicalDigest folds every logical read (id, found/not-found) in
+	// execution order; the concurrent engine XORs its per-session digests.
+	// Two runs of the same read-only transaction stream must produce the
+	// same digest no matter the policy wiring, and a one-session concurrent
+	// run must produce the serial engine's.
+	LogicalDigest uint64
+	// FinalStateDigest folds the end-of-run logical database — every live
+	// object's identity, type, size, configuration references, and
+	// inheritance link, in ID order. Under a write-enabled stream executed
+	// without lock-induced reordering, every policy wiring (and a
+	// one-session concurrent run) must converge on the same final logical
+	// state; this digest is what the oracle compares.
+	FinalStateDigest uint64
+	// ConservationViolations counts writes after which the placed-object
+	// count disagreed with the live-object count (must be zero: every live
+	// object occupies exactly one page slot).
+	ConservationViolations int
+	// LiveObjects and PlacedObjects expose the end-of-run counts behind the
+	// conservation invariant.
+	LiveObjects   int
+	PlacedObjects int
+
+	// Durability reports the real physical I/O a persistent backend
+	// performed (zero value under the in-memory backend).
+	Durability storage.DurableStats
+}
+
+// report fills the core fields read off the shared structures; the drivers
+// add the counters their own bookkeeping holds.
+func (w *world) report() ResultCore {
+	r := ResultCore{
+		Config:           w.cfg,
+		Pool:             w.frames.Stats(),
+		PoolResident:     w.frames.Resident(),
+		PoolCapacity:     w.frames.Capacity(),
+		FinalStateDigest: finalStateDigest(w.graph),
+		LiveObjects:      w.graph.NumObjects(),
+		PlacedObjects:    w.store.NumPlaced(),
+		KindCount:        make(map[string]int),
+	}
+	r.HitRatio = r.Pool.HitRatio()
+	if w.locks != nil {
+		r.Locks = w.locks.Stats()
+		r.LocksHeld = w.locks.Locked()
+	}
+	if w.durable != nil {
+		r.Durability = w.durable.DurableStats()
+	}
+	return r
+}
+
+// Results summarizes one simulation run: the shared ResultCore (counters
+// exclude warm-up transactions) plus simulated-time measurements.
+type Results struct {
+	ResultCore
 
 	// Response-time statistics in seconds.
 	MeanResponse  float64
@@ -124,25 +222,13 @@ type Results struct {
 	// P99WriteResponse is the 99th-percentile write response time — the
 	// write-mix macro benchmark's tail-latency metric.
 	P99WriteResponse float64
-	Completed        int
 	ReadTxns         int
 	WriteTxns        int
 
-	// I/O accounting.
-	LogicalOps    int
-	PhysReads     int
-	PhysWrites    int
-	LogIOs        int // physical log-disk writes charged to transactions
-	BackgroundIOs int // asynchronous prefetch I/Os
-	NotFoundReads int // logical reads that found the object deleted
-	HitRatio      float64
+	// SimTime is the simulated duration in seconds.
+	SimTime float64
 
-	// Simulated duration and throughput.
-	SimTime    float64
-	Throughput float64
-
-	// Component statistics.
-	Pool    buffer.Stats
+	// Serial-only component statistics.
 	Cluster core.ClusterStats
 	Log     txlog.Stats
 
@@ -158,80 +244,39 @@ type Results struct {
 	// KindResponse maps query-kind name to its mean response time, for
 	// per-operation analysis (checkout vs simple lookup vs insert ...).
 	KindResponse map[string]float64
-	// KindCount maps query-kind name to its measured transaction count.
-	KindCount map[string]int
 	// KindIOs maps query-kind name to the foreground physical I/Os its
 	// transactions issued — with KindCount, the per-operation-kind I/O and
 	// hit-rate breakdown the OCB analysis reads.
 	KindIOs map[string]int
 
-	// Locks reports concurrency-control activity (zero value when locking
-	// is disabled).
-	Locks lock.Stats
-
-	// --- Differential-oracle observables ---
-
-	// LogicalDigest folds every logical read (id, found/not-found) in
-	// execution order. Two runs of the same read-only transaction stream
-	// must produce the same digest no matter the policy wiring.
-	LogicalDigest uint64
-	// FinalStateDigest folds the end-of-run logical database — every live
-	// object's identity, type, size, configuration references, and
-	// inheritance link, in ID order. Under a write-enabled stream executed
-	// without lock-induced reordering, every policy wiring must converge on
-	// the same final logical state; this digest is what the oracle compares.
-	FinalStateDigest uint64
-	// ConservationViolations counts writes after which the placed-object
-	// count disagreed with the live-object count (must be zero: every live
-	// object occupies exactly one page slot).
-	ConservationViolations int
-	// LiveObjects and PlacedObjects expose the end-of-run counts behind the
-	// conservation invariant.
-	LiveObjects   int
-	PlacedObjects int
 	// RatioChangesIgnored counts phased read/write-ratio changes the
 	// workload source refused to honor (e.g. a read-only OCB stream asked
 	// to start writing mid-run).
 	RatioChangesIgnored int
-	// PoolResident and PoolCapacity expose end-of-run buffer occupancy for
-	// the occupancy conservation invariant.
-	PoolResident int
-	PoolCapacity int
-	// LocksHeld is the number of objects still locked at end of run (must
-	// be zero: every acquire is paired with a release).
-	LocksHeld int
-
-	// Durability reports the real physical I/O a persistent backend
-	// performed (zero value under the in-memory backend).
-	Durability storage.DurableStats
 }
 
 func (e *Engine) results() Results {
 	m := &e.metrics
 	r := Results{
-		Config:           e.cfg,
-		MeanResponse:     m.respAll.Mean(),
-		P95Response:      m.respAll.Percentile(95),
-		ReadResponse:     m.respRead.Mean(),
-		WriteResponse:    m.respWrite.Mean(),
-		P99WriteResponse: m.respWrite.Percentile(99),
-		Completed:        m.respAll.N(),
-		ReadTxns:         m.respRead.N(),
-		WriteTxns:        m.respWrite.N(),
-		LogicalOps:       m.logicalOps,
-		PhysReads:        m.physReads,
-		PhysWrites:       m.physWrites,
-		LogIOs:           m.logWrites,
-		BackgroundIOs:    m.bgReads,
-		NotFoundReads:    m.notFound,
-		HitRatio:         e.pool.Stats().HitRatio(),
-		SimTime:          e.sim.Now(),
-		Pool:             e.pool.Stats(),
-		Cluster:          e.clust.Stats(),
-		Log:              e.log.Stats(),
-		CPUUtil:          e.cpu.Utilization(),
-		LogDiskUtil:      e.logDisk.Utilization(),
+		ResultCore:          e.report(),
+		MeanResponse:        m.respAll.Mean(),
+		P95Response:         m.respAll.Percentile(95),
+		ReadResponse:        m.respRead.Mean(),
+		WriteResponse:       m.respWrite.Mean(),
+		P99WriteResponse:    m.respWrite.Percentile(99),
+		ReadTxns:            m.respRead.N(),
+		WriteTxns:           m.respWrite.N(),
+		SimTime:             e.sim.Now(),
+		Cluster:             e.clust.Stats(),
+		Log:                 e.log.Stats(),
+		CPUUtil:             e.cpu.Utilization(),
+		LogDiskUtil:         e.logDisk.Utilization(),
+		RatioChangesIgnored: m.ratioIgnored,
+		KindResponse:        make(map[string]float64),
+		KindIOs:             make(map[string]int),
 	}
+	r.Completed = m.respAll.N()
+	r.IOCounts = m.ops
 	if r.SimTime > 0 {
 		r.Throughput = float64(r.Completed) / r.SimTime
 	}
@@ -245,26 +290,10 @@ func (e *Engine) results() Results {
 	if e.adapt != nil {
 		r.AdaptiveSwitches = e.adapt.Switches
 	}
-	if e.locks != nil {
-		r.Locks = e.locks.Stats()
-		r.LocksHeld = e.locks.Locked()
-	}
 	if st, ok := e.access.(*stack); ok {
 		r.LogicalDigest = st.digest
 		r.ConservationViolations = st.conserve
 	}
-	r.RatioChangesIgnored = m.ratioIgnored
-	r.LiveObjects = e.graph.NumObjects()
-	r.PlacedObjects = e.store.NumPlaced()
-	r.FinalStateDigest = finalStateDigest(e.graph)
-	if e.durable != nil {
-		r.Durability = e.durable.DurableStats()
-	}
-	r.PoolResident = e.pool.Resident()
-	r.PoolCapacity = e.pool.Capacity()
-	r.KindResponse = make(map[string]float64)
-	r.KindCount = make(map[string]int)
-	r.KindIOs = make(map[string]int)
 	for k := workload.QueryKind(0); k < workload.NumQueryKinds; k++ {
 		if n := m.perKindResp[k].N(); n > 0 {
 			r.KindResponse[k.String()] = m.perKindResp[k].Mean()

@@ -52,34 +52,14 @@ func TestCalendarFullRunIdentical(t *testing.T) {
 	}
 }
 
-// TestShardingFullRunIdentical does the same across lock/buffer shard
-// counts: sharding reorganizes state, single-threaded behavior is untouched.
-func TestShardingFullRunIdentical(t *testing.T) {
-	cfg := quickConfig(300)
-	base := run(t, cfg)
-	for _, shards := range []int{4, 64} {
-		c := cfg
-		c.LockShards = shards
-		c.BufferShards = shards
-		res := run(t, c)
-		res.Config.LockShards = cfg.LockShards
-		res.Config.BufferShards = cfg.BufferShards
-		if !reflect.DeepEqual(stripped(res), stripped(base)) {
-			t.Errorf("%d shards diverged from unsharded:\n%v\n%v", shards, res, base)
-		}
-	}
-}
-
-// TestCheckpointAcrossScaleMechanics: the calendar and shard counts are
-// excluded from the configuration fingerprint, so a checkpoint taken under
-// the default wiring resumes under the scale wiring (and vice versa) with a
-// byte-identical continuation — the scale-migration path.
+// TestCheckpointAcrossScaleMechanics: the calendar is excluded from the
+// configuration fingerprint, so a checkpoint taken under the heap resumes
+// under the wheel (and vice versa) with a byte-identical continuation — the
+// scale-migration path.
 func TestCheckpointAcrossScaleMechanics(t *testing.T) {
 	plain := quickConfig(300)
 	scaled := plain
 	scaled.Calendar = sim.CalendarWheel
-	scaled.LockShards = 8
-	scaled.BufferShards = 4
 
 	baseline := run(t, plain)
 	for _, tc := range []struct {

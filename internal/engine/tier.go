@@ -12,9 +12,8 @@ import (
 // callers ask for "a medium run" instead of hand-tuning ten fields. The
 // default tier is exactly the paper's configuration — byte-identical to
 // DefaultConfig — while medium and large move to the OCB synthetic
-// workload and turn on the scale machinery (timing-wheel calendar, sharded
-// lock/buffer tables, reservoir statistics) that keeps big runs fast and
-// memory bounded.
+// workload and turn on the scale machinery (timing-wheel calendar,
+// reservoir statistics) that keeps big runs fast and memory bounded.
 const (
 	// TierDefault is the paper's 10-user configuration at 5% scale:
 	// seconds of wall clock, exact percentile statistics, checkpointable.
@@ -24,10 +23,10 @@ const (
 	// frequent at 100 users), used by the CI smoke job.
 	TierMedium = "medium"
 	// TierLarge is the 100k-user OCB run over a multi-GB object base:
-	// minutes of wall clock, timing-wheel calendar, sharded state,
-	// reservoir percentiles. Not checkpointable — with 100k users the
-	// probability of a fully quiescent instant (every user thinking) is
-	// effectively zero, so rely on determinism and trace replay instead.
+	// minutes of wall clock, timing-wheel calendar, reservoir percentiles.
+	// Not checkpointable — with 100k users the probability of a fully
+	// quiescent instant (every user thinking) is effectively zero, so rely
+	// on determinism and trace replay instead.
 	TierLarge = "large"
 )
 
@@ -49,8 +48,6 @@ var tierConfigs = map[string]func() Config{
 		c.Disks = 32
 		c.Transactions = 4000
 		c.Calendar = sim.CalendarWheel
-		c.LockShards = 16
-		c.BufferShards = 8
 		c.StatsReservoir = 4096
 		return c
 	},
@@ -65,8 +62,6 @@ var tierConfigs = map[string]func() Config{
 		c.Disks = 256
 		c.Transactions = 100_000
 		c.Calendar = sim.CalendarWheel
-		c.LockShards = 256
-		c.BufferShards = 64
 		c.StatsReservoir = 4096
 		return c
 	},

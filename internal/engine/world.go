@@ -1,0 +1,294 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+
+	"oodb/internal/buffer"
+	"oodb/internal/core"
+	"oodb/internal/lock"
+	"oodb/internal/model"
+	"oodb/internal/obs"
+	"oodb/internal/ocb"
+	"oodb/internal/sim"
+	"oodb/internal/storage"
+	"oodb/internal/txlog"
+	"oodb/internal/workload"
+)
+
+// world is the one server stack the paper evaluates — logical database,
+// storage backend, buffer pool, cluster manager, log, lock table — built
+// once by buildWorld and driven by either Engine (simulated time) or
+// Concurrent (wall-clock sessions). Everything a driver does not own lives
+// here, so the two cannot drift apart: the same configuration leaves
+// construction with the same placement, the same warm pool and zeroed
+// statistics under both.
+type world struct {
+	cfg Config
+
+	// sim supplies every seed-derived named random stream; the serial driver
+	// also runs its event calendar.
+	sim     *sim.Sim
+	db      *workload.Database // OCT database; nil under the OCB workload
+	ocbBase *ocb.Base          // OCB object base; nil under the OCT workload
+	graph   *model.Graph
+	store   storage.Backend
+	durable storage.Durable // non-nil iff the backend is persistent
+	frames  framePool       // the driver's pool, as the shared layers see it
+	clust   core.ClusterStrategy
+	log     *txlog.Manager
+	locks   *lock.Manager // nil when cfg.Locking is false
+
+	// replName is the registry name the Table 4.1 replacement enum (or
+	// Config.ReplacementName) resolved to.
+	replName string
+	// boostContext is set when the pool runs the context-sensitive policy,
+	// the only one that consumes per-read structural boosts; stacks under
+	// any other policy skip computing the boost set entirely.
+	boostContext bool
+}
+
+// framePool is what the world asks of the pool a driver hands it. Both
+// buffer.Pool and buffer.ConcurrentPool already have every method.
+type framePool interface {
+	buffer.Frames
+	SetRecorder(r obs.Recorder)
+	SetPageIO(io storage.PageIO)
+	Stats() buffer.Stats
+	ResetStats()
+	Resident() int
+	Capacity() int
+	FlushDirty() error
+}
+
+// buildWorld generates the logical database, wires the stack over the pool
+// newPool returns, and constructs the physical database by replaying the
+// creation order through the configured clustering strategy. Construction
+// I/Os are not timed and every statistic is reset afterwards — the measured
+// run starts on the database that policy would have built, with the pool
+// warm as a long-lived server's would be. cfg must already be validated.
+//
+// lockShards sizes the lock table when cfg.Locking is set. Once the storage
+// backend is open, every error return closes it.
+func buildWorld(cfg Config, lockShards int, newPool func(*world) (framePool, error)) (w *world, err error) {
+	s, err := sim.NewWithCalendar(cfg.Seed, cfg.Calendar)
+	if err != nil {
+		return nil, err
+	}
+	w = &world{cfg: cfg, sim: s}
+
+	// Either workload family yields a (graph, store) pair; everything below
+	// the workload seam is family-agnostic.
+	var mem *storage.Manager
+	if cfg.Workload == WorkloadOCB {
+		b, err := ocb.Generate(cfg.OCB, cfg.DBBytes, cfg.PageSize, cfg.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("engine: generating OCB object base: %w", err)
+		}
+		w.ocbBase, w.graph, mem = b, b.Graph, b.Store
+	} else {
+		spec := workload.DefaultDBSpec(cfg.Density, cfg.DBBytes)
+		spec.Seed = cfg.Seed
+		d, err := workload.Generate(spec, cfg.PageSize)
+		if err != nil {
+			return nil, fmt.Errorf("engine: generating database: %w", err)
+		}
+		w.db, w.graph, mem = d, d.Graph, d.Store
+	}
+	mem.SetRecorder(cfg.Recorder)
+
+	// Replacement policies come from the name registry; the Table 4.1 enum
+	// maps onto registered names and Config.ReplacementName may select any
+	// other registered policy (e.g. "clock") directly.
+	w.replName = cfg.ReplacementName
+	if w.replName == "" {
+		switch cfg.Replacement {
+		case core.ReplLRU:
+			w.replName = "lru"
+		case core.ReplRandom:
+			w.replName = "random"
+		case core.ReplContext:
+			w.replName = "context-sensitive"
+		default:
+			return nil, fmt.Errorf("engine: unknown replacement policy %v", cfg.Replacement)
+		}
+	}
+	if w.frames, err = newPool(w); err != nil {
+		return nil, err
+	}
+	w.frames.SetRecorder(cfg.Recorder)
+
+	// The storage backend wraps the in-memory manager: "memory" is the
+	// identity wrapping, "file" journals every placement to a WAL and bears
+	// real page I/O. Everything downstream sees only storage.Backend.
+	fsync, err := storage.ParseFsync(cfg.Fsync)
+	if err != nil {
+		return nil, err
+	}
+	w.store, err = storage.NewBackendByName(cfg.Backend, mem, storage.BackendOptions{
+		Dir: cfg.DataDir, Fsync: fsync, Recorder: cfg.Recorder,
+	})
+	if err != nil {
+		return nil, err
+	}
+	w.log = txlog.NewManager(cfg.LogBufBytes)
+	w.log.SetRecorder(cfg.Recorder)
+	// A persistent backend is discovered by capability, the same pattern as
+	// the cluster strategies' PolicyTuner: the pool gets real page I/O, the
+	// txlog gets durable transaction boundaries, the memory path pays nothing.
+	if d, ok := w.store.(storage.Durable); ok {
+		w.durable = d
+		w.frames.SetPageIO(d)
+		w.log.SetDurable(d)
+		defer func() {
+			if err != nil {
+				err = errors.Join(err, d.Close())
+			}
+		}()
+	}
+
+	// Clustering strategies come from their own registry; "affinity" is the
+	// paper's algorithm and the default.
+	stratName := cfg.ClusterStrategy
+	if stratName == "" {
+		stratName = "affinity"
+	}
+	w.clust, err = core.NewClusterStrategy(stratName, core.ClusterSeam{
+		Graph: w.graph, Store: w.store, Pool: w.frames,
+		Policy: cfg.Cluster, Split: cfg.Split,
+		Hints: cfg.Hints, Hint: cfg.HintKind,
+		PageSize:            cfg.PageSize,
+		NoSiblingCandidates: cfg.NoSiblingCandidates,
+		Recorder:            cfg.Recorder,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Locking {
+		w.locks = lock.NewManagerSharded(lockShards)
+		w.locks.SetRecorder(cfg.Recorder)
+	}
+
+	if err := w.constructDatabase(); err != nil {
+		return nil, err
+	}
+	if w.durable != nil {
+		// The construction placements were journaled under the bootstrap
+		// pseudo-transaction; commit them durably before the run starts so
+		// recovery always has the baseline every run transaction builds on.
+		if err := w.durable.CommitBootstrap(); err != nil {
+			return nil, fmt.Errorf("engine: committing construction bootstrap: %w", err)
+		}
+	}
+	return w, nil
+}
+
+// newPolicy instantiates the configured replacement policy for a pool (or
+// pool shard) of the given frame count; rng supplies the stream a
+// stochastic policy draws from.
+func (w *world) newPolicy(frames int, rng func() *rand.Rand) (buffer.Policy, error) {
+	p, err := buffer.NewPolicyByName(w.replName, buffer.PolicyConfig{Frames: frames, RNG: rng})
+	if _, ok := p.(*core.ContextPolicy); ok {
+		w.boostContext = true
+	}
+	return p, err
+}
+
+// constructDatabase replays the creation order through the clustering
+// strategy, single-threaded, then resets every statistic. The OCB base
+// carries its own creation order (references always point backwards in
+// it); the OCT database interleaves its creation sequences from a
+// dedicated stream.
+func (w *world) constructDatabase() error {
+	var order []model.ObjectID
+	if w.ocbBase != nil {
+		order = w.ocbBase.Order
+	} else {
+		order = w.db.ConstructionOrder(w.sim.Stream("construction"), 4)
+	}
+	for _, id := range order {
+		o := w.graph.Object(id)
+		if o == nil {
+			return fmt.Errorf("engine: construction order references unknown object %d", id)
+		}
+		if _, err := w.clust.PlaceNew(o); err != nil {
+			return fmt.Errorf("engine: constructing database: placing %d: %w", id, err)
+		}
+	}
+	if w.store.NumPlaced() != w.graph.NumObjects() {
+		return fmt.Errorf("engine: construction placed %d of %d objects",
+			w.store.NumPlaced(), w.graph.NumObjects())
+	}
+	w.frames.ResetStats()
+	w.clust.ResetStats()
+	w.log.ResetStats()
+	return nil
+}
+
+// newStack builds one access-layer stack over the shared world: its own
+// generator on the named workload stream, its own prefetcher (scratch
+// buffers and counters), scratch and digest. nameSeq is the base of the
+// stack's created-object name sequence.
+func (w *world) newStack(stream string, nameSeq int) *stack {
+	cfg := w.cfg
+	wrk := w.sim.Stream(stream)
+	var gen workload.Source
+	if w.ocbBase != nil {
+		gen = ocb.NewGenerator(w.ocbBase, cfg.OCB, wrk)
+	} else {
+		gen = workload.NewGenerator(w.db, workload.DefaultParams(cfg.Density, cfg.ReadWriteRatio), wrk)
+	}
+	pf := &core.Prefetcher{
+		Graph: w.graph, Store: w.store, Pool: w.frames,
+		Policy: cfg.Prefetch, Hints: cfg.Hints, Hint: cfg.HintKind,
+	}
+	pf.SetRecorder(cfg.Recorder)
+	// Dynamic clustering strategies consume the access-pattern feed; the
+	// capability is discovered like PolicyTuner and storage.Durable. Stacks
+	// share the one strategy instance, which AccessObserver contracts to be
+	// race-free under the shared guard.
+	obsv, _ := w.clust.(core.AccessObserver)
+	st := &stack{
+		graph: w.graph, store: w.store, pool: w.frames,
+		clust: w.clust, pf: pf, log: w.log, gen: gen,
+		rec:          cfg.Recorder,
+		obsv:         obsv,
+		boostContext: w.boostContext,
+		boostLimit:   cfg.ContextBoostLimit,
+		digest:       digestOffset,
+		nameSeq:      nameSeq,
+	}
+	if w.ocbBase != nil {
+		p := cfg.OCB.WithDefaults()
+		st.ocbDepth = p.Depth
+		st.sizeBytes = ocbSizeTable(p.BaseSize)
+	}
+	return st
+}
+
+// transact runs one transaction inside its log bracket. A transaction whose
+// execution fails is aborted, never committed: under a persistent backend
+// its half-applied mutations must not reach recovery behind a commit record.
+func (w *world) transact(a AccessLayer, txn int, req workload.Op) (AccessResult, error) {
+	if err := w.log.Begin(txn); err != nil {
+		return AccessResult{}, err
+	}
+	res, err := a.Execute(txn, req)
+	if err != nil {
+		return res, errors.Join(err, w.log.Abort(txn))
+	}
+	return res, w.log.End(txn)
+}
+
+// Close flushes the buffer pool's dirty pages and releases the persistent
+// backend's files; a memory-backed world closes as a no-op. Idempotent.
+// Close does not quiesce a running driver — call it after Run has returned.
+func (w *world) Close() error {
+	if w.durable == nil {
+		return nil
+	}
+	d := w.durable
+	w.durable = nil
+	return errors.Join(w.frames.FlushDirty(), d.Close())
+}

@@ -243,10 +243,10 @@ func TestEquivalenceDetectsDivergence(t *testing.T) {
 }
 
 // TestOracleAcrossScaleMechanics replays the recorded stream under each
-// event calendar and under sharded lock/buffer tables. Unlike a policy
-// change, scale mechanics must not change ANY observable — so beyond the
-// oracle's logical-equivalence and conservation checks, the full Results
-// are asserted byte-identical to the default wiring's.
+// event calendar. Unlike a policy change, scale mechanics must not change
+// ANY observable — so beyond the oracle's logical-equivalence and
+// conservation checks, the full Results are asserted byte-identical to the
+// default wiring's.
 func TestOracleAcrossScaleMechanics(t *testing.T) {
 	s := stream(t)
 	base := tinyOCBConfig()
@@ -254,36 +254,23 @@ func TestOracleAcrossScaleMechanics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replaying baseline: %v", err)
 	}
-	variants := []struct {
-		name   string
-		mutate func(*engine.Config)
-	}{
-		{"sharded", func(c *engine.Config) { c.LockShards = 32; c.BufferShards = 16 }},
-	}
 	for _, kind := range sim.CalendarKinds() {
-		kind := kind
-		variants = append(variants, struct {
-			name   string
-			mutate func(*engine.Config)
-		}{"calendar-" + kind, func(c *engine.Config) { c.Calendar = kind }})
-	}
-	for _, v := range variants {
 		cfg := base
-		v.mutate(&cfg)
+		cfg.Calendar = kind
 		res, err := s.Replay(cfg)
 		if err != nil {
-			t.Errorf("%s: replay: %v", v.name, err)
+			t.Errorf("calendar-%s: replay: %v", kind, err)
 			continue
 		}
 		if err := CheckConservation(res); err != nil {
-			t.Errorf("%s: %v", v.name, err)
+			t.Errorf("calendar-%s: %v", kind, err)
 		}
 		if err := CheckEquivalence(baseRes, res); err != nil {
-			t.Errorf("%s: %v", v.name, err)
+			t.Errorf("calendar-%s: %v", kind, err)
 		}
-		res.Config = baseRes.Config // only the mechanics fields differ
+		res.Config = baseRes.Config // only the calendar differs
 		if !reflect.DeepEqual(res, baseRes) {
-			t.Errorf("%s: results not byte-identical to default wiring:\n%v\n%v", v.name, res, baseRes)
+			t.Errorf("calendar-%s: results not byte-identical to default wiring:\n%v\n%v", kind, res, baseRes)
 		}
 	}
 }

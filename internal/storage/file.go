@@ -99,6 +99,9 @@ type FileBackend struct {
 	mu  sync.Mutex // serializes WAL appends and commit bookkeeping
 	wal *walWriter
 	cur uint64 // WAL txn attributed to in-flight mutations; 0 = bootstrap
+	// committed is the digest the last commit record carried: the newest
+	// state replaying the log reproduces.
+	committed uint64
 
 	ioMu  sync.Mutex // serializes page-file I/O (shared frame scratch)
 	pages *pageFile
@@ -215,7 +218,8 @@ func (fb *FileBackend) LogBegin(txn int) error {
 func (fb *FileBackend) LogCommit(txn int) error {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	err := fb.wal.append(WALRecord{Kind: WALCommit, Txn: uint64(txn) + 1, Digest: fb.StateDigest()})
+	fb.committed = fb.StateDigest()
+	err := fb.wal.append(WALRecord{Kind: WALCommit, Txn: uint64(txn) + 1, Digest: fb.committed})
 	if err != nil {
 		return err
 	}
@@ -245,7 +249,8 @@ func (fb *FileBackend) LogAbort(txn int) error {
 func (fb *FileBackend) CommitBootstrap() error {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	if err := fb.wal.append(WALRecord{Kind: WALCommit, Txn: 0, Digest: fb.StateDigest()}); err != nil {
+	fb.committed = fb.StateDigest()
+	if err := fb.wal.append(WALRecord{Kind: WALCommit, Txn: 0, Digest: fb.committed}); err != nil {
 		return err
 	}
 	return fb.wal.sync()
@@ -268,7 +273,11 @@ func (fb *FileBackend) Checkpoint() error {
 }
 
 // Close checkpoints and releases both files. Idempotent: a second Close is
-// a no-op, so engines can close defensively.
+// a no-op, so engines can close defensively. The checkpoint record is
+// skipped when the in-memory state is not the last committed one — a
+// failed construction, or a transaction that aborted with its mutations
+// still applied (nothing rolls them back) — because recovery checks the
+// replayed state against the last digest in the log.
 func (fb *FileBackend) Close() error {
 	fb.mu.Lock()
 	if fb.closed {
@@ -276,7 +285,10 @@ func (fb *FileBackend) Close() error {
 		return nil
 	}
 	fb.closed = true
-	err := fb.wal.append(WALRecord{Kind: WALCheckpoint, Digest: fb.StateDigest()})
+	var err error
+	if fb.StateDigest() == fb.committed {
+		err = fb.wal.append(WALRecord{Kind: WALCheckpoint, Digest: fb.committed})
+	}
 	err = errors.Join(err, fb.wal.close())
 	fb.mu.Unlock()
 	fb.ioMu.Lock()

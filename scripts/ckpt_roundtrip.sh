@@ -44,11 +44,10 @@ diff "$tmp/fig-plain.txt" "$tmp/fig-ckpt.txt"
 echo "ckpt_roundtrip: fig5.2 through checkpoint path: identical"
 
 # --- Medium scale tier round trip ----------------------------------------
-# The medium tier turns on the scale mechanics: timing-wheel calendar,
-# sharded lock/buffer tables, reservoir statistics. Checkpoints must stay
-# byte-identical under all of them — and because the calendar and shard
-# counts sit outside the checkpoint fingerprint, the same checkpoint file
-# must also resume under the reference heap calendar.
+# The medium tier turns on the scale mechanics: timing-wheel calendar and
+# reservoir statistics. Checkpoints must stay byte-identical under both —
+# and because the calendar sits outside the checkpoint fingerprint, the same
+# checkpoint file must also resume under the reference heap calendar.
 mtxns="$txns"
 "$tmp/oodbsim" -run -tier medium -txns "$mtxns" > "$tmp/m-plain.txt"
 "$tmp/oodbsim" -run -tier medium -txns "$mtxns" \
@@ -59,7 +58,7 @@ diff "$tmp/m-plain.txt" "$tmp/m-resumed.txt"
 "$tmp/oodbsim" -run -tier medium -txns "$mtxns" -calendar heap \
     -resume "$tmp/m-ck.bin" > "$tmp/m-heap.txt"
 diff "$tmp/m-plain.txt" "$tmp/m-heap.txt"
-echo "ckpt_roundtrip: medium tier (wheel+sharded+reservoir), wheel and heap resume: identical"
+echo "ckpt_roundtrip: medium tier (wheel+reservoir), wheel and heap resume: identical"
 
 # --- Killed-batch restart from a checkpoint directory --------------------
 "$tmp/oodbsim" -fig 5.2 -scale "$scale" -txns "$txns" \

@@ -37,5 +37,8 @@ run_tests "$@" ./...
 # timeout, so give it an explicit budget.
 run_tests -race -timeout 30m "$@" ./internal/experiment/... ./internal/sim/... ./internal/oracle/... ./internal/engine/... ./internal/lock/... ./internal/buffer/...
 # Bench smoke: every benchmark must run once without failing (full runs and
-# the BENCH_2.json report come from scripts/bench.sh).
+# the BENCH_10.json report come from scripts/bench.sh).
 go test -run '^$' -bench . -benchtime 1x ./...
+# bench/ is its own module (BENCHMARK.json's harness): ./... never compiles
+# it, yet it imports the engine's constructors and result types.
+(cd bench && go vet . && go test -count=1 .)
