@@ -70,28 +70,22 @@ func (c *Clock) Removed(pg storage.PageID) {
 }
 
 // Victim implements Policy: sweep the hand, clearing reference bits, until
-// an unpinned page with a clear bit comes up. Two full laps guarantee
-// termination — the first lap clears every bit, so the second must find an
-// unpinned page if one exists.
-func (c *Clock) Victim(pinned func(storage.PageID) bool) (storage.PageID, bool) {
+// a page with a clear bit comes up. The first lap clears every bit, so the
+// sweep ends within two.
+func (c *Clock) Victim() (storage.PageID, bool) {
 	n := len(c.pages)
 	if n == 0 {
 		return storage.NilPage, false
 	}
-	for sweep := 0; sweep < 2*n; sweep++ {
+	for {
 		i := c.hand
 		c.hand = (c.hand + 1) % n
-		pg := c.pages[i]
-		if pinned != nil && pinned(pg) {
-			continue
-		}
 		if c.ref[i] {
 			c.ref[i] = false
 			continue
 		}
-		return pg, true
+		return c.pages[i], true
 	}
-	return storage.NilPage, false
 }
 
 // Len returns the number of tracked pages.

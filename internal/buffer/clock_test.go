@@ -13,7 +13,7 @@ func TestClockSecondChance(t *testing.T) {
 	}
 	// All reference bits are set on admission: the first victim sweep clears
 	// 1..3 and then takes page 1 on the second lap.
-	v, ok := c.Victim(nil)
+	v, ok := c.Victim()
 	if !ok || v != 1 {
 		t.Fatalf("victim = %d,%v, want 1,true", v, ok)
 	}
@@ -21,7 +21,7 @@ func TestClockSecondChance(t *testing.T) {
 
 	// A touch between sweeps buys page 2 another lap, so page 3 goes first.
 	c.Touched(2)
-	v, ok = c.Victim(nil)
+	v, ok = c.Victim()
 	if !ok || v != 3 {
 		t.Fatalf("victim after touch = %d,%v, want 3,true", v, ok)
 	}
@@ -34,28 +34,12 @@ func TestClockBoostProtects(t *testing.T) {
 	// First sweep clears both bits and picks page 1, leaving the hand on
 	// page 2 — which is therefore the next victim unless something re-marks
 	// it.
-	if v, _ := c.Victim(nil); v != 1 {
+	if v, _ := c.Victim(); v != 1 {
 		t.Fatalf("first victim = %d, want 1", v)
 	}
 	c.Boosted(2) // reference bit set again: 2 survives the next sweep
-	if v, _ := c.Victim(nil); v != 1 {
+	if v, _ := c.Victim(); v != 1 {
 		t.Fatalf("victim after boosting 2 = %d, want 1", v)
-	}
-}
-
-func TestClockPinnedSkipped(t *testing.T) {
-	c := NewClock()
-	c.Admitted(1)
-	c.Admitted(2)
-	pinned := func(pg storage.PageID) bool { return pg == 1 }
-	v, ok := c.Victim(pinned)
-	if !ok || v != 2 {
-		t.Fatalf("victim = %d,%v, want 2,true", v, ok)
-	}
-	// Every page pinned: no victim.
-	all := func(storage.PageID) bool { return true }
-	if _, ok := c.Victim(all); ok {
-		t.Fatal("victim found with every page pinned")
 	}
 }
 
@@ -93,7 +77,7 @@ func TestClockSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Touched(5)
 		c.Boosted(9)
-		v, ok := c.Victim(nil)
+		v, ok := c.Victim()
 		if !ok {
 			t.Fatal("no victim")
 		}

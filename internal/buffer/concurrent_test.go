@@ -1,7 +1,6 @@
 package buffer
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -86,52 +85,6 @@ func TestConcurrentPoolShardQuota(t *testing.T) {
 	}
 }
 
-// TestConcurrentPoolPinBlocksEviction: a pinned page survives any amount of
-// replacement pressure; unpinning releases it for eviction again.
-func TestConcurrentPoolPinBlocksEviction(t *testing.T) {
-	p := newTestConcurrentPool(t, 4, 1)
-	if _, err := p.Access(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Pin(7); err != nil {
-		t.Fatalf("Pin: %v", err)
-	}
-	for pg := storage.PageID(100); pg < 200; pg++ {
-		if _, err := p.Access(pg); err != nil {
-			t.Fatalf("Access(%d): %v", pg, err)
-		}
-	}
-	if !p.Contains(7) {
-		t.Fatal("pinned page evicted")
-	}
-	if err := p.Unpin(7); err != nil {
-		t.Fatalf("Unpin: %v", err)
-	}
-	if err := p.Unpin(7); err == nil {
-		t.Fatal("double Unpin succeeded")
-	}
-	if err := p.Pin(9999); err == nil {
-		t.Fatal("Pin on non-resident page succeeded")
-	}
-}
-
-// TestConcurrentPoolAllPinned: when every frame of a shard is pinned, a
-// fault on that shard reports ErrAllPinned instead of evicting.
-func TestConcurrentPoolAllPinned(t *testing.T) {
-	p := newTestConcurrentPool(t, 2, 1)
-	for pg := storage.PageID(1); pg <= 2; pg++ {
-		if _, err := p.Access(pg); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Pin(pg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := p.Access(3); !errors.Is(err, ErrAllPinned) {
-		t.Fatalf("Access with all frames pinned: %v, want ErrAllPinned", err)
-	}
-}
-
 func TestConcurrentPoolRejectsBadShape(t *testing.T) {
 	if _, err := NewConcurrentPool(8, nil); err == nil {
 		t.Fatal("accepted zero shards")
@@ -159,8 +112,8 @@ func TestShardCapacitySumsExactly(t *testing.T) {
 }
 
 // TestConcurrentPoolStress hammers one pool from many goroutines with a
-// mixed access/pin/unpin/dirty/boost load — the invariant check and the
-// race detector are the assertions.
+// mixed access/install/dirty/boost load — the invariant check and the race
+// detector are the assertions.
 func TestConcurrentPoolStress(t *testing.T) {
 	const (
 		capacity   = 64
@@ -180,17 +133,14 @@ func TestConcurrentPoolStress(t *testing.T) {
 				pg := storage.PageID(1 + rng.Intn(256))
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3, 4: // access dominates
-					if _, err := p.Access(pg); err != nil && !errors.Is(err, ErrAllPinned) {
+					if _, err := p.Access(pg); err != nil {
 						t.Errorf("Access(%d): %v", pg, err)
 						return
 					}
-				case 5: // pin/touch/unpin cycle
-					if err := p.Pin(pg); err == nil {
-						_, _ = p.Access(pg)
-						if err := p.Unpin(pg); err != nil {
-							t.Errorf("Unpin(%d) after Pin: %v", pg, err)
-							return
-						}
+				case 5:
+					if _, err := p.Install(pg); err != nil {
+						t.Errorf("Install(%d): %v", pg, err)
+						return
 					}
 				case 6:
 					_ = p.MarkDirty(pg)

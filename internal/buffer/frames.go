@@ -7,12 +7,12 @@ import "oodb/internal/storage"
 // and priority boosts, without committing to how the frame table is
 // organized or synchronized.
 //
-// Two implementations exist. Pool is the deterministic single-threaded pool
-// the simulator uses: one global replacement policy, victim order exactly
-// reproducible, byte-identical figures. ConcurrentPool is the goroutine-safe
-// pool the concurrent multi-session engine uses: frames shard by page-ID
-// hash, each shard owns its own policy instance and victim selection, and
-// sessions on different shards never contend.
+// Pool is the one frame table: single-threaded, one global replacement
+// policy, victim order exactly reproducible — what the simulator uses for
+// byte-identical figures. ConcurrentPool, what the concurrent multi-session
+// engine uses, is locked shards of Pool: pages route to a shard by page-ID
+// hash, victim order is shard-local, and sessions on different shards never
+// contend.
 type Frames interface {
 	// Access brings pg into the pool (if needed) and touches it.
 	Access(pg storage.PageID) (AccessResult, error)

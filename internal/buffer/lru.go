@@ -49,15 +49,13 @@ func (l *LRU) Removed(pg storage.PageID) {
 	}
 }
 
-// Victim implements Policy: the least recently used unpinned page.
-func (l *LRU) Victim(pinned func(storage.PageID) bool) (storage.PageID, bool) {
-	for h := l.order.Back(); h != 0; h = l.order.Prev(h) {
-		pg := l.order.Page(h)
-		if pinned == nil || !pinned(pg) {
-			return pg, true
-		}
+// Victim implements Policy: the least recently used page.
+func (l *LRU) Victim() (storage.PageID, bool) {
+	h := l.order.Back()
+	if h == 0 {
+		return storage.NilPage, false
 	}
-	return storage.NilPage, false
+	return l.order.Page(h), true
 }
 
 // Len returns the number of tracked pages.

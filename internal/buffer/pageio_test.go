@@ -54,6 +54,7 @@ type poolSeam interface {
 	MarkDirty(pg storage.PageID) error
 	FlushDirty() error
 	SetPageIO(io storage.PageIO)
+	Contains(pg storage.PageID) bool
 }
 
 func pageIOPools(t *testing.T) map[string]func(capacity int) poolSeam {
@@ -177,7 +178,18 @@ func TestPageIOErrorsPropagate(t *testing.T) {
 			if _, err := p.Access(1); !errors.Is(err, bang) {
 				t.Fatalf("miss read error = %v, want wrapped %v", err, bang)
 			}
+			// The frame never received its image, so the page must not stay
+			// resident: the retry is a miss that reads again.
+			if p.Contains(1) {
+				t.Fatal("page resident after its read failed")
+			}
 			io.failRead = nil
+			if res, err := p.Access(1); err != nil || res.Hit {
+				t.Fatalf("retry after failed read: hit=%v err=%v, want a miss", res.Hit, err)
+			}
+			if reads, _ := io.snapshot(); len(reads) != 1 || reads[0] != 1 {
+				t.Fatalf("retry reads = %v, want [1]", reads)
+			}
 			if _, err := p.Access(2); err != nil {
 				t.Fatal(err)
 			}

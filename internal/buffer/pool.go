@@ -1,7 +1,7 @@
 // Package buffer implements the buffer-pool mechanics the paper's buffer
 // manager is built on: a fixed set of frames, a resident-page table, dirty
-// tracking, pin counts, and hit/miss/flush statistics, with the replacement
-// decision delegated to a pluggable Policy.
+// tracking, and hit/miss/flush statistics, with the replacement decision
+// delegated to a pluggable Policy.
 //
 // The two semantics-blind baseline policies from the paper, LRU and Random,
 // live here. The context-sensitive policy — the paper's contribution — needs
@@ -9,7 +9,6 @@
 package buffer
 
 import (
-	"errors"
 	"fmt"
 
 	"oodb/internal/obs"
@@ -18,8 +17,7 @@ import (
 
 // Policy chooses replacement victims. Implementations are notified of every
 // admission, touch, priority boost, and removal so they can maintain their
-// own bookkeeping. The pool guarantees Evict is only called when at least
-// one unpinned page is resident.
+// own bookkeeping. The pool calls Victim only when it is full.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -33,9 +31,9 @@ type Policy interface {
 	Boosted(pg storage.PageID)
 	// Removed tells the policy pg left the pool.
 	Removed(pg storage.PageID)
-	// Victim returns the page to evict. pinned reports pages that must not
-	// be chosen. ok is false only if every resident page is pinned.
-	Victim(pinned func(storage.PageID) bool) (pg storage.PageID, ok bool)
+	// Victim returns the page to evict. ok is false only if the policy
+	// tracks no page.
+	Victim() (pg storage.PageID, ok bool)
 }
 
 // AccessResult describes what the pool did to satisfy an access, so the
@@ -50,12 +48,11 @@ type AccessResult struct {
 
 // Stats aggregates pool activity.
 type Stats struct {
-	Hits       int
-	Misses     int
-	Evictions  int
-	Flushes    int // dirty victims written back
-	Boosts     int
-	Prefetches int // misses attributable to prefetch (counted by caller via AccessPrefetch)
+	Hits      int
+	Misses    int
+	Evictions int
+	Flushes   int // dirty victims written back
+	Boosts    int
 }
 
 // HitRatio returns hits / (hits+misses), or 0 when idle.
@@ -67,16 +64,15 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(t)
 }
 
-// Pool is the buffer pool.
+// Pool is the buffer pool: the one frame table and fault path in the
+// repository (ConcurrentPool is locked shards of it).
 //
-// Frames are stored by value in the resident table and the pinned-page
-// probe handed to Policy.Victim is bound once at construction, so the
-// steady-state access/evict cycle allocates nothing.
+// Frames are stored by value in the resident table, so the steady-state
+// access/evict cycle allocates nothing.
 type Pool struct {
 	capacity int
 	policy   Policy
 	resident map[storage.PageID]frame
-	pinnedFn func(storage.PageID) bool // p.pinned, bound once
 	stats    Stats
 	io       storage.PageIO // nil = count only, no physical transfer
 	rec      obs.Recorder   // nil = uninstrumented
@@ -84,12 +80,7 @@ type Pool struct {
 
 type frame struct {
 	dirty bool
-	pins  int
 }
-
-// ErrAllPinned is returned when an access needs an eviction but every
-// resident page is pinned.
-var ErrAllPinned = errors.New("buffer: all pages pinned")
 
 // NewPool creates a pool with the given frame count and replacement
 // policy. The pool is single-threaded, like the simulator that drives it;
@@ -98,13 +89,11 @@ func NewPool(capacity int, policy Policy) *Pool {
 	if capacity < 1 {
 		panic("buffer: capacity must be at least 1")
 	}
-	p := &Pool{
+	return &Pool{
 		capacity: capacity,
 		policy:   policy,
 		resident: make(map[storage.PageID]frame, capacity),
 	}
-	p.pinnedFn = p.pinned
-	return p
 }
 
 // Capacity returns the frame count.
@@ -134,17 +123,13 @@ func (p *Pool) Stats() Stats { return p.stats }
 // ResetStats zeroes the statistics without touching residency.
 func (p *Pool) ResetStats() { p.stats = Stats{} }
 
-func (p *Pool) pinned(pg storage.PageID) bool {
-	return p.resident[pg].pins > 0
-}
-
 // admit evicts if the pool is full (recording the victim in res) and makes
 // pg resident.
 func (p *Pool) admit(pg storage.PageID, res *AccessResult) error {
 	if len(p.resident) >= p.capacity {
-		victim, ok := p.policy.Victim(p.pinnedFn)
+		victim, ok := p.policy.Victim()
 		if !ok {
-			return ErrAllPinned
+			return fmt.Errorf("buffer: policy %s names no victim for a full pool", p.policy.Name())
 		}
 		vf := p.resident[victim]
 		res.Victim = victim
@@ -181,30 +166,7 @@ func (p *Pool) Access(pg storage.PageID) (AccessResult, error) {
 	if pg == storage.NilPage {
 		return AccessResult{}, fmt.Errorf("buffer: access to nil page")
 	}
-	if p.Contains(pg) {
-		p.stats.Hits++
-		if p.rec != nil {
-			p.rec.Count(obs.PoolHit, 1)
-		}
-		p.policy.Touched(pg)
-		return AccessResult{Hit: true}, nil
-	}
-	p.stats.Misses++
-	if p.rec != nil {
-		p.rec.Count(obs.PoolMiss, 1)
-	}
-	res := AccessResult{}
-	if err := p.admit(pg, &res); err != nil {
-		return res, err
-	}
-	if p.io != nil {
-		// A miss is a physical fetch; Install (below) is not — freshly
-		// allocated pages have no disk image to read.
-		if err := p.io.ReadPage(pg); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	return p.fault(pg, true)
 }
 
 // Install makes pg resident without a physical read — used for freshly
@@ -215,6 +177,12 @@ func (p *Pool) Install(pg storage.PageID) (AccessResult, error) {
 	if pg == storage.NilPage {
 		return AccessResult{}, fmt.Errorf("buffer: install of nil page")
 	}
+	return p.fault(pg, false)
+}
+
+// fault is the shared hit-or-admit path. read distinguishes Access (a miss,
+// and with a PageIO backend a physical fetch) from Install.
+func (p *Pool) fault(pg storage.PageID, read bool) (AccessResult, error) {
 	if p.Contains(pg) {
 		p.stats.Hits++
 		if p.rec != nil {
@@ -223,9 +191,24 @@ func (p *Pool) Install(pg storage.PageID) (AccessResult, error) {
 		p.policy.Touched(pg)
 		return AccessResult{Hit: true}, nil
 	}
+	if read {
+		p.stats.Misses++
+		if p.rec != nil {
+			p.rec.Count(obs.PoolMiss, 1)
+		}
+	}
 	res := AccessResult{}
 	if err := p.admit(pg, &res); err != nil {
 		return res, err
+	}
+	if read && p.io != nil {
+		if err := p.io.ReadPage(pg); err != nil {
+			// The frame never received its image: take pg back out so a
+			// retry is a miss that reads again, not a hit on nothing.
+			delete(p.resident, pg)
+			p.policy.Removed(pg)
+			return res, err
+		}
 	}
 	return res, nil
 }
@@ -266,32 +249,6 @@ func (p *Pool) Boost(pg storage.PageID) {
 		}
 		p.policy.Boosted(pg)
 	}
-}
-
-// Pin prevents pg from being evicted until Unpin. Pinning a non-resident
-// page is an error.
-func (p *Pool) Pin(pg storage.PageID) error {
-	f, ok := p.resident[pg]
-	if !ok {
-		return fmt.Errorf("buffer: Pin on non-resident page %d", pg)
-	}
-	f.pins++
-	p.resident[pg] = f
-	return nil
-}
-
-// Unpin releases one pin on pg.
-func (p *Pool) Unpin(pg storage.PageID) error {
-	f, ok := p.resident[pg]
-	if !ok {
-		return fmt.Errorf("buffer: Unpin on non-resident page %d", pg)
-	}
-	if f.pins == 0 {
-		return fmt.Errorf("buffer: Unpin on unpinned page %d", pg)
-	}
-	f.pins--
-	p.resident[pg] = f
-	return nil
 }
 
 // FlushDirty writes every dirty resident page through the PageIO backend

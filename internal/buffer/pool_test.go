@@ -1,7 +1,6 @@
 package buffer
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -92,34 +91,23 @@ func TestDirtyLifecycle(t *testing.T) {
 	}
 }
 
-func TestPinPreventsEviction(t *testing.T) {
-	p := NewPool(2, NewLRU())
-	p.Access(1) //nolint:errcheck
-	p.Access(2) //nolint:errcheck
-	if err := p.Pin(1); err != nil {
+// forgetful is a policy that tracks nothing, so it can name no victim.
+type forgetful struct{ LRU }
+
+func (*forgetful) Victim() (storage.PageID, bool) { return storage.NilPage, false }
+
+// A full pool whose policy names no victim refuses the fault instead of
+// growing past capacity.
+func TestNoVictimIsAnError(t *testing.T) {
+	p := NewPool(1, &forgetful{LRU: *NewLRU()})
+	if _, err := p.Access(1); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := p.Access(3) // LRU victim would be 1, but it is pinned
-	if res.Victim != 2 {
-		t.Fatalf("victim=%d, want 2 (1 is pinned)", res.Victim)
+	if _, err := p.Access(2); err == nil {
+		t.Fatal("fault on a full pool with no victim succeeded")
 	}
-	if err := p.Pin(2); err == nil {
-		t.Fatal("pin of evicted page must fail")
-	}
-	if err := p.Pin(3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Access(4); !errors.Is(err, ErrAllPinned) {
-		t.Fatalf("all pinned: %v", err)
-	}
-	if err := p.Unpin(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Access(4); err != nil {
-		t.Fatalf("after unpin: %v", err)
-	}
-	if err := p.Unpin(1); err == nil {
-		t.Fatal("unpin of non-resident/unpinned page must fail")
+	if p.Contains(2) || p.Resident() != 1 {
+		t.Fatalf("pool admitted past capacity: %d resident", p.Resident())
 	}
 }
 

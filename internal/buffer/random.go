@@ -81,34 +81,21 @@ func (r *Random) isProtected(pg storage.PageID) bool {
 	return true
 }
 
-// Victim implements Policy: a random unpinned, unprotected page; protection
-// is waived if no unprotected candidate exists after a bounded search.
-func (r *Random) Victim(pinned func(storage.PageID) bool) (storage.PageID, bool) {
+// Victim implements Policy: a random unprotected page; protection is waived
+// if no unprotected candidate turns up in a bounded search.
+func (r *Random) Victim() (storage.PageID, bool) {
 	n := len(r.pages)
 	if n == 0 {
 		return storage.NilPage, false
 	}
 	r.evictions++
-	// First pass: random probes honoring protection.
 	for try := 0; try < 2*n; try++ {
 		pg := r.pages[r.rng.Intn(n)]
-		if pinned != nil && pinned(pg) {
-			continue
-		}
-		if r.isProtected(pg) {
-			continue
-		}
-		return pg, true
-	}
-	// Fallback: linear scan ignoring protection.
-	start := r.rng.Intn(n)
-	for i := 0; i < n; i++ {
-		pg := r.pages[(start+i)%n]
-		if pinned == nil || !pinned(pg) {
+		if !r.isProtected(pg) {
 			return pg, true
 		}
 	}
-	return storage.NilPage, false
+	return r.pages[r.rng.Intn(n)], true
 }
 
 // Len returns the number of tracked pages.

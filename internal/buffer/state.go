@@ -151,7 +151,6 @@ func (c *Clock) Restore(s PolicyState) error {
 type FrameState struct {
 	Page  storage.PageID
 	Dirty bool
-	Pins  int
 }
 
 // PoolState is the serializable state of the buffer pool: residency with
@@ -179,7 +178,7 @@ func (p *Pool) Snapshot() (PoolState, error) {
 		Policy:   sp.Snapshot(),
 	}
 	for pg, f := range p.resident {
-		st.Frames = append(st.Frames, FrameState{Page: pg, Dirty: f.dirty, Pins: f.pins})
+		st.Frames = append(st.Frames, FrameState{Page: pg, Dirty: f.dirty})
 	}
 	sort.Slice(st.Frames, func(i, j int) bool { return st.Frames[i].Page < st.Frames[j].Page })
 	return st, nil
@@ -205,7 +204,7 @@ func (p *Pool) Restore(st PoolState) error {
 		if _, dup := resident[f.Page]; dup {
 			return fmt.Errorf("buffer: snapshot holds page %d twice", f.Page)
 		}
-		resident[f.Page] = frame{dirty: f.Dirty, pins: f.Pins}
+		resident[f.Page] = frame{dirty: f.Dirty}
 	}
 	if err := sp.Restore(st.Policy); err != nil {
 		return err

@@ -107,7 +107,7 @@ func TestContextPolicySteadyStateAllocs(t *testing.T) {
 		pol.Touched(3)  // probationary -> protected (with demotion overflow)
 		pol.Boosted(5)  // protected MoveToFront or promotion
 		pol.Touched(12) // churn a second page through the levels
-		v, ok := pol.Victim(nil)
+		v, ok := pol.Victim()
 		if !ok {
 			t.Fatal("no victim")
 		}

@@ -110,15 +110,12 @@ func (c *ContextPolicy) Removed(pg storage.PageID) {
 }
 
 // Victim implements buffer.Policy: the least-recently-used probationary
-// page; only when every probationary page is pinned (or none exists) does
-// the protected level yield its tail.
-func (c *ContextPolicy) Victim(pinned func(storage.PageID) bool) (storage.PageID, bool) {
+// page; only when no probationary page exists does the protected level
+// yield its tail.
+func (c *ContextPolicy) Victim() (storage.PageID, bool) {
 	for _, l := range [2]*buffer.PageList{&c.prob, &c.prot} {
-		for h := l.Back(); h != 0; h = l.Prev(h) {
-			pg := l.Page(h)
-			if pinned == nil || !pinned(pg) {
-				return pg, true
-			}
+		if h := l.Back(); h != 0 {
+			return l.Page(h), true
 		}
 	}
 	return storage.NilPage, false

@@ -103,21 +103,6 @@ func TestContextVictimFallsBackToProtected(t *testing.T) {
 	}
 }
 
-func TestContextPinnedSkipped(t *testing.T) {
-	c := NewContextPolicy(8)
-	p := buffer.NewPool(2, c)
-	p.Access(1) //nolint:errcheck
-	p.Access(2) //nolint:errcheck
-	p.Pin(1)    //nolint:errcheck
-	res, err := p.Access(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Victim != 2 {
-		t.Fatalf("victim=%d, want 2 (1 pinned)", res.Victim)
-	}
-}
-
 func TestContextRemovedCleansUp(t *testing.T) {
 	c := NewContextPolicy(8)
 	p := buffer.NewPool(2, c)

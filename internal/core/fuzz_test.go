@@ -86,7 +86,7 @@ func FuzzContextPolicy(f *testing.F) {
 		}
 		// Victim selection must return a resident page while any exist.
 		for len(resident) > 0 {
-			v, ok := c.Victim(nil)
+			v, ok := c.Victim()
 			if !ok {
 				t.Fatal("victim unavailable with resident pages")
 			}

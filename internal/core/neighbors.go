@@ -22,16 +22,11 @@ func containsPage(pgs []storage.PageID, pg storage.PageID) bool {
 	return false
 }
 
-// NeighborPages returns the distinct pages holding o's one-hop neighbors
-// along kind, excluding o's own page and unplaced neighbors, in traversal
-// order. limit bounds the result (0 means unbounded).
-func NeighborPages(g *model.Graph, st storage.Backend, o *model.Object, kind model.RelKind, limit int) []storage.PageID {
-	return AppendNeighborPages(nil, g, st, o, kind, limit)
-}
-
-// AppendNeighborPages is NeighborPages accumulating into dst: the appended
-// pages are deduplicated against each other (not against dst's prior
-// contents) and limit bounds the number appended.
+// AppendNeighborPages appends to dst the distinct pages holding o's one-hop
+// neighbors along kind, excluding o's own page and unplaced neighbors, in
+// traversal order. The appended pages are deduplicated against each other
+// (not against dst's prior contents) and limit bounds the number appended
+// (0 means unbounded).
 func AppendNeighborPages(dst []storage.PageID, g *model.Graph, st storage.Backend, o *model.Object, kind model.RelKind, limit int) []storage.PageID {
 	own := st.PageOf(o.ID)
 	base := len(dst)
@@ -85,24 +80,12 @@ func rankKinds(buf *[model.NumRelKinds]model.RelKind, o *model.Object, hints Hin
 	return kinds
 }
 
-// rankedKinds returns the ranked kinds as a fresh slice (compatibility
-// wrapper; hot paths use rankKinds with a stack buffer).
-func rankedKinds(o *model.Object, hints HintPolicy, hint Hint) []model.RelKind {
-	var buf [model.NumRelKinds]model.RelKind
-	return append([]model.RelKind(nil), rankKinds(&buf, o, hints, hint)...)
-}
-
-// PrefetchGroup returns the pages the paper's prefetch hints would target
-// when touching o: for a configuration hint, the pages of the immediate
-// subcomponents; for a version hint, the immediate ancestor and descendants;
-// for correspondence, all corresponding objects; for inheritance, the
-// inheritance source. Without an active hint, the object's dominant
-// relationship kind is used.
-func PrefetchGroup(g *model.Graph, st storage.Backend, o *model.Object, hints HintPolicy, hint Hint) []storage.PageID {
-	return AppendPrefetchGroup(nil, g, st, o, hints, hint)
-}
-
-// AppendPrefetchGroup is PrefetchGroup accumulating into dst.
+// AppendPrefetchGroup appends to dst the pages the paper's prefetch hints
+// would target when touching o: for a configuration hint, the pages of the
+// immediate subcomponents; for a version hint, the immediate ancestor and
+// descendants; for correspondence, all corresponding objects; for
+// inheritance, the inheritance source. Without an active hint, the object's
+// dominant relationship kind is used.
 func AppendPrefetchGroup(dst []storage.PageID, g *model.Graph, st storage.Backend, o *model.Object, hints HintPolicy, hint Hint) []storage.PageID {
 	kind := o.Freq.Dominant()
 	if hints == UserHints && hint.Active {
@@ -135,36 +118,13 @@ func AppendPrefetchGroup(dst []storage.PageID, g *model.Graph, st storage.Backen
 	return dst
 }
 
-// mergePages returns a with every element of b appended that a does not
-// already contain, deduplicating a itself as well. Retained for tests and
-// cold paths; hot paths merge in place against a caller buffer.
-func mergePages(a, b []storage.PageID) []storage.PageID {
-	out := a[:0:len(a)]
-	for _, p := range a {
-		if !containsPage(out, p) {
-			out = append(out, p)
-		}
-	}
-	for _, p := range b {
-		if !containsPage(out, p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// SiblingPages returns the distinct pages holding o's siblings — the other
-// components of o's composites — excluding o's own page. Siblings are
+// AppendSiblingPages appends to dst the distinct pages holding o's siblings
+// — the other components of o's composites — excluding o's own page and
+// deduplicating the appended pages against each other. Siblings are
 // co-retrieved whenever the composite is expanded, so placing an object with
 // its siblings is as valuable as placing it with its composite once the
 // composite's page is full; sibling pages are the "next best candidates" of
 // Section 2.1.
-func SiblingPages(g *model.Graph, st storage.Backend, o *model.Object, limit int) []storage.PageID {
-	return AppendSiblingPages(nil, g, st, o, limit)
-}
-
-// AppendSiblingPages is SiblingPages accumulating into dst, deduplicating
-// the appended pages against each other.
 func AppendSiblingPages(dst []storage.PageID, g *model.Graph, st storage.Backend, o *model.Object, limit int) []storage.PageID {
 	own := st.PageOf(o.ID)
 	base := len(dst)
@@ -199,29 +159,18 @@ func AppendSiblingPages(dst []storage.PageID, g *model.Graph, st storage.Backend
 // (Figure 5.12).
 const ContextNeighborLimit = 4
 
-// ContextBoostPages returns the related pages the context-sensitive policy
-// raises on each access: the top pages along the object's two most traversed
-// relationship kinds, bounded by ContextNeighborLimit.
-func ContextBoostPages(g *model.Graph, st storage.Backend, o *model.Object) []storage.PageID {
-	return AppendContextBoostPages(nil, g, st, o, ContextNeighborLimit)
-}
-
-// ContextBoostPagesN is ContextBoostPages with an explicit page bound
-// (ablation knob; 0 disables boosting entirely).
-func ContextBoostPagesN(g *model.Graph, st storage.Backend, o *model.Object, limit int) []storage.PageID {
-	return AppendContextBoostPages(nil, g, st, o, limit)
-}
-
 // contextBoostLocal is the stack-buffer bound for per-kind page gathering in
 // AppendContextBoostPages; boost limits beyond it fall back to a heap
 // buffer.
 const contextBoostLocal = 16
 
-// AppendContextBoostPages is ContextBoostPagesN accumulating into dst. Per
+// AppendContextBoostPages appends to dst the related pages the
+// context-sensitive policy raises on each access: the top pages along the
+// object's two most traversed relationship kinds, at most limit of them
+// (ContextNeighborLimit by default; non-positive disables boosting). Per
 // ranked kind it gathers up to the remaining limit of that kind's distinct
 // neighbor pages, then merges them into dst, skipping pages an earlier kind
-// already contributed — the same two-stage semantics as the old
-// NeighborPages+mergePages pipeline, without the intermediate allocations.
+// already contributed.
 func AppendContextBoostPages(dst []storage.PageID, g *model.Graph, st storage.Backend, o *model.Object, limit int) []storage.PageID {
 	if limit <= 0 {
 		return dst
@@ -237,8 +186,7 @@ func AppendContextBoostPages(dst []storage.PageID, g *model.Graph, st storage.Ba
 			break
 		}
 		// local tracks the distinct pages gathered for this kind: rem bounds
-		// their count (whether or not a page is new to dst), exactly as the
-		// bounded NeighborPages call did before the merge step.
+		// their count, whether or not a page is new to dst.
 		local := localBuf[:0]
 		if rem > contextBoostLocal {
 			local = make([]storage.PageID, 0, rem)

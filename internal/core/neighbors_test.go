@@ -17,23 +17,23 @@ func TestNeighborPages(t *testing.T) {
 	l2 := f.newLeafUnder(t, root.ID, 2)
 	f.mustPlace(t, l2)
 
-	pages := NeighborPages(f.g, f.st, l1, model.ConfigUp, 0)
+	pages := AppendNeighborPages(nil, f.g, f.st, l1, model.ConfigUp, 0)
 	if len(pages) != 1 || pages[0] != f.st.PageOf(root.ID) {
 		t.Fatalf("neighbor pages: %v", pages)
 	}
 	// Own page excluded.
-	if got := NeighborPages(f.g, f.st, root, model.ConfigDown, 0); len(got) != 1 {
+	if got := AppendNeighborPages(nil, f.g, f.st, root, model.ConfigDown, 0); len(got) != 1 {
 		// l1 and l2 share a page (sibling packing), distinct from root's.
 		t.Fatalf("root's component pages: %v", got)
 	}
 	// Limit respected.
-	if got := NeighborPages(f.g, f.st, root, model.ConfigDown, 1); len(got) != 1 {
+	if got := AppendNeighborPages(nil, f.g, f.st, root, model.ConfigDown, 1); len(got) != 1 {
 		t.Fatalf("limit ignored: %v", got)
 	}
 	// Unplaced neighbors skipped.
 	l3 := f.newLeafUnder(t, root.ID, 3)
 	_ = l3
-	if got := NeighborPages(f.g, f.st, root, model.ConfigDown, 0); len(got) != 1 {
+	if got := AppendNeighborPages(nil, f.g, f.st, root, model.ConfigDown, 0); len(got) != 1 {
 		t.Fatalf("unplaced neighbor leaked: %v", got)
 	}
 }
@@ -47,13 +47,13 @@ func TestSiblingPages(t *testing.T) {
 	f.mustPlace(t, l1)
 	l2 := f.newLeafUnder(t, root.ID, 2)
 	// l2 unplaced: its sibling pages = l1's page.
-	pages := SiblingPages(f.g, f.st, l2, 0)
+	pages := AppendSiblingPages(nil, f.g, f.st, l2, 0)
 	if len(pages) != 1 || pages[0] != f.st.PageOf(l1.ID) {
 		t.Fatalf("sibling pages: %v", pages)
 	}
 	// An object with no composites has no siblings.
 	lone, _ := f.g.NewObject("X", 1, f.leafT)
-	if got := SiblingPages(f.g, f.st, lone, 0); got != nil {
+	if got := AppendSiblingPages(nil, f.g, f.st, lone, 0); got != nil {
 		t.Fatalf("lone sibling pages: %v", got)
 	}
 }
@@ -61,11 +61,12 @@ func TestSiblingPages(t *testing.T) {
 func TestRankedKindsHonorHints(t *testing.T) {
 	f := newFixture(t, 4096, 8)
 	leaf, _ := f.g.NewObject("L", 1, f.leafT) // ConfigUp dominant
-	kinds := rankedKinds(leaf, NoHints, Hint{})
+	var buf [model.NumRelKinds]model.RelKind
+	kinds := rankKinds(&buf, leaf, NoHints, Hint{})
 	if kinds[0] != model.ConfigUp {
 		t.Fatalf("dominant kind first: %v", kinds)
 	}
-	kinds = rankedKinds(leaf, UserHints, Hint{Kind: model.Correspondence, Active: true})
+	kinds = rankKinds(&buf, leaf, UserHints, Hint{Kind: model.Correspondence, Active: true})
 	if kinds[0] != model.Correspondence {
 		t.Fatalf("hint must come first: %v", kinds)
 	}
@@ -73,7 +74,7 @@ func TestRankedKindsHonorHints(t *testing.T) {
 		t.Fatalf("kinds must be a permutation: %v", kinds)
 	}
 	// Inactive hint is ignored even under UserHints.
-	kinds = rankedKinds(leaf, UserHints, Hint{Kind: model.Correspondence})
+	kinds = rankKinds(&buf, leaf, UserHints, Hint{Kind: model.Correspondence})
 	if kinds[0] != model.ConfigUp {
 		t.Fatalf("inactive hint must not steer: %v", kinds)
 	}
@@ -94,7 +95,7 @@ func TestPrefetchGroupVersionFetchesBothDirections(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	group := PrefetchGroup(g, st, b, NoHints, Hint{})
+	group := AppendPrefetchGroup(nil, g, st, b, NoHints, Hint{})
 	if len(group) != 2 {
 		t.Fatalf("version prefetch group must include ancestor and descendants: %v", group)
 	}
@@ -108,7 +109,7 @@ func TestContextBoostPagesBounded(t *testing.T) {
 		leaf := f.newLeafUnder(t, root.ID, i)
 		f.mustPlace(t, leaf)
 	}
-	got := ContextBoostPages(f.g, f.st, root)
+	got := AppendContextBoostPages(nil, f.g, f.st, root, ContextNeighborLimit)
 	if len(got) > ContextNeighborLimit {
 		t.Fatalf("boost pages %d exceed limit %d", len(got), ContextNeighborLimit)
 	}
@@ -117,17 +118,39 @@ func TestContextBoostPagesBounded(t *testing.T) {
 	}
 }
 
+// The boost set merges the two top-ranked kinds' pages in rank order,
+// keeping each page once.
 func TestMergePagesDedups(t *testing.T) {
-	a := []storage.PageID{1, 2, 3}
-	b := []storage.PageID{3, 4, 1, 5}
-	got := mergePages(a, b)
-	want := []storage.PageID{1, 2, 3, 4, 5}
+	g := model.NewGraph()
+	var f model.FreqProfile
+	f[model.ConfigDown] = 0.5
+	f[model.Correspondence] = 0.4
+	ty, _ := g.DefineType("t", model.NilType, 3000, f, nil)
+	st := storage.NewManager(g, 4096)
+	var objs [4]*model.Object // x and a, b, c, one page each
+	for i := range objs {
+		objs[i], _ = g.NewObject(string(rune('A'+i)), 1, ty)
+		if err := st.Place(objs[i].ID, st.AllocatePage()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x, a, b, c := objs[0], objs[1], objs[2], objs[3]
+	for _, err := range []error{
+		g.Attach(x.ID, a.ID), g.Attach(x.ID, b.ID),
+		g.Correspond(x.ID, b.ID), g.Correspond(x.ID, c.ID),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := AppendContextBoostPages(nil, g, st, x, 8)
+	want := []storage.PageID{st.PageOf(a.ID), st.PageOf(b.ID), st.PageOf(c.ID)}
 	if len(got) != len(want) {
 		t.Fatalf("merge: %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("merge order: %v", got)
+			t.Fatalf("merge order: %v, want %v", got, want)
 		}
 	}
 }

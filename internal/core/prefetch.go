@@ -55,14 +55,8 @@ func (pf *Prefetcher) ResetStats() {
 // SetRecorder installs the instrumentation hook; nil disables it.
 func (pf *Prefetcher) SetRecorder(r obs.Recorder) { pf.rec = r }
 
-// ExpandAccess converts a pool AccessResult into the physical I/Os it
+// AppendExpandAccess appends to dst the physical I/Os a pool AccessResult
 // implies: flush the dirty victim, then read the page.
-func ExpandAccess(res buffer.AccessResult, pg storage.PageID) []PhysIO {
-	return AppendExpandAccess(nil, res, pg)
-}
-
-// AppendExpandAccess is ExpandAccess accumulating into dst — the hot-path
-// form that avoids a fresh slice per buffer miss.
 func AppendExpandAccess(dst []PhysIO, res buffer.AccessResult, pg storage.PageID) []PhysIO {
 	if res.Hit {
 		return dst

@@ -94,18 +94,18 @@ func TestExpandAccess(t *testing.T) {
 	pg1 := f.st.AllocatePage()
 	pg2 := f.st.AllocatePage()
 	res, _ := f.pool.Access(pg1)
-	ios := ExpandAccess(res, pg1)
+	ios := AppendExpandAccess(nil, res, pg1)
 	if len(ios) != 1 || ios[0].Kind != ReadIO || ios[0].Page != pg1 {
 		t.Fatalf("miss expansion: %v", ios)
 	}
 	f.pool.MarkDirty(pg1) //nolint:errcheck
 	res, _ = f.pool.Access(pg2)
-	ios = ExpandAccess(res, pg2)
+	ios = AppendExpandAccess(nil, res, pg2)
 	if len(ios) != 2 || ios[0].Kind != WriteIO || ios[0].Page != pg1 || ios[1].Kind != ReadIO {
 		t.Fatalf("dirty-victim expansion: %v", ios)
 	}
 	res, _ = f.pool.Access(pg2)
-	if got := ExpandAccess(res, pg2); got != nil {
+	if got := AppendExpandAccess(nil, res, pg2); got != nil {
 		t.Fatalf("hit expansion: %v", got)
 	}
 }

@@ -99,9 +99,10 @@ type stack struct {
 	blockBuf  []model.ObjectID // checkout first-level components
 	leafBuf   []model.ObjectID // checkout second-level components
 
-	walkBuf []ocbFrame              // OCB simple-traversal / subtree-delete DFS stack
-	seen    map[model.ObjectID]bool // OCB traversal / subtree-delete visited set
-	delBuf  []model.ObjectID        // OCB subtree-delete discovery order
+	// readSubtree state (OCB simple traversal and subtree delete).
+	walkBuf  []ocbFrame              // DFS stack
+	seen     map[model.ObjectID]bool // visited set
+	visitBuf []model.ObjectID        // objects read, in discovery order
 }
 
 var _ AccessLayer = (*stack)(nil)

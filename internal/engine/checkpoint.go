@@ -35,9 +35,10 @@ import (
 // operation counters and object-base tails, and the engine state grew the
 // conservation and ignored-ratio-change counters. Version 5 removed the
 // two shard-count configuration fields, which changes every fingerprint.
-// Older checkpoints no longer load; they fail with the typed
+// Version 6 dropped buffer.FrameState.Pins and buffer.Stats.Prefetches from
+// the pool state (nothing ever set either). Older checkpoints no longer load; they fail with the typed
 // checkpoint.ErrVersion rather than a misleading fingerprint mismatch.
-const CheckpointVersion = 5
+const CheckpointVersion = 6
 
 // checkpointKind tags engine checkpoints inside the shared envelope.
 const checkpointKind = "engine-checkpoint"

@@ -80,6 +80,7 @@ func checkResumeIdentity(t *testing.T, cfg Config, k int) {
 }
 
 func TestCheckpointResumeIdentity(t *testing.T) {
+	t.Parallel()
 	cfg := quickConfig(400)
 	// Early (buffer pool still cold), mid, and late (one quiescent pause
 	// before the end) checkpoint positions.
@@ -94,6 +95,7 @@ func TestCheckpointResumeIdentity(t *testing.T) {
 // strategy, prefetching with the context-sensitive policy, the adaptive
 // clusterer with a phased workload, and a lock-free run.
 func TestCheckpointResumeIdentityWirings(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		name   string
 		mutate func(*Config)
@@ -128,6 +130,7 @@ func TestCheckpointResumeIdentityWirings(t *testing.T) {
 // boundaries, so the restored generator tail must carry the mid-run ratio
 // state (Counts, RNG position, object-base tail) exactly.
 func TestCheckpointResumePhasedWriteRatioOCB(t *testing.T) {
+	t.Parallel()
 	cfg := quickConfig(300)
 	cfg.Workload = WorkloadOCB
 	cfg.OCB.ReadWriteRatio = 4
@@ -151,6 +154,7 @@ func TestCheckpointResumePhasedWriteRatioOCB(t *testing.T) {
 // phased ratio changes; the refusal must be surfaced in the results, not
 // silently dropped.
 func TestPhasedRatioRefusedByReadOnlyOCB(t *testing.T) {
+	t.Parallel()
 	cfg := quickConfig(200)
 	cfg.Workload = WorkloadOCB
 	cfg.PhasedRW = []float64{2, 60}
@@ -167,6 +171,7 @@ func TestPhasedRatioRefusedByReadOnlyOCB(t *testing.T) {
 // write-enabled OCB generator — a run whose second phase is write-heavy
 // completes more writes than the same run held at the read-heavy ratio.
 func TestPhasedWriteRatioShiftsOCBMix(t *testing.T) {
+	t.Parallel()
 	flat := quickConfig(400)
 	flat.Workload = WorkloadOCB
 	flat.OCB.ReadWriteRatio = 20

@@ -22,8 +22,10 @@ import (
 // Where Engine interleaves transactions on a discrete-event calendar (every
 // run byte-identical), Concurrent interleaves them on the Go scheduler, so
 // throughput and tail latency come from real contention on the sharded
-// structures: the Fibonacci-hashed lock table and the per-shard buffer
-// pool. The logical results stay checkable: the access layer's digest
+// structures: the Fibonacci-hashed lock table and buffer.ConcurrentPool,
+// which is the serial engine's buffer.Pool in locked, hash-routed shards
+// (the same fault path; only victim order becomes shard-local). The
+// logical results stay checkable: the access layer's digest
 // folds per session and combines order-independently, and a
 // one-session run draws the identical transaction stream as the serial
 // engine (same seed-derived "workload" stream, same session-length

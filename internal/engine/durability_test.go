@@ -44,6 +44,7 @@ func runClosed(t *testing.T, cfg Config) Results {
 // produces byte-identical logical results whether the run journals and
 // performs real I/O or stays purely in memory.
 func TestFileBackendDigestMatchesMemory(t *testing.T) {
+	t.Parallel()
 	cases := map[string]Config{
 		"oct": quickConfig(300),
 		"ocb": quickOCBConfig(300),
@@ -84,6 +85,7 @@ func TestFileBackendDigestMatchesMemory(t *testing.T) {
 // uninterrupted, independently seeded-and-run reference reached at the same
 // commit point.
 func TestFileBackendCrashPrefixRecovery(t *testing.T) {
+	t.Parallel()
 	for name, base := range map[string]Config{
 		"oct": quickConfig(250),
 		"ocb": quickOCBConfig(250),

@@ -36,6 +36,7 @@ func dynamicConfigs(txns int) map[string]Config {
 // removal/bad-page (dro) state must be carried exactly — a zeroed counter
 // would shift every later reorganization.
 func TestDynamicStrategyCheckpointResume(t *testing.T) {
+	t.Parallel()
 	for _, strat := range dynamicStrategies {
 		for wl, cfg := range dynamicConfigs(250) {
 			t.Run(strat+"/"+wl, func(t *testing.T) {
@@ -54,6 +55,7 @@ func TestDynamicStrategyCheckpointResume(t *testing.T) {
 // so recording must not perturb reorganization and replay must reproduce
 // every dynamic move.
 func TestDynamicStrategyTraceIdentity(t *testing.T) {
+	t.Parallel()
 	for _, strat := range dynamicStrategies {
 		for wl, base := range dynamicConfigs(300) {
 			t.Run(strat+"/"+wl, func(t *testing.T) {

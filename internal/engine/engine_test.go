@@ -310,6 +310,7 @@ func TestUserHintsRun(t *testing.T) {
 // at least once — the OCT kinds under the OCT workload, the OCB kinds under
 // the OCB workload.
 func TestAllQueryKindsExecuted(t *testing.T) {
+	t.Parallel()
 	cfg := quickConfig(3000)
 	cfg.ReadWriteRatio = 5 // enough writes for the write kinds
 	e, err := New(cfg)
@@ -370,6 +371,7 @@ func TestConstructionColocation(t *testing.T) {
 // TestLargerScaleSmoke runs a scale-0.1 configuration end to end (slow-ish,
 // skipped in -short).
 func TestLargerScaleSmoke(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("large-scale smoke test")
 	}

@@ -20,27 +20,17 @@ import (
 func (a *stack) execute(txn int, req workload.Op) (ios []core.PhysIO, logical int, err error) {
 	switch req.Kind {
 	case workload.QSimpleLookup:
-		return a.readClosure(req.Target, nil)
+		return a.readClosure(req.Target)
 	case workload.QComponentRetrieval:
-		return a.readClosure(req.Target, func(o *model.Object) []model.ObjectID {
-			return o.Components
-		})
+		return a.readClosure(req.Target, model.ConfigDown)
 	case workload.QCompositeRetrieval:
-		return a.readClosure(req.Target, func(o *model.Object) []model.ObjectID {
-			return o.Composites
-		})
+		return a.readClosure(req.Target, model.ConfigUp)
 	case workload.QDescendantVersion:
-		return a.readClosure(req.Target, func(o *model.Object) []model.ObjectID {
-			return o.Descendants
-		})
+		return a.readClosure(req.Target, model.VersionDescendant)
 	case workload.QAncestorVersion:
-		return a.readClosure(req.Target, func(o *model.Object) []model.ObjectID {
-			return o.Neighbors(model.VersionAncestor)
-		})
+		return a.readClosure(req.Target, model.VersionAncestor)
 	case workload.QCorresponding:
-		return a.readClosure(req.Target, func(o *model.Object) []model.ObjectID {
-			return o.Correspondents
-		})
+		return a.readClosure(req.Target, model.Correspondence)
 	case workload.QInsert:
 		return a.execInsert(txn, req)
 	case workload.QUpdate:
@@ -128,21 +118,24 @@ func (a *stack) readObject(dst []core.PhysIO, id model.ObjectID, prefetch, boost
 	return dst, nil
 }
 
-// readClosure reads target and, if expand is non-nil, every object expand
-// returns — the shape of all six read query types. Prefetching fires on
-// the navigation root ("touching an object causes the page containing it
-// and the pages containing its immediate subcomponents to be brought in").
-func (a *stack) readClosure(target model.ObjectID, expand func(*model.Object) []model.ObjectID) ([]core.PhysIO, int, error) {
+// readClosure reads target and its one-hop neighbors along each of kinds
+// (none for a simple lookup) — the shape of all six read query types.
+// Prefetching fires on the navigation root ("touching an object causes the
+// page containing it and the pages containing its immediate subcomponents
+// to be brought in").
+func (a *stack) readClosure(target model.ObjectID, kinds ...model.RelKind) ([]core.PhysIO, int, error) {
 	ios, err := a.readObject(nil, target, true, true)
 	if err != nil {
 		return nil, 0, err
 	}
 	logical := 1
-	o := a.graph.Object(target)
-	if expand != nil && o != nil {
+	if o := a.graph.Object(target); o != nil {
 		// Copy: prefetch/boost paths never mutate relationship slices, but
 		// being defensive here is cheap and keeps the invariant local.
-		targets := append(a.expandBuf[:0], expand(o)...)
+		targets := a.expandBuf[:0]
+		for _, k := range kinds {
+			targets = append(targets, o.Neighbors(k)...)
+		}
 		a.expandBuf = targets
 		for _, c := range targets {
 			ios, err = a.readObject(ios, c, false, true)
@@ -184,21 +177,95 @@ func (a *stack) logAppend(dst []core.PhysIO, txn int, objSize int, pg storage.Pa
 	return dst, nil
 }
 
-// finishPlacement applies the bookkeeping every object-producing write
-// shares: dirty pages, log records (one per dirty page, sized by the
-// object; a split's extra page is the paper's "extra log record").
-func (a *stack) finishPlacement(txn int, o *model.Object, pl core.Placement, ios []core.PhysIO) ([]core.PhysIO, error) {
-	ios = append(ios, pl.IOs...)
+// dirtyLog is the tail every page-level write shares: each of pages is
+// dirtied (and re-fetched if evicted meanwhile) and a change of size bytes
+// is logged against it.
+func (a *stack) dirtyLog(ios []core.PhysIO, txn, size int, pages ...storage.PageID) ([]core.PhysIO, error) {
 	var err error
-	for _, pg := range pl.DirtyPages {
+	for _, pg := range pages {
 		if ios, err = a.ensureDirty(ios, pg); err != nil {
 			return nil, err
 		}
-		if ios, err = a.logAppend(ios, txn, o.Size, pg); err != nil {
+		if ios, err = a.logAppend(ios, txn, size, pg); err != nil {
 			return nil, err
 		}
 	}
 	return ios, nil
+}
+
+// place puts o on a page through the clustering policy and journals the
+// pages that dirtied: one log record per page, sized by the object (a
+// split's extra page is the paper's "extra log record").
+func (a *stack) place(ios []core.PhysIO, txn int, o *model.Object) ([]core.PhysIO, error) {
+	pl, err := a.clust.PlaceNew(o)
+	if err != nil {
+		return nil, err
+	}
+	return a.dirtyLog(append(ios, pl.IOs...), txn, o.Size, pl.DirtyPages...)
+}
+
+// create is the tail of every object-producing write: the new object o is
+// placed, the page of each surviving object in linked — whose relationship
+// list gained o — is journaled, and the workload source learns of o so
+// later operations can target it.
+func (a *stack) create(ios []core.PhysIO, txn int, o *model.Object, linked ...model.ObjectID) ([]core.PhysIO, error) {
+	ios, err := a.place(ios, txn, o)
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range linked {
+		lo := a.graph.Object(id)
+		if lo == nil {
+			continue // deleted between generation and execution
+		}
+		if ios, err = a.dirtyLog(ios, txn, lo.Size, a.store.PageOf(id)); err != nil {
+			return nil, err
+		}
+	}
+	a.gen.NoteCreated(o.ID, o.Type)
+	return ios, nil
+}
+
+// relink is the tail of every restructuring write: run-time reclustering
+// runs on o, whose structure changed; the pages it dirtied (o's own page
+// when nothing moved) are journaled, then the page of other, the far end of
+// the changed link.
+func (a *stack) relink(ios []core.PhysIO, txn int, o, other *model.Object) ([]core.PhysIO, error) {
+	pl, err := a.clust.Recluster(o)
+	if err != nil {
+		return nil, err
+	}
+	dirty := pl.DirtyPages
+	if len(dirty) == 0 {
+		dirty = []storage.PageID{a.store.PageOf(o.ID)}
+	}
+	if ios, err = a.dirtyLog(append(ios, pl.IOs...), txn, o.Size, dirty...); err != nil {
+		return nil, err
+	}
+	return a.dirtyLog(ios, txn, other.Size, a.store.PageOf(other.ID))
+}
+
+// unplace takes o off its page: the page is journaled, the clusterer's
+// access-pattern feed hears of the removal first, then the slot is freed.
+func (a *stack) unplace(ios []core.PhysIO, txn int, o *model.Object) ([]core.PhysIO, error) {
+	ios, err := a.dirtyLog(ios, txn, o.Size, a.store.PageOf(o.ID))
+	if err != nil {
+		return nil, err
+	}
+	if a.obsv != nil {
+		a.obsv.NoteRemoved(o.ID)
+	}
+	return ios, a.store.Remove(o.ID)
+}
+
+// remove is the tail of every deleting write: o comes off its page and out
+// of the graph, keeping placed objects == live objects.
+func (a *stack) remove(ios []core.PhysIO, txn int, o *model.Object) ([]core.PhysIO, error) {
+	ios, err := a.unplace(ios, txn, o)
+	if err != nil {
+		return nil, err
+	}
+	return ios, a.graph.DeleteObject(o.ID)
 }
 
 func (a *stack) execInsert(txn int, req workload.Op) ([]core.PhysIO, int, error) {
@@ -218,24 +285,10 @@ func (a *stack) execInsert(txn int, req workload.Op) ([]core.PhysIO, int, error)
 	if err := a.graph.Attach(parent, o.ID); err != nil {
 		return nil, 0, err
 	}
-	pl, err := a.clust.PlaceNew(o)
-	if err != nil {
-		return nil, 0, err
-	}
-	ios, err = a.finishPlacement(txn, o, pl, ios)
-	if err != nil {
-		return nil, 0, err
-	}
 	// The composite's component list changed too.
-	ios, err = a.ensureDirty(ios, a.store.PageOf(parent))
-	if err != nil {
+	if ios, err = a.create(ios, txn, o, parent); err != nil {
 		return nil, 0, err
 	}
-	ios, err = a.logAppend(ios, txn, a.graph.Object(parent).Size, a.store.PageOf(parent))
-	if err != nil {
-		return nil, 0, err
-	}
-	a.gen.NoteCreated(o.ID, o.Type)
 	return ios, 2, nil
 }
 
@@ -244,16 +297,11 @@ func (a *stack) execUpdate(txn int, req workload.Op) ([]core.PhysIO, int, error)
 	if err != nil {
 		return nil, 0, err
 	}
-	if a.graph.Object(req.Target) == nil {
+	o := a.graph.Object(req.Target)
+	if o == nil {
 		return ios, 1, nil // deleted before the update landed
 	}
-	pg := a.store.PageOf(req.Target)
-	ios, err = a.ensureDirty(ios, pg)
-	if err != nil {
-		return nil, 0, err
-	}
-	ios, err = a.logAppend(ios, txn, a.graph.Object(req.Target).Size, pg)
-	if err != nil {
+	if ios, err = a.dirtyLog(ios, txn, o.Size, a.store.PageOf(req.Target)); err != nil {
 		return nil, 0, err
 	}
 	return ios, 1, nil
@@ -288,33 +336,8 @@ func (a *stack) execStructUpdate(txn int, req workload.Op) ([]core.PhysIO, int, 
 	if err != nil {
 		return nil, 0, err
 	}
-
-	// Run-time reclustering: the structure of o changed.
-	pl, err := a.clust.Recluster(o)
-	if err != nil {
-		return nil, 0, err
-	}
-	ios = append(ios, pl.IOs...)
-	dirty := pl.DirtyPages
-	var one [1]storage.PageID
-	if len(dirty) == 0 {
-		one[0] = a.store.PageOf(o.ID)
-		dirty = one[:]
-	}
-	for _, pg := range dirty {
-		if ios, err = a.ensureDirty(ios, pg); err != nil {
-			return nil, 0, err
-		}
-		if ios, err = a.logAppend(ios, txn, o.Size, pg); err != nil {
-			return nil, 0, err
-		}
-	}
 	// The composite's component list changed as well.
-	ppg := a.store.PageOf(parent.ID)
-	if ios, err = a.ensureDirty(ios, ppg); err != nil {
-		return nil, 0, err
-	}
-	if ios, err = a.logAppend(ios, txn, parent.Size, ppg); err != nil {
+	if ios, err = a.relink(ios, txn, o, parent); err != nil {
 		return nil, 0, err
 	}
 	return ios, 2, nil
@@ -390,22 +413,7 @@ func (a *stack) execDelete(txn int, req workload.Op) ([]core.PhysIO, int, error)
 	if err != nil {
 		return nil, 0, err
 	}
-	pg := a.store.PageOf(req.Target)
-	ios, err = a.ensureDirty(ios, pg)
-	if err != nil {
-		return nil, 0, err
-	}
-	ios, err = a.logAppend(ios, txn, o.Size, pg)
-	if err != nil {
-		return nil, 0, err
-	}
-	if a.obsv != nil {
-		a.obsv.NoteRemoved(req.Target)
-	}
-	if err := a.store.Remove(req.Target); err != nil {
-		return nil, 0, err
-	}
-	if err := a.graph.DeleteObject(req.Target); err != nil {
+	if ios, err = a.remove(ios, txn, o); err != nil {
 		return nil, 0, err
 	}
 	return ios, 1, nil
@@ -424,24 +432,9 @@ func (a *stack) execDerive(txn int, req workload.Op) ([]core.PhysIO, int, error)
 	if err != nil {
 		return nil, 0, err
 	}
-	pl, err := a.clust.PlaceNew(o)
-	if err != nil {
-		return nil, 0, err
-	}
-	ios, err = a.finishPlacement(txn, o, pl, ios)
-	if err != nil {
-		return nil, 0, err
-	}
 	// The ancestor's descendant list changed.
-	apg := a.store.PageOf(req.Target)
-	ios, err = a.ensureDirty(ios, apg)
-	if err != nil {
+	if ios, err = a.create(ios, txn, o, req.Target); err != nil {
 		return nil, 0, err
 	}
-	ios, err = a.logAppend(ios, txn, a.graph.Object(req.Target).Size, apg)
-	if err != nil {
-		return nil, 0, err
-	}
-	a.gen.NoteCreated(o.ID, o.Type)
 	return ios, 2, nil
 }

@@ -7,7 +7,6 @@ import (
 	"oodb/internal/model"
 	"oodb/internal/obs"
 	"oodb/internal/ocb"
-	"oodb/internal/storage"
 	"oodb/internal/workload"
 )
 
@@ -75,18 +74,19 @@ var ocbIO = [ocb.NumOps]obs.Event{
 	obs.OCBInsertIO, obs.OCBDeleteIO, obs.OCBUpdateIO, obs.OCBRewireIO,
 }
 
-// execOCBSimple performs a depth-bounded DFS along configuration references
-// from the target — OCB's simple traversal. The expansion order (slice
-// order, depth-first) is deterministic, and the visited set keeps shared
-// subobjects from being re-read.
-func (a *stack) execOCBSimple(req workload.Op) ([]core.PhysIO, int, error) {
-	ios, err := a.readObject(nil, req.Target, true, true)
+// readSubtree reads root and then the configuration subtree under it:
+// depth-first along Components in slice order (deterministic), at most
+// maxDepth levels and ocbVisitCap objects, the visited set a.seen keeping
+// shared subobjects from being re-read. a.visitBuf holds the objects read,
+// in discovery order.
+func (a *stack) readSubtree(root model.ObjectID, maxDepth int, boost bool) ([]core.PhysIO, int, error) {
+	ios, err := a.readObject(nil, root, true, boost)
 	if err != nil {
 		return nil, 0, err
 	}
-	logical := 1
-	if a.graph.Object(req.Target) == nil || a.ocbDepth <= 0 {
-		return ios, logical, nil
+	a.visitBuf = append(a.visitBuf[:0], root)
+	if a.graph.Object(root) == nil || maxDepth <= 0 {
+		return ios, 1, nil
 	}
 	if a.seen == nil {
 		a.seen = make(map[model.ObjectID]bool, ocbVisitCap)
@@ -94,12 +94,12 @@ func (a *stack) execOCBSimple(req workload.Op) ([]core.PhysIO, int, error) {
 	for k := range a.seen {
 		delete(a.seen, k)
 	}
-	a.seen[req.Target] = true
-	a.walkBuf = append(a.walkBuf[:0], ocbFrame{req.Target, 0})
-	for len(a.walkBuf) > 0 && logical < ocbVisitCap {
+	a.seen[root] = true
+	a.walkBuf = append(a.walkBuf[:0], ocbFrame{root, 0})
+	for len(a.walkBuf) > 0 && len(a.visitBuf) < ocbVisitCap {
 		f := a.walkBuf[len(a.walkBuf)-1]
 		a.walkBuf = a.walkBuf[:len(a.walkBuf)-1]
-		if f.depth >= a.ocbDepth {
+		if f.depth >= maxDepth {
 			continue
 		}
 		o := a.graph.Object(f.id)
@@ -111,17 +111,23 @@ func (a *stack) execOCBSimple(req workload.Op) ([]core.PhysIO, int, error) {
 				continue
 			}
 			a.seen[c] = true
-			if ios, err = a.readObject(ios, c, false, true); err != nil {
+			if ios, err = a.readObject(ios, c, false, boost); err != nil {
 				return nil, 0, err
 			}
-			logical++
+			a.visitBuf = append(a.visitBuf, c)
 			a.walkBuf = append(a.walkBuf, ocbFrame{c, f.depth + 1})
-			if logical >= ocbVisitCap {
+			if len(a.visitBuf) >= ocbVisitCap {
 				break
 			}
 		}
 	}
-	return ios, logical, nil
+	return ios, len(a.visitBuf), nil
+}
+
+// execOCBSimple performs a depth-bounded DFS along configuration references
+// from the target — OCB's simple traversal.
+func (a *stack) execOCBSimple(req workload.Op) ([]core.PhysIO, int, error) {
+	return a.readSubtree(req.Target, a.ocbDepth, true)
 }
 
 // execOCBHierarchy walks the inheritance chain upward from the target —
@@ -216,28 +222,10 @@ func (a *stack) execOCBInsert(txn int, req workload.Op) ([]core.PhysIO, int, err
 			return nil, 0, err
 		}
 	}
-	pl, err := a.clust.PlaceNew(o)
-	if err != nil {
-		return nil, 0, err
-	}
-	if ios, err = a.finishPlacement(txn, o, pl, ios); err != nil {
-		return nil, 0, err
-	}
 	// Each reference target gained a composite backlink.
-	for _, id := range req.Targets {
-		to := a.graph.Object(id)
-		if to == nil {
-			continue
-		}
-		pg := a.store.PageOf(id)
-		if ios, err = a.ensureDirty(ios, pg); err != nil {
-			return nil, 0, err
-		}
-		if ios, err = a.logAppend(ios, txn, to.Size, pg); err != nil {
-			return nil, 0, err
-		}
+	if ios, err = a.create(ios, txn, o, req.Targets...); err != nil {
+		return nil, 0, err
 	}
-	a.gen.NoteCreated(o.ID, o.Type)
 	return ios, logical + 1, nil
 }
 
@@ -251,51 +239,15 @@ func (a *stack) execOCBInsert(txn int, req workload.Op) ([]core.PhysIO, int, err
 // the root obsolete — a plain logged update — like a real tool failing the
 // delete.
 func (a *stack) execOCBDelete(txn int, req workload.Op) ([]core.PhysIO, int, error) {
-	if a.graph.Object(req.Target) == nil {
-		a.notFound++
-		a.foldRead(req.Target, false)
-		return nil, 1, nil
-	}
-	ios, err := a.readObject(nil, req.Target, true, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	logical := 1
-	if a.seen == nil {
-		a.seen = make(map[model.ObjectID]bool, ocbVisitCap)
-	}
-	for k := range a.seen {
-		delete(a.seen, k)
-	}
-	a.seen[req.Target] = true
-	a.delBuf = append(a.delBuf[:0], req.Target)
-	a.walkBuf = append(a.walkBuf[:0], ocbFrame{req.Target, 0})
-	for len(a.walkBuf) > 0 && len(a.delBuf) < ocbVisitCap {
-		f := a.walkBuf[len(a.walkBuf)-1]
-		a.walkBuf = a.walkBuf[:len(a.walkBuf)-1]
-		o := a.graph.Object(f.id)
-		if o == nil {
-			continue
-		}
-		for _, c := range o.Components {
-			if a.seen[c] {
-				continue
-			}
-			a.seen[c] = true
-			if ios, err = a.readObject(ios, c, false, false); err != nil {
-				return nil, 0, err
-			}
-			logical++
-			a.delBuf = append(a.delBuf, c)
-			a.walkBuf = append(a.walkBuf, ocbFrame{c, f.depth + 1})
-			if len(a.delBuf) >= ocbVisitCap {
-				break
-			}
-		}
+	// The subtree has at most ocbVisitCap members, so that depth is no bound.
+	ios, logical, err := a.readSubtree(req.Target, ocbVisitCap, false)
+	root := a.graph.Object(req.Target)
+	if err != nil || root == nil {
+		return ios, logical, err
 	}
 	deleted := 0
-	for i := len(a.delBuf) - 1; i >= 0; i-- {
-		id := a.delBuf[i]
+	for i := len(a.visitBuf) - 1; i >= 0; i-- {
+		id := a.visitBuf[i]
 		o := a.graph.Object(id)
 		if o == nil || len(o.Components) > 0 || len(o.Descendants) > 0 {
 			continue
@@ -312,32 +264,14 @@ func (a *stack) execOCBDelete(txn int, req workload.Op) ([]core.PhysIO, int, err
 				continue
 			}
 		}
-		pg := a.store.PageOf(id)
-		if ios, err = a.ensureDirty(ios, pg); err != nil {
-			return nil, 0, err
-		}
-		if ios, err = a.logAppend(ios, txn, o.Size, pg); err != nil {
-			return nil, 0, err
-		}
-		if a.obsv != nil {
-			a.obsv.NoteRemoved(id)
-		}
-		if err := a.store.Remove(id); err != nil {
-			return nil, 0, err
-		}
-		if err := a.graph.DeleteObject(id); err != nil {
+		if ios, err = a.remove(ios, txn, o); err != nil {
 			return nil, 0, err
 		}
 		deleted++
 	}
 	if deleted == 0 {
 		// Nothing deletable: mark the root obsolete instead.
-		o := a.graph.Object(req.Target)
-		pg := a.store.PageOf(req.Target)
-		if ios, err = a.ensureDirty(ios, pg); err != nil {
-			return nil, 0, err
-		}
-		if ios, err = a.logAppend(ios, txn, o.Size, pg); err != nil {
+		if ios, err = a.dirtyLog(ios, txn, root.Size, a.store.PageOf(req.Target)); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -358,29 +292,17 @@ func (a *stack) execOCBUpdate(txn int, req workload.Op) ([]core.PhysIO, int, err
 	if o == nil {
 		return ios, 1, nil // deleted before the update landed
 	}
-	newSize := a.sizeFor(req.Size, o.Size)
-	pg := a.store.PageOf(req.Target)
-	if ios, err = a.ensureDirty(ios, pg); err != nil {
-		return nil, 0, err
-	}
-	if ios, err = a.logAppend(ios, txn, o.Size, pg); err != nil {
-		return nil, 0, err
-	}
-	if newSize != o.Size {
-		if a.obsv != nil {
-			a.obsv.NoteRemoved(req.Target)
-		}
-		if err := a.store.Remove(req.Target); err != nil {
+	if newSize := a.sizeFor(req.Size, o.Size); newSize != o.Size {
+		if ios, err = a.unplace(ios, txn, o); err != nil {
 			return nil, 0, err
 		}
 		o.Size = newSize
-		pl, err := a.clust.PlaceNew(o)
-		if err != nil {
-			return nil, 0, err
-		}
-		if ios, err = a.finishPlacement(txn, o, pl, ios); err != nil {
-			return nil, 0, err
-		}
+		ios, err = a.place(ios, txn, o)
+	} else {
+		ios, err = a.dirtyLog(ios, txn, o.Size, a.store.PageOf(req.Target))
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	return ios, 1, nil
 }
@@ -418,31 +340,8 @@ func (a *stack) execOCBRewire(txn int, req workload.Op) ([]core.PhysIO, int, err
 	if err != nil {
 		return nil, 0, err
 	}
-	pl, err := a.clust.Recluster(o)
-	if err != nil {
-		return nil, 0, err
-	}
-	ios = append(ios, pl.IOs...)
-	dirty := pl.DirtyPages
-	var one [1]storage.PageID
-	if len(dirty) == 0 {
-		one[0] = a.store.PageOf(o.ID)
-		dirty = one[:]
-	}
-	for _, pg := range dirty {
-		if ios, err = a.ensureDirty(ios, pg); err != nil {
-			return nil, 0, err
-		}
-		if ios, err = a.logAppend(ios, txn, o.Size, pg); err != nil {
-			return nil, 0, err
-		}
-	}
 	// The new reference target's composite backlink changed.
-	tpg := a.store.PageOf(to.ID)
-	if ios, err = a.ensureDirty(ios, tpg); err != nil {
-		return nil, 0, err
-	}
-	if ios, err = a.logAppend(ios, txn, to.Size, tpg); err != nil {
+	if ios, err = a.relink(ios, txn, o, to); err != nil {
 		return nil, 0, err
 	}
 	return ios, 2, nil

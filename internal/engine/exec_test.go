@@ -3,8 +3,10 @@ package engine
 import (
 	"testing"
 
+	"oodb/internal/buffer"
 	"oodb/internal/core"
 	"oodb/internal/model"
+	"oodb/internal/storage"
 	"oodb/internal/workload"
 )
 
@@ -242,5 +244,77 @@ func TestExecDelete(t *testing.T) {
 	e.exec(t, workload.Op{Kind: workload.QDelete, Target: root})
 	if e.graph.Object(root) == nil {
 		t.Fatal("composite was deleted")
+	}
+}
+
+// dirtyCounter counts the MarkDirty calls a stack makes on its pool.
+type dirtyCounter struct {
+	buffer.Frames
+	marked int
+}
+
+func (d *dirtyCounter) MarkDirty(pg storage.PageID) error {
+	d.marked++
+	return d.Frames.MarkDirty(pg)
+}
+
+// TestWriteKindsLogWhatTheyDirty: every write kind of both workloads logs
+// exactly one record per page it dirties and leaves every live object on
+// exactly one page slot — the contract of the shared dirtyLog / create /
+// relink / remove tails.
+func TestWriteKindsLogWhatTheyDirty(t *testing.T) {
+	t.Parallel()
+	oct := execFixture(t)
+	leaf := func() model.ObjectID {
+		for _, id := range oct.db.Leaves {
+			if o := oct.graph.Object(id); o != nil && len(o.Components) == 0 && len(o.Descendants) == 0 {
+				return id
+			}
+		}
+		t.Fatal("no deletable leaf")
+		return model.NilObject
+	}
+	cfg := DefaultConfig(0.01)
+	cfg.Transactions = 1
+	cfg.Workload = WorkloadOCB
+	ocbEng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := ocbEng.ocbBase.Order
+	first, last := order[0], order[len(order)-1]
+
+	for _, tc := range []struct {
+		e  *Engine
+		op workload.Op
+	}{
+		{oct, workload.Op{Kind: workload.QInsert, AttachTo: oct.db.Blocks[0], NewType: oct.db.Schema.LeafTypes[0]}},
+		{oct, workload.Op{Kind: workload.QUpdate, Target: oct.db.Leaves[0]}},
+		{oct, workload.Op{Kind: workload.QStructUpdate, Target: oct.db.Leaves[0], AttachTo: oct.db.Blocks[1]}},
+		{oct, workload.Op{Kind: workload.QDerive, Target: oct.db.Roots[0]}},
+		{oct, workload.Op{Kind: workload.QDelete, Target: leaf()}},
+		{ocbEng, workload.Op{Kind: workload.QOCBInsert, NewType: ocbEng.ocbBase.Classes[0], Targets: order[:3], Size: workload.SizeMedium}},
+		{ocbEng, workload.Op{Kind: workload.QOCBUpdate, Target: first}},
+		{ocbEng, workload.Op{Kind: workload.QOCBUpdate, Target: first, Size: workload.SizeLarge}},
+		{ocbEng, workload.Op{Kind: workload.QOCBRewire, Target: last, AttachTo: first}},
+		{ocbEng, workload.Op{Kind: workload.QOCBDelete, Target: last}},
+	} {
+		e := tc.e
+		st := e.access.(*stack)
+		dc := &dirtyCounter{Frames: st.pool}
+		st.pool = dc
+		before := e.log.Stats().Records
+		e.exec(t, tc.op)
+		st.pool = dc.Frames
+		records := e.log.Stats().Records - before
+		if records == 0 || records != dc.marked {
+			t.Errorf("%v: %d log records for %d dirtied pages", tc.op.Kind, records, dc.marked)
+		}
+		if placed, live := e.store.NumPlaced(), e.graph.NumObjects(); placed != live {
+			t.Errorf("%v: %d objects placed, %d live", tc.op.Kind, placed, live)
+		}
+		if st.conserve != 0 {
+			t.Errorf("%v: conservation violation counted", tc.op.Kind)
+		}
 	}
 }

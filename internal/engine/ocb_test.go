@@ -31,6 +31,7 @@ func runOCB(t *testing.T, cfg Config) Results {
 // TestOCBSameSeedIdentical: an OCB run is a deterministic function of its
 // configuration — two runs of the same config produce identical results.
 func TestOCBSameSeedIdentical(t *testing.T) {
+	t.Parallel()
 	cfg := quickOCBConfig(400)
 	a := runOCB(t, cfg)
 	b := runOCB(t, cfg)
@@ -55,6 +56,7 @@ func TestOCBSameSeedIdentical(t *testing.T) {
 // checkpoint machinery as OCT — a run checkpointed mid-flight, serialized,
 // and resumed must match an uninterrupted run byte for byte.
 func TestOCBCheckpointResumeIdentity(t *testing.T) {
+	t.Parallel()
 	cfg := quickOCBConfig(300)
 	for _, k := range []int{25, 150} {
 		checkResumeIdentity(t, cfg, k)
@@ -64,6 +66,7 @@ func TestOCBCheckpointResumeIdentity(t *testing.T) {
 // TestOCBWorkloadTagMismatch: an OCB checkpoint must not restore into an
 // OCT engine, and vice versa.
 func TestOCBWorkloadTagMismatch(t *testing.T) {
+	t.Parallel()
 	cfg := quickOCBConfig(200)
 	e, err := New(cfg)
 	if err != nil {
@@ -85,6 +88,7 @@ func TestOCBWorkloadTagMismatch(t *testing.T) {
 // different replacement policy reproduces the logical results (the digest)
 // while the physical behavior is free to differ.
 func TestOCBRecordReplayIdentity(t *testing.T) {
+	t.Parallel()
 	cfg := quickOCBConfig(400)
 	base := runOCB(t, cfg)
 
@@ -162,6 +166,7 @@ func TestNoteOCBAccessAllocFree(t *testing.T) {
 // TestOCBWriteKindsInstrumented: a write-enabled OCB run with a recorder
 // attached attributes buffer traffic to the write-kind events end to end.
 func TestOCBWriteKindsInstrumented(t *testing.T) {
+	t.Parallel()
 	cfg := quickOCBConfig(400)
 	cfg.OCB.ReadWriteRatio = 2
 	c := &obs.Counters{}
@@ -185,6 +190,7 @@ func TestOCBWriteKindsInstrumented(t *testing.T) {
 // TestOCBPerKindAccounting: an OCB run attributes every completed
 // transaction, and its response time and I/Os, to one of the four OCB kinds.
 func TestOCBPerKindAccounting(t *testing.T) {
+	t.Parallel()
 	res := runOCB(t, quickOCBConfig(400))
 	kinds := []workload.QueryKind{
 		workload.QOCBScan, workload.QOCBSimple,

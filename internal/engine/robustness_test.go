@@ -13,6 +13,7 @@ import (
 // every control parameter must run to completion with storage and lock
 // invariants intact. This is the fuzz net under the whole stack.
 func TestRandomConfigurations(t *testing.T) {
+	t.Parallel()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := DefaultConfig(0.004 + rng.Float64()*0.01)
@@ -81,6 +82,7 @@ func TestRandomConfigurations(t *testing.T) {
 // larger scale: context-sensitive + prefetch-within-DB beats LRU without
 // prefetching. Skipped in -short.
 func TestBufferingOrderingAtScale(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("slow: two scale-0.1 runs")
 	}

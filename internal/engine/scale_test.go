@@ -57,6 +57,7 @@ func TestCalendarFullRunIdentical(t *testing.T) {
 // under the wheel (and vice versa) with a byte-identical continuation — the
 // scale-migration path.
 func TestCheckpointAcrossScaleMechanics(t *testing.T) {
+	t.Parallel()
 	plain := quickConfig(300)
 	scaled := plain
 	scaled.Calendar = sim.CalendarWheel

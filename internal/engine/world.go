@@ -98,21 +98,13 @@ func buildWorld(cfg Config, lockShards int, newPool func(*world) (framePool, err
 	}
 	mem.SetRecorder(cfg.Recorder)
 
-	// Replacement policies come from the name registry; the Table 4.1 enum
-	// maps onto registered names and Config.ReplacementName may select any
+	// Replacement policies come from the name registry; the Table 4.1 enum's
+	// own names are registered there (an out-of-range value is not, and
+	// fails as an unknown policy) and Config.ReplacementName may select any
 	// other registered policy (e.g. "clock") directly.
 	w.replName = cfg.ReplacementName
 	if w.replName == "" {
-		switch cfg.Replacement {
-		case core.ReplLRU:
-			w.replName = "lru"
-		case core.ReplRandom:
-			w.replName = "random"
-		case core.ReplContext:
-			w.replName = "context-sensitive"
-		default:
-			return nil, fmt.Errorf("engine: unknown replacement policy %v", cfg.Replacement)
-		}
+		w.replName = cfg.Replacement.String()
 	}
 	if w.frames, err = newPool(w); err != nil {
 		return nil, err

@@ -212,6 +212,7 @@ func TestConstructorsCloseBackendOnError(t *testing.T) {
 // buildWorld, so the same configuration must leave construction on the same
 // physical database with every statistic zeroed.
 func TestDriversShareConstruction(t *testing.T) {
+	t.Parallel()
 	ocbRW := quickOCBConfig(50)
 	ocbRW.OCB.ReadWriteRatio = 2
 	workloads := map[string]Config{

@@ -198,7 +198,7 @@ func (brokenPolicy) Admitted(storage.PageID) {}
 func (brokenPolicy) Touched(storage.PageID)  {}
 func (brokenPolicy) Boosted(storage.PageID)  {}
 func (brokenPolicy) Removed(storage.PageID)  {}
-func (brokenPolicy) Victim(func(storage.PageID) bool) (storage.PageID, bool) {
+func (brokenPolicy) Victim() (storage.PageID, bool) {
 	return storage.PageID(1 << 30), true
 }
 

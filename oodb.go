@@ -23,6 +23,7 @@ package oodb
 
 import (
 	"fmt"
+	"math/rand"
 
 	"oodb/internal/buffer"
 	"oodb/internal/core"
@@ -237,16 +238,12 @@ func Open(opt Options) (*DB, error) {
 	g := model.NewGraph()
 	st := storage.NewManager(g, opt.PageSize)
 
-	var pol buffer.Policy
-	switch opt.Replacement {
-	case ReplLRU:
-		pol = buffer.NewLRU()
-	case ReplRandom:
-		pol = buffer.NewRandom(newSeededRand(opt.Seed), uint64(opt.BufferFrames/4))
-	case ReplContext:
-		pol = core.NewContextPolicy(float64(opt.BufferFrames) * 3 / 4)
-	default:
-		return nil, fmt.Errorf("oodb: unknown replacement policy %v", opt.Replacement)
+	pol, err := buffer.NewPolicyByName(opt.Replacement.String(), buffer.PolicyConfig{
+		Frames: opt.BufferFrames,
+		RNG:    func() *rand.Rand { return rand.New(rand.NewSource(opt.Seed)) },
+	})
+	if err != nil {
+		return nil, fmt.Errorf("oodb: %w", err)
 	}
 	pool := buffer.NewPool(opt.BufferFrames, pol)
 
@@ -341,10 +338,10 @@ func (db *DB) Get(id ObjectID) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.charge(core.ExpandAccess(res, pg))
+	db.charge(core.AppendExpandAccess(nil, res, pg))
 	db.logicalReads++
 	if db.opt.Replacement == ReplContext {
-		for _, rp := range core.ContextBoostPages(db.graph, db.store, o) {
+		for _, rp := range core.AppendContextBoostPages(nil, db.graph, db.store, o, core.ContextNeighborLimit) {
 			db.pool.Boost(rp)
 		}
 	}

@@ -1,8 +1,6 @@
 package oodb
 
 import (
-	"math/rand"
-
 	"oodb/internal/engine"
 	"oodb/internal/experiment"
 )
@@ -134,8 +132,4 @@ type UnknownExperimentError struct{ ID string }
 // Error implements error.
 func (e *UnknownExperimentError) Error() string {
 	return "oodb: unknown experiment " + e.ID
-}
-
-func newSeededRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
 }
