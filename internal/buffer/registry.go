@@ -1,11 +1,9 @@
 package buffer
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
-	"sync"
+
+	"oodb/internal/registry"
 )
 
 // PolicyConfig carries the construction context a replacement policy may
@@ -24,74 +22,29 @@ type PolicyConfig struct {
 // PolicyFactory builds a replacement policy from its construction context.
 type PolicyFactory func(PolicyConfig) Policy
 
-var (
-	policyMu       sync.RWMutex
-	policyRegistry = map[string]PolicyFactory{}
-)
-
-// canonicalPolicyName folds case and separators so "Context-sensitive",
-// "context_sensitive", and "CONTEXT SENSITIVE" resolve identically.
-func canonicalPolicyName(name string) string {
-	name = strings.ToLower(strings.TrimSpace(name))
-	name = strings.ReplaceAll(name, "-", "")
-	name = strings.ReplaceAll(name, "_", "")
-	name = strings.ReplaceAll(name, " ", "")
-	return name
-}
+var policies = registry.New[PolicyFactory]("buffer", "RegisterPolicy", "replacement policy")
 
 // RegisterPolicy adds a replacement-policy factory under name (and any
 // aliases), looked up case- and separator-insensitively. Registering a name
-// twice panics: policy names are part of the CLI surface and silent
-// replacement would make flag behavior order-dependent.
+// twice panics.
 func RegisterPolicy(name string, f PolicyFactory, aliases ...string) {
-	if f == nil {
-		panic("buffer: RegisterPolicy with nil factory")
-	}
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	for _, n := range append([]string{name}, aliases...) {
-		key := canonicalPolicyName(n)
-		if key == "" {
-			panic("buffer: RegisterPolicy with empty name")
-		}
-		if _, dup := policyRegistry[key]; dup {
-			panic(fmt.Sprintf("buffer: replacement policy %q registered twice", n))
-		}
-		policyRegistry[key] = f
-	}
+	policies.Register(name, f, aliases...)
 }
 
 // NewPolicyByName constructs the registered policy called name.
 func NewPolicyByName(name string, cfg PolicyConfig) (Policy, error) {
-	policyMu.RLock()
-	f, ok := policyRegistry[canonicalPolicyName(name)]
-	policyMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("buffer: unknown replacement policy %q (have %s)",
-			name, strings.Join(PolicyNames(), ", "))
+	f, err := policies.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(cfg), nil
 }
 
 // HasPolicy reports whether name resolves to a registered policy.
-func HasPolicy(name string) bool {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	_, ok := policyRegistry[canonicalPolicyName(name)]
-	return ok
-}
+func HasPolicy(name string) bool { return policies.Has(name) }
 
 // PolicyNames returns the registered policy names (canonical form, sorted).
-func PolicyNames() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	out := make([]string, 0, len(policyRegistry))
-	for n := range policyRegistry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func PolicyNames() []string { return policies.Names() }
 
 func init() {
 	RegisterPolicy("lru", func(PolicyConfig) Policy { return NewLRU() })

@@ -2,13 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"oodb/internal/buffer"
 	"oodb/internal/model"
 	"oodb/internal/obs"
+	"oodb/internal/registry"
 	"oodb/internal/storage"
 )
 
@@ -107,75 +105,30 @@ type ClusterSeam struct {
 // ClusterStrategyFactory builds a clustering strategy from its seam.
 type ClusterStrategyFactory func(ClusterSeam) ClusterStrategy
 
-var (
-	strategyMu       sync.RWMutex
-	strategyRegistry = map[string]ClusterStrategyFactory{}
-)
-
-// canonicalStrategyName folds case and separators, mirroring the buffer
-// package's policy-name folding.
-func canonicalStrategyName(name string) string {
-	name = strings.ToLower(strings.TrimSpace(name))
-	name = strings.ReplaceAll(name, "-", "")
-	name = strings.ReplaceAll(name, "_", "")
-	name = strings.ReplaceAll(name, " ", "")
-	return name
-}
+var strategies = registry.New[ClusterStrategyFactory]("core", "RegisterClusterStrategy", "cluster strategy")
 
 // RegisterClusterStrategy adds a strategy factory under name (and any
 // aliases), looked up case- and separator-insensitively. Registering a name
-// twice panics: strategy names are part of the CLI surface and silent
-// replacement would make flag behavior order-dependent.
+// twice panics.
 func RegisterClusterStrategy(name string, f ClusterStrategyFactory, aliases ...string) {
-	if f == nil {
-		panic("core: RegisterClusterStrategy with nil factory")
-	}
-	strategyMu.Lock()
-	defer strategyMu.Unlock()
-	for _, n := range append([]string{name}, aliases...) {
-		key := canonicalStrategyName(n)
-		if key == "" {
-			panic("core: RegisterClusterStrategy with empty name")
-		}
-		if _, dup := strategyRegistry[key]; dup {
-			panic(fmt.Sprintf("core: cluster strategy %q registered twice", n))
-		}
-		strategyRegistry[key] = f
-	}
+	strategies.Register(name, f, aliases...)
 }
 
 // NewClusterStrategy constructs the registered strategy called name.
 func NewClusterStrategy(name string, seam ClusterSeam) (ClusterStrategy, error) {
-	strategyMu.RLock()
-	f, ok := strategyRegistry[canonicalStrategyName(name)]
-	strategyMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("core: unknown cluster strategy %q (have %s)",
-			name, strings.Join(ClusterStrategyNames(), ", "))
+	f, err := strategies.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(seam), nil
 }
 
 // HasClusterStrategy reports whether name resolves to a registered strategy.
-func HasClusterStrategy(name string) bool {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
-	_, ok := strategyRegistry[canonicalStrategyName(name)]
-	return ok
-}
+func HasClusterStrategy(name string) bool { return strategies.Has(name) }
 
 // ClusterStrategyNames returns the registered strategy names (canonical
 // form, sorted).
-func ClusterStrategyNames() []string {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
-	out := make([]string, 0, len(strategyRegistry))
-	for n := range strategyRegistry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func ClusterStrategyNames() []string { return strategies.Names() }
 
 // NoopClusterer is the trivial clustering strategy: every object appends to
 // a shared sequential frontier page regardless of structure, and

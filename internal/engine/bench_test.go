@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// BenchmarkSimThroughput is the macro-benchmark behind BENCH_6.json: whole
+// BenchmarkSimThroughput is the serial macro-benchmark: whole
 // simulated transactions per wall-clock second, per scale tier. Engine
 // construction (type lattice, object base, database construction) is
 // untimed; the measured region is the steady-state event loop — calendar

@@ -198,7 +198,7 @@ func NewConcurrent(cfg Config, opt ConcurrentOptions) (*Concurrent, error) {
 		c.sessions[i] = &csession{
 			id:    i,
 			think: w.sim.Stream(fmt.Sprintf("think-%d", i)),
-			stack: w.newStack(wrkName, i<<32),
+			stack: w.newStack(w.newGenerator(wrkName), i<<32),
 		}
 	}
 	return c, nil

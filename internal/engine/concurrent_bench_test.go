@@ -6,8 +6,7 @@ import (
 	"time"
 )
 
-// BenchmarkConcurrentSessions is the concurrent macro-benchmark behind
-// BENCH_7.json: N client goroutines in a closed loop with a short think
+// BenchmarkConcurrentSessions is the concurrent macro-benchmark: N client goroutines in a closed loop with a short think
 // time, sharing one buffer pool, lock table, and storage backend. The
 // events/sec metric is completed transactions per wall-clock second; the
 // p50/p99/p999 metrics are per-transaction latency percentiles in

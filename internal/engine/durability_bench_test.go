@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// BenchmarkFileBackendThroughput is the real-I/O macro-benchmark behind
-// BENCH_8.json: the serial simulation with the file backend journaling
+// BenchmarkFileBackendThroughput is the real-I/O macro-benchmark: the
+// serial simulation with the file backend journaling
 // every placement mutation to a write-ahead log and faulting page frames
 // through a page file, across the three fsync policies. The spread between
 // never/interval/always is the price of the durability guarantee itself —
@@ -44,8 +44,7 @@ func BenchmarkFileBackendThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteMix is the write-pipeline macro-benchmark behind
-// BENCH_9.json: a write-enabled OCB mix (one write per two reads across all
+// BenchmarkWriteMix is the write-pipeline macro-benchmark: a write-enabled OCB mix (one write per two reads across all
 // four evolution kinds) over the file backend, per fsync policy. commits/sec
 // counts write transactions durably journaled per wall-clock second — the
 // write path's real throughput under each durability guarantee. p99w_us is

@@ -75,24 +75,14 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 
-	// One pool, one global policy: victim order is observable behavior on
-	// the simulated path, and a single goroutine has no use for shard locks.
-	w, err := buildWorld(cfg, 1, func(w *world) (framePool, error) {
-		// The stream is created lazily so deterministic replays are
-		// unaffected unless a stochastic policy actually draws from it.
-		policy, err := w.newPolicy(cfg.Buffers, func() *rand.Rand { return w.sim.Stream("random-replacement") })
-		if err != nil {
-			return nil, err
-		}
-		e.pool = buffer.NewPool(cfg.Buffers, policy)
-		return e.pool, nil
-	})
+	w, err := buildWorld(cfg, 1, serialPool)
 	if err != nil {
 		return nil, err
 	}
+	e.pool = w.frames.(*buffer.Pool)
 	e.world = w
 	e.tuner, _ = w.clust.(core.PolicyTuner)
-	st := w.newStack("workload", 0)
+	st := w.newStack(w.newGenerator("workload"), 0)
 	e.access, e.gen = st, st.gen
 	e.metrics.init(cfg)
 
@@ -105,6 +95,19 @@ func New(cfg Config) (*Engine, error) {
 		e.adapt = newAdaptiveState(cfg)
 	}
 	return e, nil
+}
+
+// serialPool is the newPool of the single-goroutine drivers. One pool, one
+// global policy: victim order is observable behavior on the simulated path,
+// and a single goroutine has no use for shard locks.
+func serialPool(w *world) (framePool, error) {
+	// The stream is created lazily so deterministic replays are unaffected
+	// unless a stochastic policy actually draws from it.
+	policy, err := w.newPolicy(w.cfg.Buffers, func() *rand.Rand { return w.sim.Stream("random-replacement") })
+	if err != nil {
+		return nil, err
+	}
+	return buffer.NewPool(w.cfg.Buffers, policy), nil
 }
 
 // Run simulates until the configured number of transactions has completed

@@ -2,7 +2,7 @@ package engine
 
 import "testing"
 
-// BenchmarkClusterTournament is the macro-benchmark behind BENCH_10.json:
+// BenchmarkClusterTournament is the clustering-strategy macro-benchmark:
 // whole write-enabled OCB transactions per wall-clock second, one sub-bench
 // per registered tournament contender. It measures what each clustering
 // strategy costs on the engine's hot path — the dynamic strategies pay for

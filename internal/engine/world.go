@@ -62,31 +62,40 @@ type framePool interface {
 	FlushDirty() error
 }
 
-// buildWorld generates the logical database, wires the stack over the pool
-// newPool returns, and constructs the physical database by replaying the
-// creation order through the configured clustering strategy. Construction
-// I/Os are not timed and every statistic is reset afterwards — the measured
-// run starts on the database that policy would have built, with the pool
-// warm as a long-lived server's would be. cfg must already be validated.
-//
-// lockShards sizes the lock table when cfg.Locking is set. Once the storage
-// backend is open, every error return closes it.
-func buildWorld(cfg Config, lockShards int, newPool func(*world) (framePool, error)) (w *world, err error) {
+// newWorld starts a world: the configuration and the seed-derived random
+// streams, nothing wired yet.
+func newWorld(cfg Config) (*world, error) {
 	s, err := sim.NewWithCalendar(cfg.Seed, cfg.Calendar)
 	if err != nil {
 		return nil, err
 	}
-	w = &world{cfg: cfg, sim: s}
+	return &world{cfg: cfg, sim: s}, nil
+}
 
-	// Either workload family yields a (graph, store) pair; everything below
-	// the workload seam is family-agnostic.
-	var mem *storage.Manager
+// buildWorld generates the configured workload family's logical database
+// and opens the world over it, constructing the physical database by
+// replaying the family's creation order. cfg must already be validated.
+func buildWorld(cfg Config, lockShards int, newPool func(*world) (framePool, error)) (*world, error) {
+	w, err := newWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Either workload family yields a (graph, store) pair and the order to
+	// construct it in; everything below the workload seam (world.open) is
+	// family-agnostic. The OCB base carries its own creation order
+	// (references always point backwards in it); the OCT database
+	// interleaves its creation sequences from a dedicated stream.
+	var (
+		g     *model.Graph
+		mem   *storage.Manager
+		order []model.ObjectID
+	)
 	if cfg.Workload == WorkloadOCB {
 		b, err := ocb.Generate(cfg.OCB, cfg.DBBytes, cfg.PageSize, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("engine: generating OCB object base: %w", err)
 		}
-		w.ocbBase, w.graph, mem = b, b.Graph, b.Store
+		w.ocbBase, g, mem, order = b, b.Graph, b.Store, b.Order
 	} else {
 		spec := workload.DefaultDBSpec(cfg.Density, cfg.DBBytes)
 		spec.Seed = cfg.Seed
@@ -94,8 +103,28 @@ func buildWorld(cfg Config, lockShards int, newPool func(*world) (framePool, err
 		if err != nil {
 			return nil, fmt.Errorf("engine: generating database: %w", err)
 		}
-		w.db, w.graph, mem = d, d.Graph, d.Store
+		w.db, g, mem = d, d.Graph, d.Store
+		order = d.ConstructionOrder(w.sim.Stream("construction"), 4)
 	}
+	if err := w.open(g, mem, order, lockShards, newPool); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// open wires the stack over the (graph, store) pair and the pool newPool
+// returns, then constructs the physical database by replaying order through
+// the configured clustering strategy. Construction I/Os are not timed and
+// every statistic is reset afterwards — the measured run starts on the
+// database that policy would have built, with the pool warm as a long-lived
+// server's would be. An empty pair with no order opens an empty database.
+//
+// lockShards sizes the lock table when cfg.Locking is set. Once the storage
+// backend is open, every error return closes it.
+func (w *world) open(g *model.Graph, mem *storage.Manager, order []model.ObjectID,
+	lockShards int, newPool func(*world) (framePool, error)) (err error) {
+	cfg := w.cfg
+	w.graph = g
 	mem.SetRecorder(cfg.Recorder)
 
 	// Replacement policies come from the name registry; the Table 4.1 enum's
@@ -107,7 +136,7 @@ func buildWorld(cfg Config, lockShards int, newPool func(*world) (framePool, err
 		w.replName = cfg.Replacement.String()
 	}
 	if w.frames, err = newPool(w); err != nil {
-		return nil, err
+		return err
 	}
 	w.frames.SetRecorder(cfg.Recorder)
 
@@ -116,13 +145,13 @@ func buildWorld(cfg Config, lockShards int, newPool func(*world) (framePool, err
 	// real page I/O. Everything downstream sees only storage.Backend.
 	fsync, err := storage.ParseFsync(cfg.Fsync)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	w.store, err = storage.NewBackendByName(cfg.Backend, mem, storage.BackendOptions{
 		Dir: cfg.DataDir, Fsync: fsync, Recorder: cfg.Recorder,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	w.log = txlog.NewManager(cfg.LogBufBytes)
 	w.log.SetRecorder(cfg.Recorder)
@@ -155,25 +184,25 @@ func buildWorld(cfg Config, lockShards int, newPool func(*world) (framePool, err
 		Recorder:            cfg.Recorder,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Locking {
 		w.locks = lock.NewManagerSharded(lockShards)
 		w.locks.SetRecorder(cfg.Recorder)
 	}
 
-	if err := w.constructDatabase(); err != nil {
-		return nil, err
+	if err := w.constructDatabase(order); err != nil {
+		return err
 	}
 	if w.durable != nil {
 		// The construction placements were journaled under the bootstrap
 		// pseudo-transaction; commit them durably before the run starts so
 		// recovery always has the baseline every run transaction builds on.
 		if err := w.durable.CommitBootstrap(); err != nil {
-			return nil, fmt.Errorf("engine: committing construction bootstrap: %w", err)
+			return fmt.Errorf("engine: committing construction bootstrap: %w", err)
 		}
 	}
-	return w, nil
+	return nil
 }
 
 // newPolicy instantiates the configured replacement policy for a pool (or
@@ -188,17 +217,8 @@ func (w *world) newPolicy(frames int, rng func() *rand.Rand) (buffer.Policy, err
 }
 
 // constructDatabase replays the creation order through the clustering
-// strategy, single-threaded, then resets every statistic. The OCB base
-// carries its own creation order (references always point backwards in
-// it); the OCT database interleaves its creation sequences from a
-// dedicated stream.
-func (w *world) constructDatabase() error {
-	var order []model.ObjectID
-	if w.ocbBase != nil {
-		order = w.ocbBase.Order
-	} else {
-		order = w.db.ConstructionOrder(w.sim.Stream("construction"), 4)
-	}
+// strategy, single-threaded, then resets every statistic.
+func (w *world) constructDatabase(order []model.ObjectID) error {
 	for _, id := range order {
 		o := w.graph.Object(id)
 		if o == nil {
@@ -218,19 +238,22 @@ func (w *world) constructDatabase() error {
 	return nil
 }
 
-// newStack builds one access-layer stack over the shared world: its own
-// generator on the named workload stream, its own prefetcher (scratch
-// buffers and counters), scratch and digest. nameSeq is the base of the
-// stack's created-object name sequence.
-func (w *world) newStack(stream string, nameSeq int) *stack {
-	cfg := w.cfg
+// newGenerator builds the configured workload family's operation source on
+// the named seed-derived stream.
+func (w *world) newGenerator(stream string) workload.Source {
 	wrk := w.sim.Stream(stream)
-	var gen workload.Source
 	if w.ocbBase != nil {
-		gen = ocb.NewGenerator(w.ocbBase, cfg.OCB, wrk)
-	} else {
-		gen = workload.NewGenerator(w.db, workload.DefaultParams(cfg.Density, cfg.ReadWriteRatio), wrk)
+		return ocb.NewGenerator(w.ocbBase, w.cfg.OCB, wrk)
 	}
+	return workload.NewGenerator(w.db, workload.DefaultParams(w.cfg.Density, w.cfg.ReadWriteRatio), wrk)
+}
+
+// newStack builds one access-layer stack over the shared world: its own
+// prefetcher (scratch buffers and counters), scratch and digest, telling
+// gen — the driver's operation source — of every object it creates. nameSeq
+// is the base of the stack's created-object name sequence.
+func (w *world) newStack(gen workload.Source, nameSeq int) *stack {
+	cfg := w.cfg
 	pf := &core.Prefetcher{
 		Graph: w.graph, Store: w.store, Pool: w.frames,
 		Policy: cfg.Prefetch, Hints: cfg.Hints, Hint: cfg.HintKind,

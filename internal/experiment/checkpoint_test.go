@@ -1,12 +1,11 @@
 package experiment
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"oodb/internal/golden"
 )
 
 // TestCheckpointModeMatchesPlainRender is the harness-level headline gate:
@@ -16,28 +15,10 @@ import (
 func TestCheckpointModeMatchesPlainRender(t *testing.T) {
 	for _, k := range []int{7, 60} {
 		for _, c := range goldenCases(testing.Short()) {
-			plainOpt := c.opt
-			plainOpt.Workers = 2
-			ckptOpt := plainOpt
-			ckptOpt.CheckpointEachAt = k
-			r, ok := Lookup(c.id)
-			if !ok {
-				t.Fatalf("%s not registered", c.id)
-			}
-			tp, err := r(NewHarness(plainOpt))
-			if err != nil {
-				t.Fatalf("%s plain: %v", c.id, err)
-			}
-			tc, err := r(NewHarness(ckptOpt))
-			if err != nil {
-				t.Fatalf("%s checkpointed at %d: %v", c.id, k, err)
-			}
-			p, cr := tp.Render(), tc.Render()
-			if p != cr {
-				t.Fatalf("%s: checkpoint-at-%d render differs from plain:\n--- plain ---\n%s--- checkpointed ---\n%s",
-					c.id, k, p, cr)
-			}
-			golden.Assert(t, c.id+".txt", cr)
+			opt := c.opt
+			opt.Workers = 2
+			opt.CheckpointEachAt = k
+			assertMatchesPlain(t, c, fmt.Sprintf("checkpoint-at-%d", k), opt)
 		}
 	}
 }

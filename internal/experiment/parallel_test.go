@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -159,31 +160,78 @@ func TestRunAllOverlapDedup(t *testing.T) {
 	}
 }
 
-// goldenCases are the figure fixtures pinned under testdata/golden/: each id
-// renders byte-identically across serial, parallel, and checkpointed
-// execution, and the render itself is pinned against the committed golden
-// file so cross-cutting refactors cannot silently drift the default wiring.
-func goldenCases(short bool) []struct {
+// goldenCase is one figure fixture pinned under testdata/golden/: its id
+// renders byte-identically across serial, parallel, checkpointed and
+// wheel-calendar execution, and the render itself is pinned against the
+// committed golden file so cross-cutting refactors cannot silently drift the
+// default wiring.
+type goldenCase struct {
 	id  string
 	opt Options
-} {
-	cases := []struct {
-		id  string
-		opt Options
-	}{
+}
+
+func goldenCases(short bool) []goldenCase {
+	cases := []goldenCase{
 		{"fig5.2", Options{Scale: 0.005, Transactions: 200, Seed: 1, Workers: 1}},
 	}
 	if !short {
-		cases = append(cases, struct {
-			id  string
-			opt Options
-		}{"fig6.1", Options{Scale: 0.004, Transactions: 120, Seed: 1, Workers: 1}},
-			struct {
-				id  string
-				opt Options
-			}{"tournament", Options{Scale: 0.004, Transactions: 120, Seed: 1, Workers: 1}})
+		cases = append(cases,
+			goldenCase{"fig6.1", Options{Scale: 0.004, Transactions: 120, Seed: 1, Workers: 1}},
+			goldenCase{"tournament", Options{Scale: 0.004, Transactions: 120, Seed: 1, Workers: 1}})
 	}
 	return cases
+}
+
+// plainRenders memoises each golden case's reference render, so the three
+// variant tests below compare against one serial run instead of re-running
+// it each.
+var plainRenders sync.Map // id -> *plainRender
+
+type plainRender struct {
+	once sync.Once
+	text string
+	err  error
+}
+
+// renderCase renders c under opt.
+func renderCase(c goldenCase, opt Options) (string, error) {
+	r, ok := Lookup(c.id)
+	if !ok {
+		return "", fmt.Errorf("%s not registered", c.id)
+	}
+	tb, err := r(NewHarness(opt))
+	if err != nil {
+		return "", err
+	}
+	return tb.Render(), nil
+}
+
+// plainRenderOf returns c's reference render: serial, default (heap)
+// calendar, no checkpointing.
+func plainRenderOf(t *testing.T, c goldenCase) string {
+	t.Helper()
+	v, _ := plainRenders.LoadOrStore(c.id, &plainRender{})
+	p := v.(*plainRender)
+	p.once.Do(func() { p.text, p.err = renderCase(c, c.opt) })
+	if p.err != nil {
+		t.Fatalf("%s serial: %v", c.id, p.err)
+	}
+	return p.text
+}
+
+// assertMatchesPlain renders c under the variant options and requires the
+// result to be byte-identical to the reference render and the golden.
+func assertMatchesPlain(t *testing.T, c goldenCase, variant string, opt Options) {
+	t.Helper()
+	want := plainRenderOf(t, c)
+	got, err := renderCase(c, opt)
+	if err != nil {
+		t.Fatalf("%s %s: %v", c.id, variant, err)
+	}
+	if got != want {
+		t.Fatalf("%s: %s render differs from plain:\n--- plain ---\n%s--- %s ---\n%s", c.id, variant, want, variant, got)
+	}
+	golden.Assert(t, c.id+".txt", got)
 }
 
 // Parallel execution must be a pure wall-clock optimization: the rendered
@@ -192,25 +240,9 @@ func goldenCases(short bool) []struct {
 // factorial batch.
 func TestParallelMatchesSerialRender(t *testing.T) {
 	for _, c := range goldenCases(testing.Short()) {
-		r, ok := Lookup(c.id)
-		if !ok {
-			t.Fatalf("%s not registered", c.id)
-		}
-		parallelOpt := c.opt
-		parallelOpt.Workers = 4
-		ts, err := r(NewHarness(c.opt))
-		if err != nil {
-			t.Fatalf("%s serial: %v", c.id, err)
-		}
-		tp, err := r(NewHarness(parallelOpt))
-		if err != nil {
-			t.Fatalf("%s parallel: %v", c.id, err)
-		}
-		s, p := ts.Render(), tp.Render()
-		if s != p {
-			t.Fatalf("%s parallel render differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", c.id, s, p)
-		}
-		golden.Assert(t, c.id+".txt", s)
+		opt := c.opt
+		opt.Workers = 4
+		assertMatchesPlain(t, c, "parallel", opt)
 	}
 }
 

@@ -3,7 +3,6 @@ package experiment
 import (
 	"testing"
 
-	"oodb/internal/golden"
 	"oodb/internal/sim"
 )
 
@@ -11,32 +10,18 @@ import (
 // event calendar: fig5.2 (clustering sweep) and, in long mode, fig6.1 (the
 // 2^8 factorial batch) must render byte-identically under every calendar —
 // and match the committed goldens, so the wheel cannot move a published
-// number even in concert with a golden regeneration.
+// number even in concert with a golden regeneration. The reference render
+// is the default calendar, the heap; the loop covers the others.
 func TestCalendarRenderIdentical(t *testing.T) {
 	for _, c := range goldenCases(testing.Short()) {
-		r, ok := Lookup(c.id)
-		if !ok {
-			t.Fatalf("%s not registered", c.id)
-		}
-		heapOpt := c.opt
-		heapOpt.Workers = 2
-		tb, err := r(NewHarness(heapOpt))
-		if err != nil {
-			t.Fatalf("%s under heap: %v", c.id, err)
-		}
-		want := tb.Render()
-		golden.Assert(t, c.id+".txt", want)
 		for _, kind := range sim.CalendarKinds() {
-			opt := heapOpt
+			if kind == sim.CalendarHeap {
+				continue
+			}
+			opt := c.opt
+			opt.Workers = 2
 			opt.Calendar = kind
-			tk, err := r(NewHarness(opt))
-			if err != nil {
-				t.Fatalf("%s under %s: %v", c.id, kind, err)
-			}
-			if got := tk.Render(); got != want {
-				t.Errorf("%s: calendar %q render differs from heap:\n--- heap ---\n%s--- %s ---\n%s",
-					c.id, kind, want, kind, got)
-			}
+			assertMatchesPlain(t, c, "calendar "+kind, opt)
 		}
 	}
 }

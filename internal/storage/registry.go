@@ -1,12 +1,8 @@
 package storage
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-
 	"oodb/internal/obs"
+	"oodb/internal/registry"
 )
 
 // BackendOptions carries the construction context a storage backend may
@@ -25,41 +21,13 @@ type BackendOptions struct {
 // manager that owns the authoritative placement state.
 type BackendFactory func(m *Manager, opt BackendOptions) (Backend, error)
 
-var (
-	backendMu       sync.RWMutex
-	backendRegistry = map[string]BackendFactory{}
-)
-
-// canonicalBackendName folds case and separators, mirroring the buffer and
-// cluster registries.
-func canonicalBackendName(name string) string {
-	name = strings.ToLower(strings.TrimSpace(name))
-	name = strings.ReplaceAll(name, "-", "")
-	name = strings.ReplaceAll(name, "_", "")
-	name = strings.ReplaceAll(name, " ", "")
-	return name
-}
+var backends = registry.New[BackendFactory]("storage", "RegisterBackend", "backend")
 
 // RegisterBackend adds a storage-backend factory under name (and any
 // aliases), looked up case- and separator-insensitively. Registering a
-// name twice panics: backend names are part of the CLI surface and silent
-// replacement would make flag behavior order-dependent.
+// name twice panics.
 func RegisterBackend(name string, f BackendFactory, aliases ...string) {
-	if f == nil {
-		panic("storage: RegisterBackend with nil factory")
-	}
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	for _, n := range append([]string{name}, aliases...) {
-		key := canonicalBackendName(n)
-		if key == "" {
-			panic("storage: RegisterBackend with empty name")
-		}
-		if _, dup := backendRegistry[key]; dup {
-			panic(fmt.Sprintf("storage: backend %q registered twice", n))
-		}
-		backendRegistry[key] = f
-	}
+	backends.Register(name, f, aliases...)
 }
 
 // NewBackendByName constructs the registered backend called name over m.
@@ -68,33 +36,22 @@ func NewBackendByName(name string, m *Manager, opt BackendOptions) (Backend, err
 	if name == "" {
 		name = "memory"
 	}
-	backendMu.RLock()
-	f, ok := backendRegistry[canonicalBackendName(name)]
-	backendMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("storage: unknown backend %q (have %s)",
-			name, strings.Join(BackendNames(), ", "))
+	f, err := backends.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(m, opt)
 }
 
 // HasBackend reports whether name resolves to a registered backend. The
 // empty name resolves to "memory".
-func HasBackend(name string) bool {
-	if name == "" {
-		return true
-	}
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	_, ok := backendRegistry[canonicalBackendName(name)]
-	return ok
-}
+func HasBackend(name string) bool { return name == "" || backends.Has(name) }
 
 // IsMemoryBackend reports whether name resolves to the in-memory backend
 // (the default), as opposed to a persistent one that needs a data
 // directory and a sync policy.
 func IsMemoryBackend(name string) bool {
-	switch canonicalBackendName(name) {
+	switch registry.Canonical(name) {
 	case "", "memory", "mem":
 		return true
 	}
@@ -103,16 +60,7 @@ func IsMemoryBackend(name string) bool {
 
 // BackendNames returns the registered backend names (canonical form,
 // sorted).
-func BackendNames() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	out := make([]string, 0, len(backendRegistry))
-	for n := range backendRegistry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func BackendNames() []string { return backends.Names() }
 
 func init() {
 	// "memory" is the identity wrapping: the manager itself, no durability.

@@ -23,10 +23,10 @@ package oodb
 
 import (
 	"fmt"
-	"math/rand"
 
 	"oodb/internal/buffer"
 	"oodb/internal/core"
+	"oodb/internal/engine"
 	"oodb/internal/model"
 	"oodb/internal/obs"
 	"oodb/internal/storage"
@@ -217,44 +217,44 @@ type IOStats struct {
 }
 
 // DB is an object store whose placement and buffering follow the paper's
-// algorithms. It is not safe for concurrent use; wrap it with your own
-// synchronization if needed.
+// algorithms. It is the library driver over the storage stack the simulator
+// and the load generator run (internal/engine): every method is bookkeeping
+// on the object graph plus one read or write through that stack. It is not
+// safe for concurrent use; wrap it with your own synchronization if needed.
 type DB struct {
 	opt   Options
 	graph *model.Graph
 	store *storage.Manager
-	pool  *buffer.Pool
+	lib   *engine.Library
+
+	// lib's clusterer and prefetcher, typed for the hint interface.
 	clust *core.Clusterer
 	pf    *core.Prefetcher
-
-	logicalReads int
-	pageReads    int
-	pageWrites   int
 }
 
 // Open creates an empty database.
 func Open(opt Options) (*DB, error) {
 	opt = opt.withDefaults()
+	cfg := engine.DefaultConfig(1)
+	cfg.PageSize = opt.PageSize
+	cfg.Buffers = opt.BufferFrames
+	cfg.Replacement = opt.Replacement
+	cfg.Cluster = opt.Cluster
+	cfg.Split = opt.Split
+	cfg.Prefetch = opt.Prefetch
+	cfg.Seed = opt.Seed
+	cfg.Locking = false // one caller at a time: nothing to lock against
+
 	g := model.NewGraph()
 	st := storage.NewManager(g, opt.PageSize)
-
-	pol, err := buffer.NewPolicyByName(opt.Replacement.String(), buffer.PolicyConfig{
-		Frames: opt.BufferFrames,
-		RNG:    func() *rand.Rand { return rand.New(rand.NewSource(opt.Seed)) },
-	})
+	lib, err := engine.OpenLibrary(cfg, g, st)
 	if err != nil {
 		return nil, fmt.Errorf("oodb: %w", err)
 	}
-	pool := buffer.NewPool(opt.BufferFrames, pol)
-
-	clust := core.NewClusterer(g, st, pool)
-	clust.Policy = opt.Cluster
-	clust.Split = opt.Split
-	clust.AttrCost.PageSize = opt.PageSize
-
-	pf := &core.Prefetcher{Graph: g, Store: st, Pool: pool, Policy: opt.Prefetch}
-
-	return &DB{opt: opt, graph: g, store: st, pool: pool, clust: clust, pf: pf}, nil
+	// cfg names no clustering strategy, so the world runs the paper's
+	// affinity algorithm.
+	clust := lib.Clusterer().(*core.Clusterer)
+	return &DB{opt: opt, graph: g, store: st, lib: lib, clust: clust, pf: lib.Prefetcher()}, nil
 }
 
 // DefineType adds a type to the lattice.
@@ -265,15 +265,13 @@ func (db *DB) DefineType(name string, super TypeID, baseSize int, freq FreqProfi
 // TypeOf returns a type definition.
 func (db *DB) TypeOf(id TypeID) *Type { return db.graph.Type(id) }
 
-// charge accounts the physical I/Os of a placement or access.
-func (db *DB) charge(ios []core.PhysIO) {
-	for _, io := range ios {
-		if io.Kind == core.ReadIO {
-			db.pageReads++
-		} else {
-			db.pageWrites++
-		}
+// create places the new object o with the clustering policy; linked are the
+// objects whose relationship lists gained o.
+func (db *DB) create(o *Object, linked ...ObjectID) (*Object, error) {
+	if err := db.lib.Create(o, linked...); err != nil {
+		return nil, err
 	}
+	return o, nil
 }
 
 // CreateObject creates version `version` of design object `name`, decides
@@ -284,21 +282,7 @@ func (db *DB) CreateObject(name string, version int, t TypeID) (*Object, error) 
 	if err != nil {
 		return nil, err
 	}
-	pl, err := db.clust.PlaceNew(o)
-	if err != nil {
-		return nil, err
-	}
-	db.charge(pl.IOs)
-	db.markDirty(pl.DirtyPages)
-	return o, nil
-}
-
-func (db *DB) markDirty(pages []PageID) {
-	for _, pg := range pages {
-		if db.pool.Contains(pg) {
-			db.pool.MarkDirty(pg) //nolint:errcheck // contains-checked
-		}
-	}
+	return db.create(o)
 }
 
 // CreateAttached creates an object already attached to a composite, so the
@@ -314,13 +298,7 @@ func (db *DB) CreateAttached(name string, version int, t TypeID, composite Objec
 	if err := db.graph.Attach(composite, o.ID); err != nil {
 		return nil, err
 	}
-	pl, err := db.clust.PlaceNew(o)
-	if err != nil {
-		return nil, err
-	}
-	db.charge(pl.IOs)
-	db.markDirty(pl.DirtyPages)
-	return o, nil
+	return db.create(o, composite)
 }
 
 // Get reads one object, running the buffer, context-boost, and prefetch
@@ -330,26 +308,9 @@ func (db *DB) Get(id ObjectID) (*Object, error) {
 	if o == nil {
 		return nil, fmt.Errorf("oodb: %w: %d", model.ErrNoSuchObject, id)
 	}
-	pg := db.store.PageOf(id)
-	if pg == NilPage {
-		return nil, fmt.Errorf("oodb: object %d is unplaced", id)
+	if err := db.lib.Read(id); err != nil {
+		return nil, fmt.Errorf("oodb: %w", err)
 	}
-	res, err := db.pool.Access(pg)
-	if err != nil {
-		return nil, err
-	}
-	db.charge(core.AppendExpandAccess(nil, res, pg))
-	db.logicalReads++
-	if db.opt.Replacement == ReplContext {
-		for _, rp := range core.AppendContextBoostPages(nil, db.graph, db.store, o, core.ContextNeighborLimit) {
-			db.pool.Boost(rp)
-		}
-	}
-	pfIOs, err := db.pf.OnAccess(o)
-	if err != nil {
-		return nil, err
-	}
-	db.charge(pfIOs)
 	return o, nil
 }
 
@@ -378,7 +339,7 @@ func (db *DB) Attach(composite, component ObjectID) error {
 	if err := db.graph.Attach(composite, component); err != nil {
 		return err
 	}
-	return db.recluster(component)
+	return db.lib.Relink(db.graph.Object(component), db.graph.Object(composite))
 }
 
 // Correspond adds a correspondence relationship and reclusters both ends.
@@ -386,10 +347,11 @@ func (db *DB) Correspond(a, b ObjectID) error {
 	if err := db.graph.Correspond(a, b); err != nil {
 		return err
 	}
-	if err := db.recluster(a); err != nil {
+	oa, ob := db.graph.Object(a), db.graph.Object(b)
+	if err := db.lib.Relink(oa, ob); err != nil {
 		return err
 	}
-	return db.recluster(b)
+	return db.lib.Relink(ob, oa)
 }
 
 // Derive creates and places a new version of ancestor.
@@ -398,13 +360,7 @@ func (db *DB) Derive(ancestor ObjectID) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl, err := db.clust.PlaceNew(o)
-	if err != nil {
-		return nil, err
-	}
-	db.charge(pl.IOs)
-	db.markDirty(pl.DirtyPages)
-	return o, nil
+	return db.create(o, ancestor)
 }
 
 // Delete removes an object that anchors no structure (no components, no
@@ -419,32 +375,12 @@ func (db *DB) Delete(id ObjectID) error {
 	if len(o.Components) > 0 || len(o.Descendants) > 0 {
 		return model.ErrInUse
 	}
-	if pg := db.store.PageOf(id); pg != NilPage {
-		if db.pool.Contains(pg) {
-			db.pool.MarkDirty(pg) //nolint:errcheck // contains-checked
-		}
-		if err := db.store.Remove(id); err != nil {
-			return err
-		}
-	}
-	return db.graph.DeleteObject(id)
-}
-
-func (db *DB) recluster(id ObjectID) error {
-	o := db.graph.Object(id)
-	if o == nil {
-		return fmt.Errorf("oodb: %w: %d", model.ErrNoSuchObject, id)
-	}
 	if db.store.PageOf(id) == NilPage {
-		return nil // unplaced objects get their placement at CreateObject
+		// Never reached a page (a snapshot may carry such objects): there
+		// is no placement to undo.
+		return db.graph.DeleteObject(id)
 	}
-	pl, err := db.clust.Recluster(o)
-	if err != nil {
-		return err
-	}
-	db.charge(pl.IOs)
-	db.markDirty(pl.DirtyPages)
-	return nil
+	return db.lib.Remove(o)
 }
 
 // RegisterHint registers the application's primary access pattern, e.g.
@@ -478,13 +414,13 @@ func (db *DB) NumPages() int { return db.store.NumPages() }
 
 // Stats returns cumulative I/O accounting.
 func (db *DB) Stats() IOStats {
-	ps := db.pool.Stats()
+	ops := db.lib.Counts()
 	cs := db.clust.Stats()
 	return IOStats{
-		LogicalReads:  db.logicalReads,
-		PageReads:     db.pageReads,
-		PageWrites:    db.pageWrites,
-		HitRatio:      ps.HitRatio(),
+		LogicalReads:  ops.LogicalOps,
+		PageReads:     ops.PhysReads,
+		PageWrites:    ops.PhysWrites,
+		HitRatio:      db.lib.PoolStats().HitRatio(),
 		ClusterMoves:  cs.Moves,
 		Splits:        cs.Splits,
 		CandidateIOs:  cs.CandidateIOs,
@@ -493,5 +429,11 @@ func (db *DB) Stats() IOStats {
 }
 
 // CheckInvariants validates storage consistency (every object on exactly
-// one page, page capacities respected).
-func (db *DB) CheckInvariants() error { return db.store.CheckInvariants() }
+// one page, page capacities respected) and that no write has left the
+// placed-object count different from the live-object count.
+func (db *DB) CheckInvariants() error {
+	if n := db.lib.ConservationViolations(); n != 0 {
+		return fmt.Errorf("oodb: %d writes left placed objects != live objects", n)
+	}
+	return db.store.CheckInvariants()
+}

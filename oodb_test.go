@@ -375,3 +375,83 @@ func TestSnapshotWithDeletions(t *testing.T) {
 		t.Fatal("no objects compared")
 	}
 }
+
+// TestDeleteOfEvictedPagePaysItsIO: deleting an object whose page has left
+// the pool re-fetches the page and leaves it dirty, so its eviction costs a
+// write — the library runs the engines' write tail, not a resident-only
+// shortcut.
+func TestDeleteOfEvictedPagePaysItsIO(t *testing.T) {
+	db := openTest(t, Options{BufferFrames: 4})
+	rootT, _ := schema(t, db)
+	var ids []ObjectID
+	for i := 0; i < 40; i++ {
+		o, err := db.CreateObject(fmt.Sprintf("R%d", i), 1, rootT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, o.ID)
+	}
+	// cycle reads every survivor but the first, flushing whatever is dirty
+	// and leaving the first object's page evicted.
+	cycle := func() {
+		for _, id := range ids[1:] {
+			if _, err := db.Get(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle()
+	before := db.Stats()
+	cycle()
+	if st := db.Stats(); st.PageWrites != before.PageWrites {
+		t.Fatalf("setup: read-only cycle wrote %d pages", st.PageWrites-before.PageWrites)
+	}
+
+	before = db.Stats()
+	if err := db.Delete(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Stats().PageReads - before.PageReads; got != 1 {
+		t.Fatalf("Delete of an evicted object's page issued %d page reads, want 1", got)
+	}
+	cycle()
+	if got := db.Stats().PageWrites - before.PageWrites; got != 1 {
+		t.Fatalf("the deleted-from page cost %d page writes on eviction, want 1", got)
+	}
+	if err := db.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGetResidentAllocFree: under the context-sensitive policy a Get of a
+// resident object with structural neighbours computes its boost set in the
+// stack's scratch and allocates nothing.
+func TestGetResidentAllocFree(t *testing.T) {
+	db := openTest(t, Options{BufferFrames: 64, Replacement: ReplContext, Cluster: PolicyNoLimit})
+	rootT, leafT := schema(t, db)
+	r, _ := db.CreateObject("R", 1, rootT)
+	offPage := 0
+	for i := 0; i < 60; i++ {
+		l, err := db.CreateAttached(fmt.Sprintf("L%d", i), 1, leafT, r.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db.PageOf(l.ID) != db.PageOf(r.ID) {
+			offPage++
+		}
+	}
+	if offPage == 0 {
+		t.Fatal("setup: every component shares the composite's page, nothing to boost")
+	}
+	if _, err := db.Get(r.ID); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := db.Get(r.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Get of a resident object allocates %.1f per call, want 0", allocs)
+	}
+}

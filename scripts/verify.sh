@@ -36,8 +36,8 @@ run_tests "$@" ./...
 # experiment suite alone exceeds go test's default 10-minute per-package
 # timeout, so give it an explicit budget.
 run_tests -race -timeout 30m "$@" ./internal/experiment/... ./internal/sim/... ./internal/oracle/... ./internal/engine/... ./internal/lock/... ./internal/buffer/...
-# Bench smoke: every benchmark must run once without failing (full runs and
-# the BENCH_10.json report come from scripts/bench.sh).
+# Bench smoke: every Go benchmark must run once without failing
+# (measurements come from bench/run.sh, the harness BENCHMARK.json declares).
 go test -run '^$' -bench . -benchtime 1x ./...
 # bench/ is its own module (BENCHMARK.json's harness): ./... never compiles
 # it, yet it imports the engine's constructors and result types.

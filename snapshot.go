@@ -85,7 +85,6 @@ func (db *DB) Save(w io.Writer) error {
 			Freq: tp.Freq, Attrs: tp.Attrs,
 		})
 	}
-	var iterErr error
 	db.graph.ForEachObject(func(o *Object) {
 		snap.Objects = append(snap.Objects, snapObject{
 			ID:   o.ID,
@@ -101,9 +100,6 @@ func (db *DB) Save(w io.Writer) error {
 			Page:           db.store.PageOf(o.ID),
 		})
 	})
-	if iterErr != nil {
-		return iterErr
-	}
 	return gob.NewEncoder(w).Encode(&snap)
 }
 
