@@ -1,0 +1,289 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"oodb/internal/model"
+	"oodb/internal/storage"
+	"oodb/internal/workload"
+)
+
+// gatedBackend is the file backend with a hook on WaitDurable, registered
+// through the public registry like world_test.go's fixtures. The tests that
+// set waitGate do not run in parallel with each other.
+const gatedBackend = "test-gated-file"
+
+// waitGate, when set, stands in for the gated backend's WaitDurable; it is
+// handed the real one.
+var waitGate atomic.Pointer[func(wait func() error) error]
+
+type gatedFile struct{ *storage.FileBackend }
+
+func (b gatedFile) WaitDurable() error {
+	if gate := waitGate.Load(); gate != nil {
+		return (*gate)(b.FileBackend.WaitDurable)
+	}
+	return b.FileBackend.WaitDurable()
+}
+
+func init() {
+	storage.RegisterBackend(gatedBackend, func(m *storage.Manager, opt storage.BackendOptions) (storage.Backend, error) {
+		fb, err := storage.NewFileBackend(m, opt)
+		if err != nil {
+			return nil, err
+		}
+		return gatedFile{fb}, nil
+	})
+}
+
+// setWaitGate installs gate for the test's duration.
+func setWaitGate(t *testing.T, gate func(wait func() error) error) {
+	t.Helper()
+	waitGate.Store(&gate)
+	t.Cleanup(func() { waitGate.Store(nil) })
+}
+
+// scripted is a session's operation source playing a fixed list (the rest
+// of workload.Source is the library's null source). start, when non-nil,
+// holds the session back until it is closed: SessionLength is the one
+// Source call a session makes with nothing held.
+type scripted struct {
+	callerDriven
+	ops   []workload.Op
+	start <-chan struct{}
+}
+
+func (s *scripted) Next() workload.Op {
+	op := s.ops[0]
+	s.ops = s.ops[1:]
+	return op
+}
+
+func (s *scripted) SessionLength() int {
+	if s.start != nil {
+		<-s.start
+	}
+	return len(s.ops)
+}
+
+// TestCommitWaitOverlap pins what moved out of the structure guard. Session
+// 0's first transaction is an insert whose WaitDurable parks on a channel.
+// With it parked, session 1 — held back until then — runs 100 reads and an
+// insert of its own, which parks too. At that point both commit records are
+// in the log and neither is flushed; the 100 reads are acknowledged and
+// neither write is: no completion counted, no latency sample, object locks
+// still held. Nothing here sleeps or polls.
+func TestCommitWaitOverlap(t *testing.T) {
+	const reads = 100
+	cfg := fileConfig(t, quickConfig(2*(reads+1)), "always")
+	cfg.Backend = gatedBackend
+	cfg.Warmup = 0
+	c, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() // errscan:ok the success path checks Close; closing twice is a no-op
+
+	insert := func(parent model.ObjectID) workload.Op {
+		return workload.Op{Kind: workload.QInsert, AttachTo: parent, NewType: c.db.Schema.LeafTypes[0]}
+	}
+	var lookups []workload.Op
+	for i := 0; i < reads; i++ {
+		lookups = append(lookups, workload.Op{Kind: workload.QSimpleLookup, Target: c.db.Leaves[i%len(c.db.Leaves)]})
+	}
+	parent0, parent1 := c.db.Blocks[0], c.db.Blocks[1]
+	parked := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	release := make(chan struct{})
+	c.sessions[0].stack.gen = &scripted{ops: append([]workload.Op{insert(parent0)}, lookups...)}
+	c.sessions[1].stack.gen = &scripted{ops: append(lookups[:reads:reads], insert(parent1)), start: parked[0]}
+
+	var calls atomic.Int32
+	setWaitGate(t, func(wait func() error) error {
+		close(parked[calls.Add(1)-1])
+		<-release
+		return wait()
+	})
+	syncsBefore := c.durable.DurableStats().WALSyncs
+
+	type outcome struct {
+		res ConcurrentResults
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := c.Run()
+		done <- outcome{res, err}
+	}()
+
+	<-parked[0]
+	<-parked[1]
+	// Both sessions are blocked inside the gate, so their state is stable
+	// and ordered before these reads by the channel closes.
+	s0, s1 := c.sessions[0], c.sessions[1]
+	if got := c.completed.Load(); got != reads {
+		t.Errorf("acknowledged %d transactions with both commits unflushed, want the %d reads", got, reads)
+	}
+	if s0.completed != 0 || s0.hist.N() != 0 {
+		t.Errorf("parked writer already acknowledged: completed=%d latency samples=%d", s0.completed, s0.hist.N())
+	}
+	if s1.completed != reads || s1.hist.N() != reads {
+		t.Errorf("second session: completed=%d latency samples=%d, want %d reads beside the parked commit",
+			s1.completed, s1.hist.N(), reads)
+	}
+	if !c.locks.Holds(0, parent0) {
+		t.Error("parked writer released its object lock before its commit was durable")
+	}
+	if got := c.locks.Locked(); got != 2 {
+		t.Errorf("%d objects locked, want both unflushed writers' parents", got)
+	}
+	st := c.durable.DurableStats()
+	if st.Committed != 2 {
+		t.Errorf("%d commit records appended, want both writers'", st.Committed)
+	}
+	if got := st.WALSyncs - syncsBefore; got != 0 {
+		t.Errorf("%d syncs before any WaitDurable ran: the append still flushes", got)
+	}
+
+	close(release)
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	res := out.res
+	if res.Completed != 2*(reads+1) || res.Latency.N() != int64(res.Completed) {
+		t.Errorf("completed=%d latency samples=%d, want %d of each", res.Completed, res.Latency.N(), 2*(reads+1))
+	}
+	if res.CommitWait.N() != 2 {
+		t.Errorf("commit-wait samples = %d, want one per write", res.CommitWait.N())
+	}
+	if !strings.Contains(res.String(), "commit-wait p50=") {
+		t.Errorf("durable run's summary does not report its commit wait: %s", res)
+	}
+	if got := res.Durability.WALSyncs - syncsBefore; got != 2 {
+		t.Errorf("%d commit syncs, want exactly one per commit", got)
+	}
+	if err := c.CheckInvariants(); err != nil { // includes: no object left locked
+		t.Fatal(err)
+	}
+	if res.ConservationViolations != 0 || res.LiveObjects != res.PlacedObjects {
+		t.Errorf("conservation: %d violations, live=%d placed=%d",
+			res.ConservationViolations, res.LiveObjects, res.PlacedObjects)
+	}
+	want := placementDigest(c.store)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := storage.RecoverDir(cfg.DataDir, nil) // cross-checks replayed vs in-log digest
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(rec.Committed) != res.Durability.Committed || rec.Digest != want {
+		t.Errorf("recovered %d commits at digest %016x, want %d at %016x",
+			rec.Committed, rec.Digest, res.Durability.Committed, want)
+	}
+}
+
+// A memory-backed run has no commit to wait for and says nothing about one.
+func TestCommitWaitAbsentOnMemory(t *testing.T) {
+	t.Parallel()
+	c, err := NewConcurrent(quickConfig(200), ConcurrentOptions{Sessions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CommitWait.N() != 0 || strings.Contains(res.String(), "commit-wait") {
+		t.Errorf("memory run reports a commit wait: n=%d %s", res.CommitWait.N(), res)
+	}
+}
+
+// TestDurableWaitFailureStopsTheRun: a commit whose flush fails is never
+// acknowledged, the error is the run's result under every driver, and the
+// concurrent driver's other sessions stop at their next loop turn instead
+// of running out their quota behind the failure.
+func TestDurableWaitFailureStopsTheRun(t *testing.T) {
+	const failAt = 3
+	failing := func(after func()) func(func() error) error {
+		var calls atomic.Int32
+		return func(wait func() error) error {
+			switch n := calls.Add(1); {
+			case n == failAt:
+				return errInjected
+			case n > failAt:
+				after()
+			}
+			return wait()
+		}
+	}
+
+	t.Run("serial", func(t *testing.T) {
+		cfg := fileConfig(t, quickConfig(400), "always")
+		cfg.Backend = gatedBackend
+		setWaitGate(t, failing(func() { t.Error("serial engine committed again after a failed flush") }))
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close() // errscan:ok test cleanup
+		if _, err := e.Run(); !errors.Is(err, errInjected) {
+			t.Fatalf("Run returned %v, want the injected fault", err)
+		}
+		if got := e.durable.Committed(); got != failAt {
+			t.Errorf("%d commits appended, want to stop at the %d-th", got, failAt)
+		}
+	})
+
+	t.Run("library", func(t *testing.T) {
+		cfg := fileConfig(t, DefaultConfig(1), "always")
+		cfg.Backend = gatedBackend
+		setWaitGate(t, failing(func() {}))
+		l, ty := openTestLibrary(t, cfg)
+		defer l.Close() // errscan:ok test cleanup
+		for i := 1; i <= failAt; i++ {
+			o, err := l.graph.NewObject(fmt.Sprintf("o%d", i), 1, ty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Create(o); (i == failAt) != errors.Is(err, errInjected) {
+				t.Fatalf("write %d returned %v", i, err)
+			}
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		const sessions = 4
+		cfg := fileConfig(t, quickOCBConfig(4000), "always")
+		cfg.Backend = gatedBackend
+		cfg.OCB.ReadWriteRatio = 1
+		cfg.Warmup = 0
+		c, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: sessions})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close() // errscan:ok test cleanup
+		// Flushes behind the failed one hold until the failure is flagged,
+		// which bounds what a fail-stop run can still append: the sessions
+		// that did not fail finish at most the transaction they are in.
+		setWaitGate(t, failing(func() {
+			for !c.failed.Load() {
+				runtime.Gosched()
+			}
+		}))
+		if _, err := c.Run(); !errors.Is(err, errInjected) {
+			t.Fatalf("Run returned %v, want the injected fault", err)
+		}
+		if got, max := c.durable.Committed(), failAt+sessions-1; got > max {
+			t.Errorf("%d commits appended, want at most %d: sessions kept committing behind the failure", got, max)
+		}
+		if held := c.locks.Locked(); held != 0 {
+			t.Errorf("%d objects still locked after the failed run", held)
+		}
+	})
+}

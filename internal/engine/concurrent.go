@@ -46,6 +46,16 @@ import (
 //     guard is never held while waiting on an object lock, so the writer
 //     cannot be starved into a cycle.
 //
+// The guard covers a write up to its appended commit record and no further.
+// Under a persistent backend the writer then waits for the log flush
+// (world.awaitDurable) holding only its object locks, so one designer's
+// disk flush stalls nobody who does not want those objects — the paper
+// gives logging its own buffer and disk for the same reason. A commit is
+// therefore visible to other sessions before it is durable, but is
+// acknowledged (counted, latency-sampled, its locks released) only after;
+// and since there is one log appended in guard order, whatever survives a
+// crash is a prefix of the commit order.
+//
 // The per-layer obs.Recorder is not goroutine-safe and is ignored; the
 // pool, lock, cluster, and log statistics (internally consistent or
 // merged) carry the run's accounting instead.
@@ -63,6 +73,7 @@ type Concurrent struct {
 
 	txnSeq    atomic.Int64 // lock-manager transaction IDs
 	completed atomic.Int64 // transactions finished (warmup accounting)
+	failed    atomic.Bool  // a session hit an error; the others stop too
 
 	ran bool
 }
@@ -114,6 +125,7 @@ type csession struct {
 
 	hist stats.Hist   // latency in microseconds
 	resp stats.Stream // latency in seconds
+	wait *stats.Hist  // durable-commit wait in microseconds; nil on memory runs
 
 	completed int
 	ops       IOCounts
@@ -200,6 +212,9 @@ func NewConcurrent(cfg Config, opt ConcurrentOptions) (*Concurrent, error) {
 			think: w.sim.Stream(fmt.Sprintf("think-%d", i)),
 			stack: w.newStack(w.newGenerator(wrkName), i<<32),
 		}
+		if w.durable != nil {
+			c.sessions[i].wait = new(stats.Hist)
+		}
 	}
 	return c, nil
 }
@@ -245,6 +260,7 @@ func (c *Concurrent) Run() (ConcurrentResults, error) {
 		r.Completed += cs.completed
 		r.IOCounts.add(cs.ops)
 		r.Latency.Merge(&cs.hist)
+		r.CommitWait.Merge(cs.wait)
 		r.Resp.Merge(cs.resp)
 		for k := workload.QueryKind(0); k < workload.NumQueryKinds; k++ {
 			if cs.kind[k] > 0 {
@@ -297,7 +313,9 @@ func (c *Concurrent) runSession(cs *csession, start time.Time) {
 		if cs.remaining == 0 {
 			cs.remaining = cs.stack.gen.SessionLength()
 		}
-		if issued++; issued > limit {
+		// Fail-stop: once any session has failed (a lost log write, say),
+		// nobody commits behind the failure.
+		if issued++; issued > limit || c.failed.Load() {
 			return
 		}
 		cs.remaining--
@@ -323,6 +341,7 @@ func (c *Concurrent) runSession(cs *csession, start time.Time) {
 		txn := int(c.txnSeq.Add(1)) - 1
 		if err := c.execute(cs, txn); err != nil {
 			cs.err = err
+			c.failed.Store(true)
 			return
 		}
 
@@ -367,6 +386,14 @@ func (c *Concurrent) execute(cs *csession, txn int) error {
 		c.mu.Lock()
 		res, err = c.transact(cs.stack, txn, req)
 		c.mu.Unlock()
+		// The commit record is in the log in guard order; the flush happens
+		// out here, beside other sessions' reads and appends, with only this
+		// transaction's object locks still held.
+		if err == nil && cs.wait != nil {
+			t0 := time.Now()
+			err = c.awaitDurable()
+			cs.wait.Record(time.Since(t0).Microseconds())
+		}
 	} else {
 		// Reads never touch the log (before-images are write-only), so the
 		// Begin/End bracket — a mutation of the shared open-set — is
@@ -402,13 +429,23 @@ type ConcurrentResults struct {
 	Elapsed time.Duration
 	Latency stats.Hist   // per-transaction latency, microseconds
 	Resp    stats.Stream // per-transaction latency, seconds
+	// CommitWait is the time each write spent waiting for its commit to
+	// become durable, microseconds, outside the structure guard (warm-up
+	// writes included). Empty on a memory-backed run.
+	CommitWait stats.Hist
 }
 
-// String renders a one-line summary.
+// String renders a one-line summary; a durable run adds where its writes
+// waited.
 func (r ConcurrentResults) String() string {
-	return fmt.Sprintf("%d sessions: %d txns in %v (%.0f txn/s) p50=%dµs p99=%dµs hit=%.3f",
+	s := fmt.Sprintf("%d sessions: %d txns in %v (%.0f txn/s) p50=%dµs p99=%dµs hit=%.3f",
 		r.Sessions, r.Completed, r.Elapsed.Round(time.Millisecond), r.Throughput,
 		r.Latency.Quantile(0.50), r.Latency.Quantile(0.99), r.HitRatio)
+	if r.CommitWait.N() > 0 {
+		s += fmt.Sprintf(" commit-wait p50=%dµs p99=%dµs",
+			r.CommitWait.Quantile(0.50), r.CommitWait.Quantile(0.99))
+	}
+	return s
 }
 
 // CheckInvariants validates the shared structures after a run: pool shard

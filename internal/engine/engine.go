@@ -287,6 +287,9 @@ func (e *Engine) startTxn(done func()) {
 // runLocked executes a transaction that holds its locks.
 func (e *Engine) runLocked(txn int, req workload.Op, t0 sim.Time, done func()) {
 	res, err := e.transact(e.access, txn, req)
+	if err == nil {
+		err = e.awaitDurable()
+	}
 	if err != nil {
 		e.fail(err)
 		return

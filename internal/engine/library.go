@@ -89,6 +89,9 @@ func (l *Library) write(op writeFunc) error {
 	txn := l.txnSeq
 	l.txnSeq++
 	res, err := l.transact(op, txn, workload.Op{})
+	if err == nil {
+		err = l.awaitDurable()
+	}
 	if err != nil {
 		return err
 	}

@@ -285,6 +285,8 @@ func (w *world) newStack(gen workload.Source, nameSeq int) *stack {
 // transact runs one transaction inside its log bracket. A transaction whose
 // execution fails is aborted, never committed: under a persistent backend
 // its half-applied mutations must not reach recovery behind a commit record.
+// The commit record is appended, not yet flushed: the driver follows a nil
+// return with awaitDurable once it has dropped whatever serializes writers.
 func (w *world) transact(a AccessLayer, txn int, req workload.Op) (AccessResult, error) {
 	if err := w.log.Begin(txn); err != nil {
 		return AccessResult{}, err
@@ -294,6 +296,17 @@ func (w *world) transact(a AccessLayer, txn int, req workload.Op) (AccessResult,
 		return res, errors.Join(err, w.log.Abort(txn))
 	}
 	return res, w.log.End(txn)
+}
+
+// awaitDurable blocks until the commit transact just appended is as durable
+// as the fsync policy makes it. Only then may the driver acknowledge the
+// transaction (count it, sample its latency, release its object locks). A
+// memory-backed world has nothing to wait for.
+func (w *world) awaitDurable() error {
+	if w.durable == nil {
+		return nil
+	}
+	return w.durable.WaitDurable()
 }
 
 // Close flushes the buffer pool's dirty pages and releases the persistent

@@ -32,8 +32,8 @@ const (
 
 	// histMaxBits bounds the representable value at 2^62-ish; in
 	// microseconds that is ~146k years of latency, comfortably "any value".
-	histMaxBits      = 62
-	histBucketCount  = histSub + (histMaxBits-histSubBits)*histSub
+	histMaxBits       = 62
+	histBucketCount   = histSub + (histMaxBits-histSubBits)*histSub
 	histMaxRecordable = int64(1)<<histMaxBits - 1
 )
 

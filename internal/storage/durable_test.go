@@ -271,9 +271,7 @@ func TestRecoverWALRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := fb.LogCommit(0); err != nil {
-		t.Fatal(err)
-	}
+	commit(t, fb, 0)
 
 	// Txn 1: remove two; commit.
 	if err := fb.LogBegin(1); err != nil {
@@ -285,9 +283,7 @@ func TestRecoverWALRoundTrip(t *testing.T) {
 	if err := fb.Remove(objs[7]); err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.LogCommit(1); err != nil {
-		t.Fatal(err)
-	}
+	commit(t, fb, 1)
 	committedDigest := fb.StateDigest()
 
 	// Txn 2: an aborted transaction whose mutations were compensated
@@ -399,9 +395,7 @@ func TestRecoverWALTruncatedTail(t *testing.T) {
 		if err := fb.Place(o, pg); err != nil {
 			t.Fatal(err)
 		}
-		if err := fb.LogCommit(txn); err != nil {
-			t.Fatal(err)
-		}
+		commit(t, fb, txn)
 		digests = append(digests, fb.StateDigest())
 	}
 	if err := fb.Close(); err != nil {

@@ -30,8 +30,15 @@ type PageIO interface {
 type TxnLog interface {
 	// LogBegin opens transaction txn in the durable log.
 	LogBegin(txn int) error
-	// LogCommit makes transaction txn durable (fsync per policy).
+	// LogCommit appends transaction txn's commit record. The caller still
+	// holds whatever serializes its writes, so commit records land in
+	// serialization order; the record is not yet on stable storage.
 	LogCommit(txn int) error
+	// WaitDurable returns once the commit the caller last appended is as
+	// durable as the fsync policy makes it. It is called with nothing held
+	// and may run beside other transactions' appends; a transaction is
+	// acknowledged only after it returns nil.
+	WaitDurable() error
 	// LogAbort abandons transaction txn; its mutations will not replay.
 	LogAbort(txn int) error
 }
@@ -86,9 +93,16 @@ const (
 //
 // WAL appends are serialized by mu. The engines uphold that guarantee
 // structurally — write transactions are fully serialized (the concurrent
-// engine holds the structure lock exclusively for writes) — which is also
-// what makes the single current-transaction register sound: records of
-// distinct transactions never interleave in the log.
+// engine holds the structure lock exclusively from LogBegin through
+// LogCommit) — which is also what makes the single current-transaction
+// register sound: records of distinct transactions never interleave in the
+// log, and commit records appear in serialization order. The flush is not
+// under that lock: WaitDurable syncs with neither mu nor the engine's guard
+// held, beside later transactions' appends, and an fsync covers every byte
+// written before it — so whatever a crash leaves on disk is a prefix of the
+// commit order. The first failed write or sync poisons the log (see
+// walWriter.failed): every later journal, boundary and WaitDurable call
+// returns that error.
 type FileBackend struct {
 	*Manager
 
@@ -102,6 +116,9 @@ type FileBackend struct {
 	// committed is the digest the last commit record carried: the newest
 	// state replaying the log reproduces.
 	committed uint64
+	// syncDue is set by the FsyncInterval commit whose ordinal completes a
+	// period and cleared by the WaitDurable that performs its sync.
+	syncDue atomic.Bool
 
 	ioMu  sync.Mutex // serializes page-file I/O (shared frame scratch)
 	pages *pageFile
@@ -213,8 +230,9 @@ func (fb *FileBackend) LogBegin(txn int) error {
 	return fb.wal.append(WALRecord{Kind: WALBegin, Txn: fb.cur})
 }
 
-// LogCommit appends the commit record — carrying the placement digest the
-// replayed state must reproduce — and fsyncs per policy.
+// LogCommit appends the commit record, carrying the placement digest the
+// replayed state must reproduce. It does not sync: WaitDurable does, once
+// the caller has let go of what serializes its writes.
 func (fb *FileBackend) LogCommit(txn int) error {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
@@ -223,14 +241,18 @@ func (fb *FileBackend) LogCommit(txn int) error {
 	if err != nil {
 		return err
 	}
-	n := fb.commits.Add(1)
-	switch fb.policy {
-	case FsyncAlways:
+	if fb.commits.Add(1)%fsyncEveryCommits == 0 && fb.policy == FsyncInterval {
+		fb.syncDue.Store(true)
+	}
+	return nil
+}
+
+// WaitDurable performs the fsync policy's sync for the commit the caller
+// just appended: one per commit under FsyncAlways, the period-completing
+// commit's under FsyncInterval, none under FsyncNever. It takes no lock.
+func (fb *FileBackend) WaitDurable() error {
+	if fb.policy == FsyncAlways || fb.policy == FsyncInterval && fb.syncDue.CompareAndSwap(true, false) {
 		return fb.wal.sync()
-	case FsyncInterval:
-		if n%fsyncEveryCommits == 0 {
-			return fb.wal.sync()
-		}
 	}
 	return nil
 }
@@ -349,7 +371,7 @@ func (fb *FileBackend) DurableStats() DurableStats {
 	fb.mu.Lock()
 	st := DurableStats{
 		WALAppends: fb.wal.appends,
-		WALSyncs:   fb.wal.syncs,
+		WALSyncs:   fb.wal.syncs.Load(),
 		WALBytes:   fb.wal.bytes,
 	}
 	fb.mu.Unlock()

@@ -92,8 +92,8 @@ var _ Backend = (*Manager)(nil)
 type Manager struct {
 	graph    *model.Graph
 	pageSize int
-	pages    []*Page  // index 0 unused (NilPage)
-	where    []PageID // dense object ID -> page ID; grows with the graph
+	pages    []*Page                   // index 0 unused (NilPage)
+	where    []PageID                  // dense object ID -> page ID; grows with the graph
 	sparse   map[model.ObjectID]PageID // overflow for IDs far past the frontier
 	objects  int
 	free     []PageID // emptied pages, reused by AllocatePage

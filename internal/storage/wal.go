@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync/atomic"
 
 	"oodb/internal/model"
 	"oodb/internal/obs"
@@ -126,16 +127,30 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var ErrWALHeader = errors.New("storage: bad WAL header")
 
 // walWriter appends framed records to the log file through one reusable
-// scratch buffer, so the append path allocates nothing.
+// scratch buffer, so the append path allocates nothing. Appends are
+// serialized by the caller; sync may run beside them (a commit's flush
+// overlaps the next transaction's appends), so what both touch is atomic.
 type walWriter struct {
 	f   *os.File
 	buf []byte // frame under construction; reused across appends
 
 	appends int64
-	syncs   int64
+	syncs   atomic.Int64
 	bytes   int64
 
+	// failed holds the first write or sync error. The log is fail-stop
+	// from then on: Linux reports a lost write-back once and then clears
+	// it, so a retry that "succeeds" proves nothing about what is on disk.
+	failed atomic.Pointer[error]
+
 	rec obs.Recorder // nil = uninstrumented
+}
+
+// fail poisons the log with err unless an earlier failure already has,
+// and returns the failure every later append and sync will report.
+func (w *walWriter) fail(err error) error {
+	w.failed.CompareAndSwap(nil, &err)
+	return *w.failed.Load()
 }
 
 // newWALWriter creates (truncating) the log file and writes the header.
@@ -155,6 +170,9 @@ func newWALWriter(path string, pageSize int, rec obs.Recorder) (*walWriter, erro
 
 // append frames and writes one record. Callers serialize.
 func (w *walWriter) append(rec WALRecord) error {
+	if p := w.failed.Load(); p != nil {
+		return *p
+	}
 	b := append(w.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0) // length + crc, patched below
 	b = append(b, byte(rec.Kind))
 	b = binary.AppendUvarint(b, rec.Txn)
@@ -176,7 +194,7 @@ func (w *walWriter) append(rec WALRecord) error {
 	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(payload, castagnoli))
 	w.buf = b[:0]
 	if _, err := w.f.Write(b); err != nil {
-		return err
+		return w.fail(err)
 	}
 	w.appends++
 	w.bytes += int64(len(b))
@@ -186,13 +204,19 @@ func (w *walWriter) append(rec WALRecord) error {
 	return nil
 }
 
-// sync forces the log to stable storage.
+// sync forces the log to stable storage. Safe beside a concurrent append.
 func (w *walWriter) sync() error {
-	w.syncs++
+	if p := w.failed.Load(); p != nil {
+		return *p
+	}
+	w.syncs.Add(1)
 	if w.rec != nil {
 		w.rec.Count(obs.WALFsync, 1)
 	}
-	return w.f.Sync()
+	if err := w.f.Sync(); err != nil {
+		return w.fail(err)
+	}
+	return nil
 }
 
 // close syncs and closes the log file.

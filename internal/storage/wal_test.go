@@ -225,8 +225,21 @@ func TestParseFsync(t *testing.T) {
 	}
 }
 
+// commit is one durable commit as the engines perform it: the record
+// appended, then the policy's sync awaited.
+func commit(t *testing.T, fb *FileBackend, txn int) {
+	t.Helper()
+	if err := fb.LogCommit(txn); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.WaitDurable(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Fsync policy controls how often commits hit stable storage: every commit,
-// every fsyncEveryCommits-th commit, or only at bootstrap/close.
+// every fsyncEveryCommits-th commit, or only at bootstrap/close. The sync is
+// WaitDurable's under every policy: LogCommit alone never flushes.
 func TestFsyncPolicySyncCounts(t *testing.T) {
 	const commits = 40
 	cases := []struct {
@@ -253,7 +266,14 @@ func TestFsyncPolicySyncCounts(t *testing.T) {
 				if err := fb.LogBegin(i); err != nil {
 					t.Fatal(err)
 				}
+				before := fb.DurableStats().WALSyncs
 				if err := fb.LogCommit(i); err != nil {
+					t.Fatal(err)
+				}
+				if got := fb.DurableStats().WALSyncs; got != before {
+					t.Fatalf("LogCommit(%d) synced the log", i)
+				}
+				if err := fb.WaitDurable(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -267,6 +287,112 @@ func TestFsyncPolicySyncCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// One goroutine appends whole transactions while another flushes and reads
+// the counters: the overlap the concurrent engine produces, for -race.
+func TestWaitDurableOverlapsAppend(t *testing.T) {
+	_, m, _ := setup(t, 4096)
+	dir := t.TempDir()
+	fb, err := NewFileBackend(m, BackendOptions{Dir: dir, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.CommitBootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	const commits = 200
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < commits; i++ {
+			if err := fb.WaitDurable(); err != nil {
+				done <- err
+				return
+			}
+			_ = fb.DurableStats()
+		}
+		done <- nil
+	}()
+	for i := 0; i < commits; i++ {
+		if err := fb.LogBegin(i); err != nil {
+			t.Fatal(err)
+		}
+		if err := fb.LogCommit(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := RecoverDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Committed != commits {
+		t.Fatalf("recovered %d commits, want %d", st.Committed, commits)
+	}
+}
+
+// The first failed write poisons the backend: every later journal, boundary
+// and WaitDurable call returns that same error, even once the file itself
+// would work again — a retry that succeeds proves nothing about the bytes
+// the failed call lost.
+func TestFileBackendFailStop(t *testing.T) {
+	g, m, ty := setup(t, 4096)
+	dir := t.TempDir()
+	fb, err := NewFileBackend(m, BackendOptions{Dir: dir, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.CommitBootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.LogBegin(0); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, fb, 0)
+
+	healthy := fb.wal.f
+	broken, err := os.Open(filepath.Join(dir, WALFileName)) // read-only: Write fails
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer broken.Close() // errscan:ok test cleanup
+	fb.wal.f = broken
+	first := fb.LogBegin(1)
+	if first == nil {
+		t.Fatal("append to a read-only log succeeded")
+	}
+	fb.wal.f = healthy // the device "recovers"; the backend must not
+
+	pg := fb.AllocatePage()
+	for name, err := range map[string]error{
+		"LogBegin":        fb.LogBegin(2),
+		"Place":           fb.Place(newObj(t, g, ty, 10), pg),
+		"LogCommit":       fb.LogCommit(2),
+		"LogAbort":        fb.LogAbort(2),
+		"WaitDurable":     fb.WaitDurable(),
+		"Checkpoint":      fb.Checkpoint(),
+		"CommitBootstrap": fb.CommitBootstrap(),
+	} {
+		if err != first {
+			t.Errorf("%s after the failure: got %v, want the first error %v", name, err, first)
+		}
+	}
+	if err := fb.Close(); !errors.Is(err, first) {
+		t.Errorf("Close after the failure: got %v, want it to report %v", err, first)
+	}
+	// What reached the disk before the failure is still a valid commit prefix.
+	st, err := RecoverDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Committed != 1 {
+		t.Fatalf("recovered %d commits, want the 1 acknowledged before the failure", st.Committed)
 	}
 }
 

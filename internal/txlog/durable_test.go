@@ -21,6 +21,7 @@ func (f *fakeTxnLog) LogBegin(txn int) error {
 }
 func (f *fakeTxnLog) LogCommit(txn int) error { f.commits = append(f.commits, txn); return nil }
 func (f *fakeTxnLog) LogAbort(txn int) error  { f.aborts = append(f.aborts, txn); return nil }
+func (f *fakeTxnLog) WaitDurable() error      { return nil }
 
 func TestDurableForwarding(t *testing.T) {
 	m := NewManager(1024)

@@ -126,8 +126,9 @@ func (m *Manager) Append(txn int, objSize int, pg storage.PageID) (ios int, err 
 }
 
 // End commits transaction txn, discarding its coalescing set. With a
-// durable log installed, the commit record is appended (and fsynced per
-// the backend's policy) before End returns.
+// durable log installed, the commit record is appended before End returns;
+// flushing it is the caller's storage.TxnLog.WaitDurable, made once the
+// caller has released what serializes its writes.
 func (m *Manager) End(txn int) error {
 	if _, ok := m.touched[txn]; !ok {
 		return fmt.Errorf("txlog: transaction %d not open", txn)

@@ -91,7 +91,7 @@ func TestCircularBufferExactFit(t *testing.T) {
 	// A record landing exactly on the capacity boundary must NOT flush:
 	// the flush condition is used+rec > bufSize, strictly greater.
 	m := NewManager(100)
-	m.Begin(1) //nolint:errcheck
+	m.Begin(1)                                   //nolint:errcheck
 	ios, err := m.Append(1, 84, storage.NilPage) // record = 16+84 = 100
 	if err != nil {
 		t.Fatal(err)

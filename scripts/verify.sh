@@ -1,7 +1,8 @@
 #!/bin/sh
 # Verify path: build, vet, full test suite, then a race-detector pass over
-# the packages with real concurrency (the parallel experiment scheduler and
-# the DES kernel it drives).
+# the packages with real concurrency (the parallel experiment scheduler, the
+# DES kernel it drives, the concurrent engine, and the WAL whose commit
+# flush runs beside other sessions' appends).
 #
 # Usage: ./scripts/verify.sh [-short]
 #   -short   forwarded to go test; skips the slow full-figure sweeps.
@@ -9,6 +10,8 @@ set -eux
 
 go build ./...
 go vet ./...
+# Formatting is checked, not applied: any file gofmt would rewrite fails.
+test -z "$(gofmt -l .)"
 # staticcheck runs when installed (CI installs it; the local toolchain may
 # not have it, and the verify path must not require network access).
 if command -v staticcheck >/dev/null 2>&1; then
@@ -35,7 +38,7 @@ run_tests "$@" ./...
 # The race pass runs ~10x slower than native; on a single-CPU container the
 # experiment suite alone exceeds go test's default 10-minute per-package
 # timeout, so give it an explicit budget.
-run_tests -race -timeout 30m "$@" ./internal/experiment/... ./internal/sim/... ./internal/oracle/... ./internal/engine/... ./internal/lock/... ./internal/buffer/...
+run_tests -race -timeout 30m "$@" ./internal/experiment/... ./internal/sim/... ./internal/oracle/... ./internal/engine/... ./internal/lock/... ./internal/buffer/... ./internal/storage/...
 # Bench smoke: every Go benchmark must run once without failing
 # (measurements come from bench/run.sh, the harness BENCHMARK.json declares).
 go test -run '^$' -bench . -benchtime 1x ./...
