@@ -31,7 +31,6 @@ func main() {
 		replHigh = flag.String("repl-high", "", "override the replacement factor's high level by registry name (default context-sensitive)")
 		strategy = flag.String("strategy", "", "clustering strategy for every run, by registry name (default affinity)")
 		wl       = flag.String("workload", "oct", "workload driving every run: oct | ocb")
-		calendar = flag.String("calendar", "", "event calendar for every run: heap | wheel (default heap; output is identical either way)")
 	)
 	flag.Parse()
 
@@ -51,7 +50,6 @@ func main() {
 	opt := oodb.ExperimentOptions{
 		Scale: *scale, Transactions: *txns, Seed: *seed, Workers: *par,
 		ReplacementLow: *replLow, ReplacementHigh: *replHigh, ClusterStrategy: *strategy,
-		Calendar: *calendar,
 	}
 	if *wl != "oct" {
 		opt.Workload = *wl

@@ -23,11 +23,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"oodb"
+	"oodb/internal/obs"
 )
 
 func main() {
@@ -89,12 +88,8 @@ func main() {
 			cfg.OCB.DriftPeriod = *ocbDrift
 		}
 	}
-	var err error
-	if cfg.Replacement, err = oodb.ParseReplacement(*repl); err != nil {
-		if !oodb.HasReplacementPolicy(*repl) {
-			fatal(fmt.Errorf("unknown replacement policy %q (registered: %v)", *repl, oodb.ReplacementPolicies()))
-		}
-		cfg.ReplacementName = *repl
+	if err := oodb.SetReplacement(&cfg, *repl); err != nil {
+		fatal(err)
 	}
 
 	opt := oodb.ConcurrentOptions{
@@ -103,40 +98,16 @@ func main() {
 		ArrivalRate: *rate,
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "loadgen:", err)
-			}
-		}()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	res, err := oodb.RunConcurrentLoad(cfg, opt)
+	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
 		fatal(err)
 	}
-
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close() // errscan:ok already failing; the profile error wins
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+	res, err := oodb.RunConcurrentLoad(cfg, opt)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
+	if err != nil {
+		fatal(err)
 	}
 
 	fmt.Println(res.String())

@@ -19,10 +19,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"oodb"
+	"oodb/internal/obs"
 )
 
 func main() {
@@ -41,10 +40,9 @@ func main() {
 		verb   = flag.Bool("v", false, "print per-run progress (concurrency-safe)")
 		asJSON = flag.Bool("json", false, "emit tables as JSON instead of text")
 
-		tier     = flag.String("tier", "", "single run: scale tier (default | medium | large) — sets sizing, workload, and scale mechanics; explicit flags still override")
-		calendar = flag.String("calendar", "", "event-calendar implementation: heap (reference, default) | wheel (flat cost at large event counts)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
+		tier    = flag.String("tier", "", "single run: scale tier (default | medium | large) — sets sizing and workload; explicit policy flags still override")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 
 		wl       = flag.String("workload", "oct", "workload: oct (the paper's model) | ocb (synthetic object-base benchmark)")
 		ocbDist  = flag.String("ocb-dist", "zipf", "ocb workload: reference distribution (uniform | zipf | clustered)")
@@ -109,40 +107,12 @@ func main() {
 		return
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		atExit = append(atExit, func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "oodbsim:", err)
-			}
-		})
-		defer flushAtExit()
+	stop, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
 	}
-	if *memProf != "" {
-		path := *memProf
-		atExit = append(atExit, func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "oodbsim:", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "oodbsim:", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "oodbsim:", err)
-			}
-		})
-		defer flushAtExit()
-	}
+	stopProfiles = stop
+	defer flushProfiles()
 
 	if *list {
 		for _, id := range oodb.Experiments() {
@@ -152,7 +122,7 @@ func main() {
 	}
 
 	opt := oodb.ExperimentOptions{Scale: *scale, Transactions: *txns, Seed: *seed, Replications: *reps, Workers: *par,
-		CheckpointDir: *ckptDir, CheckpointEachAt: *ckptEachAt, Calendar: *calendar}
+		CheckpointDir: *ckptDir, CheckpointEachAt: *ckptEachAt}
 	if *wl != "oct" {
 		opt.Workload = *wl
 	}
@@ -165,7 +135,7 @@ func main() {
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		s := singleRun{
 			scale: *scale, txns: *txns, seed: *seed, set: set,
-			tier: *tier, calendar: *calendar,
+			tier:    *tier,
 			density: *density, rw: *rw, cluster: *cluster, repl: *repl,
 			prefetch: *prefetch, strategy: *strategy, observe: *observe,
 			checkpoint: *ckptFile, checkpointAt: *ckptAt, resume: *resume,
@@ -248,95 +218,61 @@ type singleRun struct {
 	dataDir string
 	fsync   string
 
-	tier     string
-	calendar string
-	set      map[string]bool // flags the user passed explicitly
+	tier string
+	set  map[string]bool // flags the user passed explicitly
 }
 
+// config maps the flag set onto a configuration: pick the base, then one
+// overlay. A tier is a complete configuration, so only flags the user passed
+// override it; without one every flag applies, defaults included.
 func (s singleRun) config() (oodb.SimConfig, error) {
 	var cfg oodb.SimConfig
 	var err error
 	if s.tier != "" {
-		// A tier is a complete configuration; explicit flags override it,
-		// defaults do not.
 		if cfg, err = oodb.TierSimConfig(s.tier); err != nil {
 			return cfg, err
 		}
-		if s.set["txns"] {
-			cfg.Transactions = s.txns
-		}
-		if s.set["seed"] {
-			cfg.Seed = s.seed
-		}
-		if s.calendar != "" {
-			cfg.Calendar = s.calendar
-		}
 		// Policy flags are orthogonal to tier sizing and still apply;
-		// workload-shape flags are not — the tier defines the workload.
-		for _, f := range []string{"workload", "density", "rw", "ocb-dist", "ocb-refs", "ocb-depth", "ocb-scan",
+		// sizing and workload-shape flags are not — the tier defines both.
+		for _, f := range []string{"scale", "workload", "density", "rw", "ocb-dist", "ocb-refs", "ocb-depth", "ocb-scan",
 			"ocb-rw", "ocb-tenants", "ocb-skew", "ocb-drift"} {
 			if s.set[f] {
-				return cfg, fmt.Errorf("-tier defines the workload; -%s cannot be combined with it", f)
+				return cfg, fmt.Errorf("-tier defines the size and workload; -%s cannot be combined with it", f)
 			}
 		}
-		if s.set["cluster"] {
-			if cfg.Cluster, err = oodb.ParseClusterPolicy(s.cluster); err != nil {
-				return cfg, err
-			}
-		}
-		if s.set["repl"] {
-			if cfg.Replacement, err = oodb.ParseReplacement(s.repl); err != nil {
-				if !oodb.HasReplacementPolicy(s.repl) {
-					return cfg, fmt.Errorf("unknown replacement policy %q (registered: %v)", s.repl, oodb.ReplacementPolicies())
-				}
-				cfg.ReplacementName = s.repl
-			}
-		}
-		if s.set["prefetch"] {
-			if cfg.Prefetch, err = oodb.ParsePrefetchPolicy(s.prefetch); err != nil {
-				return cfg, err
-			}
-		}
-		if s.strategy != "" {
-			if !oodb.HasClusterStrategy(s.strategy) {
-				return cfg, fmt.Errorf("unknown cluster strategy %q (registered: %v)", s.strategy, oodb.ClusterStrategies())
-			}
-			cfg.ClusterStrategy = s.strategy
-		}
-		// Storage-backend and flash-crowd flags apply on top of any tier;
-		// Validate rejects inconsistent combinations (e.g. -fsync without
-		// -backend file).
-		cfg.Backend = s.backend
-		cfg.DataDir = s.dataDir
-		cfg.Fsync = s.fsync
-		cfg.FlashFactor = s.flashFactor
-		cfg.FlashAt = s.flashAt
-		cfg.FlashLen = s.flashLen
-		return cfg, nil
+	} else {
+		cfg = oodb.DefaultSimConfig(s.scale)
 	}
-	cfg = oodb.DefaultSimConfig(s.scale)
-	cfg.Transactions = s.txns
-	cfg.Seed = s.seed
-	cfg.ReadWriteRatio = s.rw
-	if s.calendar != "" {
-		cfg.Calendar = s.calendar
+	applies := func(flag string) bool { return s.tier == "" || s.set[flag] }
+
+	if applies("txns") {
+		cfg.Transactions = s.txns
 	}
-	if cfg.Density, err = oodb.ParseDensity(s.density); err != nil {
-		return cfg, err
+	if applies("seed") {
+		cfg.Seed = s.seed
 	}
-	if cfg.Cluster, err = oodb.ParseClusterPolicy(s.cluster); err != nil {
-		return cfg, err
+	if applies("rw") {
+		cfg.ReadWriteRatio = s.rw
 	}
-	// Paper names first; anything else resolves through the policy registry,
-	// so registered extras like "clock" work without touching the enum parser.
-	if cfg.Replacement, err = oodb.ParseReplacement(s.repl); err != nil {
-		if !oodb.HasReplacementPolicy(s.repl) {
-			return cfg, fmt.Errorf("unknown replacement policy %q (registered: %v)", s.repl, oodb.ReplacementPolicies())
+	if applies("density") {
+		if cfg.Density, err = oodb.ParseDensity(s.density); err != nil {
+			return cfg, err
 		}
-		cfg.ReplacementName = s.repl
 	}
-	if cfg.Prefetch, err = oodb.ParsePrefetchPolicy(s.prefetch); err != nil {
-		return cfg, err
+	if applies("cluster") {
+		if cfg.Cluster, err = oodb.ParseClusterPolicy(s.cluster); err != nil {
+			return cfg, err
+		}
+	}
+	if applies("repl") {
+		if err = oodb.SetReplacement(&cfg, s.repl); err != nil {
+			return cfg, err
+		}
+	}
+	if applies("prefetch") {
+		if cfg.Prefetch, err = oodb.ParsePrefetchPolicy(s.prefetch); err != nil {
+			return cfg, err
+		}
 	}
 	if s.strategy != "" {
 		if !oodb.HasClusterStrategy(s.strategy) {
@@ -372,6 +308,9 @@ func (s singleRun) config() (oodb.SimConfig, error) {
 			cfg.OCB.DriftPeriod = s.ocbDrift
 		}
 	}
+	// Storage-backend and flash-crowd flags apply on top of any base;
+	// Validate rejects inconsistent combinations (e.g. -fsync without
+	// -backend file).
 	cfg.Backend = s.backend
 	cfg.DataDir = s.dataDir
 	cfg.Fsync = s.fsync
@@ -479,21 +418,18 @@ func (s singleRun) run() (err error) {
 	return nil
 }
 
-// atExit holds cleanup hooks (profile flushes) that must run when main
-// returns. Both profile flags defer flushAtExit, so it drains the list
-// exactly once.
-var atExit []func()
+// stopProfiles ends the -cpuprofile/-memprofile output. It runs once: main
+// defers flushProfiles, and fatal calls it before os.Exit skips the defer.
+var stopProfiles = func() error { return nil }
 
-func flushAtExit() {
-	hooks := atExit
-	atExit = nil
-	for _, f := range hooks {
-		f()
+func flushProfiles() {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "oodbsim:", err)
 	}
 }
 
 func fatal(err error) {
-	flushAtExit()
+	flushProfiles()
 	fmt.Fprintln(os.Stderr, "oodbsim:", err)
 	os.Exit(1)
 }

@@ -31,16 +31,10 @@ type adaptiveState struct {
 func newAdaptiveState(cfg Config) *adaptiveState {
 	a := &adaptiveState{
 		phases:    cfg.PhasedRW,
-		threshold: cfg.AdaptiveThreshold,
-		window:    cfg.AdaptiveWindow,
+		threshold: adaptiveThreshold,
+		window:    adaptiveWindow,
 		lowPolicy: core.PolicyIOLimit2,
 		hiPolicy:  core.PolicyNoLimit,
-	}
-	if a.threshold <= 0 {
-		a.threshold = 10
-	}
-	if a.window <= 0 {
-		a.window = 200
 	}
 	a.history = make([]bool, a.window)
 	if len(a.phases) > 0 {

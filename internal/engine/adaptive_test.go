@@ -37,7 +37,8 @@ func TestAdaptivePhaseRatio(t *testing.T) {
 }
 
 func TestAdaptiveObserve(t *testing.T) {
-	a := newAdaptiveState(Config{Transactions: 100, AdaptiveWindow: 8, AdaptiveThreshold: 3})
+	a := newAdaptiveState(Config{Transactions: 100})
+	a.window, a.threshold, a.history = 8, 3, make([]bool, 8)
 	// Until a quarter of the window fills, no signal.
 	if got := a.observe(false); got != -1 {
 		t.Fatalf("early signal: %v", got)

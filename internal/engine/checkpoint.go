@@ -27,18 +27,13 @@ import (
 // point, so a restored run's continuation is event-for-event, draw-for-draw
 // identical — the byte-identity gate the figure tests assert.
 
-// CheckpointVersion is the checkpoint file format version. Version 2 added
-// the workload-family tag, the OCB generator state, and the logical-read
-// digest. Version 3 added the scale mechanics (reservoir tally state and
-// the StatsReservoir configuration field, which changes every fingerprint).
-// Version 4 added the write pipeline: the OCB generator state grew write
-// operation counters and object-base tails, and the engine state grew the
-// conservation and ignored-ratio-change counters. Version 5 removed the
-// two shard-count configuration fields, which changes every fingerprint.
-// Version 6 dropped buffer.FrameState.Pins and buffer.Stats.Prefetches from
-// the pool state (nothing ever set either). Older checkpoints no longer load; they fail with the typed
+// CheckpointVersion is the checkpoint file format version. It moves whenever
+// the serialized state changes shape or Config gains or loses a field (the
+// fingerprint is the %+v of Config, so either changes every fingerprint);
+// version 7 dropped nine Config fields and the reservoir half of
+// stats.TallyState. Older checkpoints fail with the typed
 // checkpoint.ErrVersion rather than a misleading fingerprint mismatch.
-const CheckpointVersion = 6
+const CheckpointVersion = 7
 
 // checkpointKind tags engine checkpoints inside the shared envelope.
 const checkpointKind = "engine-checkpoint"

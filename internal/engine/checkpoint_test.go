@@ -109,7 +109,6 @@ func TestCheckpointResumeIdentityWirings(t *testing.T) {
 		}},
 		{"adaptive-phased", func(c *Config) {
 			c.AdaptiveClustering = true
-			c.AdaptiveWindow = 50
 			c.PhasedRW = []float64{2, 60}
 		}},
 		{"no-locking", func(c *Config) { c.Locking = false }},

@@ -123,9 +123,8 @@ type csession struct {
 
 	remaining int // transactions left in the current session burst
 
-	hist stats.Hist   // latency in microseconds
-	resp stats.Stream // latency in seconds
-	wait *stats.Hist  // durable-commit wait in microseconds; nil on memory runs
+	hist stats.Hist  // latency in microseconds
+	wait *stats.Hist // durable-commit wait in microseconds; nil on memory runs
 
 	completed int
 	ops       IOCounts
@@ -261,7 +260,6 @@ func (c *Concurrent) Run() (ConcurrentResults, error) {
 		r.IOCounts.add(cs.ops)
 		r.Latency.Merge(&cs.hist)
 		r.CommitWait.Merge(cs.wait)
-		r.Resp.Merge(cs.resp)
 		for k := workload.QueryKind(0); k < workload.NumQueryKinds; k++ {
 			if cs.kind[k] > 0 {
 				r.KindCount[k.String()] += cs.kind[k]
@@ -346,9 +344,7 @@ func (c *Concurrent) runSession(cs *csession, start time.Time) {
 		}
 
 		if c.completed.Add(1) > warmup {
-			lat := time.Since(t0)
-			cs.hist.Record(lat.Microseconds())
-			cs.resp.Add(lat.Seconds())
+			cs.hist.Record(time.Since(t0).Microseconds())
 		}
 	}
 }
@@ -427,8 +423,7 @@ type ConcurrentResults struct {
 
 	// Wall-clock measurements.
 	Elapsed time.Duration
-	Latency stats.Hist   // per-transaction latency, microseconds
-	Resp    stats.Stream // per-transaction latency, seconds
+	Latency stats.Hist // per-transaction latency, microseconds
 	// CommitWait is the time each write spent waiting for its commit to
 	// become durable, microseconds, outside the structure guard (warm-up
 	// writes included). Empty on a memory-backed run.

@@ -17,7 +17,6 @@ import (
 	"oodb/internal/model"
 	"oodb/internal/obs"
 	"oodb/internal/ocb"
-	"oodb/internal/sim"
 	"oodb/internal/storage"
 	"oodb/internal/workload"
 )
@@ -87,41 +86,12 @@ type Config struct {
 	// response-time and I/O statistics (they still execute and warm the
 	// buffer pool). Zero keeps the paper-style full-window measurement.
 	Warmup int
-	// DiskServiceTime is the per-physical-I/O disk service time (25 ms —
-	// a late-1980s disk).
-	DiskServiceTime float64
-	// CPUPerLogicalOp is CPU service per logical operation (1 ms).
-	CPUPerLogicalOp float64
-	// CPUPerPhysIO is CPU path length per physical I/O (0.3 ms).
-	CPUPerPhysIO float64
-	// LogBufBytes is the circular log buffer capacity (64 KB).
-	LogBufBytes int
 	// Locking enables object-granularity concurrency control: transactions
 	// take shared/exclusive locks on their primary objects (the composite
 	// root of a navigation, the objects a write touches) and queue on
 	// conflict. The paper's model locks at object granularity; disable only
 	// to isolate storage effects.
 	Locking bool
-	// HintKind is the relationship user hints advertise when Hints is
-	// UserHints; design tools overwhelmingly hint configuration access.
-	HintKind core.Hint
-
-	// --- Scale mechanics ---
-
-	// Calendar selects the kernel's event-calendar implementation: "" or
-	// "heap" for the reference binary heap, "wheel" for the hierarchical
-	// timing wheel. Every calendar dispatches in identical (time, seq)
-	// order, so this is purely a performance knob: the wheel keeps
-	// per-event cost flat at large pending-event populations (it wins
-	// above roughly a thousand concurrent users).
-	Calendar string
-	// StatsReservoir, when positive, bounds the response-time samples
-	// retained for percentile reporting to a uniform reservoir of this
-	// size per metric, making metrics memory O(1) in the transaction
-	// count. Zero keeps the exact retain-all percentiles (the default;
-	// required for byte-identical paper figures). Means and variances are
-	// exact either way.
-	StatsReservoir int
 
 	// --- Extensions (the paper's Section 6 future-work directions) ---
 
@@ -136,15 +106,6 @@ type Config struct {
 	// and switches the clusterer between a small I/O limit (low ratios,
 	// where writer overhead cannot be amortized) and no limit (high ratios).
 	AdaptiveClustering bool
-
-	// AdaptiveThreshold is the observed read/write ratio above which
-	// adaptive clustering switches to the unlimited candidate search
-	// (default 10, the paper's Figure 5.7 crossover).
-	AdaptiveThreshold float64
-
-	// AdaptiveWindow is the sliding window, in transactions, over which the
-	// read/write mix is observed (default 200).
-	AdaptiveWindow int
 
 	// --- Hostile traffic shapes ---
 
@@ -232,6 +193,30 @@ const (
 	paperBuffers = 1000
 )
 
+// Simulation mechanics no experiment, tier or workload varies.
+const (
+	// diskServiceTime is the per-physical-I/O disk service time (25 ms — a
+	// late-1980s disk).
+	diskServiceTime = 0.025
+	// cpuPerLogicalOp is CPU service per logical operation (1 ms).
+	cpuPerLogicalOp = 0.001
+	// cpuPerPhysIO is CPU path length per physical I/O (0.3 ms).
+	cpuPerPhysIO = 0.0003
+	// logBufBytes is the circular log buffer capacity (64 KB).
+	logBufBytes = 64 << 10
+	// adaptiveThreshold is the observed read/write ratio at or above which
+	// adaptive clustering switches to the unlimited candidate search (the
+	// paper's Figure 5.7 crossover).
+	adaptiveThreshold = 10
+	// adaptiveWindow is the sliding window, in transactions, over which
+	// adaptive clustering observes the read/write mix.
+	adaptiveWindow = 200
+)
+
+// userHint is the relationship user hints advertise when Hints is
+// UserHints; design tools overwhelmingly hint configuration access.
+var userHint = core.Hint{Kind: model.ConfigDown, Active: true}
+
 // DefaultConfig returns the paper's parameter set scaled by scale: database
 // bytes and buffer frames shrink together, preserving the 0.76%
 // buffer-to-database ratio that sets the paper's hit-ratio regime.
@@ -249,27 +234,22 @@ func DefaultConfig(scale float64) Config {
 		dbBytes = 64 << 10
 	}
 	return Config{
-		DBBytes:         dbBytes,
-		PageSize:        4096,
-		Users:           10,
-		Disks:           10,
-		ThinkTime:       4.0,
-		Density:         workload.MedDensity,
-		ReadWriteRatio:  10,
-		Cluster:         core.PolicyNoLimit,
-		Split:           core.LinearSplit,
-		Hints:           core.NoHints,
-		Replacement:     core.ReplLRU,
-		Buffers:         buffers,
-		Prefetch:        core.NoPrefetch,
-		Seed:            1,
-		Transactions:    4000,
-		DiskServiceTime: 0.025,
-		CPUPerLogicalOp: 0.001,
-		CPUPerPhysIO:    0.0003,
-		LogBufBytes:     64 << 10,
-		Locking:         true,
-		HintKind:        core.Hint{Kind: model.ConfigDown, Active: true},
+		DBBytes:        dbBytes,
+		PageSize:       4096,
+		Users:          10,
+		Disks:          10,
+		ThinkTime:      4.0,
+		Density:        workload.MedDensity,
+		ReadWriteRatio: 10,
+		Cluster:        core.PolicyNoLimit,
+		Split:          core.LinearSplit,
+		Hints:          core.NoHints,
+		Replacement:    core.ReplLRU,
+		Buffers:        buffers,
+		Prefetch:       core.NoPrefetch,
+		Seed:           1,
+		Transactions:   4000,
+		Locking:        true,
 	}
 }
 
@@ -290,8 +270,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: Transactions must be positive")
 	case c.ReadWriteRatio <= 0:
 		return fmt.Errorf("engine: ReadWriteRatio must be positive")
-	case c.LogBufBytes <= 0:
-		return fmt.Errorf("engine: LogBufBytes must be positive")
 	case c.ReplacementName != "" && !buffer.HasPolicy(c.ReplacementName):
 		return fmt.Errorf("engine: unknown replacement policy %q (have %v)",
 			c.ReplacementName, buffer.PolicyNames())
@@ -300,8 +278,6 @@ func (c Config) Validate() error {
 			c.ClusterStrategy, core.ClusterStrategyNames())
 	case c.Record != nil && c.Replay != nil:
 		return fmt.Errorf("engine: Record and Replay are mutually exclusive")
-	case c.StatsReservoir < 0:
-		return fmt.Errorf("engine: StatsReservoir must be non-negative")
 	case c.FlashFactor < 0:
 		return fmt.Errorf("engine: FlashFactor must be non-negative")
 	case c.FlashFactor > 1 && c.FlashLen <= 0:
@@ -310,12 +286,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: FlashAt must be non-negative")
 	case c.FlashFactor <= 1 && (c.FlashAt != 0 || c.FlashLen != 0):
 		return fmt.Errorf("engine: FlashAt/FlashLen are only meaningful with FlashFactor > 1")
-	}
-	switch c.Calendar {
-	case "", sim.CalendarHeap, sim.CalendarWheel:
-	default:
-		return fmt.Errorf("engine: unknown calendar %q (have %v)",
-			c.Calendar, sim.CalendarKinds())
 	}
 	switch c.Workload {
 	case "", WorkloadOCT:
@@ -355,11 +325,6 @@ func (c Config) Fingerprint() string {
 	c.Trace = nil
 	c.Record = nil
 	c.Replay = nil
-	// The calendar changes how pending events are organized, not what the
-	// simulation does — every calendar dispatches in heap order (the
-	// differential tests assert it). Excluding it lets a checkpoint taken
-	// under one calendar resume under the other.
-	c.Calendar = ""
 	// The storage backend changes where state lives, not what the simulation
 	// computes — the file backend's logical digest is asserted equal to the
 	// memory backend's — so a checkpoint is portable across backends.

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"testing"
-	"time"
-)
+import "testing"
 
 // BenchmarkFileBackendThroughput is the real-I/O macro-benchmark: the
 // serial simulation with the file backend journaling
@@ -79,46 +75,6 @@ func BenchmarkWriteMix(b *testing.B) {
 				b.ReportMetric(float64(res.WriteTxns)/sec, "commits/sec")
 			}
 			b.ReportMetric(res.P99WriteResponse*1e6, "p99w_us")
-		})
-	}
-}
-
-// BenchmarkFileBackendConcurrent measures the concurrent engine over the
-// file backend: parallel sessions whose commits serialize through one WAL.
-// Latency percentiles expose what the shared journal adds to the
-// memory-backend BenchmarkConcurrentSessions numbers.
-func BenchmarkFileBackendConcurrent(b *testing.B) {
-	for _, clients := range []int{1, 8} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			cfg := DefaultConfig(0.02)
-			cfg.Transactions = b.N
-			cfg.Backend = "file"
-			cfg.DataDir = b.TempDir()
-			cfg.Fsync = "interval"
-			opt := ConcurrentOptions{
-				Sessions:  clients,
-				ThinkTime: 2 * time.Millisecond,
-			}
-			c, err := NewConcurrent(cfg, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			res, err := c.Run()
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := c.Close(); err != nil {
-				b.Fatal(err)
-			}
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(res.Completed)/sec, "events/sec")
-			}
-			if res.Latency.N() > 0 {
-				b.ReportMetric(float64(res.Latency.Quantile(0.50)), "p50_us")
-				b.ReportMetric(float64(res.Latency.Quantile(0.99)), "p99_us")
-			}
 		})
 	}
 }

@@ -84,7 +84,7 @@ func New(cfg Config) (*Engine, error) {
 	e.tuner, _ = w.clust.(core.PolicyTuner)
 	st := w.newStack(w.newGenerator("workload"), 0)
 	e.access, e.gen = st, st.gen
-	e.metrics.init(cfg)
+	e.metrics.warmup = cfg.Warmup
 
 	e.cpu = sim.NewStation(w.sim, "cpu", 1)
 	for d := 0; d < cfg.Disks; d++ {
@@ -305,10 +305,10 @@ func (e *Engine) runLocked(txn int, req workload.Op, t0 sim.Time, done func()) {
 		e.cfg.Recorder.Count(obs.EngineBackgroundIO, len(bg))
 	}
 	for _, io := range bg {
-		e.diskFor(io).Request(e.cfg.DiskServiceTime, nil)
+		e.diskFor(io).Request(diskServiceTime, nil)
 	}
 
-	cpuTime := e.cfg.CPUPerLogicalOp*float64(res.Logical) + e.cfg.CPUPerPhysIO*float64(len(ios)+len(bg))
+	cpuTime := cpuPerLogicalOp*float64(res.Logical) + cpuPerPhysIO*float64(len(ios)+len(bg))
 	e.cpu.Request(cpuTime, func() {
 		e.playIOs(ios, 0, func() {
 			if e.locks != nil {
@@ -346,5 +346,5 @@ func (e *Engine) playIOs(ios []core.PhysIO, idx int, done func()) {
 		done()
 		return
 	}
-	e.diskFor(ios[idx]).Request(e.cfg.DiskServiceTime, func() { e.playIOs(ios, idx+1, done) })
+	e.diskFor(ios[idx]).Request(diskServiceTime, func() { e.playIOs(ios, idx+1, done) })
 }

@@ -46,7 +46,6 @@ func TestConfigValidation(t *testing.T) {
 		{"Buffers", func(c *Config) { c.Buffers = 0 }},
 		{"Transactions", func(c *Config) { c.Transactions = 0 }},
 		{"ReadWriteRatio", func(c *Config) { c.ReadWriteRatio = 0 }},
-		{"LogBufBytes", func(c *Config) { c.LogBufBytes = 0 }},
 		{"replacement policy", func(c *Config) { c.ReplacementName = "bogus" }},
 		{"cluster strategy", func(c *Config) { c.ClusterStrategy = "bogus" }},
 	}

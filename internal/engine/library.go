@@ -4,6 +4,7 @@ import (
 	"oodb/internal/buffer"
 	"oodb/internal/core"
 	"oodb/internal/model"
+	"oodb/internal/sim"
 	"oodb/internal/storage"
 	"oodb/internal/workload"
 )
@@ -45,10 +46,7 @@ func OpenLibrary(cfg Config, g *model.Graph, mem *storage.Manager) (*Library, er
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	w, err := newWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
+	w := &world{cfg: cfg, sim: sim.New(cfg.Seed)}
 	if err := w.open(g, mem, nil, 1, serialPool); err != nil {
 		return nil, err
 	}

@@ -38,31 +38,6 @@ type Metrics struct {
 	err error
 }
 
-// init shapes the response tallies for the run. With StatsReservoir 0 the
-// tallies retain every sample — exact percentiles, the paper-figure
-// default. A positive reservoir bounds each tally to a uniform sample of
-// that size, making metrics memory independent of the transaction count;
-// each tally gets its own deterministic RNG stream derived from the run
-// seed, so results stay reproducible.
-func (m *Metrics) init(cfg Config) {
-	m.warmup = cfg.Warmup
-	k := cfg.StatsReservoir
-	if k <= 0 {
-		return
-	}
-	seed := uint64(cfg.Seed)
-	next := func() uint64 {
-		seed += 0x9E3779B97F4A7C15
-		return seed ^ 0x6D656D6F72796F6B // distinct from every kernel stream
-	}
-	m.respAll = *stats.NewReservoirTally(k, next())
-	m.respRead = *stats.NewReservoirTally(k, next())
-	m.respWrite = *stats.NewReservoirTally(k, next())
-	for i := range m.perKindResp {
-		m.perKindResp[i] = *stats.NewReservoirTally(k, next())
-	}
-}
-
 // inWarmup reports whether measurements are still being discarded.
 func (m *Metrics) inWarmup() bool { return m.skipped < m.warmup }
 

@@ -62,24 +62,11 @@ type framePool interface {
 	FlushDirty() error
 }
 
-// newWorld starts a world: the configuration and the seed-derived random
-// streams, nothing wired yet.
-func newWorld(cfg Config) (*world, error) {
-	s, err := sim.NewWithCalendar(cfg.Seed, cfg.Calendar)
-	if err != nil {
-		return nil, err
-	}
-	return &world{cfg: cfg, sim: s}, nil
-}
-
 // buildWorld generates the configured workload family's logical database
 // and opens the world over it, constructing the physical database by
 // replaying the family's creation order. cfg must already be validated.
 func buildWorld(cfg Config, lockShards int, newPool func(*world) (framePool, error)) (*world, error) {
-	w, err := newWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
+	w := &world{cfg: cfg, sim: sim.New(cfg.Seed)}
 	// Either workload family yields a (graph, store) pair and the order to
 	// construct it in; everything below the workload seam (world.open) is
 	// family-agnostic. The OCB base carries its own creation order
@@ -153,7 +140,7 @@ func (w *world) open(g *model.Graph, mem *storage.Manager, order []model.ObjectI
 	if err != nil {
 		return err
 	}
-	w.log = txlog.NewManager(cfg.LogBufBytes)
+	w.log = txlog.NewManager(logBufBytes)
 	w.log.SetRecorder(cfg.Recorder)
 	// A persistent backend is discovered by capability, the same pattern as
 	// the cluster strategies' PolicyTuner: the pool gets real page I/O, the
@@ -178,7 +165,7 @@ func (w *world) open(g *model.Graph, mem *storage.Manager, order []model.ObjectI
 	w.clust, err = core.NewClusterStrategy(stratName, core.ClusterSeam{
 		Graph: w.graph, Store: w.store, Pool: w.frames,
 		Policy: cfg.Cluster, Split: cfg.Split,
-		Hints: cfg.Hints, Hint: cfg.HintKind,
+		Hints: cfg.Hints, Hint: userHint,
 		PageSize:            cfg.PageSize,
 		NoSiblingCandidates: cfg.NoSiblingCandidates,
 		Recorder:            cfg.Recorder,
@@ -256,7 +243,7 @@ func (w *world) newStack(gen workload.Source, nameSeq int) *stack {
 	cfg := w.cfg
 	pf := &core.Prefetcher{
 		Graph: w.graph, Store: w.store, Pool: w.frames,
-		Policy: cfg.Prefetch, Hints: cfg.Hints, Hint: cfg.HintKind,
+		Policy: cfg.Prefetch, Hints: cfg.Hints, Hint: userHint,
 	}
 	pf.SetRecorder(cfg.Recorder)
 	// Dynamic clustering strategies consume the access-pattern feed; the

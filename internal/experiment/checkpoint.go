@@ -26,7 +26,7 @@ import (
 // replication seeds) never collide on one file.
 func (h *Harness) checkpointPath(cfg engine.Config) string {
 	hash := fnv.New64a()
-	hash.Write([]byte(key(cfg))) // errscan:ok hash.Hash.Write never returns an error
+	hash.Write([]byte(cfg.Fingerprint())) // errscan:ok hash.Hash.Write never returns an error
 	return filepath.Join(h.opt.CheckpointDir, fmt.Sprintf("%016x.ckpt", hash.Sum64()))
 }
 

@@ -86,3 +86,34 @@ func TestCheckpointDirResume(t *testing.T) {
 		t.Fatal("fresh run after corrupt checkpoint diverged")
 	}
 }
+
+// TestFlashCrowdConfigsDistinct: two configurations differing only in the
+// flash-crowd fields (the tournament varies them) are different runs — they
+// must share neither a memo slot nor a -ckpt-dir file.
+func TestFlashCrowdConfigsDistinct(t *testing.T) {
+	o := tinyOptions()
+	o.Transactions = 100
+	o.CheckpointDir = t.TempDir()
+	h := NewHarness(o)
+	calm := h.baseConfig()
+	flash := calm
+	flash.FlashFactor, flash.FlashAt, flash.FlashLen = 8, 20, 40
+
+	if a, b := h.checkpointPath(calm), h.checkpointPath(flash); a == b {
+		t.Errorf("calm and flash-crowd runs share checkpoint file %s", a)
+	}
+	calmRes, err := h.Run(calm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flashRes, err := h.Run(flash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Executed() != 2 {
+		t.Fatalf("executed %d runs, want 2 (a flash crowd must not share a memo key with the calm run)", h.Executed())
+	}
+	if calmRes.MeanResponse == flashRes.MeanResponse {
+		t.Error("flash crowd left the mean response time unchanged")
+	}
+}

@@ -58,12 +58,6 @@ type Options struct {
 	// every run in the experiment ("" = "affinity", the paper's algorithm).
 	ClusterStrategy string
 
-	// Calendar selects the event-calendar implementation for every run
-	// ("" = the binary heap; see sim.CalendarKinds). Both calendars dispatch
-	// events in the same order, so figures are byte-identical either way —
-	// the knob exists for the differential tests and for timing large runs.
-	Calendar string
-
 	// Workload selects the workload family for every run: "" or "oct" for
 	// the paper's engineering-design workload, "ocb" for the OCB synthetic
 	// workload (engine.WorkloadOCB). The OCB-specific experiments override
@@ -97,11 +91,6 @@ type Options struct {
 	// CheckpointEachAt is zero the checkpoint lands halfway through the
 	// run.
 	CheckpointDir string
-}
-
-// DefaultOptions returns the quick-run options used by the benchmarks.
-func DefaultOptions() Options {
-	return Options{Scale: 0.02, Transactions: 1500, Seed: 1}
 }
 
 func (o Options) withDefaults() Options {
@@ -172,16 +161,7 @@ func (h *Harness) baseConfig() engine.Config {
 	cfg.Seed = h.opt.Seed
 	cfg.ClusterStrategy = h.opt.ClusterStrategy
 	cfg.Workload = h.opt.Workload
-	cfg.Calendar = h.opt.Calendar
 	return cfg
-}
-
-func key(cfg engine.Config) string {
-	return fmt.Sprintf("%v|%d|%d|%d|%v|%v|%d|%v|%s|%s|%s|%s|%+v", cfg.Label(), cfg.Transactions, cfg.Seed,
-		cfg.DBBytes, cfg.PhasedRW, cfg.AdaptiveClustering,
-		cfg.ContextBoostLimit, cfg.NoSiblingCandidates,
-		cfg.ReplacementName, cfg.ClusterStrategy,
-		cfg.Workload, cfg.Calendar, cfg.OCB)
 }
 
 // Run simulates cfg (memoized), averaging over the configured number of
@@ -190,7 +170,7 @@ func key(cfg engine.Config) string {
 // deduplicated so the simulation executes once and all callers share the
 // result.
 func (h *Harness) Run(cfg engine.Config) (engine.Results, error) {
-	k := key(cfg)
+	k := cfg.Fingerprint()
 	h.mu.Lock()
 	if r, ok := h.cache[k]; ok {
 		h.mu.Unlock()

@@ -161,8 +161,8 @@ func TestRunAllOverlapDedup(t *testing.T) {
 }
 
 // goldenCase is one figure fixture pinned under testdata/golden/: its id
-// renders byte-identically across serial, parallel, checkpointed and
-// wheel-calendar execution, and the render itself is pinned against the
+// renders byte-identically across serial, parallel and checkpointed
+// execution, and the render itself is pinned against the
 // committed golden file so cross-cutting refactors cannot silently drift the
 // default wiring.
 type goldenCase struct {

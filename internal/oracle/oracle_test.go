@@ -1,14 +1,12 @@
 package oracle
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
 	"oodb/internal/buffer"
 	"oodb/internal/core"
 	"oodb/internal/engine"
-	"oodb/internal/sim"
 	"oodb/internal/storage"
 )
 
@@ -239,38 +237,5 @@ func TestEquivalenceDetectsDivergence(t *testing.T) {
 	}
 	if err := CheckEquivalence(s.Base, s2.Base); err == nil {
 		t.Fatal("equivalence check passed for two different streams")
-	}
-}
-
-// TestOracleAcrossScaleMechanics replays the recorded stream under each
-// event calendar. Unlike a policy change, scale mechanics must not change
-// ANY observable — so beyond the oracle's logical-equivalence and
-// conservation checks, the full Results are asserted byte-identical to the
-// default wiring's.
-func TestOracleAcrossScaleMechanics(t *testing.T) {
-	s := stream(t)
-	base := tinyOCBConfig()
-	baseRes, err := s.Replay(base)
-	if err != nil {
-		t.Fatalf("replaying baseline: %v", err)
-	}
-	for _, kind := range sim.CalendarKinds() {
-		cfg := base
-		cfg.Calendar = kind
-		res, err := s.Replay(cfg)
-		if err != nil {
-			t.Errorf("calendar-%s: replay: %v", kind, err)
-			continue
-		}
-		if err := CheckConservation(res); err != nil {
-			t.Errorf("calendar-%s: %v", kind, err)
-		}
-		if err := CheckEquivalence(baseRes, res); err != nil {
-			t.Errorf("calendar-%s: %v", kind, err)
-		}
-		res.Config = baseRes.Config // only the calendar differs
-		if !reflect.DeepEqual(res, baseRes) {
-			t.Errorf("calendar-%s: results not byte-identical to default wiring:\n%v\n%v", kind, res, baseRes)
-		}
 	}
 }

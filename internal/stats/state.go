@@ -6,19 +6,13 @@ package stats
 // bit-identical summaries — the property the engine's checkpoint/restore
 // machinery is built on.
 
-// TallyState is the serializable state of a Tally. Res and Rng capture
-// reservoir mode exactly (including the sampler's RNG position), so a
-// restored reservoir continues the identical replacement sequence; gob
-// decodes older snapshots without these fields into their zero values,
-// which reproduces the legacy first-cap behavior.
+// TallyState is the serializable state of a Tally.
 type TallyState struct {
 	N         int
 	Sum, Sum2 float64
 	Min, Max  float64
 	Keep      []float64
-	Cap       int
-	Res       bool
-	Rng       uint64
+	Moments   bool
 }
 
 // Snapshot extracts the tally's complete state. The Keep slice is copied,
@@ -26,8 +20,7 @@ type TallyState struct {
 func (t *Tally) Snapshot() TallyState {
 	return TallyState{
 		N: t.n, Sum: t.sum, Sum2: t.sum2, Min: t.min, Max: t.max,
-		Keep: append([]float64(nil), t.keep...), Cap: t.cap,
-		Res: t.res, Rng: t.rng,
+		Keep: append([]float64(nil), t.keep...), Moments: t.moments,
 	}
 }
 
@@ -35,9 +28,7 @@ func (t *Tally) Snapshot() TallyState {
 func (t *Tally) Restore(s TallyState) error {
 	t.n, t.sum, t.sum2, t.min, t.max = s.N, s.Sum, s.Sum2, s.Min, s.Max
 	t.keep = append(t.keep[:0], s.Keep...)
-	t.cap = s.Cap
-	t.res = s.Res
-	t.rng = s.Rng
+	t.moments = s.Moments
 	return nil
 }
 

@@ -11,48 +11,24 @@ import (
 )
 
 // Tally accumulates point samples and reports summary statistics.
-// The zero value is ready to use and retains every sample for percentile
-// queries — O(samples) memory, fine at paper scale.
-//
-// Retention is tunable for large runs: a positive cap bounds the retained
-// set (first-cap by default, uniform reservoir with NewReservoirTally), and
-// a negative cap retains nothing, leaving O(1) moments only. Moments
-// (count, mean, variance, min, max) are exact in every mode.
+// The zero value is ready to use and retains every sample for exact
+// percentile queries — O(samples) memory, 8 bytes each. NewMomentsTally
+// retains none. Moments (count, mean, variance, min, max) are exact in both
+// shapes.
 type Tally struct {
-	n    int
-	sum  float64
-	sum2 float64
-	min  float64
-	max  float64
-	keep []float64 // retained samples for percentiles, if enabled
-	cap  int       // retained-sample bound; 0 = all, <0 = none
-	res  bool      // reservoir-sample into keep instead of keeping first cap
-	rng  uint64    // splitmix64 state for reservoir replacement
-}
-
-// NewTally returns a Tally that retains at most keep samples (the first
-// ones to arrive) for percentile queries. keep == 0 retains every sample;
-// keep < 0 retains none (exact moments only, O(1) memory).
-func NewTally(keep int) *Tally {
-	return &Tally{cap: keep}
+	n       int
+	sum     float64
+	sum2    float64
+	min     float64
+	max     float64
+	keep    []float64 // retained samples for percentiles, unless moments
+	moments bool      // retain no samples
 }
 
 // NewMomentsTally returns a Tally that retains no samples: exact mean,
 // variance, min, and max in constant memory; percentiles report 0. The
-// shape used by per-station statistics at the large scale tiers.
-func NewMomentsTally() Tally { return Tally{cap: -1} }
-
-// NewReservoirTally returns a Tally that keeps a uniform random sample of
-// at most k values (Vitter's Algorithm R) for approximate percentiles in
-// O(k) memory. The reservoir's RNG is its own deterministic splitmix64
-// stream seeded by seed, so results are reproducible and independent of
-// every other random stream in a simulation. k must be positive.
-func NewReservoirTally(k int, seed uint64) *Tally {
-	if k < 1 {
-		panic("stats: reservoir size must be positive")
-	}
-	return &Tally{cap: k, res: true, rng: seed}
-}
+// shape used by per-station statistics, which never report percentiles.
+func NewMomentsTally() Tally { return Tally{moments: true} }
 
 // Add records one sample.
 func (t *Tally) Add(x float64) {
@@ -65,28 +41,9 @@ func (t *Tally) Add(x float64) {
 	t.n++
 	t.sum += x
 	t.sum2 += x * x
-	switch {
-	case t.cap < 0:
-		// moments only
-	case t.cap == 0 || len(t.keep) < t.cap:
+	if !t.moments {
 		t.keep = append(t.keep, x)
-	case t.res:
-		// Algorithm R: the i-th sample replaces a random slot with
-		// probability cap/i, giving every sample equal retention odds.
-		if j := splitmix64(&t.rng) % uint64(t.n); j < uint64(t.cap) {
-			t.keep[j] = x
-		}
 	}
-}
-
-// splitmix64 advances a 64-bit state and returns the next value of the
-// sequence; the classic constants from Steele et al.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9E3779B97F4A7C15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
 }
 
 // N returns the number of samples recorded.

@@ -65,7 +65,7 @@ func TestTallyNegativeValues(t *testing.T) {
 }
 
 func TestTallyPercentiles(t *testing.T) {
-	ta := NewTally(0)
+	var ta Tally
 	for i := 1; i <= 100; i++ {
 		ta.Add(float64(i))
 	}
@@ -83,16 +83,23 @@ func TestTallyPercentiles(t *testing.T) {
 	}
 }
 
-func TestTallyKeepCap(t *testing.T) {
-	ta := NewTally(3)
-	for i := 0; i < 10; i++ {
-		ta.Add(float64(i))
+func TestMomentsTallyRetainsNothing(t *testing.T) {
+	mt := NewMomentsTally()
+	var full Tally
+	for i := 0; i < 1000; i++ {
+		x := float64(i%37) * 1.5
+		mt.Add(x)
+		full.Add(x)
 	}
-	if len(ta.keep) != 3 {
-		t.Fatalf("retained %d samples, want 3", len(ta.keep))
+	if len(mt.keep) != 0 {
+		t.Fatalf("moments tally retained %d samples", len(mt.keep))
 	}
-	if ta.N() != 10 {
-		t.Fatalf("N=%d", ta.N())
+	if mt.Mean() != full.Mean() || mt.Var() != full.Var() ||
+		mt.Min() != full.Min() || mt.Max() != full.Max() || mt.N() != full.N() {
+		t.Fatal("moments diverge from retain-all tally")
+	}
+	if mt.Percentile(95) != 0 {
+		t.Fatal("moments tally percentile should report 0")
 	}
 }
 

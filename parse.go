@@ -70,6 +70,23 @@ func ParseReplacement(s string) (Replacement, error) {
 	return 0, fmt.Errorf("oodb: unknown replacement policy %q", s)
 }
 
+// SetReplacement points cfg at the replacement policy spelled s, as the
+// command-line -repl flags do: the paper's names resolve through
+// ParseReplacement; anything else must be a registered policy name (e.g.
+// "clock") and is selected through cfg.ReplacementName, so registered extras
+// work without touching the enum parser.
+func SetReplacement(cfg *SimConfig, s string) error {
+	r, err := ParseReplacement(s)
+	if err != nil {
+		if !HasReplacementPolicy(s) {
+			return fmt.Errorf("unknown replacement policy %q (registered: %v)", s, ReplacementPolicies())
+		}
+		cfg.ReplacementName = s
+	}
+	cfg.Replacement = r
+	return nil
+}
+
 // ParsePrefetchPolicy parses "No_prefetch"/"none",
 // "Prefetch_within_buffer"/"buffer", or "Prefetch_within_DB"/"db".
 func ParsePrefetchPolicy(s string) (PrefetchPolicy, error) {

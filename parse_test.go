@@ -1,6 +1,9 @@
 package oodb
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParseDensity(t *testing.T) {
 	for s, want := range map[string]string{
@@ -62,5 +65,19 @@ func TestParseSplitReplacementPrefetch(t *testing.T) {
 	}
 	if _, err := ParsePrefetchPolicy("psychic"); err == nil {
 		t.Error("bad prefetch accepted")
+	}
+}
+
+func TestSetReplacement(t *testing.T) {
+	cfg := DefaultSimConfig(0.01)
+	if err := SetReplacement(&cfg, "Context"); err != nil || cfg.Replacement != ReplContext || cfg.ReplacementName != "" {
+		t.Errorf("paper name: %v %q %v", cfg.Replacement, cfg.ReplacementName, err)
+	}
+	cfg = DefaultSimConfig(0.01)
+	if err := SetReplacement(&cfg, "clock"); err != nil || cfg.ReplacementName != "clock" {
+		t.Errorf("registry name: %q %v", cfg.ReplacementName, err)
+	}
+	if err := SetReplacement(&cfg, "fifo"); err == nil || !strings.Contains(err.Error(), "registered:") {
+		t.Errorf("unknown policy: %v", err)
 	}
 }

@@ -19,6 +19,13 @@ if command -v staticcheck >/dev/null 2>&1; then
 else
     echo "verify.sh: staticcheck not installed; skipping (CI runs it)" >&2
 fi
+# engine.Config's exported field count only moves down on purpose: every
+# independent option multiplies what goldens, digests and bench/ must cover.
+fields=$(awk '/^type Config struct {/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z][A-Za-z0-9]* /{n++} END{print n+0}' internal/engine/config.go)
+if [ "$fields" -gt 35 ]; then
+    echo "verify.sh: engine.Config has $fields exported fields, ceiling is 35" >&2
+    exit 1
+fi
 # Unchecked-error pass: a dropped Close/Sync/Write error on the durability
 # path is a silent data-loss bug (see scripts/errscan).
 go run ./scripts/errscan
