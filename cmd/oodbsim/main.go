@@ -25,6 +25,7 @@ import (
 )
 
 func main() {
+	runArgs := runFlags(flag.CommandLine)
 	var (
 		list   = flag.Bool("list", false, "list experiment IDs and exit")
 		fig    = flag.String("fig", "", "figure to regenerate (e.g. 5.1)")
@@ -32,58 +33,22 @@ func main() {
 		ext    = flag.String("ext", "", "extension experiment (e.g. buffersize)")
 		exp    = flag.String("exp", "", "experiment by full registry id (e.g. ocb.policies)")
 		all    = flag.Bool("all", false, "run every registered experiment")
-		scale  = flag.Float64("scale", 0.05, "database/buffer scale relative to the paper's 500 MB / 1000 frames")
-		txns   = flag.Int("txns", 3000, "measured transactions per run")
-		seed   = flag.Int64("seed", 1, "random seed")
 		reps   = flag.Int("reps", 1, "replications per configuration (averaged)")
 		par    = flag.Int("parallel", 0, "worker pool size for simulation runs (0 = GOMAXPROCS, 1 = serial)")
 		verb   = flag.Bool("v", false, "print per-run progress (concurrency-safe)")
 		asJSON = flag.Bool("json", false, "emit tables as JSON instead of text")
 
-		tier    = flag.String("tier", "", "single run: scale tier (default | medium | large) — sets sizing and workload; explicit policy flags still override")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 
-		wl       = flag.String("workload", "oct", "workload: oct (the paper's model) | ocb (synthetic object-base benchmark)")
-		ocbDist  = flag.String("ocb-dist", "zipf", "ocb workload: reference distribution (uniform | zipf | clustered)")
-		ocbRefs  = flag.Int("ocb-refs", 0, "ocb workload: configuration references per object (0 = default)")
-		ocbDepth = flag.Int("ocb-depth", 0, "ocb workload: traversal depth bound (0 = default)")
-		ocbScan  = flag.Int("ocb-scan", 0, "ocb workload: objects touched per set-oriented scan (0 = default)")
-		ocbRW    = flag.Float64("ocb-rw", 0, "ocb workload: reads per write (0 = read-only, the default)")
-		ocbTen   = flag.Int("ocb-tenants", 0, "ocb workload: tenants sharing the object base under zipf-skewed traffic (0 = single tenant)")
-		ocbSkew  = flag.Float64("ocb-skew", 0, "ocb workload: tenant zipf skew, > 1 (0 = default 2)")
-		ocbDrift = flag.Int("ocb-drift", 0, "ocb workload: working-set drift period in operations (0 = stationary)")
-
-		flashFactor = flag.Float64("flash-factor", 0, "flash crowd: divide every user's think time by this while it lasts (0 or <= 1 = no flash)")
-		flashAt     = flag.Int("flash-at", 0, "flash crowd: issued-transaction index it starts at")
-		flashLen    = flag.Int("flash-len", 0, "flash crowd: duration in issued transactions")
-
-		single   = flag.Bool("run", false, "run a single simulation instead of an experiment")
-		density  = flag.String("density", "med-5", "single run: low-3 | med-5 | high-10")
-		rw       = flag.Float64("rw", 10, "single run: read/write ratio")
-		cluster  = flag.String("cluster", "No_limit", "single run: No_Cluster | Within_Buffer | 2_IO_limit | 10_IO_limit | No_limit")
-		repl     = flag.String("repl", "LRU", "single run: paper name (LRU | Context | Random) or any registered policy (e.g. clock)")
-		prefetch = flag.String("prefetch", "none", "single run: none | buffer | db")
-		strategy = flag.String("strategy", "", "single run: clustering strategy by registry name (affinity | dstc | dro | noop; default affinity)")
-		observe  = flag.Bool("observe", false, "single run: record per-layer instrumentation counters and print them after the run")
-
-		ckptFile = flag.String("checkpoint", "", "single run: write a checkpoint of the run to this file (see -checkpoint-at)")
-		ckptAt   = flag.Int("checkpoint-at", 0, "single run: completed-transaction count to checkpoint at (default: halfway)")
-		resume   = flag.String("resume", "", "single run: resume from a checkpoint file instead of starting fresh")
-		record   = flag.String("record", "", "single run: record the logical transaction stream to this trace file")
-		replay   = flag.String("replay", "", "single run: drive the run from a recorded trace file instead of the generator")
-
-		ckptDir    = flag.String("ckpt-dir", "", "experiments: persist per-configuration checkpoints here; a killed batch restarts from them")
-		ckptEachAt = flag.Int("ckpt-each-at", 0, "experiments: checkpoint every run at this completed-transaction count (0 with -ckpt-dir = halfway)")
-
-		backend  = flag.String("backend", "", "single run: storage backend (memory | file; default memory)")
-		dataDir  = flag.String("data-dir", "", "single run: data directory for -backend file (write-ahead log + page file)")
-		fsyncPol = flag.String("fsync", "", "single run: WAL fsync policy for -backend file (always | interval | never; default always)")
+		single  = flag.Bool("run", false, "run a single simulation instead of an experiment")
+		ckptDir = flag.String("ckpt-dir", "", "experiments: cache each finished configuration's results here; a restarted batch runs only the configurations not yet cached")
 
 		recoverDir  = flag.String("recover", "", "replay the write-ahead log in this data directory, print the recovered state, and exit")
 		walDigestAt = flag.Int("wal-digest-at", -1, "with -data-dir: print the placement digest at the k-th WAL commit record and exit (0 = construction bootstrap)")
 	)
 	flag.Parse()
+	runArgs.markExplicit(flag.CommandLine)
 
 	if *recoverDir != "" {
 		st, err := oodb.RecoverDataDir(*recoverDir)
@@ -96,10 +61,10 @@ func main() {
 		return
 	}
 	if *walDigestAt >= 0 {
-		if *dataDir == "" {
+		if runArgs.dataDir == "" {
 			fatal(fmt.Errorf("-wal-digest-at requires -data-dir"))
 		}
-		d, err := oodb.WALDigestAt(*dataDir, *walDigestAt)
+		d, err := oodb.WALDigestAt(runArgs.dataDir, *walDigestAt)
 		if err != nil {
 			fatal(err)
 		}
@@ -121,32 +86,17 @@ func main() {
 		return
 	}
 
-	opt := oodb.ExperimentOptions{Scale: *scale, Transactions: *txns, Seed: *seed, Replications: *reps, Workers: *par,
-		CheckpointDir: *ckptDir, CheckpointEachAt: *ckptEachAt}
-	if *wl != "oct" {
-		opt.Workload = *wl
+	opt := oodb.ExperimentOptions{Scale: runArgs.scale, Transactions: runArgs.txns, Seed: runArgs.seed, Replications: *reps,
+		Workers: *par, CheckpointDir: *ckptDir}
+	if runArgs.workload != "oct" {
+		opt.Workload = runArgs.workload
 	}
 	if *verb {
 		opt.Verbose = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
 
 	if *single {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		s := singleRun{
-			scale: *scale, txns: *txns, seed: *seed, set: set,
-			tier:    *tier,
-			density: *density, rw: *rw, cluster: *cluster, repl: *repl,
-			prefetch: *prefetch, strategy: *strategy, observe: *observe,
-			checkpoint: *ckptFile, checkpointAt: *ckptAt, resume: *resume,
-			record: *record, replay: *replay,
-			workload: *wl, ocbDist: *ocbDist,
-			ocbRefs: *ocbRefs, ocbDepth: *ocbDepth, ocbScan: *ocbScan,
-			ocbRW: *ocbRW, ocbTenants: *ocbTen, ocbSkew: *ocbSkew, ocbDrift: *ocbDrift,
-			flashFactor: *flashFactor, flashAt: *flashAt, flashLen: *flashLen,
-			backend: *backend, dataDir: *dataDir, fsync: *fsyncPol,
-		}
-		if err := s.run(); err != nil {
+		if err := runArgs.run(); err != nil {
 			fatal(err)
 		}
 		return
@@ -186,7 +136,8 @@ func main() {
 	}
 }
 
-// singleRun carries the -run flag set.
+// singleRun carries the -run flag set; -scale, -txns, -seed and -workload
+// size experiments too.
 type singleRun struct {
 	scale              float64
 	txns               int
@@ -196,8 +147,6 @@ type singleRun struct {
 	cluster, repl      string
 	prefetch, strategy string
 	observe            bool
-	checkpoint, resume string
-	checkpointAt       int
 	record, replay     string
 
 	workload   string
@@ -220,6 +169,51 @@ type singleRun struct {
 
 	tier string
 	set  map[string]bool // flags the user passed explicitly
+}
+
+// runFlags registers the -run flag set on fs and returns the struct the
+// parsed values land in. Call markExplicit after fs.Parse.
+func runFlags(fs *flag.FlagSet) *singleRun {
+	s := &singleRun{set: map[string]bool{}}
+	fs.Float64Var(&s.scale, "scale", 0.05, "database/buffer scale relative to the paper's 500 MB / 1000 frames")
+	fs.IntVar(&s.txns, "txns", 3000, "measured transactions per run")
+	fs.Int64Var(&s.seed, "seed", 1, "random seed")
+	fs.StringVar(&s.tier, "tier", "", "single run: scale tier (default | medium | large) — sets sizing and workload; explicit policy flags still override")
+
+	fs.StringVar(&s.workload, "workload", "oct", "workload: oct (the paper's model) | ocb (synthetic object-base benchmark)")
+	fs.StringVar(&s.ocbDist, "ocb-dist", "zipf", "ocb workload: reference distribution (uniform | zipf | clustered)")
+	fs.IntVar(&s.ocbRefs, "ocb-refs", 0, "ocb workload: configuration references per object (0 = default)")
+	fs.IntVar(&s.ocbDepth, "ocb-depth", 0, "ocb workload: traversal depth bound (0 = default)")
+	fs.IntVar(&s.ocbScan, "ocb-scan", 0, "ocb workload: objects touched per set-oriented scan (0 = default)")
+	fs.Float64Var(&s.ocbRW, "ocb-rw", 0, "ocb workload: reads per write (0 = read-only, the default)")
+	fs.IntVar(&s.ocbTenants, "ocb-tenants", 0, "ocb workload: tenants sharing the object base under zipf-skewed traffic (0 = single tenant)")
+	fs.Float64Var(&s.ocbSkew, "ocb-skew", 0, "ocb workload: tenant zipf skew, > 1 (0 = default 2)")
+	fs.IntVar(&s.ocbDrift, "ocb-drift", 0, "ocb workload: working-set drift period in operations (0 = stationary)")
+
+	fs.Float64Var(&s.flashFactor, "flash-factor", 0, "flash crowd: divide every user's think time by this while it lasts (0 or <= 1 = no flash)")
+	fs.IntVar(&s.flashAt, "flash-at", 0, "flash crowd: issued-transaction index it starts at")
+	fs.IntVar(&s.flashLen, "flash-len", 0, "flash crowd: duration in issued transactions")
+
+	fs.StringVar(&s.density, "density", "med-5", "single run: low-3 | med-5 | high-10")
+	fs.Float64Var(&s.rw, "rw", 10, "single run: read/write ratio")
+	fs.StringVar(&s.cluster, "cluster", "No_limit", "single run: No_Cluster | Within_Buffer | 2_IO_limit | 10_IO_limit | No_limit")
+	fs.StringVar(&s.repl, "repl", "LRU", "single run: paper name (LRU | Context | Random) or any registered policy (e.g. clock)")
+	fs.StringVar(&s.prefetch, "prefetch", "none", "single run: none | buffer | db")
+	fs.StringVar(&s.strategy, "strategy", "", "single run: clustering strategy by registry name (affinity | dstc | dro | noop; default affinity)")
+	fs.BoolVar(&s.observe, "observe", false, "single run: record per-layer instrumentation counters and print them after the run")
+	fs.StringVar(&s.record, "record", "", "single run: record the logical transaction stream to this trace file")
+	fs.StringVar(&s.replay, "replay", "", "single run: drive the run from a recorded trace file instead of the generator")
+
+	fs.StringVar(&s.backend, "backend", "", "single run: storage backend (memory | file; default memory)")
+	fs.StringVar(&s.dataDir, "data-dir", "", "single run: data directory for -backend file (write-ahead log + page file)")
+	fs.StringVar(&s.fsync, "fsync", "", "single run: WAL fsync policy for -backend file (always | interval | never; default always)")
+	return s
+}
+
+// markExplicit records which flags the user passed on the parsed fs: a
+// tier lets only those override it.
+func (s *singleRun) markExplicit(fs *flag.FlagSet) {
+	fs.Visit(func(f *flag.Flag) { s.set[f.Name] = true })
 }
 
 // config maps the flag set onto a configuration: pick the base, then one
@@ -321,9 +315,6 @@ func (s singleRun) config() (oodb.SimConfig, error) {
 }
 
 func (s singleRun) run() (err error) {
-	if s.checkpoint != "" && s.resume != "" {
-		return fmt.Errorf("-checkpoint and -resume are mutually exclusive")
-	}
 	if s.record != "" && s.replay != "" {
 		return fmt.Errorf("-record and -replay are mutually exclusive")
 	}
@@ -359,40 +350,9 @@ func (s singleRun) run() (err error) {
 		cfg.Replay = f
 	}
 
-	var res oodb.SimResults
-	switch {
-	case s.checkpoint != "":
-		k := s.checkpointAt
-		if k <= 0 {
-			k = cfg.Transactions / 2
-		}
-		f, err := os.Create(s.checkpoint)
-		if err != nil {
-			return err
-		}
-		res, err = oodb.CheckpointSimulation(cfg, k, f)
-		if err != nil {
-			f.Close() // errscan:ok already failing; the run error wins
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "checkpoint at %d transactions written to %s\n", k, s.checkpoint)
-	case s.resume != "":
-		f, err := os.Open(s.resume)
-		if err != nil {
-			return err
-		}
-		res, err = oodb.ResumeSimulation(cfg, f)
-		f.Close() // errscan:ok read-only checkpoint handle
-		if err != nil {
-			return err
-		}
-	default:
-		if res, err = oodb.RunSimulation(cfg); err != nil {
-			return err
-		}
+	res, err := oodb.RunSimulation(cfg)
+	if err != nil {
+		return err
 	}
 	fmt.Println(res.String())
 	fmt.Printf("  digest=%016x\n", res.LogicalDigest)

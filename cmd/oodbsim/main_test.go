@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,15 +10,18 @@ import (
 	"oodb"
 )
 
-// flagDefaults is the -run flag set as main leaves it when the user passes
-// nothing: every field at its flag default, no flag marked explicit.
-func flagDefaults() singleRun {
-	return singleRun{
-		scale: 0.05, txns: 3000, seed: 1,
-		density: "med-5", rw: 10, cluster: "No_limit", repl: "LRU", prefetch: "none",
-		workload: "oct", ocbDist: "zipf",
-		set: map[string]bool{},
+// parseRun parses args with the -run flag set main registers, returning the
+// flag set as main would hand it to singleRun.config.
+func parseRun(t *testing.T, args ...string) singleRun {
+	t.Helper()
+	fs := flag.NewFlagSet("oodbsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	s := runFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %q: %v", args, err)
 	}
+	s.markExplicit(fs)
+	return *s
 }
 
 // TestSingleRunConfig pins the flag → SimConfig mapping on both bases: the
@@ -43,49 +48,36 @@ func TestSingleRunConfig(t *testing.T) {
 	// Overlays that must land identically on either base.
 	overlays := []struct {
 		name string
-		pass func(*singleRun) // sets the field and marks the flag explicit
+		args []string
 		want func(*oodb.SimConfig)
 	}{
-		{"none", func(*singleRun) {}, func(*oodb.SimConfig) {}},
-		{"txns+seed",
-			func(s *singleRun) { s.txns, s.seed = 1000, 7; s.set["txns"], s.set["seed"] = true, true },
+		{"none", nil, func(*oodb.SimConfig) {}},
+		{"txns+seed", []string{"-txns", "1000", "-seed", "7"},
 			func(c *oodb.SimConfig) { c.Transactions, c.Seed = 1000, 7 }},
-		{"cluster",
-			func(s *singleRun) { s.cluster = "2_IO_limit"; s.set["cluster"] = true },
+		{"cluster", []string{"-cluster", "2_IO_limit"},
 			func(c *oodb.SimConfig) { c.Cluster = oodb.PolicyIOLimit2 }},
-		{"repl-paper",
-			func(s *singleRun) { s.repl = "Context"; s.set["repl"] = true },
+		{"repl-paper", []string{"-repl", "Context"},
 			func(c *oodb.SimConfig) { c.Replacement = oodb.ReplContext }},
-		{"repl-registry",
-			func(s *singleRun) { s.repl = "clock"; s.set["repl"] = true },
+		{"repl-registry", []string{"-repl", "clock"},
 			func(c *oodb.SimConfig) { c.ReplacementName = "clock" }},
-		{"prefetch",
-			func(s *singleRun) { s.prefetch = "db"; s.set["prefetch"] = true },
+		{"prefetch", []string{"-prefetch", "db"},
 			func(c *oodb.SimConfig) { c.Prefetch = oodb.PrefetchWithinDB }},
-		{"strategy",
-			func(s *singleRun) { s.strategy = "dstc"; s.set["strategy"] = true },
+		{"strategy", []string{"-strategy", "dstc"},
 			func(c *oodb.SimConfig) { c.ClusterStrategy = "dstc" }},
-		{"file-backend",
-			func(s *singleRun) {
-				s.backend, s.dataDir, s.fsync = "file", "/tmp/d", "never"
-				s.set["backend"], s.set["data-dir"], s.set["fsync"] = true, true, true
-			},
+		{"file-backend", []string{"-backend", "file", "-data-dir", "/tmp/d", "-fsync", "never"},
 			func(c *oodb.SimConfig) { c.Backend, c.DataDir, c.Fsync = "file", "/tmp/d", "never" }},
-		{"flash",
-			func(s *singleRun) {
-				s.flashFactor, s.flashAt, s.flashLen = 8, 10, 20
-				s.set["flash-factor"], s.set["flash-at"], s.set["flash-len"] = true, true, true
-			},
+		{"flash", []string{"-flash-factor", "8", "-flash-at", "10", "-flash-len", "20"},
 			func(c *oodb.SimConfig) { c.FlashFactor, c.FlashAt, c.FlashLen = 8, 10, 20 }},
 	}
 	for _, b := range bases {
 		for _, o := range overlays {
-			s := flagDefaults()
-			s.tier = b.tier
-			o.pass(&s)
+			args := o.args
+			if b.tier != "" {
+				args = append([]string{"-tier", b.tier}, args...)
+			}
 			want := b.base()
 			o.want(&want)
-			got, err := s.config()
+			got, err := parseRun(t, args...).config()
 			if err != nil {
 				t.Errorf("tier=%q %s: %v", b.tier, o.name, err)
 			} else if !reflect.DeepEqual(got, want) {
@@ -95,39 +87,36 @@ func TestSingleRunConfig(t *testing.T) {
 	}
 
 	// Sizing and workload flags shape the default base only.
-	s := flagDefaults()
-	s.scale, s.rw, s.density = 0.2, 100, "high-10"
-	s.workload, s.ocbRW = "ocb", 3
 	want := oodb.DefaultSimConfig(0.2)
 	want.Transactions, want.ReadWriteRatio = 3000, 100
 	want.Density, _ = oodb.ParseDensity("high-10")
 	want.Workload, want.OCB = "ocb", oodb.DefaultOCBParams()
 	want.OCB.RefDist, _ = oodb.ParseOCBRefDist("zipf") // the -ocb-dist default
 	want.OCB.ReadWriteRatio = 3
+	s := parseRun(t, "-scale", "0.2", "-rw", "100", "-density", "high-10", "-workload", "ocb", "-ocb-rw", "3")
 	if got, err := s.config(); err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("default base with sizing/workload flags: err=%v\n got %+v\nwant %+v", err, got, want)
 	}
 
 	// A tier refuses them, naming the flag.
-	for _, f := range []string{"scale", "workload", "density", "rw", "ocb-dist", "ocb-refs", "ocb-depth",
-		"ocb-scan", "ocb-rw", "ocb-tenants", "ocb-skew", "ocb-drift"} {
-		s := flagDefaults()
-		s.tier = "medium"
-		s.set[f] = true
+	for f, v := range map[string]string{
+		"scale": "0.2", "workload": "ocb", "density": "high-10", "rw": "5", "ocb-dist": "zipf",
+		"ocb-refs": "3", "ocb-depth": "3", "ocb-scan": "10", "ocb-rw": "3", "ocb-tenants": "4",
+		"ocb-skew": "3", "ocb-drift": "100",
+	} {
+		s := parseRun(t, "-tier", "medium", "-"+f, v)
 		if _, err := s.config(); err == nil || !strings.Contains(err.Error(), "-"+f+" ") {
 			t.Errorf("-tier medium -%s: got %v, want an error naming -%s", f, err, f)
 		}
 	}
 
-	for name, mutate := range map[string]func(*singleRun){
-		"unknown tier":     func(s *singleRun) { s.tier = "huge" },
-		"unknown repl":     func(s *singleRun) { s.repl = "fifo" },
-		"unknown strategy": func(s *singleRun) { s.strategy = "magic" },
-		"unknown cluster":  func(s *singleRun) { s.cluster = "fancy" },
+	for name, args := range map[string][]string{
+		"unknown tier":     {"-tier", "huge"},
+		"unknown repl":     {"-repl", "fifo"},
+		"unknown strategy": {"-strategy", "magic"},
+		"unknown cluster":  {"-cluster", "fancy"},
 	} {
-		s := flagDefaults()
-		mutate(&s)
-		if _, err := s.config(); err == nil {
+		if _, err := parseRun(t, args...).config(); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}

@@ -233,32 +233,9 @@ func (d *DROClusterer) Recluster(o *model.Object) (Placement, error) {
 	return Placement{IOs: ios, Page: pg, DirtyPages: dirty}, nil
 }
 
-// Snapshot implements StatefulClusterStrategy.
-func (d *DROClusterer) Snapshot() ClusterState {
-	return ClusterState{
-		Kind:     d.Name(),
-		Frontier: d.frontier,
-		Stats:    d.stats,
-		Removals: d.removals,
-		BadPages: append([]storage.PageID(nil), d.bad...),
-	}
-}
-
-// Restore implements StatefulClusterStrategy.
-func (d *DROClusterer) Restore(st ClusterState) error {
-	if st.Kind != d.Name() {
-		return fmt.Errorf("core: cluster snapshot for %q restored into %q", st.Kind, d.Name())
-	}
-	d.frontier = st.Frontier
-	d.stats = st.Stats
-	d.removals = st.Removals
-	d.bad = append(d.bad[:0], st.BadPages...)
-	return nil
-}
-
 var (
-	_ StatefulClusterStrategy = (*DROClusterer)(nil)
-	_ AccessObserver          = (*DROClusterer)(nil)
+	_ ClusterStrategy = (*DROClusterer)(nil)
+	_ AccessObserver  = (*DROClusterer)(nil)
 )
 
 func init() {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"oodb/internal/model"
@@ -137,47 +136,6 @@ func TestDROIgnoresWellLoadedPages(t *testing.T) {
 			t.Errorf("object %d drifted from page %d to %d", o.ID, before[o.ID], pg)
 		}
 	})
-}
-
-// TestDROSnapshotRestoreRoundTrip: the removal counter and bad-page
-// watchlist survive a snapshot/restore cycle, and a snapshot from another
-// strategy is refused.
-func TestDROSnapshotRestoreRoundTrip(t *testing.T) {
-	f, d, root := droFixture(t, 1024, 12)
-	d.SweepEvery = 1 << 20 // keep removals pending
-	deleted := 0
-	for _, id := range append([]model.ObjectID(nil), f.st.ObjectsOn(f.st.PageOf(root.ID))...) {
-		if id != root.ID && deleted < 3 {
-			droDelete(t, f, d, root, id)
-			deleted++
-		}
-	}
-	snap := d.Snapshot()
-	if snap.Removals != 3 || len(snap.BadPages) == 0 {
-		t.Fatalf("snapshot missed sweep state: %+v", snap)
-	}
-
-	f2, _, _ := droFixture(t, 1024, 12)
-	d2 := NewDROClusterer(f2.g, f2.st, f2.pool)
-	if err := d2.Restore(snap); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	re := d2.Snapshot()
-	if re.Removals != snap.Removals || !reflect.DeepEqual(re.BadPages, snap.BadPages) ||
-		re.Frontier != snap.Frontier {
-		t.Fatalf("round trip diverged:\n%+v\n%+v", re, snap)
-	}
-	if err := d2.Restore(ClusterState{Kind: "dstc"}); err == nil {
-		t.Fatal("dro restored a dstc snapshot")
-	}
-
-	s := NewDSTCClusterer(f2.g, f2.st, f2.pool)
-	if err := s.Restore(ClusterState{Kind: "dro"}); err == nil {
-		t.Fatal("dstc restored a dro snapshot")
-	}
-	if err := s.Restore(s.Snapshot()); err != nil {
-		t.Fatalf("dstc self round trip: %v", err)
-	}
 }
 
 // FuzzDROSweepInvariants: whatever the sweep tuning — trigger cadence,

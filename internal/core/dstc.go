@@ -331,36 +331,9 @@ func (s *DSTCClusterer) Recluster(o *model.Object) (Placement, error) {
 	return Placement{IOs: ios, Page: cur, DirtyPages: dirty}, nil
 }
 
-// Snapshot implements StatefulClusterStrategy. Counter arrays are copied:
-// the checkpoint is taken at a quiescent point but the run continues
-// mutating the originals afterwards.
-func (s *DSTCClusterer) Snapshot() ClusterState {
-	return ClusterState{
-		Kind:     s.Name(),
-		Frontier: s.frontier,
-		Stats:    s.stats,
-		Heat:     append([]uint32(nil), s.heat...),
-		Temps:    append([]uint32(nil), s.temps...),
-		WinOps:   atomic.LoadUint32(&s.winOps),
-	}
-}
-
-// Restore implements StatefulClusterStrategy.
-func (s *DSTCClusterer) Restore(st ClusterState) error {
-	if st.Kind != s.Name() {
-		return fmt.Errorf("core: cluster snapshot for %q restored into %q", st.Kind, s.Name())
-	}
-	s.frontier = st.Frontier
-	s.stats = st.Stats
-	s.heat = append(s.heat[:0], st.Heat...)
-	s.temps = append(s.temps[:0], st.Temps...)
-	atomic.StoreUint32(&s.winOps, st.WinOps)
-	return nil
-}
-
 var (
-	_ StatefulClusterStrategy = (*DSTCClusterer)(nil)
-	_ AccessObserver          = (*DSTCClusterer)(nil)
+	_ ClusterStrategy = (*DSTCClusterer)(nil)
+	_ AccessObserver  = (*DSTCClusterer)(nil)
 )
 
 func init() {

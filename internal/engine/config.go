@@ -317,9 +317,9 @@ func (c Config) Validate() error {
 }
 
 // Fingerprint renders the behavior-determining configuration as a stable
-// string. Checkpoints embed it so a snapshot cannot be restored under a
-// different wiring; the attachment-only fields (observers, trace sinks and
-// sources) are excluded — they do not influence simulated behavior.
+// string: the key of the experiment harness's memo and results caches. The
+// attachment-only fields (observers, trace sinks and sources) are excluded —
+// they do not influence simulated behavior.
 func (c Config) Fingerprint() string {
 	c.Recorder = nil
 	c.Trace = nil
@@ -327,7 +327,7 @@ func (c Config) Fingerprint() string {
 	c.Replay = nil
 	// The storage backend changes where state lives, not what the simulation
 	// computes — the file backend's logical digest is asserted equal to the
-	// memory backend's — so a checkpoint is portable across backends.
+	// memory backend's — so a cached result is valid for every backend.
 	c.Backend = ""
 	c.DataDir = ""
 	c.Fsync = ""

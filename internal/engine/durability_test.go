@@ -3,7 +3,6 @@ package engine
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"oodb/internal/obs"
@@ -157,23 +156,6 @@ func TestFileBackendObservability(t *testing.T) {
 	}
 }
 
-// Checkpointing is a memory-backend feature: the file backend's WAL is the
-// durable state, and the snapshot machinery must refuse it rather than
-// silently write a checkpoint that ignores the journal.
-func TestCheckpointRefusesFileBackend(t *testing.T) {
-	cfg := fileConfig(t, quickConfig(50), "never")
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close() // errscan:ok test cleanup
-	if _, err := e.RunToCheckpoint(10); err == nil {
-		t.Fatal("checkpoint of a file-backed engine must be refused")
-	} else if !strings.Contains(err.Error(), "does not support checkpointing") {
-		t.Fatalf("refusal should name the unsupported layer: %v", err)
-	}
-}
-
 // The concurrent engine drives the same durable seam: one session matches
 // the serial digest, and the WAL recovers. Runs under -race in CI.
 func TestConcurrentFileBackendDurability(t *testing.T) {
@@ -292,7 +274,7 @@ func TestConfigValidationBackend(t *testing.T) {
 }
 
 // Backend wiring is a physical-realization knob, not a logical parameter:
-// the fingerprint (checkpoint compatibility) must not change with it.
+// the fingerprint (the memo and results-cache key) must not change with it.
 func TestFingerprintExcludesBackend(t *testing.T) {
 	a := quickConfig(10)
 	b := fileConfig(t, quickConfig(10), "never")

@@ -8,9 +8,9 @@ import (
 
 // Determinism gates for the dynamic clustering strategies. DSTC and DRO
 // relocate objects mid-run, so every determinism property the static
-// strategies enjoy — checkpoint/resume identity, trace record/replay
-// identity, serial == concurrent digest equality — must be re-proven with
-// reorganization actually firing.
+// strategies enjoy — same-seed and trace record/replay identity, serial ==
+// concurrent digest equality — must be re-proven with reorganization
+// actually firing.
 
 // dynamicStrategies are the PR 10 contenders with mid-run reorganization.
 var dynamicStrategies = []string{"dstc", "dro"}
@@ -29,38 +29,46 @@ func dynamicConfigs(txns int) map[string]Config {
 	}
 }
 
-// TestDynamicStrategyCheckpointResume: checkpoint at mid-run quiescent
-// points, resume from the serialized bytes, and require the continuation
-// to be identical to an uninterrupted run. The checkpoint lands between
-// reorganization windows, so the restored heat/temperature (dstc) and
-// removal/bad-page (dro) state must be carried exactly — a zeroed counter
-// would shift every later reorganization.
-func TestDynamicStrategyCheckpointResume(t *testing.T) {
-	t.Parallel()
-	for _, strat := range dynamicStrategies {
-		for wl, cfg := range dynamicConfigs(250) {
-			t.Run(strat+"/"+wl, func(t *testing.T) {
-				cfg.ClusterStrategy = strat
-				for _, k := range []int{60, 180} {
-					checkResumeIdentity(t, cfg, k)
-				}
-			})
-		}
+// reorgConfig is the write-heavy stream that provokes strat's
+// reorganization. Each strategy gets its own shape: dstc's heat windows
+// consolidate under any sustained mix, while dro's sweep needs enough
+// deletions on a small database to drag pages below its load floor
+// (deletions spread too thin across a larger store).
+func reorgConfig(strat string) Config {
+	if strat == "dro" {
+		cfg := DefaultConfig(0.005)
+		cfg.Workload = WorkloadOCB
+		cfg.OCB.ReadWriteRatio = 1
+		cfg.Locking = false
+		cfg.Transactions = 2000
+		return cfg
 	}
+	cfg := quickOCBConfig(900)
+	cfg.OCB.ReadWriteRatio = 1.5
+	cfg.Locking = false
+	return cfg
 }
 
 // TestDynamicStrategyTraceIdentity: live == recorded == replayed for each
-// dynamic strategy, on the read-only and the write-enabled stream. The
-// trace captures the logical operation stream above the clustering seam,
-// so recording must not perturb reorganization and replay must reproduce
-// every dynamic move.
+// dynamic strategy, on the read-only and the write-enabled stream, and on
+// the stream that makes the strategy reorganize. The trace captures the
+// logical operation stream above the clustering seam, so recording must
+// not perturb reorganization and replay must reproduce every dynamic move.
+// It is also the strategies' same-seed gate: the live and recorded runs
+// are two runs of one configuration, and the reorganizing stream carries
+// the heat-window (dstc) and sweep (dro) state from window to window.
 func TestDynamicStrategyTraceIdentity(t *testing.T) {
 	t.Parallel()
 	for _, strat := range dynamicStrategies {
-		for wl, base := range dynamicConfigs(300) {
+		cfgs := dynamicConfigs(300)
+		cfgs["reorg"] = reorgConfig(strat)
+		for wl, base := range cfgs {
 			t.Run(strat+"/"+wl, func(t *testing.T) {
 				base.ClusterStrategy = strat
 				live := run(t, base)
+				if wl == "reorg" && live.Cluster.DynMoves == 0 {
+					t.Fatalf("%s made no dynamic moves on its reorganizing stream", strat)
+				}
 
 				var traceBuf bytes.Buffer
 				rec := base
@@ -124,29 +132,9 @@ func TestDynamicStrategyConcurrentSerialDigest(t *testing.T) {
 // dstc consolidates windows and executes heat-driven moves, dro evacuates
 // underloaded pages — and that placement stays conserved throughout.
 func TestDynamicStrategiesActuallyReorganize(t *testing.T) {
-	// Each strategy gets the traffic shape that provokes it: dstc's heat
-	// windows consolidate under any sustained mix, while dro's sweep needs
-	// enough deletions on a small database to drag pages below its load
-	// floor (deletions spread too thin across a larger store).
-	configs := map[string]Config{}
-	{
-		cfg := quickOCBConfig(900)
-		cfg.OCB.ReadWriteRatio = 1.5
-		cfg.Locking = false
-		configs["dstc"] = cfg
-	}
-	{
-		cfg := DefaultConfig(0.005)
-		cfg.Workload = WorkloadOCB
-		cfg.OCB.ReadWriteRatio = 1
-		cfg.Locking = false
-		cfg.Transactions = 2000
-		configs["dro"] = cfg
-	}
-
 	for _, strat := range dynamicStrategies {
 		t.Run(strat, func(t *testing.T) {
-			cfg := configs[strat]
+			cfg := reorgConfig(strat)
 			cfg.ClusterStrategy = strat
 			res := runOCB(t, cfg)
 			if res.WriteTxns == 0 {

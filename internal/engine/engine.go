@@ -22,7 +22,6 @@ import (
 type Engine struct {
 	*world
 
-	pool   *buffer.Pool     // the world's frames, typed for checkpointing
 	tuner  core.PolicyTuner // clust's run-time tuning hook; nil if untunable
 	gen    workload.Source
 	access AccessLayer
@@ -37,12 +36,11 @@ type Engine struct {
 	// when neither is configured.
 	adapt *adaptiveState
 
-	// Per-user think/submit state, indexed by user number. Explicit data
-	// instead of a closure chain, so a checkpoint can describe every pending
-	// user wake (the only calendar events alive at a quiescent point).
-	users   []UserState
-	think   *rand.Rand
-	started bool
+	// remaining is each user's transactions left in the current session,
+	// indexed by user number.
+	remaining []int
+	think     *rand.Rand
+	started   bool
 
 	// Trace record/replay on the logical transaction boundary.
 	record *trace.Writer
@@ -79,12 +77,11 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.pool = w.frames.(*buffer.Pool)
 	e.world = w
 	e.tuner, _ = w.clust.(core.PolicyTuner)
 	st := w.newStack(w.newGenerator("workload"), 0)
 	e.access, e.gen = st, st.gen
-	e.metrics.warmup = cfg.Warmup
+	e.metrics = newMetrics(cfg.Warmup)
 
 	e.cpu = sim.NewStation(w.sim, "cpu", 1)
 	for d := 0; d < cfg.Disks; d++ {
@@ -150,16 +147,16 @@ func (e *Engine) finish() (Results, error) {
 	return e.results(), nil
 }
 
-// start schedules the initial user wakes. It is idempotent so resumed
-// engines (whose users are already mid-session) skip it.
+// start schedules the initial user wakes. It is idempotent, so RunN can
+// call it on every slice.
 func (e *Engine) start() {
 	if e.started {
 		return
 	}
 	e.started = true
 	e.think = e.sim.Stream("think")
-	e.users = make([]UserState, e.cfg.Users)
-	for u := range e.users {
+	e.remaining = make([]int, e.cfg.Users)
+	for u := range e.remaining {
 		e.scheduleWake(u, sim.Exp(e.think, e.thinkMean()))
 	}
 }
@@ -177,36 +174,27 @@ func (e *Engine) thinkMean() float64 {
 	return e.cfg.ThinkTime
 }
 
-// scheduleWake schedules user u's next wake after delay, recording the
-// event's fire time and sequence number so a checkpoint can re-create it.
+// scheduleWake schedules user u's next wake after delay.
 func (e *Engine) scheduleWake(u int, delay sim.Time) {
-	if delay < 0 {
-		delay = 0
-	}
-	t := e.sim.Now() + delay
-	e.sim.At(t, func() { e.wakeUser(u) })
-	e.users[u].NextWake = t
-	e.users[u].WakeSeq = e.sim.LastSeq()
-	e.users[u].Waiting = true
+	e.sim.After(delay, func() { e.wakeUser(u) })
 }
 
 // wakeUser runs one step of a user's think/submit loop. Sessions group 5–20
 // transactions; the session boundary draws a fresh session length, matching
 // the paper's session model.
 func (e *Engine) wakeUser(u int) {
-	e.users[u].Waiting = false
 	if e.stopped {
 		return
 	}
-	if e.users[u].Remaining == 0 {
-		e.users[u].Remaining = e.gen.SessionLength()
+	if e.remaining[u] == 0 {
+		e.remaining[u] = e.gen.SessionLength()
 	}
 	if e.issued >= e.cfg.Transactions+e.cfg.Warmup {
 		e.stopped = true
 		return
 	}
 	e.issued++
-	e.users[u].Remaining--
+	e.remaining[u]--
 	e.startTxn(func() {
 		e.completed++
 		e.scheduleWake(u, sim.Exp(e.think, e.thinkMean()))

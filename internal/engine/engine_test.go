@@ -493,14 +493,14 @@ func TestIOConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	misses := e.pool.Stats().Misses
+	misses := e.frames.Stats().Misses
 	if res.PhysReads != misses {
 		t.Fatalf("physical reads %d != pool misses %d", res.PhysReads, misses)
 	}
 	// Flush writes are bounded by evictions of dirty pages.
-	if res.PhysWrites > e.pool.Stats().Flushes+res.Cluster.Splits {
+	if res.PhysWrites > e.frames.Stats().Flushes+res.Cluster.Splits {
 		t.Fatalf("physical writes %d exceed flushes %d + split flushes %d",
-			res.PhysWrites, e.pool.Stats().Flushes, res.Cluster.Splits)
+			res.PhysWrites, e.frames.Stats().Flushes, res.Cluster.Splits)
 	}
 }
 

@@ -61,7 +61,7 @@ func TestExecSimpleLookup(t *testing.T) {
 	if logical != 1 {
 		t.Fatalf("logical=%d", logical)
 	}
-	if !e.pool.Contains(e.store.PageOf(target)) {
+	if !e.frames.Contains(e.store.PageOf(target)) {
 		t.Fatal("target page not resident after read")
 	}
 }
@@ -95,7 +95,7 @@ func TestExecUpdateDirtiesAndLogs(t *testing.T) {
 	if logical != 1 {
 		t.Fatalf("logical=%d", logical)
 	}
-	if !e.pool.IsDirty(e.store.PageOf(target)) {
+	if !e.frames.(*buffer.Pool).IsDirty(e.store.PageOf(target)) {
 		t.Fatal("updated page not dirty")
 	}
 	if countLog(ios) == 0 {

@@ -52,72 +52,59 @@ func TestOCBSameSeedIdentical(t *testing.T) {
 	}
 }
 
-// TestOCBCheckpointResumeIdentity: the OCB workload rides the same
-// checkpoint machinery as OCT — a run checkpointed mid-flight, serialized,
-// and resumed must match an uninterrupted run byte for byte.
-func TestOCBCheckpointResumeIdentity(t *testing.T) {
-	t.Parallel()
-	cfg := quickOCBConfig(300)
-	for _, k := range []int{25, 150} {
-		checkResumeIdentity(t, cfg, k)
-	}
-}
-
-// TestOCBWorkloadTagMismatch: an OCB checkpoint must not restore into an
-// OCT engine, and vice versa.
-func TestOCBWorkloadTagMismatch(t *testing.T) {
-	t.Parallel()
-	cfg := quickOCBConfig(200)
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ck, err := e.RunToCheckpoint(20)
-	if err != nil {
-		t.Fatalf("RunToCheckpoint: %v", err)
-	}
-	oct := quickConfig(200)
-	ck.Fingerprint = oct.Fingerprint() // bypass the fingerprint gate to hit the tag check
-	if _, err := Resume(oct, ck); err == nil {
-		t.Fatal("OCB checkpoint restored into an OCT engine")
-	}
-}
-
-// TestOCBRecordReplayIdentity: replaying a recorded OCB stream under the
-// same configuration reproduces the run exactly; replaying it under a
-// different replacement policy reproduces the logical results (the digest)
-// while the physical behavior is free to differ.
+// TestOCBRecordReplayIdentity: an OCB run is a function of its
+// configuration — the same seed twice, a recorded run and a replay of the
+// recording under the same configuration all match byte for byte — and
+// replaying it under a different replacement policy reproduces the logical
+// results (the digest) while the physical behavior is free to differ.
+//
+// The phased case is a write-enabled stream whose read/write ratio shifts
+// mid-run: the generator must carry its ratio and object-base tail across
+// the phase boundaries identically in every run.
 func TestOCBRecordReplayIdentity(t *testing.T) {
 	t.Parallel()
-	cfg := quickOCBConfig(400)
-	base := runOCB(t, cfg)
+	phased := quickOCBConfig(300)
+	phased.OCB.ReadWriteRatio = 4
+	phased.PhasedRW = []float64{8, 1.5, 30}
+	for name, cfg := range map[string]Config{"read-only": quickOCBConfig(400), "phased-writes": phased} {
+		t.Run(name, func(t *testing.T) {
+			base := runOCB(t, cfg)
+			if cfg.PhasedRW != nil && (base.WriteTxns == 0 || base.RatioChangesIgnored != 0) {
+				t.Fatalf("phased stream wrote %d times and refused %d ratio changes",
+					base.WriteTxns, base.RatioChangesIgnored)
+			}
+			if again := runOCB(t, cfg); !reflect.DeepEqual(stripped(again), stripped(base)) {
+				t.Fatal("same-seed runs diverged")
+			}
 
-	recCfg := cfg
-	var buf bytes.Buffer
-	recCfg.Record = &buf
-	rec := runOCB(t, recCfg)
-	if !reflect.DeepEqual(stripped(rec), stripped(base)) {
-		t.Fatal("recording changed the run")
-	}
+			recCfg := cfg
+			var buf bytes.Buffer
+			recCfg.Record = &buf
+			rec := runOCB(t, recCfg)
+			if !reflect.DeepEqual(stripped(rec), stripped(base)) {
+				t.Fatal("recording changed the run")
+			}
 
-	repCfg := cfg
-	repCfg.Replay = bytes.NewReader(buf.Bytes())
-	rep := runOCB(t, repCfg)
-	if !reflect.DeepEqual(stripped(rep), stripped(base)) {
-		t.Fatal("same-config replay diverged from the recorded run")
-	}
+			repCfg := cfg
+			repCfg.Replay = bytes.NewReader(buf.Bytes())
+			rep := runOCB(t, repCfg)
+			if !reflect.DeepEqual(stripped(rep), stripped(base)) {
+				t.Fatal("same-config replay diverged from the recorded run")
+			}
 
-	polCfg := cfg
-	polCfg.Replay = bytes.NewReader(buf.Bytes())
-	polCfg.ReplacementName = "clock"
-	pol := runOCB(t, polCfg)
-	if pol.LogicalDigest != base.LogicalDigest {
-		t.Fatalf("logical digest diverged across policies: %016x vs %016x",
-			pol.LogicalDigest, base.LogicalDigest)
-	}
-	if pol.LogicalOps != base.LogicalOps || pol.Completed != base.Completed {
-		t.Fatalf("logical totals diverged across policies: ops %d/%d txns %d/%d",
-			pol.LogicalOps, base.LogicalOps, pol.Completed, base.Completed)
+			polCfg := cfg
+			polCfg.Replay = bytes.NewReader(buf.Bytes())
+			polCfg.ReplacementName = "clock"
+			pol := runOCB(t, polCfg)
+			if pol.LogicalDigest != base.LogicalDigest {
+				t.Fatalf("logical digest diverged across policies: %016x vs %016x",
+					pol.LogicalDigest, base.LogicalDigest)
+			}
+			if pol.LogicalOps != base.LogicalOps || pol.Completed != base.Completed {
+				t.Fatalf("logical totals diverged across policies: ops %d/%d txns %d/%d",
+					pol.LogicalOps, base.LogicalOps, pol.Completed, base.Completed)
+			}
+		})
 	}
 }
 

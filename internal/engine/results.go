@@ -14,6 +14,8 @@ import (
 )
 
 // Metrics collects per-run measurements while the simulation executes.
+// Only respAll (P95) and respWrite (P99) report percentiles, so only they
+// retain samples; the other tallies keep moments (see newMetrics).
 type Metrics struct {
 	respAll   stats.Tally
 	respRead  stats.Tally
@@ -36,6 +38,16 @@ type Metrics struct {
 	ratioIgnored int
 
 	err error
+}
+
+// newMetrics returns empty accumulators that discard the first warmup
+// transactions.
+func newMetrics(warmup int) Metrics {
+	m := Metrics{warmup: warmup, respRead: stats.NewMomentsTally()}
+	for k := range m.perKindResp {
+		m.perKindResp[k] = stats.NewMomentsTally()
+	}
+	return m
 }
 
 // inWarmup reports whether measurements are still being discarded.

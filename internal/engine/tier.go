@@ -13,16 +13,13 @@ import (
 // user population.
 const (
 	// TierDefault is the paper's 10-user configuration at 5% scale:
-	// seconds of wall clock, exact percentile statistics, checkpointable.
+	// seconds of wall clock, exact percentile statistics.
 	TierDefault = "default"
 	// TierMedium is a 100-user OCB run over a 48 MB object base: tens of
-	// seconds of wall clock, still checkpointable (quiescent points remain
-	// frequent at 100 users), used by the CI smoke job.
+	// seconds of wall clock, used by the CI smoke job.
 	TierMedium = "medium"
 	// TierLarge is the 100k-user OCB run over a multi-GB object base:
-	// minutes of wall clock. Not checkpointable — with 100k users the
-	// probability of a fully quiescent instant (every user thinking) is
-	// effectively zero, so rely on determinism and trace replay instead.
+	// minutes of wall clock.
 	TierLarge = "large"
 )
 
@@ -57,7 +54,3 @@ func TierConfig(name string) (Config, error) {
 	}
 	return c, nil
 }
-
-// TierCheckpointable reports whether the named tier reaches quiescent
-// points often enough for checkpoint/restore to be practical.
-func TierCheckpointable(name string) bool { return name != TierLarge }

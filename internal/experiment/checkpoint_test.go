@@ -1,90 +1,75 @@
 package experiment
 
 import (
-	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
+
+	"oodb/internal/engine"
 )
 
-// TestCheckpointModeMatchesPlainRender is the harness-level headline gate:
-// routing every simulation through serialize-checkpoint-and-resume must
-// leave the rendered figures byte-identical. fig5.2 covers the clustering
-// sweep; fig6.1 (long mode) covers the 2^8 factorial batch.
-func TestCheckpointModeMatchesPlainRender(t *testing.T) {
-	for _, k := range []int{7, 60} {
-		for _, c := range goldenCases(testing.Short()) {
-			opt := c.opt
-			opt.Workers = 2
-			opt.CheckpointEachAt = k
-			assertMatchesPlain(t, c, fmt.Sprintf("checkpoint-at-%d", k), opt)
-		}
-	}
-}
-
-// TestCheckpointBeyondRunFallsBack: a checkpoint position past the run's
-// budget cannot be honored; the run must complete plainly, not fail.
-func TestCheckpointBeyondRunFallsBack(t *testing.T) {
-	o := tinyOptions()
-	plain := NewHarness(o)
-	base, err := plain.Run(plain.baseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.CheckpointEachAt = o.Transactions * 10
-	h := NewHarness(o)
-	res, err := h.Run(h.baseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, base) {
-		t.Fatal("fallback run diverged from plain run")
-	}
-}
-
-// TestCheckpointDirResume simulates a killed batch: the first harness runs
-// with a checkpoint directory (persisting per-config checkpoints), then a
-// second harness — fresh caches, same directory — must resume from the
-// files and produce identical results.
+// TestCheckpointDirResume simulates a killed and restarted batch: a harness
+// with a results directory stores each finished configuration, and a
+// second harness — fresh memo, same directory — serves every one of them
+// without executing anything. A corrupt file, or one holding another
+// configuration's results, means a fresh run with the same result.
 func TestCheckpointDirResume(t *testing.T) {
-	dir := t.TempDir()
 	o := tinyOptions()
-	o.CheckpointEachAt = 100
-	o.CheckpointDir = dir
+	o.CheckpointDir = t.TempDir()
 
 	first := NewHarness(o)
-	cfg := first.baseConfig()
-	res1, err := first.Run(cfg)
+	base := first.baseConfig()
+	other := base
+	other.Seed++
+	cfgs := []engine.Config{base, other}
+	want, err := first.RunConfigs(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no checkpoint persisted (err=%v)", err)
+	if n := first.Executed(); n != 2 {
+		t.Fatalf("first batch executed %d runs, want 2", n)
 	}
 
 	second := NewHarness(o)
-	res2, err := second.Run(second.baseConfig())
+	got, err := second.RunConfigs(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res1, res2) {
-		t.Fatal("resumed batch diverged from original")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("cached results diverged from the runs that stored them")
+	}
+	if n := second.Executed(); n != 0 {
+		t.Fatalf("restarted batch executed %d runs, want 0: every configuration had finished", n)
 	}
 
-	// A corrupt checkpoint file must be tolerated: run fresh, same result.
-	if err := os.WriteFile(files[0], []byte("corrupt"), 0o644); err != nil {
+	rerun := func(what string) {
+		t.Helper()
+		h := NewHarness(o)
+		res, err := h.Run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := h.Executed(); n != 1 {
+			t.Fatalf("%s: executed %d runs, want a fresh run", what, n)
+		}
+		if !reflect.DeepEqual(res, want[0]) {
+			t.Fatalf("%s: fresh run diverged from the original", what)
+		}
+	}
+	path := first.checkpointPath(base)
+	if err := os.WriteFile(path, []byte("corrupt"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	third := NewHarness(o)
-	res3, err := third.Run(third.baseConfig())
+	rerun("corrupt file")
+
+	foreign, err := os.ReadFile(first.checkpointPath(other))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res1, res3) {
-		t.Fatal("fresh run after corrupt checkpoint diverged")
+	if err := os.WriteFile(path, foreign, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	rerun("file of another configuration")
 }
 
 // TestFlashCrowdConfigsDistinct: two configurations differing only in the

@@ -71,25 +71,13 @@ type Options struct {
 	ReplacementLow  string
 	ReplacementHigh string
 
-	// CheckpointEachAt, when positive, routes every simulation through the
-	// checkpoint/restore path: run to this many completed transactions,
-	// serialize a checkpoint, resume a fresh engine from the serialized
-	// bytes, and finish there. Results are byte-identical to a plain run
-	// (the harness tests assert it), so the memo cache and all figure
-	// output are unaffected — this exists to exercise the restore path at
-	// experiment scale and to let long batches survive being killed.
-	// Positions at or beyond a run's transaction budget fall back to a
-	// plain run.
-	CheckpointEachAt int
-
-	// CheckpointDir, when non-empty, persists each run's checkpoint to
-	// <dir>/<config-hash>.ckpt and, on a later invocation, resumes from an
-	// existing file instead of re-simulating the prefix — so a killed batch
-	// restarts from its per-configuration checkpoints. A stale or corrupt
-	// file (configuration changed, truncated write) is ignored and
-	// overwritten by a fresh run. Implies the CheckpointEachAt path; when
-	// CheckpointEachAt is zero the checkpoint lands halfway through the
-	// run.
+	// CheckpointDir, when non-empty, caches each finished run's results in
+	// <dir>/<config-hash>.ckpt and, on a later invocation, returns a cached
+	// configuration's results without running it — so a killed batch
+	// restarts by re-running only the configurations that had not
+	// finished. A missing, corrupt or mismatched file means a fresh run
+	// that overwrites it. The cache is keyed by configuration, not by
+	// code: empty the directory after changing the simulator.
 	CheckpointDir string
 }
 
@@ -130,6 +118,7 @@ type Harness struct {
 
 	verboseMu sync.Mutex
 	executed  atomic.Int64 // actual engine runs, for tests and benchmarks
+	cached    atomic.Int64 // runs served from the CheckpointDir cache
 }
 
 // inflightRun is a singleflight slot: the first requester of a configuration
@@ -231,20 +220,29 @@ func (h *Harness) runUncached(cfg engine.Config) (engine.Results, error) {
 }
 
 // runOne executes a single simulation, holding a worker-semaphore slot for
-// the duration. Only runOne acquires the semaphore — callers never hold a
-// slot while waiting on other runs, so fan-out cannot deadlock.
+// the duration, unless the CheckpointDir cache already holds its results.
+// Only runOne acquires the semaphore — callers never hold a slot while
+// waiting on other runs, so fan-out cannot deadlock.
 func (h *Harness) runOne(cfg engine.Config) (engine.Results, error) {
+	if h.opt.CheckpointDir != "" {
+		if res, ok := h.loadCached(cfg); ok {
+			h.cached.Add(1)
+			h.progress("cached " + cfg.Label())
+			return res, nil
+		}
+	}
 	h.sem <- struct{}{}
 	defer func() { <-h.sem }()
 	h.executed.Add(1)
-	if h.opt.CheckpointEachAt > 0 || h.opt.CheckpointDir != "" {
-		return h.runCheckpointed(cfg)
-	}
 	e, err := engine.New(cfg)
 	if err != nil {
 		return engine.Results{}, err
 	}
-	return e.Run()
+	res, err := e.Run()
+	if err == nil && h.opt.CheckpointDir != "" {
+		err = h.storeCached(cfg, res)
+	}
+	return res, err
 }
 
 // progress emits a Verbose line; calls are serialized so concurrent runs do
@@ -329,6 +327,7 @@ func (h *Harness) RunAll(ids []string) ([]*Table, error) {
 		}(i)
 	}
 	wg.Wait()
+	h.progress(fmt.Sprintf("executed %d runs, %d served from the results cache", h.Executed(), h.cached.Load()))
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", ids[i], err)

@@ -161,10 +161,9 @@ func TestRunAllOverlapDedup(t *testing.T) {
 }
 
 // goldenCase is one figure fixture pinned under testdata/golden/: its id
-// renders byte-identically across serial, parallel and checkpointed
-// execution, and the render itself is pinned against the
-// committed golden file so cross-cutting refactors cannot silently drift the
-// default wiring.
+// renders byte-identically across serial and parallel execution, and the
+// render itself is pinned against the committed golden file so
+// cross-cutting refactors cannot silently drift the default wiring.
 type goldenCase struct {
 	id  string
 	opt Options
@@ -207,7 +206,7 @@ func renderCase(c goldenCase, opt Options) (string, error) {
 }
 
 // plainRenderOf returns c's reference render: serial, default (heap)
-// calendar, no checkpointing.
+// calendar.
 func plainRenderOf(t *testing.T, c goldenCase) string {
 	t.Helper()
 	v, _ := plainRenders.LoadOrStore(c.id, &plainRender{})

@@ -79,8 +79,7 @@ func buildClasses(g *model.Graph, p Params) ([]model.TypeID, error) {
 // zipfOffset draws a hot/cold offset in [0, n): offset 0 is the hottest
 // element. The draw is a discrete Pareto tail with P(X > x) ~ x^-(s-1),
 // folded into range by modulo so exactly one uniform variate is consumed
-// per draw (the fixed draw count keeps record/replay and checkpoint/resume
-// byte-identical).
+// per draw (the fixed draw count keeps record/replay byte-identical).
 func zipfOffset(rng *rand.Rand, s float64, n int) int {
 	if n <= 1 {
 		return 0

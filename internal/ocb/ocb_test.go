@@ -309,30 +309,3 @@ func TestGeneratorKindsValid(t *testing.T) {
 		t.Fatalf("kind counts sum to %d, want 500", total)
 	}
 }
-
-func TestGeneratorSnapshotRestore(t *testing.T) {
-	b := testBase(t, DefaultParams(), 19)
-	g := NewGenerator(b, DefaultParams(), rand.New(rand.NewSource(23)))
-	for i := 0; i < 100; i++ {
-		g.Next()
-	}
-	st := g.Snapshot()
-
-	g2 := NewGenerator(b, DefaultParams(), rand.New(rand.NewSource(23)))
-	if err := g2.Restore(st); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if !reflect.DeepEqual(g2.Snapshot(), st) {
-		t.Fatal("snapshot/restore round-trip lost state")
-	}
-	r, _ := g2.Counts()
-	if r != 100 {
-		t.Fatalf("restored read count %d, want 100", r)
-	}
-
-	bad := st
-	bad.Reads = -1
-	if err := g2.Restore(bad); err == nil {
-		t.Fatal("negative read count accepted")
-	}
-}

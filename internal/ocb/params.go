@@ -9,9 +9,9 @@
 // (object insert, subtree delete, attribute update, reference rewiring).
 //
 // The generator plugs into the engine behind the workload.Source seam, so
-// OCB runs snapshot/restore and record/replay exactly like the paper's OCT
-// workload. With the default read-only mix, a recorded OCB stream replayed
-// under two different policy wirings must produce identical logical
+// OCB runs record/replay exactly like the paper's OCT workload. With the
+// default read-only mix, a recorded OCB stream replayed under two
+// different policy wirings must produce identical logical
 // results; with writes enabled the same property holds for synchronous
 // (lock-free) execution, because every draw — including write targets and
 // payload-size classes — is resolved at generation time. The differential

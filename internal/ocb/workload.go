@@ -18,11 +18,9 @@ const NumOps = 8
 
 // Generator produces the OCB operation kinds against a Base. It implements
 // workload.Source, so the engine drives it exactly like the OCT generator:
-// the random stream is a named kernel stream (rewound by checkpoint
-// restore), targets, write payload-size classes, and stochastic paths are
-// resolved at generation time (so a recorded trace replays
-// byte-identically), and the mutable state is a handful of counters plus
-// the run-time tail of the object-base indexes, captured by GeneratorState.
+// the random stream is a named kernel stream, and targets, write
+// payload-size classes, and stochastic paths are resolved at generation
+// time (so a recorded trace replays byte-identically).
 //
 // With the default read-only mix the object base never mutates, which is
 // what makes cross-policy logical-result equivalence (the differential
@@ -35,12 +33,6 @@ type Generator struct {
 	rng  *rand.Rand
 
 	classIdx map[model.TypeID]int // leaf class -> extent index, for NoteCreated
-
-	// initOrder and initExt are the generated (pre-run) lengths of the
-	// base's Order and Extents indexes; everything past them is run-time
-	// growth from NoteCreated, captured as tails by GeneratorState.
-	initOrder int
-	initExt   []int
 
 	locus  int // DistClustered sliding-locality cursor
 	tenant int // current tenant slice (multi-tenant skew)
@@ -61,11 +53,6 @@ func NewGenerator(base *Base, p Params, rng *rand.Rand) *Generator {
 	gen.classIdx = make(map[model.TypeID]int, len(base.Classes))
 	for i, c := range base.Classes {
 		gen.classIdx[c] = i
-	}
-	gen.initOrder = len(base.Order)
-	gen.initExt = make([]int, len(base.Extents))
-	for i, ext := range base.Extents {
-		gen.initExt[i] = len(ext)
 	}
 	return gen
 }

@@ -46,9 +46,6 @@ type calendar interface {
 	// the calendar is empty.
 	peek() (e event, ok bool)
 	len() int
-	// clear drops every pending event (used by checkpoint restore, which
-	// re-creates the calendar itself).
-	clear()
 }
 
 // newCalendar resolves a calendar kind; "" means the heap default.
@@ -76,12 +73,6 @@ func (c *heapCalendar) peek() (event, bool) {
 	return c.h[0], true
 }
 func (c *heapCalendar) len() int { return len(c.h) }
-func (c *heapCalendar) clear() {
-	for i := range c.h {
-		c.h[i] = event{}
-	}
-	c.h = c.h[:0]
-}
 
 // --- Hierarchical timing wheel -------------------------------------------
 
@@ -349,6 +340,8 @@ func (w *wheelCalendar) rebase() {
 	w.overflow = pending[:kept]
 }
 
+// clear drops every pending event and rewinds the cursor, leaving the wheel
+// as newWheel built it.
 func (w *wheelCalendar) clear() {
 	for l := 0; l < wheelLevels; l++ {
 		for s := range w.slots[l] {

@@ -104,10 +104,9 @@ type Sim struct {
 	seed int64
 	nrun uint64 // events executed
 
-	// streams memoizes named random streams so their draw counts can be
-	// checkpointed and replayed (see state.go). Each name maps to one
-	// stream for the lifetime of the Sim.
-	streams map[string]*stream
+	// streams memoizes named random streams: each name maps to one stream
+	// for the lifetime of the Sim.
+	streams map[string]*rand.Rand
 }
 
 // New returns a simulator whose random streams derive from seed, using the
@@ -177,6 +176,20 @@ func (s *Sim) Run(until Time) int {
 // RunAll executes events until the calendar is empty.
 func (s *Sim) RunAll() int { return s.Run(math.Inf(1)) }
 
+// Step executes exactly one event, advancing the clock to it. It returns
+// false if the calendar is empty. Drivers that stop on a condition other
+// than time (a transaction count) step event by event.
+func (s *Sim) Step() bool {
+	if s.cal.len() == 0 {
+		return false
+	}
+	e := s.cal.pop()
+	s.now = e.t
+	e.fn()
+	s.nrun++
+	return true
+}
+
 // Pending returns the number of scheduled events.
 func (s *Sim) Pending() int { return s.cal.len() }
 
@@ -184,31 +197,19 @@ func (s *Sim) Pending() int { return s.cal.len() }
 // seed and the given name. Distinct names give independent streams, so the
 // workload a policy sees does not change when another component draws more
 // or fewer random numbers. Streams are memoized per name: repeated calls
-// return the same stream, and every draw is counted so a checkpoint can
-// record exactly how far each stream has advanced.
+// return the same stream.
 func (s *Sim) Stream(name string) *rand.Rand {
-	if st, ok := s.streams[name]; ok {
-		return st.rng
+	if r, ok := s.streams[name]; ok {
+		return r
 	}
-	src := &countingSource{src: newStreamSource(s.seed, name)}
-	st := &stream{rng: rand.New(src), src: src}
-	if s.streams == nil {
-		s.streams = make(map[string]*stream)
-	}
-	s.streams[name] = st
-	return st.rng
-}
-
-// streamSeed derives the per-name seed exactly as Stream always has, so
-// checkpointed streams re-derive bit-identical sequences.
-func streamSeed(seed int64, name string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(name)) // errscan:ok hash.Hash.Write never returns an error
-	return seed ^ int64(h.Sum64())
-}
-
-func newStreamSource(seed int64, name string) rand.Source64 {
-	return rand.NewSource(streamSeed(seed, name)).(rand.Source64)
+	r := rand.New(rand.NewSource(s.seed ^ int64(h.Sum64())))
+	if s.streams == nil {
+		s.streams = make(map[string]*rand.Rand)
+	}
+	s.streams[name] = r
+	return r
 }
 
 // Exp draws an exponential variate with the given mean.

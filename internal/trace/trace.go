@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 
-	"oodb/internal/checkpoint"
 	"oodb/internal/model"
 	"oodb/internal/workload"
 )
@@ -29,6 +28,18 @@ import (
 // operation model grew first-class writes; version-1 traces are rejected
 // with ErrVersion rather than misread.
 const Version = 2
+
+// Typed decode errors. Every Reader failure except a clean end of stream
+// (io.EOF) wraps one of them, never a panic; the corrupt-input tests and
+// the fuzz target assert it.
+var (
+	// ErrBadMagic means the input is not a trace at all.
+	ErrBadMagic = errors.New("trace: bad magic (not a trace file)")
+	// ErrVersion means the trace format version is unknown to this build.
+	ErrVersion = errors.New("trace: unsupported format version")
+	// ErrCorrupt means the stream is truncated or structurally invalid.
+	ErrCorrupt = errors.New("trace: corrupt or truncated input")
+)
 
 // header is the fixed file prefix: 7 magic bytes plus the version byte.
 var header = [8]byte{'O', 'O', 'D', 'B', 'T', 'R', 'C', Version}
@@ -109,20 +120,19 @@ type Reader struct {
 }
 
 // NewReader validates the trace header and returns a reader. Header
-// failures map onto the checkpoint package's typed errors: ErrBadMagic for
-// a non-trace stream, ErrVersion for an unknown version, ErrCorrupt for a
-// truncated header.
+// failures map onto the typed errors: ErrBadMagic for a non-trace stream,
+// ErrVersion for an unknown version, ErrCorrupt for a truncated header.
 func NewReader(r io.Reader) (*Reader, error) {
 	tr := &Reader{r: bufio.NewReader(r)}
 	var h [8]byte
 	if _, err := io.ReadFull(tr.r, h[:]); err != nil {
-		return nil, fmt.Errorf("%w: trace header: %v", checkpoint.ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: trace header: %v", ErrCorrupt, err)
 	}
 	if [7]byte(h[:7]) != [7]byte(header[:7]) {
-		return nil, fmt.Errorf("%w: %q", checkpoint.ErrBadMagic, h[:7])
+		return nil, fmt.Errorf("%w: %q", ErrBadMagic, h[:7])
 	}
 	if h[7] != Version {
-		return nil, fmt.Errorf("%w: trace version %d, want %d", checkpoint.ErrVersion, h[7], Version)
+		return nil, fmt.Errorf("%w: trace version %d, want %d", ErrVersion, h[7], Version)
 	}
 	return tr, nil
 }
@@ -130,10 +140,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 func (tr *Reader) uvarint(max uint64, what string) (uint64, error) {
 	v, err := binary.ReadUvarint(tr.r)
 	if err != nil {
-		return 0, fmt.Errorf("%w: reading %s: %v", checkpoint.ErrCorrupt, what, err)
+		return 0, fmt.Errorf("%w: reading %s: %v", ErrCorrupt, what, err)
 	}
 	if v > max {
-		return 0, fmt.Errorf("%w: %s %d out of range", checkpoint.ErrCorrupt, what, v)
+		return 0, fmt.Errorf("%w: %s %d out of range", ErrCorrupt, what, v)
 	}
 	return v, nil
 }
@@ -148,17 +158,17 @@ func (tr *Reader) Next(t *workload.Op) error {
 		if errors.Is(err, io.EOF) {
 			return io.EOF
 		}
-		return fmt.Errorf("%w: reading record: %v", checkpoint.ErrCorrupt, err)
+		return fmt.Errorf("%w: reading record: %v", ErrCorrupt, err)
 	}
 	if workload.QueryKind(kind) >= workload.NumQueryKinds {
-		return fmt.Errorf("%w: query kind %d", checkpoint.ErrCorrupt, kind)
+		return fmt.Errorf("%w: query kind %d", ErrCorrupt, kind)
 	}
 	size, err := tr.r.ReadByte()
 	if err != nil {
-		return fmt.Errorf("%w: reading size class: %v", checkpoint.ErrCorrupt, err)
+		return fmt.Errorf("%w: reading size class: %v", ErrCorrupt, err)
 	}
 	if workload.SizeClass(size) >= workload.NumSizeClasses {
-		return fmt.Errorf("%w: size class %d", checkpoint.ErrCorrupt, size)
+		return fmt.Errorf("%w: size class %d", ErrCorrupt, size)
 	}
 	target, err := tr.uvarint(1<<32-1, "target")
 	if err != nil {

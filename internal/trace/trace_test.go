@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"oodb/internal/checkpoint"
 	"oodb/internal/model"
 	"oodb/internal/workload"
 )
@@ -113,12 +112,12 @@ func TestReaderRejectsMalformedInput(t *testing.T) {
 		data []byte
 		want error
 	}{
-		{"empty", nil, checkpoint.ErrCorrupt},
-		{"short-header", good[:4], checkpoint.ErrCorrupt},
-		{"bad-magic", badMagic, checkpoint.ErrBadMagic},
-		{"bad-version", badVersion, checkpoint.ErrVersion},
-		{"bad-kind", badKind, checkpoint.ErrCorrupt},
-		{"truncated-record", good[:len(good)-1], checkpoint.ErrCorrupt},
+		{"empty", nil, ErrCorrupt},
+		{"short-header", good[:4], ErrCorrupt},
+		{"bad-magic", badMagic, ErrBadMagic},
+		{"bad-version", badVersion, ErrVersion},
+		{"bad-kind", badKind, ErrCorrupt},
+		{"truncated-record", good[:len(good)-1], ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,7 +155,7 @@ func TestReaderBoundsScanLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	var txn workload.Op
-	if err := r.Next(&txn); !errors.Is(err, checkpoint.ErrCorrupt) {
+	if err := r.Next(&txn); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversized scan length: %v, want ErrCorrupt", err)
 	}
 }

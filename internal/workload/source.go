@@ -8,8 +8,8 @@ import "oodb/internal/model"
 // implement it.
 //
 // Implementations must draw all randomness from the *rand.Rand they were
-// constructed with — the engine hands them a named kernel stream so
-// checkpoint restore rewinds them — and must resolve any randomized
+// constructed with — the engine hands them a named kernel stream, so a run
+// is a function of its seed — and must resolve any randomized
 // target lists at generation time (into Op.Targets) so a recorded stream
 // replays byte-identically.
 type Source interface {

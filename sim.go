@@ -32,11 +32,6 @@ func TierSimConfig(name string) (SimConfig, error) { return engine.TierConfig(na
 // ScaleTiers lists the scale tier names in size order.
 func ScaleTiers() []string { return engine.TierNames() }
 
-// TierCheckpointable reports whether the named tier supports
-// checkpoint/restore (the large tier does not: at 100k users quiescent
-// instants are effectively never reached).
-func TierCheckpointable(name string) bool { return engine.TierCheckpointable(name) }
-
 // RunSimulation executes one simulation run. Under a persistent backend
 // the engine is closed afterwards — dirty buffers flushed, the WAL
 // checkpointed — so the data directory is left recoverable; a close

@@ -2,10 +2,10 @@ package oodb
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 
-	"oodb/internal/checkpoint"
 	"oodb/internal/model"
 )
 
@@ -21,17 +21,16 @@ import (
 // snapshotVersion identifies the on-disk format.
 const snapshotVersion = 1
 
-// Typed load errors, shared with the engine-checkpoint and trace formats
-// (internal/checkpoint). Callers distinguish "not a snapshot / damaged
-// bytes" (ErrCorruptSnapshot) from "a snapshot, but a format this build
-// does not read" (ErrSnapshotVersion) with errors.Is.
+// Typed load errors. Callers distinguish "not a snapshot / damaged bytes"
+// (ErrCorruptSnapshot) from "a snapshot, but a format this build does not
+// read" (ErrSnapshotVersion) with errors.Is.
 var (
 	// ErrCorruptSnapshot reports undecodable or truncated snapshot bytes,
 	// or decoded contents that fail validation.
-	ErrCorruptSnapshot = checkpoint.ErrCorrupt
+	ErrCorruptSnapshot = errors.New("checkpoint: corrupt or truncated input")
 	// ErrSnapshotVersion reports a well-formed snapshot in an unsupported
 	// format version.
-	ErrSnapshotVersion = checkpoint.ErrVersion
+	ErrSnapshotVersion = errors.New("checkpoint: unsupported format version")
 )
 
 type snapType struct {
