@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"oodb/internal/buffer"
 	"oodb/internal/model"
 	"oodb/internal/obs"
@@ -56,18 +54,12 @@ type Placement struct {
 // Clusterer is the dynamic clustering algorithm. It owns placement policy
 // only; mechanics stay in storage.Manager and residency in buffer.Pool.
 type Clusterer struct {
-	Graph *model.Graph
-	Store storage.Backend
-	Pool  buffer.Frames
+	placer
 
 	Policy ClusterPolicy
 	Split  SplitPolicy
 	Hints  HintPolicy
 	Hint   Hint
-
-	// AttrCost drives the copy-vs-reference decision for inherited
-	// attributes at creation time.
-	AttrCost AttrCostModel
 
 	// SplitOverhead is the constant cost added to a split's cut cost when
 	// deciding split-vs-next-candidate, reflecting the extra flush I/O, log
@@ -82,23 +74,18 @@ type Clusterer struct {
 	// placement then considers direct structural neighbors only).
 	NoSiblingCandidates bool
 
-	frontier storage.PageID // sequential fill page (No_Cluster placements)
-	spill    storage.PageID // fallback fill page for non-composite loners
-	stats    ClusterStats
-	rec      obs.Recorder // nil = uninstrumented
-	scr      clusterScratch
+	spill storage.PageID // fallback fill page for non-composite loners
+	scr   clusterScratch
 }
 
 // clusterScratch holds the per-placement working buffers the hot path
-// reuses: candidate and sibling page lists, the physical-I/O and dirty-page
-// accumulators handed out through Placement, and the partition graph the
-// split machinery rebuilds in place. One placement at a time runs per
-// clusterer, so a single scratch suffices.
+// reuses beyond placer's I/O and dirty-page accumulators: candidate and
+// sibling page lists and the partition graph the split machinery rebuilds in
+// place. One placement at a time runs per clusterer, so a single scratch
+// suffices.
 type clusterScratch struct {
 	cand  []storage.PageID // candidate pages, in ranked order
 	local []storage.PageID // per-tier distinct-page gathering buffer
-	ios   []PhysIO         // Placement.IOs backing store
-	dirty []storage.PageID // Placement.DirtyPages backing store
 	ids   []model.ObjectID // split candidate object set
 	part  PartGraph        // split partition graph, rebuilt in place
 }
@@ -106,44 +93,31 @@ type clusterScratch struct {
 // keepIOs records the (possibly regrown) I/O buffer for reuse and hands it
 // out as a Placement's IOs.
 func (c *Clusterer) keepIOs(ios []PhysIO) []PhysIO {
-	c.scr.ios = ios
+	c.ios = ios
 	return ios
 }
 
 // dirty1 and dirty2 fill the reusable dirty-page list.
 func (c *Clusterer) dirty1(a storage.PageID) []storage.PageID {
-	c.scr.dirty = append(c.scr.dirty[:0], a)
-	return c.scr.dirty
+	c.dirty = append(c.dirty[:0], a)
+	return c.dirty
 }
 
 func (c *Clusterer) dirty2(a, b storage.PageID) []storage.PageID {
-	c.scr.dirty = append(c.scr.dirty[:0], a, b)
-	return c.scr.dirty
+	c.dirty = append(c.dirty[:0], a, b)
+	return c.dirty
 }
 
 // NewClusterer returns a clusterer with the experiment defaults.
 func NewClusterer(g *model.Graph, st storage.Backend, pool buffer.Frames) *Clusterer {
 	return &Clusterer{
-		Graph: g, Store: st, Pool: pool,
+		placer:        newPlacer(g, st, pool),
 		Policy:        PolicyNoCluster,
 		Split:         NoSplit,
-		AttrCost:      DefaultAttrCostModel,
 		SplitOverhead: 1.0,
 		MaxCandidates: 12,
 	}
 }
-
-// Name implements ClusterStrategy.
-func (c *Clusterer) Name() string { return "affinity" }
-
-// Stats returns a copy of the clustering statistics.
-func (c *Clusterer) Stats() ClusterStats { return c.stats }
-
-// ResetStats zeroes the statistics.
-func (c *Clusterer) ResetStats() { c.stats = ClusterStats{} }
-
-// SetRecorder installs the instrumentation hook; nil disables it.
-func (c *Clusterer) SetRecorder(r obs.Recorder) { c.rec = r }
 
 // SetPolicy implements PolicyTuner: the adaptive extension switches the
 // candidate-pool policy at run time.
@@ -315,24 +289,17 @@ func (c *Clusterer) inspect(pg storage.PageID, budget *int, ios []PhysIO) ([]Phy
 }
 
 // PlaceNew chooses and performs the initial placement of a newly created
-// object (which must be unplaced). It also decides the implementation of the
-// object's inherited attributes, since that choice feeds back into the
-// traversal frequencies that drive placement.
+// object (which must be unplaced). Under No_Cluster it appends to the
+// sequential fill page.
 func (c *Clusterer) PlaceNew(o *model.Object) (Placement, error) {
-	if c.Store.PageOf(o.ID) != storage.NilPage {
-		return Placement{}, fmt.Errorf("core: object %d already placed", o.ID)
+	if err := c.begin(o); err != nil {
+		return Placement{}, err
 	}
-	c.stats.Placements++
-	if c.rec != nil {
-		c.rec.Count(obs.ClusterPlacement, 1)
-	}
-	ChooseAttrImpls(c.Graph, o, c.AttrCost)
-
+	ios := c.ios[:0]
 	if c.Policy.Mode == NoCluster {
-		return c.placeFrontier(o, c.scr.ios[:0])
+		return c.placeFill(o, ios, c.dirty[:0], &c.frontier)
 	}
 
-	ios := c.scr.ios[:0]
 	budget := c.ioBudget()
 	cands := c.candidatePages(o)
 	c.stats.CandidatesSeen += len(cands)
@@ -388,52 +355,10 @@ func (c *Clusterer) PlaceNew(o *model.Object) (Placement, error) {
 // — sequential placement.
 func (c *Clusterer) placeFallback(o *model.Object, ios []PhysIO) (Placement, error) {
 	if c.Policy.Mode != ClusterWithinBuffer && o.Freq[model.ConfigDown] > 0 {
-		return c.placeFresh(o, ios, nil)
+		seed := storage.NilPage // a fill page of its own, so always fresh
+		return c.placeFill(o, ios, c.dirty[:0], &seed)
 	}
-	return c.placeFill(o, ios, &c.spill)
-}
-
-// placeFrontier appends o to the shared sequential fill page — the
-// No_Cluster behavior.
-func (c *Clusterer) placeFrontier(o *model.Object, ios []PhysIO) (Placement, error) {
-	return c.placeFill(o, ios, &c.frontier)
-}
-
-// placeFill appends o to *fill, allocating a fresh page when it does not
-// fit.
-func (c *Clusterer) placeFill(o *model.Object, ios []PhysIO, fill *storage.PageID) (Placement, error) {
-	if *fill != storage.NilPage && c.Store.Fits(o.Size, *fill) {
-		res, err := c.Pool.Access(*fill)
-		if err != nil {
-			return Placement{IOs: c.keepIOs(ios)}, err
-		}
-		ios = AppendExpandAccess(ios, res, *fill)
-		if err := c.Store.Place(o.ID, *fill); err != nil {
-			return Placement{IOs: c.keepIOs(ios)}, err
-		}
-		return Placement{IOs: c.keepIOs(ios), Page: *fill, DirtyPages: c.dirty1(*fill)}, nil
-	}
-	return c.placeFresh(o, ios, fill)
-}
-
-// placeFresh allocates a new page for o, optionally recording it in *fill.
-func (c *Clusterer) placeFresh(o *model.Object, ios []PhysIO, fill *storage.PageID) (Placement, error) {
-	pg := c.Store.AllocatePage()
-	res, err := c.Pool.Install(pg)
-	if err != nil {
-		return Placement{IOs: c.keepIOs(ios)}, err
-	}
-	ios = AppendExpandAccess(ios, res, pg) // at most a victim flush; Install reads nothing
-	if n := len(ios); n > 0 && ios[n-1].Kind == ReadIO && ios[n-1].Page == pg {
-		ios = ios[:n-1] // fresh pages have no disk image to read
-	}
-	if err := c.Store.Place(o.ID, pg); err != nil {
-		return Placement{IOs: c.keepIOs(ios)}, err
-	}
-	if fill != nil {
-		*fill = pg
-	}
-	return Placement{IOs: c.keepIOs(ios), Page: pg, DirtyPages: c.dirty1(pg)}, nil
+	return c.placeFill(o, ios, c.dirty[:0], &c.spill)
 }
 
 // trySplit evaluates splitting full page pg to admit o, against the
@@ -480,14 +405,9 @@ func (c *Clusterer) trySplit(o *model.Object, pg storage.PageID, nextAffinity fl
 	}
 
 	// Perform the split: side B moves to a new page.
-	newPg := c.Store.AllocatePage()
-	res, err := c.Pool.Install(newPg)
+	newPg, ios, err := c.freshPage(ios)
 	if err != nil {
 		return Placement{}, false, err
-	}
-	ios = AppendExpandAccess(ios, res, newPg)
-	if n := len(ios); n > 0 && ios[n-1].Kind == ReadIO && ios[n-1].Page == newPg {
-		ios = ios[:n-1]
 	}
 	// Evacuate side B to the new page first, then place the incoming object
 	// on its side — placing first could transiently overflow the old page.
@@ -537,7 +457,7 @@ func (c *Clusterer) Recluster(o *model.Object) (Placement, error) {
 		return Placement{Page: cur}, nil
 	}
 	c.stats.Reclusterings++
-	ios := c.scr.ios[:0]
+	ios := c.ios[:0]
 	budget := c.ioBudget()
 	curAff := c.Affinity(o, cur)
 	bestPg := storage.NilPage
@@ -572,10 +492,7 @@ func (c *Clusterer) Recluster(o *model.Object) (Placement, error) {
 	if err := c.Store.Move(o.ID, bestPg); err != nil {
 		return Placement{IOs: c.keepIOs(ios), Page: cur}, err
 	}
-	c.stats.Moves++
-	if c.rec != nil {
-		c.rec.Count(obs.ClusterMove, 1)
-	}
+	c.countMove()
 	return Placement{
 		IOs:        c.keepIOs(ios),
 		Page:       bestPg,

@@ -5,15 +5,15 @@ import (
 
 	"oodb/internal/buffer"
 	"oodb/internal/model"
-	"oodb/internal/obs"
 	"oodb/internal/storage"
 )
 
 // DROClusterer implements the Dynamic Reorganization by Object
 // demotion/evacuation policy in the spirit of Darmont's "advocacy for
-// simplicity" (DRO): no per-object statistics at all. Placement is plain
-// sequential fill — the cheapest possible rule — and the only dynamic work
-// is garbage-collecting flagrantly bad pages: deletions and relocations
+// simplicity" (DRO): no per-object statistics at all. Placement is the
+// paper's No_Cluster sequential fill (placer's fill path) — the cheapest
+// possible rule — and the only dynamic work is an evacuation sweep that
+// garbage-collects flagrantly bad pages: deletions and relocations
 // leave pages nearly empty, those pages are remembered (NoteRemoved), and
 // once enough removals accumulate a sweep evacuates every page still below
 // the MinLoad fill fraction onto the fill frontier, reclaiming locality and
@@ -22,15 +22,9 @@ import (
 // the returned Placement's IOs/DirtyPages like any other write.
 //
 // The read path is completely free: NoteAccess is a no-op, so the strategy
-// is exactly as oracle-invisible on read-only runs as the noop baseline.
+// is exactly as oracle-invisible on read-only runs as No_Cluster ("noop").
 type DROClusterer struct {
-	Graph *model.Graph
-	Store storage.Backend
-	Pool  buffer.Frames
-
-	// AttrCost drives the copy-vs-reference decision for inherited
-	// attributes, as in every other strategy.
-	AttrCost AttrCostModel
+	placer
 
 	// SweepEvery is the removal count that triggers a sweep (0 disables).
 	SweepEvery int
@@ -40,23 +34,16 @@ type DROClusterer struct {
 	// MaxBad bounds the watchlist of suspect pages between sweeps.
 	MaxBad int
 
-	frontier storage.PageID
 	removals int
 	bad      []storage.PageID
-	stats    ClusterStats
-	rec      obs.Recorder
-
-	ios   []PhysIO         // Placement.IOs backing store
-	dirty []storage.PageID // Placement.DirtyPages backing store
-	evac  []model.ObjectID // sweep evacuation scratch
+	evac     []model.ObjectID // sweep evacuation scratch
 }
 
 // NewDROClusterer returns a DRO strategy over the given layers with the
 // tournament defaults.
 func NewDROClusterer(g *model.Graph, st storage.Backend, pool buffer.Frames) *DROClusterer {
 	return &DROClusterer{
-		Graph: g, Store: st, Pool: pool,
-		AttrCost:   DefaultAttrCostModel,
+		placer:     newPlacer(g, st, pool),
 		SweepEvery: 32,
 		// Construction packs pages to ~95%; a page that has lost a quarter
 		// of its payload to removals is the flagrant outlier DRO hunts.
@@ -64,19 +51,6 @@ func NewDROClusterer(g *model.Graph, st storage.Backend, pool buffer.Frames) *DR
 		MaxBad:  16,
 	}
 }
-
-// Name implements ClusterStrategy.
-func (d *DROClusterer) Name() string { return "dro" }
-
-// Stats implements ClusterStrategy.
-func (d *DROClusterer) Stats() ClusterStats { return d.stats }
-
-// ResetStats implements ClusterStrategy. The bad-page watchlist is
-// algorithm state, not a statistic, so it survives the reset.
-func (d *DROClusterer) ResetStats() { d.stats = ClusterStats{} }
-
-// SetRecorder installs the instrumentation hook; nil disables it.
-func (d *DROClusterer) SetRecorder(r obs.Recorder) { d.rec = r }
 
 // NoteAccess implements AccessObserver as a no-op: DRO keeps no access
 // statistics — that is its whole argument.
@@ -138,82 +112,29 @@ func (d *DROClusterer) moveToFill(id model.ObjectID, ios []PhysIO, dirty []stora
 	if o == nil {
 		return ios, dirty, fmt.Errorf("core: evacuating unknown object %d", id)
 	}
-	if d.frontier == storage.NilPage || !d.Store.Fits(o.Size, d.frontier) {
-		pg := d.Store.AllocatePage()
-		res, err := d.Pool.Install(pg)
-		if err != nil {
-			return ios, dirty, err
-		}
-		ios = AppendExpandAccess(ios, res, pg)
-		if l := len(ios); l > 0 && ios[l-1].Kind == ReadIO && ios[l-1].Page == pg {
-			ios = ios[:l-1] // fresh pages have no disk image to read
-		}
-		d.frontier = pg
-	} else {
-		res, err := d.Pool.Access(d.frontier)
-		if err != nil {
-			return ios, dirty, err
-		}
-		ios = AppendExpandAccess(ios, res, d.frontier)
-	}
-	if err := d.Store.Move(id, d.frontier); err != nil {
+	pg, ios, err := d.fillPage(o, ios, &d.frontier)
+	if err != nil {
 		return ios, dirty, err
 	}
-	d.stats.Moves++
-	if d.rec != nil {
-		d.rec.Count(obs.ClusterMove, 1)
+	if err := d.Store.Move(id, pg); err != nil {
+		return ios, dirty, err
 	}
-	return ios, append(dirty, d.frontier), nil
+	d.countMove()
+	return ios, append(dirty, pg), nil
 }
 
-// keep records the (possibly regrown) scratch buffers for reuse.
-func (d *DROClusterer) keep(ios []PhysIO, dirty []storage.PageID) ([]PhysIO, []storage.PageID) {
-	d.ios, d.dirty = ios, dirty
-	return ios, dirty
-}
-
-// PlaceNew implements ClusterStrategy: sequential fill, with a pending
-// sweep folded in first.
+// PlaceNew implements ClusterStrategy: No_Cluster's sequential fill, with a
+// pending sweep folded in first.
 func (d *DROClusterer) PlaceNew(o *model.Object) (Placement, error) {
-	if d.Store.PageOf(o.ID) != storage.NilPage {
-		return Placement{}, fmt.Errorf("core: object %d already placed", o.ID)
+	if err := d.begin(o); err != nil {
+		return Placement{}, err
 	}
-	d.stats.Placements++
-	if d.rec != nil {
-		d.rec.Count(obs.ClusterPlacement, 1)
-	}
-	ChooseAttrImpls(d.Graph, o, d.AttrCost)
 	ios, dirty, err := d.maybeSweep(d.ios[:0], d.dirty[:0])
 	if err != nil {
 		ios, _ = d.keep(ios, dirty)
 		return Placement{IOs: ios}, err
 	}
-	if d.frontier == storage.NilPage || !d.Store.Fits(o.Size, d.frontier) {
-		pg := d.Store.AllocatePage()
-		res, err := d.Pool.Install(pg)
-		if err != nil {
-			ios, _ = d.keep(ios, dirty)
-			return Placement{IOs: ios}, err
-		}
-		ios = AppendExpandAccess(ios, res, pg)
-		if l := len(ios); l > 0 && ios[l-1].Kind == ReadIO && ios[l-1].Page == pg {
-			ios = ios[:l-1]
-		}
-		d.frontier = pg
-	} else {
-		res, err := d.Pool.Access(d.frontier)
-		if err != nil {
-			ios, _ = d.keep(ios, dirty)
-			return Placement{IOs: ios}, err
-		}
-		ios = AppendExpandAccess(ios, res, d.frontier)
-	}
-	if err := d.Store.Place(o.ID, d.frontier); err != nil {
-		ios, _ = d.keep(ios, dirty)
-		return Placement{IOs: ios}, err
-	}
-	ios, dirty = d.keep(ios, append(dirty, d.frontier))
-	return Placement{IOs: ios, Page: d.frontier, DirtyPages: dirty}, nil
+	return d.placeFill(o, ios, dirty, &d.frontier)
 }
 
 // Recluster implements ClusterStrategy: DRO never chases structural churn —
@@ -241,10 +162,7 @@ var (
 func init() {
 	RegisterClusterStrategy("dro", func(s ClusterSeam) ClusterStrategy {
 		c := NewDROClusterer(s.Graph, s.Store, s.Pool)
-		if s.PageSize > 0 {
-			c.AttrCost.PageSize = s.PageSize
-		}
-		c.SetRecorder(s.Recorder)
+		c.setup(s)
 		return c
 	})
 }

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"oodb/internal/buffer"
 	"oodb/internal/model"
-	"oodb/internal/obs"
 	"oodb/internal/storage"
 )
 
@@ -38,13 +36,7 @@ import (
 // falling back to a sequential fill page; reclustering moves an object that
 // is itself hot next to its warmest linked neighbor.
 type DSTCClusterer struct {
-	Graph *model.Graph
-	Store storage.Backend
-	Pool  buffer.Frames
-
-	// AttrCost drives the copy-vs-reference decision for inherited
-	// attributes, as in every other strategy.
-	AttrCost AttrCostModel
+	placer
 
 	// WindowSize is the observed-access count that closes an observation
 	// window and triggers consolidation (0 disables reorganization).
@@ -55,42 +47,21 @@ type DSTCClusterer struct {
 	// MaxMoves bounds the relocations one trigger performs.
 	MaxMoves int
 
-	frontier storage.PageID
-	winOps   uint32   // accesses observed in the current window (atomic)
-	heat     []uint32 // per-object window counters, indexed by ObjectID (atomic)
-	temps    []uint32 // consolidated temperatures (write path only)
-	stats    ClusterStats
-	rec      obs.Recorder
-
-	ios   []PhysIO         // Placement.IOs backing store
-	dirty []storage.PageID // Placement.DirtyPages backing store
+	winOps uint32   // accesses observed in the current window (atomic)
+	heat   []uint32 // per-object window counters, indexed by ObjectID (atomic)
+	temps  []uint32 // consolidated temperatures (write path only)
 }
 
 // NewDSTCClusterer returns a DSTC strategy over the given layers with the
 // tournament defaults.
 func NewDSTCClusterer(g *model.Graph, st storage.Backend, pool buffer.Frames) *DSTCClusterer {
 	return &DSTCClusterer{
-		Graph: g, Store: st, Pool: pool,
-		AttrCost:      DefaultAttrCostModel,
+		placer:        newPlacer(g, st, pool),
 		WindowSize:    256,
 		HeatThreshold: 3,
 		MaxMoves:      4,
 	}
 }
-
-// Name implements ClusterStrategy.
-func (s *DSTCClusterer) Name() string { return "dstc" }
-
-// Stats implements ClusterStrategy.
-func (s *DSTCClusterer) Stats() ClusterStats { return s.stats }
-
-// ResetStats implements ClusterStrategy. Temperatures and window counters
-// are algorithm state, not reporting statistics, so they survive the reset
-// (the engine resets statistics after database construction).
-func (s *DSTCClusterer) ResetStats() { s.stats = ClusterStats{} }
-
-// SetRecorder installs the instrumentation hook; nil disables it.
-func (s *DSTCClusterer) SetRecorder(r obs.Recorder) { s.rec = r }
 
 // NoteAccess implements AccessObserver: one logical read of id. Atomic adds
 // only — concurrent reader sessions call this without the write guard.
@@ -221,31 +192,17 @@ func (s *DSTCClusterer) moveTo(id model.ObjectID, cur, pg storage.PageID, ios []
 	if err := s.Store.Move(id, pg); err != nil {
 		return ios, dirty, err
 	}
-	s.stats.Moves++
-	if s.rec != nil {
-		s.rec.Count(obs.ClusterMove, 1)
-	}
+	s.countMove()
 	return ios, append(dirty, cur, pg), nil
-}
-
-// keep records the (possibly regrown) scratch buffers for reuse.
-func (s *DSTCClusterer) keep(ios []PhysIO, dirty []storage.PageID) ([]PhysIO, []storage.PageID) {
-	s.ios, s.dirty = ios, dirty
-	return ios, dirty
 }
 
 // PlaceNew implements ClusterStrategy: place next to the warmest placed
 // neighbor when it fits, else append to the sequential fill page. A filled
 // observation window is consolidated first.
 func (s *DSTCClusterer) PlaceNew(o *model.Object) (Placement, error) {
-	if s.Store.PageOf(o.ID) != storage.NilPage {
-		return Placement{}, fmt.Errorf("core: object %d already placed", o.ID)
+	if err := s.begin(o); err != nil {
+		return Placement{}, err
 	}
-	s.stats.Placements++
-	if s.rec != nil {
-		s.rec.Count(obs.ClusterPlacement, 1)
-	}
-	ChooseAttrImpls(s.Graph, o, s.AttrCost)
 	s.ensure(o.ID)
 
 	ios, dirty, err := s.maybeReorganize(s.ios[:0], s.dirty[:0])
@@ -254,52 +211,11 @@ func (s *DSTCClusterer) PlaceNew(o *model.Object) (Placement, error) {
 		return Placement{IOs: ios}, err
 	}
 	if pg := s.warmestLinkedPage(o, storage.NilPage); pg != storage.NilPage {
-		res, err := s.Pool.Access(pg)
-		if err != nil {
-			ios, _ = s.keep(ios, dirty)
-			return Placement{IOs: ios}, err
-		}
-		ios = AppendExpandAccess(ios, res, pg)
-		if err := s.Store.Place(o.ID, pg); err != nil {
-			ios, _ = s.keep(ios, dirty)
-			return Placement{IOs: ios}, err
-		}
-		ios, dirty = s.keep(ios, append(dirty, pg))
-		return Placement{IOs: ios, Page: pg, DirtyPages: dirty}, nil
+		// pg has room for o, so filling it only makes it resident.
+		return s.placeFill(o, ios, dirty, &pg)
 	}
 	s.stats.FrontierFalls++
-	return s.placeFill(o, ios, dirty)
-}
-
-// placeFill appends o to the shared fill page, allocating a fresh one when
-// it does not fit.
-func (s *DSTCClusterer) placeFill(o *model.Object, ios []PhysIO, dirty []storage.PageID) (Placement, error) {
-	if s.frontier == storage.NilPage || !s.Store.Fits(o.Size, s.frontier) {
-		pg := s.Store.AllocatePage()
-		res, err := s.Pool.Install(pg)
-		if err != nil {
-			ios, _ = s.keep(ios, dirty)
-			return Placement{IOs: ios}, err
-		}
-		ios = AppendExpandAccess(ios, res, pg)
-		if l := len(ios); l > 0 && ios[l-1].Kind == ReadIO && ios[l-1].Page == pg {
-			ios = ios[:l-1] // fresh pages have no disk image to read
-		}
-		s.frontier = pg
-	} else {
-		res, err := s.Pool.Access(s.frontier)
-		if err != nil {
-			ios, _ = s.keep(ios, dirty)
-			return Placement{IOs: ios}, err
-		}
-		ios = AppendExpandAccess(ios, res, s.frontier)
-	}
-	if err := s.Store.Place(o.ID, s.frontier); err != nil {
-		ios, _ = s.keep(ios, dirty)
-		return Placement{IOs: ios}, err
-	}
-	ios, dirty = s.keep(ios, append(dirty, s.frontier))
-	return Placement{IOs: ios, Page: s.frontier, DirtyPages: dirty}, nil
+	return s.placeFill(o, ios, dirty, &s.frontier)
 }
 
 // Recluster implements ClusterStrategy: after a structural change, a hot
@@ -339,10 +255,7 @@ var (
 func init() {
 	RegisterClusterStrategy("dstc", func(s ClusterSeam) ClusterStrategy {
 		c := NewDSTCClusterer(s.Graph, s.Store, s.Pool)
-		if s.PageSize > 0 {
-			c.AttrCost.PageSize = s.PageSize
-		}
-		c.SetRecorder(s.Recorder)
+		c.setup(s)
 		return c
 	})
 }

@@ -13,10 +13,10 @@ import (
 // ClusterStrategy is the clustering seam: the engine places and re-places
 // objects through this interface only, so alternative placement algorithms
 // plug in without touching the execution layer. The affinity-driven
-// Clusterer in this package is the reference implementation.
+// Clusterer in this package is the reference implementation; DSTC and DRO
+// are the dynamic contenders. A strategy's name lives in the registry that
+// builds it, not on the strategy.
 type ClusterStrategy interface {
-	// Name identifies the strategy in reports and registries.
-	Name() string
 	// PlaceNew chooses and performs the initial placement of a newly
 	// created, unplaced object.
 	PlaceNew(o *model.Object) (Placement, error)
@@ -77,7 +77,6 @@ type PrefetchStrategy interface {
 var (
 	_ ClusterStrategy  = (*Clusterer)(nil)
 	_ PolicyTuner      = (*Clusterer)(nil)
-	_ ClusterStrategy  = (*NoopClusterer)(nil)
 	_ PrefetchStrategy = (*Prefetcher)(nil)
 )
 
@@ -130,116 +129,146 @@ func HasClusterStrategy(name string) bool { return strategies.Has(name) }
 // form, sorted).
 func ClusterStrategyNames() []string { return strategies.Names() }
 
-// NoopClusterer is the trivial clustering strategy: every object appends to
-// a shared sequential frontier page regardless of structure, and
-// reclustering never moves anything. It is the seam's proof-of-plurality —
-// registered as "noop" — and a harsher baseline than No_Cluster, which at
-// least flows through the affinity machinery.
-type NoopClusterer struct {
+// placer is what every clustering strategy shares: the layers below it, the
+// inherited-attribute cost model, the statistics and recorder, the
+// sequential fill page, and the scratch buffers handed out through
+// Placement. Its fill path is the paper's No_Cluster rule: the affinity
+// Clusterer falls back to it, DSTC places through it when no warm neighbor
+// has room, and DRO places and evacuates through nothing else.
+type placer struct {
 	Graph *model.Graph
 	Store storage.Backend
 	Pool  buffer.Frames
 
 	// AttrCost drives the copy-vs-reference decision for inherited
-	// attributes; even a placement-blind store must decide representations.
+	// attributes at creation time.
 	AttrCost AttrCostModel
 
-	frontier storage.PageID
+	frontier storage.PageID // sequential fill page (No_Cluster placements)
 	stats    ClusterStats
-	rec      obs.Recorder
+	rec      obs.Recorder // nil = uninstrumented
 
 	ios   []PhysIO         // Placement.IOs backing store
 	dirty []storage.PageID // Placement.DirtyPages backing store
 }
 
-// NewNoopClusterer returns a no-op strategy over the given layers.
-func NewNoopClusterer(g *model.Graph, st storage.Backend, pool buffer.Frames) *NoopClusterer {
-	return &NoopClusterer{Graph: g, Store: st, Pool: pool, AttrCost: DefaultAttrCostModel}
+func newPlacer(g *model.Graph, st storage.Backend, pool buffer.Frames) placer {
+	return placer{Graph: g, Store: st, Pool: pool, AttrCost: DefaultAttrCostModel}
 }
 
-// Name implements ClusterStrategy.
-func (n *NoopClusterer) Name() string { return "noop" }
-
-// Stats implements ClusterStrategy.
-func (n *NoopClusterer) Stats() ClusterStats { return n.stats }
-
-// ResetStats implements ClusterStrategy.
-func (n *NoopClusterer) ResetStats() { n.stats = ClusterStats{} }
-
-// SetRecorder installs the instrumentation hook; nil disables it.
-func (n *NoopClusterer) SetRecorder(r obs.Recorder) { n.rec = r }
-
-// PlaceNew implements ClusterStrategy: append to the frontier page,
-// allocating a fresh one when the object does not fit.
-func (n *NoopClusterer) PlaceNew(o *model.Object) (Placement, error) {
-	if n.Store.PageOf(o.ID) != storage.NilPage {
-		return Placement{}, fmt.Errorf("core: object %d already placed", o.ID)
+// setup applies the seam's page size and recorder.
+func (p *placer) setup(s ClusterSeam) {
+	if s.PageSize > 0 {
+		p.AttrCost.PageSize = s.PageSize
 	}
-	n.stats.Placements++
-	if n.rec != nil {
-		n.rec.Count(obs.ClusterPlacement, 1)
+	p.rec = s.Recorder
+}
+
+// Stats returns a copy of the clustering statistics.
+func (p *placer) Stats() ClusterStats { return p.stats }
+
+// ResetStats zeroes the statistics. Algorithm state — fill pages, DSTC's
+// temperatures, DRO's watchlist — survives: the engine resets statistics
+// after database construction.
+func (p *placer) ResetStats() { p.stats = ClusterStats{} }
+
+// begin is the preamble of every PlaceNew: o must be unplaced, the
+// placement is counted, and o's inherited attributes get their
+// representations, a choice that feeds back into the traversal frequencies
+// that drive placement.
+func (p *placer) begin(o *model.Object) error {
+	if p.Store.PageOf(o.ID) != storage.NilPage {
+		return fmt.Errorf("core: object %d already placed", o.ID)
 	}
-	ChooseAttrImpls(n.Graph, o, n.AttrCost)
-	ios := n.ios[:0]
-	if n.frontier == storage.NilPage || !n.Store.Fits(o.Size, n.frontier) {
-		pg := n.Store.AllocatePage()
-		res, err := n.Pool.Install(pg)
+	p.stats.Placements++
+	if p.rec != nil {
+		p.rec.Count(obs.ClusterPlacement, 1)
+	}
+	ChooseAttrImpls(p.Graph, o, p.AttrCost)
+	return nil
+}
+
+// keep records the (possibly regrown) scratch buffers for reuse.
+func (p *placer) keep(ios []PhysIO, dirty []storage.PageID) ([]PhysIO, []storage.PageID) {
+	p.ios, p.dirty = ios, dirty
+	return ios, dirty
+}
+
+// countMove counts one relocated object.
+func (p *placer) countMove() {
+	p.stats.Moves++
+	if p.rec != nil {
+		p.rec.Count(obs.ClusterMove, 1)
+	}
+}
+
+// freshPage allocates a page and installs it in the pool, appending the
+// implied I/Os (at most a victim flush) to ios.
+func (p *placer) freshPage(ios []PhysIO) (storage.PageID, []PhysIO, error) {
+	pg := p.Store.AllocatePage()
+	res, err := p.Pool.Install(pg)
+	if err != nil {
+		return pg, ios, err
+	}
+	ios = AppendExpandAccess(ios, res, pg)
+	if n := len(ios); n > 0 && ios[n-1].Kind == ReadIO && ios[n-1].Page == pg {
+		ios = ios[:n-1] // fresh pages have no disk image to read
+	}
+	return pg, ios, nil
+}
+
+// fillPage makes the page o goes to under sequential fill resident: *fill
+// while o fits on it, otherwise a fresh page that becomes the new *fill.
+func (p *placer) fillPage(o *model.Object, ios []PhysIO, fill *storage.PageID) (storage.PageID, []PhysIO, error) {
+	if *fill != storage.NilPage && p.Store.Fits(o.Size, *fill) {
+		res, err := p.Pool.Access(*fill)
 		if err != nil {
-			n.ios = ios
-			return Placement{IOs: ios}, err
+			return *fill, ios, err
 		}
-		ios = AppendExpandAccess(ios, res, pg)
-		if l := len(ios); l > 0 && ios[l-1].Kind == ReadIO && ios[l-1].Page == pg {
-			ios = ios[:l-1] // fresh pages have no disk image to read
-		}
-		n.frontier = pg
-	} else {
-		res, err := n.Pool.Access(n.frontier)
-		if err != nil {
-			n.ios = ios
-			return Placement{IOs: ios}, err
-		}
-		ios = AppendExpandAccess(ios, res, n.frontier)
+		return *fill, AppendExpandAccess(ios, res, *fill), nil
 	}
-	if err := n.Store.Place(o.ID, n.frontier); err != nil {
-		n.ios = ios
+	pg, ios, err := p.freshPage(ios)
+	if err == nil {
+		*fill = pg
+	}
+	return pg, ios, err
+}
+
+// placeFill places o on its fill page (see fillPage). ios and dirty carry
+// whatever the caller already did in this placement.
+func (p *placer) placeFill(o *model.Object, ios []PhysIO, dirty []storage.PageID, fill *storage.PageID) (Placement, error) {
+	pg, ios, err := p.fillPage(o, ios, fill)
+	if err == nil {
+		err = p.Store.Place(o.ID, pg)
+	}
+	if err != nil {
+		ios, _ = p.keep(ios, dirty)
 		return Placement{IOs: ios}, err
 	}
-	n.ios = ios
-	n.dirty = append(n.dirty[:0], n.frontier)
-	return Placement{IOs: ios, Page: n.frontier, DirtyPages: n.dirty}, nil
+	ios, dirty = p.keep(ios, append(dirty, pg))
+	return Placement{IOs: ios, Page: pg, DirtyPages: dirty}, nil
 }
 
-// Recluster implements ClusterStrategy: never moves anything.
-func (n *NoopClusterer) Recluster(o *model.Object) (Placement, error) {
-	cur := n.Store.PageOf(o.ID)
-	if cur == storage.NilPage {
-		return Placement{}, storage.ErrNotPlaced
-	}
-	return Placement{Page: cur}, nil
+// newAffinity builds the paper's clusterer from the seam.
+func newAffinity(s ClusterSeam) ClusterStrategy {
+	c := NewClusterer(s.Graph, s.Store, s.Pool)
+	c.setup(s)
+	c.Policy = s.Policy
+	c.Split = s.Split
+	c.Hints = s.Hints
+	c.Hint = s.Hint
+	c.NoSiblingCandidates = s.NoSiblingCandidates
+	return c
 }
 
 func init() {
-	RegisterClusterStrategy("affinity", func(s ClusterSeam) ClusterStrategy {
-		c := NewClusterer(s.Graph, s.Store, s.Pool)
-		c.Policy = s.Policy
-		c.Split = s.Split
-		c.Hints = s.Hints
-		c.Hint = s.Hint
-		if s.PageSize > 0 {
-			c.AttrCost.PageSize = s.PageSize
-		}
-		c.NoSiblingCandidates = s.NoSiblingCandidates
-		c.SetRecorder(s.Recorder)
-		return c
-	}, "default")
+	RegisterClusterStrategy("affinity", newAffinity, "default")
+	// "noop" is the paper's No_Cluster: the affinity clusterer pinned to
+	// PolicyNoCluster, wrapped so the adaptive extension finds no
+	// PolicyTuner to switch it into clustering.
 	RegisterClusterStrategy("noop", func(s ClusterSeam) ClusterStrategy {
-		n := NewNoopClusterer(s.Graph, s.Store, s.Pool)
-		if s.PageSize > 0 {
-			n.AttrCost.PageSize = s.PageSize
-		}
-		n.SetRecorder(s.Recorder)
-		return n
+		s.Policy = PolicyNoCluster
+		return struct{ ClusterStrategy }{newAffinity(s)}
 	}, "none")
 
 	// The context-sensitive replacement policy needs this package's

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"oodb/internal/core"
@@ -25,10 +26,9 @@ func TestRegistrySelectedStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.clust.Name(); got != "noop" {
-		t.Fatalf("strategy = %q, want noop", got)
-	}
 	if e.tuner != nil {
+		// noop is the affinity clusterer pinned to No_Cluster; the adaptive
+		// extension must not be able to switch it into clustering.
 		t.Fatal("noop strategy must not expose a policy tuner")
 	}
 	res, err := e.Run()
@@ -43,6 +43,34 @@ func TestRegistrySelectedStack(t *testing.T) {
 	}
 	if err := e.store.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNoopIsAffinityNoCluster: "noop" is the paper's No_Cluster policy, so a
+// run under it equals a run of the affinity clusterer pinned to
+// PolicyNoCluster in every result but the configuration — on OCT and on a
+// write-enabled OCB stream, with locking on. noop keeps the default
+// candidate-pool policy in its Config: the strategy must ignore it.
+func TestNoopIsAffinityNoCluster(t *testing.T) {
+	t.Parallel()
+	writes := quickOCBConfig(300)
+	writes.OCB.ReadWriteRatio = 2
+	for name, base := range map[string]Config{"oct": quickConfig(300), "ocb-write": writes} {
+		t.Run(name, func(t *testing.T) {
+			base.Locking = true
+			noop := base
+			noop.ClusterStrategy = "noop"
+			affinity := base
+			affinity.ClusterStrategy = "affinity"
+			affinity.Cluster = core.PolicyNoCluster
+			a, b := run(t, noop), run(t, affinity)
+			if name == "ocb-write" && a.WriteTxns == 0 {
+				t.Fatal("write-enabled stream completed no writes")
+			}
+			if !reflect.DeepEqual(stripped(a), stripped(b)) {
+				t.Fatalf("noop diverged from affinity/No_Cluster:\n%v\n%v", a, b)
+			}
+		})
 	}
 }
 

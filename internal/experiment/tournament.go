@@ -7,9 +7,9 @@ import (
 
 // The cross-paper clustering tournament: Chang & Katz's affinity clusterer
 // against Darmont's dynamic policies (DSTC, the statistics-driven
-// reorganizer, and DRO, the statistics-light simplicity baseline), with the
-// placement-blind noop strategy as the floor. Every scenario replays the
-// identical logical operation stream through all four strategies — the
+// reorganizer, and DRO, No_Cluster's fill plus an evacuation sweep), with
+// noop, the paper's own No_Cluster, as the floor. Every scenario replays
+// the identical logical operation stream through all four strategies — the
 // differential oracle pins that equivalence in the test suite — so the
 // table isolates what placement policy alone is worth, across the paper's
 // OCT workload, read-only and write-enabled OCB, and the hostile traffic
