@@ -23,6 +23,9 @@ import (
 //
 // The read path is completely free: NoteAccess is a no-op, so the strategy
 // is exactly as oracle-invisible on read-only runs as No_Cluster ("noop").
+// It is therefore not Darmont et al.'s statistics-driven DRO, which
+// reclusters from observed object and page usage (EXPERIMENTS.md, "Known
+// deviations").
 type DROClusterer struct {
 	placer
 

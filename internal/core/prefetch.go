@@ -7,16 +7,10 @@ import (
 	"oodb/internal/storage"
 )
 
-// PrefetchStats aggregates prefetch activity.
-type PrefetchStats struct {
-	GroupPages    int // pages in computed prefetch groups
-	PrefetchReads int // physical reads issued (within-DB only)
-	BoostsIssued  int // priority adjustments (within-buffer)
-}
-
 // Prefetcher implements the three prefetch scopes of Table 4.1 over the
-// structural neighborhoods of accessed objects. It is the reference
-// implementation of PrefetchStrategy.
+// structural neighborhoods of accessed objects: after each root object
+// access the engine hands it the touched object, and it may boost resident
+// pages or return background read I/Os.
 type Prefetcher struct {
 	Graph *model.Graph
 	Store storage.Backend
@@ -26,8 +20,7 @@ type Prefetcher struct {
 	Hints  HintPolicy
 	Hint   Hint
 
-	// Stats. The fields stay public for direct consumers; Stats() is the
-	// PrefetchStrategy view.
+	// Activity counters.
 	GroupPages    int // pages in computed prefetch groups
 	PrefetchReads int // physical reads issued (within-DB only)
 	BoostsIssued  int // priority adjustments (within-buffer)
@@ -36,20 +29,6 @@ type Prefetcher struct {
 
 	groupBuf []storage.PageID // reusable prefetch-group buffer
 	iosBuf   []PhysIO         // reusable I/O accumulator (within-DB)
-}
-
-// Stats implements PrefetchStrategy.
-func (pf *Prefetcher) Stats() PrefetchStats {
-	return PrefetchStats{
-		GroupPages:    pf.GroupPages,
-		PrefetchReads: pf.PrefetchReads,
-		BoostsIssued:  pf.BoostsIssued,
-	}
-}
-
-// ResetStats implements PrefetchStrategy.
-func (pf *Prefetcher) ResetStats() {
-	pf.GroupPages, pf.PrefetchReads, pf.BoostsIssued = 0, 0, 0
 }
 
 // SetRecorder installs the instrumentation hook; nil disables it.

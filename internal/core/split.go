@@ -20,8 +20,8 @@ import (
 // A PartGraph retains its internal buffers across Build calls, so the split
 // machinery runs allocation-free once warm: the cluster manager keeps one
 // PartGraph in its per-placement scratch and rebuilds it in place at every
-// overflow. Adjacency is compressed sparse row (one flat arc array plus
-// per-node offsets) rather than per-node slices.
+// overflow. Adjacency is in CSR form (one flat arc array plus per-node
+// offsets) rather than per-node slices.
 type PartGraph struct {
 	Nodes []model.ObjectID
 	Sizes []int

@@ -59,25 +59,9 @@ type AccessObserver interface {
 	NoteRemoved(id model.ObjectID)
 }
 
-// PrefetchStrategy is the prefetch seam: after each root object access the
-// engine hands the touched object to the strategy, which may boost resident
-// pages or return background read I/Os. The Prefetcher in this package is
-// the reference implementation of the paper's three prefetch scopes.
-type PrefetchStrategy interface {
-	// OnAccess runs the prefetch policy after object o was touched,
-	// returning the physical I/Os prefetching triggered. The returned slice
-	// may be scratch-backed: it is valid until the next OnAccess call.
-	OnAccess(o *model.Object) ([]PhysIO, error)
-	// Stats returns a copy of the prefetch statistics.
-	Stats() PrefetchStats
-	// ResetStats zeroes the statistics.
-	ResetStats()
-}
-
 var (
-	_ ClusterStrategy  = (*Clusterer)(nil)
-	_ PolicyTuner      = (*Clusterer)(nil)
-	_ PrefetchStrategy = (*Prefetcher)(nil)
+	_ ClusterStrategy = (*Clusterer)(nil)
+	_ PolicyTuner     = (*Clusterer)(nil)
 )
 
 // ClusterSeam carries the construction context a clustering strategy may

@@ -28,8 +28,8 @@ type AccessResult struct {
 // functional storage stack: it turns one logical transaction request into
 // the physical I/O program, performing every graph, storage, buffer,
 // cluster, and log mutation as it goes. The stack type below — graph +
-// storage backend + buffer pool + cluster strategy + prefetch strategy +
-// log — is the default implementation.
+// storage backend + buffer pool + cluster strategy + prefetcher + log — is
+// the default implementation.
 type AccessLayer interface {
 	Execute(txn int, req workload.Op) (AccessResult, error)
 }
@@ -41,7 +41,7 @@ type stack struct {
 	store storage.Backend
 	pool  buffer.Frames
 	clust core.ClusterStrategy
-	pf    core.PrefetchStrategy
+	pf    *core.Prefetcher
 	log   *txlog.Manager
 	gen   workload.Source
 	rec   obs.Recorder // nil = uninstrumented

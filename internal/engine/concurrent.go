@@ -144,11 +144,8 @@ func NewConcurrent(cfg Config, opt ConcurrentOptions) (*Concurrent, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	switch {
-	case cfg.Record != nil || cfg.Replay != nil:
+	if cfg.Record != nil || cfg.Replay != nil {
 		return nil, fmt.Errorf("engine: trace record/replay is serial-only (the concurrent schedule is not reproducible)")
-	case cfg.Trace != nil:
-		return nil, fmt.Errorf("engine: the CSV trace sink is serial-only")
 	}
 	// The obs seam is single-threaded by design (zero-allocation counters,
 	// no atomics); drop it rather than race on it.

@@ -135,12 +135,6 @@ type Config struct {
 	// candidate ranking.
 	NoSiblingCandidates bool
 
-	// Trace, when non-nil, receives one CSV line per completed measured
-	// transaction: seq,kind,target,response_seconds. Useful for offline
-	// analysis of the simulated access stream (the modern analogue of the
-	// paper's OCT trace collection).
-	Trace io.Writer
-
 	// Record, when non-nil, receives the engine's logical transaction
 	// stream in the compact binary trace format (internal/trace). A recorded
 	// trace replays the byte-identical access sequence against any policy
@@ -322,7 +316,6 @@ func (c Config) Validate() error {
 // they do not influence simulated behavior.
 func (c Config) Fingerprint() string {
 	c.Recorder = nil
-	c.Trace = nil
 	c.Record = nil
 	c.Replay = nil
 	// The storage backend changes where state lives, not what the simulation

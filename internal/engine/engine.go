@@ -81,7 +81,7 @@ func New(cfg Config) (*Engine, error) {
 	e.tuner, _ = w.clust.(core.PolicyTuner)
 	st := w.newStack(w.newGenerator("workload"), 0)
 	e.access, e.gen = st, st.gen
-	e.metrics = newMetrics(cfg.Warmup)
+	e.metrics.warmup = cfg.Warmup
 
 	e.cpu = sim.NewStation(w.sim, "cpu", 1)
 	for d := 0; d < cfg.Disks; d++ {
@@ -302,11 +302,7 @@ func (e *Engine) runLocked(txn int, req workload.Op, t0 sim.Time, done func()) {
 			if e.locks != nil {
 				e.locks.ReleaseAll(txn)
 			}
-			resp := e.sim.Now() - t0
-			if e.cfg.Trace != nil && !e.metrics.inWarmup() {
-				fmt.Fprintf(e.cfg.Trace, "%d,%s,%d,%.6f\n", txn, req.Kind, req.Target, resp)
-			}
-			e.metrics.complete(req.Kind, resp)
+			e.metrics.complete(req.Kind, e.sim.Now()-t0)
 			done()
 		})
 	})

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -501,25 +500,5 @@ func TestIOConservation(t *testing.T) {
 	if res.PhysWrites > e.frames.Stats().Flushes+res.Cluster.Splits {
 		t.Fatalf("physical writes %d exceed flushes %d + split flushes %d",
 			res.PhysWrites, e.frames.Stats().Flushes, res.Cluster.Splits)
-	}
-}
-
-// TestTraceWriter: the trace stream carries one line per measured
-// transaction in seq,kind,target,response format.
-func TestTraceWriter(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := quickConfig(200)
-	cfg.Warmup = 50
-	cfg.Trace = &buf
-	res := run(t, cfg)
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != res.Completed {
-		t.Fatalf("trace lines %d != completed %d", len(lines), res.Completed)
-	}
-	for _, l := range lines[:5] {
-		parts := strings.Split(l, ",")
-		if len(parts) != 4 {
-			t.Fatalf("malformed trace line %q", l)
-		}
 	}
 }

@@ -35,7 +35,6 @@ func (callerDriven) Next() workload.Op                        { return workload.
 func (callerDriven) SessionLength() int                       { return 0 }
 func (callerDriven) NoteCreated(model.ObjectID, model.TypeID) {}
 func (callerDriven) SetReadWriteRatio(float64) bool           { return false }
-func (callerDriven) Counts() (reads, writes int)              { return 0, 0 }
 
 // OpenLibrary opens the world over the caller's (graph, store) pair and the
 // serial pool. The pair is the caller's to populate: an empty one opens an
@@ -134,7 +133,7 @@ func (l *Library) PoolStats() buffer.Stats { return l.frames.Stats() }
 func (l *Library) Clusterer() core.ClusterStrategy { return l.clust }
 
 // Prefetcher returns the prefetcher behind Read.
-func (l *Library) Prefetcher() *core.Prefetcher { return l.stack.pf.(*core.Prefetcher) }
+func (l *Library) Prefetcher() *core.Prefetcher { return l.stack.pf }
 
 // ConservationViolations counts writes after which the placed-object count
 // disagreed with the live-object count; zero on a correct stack.

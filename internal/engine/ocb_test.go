@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"oodb/internal/obs"
@@ -28,12 +29,33 @@ func runOCB(t *testing.T, cfg Config) Results {
 	return res
 }
 
+// readOnlyOCB is the run of quickOCBConfig(400), made once per test binary:
+// the same-seed test and the record/replay test's read-only case both hold
+// their runs of that configuration to it.
+var readOnlyOCB = sync.OnceValues(func() (Results, error) {
+	e, err := New(quickOCBConfig(400))
+	if err != nil {
+		return Results{}, err
+	}
+	return e.Run()
+})
+
+func readOnlyBase(t *testing.T) Results {
+	t.Helper()
+	res, err := readOnlyOCB()
+	if err != nil {
+		t.Fatalf("read-only OCB run: %v", err)
+	}
+	return res
+}
+
 // TestOCBSameSeedIdentical: an OCB run is a deterministic function of its
-// configuration — two runs of the same config produce identical results.
+// configuration — two runs of the same config produce identical results,
+// while a different seed draws a different stream.
 func TestOCBSameSeedIdentical(t *testing.T) {
 	t.Parallel()
 	cfg := quickOCBConfig(400)
-	a := runOCB(t, cfg)
+	a := readOnlyBase(t)
 	b := runOCB(t, cfg)
 	if !reflect.DeepEqual(stripped(a), stripped(b)) {
 		t.Fatalf("same-seed OCB runs diverged:\n%v\n%v", a, b)
@@ -52,15 +74,15 @@ func TestOCBSameSeedIdentical(t *testing.T) {
 	}
 }
 
-// TestOCBRecordReplayIdentity: an OCB run is a function of its
-// configuration — the same seed twice, a recorded run and a replay of the
-// recording under the same configuration all match byte for byte — and
+// TestOCBRecordReplayIdentity: a recorded run and a replay of the recording
+// under the same configuration match an unrecorded run byte for byte, and
 // replaying it under a different replacement policy reproduces the logical
 // results (the digest) while the physical behavior is free to differ.
 //
 // The phased case is a write-enabled stream whose read/write ratio shifts
 // mid-run: the generator must carry its ratio and object-base tail across
-// the phase boundaries identically in every run.
+// the phase boundaries identically in every run, so it also runs twice. The
+// read-only case's same-seed run is TestOCBSameSeedIdentical's.
 func TestOCBRecordReplayIdentity(t *testing.T) {
 	t.Parallel()
 	phased := quickOCBConfig(300)
@@ -68,13 +90,18 @@ func TestOCBRecordReplayIdentity(t *testing.T) {
 	phased.PhasedRW = []float64{8, 1.5, 30}
 	for name, cfg := range map[string]Config{"read-only": quickOCBConfig(400), "phased-writes": phased} {
 		t.Run(name, func(t *testing.T) {
-			base := runOCB(t, cfg)
-			if cfg.PhasedRW != nil && (base.WriteTxns == 0 || base.RatioChangesIgnored != 0) {
-				t.Fatalf("phased stream wrote %d times and refused %d ratio changes",
-					base.WriteTxns, base.RatioChangesIgnored)
-			}
-			if again := runOCB(t, cfg); !reflect.DeepEqual(stripped(again), stripped(base)) {
-				t.Fatal("same-seed runs diverged")
+			var base Results
+			if cfg.PhasedRW == nil {
+				base = readOnlyBase(t)
+			} else {
+				base = runOCB(t, cfg)
+				if base.WriteTxns == 0 || base.RatioChangesIgnored != 0 {
+					t.Fatalf("phased stream wrote %d times and refused %d ratio changes",
+						base.WriteTxns, base.RatioChangesIgnored)
+				}
+				if again := runOCB(t, cfg); !reflect.DeepEqual(stripped(again), stripped(base)) {
+					t.Fatal("same-seed runs diverged")
+				}
 			}
 
 			recCfg := cfg

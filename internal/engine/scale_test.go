@@ -32,13 +32,13 @@ func TestTierConfigsValid(t *testing.T) {
 // TestScaleMemoryBounded is the runtime.MemStats audit: after a scaled OCB
 // run, the live heap must be proportional to objects+pages+users — not to
 // the transaction count. Quadrupling the transaction budget must leave the
-// retained heap essentially unchanged: what a completed transaction leaves
-// behind is its response-time samples, 8 bytes for a read and 16 for a
-// write.
+// retained heap essentially unchanged: a completed transaction leaves
+// nothing behind (response times fold into moments and a fixed-size
+// histogram).
 //
 // Live-heap readings wobble with GC scheduling, so the growth bound is
-// generous (8 MB) next to what retaining per-transaction state beyond
-// those samples (trace records, lock or log entries) would cost.
+// generous (8 MB) next to what retaining per-transaction state (response
+// samples, trace records, lock or log entries) would cost.
 func TestScaleMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory audit needs a full medium-tier run")
@@ -69,7 +69,7 @@ func TestScaleMemoryBounded(t *testing.T) {
 	small := liveHeapAfter(cfg.Transactions)
 	large := liveHeapAfter(cfg.Transactions * 4)
 	if large > small && large-small > 8<<20 {
-		t.Errorf("live heap grew %d bytes from %dx transactions (small=%d large=%d); the run retains more than its response samples",
+		t.Errorf("live heap grew %d bytes from %dx transactions (small=%d large=%d); the run retains per-transaction state",
 			large-small, 4, small, large)
 	}
 }

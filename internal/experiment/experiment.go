@@ -54,22 +54,11 @@ type Options struct {
 	// serializes calls, so the callback needs no locking of its own.
 	Verbose func(string)
 
-	// ClusterStrategy selects the clustering strategy by registry name for
-	// every run in the experiment ("" = "affinity", the paper's algorithm).
-	ClusterStrategy string
-
 	// Workload selects the workload family for every run: "" or "oct" for
 	// the paper's engineering-design workload, "ocb" for the OCB synthetic
 	// workload (engine.WorkloadOCB). The OCB-specific experiments override
 	// it per run regardless.
 	Workload string
-
-	// ReplacementLow and ReplacementHigh override the factorial design's
-	// buffer-replacement factor levels by registry name ("" keeps the
-	// paper's LRU / Context-sensitive pair). They let the Section 6 analysis
-	// rank any registered policy, e.g. "clock".
-	ReplacementLow  string
-	ReplacementHigh string
 
 	// CheckpointDir, when non-empty, caches each finished run's results in
 	// <dir>/<config-hash>.ckpt and, on a later invocation, returns a cached
@@ -148,7 +137,6 @@ func (h *Harness) baseConfig() engine.Config {
 	cfg := engine.DefaultConfig(h.opt.Scale)
 	cfg.Transactions = h.opt.Transactions
 	cfg.Seed = h.opt.Seed
-	cfg.ClusterStrategy = h.opt.ClusterStrategy
 	cfg.Workload = h.opt.Workload
 	return cfg
 }
@@ -351,13 +339,12 @@ func averageResults(rs []engine.Results) engine.Results {
 	}
 	out := rs[0]
 	n := float64(len(rs))
-	var resp, p95, read, write, hit float64
+	var resp, read, write, hit float64
 	var completed, logIOs, beforeImg, bufFlush, physR, physW float64
 	var gCut, oCut float64
 	var splitsCmp float64
 	for _, r := range rs {
 		resp += r.MeanResponse
-		p95 += r.P95Response
 		read += r.ReadResponse
 		write += r.WriteResponse
 		hit += r.HitRatio
@@ -372,7 +359,6 @@ func averageResults(rs []engine.Results) engine.Results {
 		splitsCmp += float64(r.Cluster.SplitsCompared)
 	}
 	out.MeanResponse = resp / n
-	out.P95Response = p95 / n
 	out.ReadResponse = read / n
 	out.WriteResponse = write / n
 	out.HitRatio = hit / n

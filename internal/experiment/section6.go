@@ -16,33 +16,18 @@ func init() {
 }
 
 // factorialDesign is the paper's eight-control-parameter two-level design
-// (Table 4.1 labels F through M). Options.ReplacementLow/High swap the
-// buffer-replacement factor levels for any registered policy names.
+// (Table 4.1 labels F through M).
 func (h *Harness) factorialDesign() *factorial.Design {
-	replLow, replHigh := h.replacementLevels()
 	return &factorial.Design{Factors: []factorial.Factor{
 		{Name: "Structure density", Low: "low-3", High: "high-10"},
 		{Name: "Read/write ratio", Low: "5", High: "100"},
 		{Name: "Clustering policy", Low: "No_Cluster", High: "No_limit"},
 		{Name: "Page splitting policy", Low: "No_Splitting", High: "NP_Split"},
 		{Name: "User hint policy", Low: "No_hint", High: "User_hint"},
-		{Name: "Buffer replacement", Low: replLow, High: replHigh},
+		{Name: "Buffer replacement", Low: "LRU", High: "Context-sensitive"},
 		{Name: "Buffer pool size", Low: "100", High: "10000"},
 		{Name: "Prefetch policy", Low: "No_prefetch", High: "Prefetch_within_DB"},
 	}}
-}
-
-// replacementLevels resolves the factorial replacement-factor levels: the
-// paper's LRU / Context-sensitive pair unless overridden by registry name.
-func (h *Harness) replacementLevels() (low, high string) {
-	low, high = "LRU", "Context-sensitive"
-	if h.opt.ReplacementLow != "" {
-		low = h.opt.ReplacementLow
-	}
-	if h.opt.ReplacementHigh != "" {
-		high = h.opt.ReplacementHigh
-	}
-	return low, high
 }
 
 // factorialConfig maps a level bitmask to an engine configuration.
@@ -74,17 +59,9 @@ func (h *Harness) factorialConfig(mask uint) engine.Config {
 		cfg.Hints = core.UserHints
 	}
 	if mask&(1<<5) == 0 {
-		if h.opt.ReplacementLow != "" {
-			cfg.ReplacementName = h.opt.ReplacementLow
-		} else {
-			cfg.Replacement = core.ReplLRU
-		}
+		cfg.Replacement = core.ReplLRU
 	} else {
-		if h.opt.ReplacementHigh != "" {
-			cfg.ReplacementName = h.opt.ReplacementHigh
-		} else {
-			cfg.Replacement = core.ReplContext
-		}
+		cfg.Replacement = core.ReplContext
 	}
 	scale := h.opt.Scale
 	if mask&(1<<6) == 0 {

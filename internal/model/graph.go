@@ -32,7 +32,6 @@ func NewGraph() *Graph {
 var (
 	ErrNoSuchType    = errors.New("model: no such type")
 	ErrNoSuchObject  = errors.New("model: no such object")
-	ErrVersionCycle  = errors.New("model: version derivation would create a cycle")
 	ErrSelfRelation  = errors.New("model: object cannot relate to itself")
 	ErrDuplicateLink = errors.New("model: relationship already exists")
 )

@@ -12,7 +12,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -65,9 +64,6 @@ const (
 	StoreAllocPage
 	// StoreMove is an object moved between pages.
 	StoreMove
-	// StoreSparseSpill is an object-to-page mapping that spilled into the
-	// sparse overflow map instead of the dense slice.
-	StoreSparseSpill
 
 	// --- txlog ---
 
@@ -161,7 +157,6 @@ var eventNames = [NumEvents]string{
 	PrefetchBoost:       "prefetch.boost",
 	StoreAllocPage:      "store.alloc_page",
 	StoreMove:           "store.move",
-	StoreSparseSpill:    "store.sparse_spill",
 	LogCoalesce:         "log.coalesce",
 	LogBeforeImage:      "log.before_image",
 	LogBufferFlush:      "log.buffer_flush",
@@ -211,29 +206,13 @@ type Recorder interface {
 	Cost(e Event, v float64)
 }
 
-// Nop is the no-op Recorder. The engine treats a nil Recorder as disabled
-// and skips hook calls entirely; Nop exists for callers that want to pass an
-// explicit recorder without counting anything (tests, embedding).
-type Nop struct{}
-
-// Count implements Recorder.
-func (Nop) Count(Event, int) {}
-
-// Cost implements Recorder.
-func (Nop) Cost(Event, float64) {}
-
-// Counters is the counting/tracing Recorder: fixed arrays indexed by event,
-// so recording allocates nothing. When Trace is non-nil every Count/Cost
-// call additionally writes one line to it — useful for small runs; tracing
-// does allocate (it formats), which is why it is a separate opt-in.
+// Counters is the counting Recorder: fixed arrays indexed by event, so
+// recording allocates nothing.
 //
 // Counters is not safe for concurrent use; each engine owns one.
 type Counters struct {
 	counts [NumEvents]int64
 	costs  [NumEvents]float64
-
-	// Trace, when non-nil, receives one "event count/cost" line per call.
-	Trace io.Writer
 }
 
 // Count implements Recorder.
@@ -241,18 +220,12 @@ func (c *Counters) Count(e Event, n int) {
 	if e < NumEvents {
 		c.counts[e] += int64(n)
 	}
-	if c.Trace != nil {
-		fmt.Fprintf(c.Trace, "%s +%d\n", e, n)
-	}
 }
 
 // Cost implements Recorder.
 func (c *Counters) Cost(e Event, v float64) {
 	if e < NumEvents {
 		c.costs[e] += v
-	}
-	if c.Trace != nil {
-		fmt.Fprintf(c.Trace, "%s +%g\n", e, v)
 	}
 }
 

@@ -36,9 +36,10 @@ type Generator struct {
 
 	locus  int // DistClustered sliding-locality cursor
 	tenant int // current tenant slice (multi-tenant skew)
+	// reads and writes count the operations drawn; working-set drift
+	// positions its locus by their sum.
 	reads  int
 	writes int
-	kinds  [NumOps]int
 }
 
 var _ workload.Source = (*Generator)(nil)
@@ -97,13 +98,6 @@ func (gen *Generator) SetReadWriteRatio(rw float64) bool {
 	}
 	return false
 }
-
-// Counts returns the generated read and write operation counts.
-func (gen *Generator) Counts() (reads, writes int) { return gen.reads, gen.writes }
-
-// KindCounts returns the per-operation-kind generation counts in the order
-// scan, simple, hierarchy, stochastic, insert, delete, update, rewire.
-func (gen *Generator) KindCounts() [NumOps]int { return gen.kinds }
 
 // drawIndex picks an index in [0, n) under the configured distribution and,
 // when multi-tenant skew is on, confined to the current tenant's
@@ -188,16 +182,12 @@ func (gen *Generator) Next() workload.Op {
 	x := gen.rng.Intn(total)
 	switch {
 	case x < gen.p.WeightScan:
-		gen.kinds[0]++
 		return gen.nextScan()
 	case x < gen.p.WeightScan+gen.p.WeightSimple:
-		gen.kinds[1]++
 		return workload.Op{Kind: workload.QOCBSimple, Target: gen.pickObject()}
 	case x < gen.p.WeightScan+gen.p.WeightSimple+gen.p.WeightHierarchy:
-		gen.kinds[2]++
 		return gen.nextHierarchy()
 	default:
-		gen.kinds[3]++
 		return gen.nextStochastic()
 	}
 }
@@ -271,26 +261,21 @@ func (gen *Generator) nextStochastic() workload.Op {
 	return workload.Op{Kind: workload.QOCBStochastic, Target: path[0], Targets: path}
 }
 
-// nextWrite dispatches one of the four evolution operations by weight. The
-// kind counters record the drawn kind; helpers may still degrade to a
-// cheaper operation when the base offers no valid target (the same
-// convention the read helpers use).
+// nextWrite dispatches one of the four evolution operations by weight.
+// Helpers may still degrade to a cheaper operation when the base offers no
+// valid target (the same convention the read helpers use).
 func (gen *Generator) nextWrite() workload.Op {
 	wi, wd, wu := gen.p.WeightInsert, gen.p.WeightDelete, gen.p.WeightUpdate
 	total := wi + wd + wu + gen.p.WeightRewire
 	x := gen.rng.Intn(total)
 	switch {
 	case x < wi:
-		gen.kinds[4]++
 		return gen.nextInsert()
 	case x < wi+wd:
-		gen.kinds[5]++
 		return gen.nextDelete()
 	case x < wi+wd+wu:
-		gen.kinds[6]++
 		return gen.nextUpdate()
 	default:
-		gen.kinds[7]++
 		return gen.nextRewire()
 	}
 }

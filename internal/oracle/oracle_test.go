@@ -45,49 +45,81 @@ func TestBaselinePassesConservation(t *testing.T) {
 	}
 }
 
-// TestOracleAcrossReplacementPolicies replays the recorded stream under
-// every registered replacement policy and checks it against the default
-// wiring: same logical results, conserved physical accounting.
-func TestOracleAcrossReplacementPolicies(t *testing.T) {
-	s := stream(t)
-	base := tinyOCBConfig()
+// wiring is one policy variant of a recorded stream's configuration.
+type wiring struct {
+	name string
+	cfg  engine.Config
+}
+
+// wirings lists base rewired to every registered replacement policy, every
+// registered clustering strategy and every prefetch level, one dimension at
+// a time. base names no replacement policy or strategy, so no two entries
+// are the same configuration.
+func wirings(base engine.Config) []wiring {
+	var out []wiring
 	for _, name := range buffer.PolicyNames() {
-		if isTestPolicy(name) {
-			continue
-		}
-		variant := base
-		variant.ReplacementName = name
-		if err := s.Compare(base, variant); err != nil {
-			t.Errorf("replacement %q: %v", name, err)
+		if !isTestPolicy(name) {
+			cfg := base
+			cfg.ReplacementName = name
+			out = append(out, wiring{"replacement=" + name, cfg})
 		}
 	}
+	for _, name := range core.ClusterStrategyNames() {
+		cfg := base
+		cfg.ClusterStrategy = name
+		out = append(out, wiring{"strategy=" + name, cfg})
+	}
+	for _, pf := range []core.PrefetchPolicy{core.NoPrefetch, core.PrefetchWithinBuffer, core.PrefetchWithinDB} {
+		cfg := base
+		cfg.Prefetch = pf
+		out = append(out, wiring{"prefetch=" + pf.String(), cfg})
+	}
+	return out
+}
+
+// sweep replays s once under each of base's wirings whose name starts with
+// dim ("" for all of them) and holds every replay to the recorded baseline:
+// conserved physical accounting, the baseline's logical results and the
+// baseline's final logical database.
+func sweep(t *testing.T, s *Stream, base engine.Config, dim string) {
+	for _, w := range wirings(base) {
+		if !strings.HasPrefix(w.name, dim) {
+			continue
+		}
+		t.Run(w.name, func(t *testing.T) {
+			res, err := s.Replay(w.cfg)
+			if err != nil {
+				t.Fatalf("replaying %s: %v", w.cfg.Label(), err)
+			}
+			if err := CheckConservation(res); err != nil {
+				t.Error(err)
+			}
+			if err := CheckEquivalence(s.Base, res); err != nil {
+				t.Error(err)
+			}
+			if err := CheckFinalState(s.Base, res); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestOracleAcrossReplacementPolicies replays the recorded read-only stream
+// under every registered replacement policy and checks it against the
+// default wiring: same logical results, conserved physical accounting.
+func TestOracleAcrossReplacementPolicies(t *testing.T) {
+	sweep(t, stream(t), tinyOCBConfig(), "replacement=")
 }
 
 // TestOracleAcrossClusterStrategies does the same across the registered
 // clustering strategies.
 func TestOracleAcrossClusterStrategies(t *testing.T) {
-	s := stream(t)
-	base := tinyOCBConfig()
-	for _, name := range core.ClusterStrategyNames() {
-		variant := base
-		variant.ClusterStrategy = name
-		if err := s.Compare(base, variant); err != nil {
-			t.Errorf("cluster strategy %q: %v", name, err)
-		}
-	}
+	sweep(t, stream(t), tinyOCBConfig(), "strategy=")
 }
 
 // TestOracleAcrossPrefetchPolicies does the same across the prefetch levels.
 func TestOracleAcrossPrefetchPolicies(t *testing.T) {
-	s := stream(t)
-	base := tinyOCBConfig()
-	for _, pf := range []core.PrefetchPolicy{core.NoPrefetch, core.PrefetchWithinBuffer, core.PrefetchWithinDB} {
-		variant := base
-		variant.Prefetch = pf
-		if err := s.Compare(base, variant); err != nil {
-			t.Errorf("prefetch %v: %v", pf, err)
-		}
-	}
+	sweep(t, stream(t), tinyOCBConfig(), "prefetch=")
 }
 
 // tinyWriteConfig is a write-enabled OCB configuration: roughly one write
@@ -118,45 +150,20 @@ func writeStream(t *testing.T) *Stream {
 	return sharedWriteStream
 }
 
-// TestWriteOracleAcrossAllPolicies replays a write-enabled OCB stream under
-// every registered replacement policy, cluster strategy, and prefetch level,
-// asserting the full write oracle against the default wiring: identical
-// logical-read digests, identical final logical databases, zero
-// conservation violations, and conserved accounting. This is the PR's
-// differential gate for the write pipeline.
+// TestWriteOracleAcrossAllPolicies is the write-enabled stream's table: the
+// full write oracle — identical logical-read digests, identical final
+// logical databases, zero conservation violations and conserved accounting
+// — under every registered replacement policy, clustering strategy and
+// prefetch level. It is the differential gate for the write pipeline.
 func TestWriteOracleAcrossAllPolicies(t *testing.T) {
 	s := writeStream(t)
-	base := tinyWriteConfig()
 	if s.Base.WriteTxns == 0 {
 		t.Fatal("write-enabled stream produced no write transactions")
 	}
 	if err := CheckConservation(s.Base); err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	for _, name := range buffer.PolicyNames() {
-		if isTestPolicy(name) {
-			continue
-		}
-		variant := base
-		variant.ReplacementName = name
-		if err := s.Compare(base, variant); err != nil {
-			t.Errorf("replacement %q: %v", name, err)
-		}
-	}
-	for _, name := range core.ClusterStrategyNames() {
-		variant := base
-		variant.ClusterStrategy = name
-		if err := s.Compare(base, variant); err != nil {
-			t.Errorf("cluster strategy %q: %v", name, err)
-		}
-	}
-	for _, pf := range []core.PrefetchPolicy{core.NoPrefetch, core.PrefetchWithinBuffer, core.PrefetchWithinDB} {
-		variant := base
-		variant.Prefetch = pf
-		if err := s.Compare(base, variant); err != nil {
-			t.Errorf("prefetch %v: %v", pf, err)
-		}
-	}
+	sweep(t, s, tinyWriteConfig(), "")
 }
 
 // TestOCTStreamConservation: the conservation half of the oracle applies to

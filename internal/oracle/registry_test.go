@@ -71,22 +71,14 @@ func TestRegistryClusterStrategiesRunBothWorkloads(t *testing.T) {
 	}
 }
 
-// TestRegistryPoliciesAgreeWithDefaultWiring replays one recorded OCB stream
-// under every registered policy and checks each against the default wiring.
+// TestRegistryPoliciesAgreeWithDefaultWiring records one OCB stream of its
+// own and replays it once under every registered replacement policy,
+// checking each against the recorded default wiring.
 func TestRegistryPoliciesAgreeWithDefaultWiring(t *testing.T) {
 	base := registryConfig(engine.WorkloadOCB)
 	s, err := Record(base)
 	if err != nil {
 		t.Fatalf("recording: %v", err)
 	}
-	for _, name := range buffer.PolicyNames() {
-		if isTestPolicy(name) {
-			continue
-		}
-		variant := base
-		variant.ReplacementName = name
-		if err := s.Compare(base, variant); err != nil {
-			t.Errorf("policy %q vs default wiring: %v", name, err)
-		}
-	}
+	sweep(t, s, base, "replacement=")
 }

@@ -15,9 +15,8 @@ var tournamentRoster = []string{"affinity", "dstc", "dro", "noop"}
 // TestRegistrySweepNeverSkips pins the differential sweeps to the live
 // registry: every named contender must be registered, the registry must not
 // shrink below its known size, and every registered strategy — not just the
-// roster — must replay both recorded streams (read-only and write-enabled
-// OCB) with logical equivalence, conserved physical accounting, and a
-// final-state digest identical to the baseline's.
+// roster — must have a wiring of its own in both recorded streams' sweeps
+// (read-only and write-enabled OCB), which replay it once each.
 func TestRegistrySweepNeverSkips(t *testing.T) {
 	names := core.ClusterStrategyNames()
 	have := make(map[string]bool, len(names))
@@ -36,40 +35,17 @@ func TestRegistrySweepNeverSkips(t *testing.T) {
 		t.Fatalf("registry shrank to %d strategies (%v); sweeps lost coverage", len(names), names)
 	}
 
-	readBase, writeBase := tinyOCBConfig(), tinyWriteConfig()
+	read, write := wirings(tinyOCBConfig()), wirings(tinyWriteConfig())
 	for _, name := range names {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			rv := readBase
-			rv.ClusterStrategy = name
-			if err := stream(t).Compare(readBase, rv); err != nil {
-				t.Errorf("read stream: %v", err)
-			}
-			res, err := stream(t).Replay(rv)
-			if err != nil {
-				t.Fatalf("read replay: %v", err)
-			}
-			if err := CheckConservation(res); err != nil {
-				t.Errorf("read conservation: %v", err)
-			}
-			if err := CheckFinalState(stream(t).Base, res); err != nil {
-				t.Errorf("read final state: %v", err)
-			}
-
-			wv := writeBase
-			wv.ClusterStrategy = name
-			if err := writeStream(t).Compare(writeBase, wv); err != nil {
-				t.Errorf("write stream: %v", err)
-			}
-			wres, err := writeStream(t).Replay(wv)
-			if err != nil {
-				t.Fatalf("write replay: %v", err)
-			}
-			if err := CheckConservation(wres); err != nil {
-				t.Errorf("write conservation: %v", err)
-			}
-			if err := CheckFinalState(writeStream(t).Base, wres); err != nil {
-				t.Errorf("write final state: %v", err)
+			for stream, ws := range map[string][]wiring{"read": read, "write": write} {
+				found := false
+				for _, w := range ws {
+					found = found || w.cfg.ClusterStrategy == name
+				}
+				if !found {
+					t.Errorf("%s stream sweep skips strategy %q", stream, name)
+				}
 			}
 		})
 	}

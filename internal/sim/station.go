@@ -40,11 +40,7 @@ func NewStation(s *Sim, name string, servers int) *Station {
 	if servers < 1 {
 		servers = 1
 	}
-	st := &Station{
-		sim: s, name: name, servers: servers,
-		wait:    stats.NewMomentsTally(),
-		service: stats.NewMomentsTally(),
-	}
+	st := &Station{sim: s, name: name, servers: servers}
 	st.util.Set(0, s.Now())
 	st.qlen.Set(0, s.Now())
 	return st

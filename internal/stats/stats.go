@@ -1,34 +1,26 @@
 // Package stats provides the small set of statistics primitives used by the
-// simulation and the experiment harness: tallied samples (for response
-// times), time-weighted averages (for queue lengths and utilizations), and
+// simulation and the experiment harness: tallied moments (for mean response
+// times), log-linear histograms (for latency quantiles, hdr.go),
+// time-weighted averages (for queue lengths and utilizations), and
 // fixed-bucket histograms (for fan-out densities).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// Tally accumulates point samples and reports summary statistics.
-// The zero value is ready to use and retains every sample for exact
-// percentile queries — O(samples) memory, 8 bytes each. NewMomentsTally
-// retains none. Moments (count, mean, variance, min, max) are exact in both
-// shapes.
+// Tally accumulates point samples and reports their exact moments: count,
+// sum, mean, variance, min and max, in constant memory. It retains no
+// samples; a quantile question belongs to Hist. The zero value is ready to
+// use.
 type Tally struct {
-	n       int
-	sum     float64
-	sum2    float64
-	min     float64
-	max     float64
-	keep    []float64 // retained samples for percentiles, unless moments
-	moments bool      // retain no samples
+	n    int
+	sum  float64
+	sum2 float64
+	min  float64
+	max  float64
 }
-
-// NewMomentsTally returns a Tally that retains no samples: exact mean,
-// variance, min, and max in constant memory; percentiles report 0. The
-// shape used by per-station statistics, which never report percentiles.
-func NewMomentsTally() Tally { return Tally{moments: true} }
 
 // Add records one sample.
 func (t *Tally) Add(x float64) {
@@ -41,9 +33,6 @@ func (t *Tally) Add(x float64) {
 	t.n++
 	t.sum += x
 	t.sum2 += x * x
-	if !t.moments {
-		t.keep = append(t.keep, x)
-	}
 }
 
 // N returns the number of samples recorded.
@@ -81,32 +70,6 @@ func (t *Tally) Min() float64 { return t.min }
 
 // Max returns the largest sample, or 0 if empty.
 func (t *Tally) Max() float64 { return t.max }
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of the retained
-// samples using nearest-rank interpolation. It returns 0 if no samples were
-// retained.
-func (t *Tally) Percentile(p float64) float64 {
-	if len(t.keep) == 0 {
-		return 0
-	}
-	s := make([]float64, len(t.keep))
-	copy(s, t.keep)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
 
 // String summarizes the tally.
 func (t *Tally) String() string {

@@ -14,9 +14,6 @@ func TestTallyEmpty(t *testing.T) {
 	if ta.N() != 0 || ta.Mean() != 0 || ta.Var() != 0 || ta.StdDev() != 0 {
 		t.Fatalf("empty tally not zeroed: %v", ta.String())
 	}
-	if ta.Percentile(50) != 0 {
-		t.Fatal("empty percentile should be 0")
-	}
 }
 
 func TestTallyBasic(t *testing.T) {
@@ -64,42 +61,23 @@ func TestTallyNegativeValues(t *testing.T) {
 	}
 }
 
-func TestTallyPercentiles(t *testing.T) {
-	var ta Tally
-	for i := 1; i <= 100; i++ {
-		ta.Add(float64(i))
-	}
-	if p := ta.Percentile(0); p != 1 {
-		t.Fatalf("p0=%v", p)
-	}
-	if p := ta.Percentile(100); p != 100 {
-		t.Fatalf("p100=%v", p)
-	}
-	if p := ta.Percentile(50); !almost(p, 50.5, 1e-9) {
-		t.Fatalf("p50=%v", p)
-	}
-	if p := ta.Percentile(95); !almost(p, 95.05, 1e-9) {
-		t.Fatalf("p95=%v", p)
-	}
-}
-
+// TestMomentsTallyRetainsNothing: the zero-value Tally keeps moments only,
+// so recording a sample never allocates — a run's response tallies stay
+// the same size however many transactions it completes.
 func TestMomentsTallyRetainsNothing(t *testing.T) {
-	mt := NewMomentsTally()
-	var full Tally
-	for i := 0; i < 1000; i++ {
-		x := float64(i%37) * 1.5
-		mt.Add(x)
-		full.Add(x)
+	var mean float64
+	allocs := testing.AllocsPerRun(100, func() {
+		var ta Tally
+		for i := 0; i < 1000; i++ {
+			ta.Add(float64(i%37) * 1.5)
+		}
+		mean = ta.Mean()
+	})
+	if allocs != 0 {
+		t.Fatalf("1000 samples into a Tally allocate %.1f times, want 0", allocs)
 	}
-	if len(mt.keep) != 0 {
-		t.Fatalf("moments tally retained %d samples", len(mt.keep))
-	}
-	if mt.Mean() != full.Mean() || mt.Var() != full.Var() ||
-		mt.Min() != full.Min() || mt.Max() != full.Max() || mt.N() != full.N() {
-		t.Fatal("moments diverge from retain-all tally")
-	}
-	if mt.Percentile(95) != 0 {
-		t.Fatal("moments tally percentile should report 0")
+	if !almost(mean, 26.973, 1e-9) {
+		t.Fatalf("mean=%v", mean)
 	}
 }
 

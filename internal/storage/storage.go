@@ -85,16 +85,14 @@ var _ Backend = (*Manager)(nil)
 //
 // The object->page map is the hottest lookup in the system (every affinity
 // probe, candidate ranking, and buffer boost goes through PageOf), so it is
-// a dense slice indexed by object ID — one array load. Object IDs are dense
-// by construction in model.Graph; should a caller ever place an ID far past
-// the dense frontier, it spills into a sparse overflow map instead of
-// forcing a proportionally huge dense array.
+// a dense slice indexed by object ID — one array load. Place only accepts
+// objects the graph holds, and model.Graph assigns IDs as slice indexes, so
+// the slice never outgrows the graph.
 type Manager struct {
 	graph    *model.Graph
 	pageSize int
-	pages    []*Page                   // index 0 unused (NilPage)
-	where    []PageID                  // dense object ID -> page ID; grows with the graph
-	sparse   map[model.ObjectID]PageID // overflow for IDs far past the frontier
+	pages    []*Page  // index 0 unused (NilPage)
+	where    []PageID // object ID -> page ID; grows with the graph
 	objects  int
 	free     []PageID // emptied pages, reused by AllocatePage
 
@@ -107,12 +105,6 @@ type Manager struct {
 
 // SetRecorder installs the instrumentation hook; nil disables it.
 func (m *Manager) SetRecorder(r obs.Recorder) { m.rec = r }
-
-// maxDenseGap bounds how far past the current dense frontier a single
-// placement may grow the dense object->page array. IDs further out are
-// tracked in the sparse overflow map, so one outlier ID cannot balloon the
-// dense array.
-const maxDenseGap = 1 << 16
 
 // NewManager creates a storage manager over graph with the given page size
 // in bytes.
@@ -176,9 +168,6 @@ func (m *Manager) PageOf(id model.ObjectID) PageID {
 	if int(id) < len(m.where) {
 		return m.where[id]
 	}
-	if m.sparse != nil {
-		return m.sparse[id] // zero value is NilPage
-	}
 	return NilPage
 }
 
@@ -201,12 +190,7 @@ func (m *Manager) setWhere(obj model.ObjectID, pg PageID) {
 	if pg != NilPage {
 		m.digest ^= PlacementHash(obj, pg)
 	}
-	if int(obj) < len(m.where) {
-		m.where[obj] = pg
-		return
-	}
-	if int(obj)-len(m.where) < maxDenseGap {
-		n := int(obj) + 1
+	if n := int(obj) + 1; n > len(m.where) {
 		if n <= cap(m.where) {
 			// The backing array was zeroed at allocation and lengths only
 			// grow, so the exposed tail is already NilPage (== 0).
@@ -216,28 +200,8 @@ func (m *Manager) setWhere(obj model.ObjectID, pg PageID) {
 			copy(grown, m.where)
 			m.where = grown
 		}
-		// Sparse entries the dense array now covers must move into it, or
-		// the dense NilPage would shadow them on lookup.
-		for id, p := range m.sparse {
-			if int(id) < len(m.where) {
-				m.where[id] = p
-				delete(m.sparse, id)
-			}
-		}
-		m.where[obj] = pg
-		return
 	}
-	if m.sparse == nil {
-		m.sparse = make(map[model.ObjectID]PageID)
-	}
-	if pg == NilPage {
-		delete(m.sparse, obj)
-	} else {
-		if m.rec != nil {
-			m.rec.Count(obs.StoreSparseSpill, 1)
-		}
-		m.sparse[obj] = pg
-	}
+	m.where[obj] = pg
 }
 
 // Place puts object obj on page pg. It fails if the object is already

@@ -46,9 +46,6 @@ type Generator struct {
 
 	hot    []model.ObjectID
 	hotPos int
-
-	reads  int
-	writes int
 }
 
 // NewGenerator creates a generator drawing randomness from rng.
@@ -207,15 +204,10 @@ func (gen *Generator) pickRoot() model.ObjectID {
 // long-run read/write transaction ratio matches the parameter.
 func (gen *Generator) Next() Op {
 	if gen.rng.Float64() < 1/(1+gen.p.ReadWriteRatio) {
-		gen.writes++
 		return gen.nextWrite()
 	}
-	gen.reads++
 	return gen.nextRead()
 }
-
-// Counts returns the generated read and write transaction counts.
-func (gen *Generator) Counts() (reads, writes int) { return gen.reads, gen.writes }
 
 func (gen *Generator) nextRead() Op {
 	var t Op

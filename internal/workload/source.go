@@ -26,8 +26,6 @@ type Source interface {
 	// not an acceptable implementation — so callers can surface the
 	// "unsupported" signal instead of believing the phase change happened.
 	SetReadWriteRatio(rw float64) bool
-	// Counts reports how many read and write operations were generated.
-	Counts() (reads, writes int)
 }
 
 var _ Source = (*Generator)(nil)

@@ -149,17 +149,17 @@ func TestGeneratorReadWriteRatio(t *testing.T) {
 	for _, rw := range []float64{1, 5, 10, 100} {
 		gen := NewGenerator(db, DefaultParams(MedDensity, rw), rand.New(rand.NewSource(9)))
 		const n = 20000
+		writes := 0
 		for i := 0; i < n; i++ {
 			tx := gen.Next()
 			if tx.Kind != QInsert && tx.Kind != QScan && tx.Target == model.NilObject {
 				t.Fatalf("transaction without target: %+v", tx)
 			}
+			if tx.Kind.IsWrite() {
+				writes++
+			}
 		}
-		reads, writes := gen.Counts()
-		if reads+writes != n {
-			t.Fatalf("counts %d+%d", reads, writes)
-		}
-		got := float64(reads) / float64(writes)
+		got := float64(n-writes) / float64(writes)
 		if math.Abs(got-rw)/rw > 0.25 {
 			t.Fatalf("rw=%g: measured %.2f", rw, got)
 		}
