@@ -8,6 +8,7 @@ import (
 
 // BenchmarkAcquireRelease measures uncontended lock traffic.
 func BenchmarkAcquireRelease(b *testing.B) {
+	b.ReportAllocs()
 	m := NewManager()
 	for i := 0; i < b.N; i++ {
 		txn := i
@@ -21,6 +22,7 @@ func BenchmarkAcquireRelease(b *testing.B) {
 
 // BenchmarkContendedQueue measures grant hand-off under conflict.
 func BenchmarkContendedQueue(b *testing.B) {
+	b.ReportAllocs()
 	m := NewManager()
 	const obj = model.ObjectID(1)
 	m.Acquire(0, obj, Exclusive, nil) //nolint:errcheck

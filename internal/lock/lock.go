@@ -18,6 +18,10 @@
 // a callback is free to re-enter the manager. Sharding never changes
 // observable behavior: single-threaded runs are byte-identical at any
 // shard count.
+//
+// Entries and held lists are recycled through per-shard free lists, so an
+// uncontended acquire → release cycle allocates nothing; only a request
+// that queues does (AcquireWait's wake channel, a growing queue).
 package lock
 
 import (
@@ -66,31 +70,77 @@ func (s *Stats) merge(o Stats) {
 	}
 }
 
+// waiter is one queued request. A callback request (Acquire) carries grant;
+// a parked one (AcquireWait) carries wake, which is closed on grant.
 type waiter struct {
-	txn   int
-	mode  Mode
-	grant func()
+	txn     int
+	mode    Mode
+	newHold bool // set by admit: txn was not already a holder
+	grant   func()
+	wake    chan struct{}
+}
+
+// holder is one transaction's hold on an object.
+type holder struct {
+	txn  int
+	mode Mode
 }
 
 type entry struct {
-	// holders maps transaction -> held mode. Multiple holders only with
-	// Shared; a single holder may hold Exclusive.
-	holders map[int]Mode
+	// holders lists each holding transaction once. Multiple holders only
+	// with Shared; a single holder may hold Exclusive. A new entry gets two
+	// slots, which covers the common case; look-ups are a linear scan.
+	holders []holder
 	queue   []waiter
 }
 
+// find returns txn's index in e.holders, or -1.
+func (e *entry) find(txn int) int {
+	for i := range e.holders {
+		if e.holders[i].txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
 // tableShard is one slice of the lock table, self-contained under its own
-// mutex: entries, and the statistics for operations that landed here.
+// mutex: entries, recycled entries, and the statistics for operations that
+// landed here.
 type tableShard struct {
 	mu    sync.Mutex
 	table map[model.ObjectID]*entry
+	// free holds entries deleted from table, with no holders or waiters
+	// but their holder and queue backing arrays kept for reuse.
+	free  []*entry
 	stats Stats
+}
+
+// entry returns obj's entry, taking a recycled one (or, with none left, a
+// new one) if obj has none. Caller holds the shard mutex.
+func (sh *tableShard) entry(obj model.ObjectID) *entry {
+	e := sh.table[obj]
+	if e != nil {
+		return e
+	}
+	if n := len(sh.free); n > 0 {
+		e = sh.free[n-1]
+		sh.free[n-1] = nil
+		sh.free = sh.free[:n-1]
+	} else {
+		e = &entry{holders: make([]holder, 0, 2)}
+	}
+	sh.table[obj] = e
+	return e
 }
 
 // heldShard is one slice of the per-transaction held-lock index.
 type heldShard struct {
 	mu   sync.Mutex
 	held map[int][]model.ObjectID
+	// free holds lists ReleaseAll detached, emptied, for transactions not
+	// yet seen.
+	free [][]model.ObjectID
 }
 
 // Manager is the lock manager.
@@ -171,35 +221,35 @@ func (m *Manager) ResetStats() {
 	}
 }
 
-// compatible reports whether txn may take mode on e right now.
-func compatible(e *entry, txn int, mode Mode) bool {
+// compatible reports whether txn may take mode on e right now. A new
+// shared holder must also not overtake a queued exclusive waiter (prevents
+// writer starvation) unless it is the head of the queue itself (queued),
+// which is next by definition.
+func compatible(e *entry, txn int, mode Mode, queued bool) bool {
 	if len(e.holders) == 0 {
 		return true
 	}
-	if held, ok := e.holders[txn]; ok {
+	if i := e.find(txn); i >= 0 {
 		// Re-entrant: same or weaker mode is free; upgrades allowed only
 		// when the transaction is the sole holder.
-		if mode <= held {
-			return true
-		}
-		return len(e.holders) == 1
+		return mode <= e.holders[i].mode || len(e.holders) == 1
 	}
-	if mode == Shared {
-		// Compatible if every holder is shared AND no exclusive waiter is
-		// queued ahead (prevents writer starvation).
-		for _, hm := range e.holders {
-			if hm == Exclusive {
-				return false
-			}
+	if mode == Exclusive {
+		return false
+	}
+	for _, h := range e.holders {
+		if h.mode == Exclusive {
+			return false
 		}
+	}
+	if !queued {
 		for _, w := range e.queue {
 			if w.mode == Exclusive {
 				return false
 			}
 		}
-		return true
 	}
-	return false
+	return true
 }
 
 // Acquire requests mode on obj for txn. If the lock is free the request is
@@ -207,18 +257,23 @@ func compatible(e *entry, txn int, mode Mode) bool {
 // queued and grant runs when the lock is eventually granted (grant must not
 // be nil in that case). Acquire never calls grant synchronously.
 func (m *Manager) Acquire(txn int, obj model.ObjectID, mode Mode, grant func()) (granted bool, err error) {
+	granted, _, err = m.acquire(txn, obj, mode, grant, false)
+	return granted, err
+}
+
+// acquire is the one grant path under Acquire and AcquireWait. A compatible
+// request is granted now. A conflicting one queues with grant as its
+// callback or, when park is set, with a channel made here, closed on grant
+// and returned as wake: a parked request allocates only when it queues.
+func (m *Manager) acquire(txn int, obj model.ObjectID, mode Mode, grant func(), park bool) (granted bool, wake chan struct{}, err error) {
 	if obj == model.NilObject {
-		return false, fmt.Errorf("lock: acquire on nil object")
+		return false, nil, fmt.Errorf("lock: acquire on nil object")
 	}
 	sh := m.shardFor(obj)
 	sh.mu.Lock()
 	sh.stats.Requests++
-	e := sh.table[obj]
-	if e == nil {
-		e = &entry{holders: make(map[int]Mode, 2)}
-		sh.table[obj] = e
-	}
-	if compatible(e, txn, mode) {
+	e := sh.entry(obj)
+	if compatible(e, txn, mode, false) {
 		newHold := grantTo(e, txn, mode)
 		sh.stats.Granted++
 		sh.mu.Unlock()
@@ -228,14 +283,16 @@ func (m *Manager) Acquire(txn int, obj model.ObjectID, mode Mode, grant func()) 
 		if m.rec != nil {
 			m.rec.Count(obs.LockGrant, 1)
 		}
-		return true, nil
+		return true, nil, nil
 	}
-	if grant == nil {
+	if park {
+		wake = make(chan struct{})
+	} else if grant == nil {
 		sh.mu.Unlock()
-		return false, fmt.Errorf("lock: conflicting request without grant callback")
+		return false, nil, fmt.Errorf("lock: conflicting request without grant callback")
 	}
 	sh.stats.Conflicts++
-	e.queue = append(e.queue, waiter{txn: txn, mode: mode, grant: grant})
+	e.queue = append(e.queue, waiter{txn: txn, mode: mode, grant: grant, wake: wake})
 	if len(e.queue) > sh.stats.MaxWaiters {
 		sh.stats.MaxWaiters = len(e.queue)
 	}
@@ -243,24 +300,35 @@ func (m *Manager) Acquire(txn int, obj model.ObjectID, mode Mode, grant func()) 
 	if m.rec != nil {
 		m.rec.Count(obs.LockConflict, 1)
 	}
-	return false, nil
+	return false, wake, nil
 }
 
 // grantTo records the grant on the entry and reports whether txn is a new
 // holder (and so must be added to its held list). Caller holds the shard
 // mutex.
 func grantTo(e *entry, txn int, mode Mode) (newHold bool) {
-	prev, already := e.holders[txn]
-	if !already || mode > prev {
-		e.holders[txn] = mode
+	if i := e.find(txn); i >= 0 {
+		if mode > e.holders[i].mode {
+			e.holders[i].mode = mode
+		}
+		return false
 	}
-	return !already
+	e.holders = append(e.holders, holder{txn: txn, mode: mode})
+	return true
 }
 
+// recordHeld appends obj to txn's held list; a transaction with no list yet
+// takes a recycled one.
 func (m *Manager) recordHeld(txn int, obj model.ObjectID) {
 	hs := m.heldFor(txn)
 	hs.mu.Lock()
-	hs.held[txn] = append(hs.held[txn], obj)
+	objs, ok := hs.held[txn]
+	if n := len(hs.free); !ok && n > 0 {
+		objs = hs.free[n-1]
+		hs.free[n-1] = nil
+		hs.free = hs.free[:n-1]
+	}
+	hs.held[txn] = append(objs, obj)
 	hs.mu.Unlock()
 }
 
@@ -271,9 +339,13 @@ func (m *Manager) recordHeld(txn int, obj model.ObjectID) {
 func (m *Manager) ReleaseAll(txn int) {
 	hs := m.heldFor(txn)
 	hs.mu.Lock()
-	objs := hs.held[txn]
+	objs, ok := hs.held[txn]
 	delete(hs.held, txn)
 	hs.mu.Unlock()
+	if !ok {
+		return
+	}
+	var buf [4]waiter // admitted waiters; a longer batch spills to the heap
 	for _, obj := range objs {
 		sh := m.shardFor(obj)
 		sh.mu.Lock()
@@ -282,70 +354,66 @@ func (m *Manager) ReleaseAll(txn int) {
 			sh.mu.Unlock()
 			continue
 		}
-		if _, ok := e.holders[txn]; !ok {
+		i := e.find(txn)
+		if i < 0 {
 			sh.mu.Unlock()
 			continue
 		}
-		delete(e.holders, txn)
+		last := len(e.holders) - 1
+		e.holders[i] = e.holders[last]
+		e.holders = e.holders[:last]
 		sh.stats.Releases++
-		grants, newHolders := m.admit(sh, e)
+		admitted := sh.admit(e, buf[:0])
 		if len(e.holders) == 0 && len(e.queue) == 0 {
 			delete(sh.table, obj)
+			sh.free = append(sh.free, e)
 		}
 		sh.mu.Unlock()
-		for _, w := range newHolders {
-			m.recordHeld(w, obj)
+		for _, w := range admitted {
+			if w.newHold {
+				m.recordHeld(w.txn, obj)
+			}
 		}
 		if m.rec != nil {
-			for range grants {
+			for range admitted {
 				m.rec.Count(obs.LockGrant, 1)
 			}
 		}
-		for _, g := range grants {
-			if g != nil {
-				g()
+		for _, w := range admitted {
+			if w.grant != nil {
+				w.grant()
+			} else {
+				close(w.wake)
 			}
 		}
 	}
+	// objs was detached above, so no one else can reach it now.
+	hs.mu.Lock()
+	hs.free = append(hs.free, objs[:0])
+	hs.mu.Unlock()
 }
 
-// admit grants queued waiters that have become compatible. Caller holds the
-// shard mutex; callbacks and held-list updates are returned for the caller
-// to apply after unlocking.
-func (m *Manager) admit(sh *tableShard, e *entry) (grants []func(), newHolders []int) {
-	for len(e.queue) > 0 {
-		w := e.queue[0]
-		if !queueCompatible(e, w) {
+// admit grants queued waiters that have become compatible, in FIFO order,
+// and appends them to out for the caller to record and fire after
+// unlocking. The queue keeps its backing array. Caller holds the shard
+// mutex.
+func (sh *tableShard) admit(e *entry, out []waiter) []waiter {
+	k := 0
+	for ; k < len(e.queue); k++ {
+		w := e.queue[k]
+		if !compatible(e, w.txn, w.mode, true) {
 			break
 		}
-		e.queue = e.queue[1:]
-		if grantTo(e, w.txn, w.mode) {
-			newHolders = append(newHolders, w.txn)
-		}
+		w.newHold = grantTo(e, w.txn, w.mode)
 		sh.stats.Granted++
-		grants = append(grants, w.grant)
+		out = append(out, w)
 	}
-	return grants, newHolders
-}
-
-// queueCompatible is compatible() without the exclusive-waiter starvation
-// guard (the head of the queue IS the next waiter).
-func queueCompatible(e *entry, w waiter) bool {
-	if len(e.holders) == 0 {
-		return true
+	if k > 0 {
+		n := copy(e.queue, e.queue[k:])
+		clear(e.queue[n:]) // a recycled entry must not pin old callbacks
+		e.queue = e.queue[:n]
 	}
-	if held, ok := e.holders[w.txn]; ok {
-		return w.mode <= held || len(e.holders) == 1
-	}
-	if w.mode == Shared {
-		for _, hm := range e.holders {
-			if hm == Exclusive {
-				return false
-			}
-		}
-		return true
-	}
-	return false
+	return out
 }
 
 // Holds reports whether txn currently holds a lock on obj (any mode).
@@ -354,11 +422,7 @@ func (m *Manager) Holds(txn int, obj model.ObjectID) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.table[obj]
-	if e == nil {
-		return false
-	}
-	_, ok := e.holders[txn]
-	return ok
+	return e != nil && e.find(txn) >= 0
 }
 
 // Locked returns the number of objects with at least one holder or waiter.
@@ -373,29 +437,34 @@ func (m *Manager) Locked() int {
 	return n
 }
 
+// hold is one (transaction, object) pair CheckInvariants cross-checks.
+type hold struct {
+	txn int
+	obj model.ObjectID
+}
+
 // CheckInvariants validates internal consistency: no object has both an
-// exclusive holder and another holder, and held/table agree.
+// exclusive holder and another holder, lists a transaction twice, or has
+// waiters but no holders; no recycled entry carries holders or waiters; and
+// the held lists and the table agree in both directions. Between the table
+// update and the held-list update of an operation in flight the two briefly
+// disagree, so call it on a quiescent manager.
 func (m *Manager) CheckInvariants() error {
+	var holds []hold
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		for obj, e := range sh.table {
-			exclusives := 0
-			for _, mode := range e.holders {
-				if mode == Exclusive {
-					exclusives++
-				}
-			}
-			if exclusives > 0 && len(e.holders) > 1 {
-				sh.mu.Unlock()
-				return fmt.Errorf("lock: object %d has an exclusive holder plus others", obj)
-			}
-			if len(e.holders) == 0 && len(e.queue) > 0 {
-				sh.mu.Unlock()
-				return fmt.Errorf("lock: object %d has waiters but no holders", obj)
-			}
-		}
+		var err error
+		holds, err = sh.check(holds)
 		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	for _, h := range holds {
+		if !m.listed(h.txn, h.obj) {
+			return fmt.Errorf("lock: txn %d holds object %d missing from its held list", h.txn, h.obj)
+		}
 	}
 	for i := range m.heldSh {
 		hs := &m.heldSh[i]
@@ -414,4 +483,46 @@ func (m *Manager) CheckInvariants() error {
 		}
 	}
 	return nil
+}
+
+// check validates the shard's entries and free list and appends every hold
+// it finds to holds. Caller holds the shard mutex.
+func (sh *tableShard) check(holds []hold) ([]hold, error) {
+	for obj, e := range sh.table {
+		exclusives := 0
+		for i, h := range e.holders {
+			if h.mode == Exclusive {
+				exclusives++
+			}
+			if e.find(h.txn) != i {
+				return holds, fmt.Errorf("lock: object %d lists txn %d twice among its holders", obj, h.txn)
+			}
+			holds = append(holds, hold{h.txn, obj})
+		}
+		if exclusives > 0 && len(e.holders) > 1 {
+			return holds, fmt.Errorf("lock: object %d has an exclusive holder plus others", obj)
+		}
+		if len(e.holders) == 0 && len(e.queue) > 0 {
+			return holds, fmt.Errorf("lock: object %d has waiters but no holders", obj)
+		}
+	}
+	for _, e := range sh.free {
+		if len(e.holders) > 0 || len(e.queue) > 0 {
+			return holds, fmt.Errorf("lock: recycled entry still carries %d holders and %d waiters", len(e.holders), len(e.queue))
+		}
+	}
+	return holds, nil
+}
+
+// listed reports whether obj is on txn's held list.
+func (m *Manager) listed(txn int, obj model.ObjectID) bool {
+	hs := m.heldFor(txn)
+	hs.mu.Lock()
+	defer hs.mu.Unlock()
+	for _, o := range hs.held[txn] {
+		if o == obj {
+			return true
+		}
+	}
+	return false
 }

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -237,5 +238,96 @@ func TestRandomTrafficInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAcquireReleaseAllocs: on a warmed manager the uncontended acquire →
+// release cycle allocates nothing. Entries, holder slots and held lists
+// come back from the per-shard free lists, and AcquireWait makes its
+// channel only when it queues.
+func TestAcquireReleaseAllocs(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		m := NewManagerSharded(shards)
+		acquire := func(txn int, obj model.ObjectID, mode Mode) {
+			if ok, err := m.Acquire(txn, obj, mode, nil); err != nil || !ok {
+				t.Fatalf("Acquire(%d, %d, %v): ok=%v err=%v", txn, obj, mode, ok, err)
+			}
+		}
+		cases := []struct {
+			name string
+			op   func(txn int, obj model.ObjectID)
+		}{
+			{"shared", func(txn int, obj model.ObjectID) { acquire(txn, obj, Shared) }},
+			{"exclusive", func(txn int, obj model.ObjectID) { acquire(txn, obj, Exclusive) }},
+			{"upgrade", func(txn int, obj model.ObjectID) {
+				acquire(txn, obj, Shared)
+				acquire(txn, obj, Exclusive)
+			}},
+			{"wait", func(txn int, obj model.ObjectID) {
+				if err := m.AcquireWait(txn, obj, Exclusive); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		}
+		txn := 0
+		for _, c := range cases {
+			cycle := func() {
+				txn++
+				c.op(txn, model.ObjectID(1+txn%64))
+				m.ReleaseAll(txn)
+			}
+			for i := 0; i < 256; i++ { // warm every shard's maps and free lists
+				cycle()
+			}
+			if a := testing.AllocsPerRun(200, cycle); a != 0 {
+				t.Errorf("shards=%d %s: %.1f allocs per acquire/release cycle, want 0", shards, c.name, a)
+			}
+		}
+		if m.Locked() != 0 {
+			t.Fatalf("shards=%d: %d objects still locked", shards, m.Locked())
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesCorruption: a holder slice and a free list
+// allow states a holder map did not, and the check must flag each one.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	setup := func() *Manager {
+		m := NewManagerSharded(4)
+		m.Acquire(1, 10, Shared, nil)    //nolint:errcheck
+		m.Acquire(2, 20, Exclusive, nil) //nolint:errcheck
+		m.ReleaseAll(2)                  // 20's entry goes to its shard's free list
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("before corruption: %v", err)
+		}
+		return m
+	}
+	recycled := func(m *Manager) *entry { return m.shardFor(20).free[0] }
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(m *Manager)
+	}{
+		{"txn listed twice", "twice", func(m *Manager) {
+			e := m.shardFor(10).table[10]
+			e.holders = append(e.holders, holder{txn: 1, mode: Shared})
+		}},
+		{"recycled entry keeps a holder", "recycled", func(m *Manager) {
+			e := recycled(m)
+			e.holders = append(e.holders, holder{txn: 3, mode: Shared})
+		}},
+		{"recycled entry keeps a waiter", "recycled", func(m *Manager) {
+			e := recycled(m)
+			e.queue = append(e.queue, waiter{txn: 3, mode: Exclusive})
+		}},
+		{"holder missing from its held list", "held list", func(m *Manager) {
+			delete(m.heldFor(1).held, 1)
+		}},
+	} {
+		m := setup()
+		c.corrupt(m)
+		err := m.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: CheckInvariants() = %v, want an error naming %q", c.name, err, c.want)
+		}
 	}
 }

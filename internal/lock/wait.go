@@ -8,19 +8,15 @@ import "oodb/internal/model"
 // transaction from the releasing transaction's completion event, a real
 // session goroutine parks on a channel and the releaser's ReleaseAll wakes
 // it. FIFO grant order is the manager's, unchanged; only the wait mechanism
-// differs.
+// differs, and the channel is made only when the request queues.
 //
 // Deadlock freedom remains the caller's obligation: acquire every
 // transaction's lock set in one global order (the engine sorts by object
 // ID) so no wait cycle can form.
 func (m *Manager) AcquireWait(txn int, obj model.ObjectID, mode Mode) error {
-	granted := make(chan struct{})
-	ok, err := m.Acquire(txn, obj, mode, func() { close(granted) })
-	if err != nil {
-		return err
+	_, wake, err := m.acquire(txn, obj, mode, nil, true)
+	if wake != nil {
+		<-wake
 	}
-	if !ok {
-		<-granted
-	}
-	return nil
+	return err
 }

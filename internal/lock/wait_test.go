@@ -2,6 +2,7 @@ package lock
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -129,5 +130,86 @@ func TestAcquireWaitStress(t *testing.T) {
 	s := m.Stats()
 	if s.Requests == 0 || s.Releases == 0 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestAcquireWaitRecycleStress crowds 16 goroutines onto three objects, so
+// nearly every release empties an entry or a held list onto its shard's
+// free list while other requests are queued and parked. A recycled entry
+// or list still reachable from an earlier owner shows up here as a race,
+// a lost grant (the test hangs) or a broken mutual exclusion check.
+func TestAcquireWaitRecycleStress(t *testing.T) {
+	const (
+		goroutines = 16
+		rounds     = 300
+		objects    = 3
+	)
+	m := NewManagerSharded(4)
+	// state[obj] is -1 under an exclusive holder, else the reader count.
+	var state [objects + 1]atomic.Int64
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			<-start
+			rng := rand.New(rand.NewSource(int64(id) + 1))
+			for r := 0; r < rounds; r++ {
+				txn := id*rounds + r
+				var modes [objects + 1]Mode
+				var objs []model.ObjectID
+				for obj := model.ObjectID(1); obj <= objects; obj++ {
+					if rng.Intn(2) == 0 {
+						continue
+					}
+					if id%2 == 0 || rng.Intn(3) == 0 {
+						modes[obj] = Exclusive
+					}
+					objs = append(objs, obj) // ascending: the deadlock-free order
+				}
+				for _, obj := range objs {
+					if err := m.AcquireWait(txn, obj, modes[obj]); err != nil {
+						t.Errorf("AcquireWait(%d,%d): %v", txn, obj, err)
+						return
+					}
+				}
+				// Enter every object's critical section, then leave it;
+				// a failed entry is reported and not undone on leaving.
+				var entered [objects + 1]bool
+				for _, obj := range objs {
+					if modes[obj] == Exclusive {
+						entered[obj] = state[obj].CompareAndSwap(0, -1)
+					} else {
+						entered[obj] = state[obj].Add(1) > 0
+					}
+					if !entered[obj] {
+						t.Errorf("txn %d holds %v on %d beside a conflicting holder", txn, modes[obj], obj)
+					}
+				}
+				runtime.Gosched() // let the others queue behind these locks
+				for _, obj := range objs {
+					if modes[obj] == Shared {
+						state[obj].Add(-1)
+					} else if entered[obj] {
+						state[obj].Store(0)
+					}
+				}
+				m.ReleaseAll(txn)
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("CheckInvariants: %v", err)
+	}
+	if held := m.Locked(); held != 0 {
+		t.Fatalf("%d objects still locked after stress", held)
+	}
+	if s := m.Stats(); s.Conflicts == 0 || s.Granted != s.Requests {
+		t.Fatalf("stats = %+v: want conflicts, and every request granted", s)
 	}
 }
