@@ -120,16 +120,7 @@ func main() {
 		us(res.Latency.Quantile(0.999)), us(res.Latency.Max()), res.Latency.N())
 	fmt.Printf("  logical: ops=%d not-found=%d  physical: reads=%d writes=%d log=%d background=%d\n",
 		res.LogicalOps, res.NotFoundReads, res.PhysReads, res.PhysWrites, res.LogIOs, res.BackgroundIOs)
-	fmt.Printf("  pool: hit=%.3f resident=%d/%d shards=%d evictions=%d flushes=%d\n",
-		res.HitRatio, res.PoolResident, res.PoolCapacity, res.PoolShards, res.Pool.Evictions, res.Pool.Flushes)
-	if res.Config.Locking {
-		fmt.Printf("  locks: requests=%d conflicts=%d max-waiters=%d shards=%d\n",
-			res.Locks.Requests, res.Locks.Conflicts, res.Locks.MaxWaiters, res.LockShards)
-	}
-	if d := res.Durability; d != (oodb.DurableStats{}) {
-		fmt.Printf("  wal: appends=%d fsyncs=%d bytes=%d page(r/w)=%d/%d committed=%d\n",
-			d.WALAppends, d.WALSyncs, d.WALBytes, d.PageReads, d.PageWrites, d.Committed)
-	}
+	fmt.Print(res.LayerLines())
 	fmt.Printf("  digest: %016x\n", res.LogicalDigest)
 	if wt := res.KindCount["ocb-insert"] + res.KindCount["ocb-delete"] +
 		res.KindCount["ocb-update"] + res.KindCount["ocb-rewire"]; wt > 0 || res.ConservationViolations > 0 {

@@ -146,7 +146,6 @@ type singleRun struct {
 	rw                 float64
 	cluster, repl      string
 	prefetch, strategy string
-	observe            bool
 	record, replay     string
 
 	workload   string
@@ -200,7 +199,6 @@ func runFlags(fs *flag.FlagSet) *singleRun {
 	fs.StringVar(&s.repl, "repl", "LRU", "single run: paper name (LRU | Context | Random) or any registered policy (e.g. clock)")
 	fs.StringVar(&s.prefetch, "prefetch", "none", "single run: none | buffer | db")
 	fs.StringVar(&s.strategy, "strategy", "", "single run: clustering strategy by registry name (affinity | dstc | dro | noop; default affinity)")
-	fs.BoolVar(&s.observe, "observe", false, "single run: record per-layer instrumentation counters and print them after the run")
 	fs.StringVar(&s.record, "record", "", "single run: record the logical transaction stream to this trace file")
 	fs.StringVar(&s.replay, "replay", "", "single run: drive the run from a recorded trace file instead of the generator")
 
@@ -322,11 +320,6 @@ func (s singleRun) run() (err error) {
 	if err != nil {
 		return err
 	}
-	var counters *oodb.EventCounters
-	if s.observe {
-		counters = &oodb.EventCounters{}
-		cfg.Recorder = counters
-	}
 	if s.record != "" {
 		f, cerr := os.Create(s.record)
 		if cerr != nil {
@@ -363,18 +356,7 @@ func (s singleRun) run() (err error) {
 	}
 	fmt.Printf("  mean disk util=%.3f cpu util=%.3f log-disk util=%.3f sim time=%.1fs throughput=%.2f txn/s\n",
 		res.MeanDiskUtil, res.CPUUtil, res.LogDiskUtil, res.SimTime, res.Throughput)
-	fmt.Printf("  cluster: placements=%d moves=%d splits=%d candidateIOs=%d\n",
-		res.Cluster.Placements, res.Cluster.Moves, res.Cluster.Splits, res.Cluster.CandidateIOs)
-	fmt.Printf("  log: records=%d before-image IOs=%d buffer flushes=%d\n",
-		res.Log.Records, res.Log.BeforeImageIOs, res.Log.BufferFlushes)
-	if d := res.Durability; d != (oodb.DurableStats{}) {
-		fmt.Printf("  wal: appends=%d fsyncs=%d bytes=%d page(r/w)=%d/%d committed=%d\n",
-			d.WALAppends, d.WALSyncs, d.WALBytes, d.PageReads, d.PageWrites, d.Committed)
-	}
-	if counters != nil {
-		fmt.Println("  layer events:")
-		fmt.Print(counters.Render())
-	}
+	fmt.Print(res.LayerLines())
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"oodb/internal/obs"
 	"oodb/internal/storage"
 )
 
@@ -65,18 +64,6 @@ func ShardCapacity(capacity, n, i int) int {
 		c++
 	}
 	return c
-}
-
-// SetRecorder installs the instrumentation hook on every shard; nil
-// disables it. The recorder is called under the shard lock, from whichever
-// goroutine faulted, so it must be safe for concurrent use.
-func (p *ConcurrentPool) SetRecorder(r obs.Recorder) {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		sh.Pool.SetRecorder(r)
-		sh.mu.Unlock()
-	}
 }
 
 // SetPageIO installs the physical page-transfer backend on every shard; nil

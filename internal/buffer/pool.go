@@ -11,7 +11,6 @@ package buffer
 import (
 	"fmt"
 
-	"oodb/internal/obs"
 	"oodb/internal/storage"
 )
 
@@ -75,7 +74,6 @@ type Pool struct {
 	resident map[storage.PageID]frame
 	stats    Stats
 	io       storage.PageIO // nil = count only, no physical transfer
-	rec      obs.Recorder   // nil = uninstrumented
 }
 
 type frame struct {
@@ -108,8 +106,8 @@ func (p *Pool) Contains(pg storage.PageID) bool {
 	return ok
 }
 
-// SetRecorder installs the instrumentation hook; nil disables it.
-func (p *Pool) SetRecorder(r obs.Recorder) { p.rec = r }
+// Shards returns 1: a Pool is one shard (ConcurrentPool reports its own).
+func (p *Pool) Shards() int { return 1 }
 
 // SetPageIO installs the physical page-transfer backend. With it set, a
 // dirty eviction writes the victim's frame before the slot is reused and a
@@ -144,14 +142,8 @@ func (p *Pool) admit(pg storage.PageID, res *AccessResult) error {
 				}
 			}
 			p.stats.Flushes++
-			if p.rec != nil {
-				p.rec.Count(obs.PoolFlush, 1)
-			}
 		}
 		p.stats.Evictions++
-		if p.rec != nil {
-			p.rec.Count(obs.PoolEvict, 1)
-		}
 		delete(p.resident, victim)
 		p.policy.Removed(victim)
 	}
@@ -185,17 +177,11 @@ func (p *Pool) Install(pg storage.PageID) (AccessResult, error) {
 func (p *Pool) fault(pg storage.PageID, read bool) (AccessResult, error) {
 	if p.Contains(pg) {
 		p.stats.Hits++
-		if p.rec != nil {
-			p.rec.Count(obs.PoolHit, 1)
-		}
 		p.policy.Touched(pg)
 		return AccessResult{Hit: true}, nil
 	}
 	if read {
 		p.stats.Misses++
-		if p.rec != nil {
-			p.rec.Count(obs.PoolMiss, 1)
-		}
 	}
 	res := AccessResult{}
 	if err := p.admit(pg, &res); err != nil {
@@ -244,9 +230,6 @@ func (p *Pool) Clean(pg storage.PageID) {
 func (p *Pool) Boost(pg storage.PageID) {
 	if p.Contains(pg) {
 		p.stats.Boosts++
-		if p.rec != nil {
-			p.rec.Count(obs.PoolBoost, 1)
-		}
 		p.policy.Boosted(pg)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"oodb/internal/buffer"
 	"oodb/internal/model"
-	"oodb/internal/obs"
 	"oodb/internal/storage"
 )
 
@@ -277,9 +276,6 @@ func (c *Clusterer) inspect(pg storage.PageID, budget *int, ios []PhysIO) ([]Phy
 	}
 	*budget--
 	c.stats.CandidateIOs++
-	if c.rec != nil {
-		c.rec.Count(obs.ClusterCandidateIO, 1)
-	}
 	res, err := c.Pool.Access(pg)
 	if err != nil {
 		return ios, false, err
@@ -336,9 +332,6 @@ func (c *Clusterer) PlaceNew(o *model.Object) (Placement, error) {
 		}
 	}
 	c.stats.FrontierFalls++
-	if c.rec != nil {
-		c.rec.Count(obs.ClusterFrontierFall, 1)
-	}
 	return c.placeFallback(o, ios)
 }
 
@@ -427,10 +420,6 @@ func (c *Clusterer) trySplit(o *model.Object, pg storage.PageID, nextAffinity fl
 		return Placement{}, false, err
 	}
 	c.stats.Splits++
-	if c.rec != nil {
-		c.rec.Count(obs.ClusterSplit, 1)
-		c.rec.Cost(obs.ClusterSplit, part.Cut)
-	}
 	// The paper charges splits one extra I/O to flush the newly allocated
 	// page, plus an extra log record (added by the engine via DirtyPages).
 	ios = append(ios, WriteOf(newPg))

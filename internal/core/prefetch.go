@@ -3,7 +3,6 @@ package core
 import (
 	"oodb/internal/buffer"
 	"oodb/internal/model"
-	"oodb/internal/obs"
 	"oodb/internal/storage"
 )
 
@@ -25,14 +24,9 @@ type Prefetcher struct {
 	PrefetchReads int // physical reads issued (within-DB only)
 	BoostsIssued  int // priority adjustments (within-buffer)
 
-	rec obs.Recorder // nil = uninstrumented
-
 	groupBuf []storage.PageID // reusable prefetch-group buffer
 	iosBuf   []PhysIO         // reusable I/O accumulator (within-DB)
 }
-
-// SetRecorder installs the instrumentation hook; nil disables it.
-func (pf *Prefetcher) SetRecorder(r obs.Recorder) { pf.rec = r }
 
 // AppendExpandAccess appends to dst the physical I/Os a pool AccessResult
 // implies: flush the dirty victim, then read the page.
@@ -64,9 +58,6 @@ func (pf *Prefetcher) OnAccess(o *model.Object) ([]PhysIO, error) {
 			if pf.Pool.Contains(pg) {
 				pf.Pool.Boost(pg)
 				pf.BoostsIssued++
-				if pf.rec != nil {
-					pf.rec.Count(obs.PrefetchBoost, 1)
-				}
 			}
 		}
 		return nil, nil
@@ -80,9 +71,6 @@ func (pf *Prefetcher) OnAccess(o *model.Object) ([]PhysIO, error) {
 			}
 			if !res.Hit {
 				pf.PrefetchReads++
-				if pf.rec != nil {
-					pf.rec.Count(obs.PrefetchRead, 1)
-				}
 			}
 			ios = AppendExpandAccess(ios, res, pg)
 			// Prefetched pages get the same high priority as the accessed

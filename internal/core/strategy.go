@@ -5,7 +5,6 @@ import (
 
 	"oodb/internal/buffer"
 	"oodb/internal/model"
-	"oodb/internal/obs"
 	"oodb/internal/registry"
 	"oodb/internal/storage"
 )
@@ -81,8 +80,6 @@ type ClusterSeam struct {
 	PageSize int
 	// NoSiblingCandidates is the candidate-ranking ablation knob.
 	NoSiblingCandidates bool
-	// Recorder receives layer-local instrumentation events; nil disables.
-	Recorder obs.Recorder
 }
 
 // ClusterStrategyFactory builds a clustering strategy from its seam.
@@ -114,8 +111,7 @@ func HasClusterStrategy(name string) bool { return strategies.Has(name) }
 func ClusterStrategyNames() []string { return strategies.Names() }
 
 // placer is what every clustering strategy shares: the layers below it, the
-// inherited-attribute cost model, the statistics and recorder, the
-// sequential fill page, and the scratch buffers handed out through
+// inherited-attribute cost model, the statistics, the sequential fill page, and the scratch buffers handed out through
 // Placement. Its fill path is the paper's No_Cluster rule: the affinity
 // Clusterer falls back to it, DSTC places through it when no warm neighbor
 // has room, and DRO places and evacuates through nothing else.
@@ -130,7 +126,6 @@ type placer struct {
 
 	frontier storage.PageID // sequential fill page (No_Cluster placements)
 	stats    ClusterStats
-	rec      obs.Recorder // nil = uninstrumented
 
 	ios   []PhysIO         // Placement.IOs backing store
 	dirty []storage.PageID // Placement.DirtyPages backing store
@@ -140,12 +135,11 @@ func newPlacer(g *model.Graph, st storage.Backend, pool buffer.Frames) placer {
 	return placer{Graph: g, Store: st, Pool: pool, AttrCost: DefaultAttrCostModel}
 }
 
-// setup applies the seam's page size and recorder.
+// setup applies the seam's page size.
 func (p *placer) setup(s ClusterSeam) {
 	if s.PageSize > 0 {
 		p.AttrCost.PageSize = s.PageSize
 	}
-	p.rec = s.Recorder
 }
 
 // Stats returns a copy of the clustering statistics.
@@ -165,9 +159,6 @@ func (p *placer) begin(o *model.Object) error {
 		return fmt.Errorf("core: object %d already placed", o.ID)
 	}
 	p.stats.Placements++
-	if p.rec != nil {
-		p.rec.Count(obs.ClusterPlacement, 1)
-	}
 	ChooseAttrImpls(p.Graph, o, p.AttrCost)
 	return nil
 }
@@ -181,9 +172,6 @@ func (p *placer) keep(ios []PhysIO, dirty []storage.PageID) ([]PhysIO, []storage
 // countMove counts one relocated object.
 func (p *placer) countMove() {
 	p.stats.Moves++
-	if p.rec != nil {
-		p.rec.Count(obs.ClusterMove, 1)
-	}
 }
 
 // freshPage allocates a page and installs it in the pool, appending the

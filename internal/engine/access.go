@@ -4,7 +4,6 @@ import (
 	"oodb/internal/buffer"
 	"oodb/internal/core"
 	"oodb/internal/model"
-	"oodb/internal/obs"
 	"oodb/internal/storage"
 	"oodb/internal/txlog"
 	"oodb/internal/workload"
@@ -13,7 +12,8 @@ import (
 // AccessResult is what the access layer hands back for one transaction: the
 // ordered physical I/O program, the background (prefetch) I/Os that load the
 // disks without serializing into the response path, the logical operation
-// count, and how many logical reads found their object already deleted.
+// count, how many logical reads found their object already deleted, and how
+// many found its page resident.
 //
 // IOs and Background may be backed by the layer's reusable buffers: they are
 // valid until the next Execute call. Callers that need them longer must copy.
@@ -22,6 +22,7 @@ type AccessResult struct {
 	Background []core.PhysIO
 	Logical    int
 	NotFound   int
+	Hits       int
 }
 
 // AccessLayer is the seam between the timed simulation (engine) and the
@@ -44,7 +45,6 @@ type stack struct {
 	pf    *core.Prefetcher
 	log   *txlog.Manager
 	gen   workload.Source
-	rec   obs.Recorder // nil = uninstrumented
 
 	// obsv is the cluster strategy's access-pattern feed, discovered by
 	// capability at construction (nil for strategies that place statically,
@@ -59,10 +59,8 @@ type stack struct {
 	boostLimit   int
 
 	// ocbDepth bounds the OCB simple-traversal expansion (zero under the
-	// OCT workload); curKind tags the in-flight request so readObject can
-	// attribute instrumentation per operation kind.
+	// OCT workload).
 	ocbDepth int
-	curKind  workload.QueryKind
 
 	// sizeBytes maps payload-size classes to bytes (derived from the OCB
 	// BaseSize at construction; all-zero under OCT, where Size is always
@@ -84,6 +82,7 @@ type stack struct {
 
 	nameSeq  int // created-object name sequence
 	notFound int // per-Execute logical reads of deleted objects
+	hits     int // per-Execute logical reads whose page was resident
 
 	// pendingBG accumulates background (prefetch) I/Os generated while the
 	// current transaction executes.
@@ -110,8 +109,7 @@ var _ AccessLayer = (*stack)(nil)
 // Execute implements AccessLayer.
 func (a *stack) Execute(txn int, req workload.Op) (AccessResult, error) {
 	a.pendingBG = a.pendingBG[:0]
-	a.notFound = 0
-	a.curKind = req.Kind
+	a.notFound, a.hits = 0, 0
 	ios, logical, err := a.execute(txn, req)
 	if err == nil && req.Kind.IsWrite() && a.store.NumPlaced() != a.graph.NumObjects() {
 		// Per-write conservation: every live object occupies exactly one
@@ -123,5 +121,6 @@ func (a *stack) Execute(txn int, req workload.Op) (AccessResult, error) {
 		Background: a.pendingBG,
 		Logical:    logical,
 		NotFound:   a.notFound,
+		Hits:       a.hits,
 	}, err
 }

@@ -56,9 +56,10 @@ import (
 // and since there is one log appended in guard order, whatever survives a
 // crash is a prefix of the commit order.
 //
-// The per-layer obs.Recorder is not goroutine-safe and is ignored; the
-// pool, lock, cluster, and log statistics (internally consistent or
-// merged) carry the run's accounting instead.
+// Every layer's accounting reaches ConcurrentResults the way it reaches the
+// serial engine's Results: world.report reads the pool, lock, cluster, log
+// and durability statistics off the shared structures once every session
+// has stopped, and Run merges the sessions' own counts in.
 type Concurrent struct {
 	*world
 	opt ConcurrentOptions
@@ -128,7 +129,9 @@ type csession struct {
 
 	completed int
 	ops       IOCounts
-	kind      [workload.NumQueryKinds]int
+	kind      [workload.NumQueryKinds]int // transactions per query kind
+	kindIOs   [workload.NumQueryKinds]int // their foreground physical I/Os
+	kindHits  [workload.NumQueryKinds]int // their logical reads' buffer hits
 
 	err error
 }
@@ -147,9 +150,6 @@ func NewConcurrent(cfg Config, opt ConcurrentOptions) (*Concurrent, error) {
 	if cfg.Record != nil || cfg.Replay != nil {
 		return nil, fmt.Errorf("engine: trace record/replay is serial-only (the concurrent schedule is not reproducible)")
 	}
-	// The obs seam is single-threaded by design (zero-allocation counters,
-	// no atomics); drop it rather than race on it.
-	cfg.Recorder = nil
 
 	// The sharded structures size themselves to the machine: the next power
 	// of two >= GOMAXPROCS spreads P simultaneously running sessions over at
@@ -238,11 +238,7 @@ func (c *Concurrent) Run() (ConcurrentResults, error) {
 	r := ConcurrentResults{
 		ResultCore: c.report(),
 		Sessions:   c.opt.Sessions,
-		PoolShards: c.pool.Shards(),
 		Elapsed:    elapsed,
-	}
-	if c.locks != nil {
-		r.LockShards = c.locks.Shards()
 	}
 	for _, cs := range c.sessions {
 		if cs.err != nil {
@@ -260,6 +256,8 @@ func (c *Concurrent) Run() (ConcurrentResults, error) {
 		for k := workload.QueryKind(0); k < workload.NumQueryKinds; k++ {
 			if cs.kind[k] > 0 {
 				r.KindCount[k.String()] += cs.kind[k]
+				r.KindIOs[k.String()] += cs.kindIOs[k]
+				r.KindHits[k.String()] += cs.kindHits[k]
 			}
 		}
 	}
@@ -402,6 +400,8 @@ func (c *Concurrent) execute(cs *csession, txn int) error {
 	cs.completed++
 	cs.ops.note(res)
 	cs.kind[req.Kind]++
+	cs.kindIOs[req.Kind] += len(res.IOs)
+	cs.kindHits[req.Kind] += res.Hits
 	return nil
 }
 
@@ -412,11 +412,6 @@ func (c *Concurrent) execute(cs *csession, txn int) error {
 type ConcurrentResults struct {
 	ResultCore
 	Sessions int
-
-	// PoolShards and LockShards are the shard counts the engine sized its
-	// buffer pool and lock table to (LockShards is 0 with locking off).
-	PoolShards int
-	LockShards int
 
 	// Wall-clock measurements.
 	Elapsed time.Duration

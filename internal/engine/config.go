@@ -15,7 +15,6 @@ import (
 	"oodb/internal/buffer"
 	"oodb/internal/core"
 	"oodb/internal/model"
-	"oodb/internal/obs"
 	"oodb/internal/ocb"
 	"oodb/internal/storage"
 	"oodb/internal/workload"
@@ -174,11 +173,6 @@ type Config struct {
 	// the name registry (e.g. "noop"); empty means "affinity", the paper's
 	// algorithm.
 	ClusterStrategy string
-
-	// Recorder, when non-nil, receives per-layer instrumentation events
-	// from every component of the engine's stack (buffer, cluster,
-	// prefetch, storage, txlog, lock). Nil keeps the hot paths untouched.
-	Recorder obs.Recorder
 }
 
 // paperDBBytes and paperBuffers are the unscaled Table 4.1 values.
@@ -312,10 +306,9 @@ func (c Config) Validate() error {
 
 // Fingerprint renders the behavior-determining configuration as a stable
 // string: the key of the experiment harness's memo and results caches. The
-// attachment-only fields (observers, trace sinks and sources) are excluded —
-// they do not influence simulated behavior.
+// attachment-only fields (trace sinks and sources) are excluded — they do
+// not influence simulated behavior.
 func (c Config) Fingerprint() string {
-	c.Recorder = nil
 	c.Record = nil
 	c.Replay = nil
 	// The storage backend changes where state lives, not what the simulation

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"oodb/internal/obs"
 	"oodb/internal/storage"
 )
 
@@ -134,24 +133,18 @@ func TestFileBackendCrashPrefixRecovery(t *testing.T) {
 	}
 }
 
-// A file-backed engine run with instrumentation installed surfaces the
-// durability counters through the obs layer.
+// A file-backed engine run reports its durability counters in Results, and
+// recovery reports the mutation records it replayed.
 func TestFileBackendObservability(t *testing.T) {
 	cfg := fileConfig(t, quickConfig(120), "always")
-	var counters obs.Counters
-	cfg.Recorder = &counters
-	runClosed(t, cfg)
-	for _, e := range []obs.Event{obs.WALAppend, obs.WALFsync, obs.StorePageRead} {
-		if counters.CountOf(e) == 0 {
-			t.Errorf("event %s never counted", e)
-		}
+	if d := runClosed(t, cfg).Durability; d.WALAppends == 0 || d.WALSyncs == 0 || d.PageReads == 0 {
+		t.Errorf("durability counters missing: %+v", d)
 	}
-	// Recovery replay events count too.
-	var rc obs.Counters
-	if _, err := storage.RecoverDir(cfg.DataDir, &rc); err != nil {
+	st, err := storage.RecoverDir(cfg.DataDir, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.CountOf(obs.WALRecoveryReplayed) == 0 {
+	if st.Applied == 0 {
 		t.Error("recovery replayed no records")
 	}
 }

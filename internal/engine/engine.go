@@ -9,7 +9,6 @@ import (
 	"oodb/internal/buffer"
 	"oodb/internal/core"
 	"oodb/internal/model"
-	"oodb/internal/obs"
 	"oodb/internal/sim"
 	"oodb/internal/trace"
 	"oodb/internal/workload"
@@ -261,9 +260,6 @@ func (e *Engine) startTxn(done func()) {
 			}
 		}
 	}
-	if e.cfg.Recorder != nil {
-		e.cfg.Recorder.Count(obs.EngineTxn, 1)
-	}
 
 	// Concurrency control first: the transaction queues on conflicting
 	// object locks, and that queueing delay is part of its response time.
@@ -289,9 +285,6 @@ func (e *Engine) runLocked(txn int, req workload.Op, t0 sim.Time, done func()) {
 	// not serialize into this transaction's response path. Copied because
 	// res.Background is scratch-backed and the disk callbacks outlive it.
 	bg := append([]core.PhysIO(nil), res.Background...)
-	if e.cfg.Recorder != nil && len(bg) > 0 {
-		e.cfg.Recorder.Count(obs.EngineBackgroundIO, len(bg))
-	}
 	for _, io := range bg {
 		e.diskFor(io).Request(diskServiceTime, nil)
 	}

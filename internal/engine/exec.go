@@ -90,7 +90,9 @@ func (a *stack) readObject(dst []core.PhysIO, id model.ObjectID, prefetch, boost
 		return dst, err
 	}
 	a.foldRead(id, true)
-	a.noteOCBAccess(res.Hit)
+	if res.Hit {
+		a.hits++
+	}
 	if a.obsv != nil {
 		a.obsv.NoteAccess(id)
 	}

@@ -5,8 +5,6 @@ import (
 
 	"oodb/internal/core"
 	"oodb/internal/model"
-	"oodb/internal/obs"
-	"oodb/internal/ocb"
 	"oodb/internal/workload"
 )
 
@@ -47,31 +45,6 @@ func (a *stack) foldRead(id model.ObjectID, found bool) {
 		x |= 1
 	}
 	a.digest = (a.digest ^ x) * digestPrime
-}
-
-// noteOCBAccess attributes one buffer access to the in-flight OCB operation
-// kind. No-op when uninstrumented or when an OCT kind is executing.
-func (a *stack) noteOCBAccess(hit bool) {
-	if a.rec == nil || a.curKind < workload.QOCBScan || a.curKind > workload.QOCBRewire {
-		return
-	}
-	i := int(a.curKind - workload.QOCBScan)
-	if hit {
-		a.rec.Count(ocbHit[i], 1)
-	} else {
-		a.rec.Count(ocbIO[i], 1)
-	}
-}
-
-// ocbHit/ocbIO map an OCB kind offset to its per-kind obs counters.
-var ocbHit = [ocb.NumOps]obs.Event{
-	obs.OCBScanHit, obs.OCBSimpleHit, obs.OCBHierarchyHit, obs.OCBStochasticHit,
-	obs.OCBInsertHit, obs.OCBDeleteHit, obs.OCBUpdateHit, obs.OCBRewireHit,
-}
-
-var ocbIO = [ocb.NumOps]obs.Event{
-	obs.OCBScanIO, obs.OCBSimpleIO, obs.OCBHierarchyIO, obs.OCBStochasticIO,
-	obs.OCBInsertIO, obs.OCBDeleteIO, obs.OCBUpdateIO, obs.OCBRewireIO,
 }
 
 // readSubtree reads root and then the configuration subtree under it:

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"oodb/internal/buffer"
 	"oodb/internal/core"
 	"oodb/internal/model"
 	"oodb/internal/sim"
@@ -123,18 +122,20 @@ func (l *Library) Remove(o *model.Object) error {
 	})
 }
 
-// Counts returns the accounting of every call so far.
-func (l *Library) Counts() IOCounts { return l.ops }
-
-// PoolStats returns the buffer pool's statistics.
-func (l *Library) PoolStats() buffer.Stats { return l.frames.Stats() }
+// Results reports every call so far: their I/O accounting, every layer's
+// statistics (the library takes no locks) and the oracle observables. The
+// library has no clock and no generator, so Completed, Throughput and the
+// per-kind maps stay empty.
+func (l *Library) Results() ResultCore {
+	r := l.report()
+	r.IOCounts = l.ops
+	r.LogicalDigest = l.stack.digest
+	r.ConservationViolations = l.stack.conserve
+	return r
+}
 
 // Clusterer returns the world's clustering strategy.
 func (l *Library) Clusterer() core.ClusterStrategy { return l.clust }
 
 // Prefetcher returns the prefetcher behind Read.
 func (l *Library) Prefetcher() *core.Prefetcher { return l.stack.pf }
-
-// ConservationViolations counts writes after which the placed-object count
-// disagreed with the live-object count; zero on a correct stack.
-func (l *Library) ConservationViolations() int { return l.stack.conserve }

@@ -87,7 +87,7 @@ func TestLibraryFailedWriteAborts(t *testing.T) {
 	if st := l.log.Stats(); st.Aborts != 1 || l.log.Open() != 0 {
 		t.Errorf("log: %d aborts, %d transactions open; want 1 and 0", st.Aborts, l.log.Open())
 	}
-	if got := l.Counts(); got.LogIOs != 2 {
+	if got := l.Results(); got.LogIOs != 2 {
 		t.Errorf("accounted %d log I/Os, want the 2 committed creates'", got.LogIOs)
 	}
 	if err := l.Close(); err != nil {

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"oodb/internal/obs"
+	"oodb/internal/model"
 	"oodb/internal/workload"
 )
 
@@ -135,69 +135,76 @@ func TestOCBRecordReplayIdentity(t *testing.T) {
 	}
 }
 
-// TestNoteOCBAccessAllocFree: attributing buffer accesses to the OCB write
-// kinds allocates nothing — on the uninstrumented (nil recorder) path and on
-// the live recording path alike. The access layer sits under every buffer
-// touch, so any allocation here would be per-I/O overhead.
+// TestNoteOCBAccessAllocFree: attributing buffer hits to the OCB write kinds
+// allocates nothing — the stack's per-read hit count and the serial driver's
+// per-kind fold alike. The access layer sits under every buffer touch, so
+// any allocation here would be per-I/O overhead.
 func TestNoteOCBAccessAllocFree(t *testing.T) {
+	e, err := New(quickOCBConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.access.(*stack)
+	// Construction leaves the pool warm: find an object on a resident page.
+	id := model.NilObject
+	e.graph.ForEachObject(func(o *model.Object) {
+		if id == model.NilObject && e.frames.Contains(e.store.PageOf(o.ID)) {
+			id = o.ID
+		}
+	})
+	if id == model.NilObject {
+		t.Fatal("no object on a resident page")
+	}
 	kinds := []workload.QueryKind{
 		workload.QOCBInsert, workload.QOCBDelete,
 		workload.QOCBUpdate, workload.QOCBRewire,
 	}
-
-	bare := &stack{} // rec == nil: the uninstrumented fast path
 	if n := testing.AllocsPerRun(100, func() {
 		for _, k := range kinds {
-			bare.curKind = k
-			bare.noteOCBAccess(true)
-			bare.noteOCBAccess(false)
+			st.hits = 0
+			if _, err := st.readObject(nil, id, false, false); err != nil {
+				t.Fatal(err)
+			}
+			e.metrics.note(k, AccessResult{Hits: st.hits})
 		}
 	}); n != 0 {
-		t.Fatalf("nil-recorder noteOCBAccess allocates %v per run", n)
+		t.Fatalf("per-kind hit accounting allocates %v per run", n)
 	}
-
-	c := &obs.Counters{}
-	inst := &stack{rec: c}
-	if n := testing.AllocsPerRun(100, func() {
-		for _, k := range kinds {
-			inst.curKind = k
-			inst.noteOCBAccess(true)
-			inst.noteOCBAccess(false)
-		}
-	}); n != 0 {
-		t.Fatalf("recording noteOCBAccess allocates %v per run", n)
-	}
-	for _, ev := range []obs.Event{
-		obs.OCBInsertHit, obs.OCBInsertIO, obs.OCBDeleteHit, obs.OCBDeleteIO,
-		obs.OCBUpdateHit, obs.OCBUpdateIO, obs.OCBRewireHit, obs.OCBRewireIO,
-	} {
-		if c.CountOf(ev) == 0 {
-			t.Errorf("event %v never counted", ev)
+	for _, k := range kinds {
+		if e.metrics.perKindHits[k] == 0 {
+			t.Errorf("kind %v: no hits counted", k)
 		}
 	}
 }
 
-// TestOCBWriteKindsInstrumented: a write-enabled OCB run with a recorder
-// attached attributes buffer traffic to the write-kind events end to end.
+// TestOCBWriteKindsInstrumented: a write-enabled OCB run attributes buffer
+// hits and physical I/O to the write kinds end to end, in Results.
 func TestOCBWriteKindsInstrumented(t *testing.T) {
 	t.Parallel()
 	cfg := quickOCBConfig(400)
 	cfg.OCB.ReadWriteRatio = 2
-	c := &obs.Counters{}
-	cfg.Recorder = c
 	res := runOCB(t, cfg)
 	if res.WriteTxns == 0 {
 		t.Fatal("write-enabled OCB run completed no writes")
 	}
-	var total int64
-	for _, ev := range []obs.Event{
-		obs.OCBInsertHit, obs.OCBInsertIO, obs.OCBDeleteHit, obs.OCBDeleteIO,
-		obs.OCBUpdateHit, obs.OCBUpdateIO, obs.OCBRewireHit, obs.OCBRewireIO,
+	var hits, ios int
+	for _, k := range []workload.QueryKind{
+		workload.QOCBInsert, workload.QOCBDelete, workload.QOCBUpdate, workload.QOCBRewire,
 	} {
-		total += c.CountOf(ev)
+		hits += res.KindHits[k.String()]
+		ios += res.KindIOs[k.String()]
 	}
-	if total == 0 {
-		t.Fatal("no buffer accesses attributed to any OCB write kind")
+	if hits == 0 || ios == 0 {
+		t.Fatalf("write kinds were attributed %d hits and %d I/Os", hits, ios)
+	}
+	// The per-kind hits are the logical reads'; the pool also counts the
+	// clusterer's and the prefetcher's accesses, so it never sees fewer.
+	hits = 0
+	for _, n := range res.KindHits {
+		hits += n
+	}
+	if hits > res.Pool.Hits {
+		t.Fatalf("the kinds claim %d hits, the pool counted %d", hits, res.Pool.Hits)
 	}
 }
 

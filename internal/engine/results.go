@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"oodb/internal/buffer"
 	"oodb/internal/core"
@@ -30,6 +31,7 @@ type Metrics struct {
 	ops          IOCounts
 	perKindCount [workload.NumQueryKinds]int
 	perKindIOs   [workload.NumQueryKinds]int
+	perKindHits  [workload.NumQueryKinds]int
 	perKindResp  [workload.NumQueryKinds]stats.Tally
 
 	// warmup is the number of leading transactions whose measurements are
@@ -55,6 +57,7 @@ func (m *Metrics) note(kind workload.QueryKind, res AccessResult) {
 	m.ops.note(res)
 	m.perKindCount[kind]++
 	m.perKindIOs[kind] += len(res.IOs)
+	m.perKindHits[kind] += res.Hits
 }
 
 func (m *Metrics) complete(kind workload.QueryKind, resp float64) {
@@ -111,11 +114,12 @@ func (c *IOCounts) add(o IOCounts) {
 }
 
 // ResultCore is what every driver reports about a run: the logical
-// accounting, the shared components' statistics, and the differential-
-// oracle observables. Results and ConcurrentResults embed it and add their
-// own clock's measurements. Each driver applies its own warm-up rule to the
-// counters (the serial engine excludes warm-up transactions from them, the
-// concurrent engine only from its latency distribution).
+// accounting, every layer's own statistics, and the differential-oracle
+// observables. Results and ConcurrentResults embed it and add their own
+// clock's measurements; the library returns it bare. Each driver applies its
+// own warm-up rule to the counters (the serial engine excludes warm-up
+// transactions from them, the concurrent engine only from its latency
+// distribution).
 type ResultCore struct {
 	Config Config
 
@@ -124,19 +128,31 @@ type ResultCore struct {
 	// (simulated seconds for Results, wall-clock for ConcurrentResults).
 	Throughput float64
 	IOCounts
-	// KindCount maps query-kind name to its transaction count.
+	// KindCount maps query-kind name to its transaction count, KindIOs to
+	// the foreground physical I/Os those transactions issued, and KindHits
+	// to their logical reads that found the page resident: the
+	// per-operation-kind I/O and hit-rate breakdown the OCB analysis reads.
 	KindCount map[string]int
+	KindIOs   map[string]int
+	KindHits  map[string]int
 
-	// Component statistics. PoolResident and PoolCapacity expose end-of-run
-	// buffer occupancy for the occupancy conservation invariant; Locks is
-	// the zero value when locking is disabled, and LocksHeld — objects still
-	// locked at end of run — must be zero.
+	// Component statistics, each layer's own, read off the shared
+	// structures at end of run. PoolResident and PoolCapacity expose
+	// end-of-run buffer occupancy for the occupancy conservation invariant;
+	// Locks is the zero value when locking is disabled, and LocksHeld —
+	// objects still locked at end of run — must be zero. PoolShards and
+	// LockShards are the shard counts the pool and lock table were sized to
+	// (LockShards is 0 with locking off).
 	Pool         buffer.Stats
 	HitRatio     float64
 	PoolResident int
 	PoolCapacity int
+	PoolShards   int
+	Cluster      core.ClusterStats
+	Log          txlog.Stats
 	Locks        lock.Stats
 	LocksHeld    int
+	LockShards   int
 
 	// --- Differential-oracle observables ---
 
@@ -175,20 +191,48 @@ func (w *world) report() ResultCore {
 		Pool:             w.frames.Stats(),
 		PoolResident:     w.frames.Resident(),
 		PoolCapacity:     w.frames.Capacity(),
+		PoolShards:       w.frames.Shards(),
+		Cluster:          w.clust.Stats(),
+		Log:              w.log.Stats(),
 		FinalStateDigest: finalStateDigest(w.graph),
 		LiveObjects:      w.graph.NumObjects(),
 		PlacedObjects:    w.store.NumPlaced(),
 		KindCount:        make(map[string]int),
+		KindIOs:          make(map[string]int),
+		KindHits:         make(map[string]int),
 	}
 	r.HitRatio = r.Pool.HitRatio()
 	if w.locks != nil {
 		r.Locks = w.locks.Stats()
 		r.LocksHeld = w.locks.Locked()
+		r.LockShards = w.locks.Shards()
 	}
 	if w.durable != nil {
 		r.Durability = w.durable.DurableStats()
 	}
 	return r
+}
+
+// LayerLines renders the per-layer accounting both CLIs print after a run,
+// one indented line per layer: pool, locks (with locking on), cluster, log,
+// and wal (on a persistent backend).
+func (r ResultCore) LayerLines() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "  pool: hit=%.3f resident=%d/%d shards=%d evictions=%d flushes=%d\n",
+		r.HitRatio, r.PoolResident, r.PoolCapacity, r.PoolShards, r.Pool.Evictions, r.Pool.Flushes)
+	if r.Config.Locking {
+		fmt.Fprintf(&b, "  locks: requests=%d conflicts=%d max-waiters=%d shards=%d\n",
+			r.Locks.Requests, r.Locks.Conflicts, r.Locks.MaxWaiters, r.LockShards)
+	}
+	fmt.Fprintf(&b, "  cluster: placements=%d moves=%d splits=%d candidateIOs=%d\n",
+		r.Cluster.Placements, r.Cluster.Moves, r.Cluster.Splits, r.Cluster.CandidateIOs)
+	fmt.Fprintf(&b, "  log: records=%d before-image IOs=%d buffer flushes=%d\n",
+		r.Log.Records, r.Log.BeforeImageIOs, r.Log.BufferFlushes)
+	if d := r.Durability; d != (storage.DurableStats{}) {
+		fmt.Fprintf(&b, "  wal: appends=%d fsyncs=%d bytes=%d page(r/w)=%d/%d committed=%d\n",
+			d.WALAppends, d.WALSyncs, d.WALBytes, d.PageReads, d.PageWrites, d.Committed)
+	}
+	return b.String()
 }
 
 // Results summarizes one simulation run: the shared ResultCore (counters
@@ -210,10 +254,6 @@ type Results struct {
 	// SimTime is the simulated duration in seconds.
 	SimTime float64
 
-	// Serial-only component statistics.
-	Cluster core.ClusterStats
-	Log     txlog.Stats
-
 	// Utilizations.
 	CPUUtil      float64
 	MeanDiskUtil float64
@@ -226,10 +266,6 @@ type Results struct {
 	// KindResponse maps query-kind name to its mean response time, for
 	// per-operation analysis (checkout vs simple lookup vs insert ...).
 	KindResponse map[string]float64
-	// KindIOs maps query-kind name to the foreground physical I/Os its
-	// transactions issued — with KindCount, the per-operation-kind I/O and
-	// hit-rate breakdown the OCB analysis reads.
-	KindIOs map[string]int
 
 	// RatioChangesIgnored counts phased read/write-ratio changes the
 	// workload source refused to honor (e.g. a read-only OCB stream asked
@@ -248,13 +284,10 @@ func (e *Engine) results() Results {
 		ReadTxns:            m.respRead.N(),
 		WriteTxns:           m.respWrite.N(),
 		SimTime:             e.sim.Now(),
-		Cluster:             e.clust.Stats(),
-		Log:                 e.log.Stats(),
 		CPUUtil:             e.cpu.Utilization(),
 		LogDiskUtil:         e.logDisk.Utilization(),
 		RatioChangesIgnored: m.ratioIgnored,
 		KindResponse:        make(map[string]float64),
-		KindIOs:             make(map[string]int),
 	}
 	r.Completed = m.respAll.N()
 	r.IOCounts = m.ops
@@ -280,6 +313,7 @@ func (e *Engine) results() Results {
 			r.KindResponse[k.String()] = m.perKindResp[k].Mean()
 			r.KindCount[k.String()] = n
 			r.KindIOs[k.String()] = m.perKindIOs[k]
+			r.KindHits[k.String()] = m.perKindHits[k]
 		}
 	}
 	return r

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"oodb/internal/core"
-	"oodb/internal/obs"
+	"oodb/internal/model"
+	"oodb/internal/workload"
 )
 
 // seamConfig is a tiny but complete run for exercising the layer seams.
@@ -88,60 +90,98 @@ func TestRegistryRejectsUnknownNames(t *testing.T) {
 	}
 }
 
-// TestRecorderObservesAllLayers runs an instrumented simulation and checks
-// that each layer reported events into the shared recorder.
-func TestRecorderObservesAllLayers(t *testing.T) {
-	cfg := seamConfig()
-	cfg.Replacement = core.ReplContext // so boosts fire too
-	rec := &obs.Counters{}
-	cfg.Recorder = rec
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// One event per layer proves the recorder is plumbed end to end;
-	// construction alone already exercises storage and clustering.
-	for _, ev := range []obs.Event{
-		obs.EngineTxn, obs.PoolMiss, obs.PoolBoost,
-		obs.ClusterPlacement, obs.StoreAllocPage,
-		obs.LogBeforeImage, obs.LockGrant,
-	} {
-		if rec.CountOf(ev) == 0 {
-			t.Errorf("no %v events recorded", ev)
-		}
-	}
-	if rec.CountOf(obs.EngineTxn) != int64(cfg.Transactions) {
-		t.Errorf("EngineTxn = %d, want %d", rec.CountOf(obs.EngineTxn), cfg.Transactions)
-	}
-	if rec.Render() == "" {
-		t.Error("Render returned nothing for a populated recorder")
-	}
-}
+// TestEveryDriverReportsEveryLayer: the serial engine, the concurrent engine
+// at one and four sessions, and the library all report every layer's own
+// statistics — pool, cluster, log, locks when they take any, durability on
+// the file backend — and the cluster statistics count the run's placements
+// only, construction's having been reset. The engines run an OCB write mix;
+// the library, which has no generator, makes the same kinds of writes as
+// calls.
+func TestEveryDriverReportsEveryLayer(t *testing.T) {
+	t.Parallel()
+	base := quickOCBConfig(300)
+	base.OCB.ReadWriteRatio = 2
+	for _, backend := range []string{"memory", "file"} {
+		t.Run(backend, func(t *testing.T) {
+			mk := func() Config {
+				if backend == "file" {
+					return fileConfig(t, base, "never")
+				}
+				return base
+			}
+			// Each insert places one object; an update that resizes its
+			// target (a rewire onto itself is one) places it again.
+			check := func(driver string, r ResultCore, locks bool, inserts, replaces int) {
+				t.Helper()
+				if r.Pool.Hits+r.Pool.Misses == 0 {
+					t.Errorf("%s: no pool accesses", driver)
+				}
+				if r.Log.Records == 0 {
+					t.Errorf("%s: no log records", driver)
+				}
+				if locks && r.Locks.Requests == 0 {
+					t.Errorf("%s: no lock requests with locking on", driver)
+				}
+				if durable := r.Durability.Committed > 0 && r.Durability.WALAppends > 0; durable != (backend == "file") {
+					t.Errorf("%s: durability %+v on the %s backend", driver, r.Durability, backend)
+				}
+				if p := r.Cluster.Placements; p == 0 || p < inserts || p > inserts+replaces {
+					t.Errorf("%s: %d placements for %d inserts and at most %d re-placements", driver, p, inserts, replaces)
+				}
+			}
+			checkEngine := func(driver string, r ResultCore) {
+				t.Helper()
+				k := r.KindCount
+				check(driver, r, true, k["ocb-insert"], k["ocb-update"]+k["ocb-rewire"])
+			}
 
-// TestUninstrumentedRunMatchesInstrumented verifies the recorder seam is
-// purely observational: the same seed with and without a recorder produces
-// identical simulation results.
-func TestUninstrumentedRunMatchesInstrumented(t *testing.T) {
-	run := func(rec obs.Recorder) Results {
-		cfg := seamConfig()
-		cfg.Recorder = rec
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain := run(nil)
-	observed := run(&obs.Counters{})
-	if plain.String() != observed.String() {
-		t.Fatalf("recorder perturbed the run:\nplain:    %s\nobserved: %s",
-			plain.String(), observed.String())
+			s := runClosed(t, mk())
+			checkEngine("serial", s.ResultCore)
+			for _, n := range []int{1, 4} {
+				c, err := NewConcurrent(mk(), ConcurrentOptions{Sessions: n})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := c.Run()
+				if err == nil {
+					err = c.CheckInvariants()
+				}
+				if cerr := c.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkEngine(fmt.Sprintf("concurrent/%d", n), res.ResultCore)
+			}
+
+			// The library: a root and forty components under it (objects
+			// 1..41), ten rewires that give a component a component of its
+			// own, ten deletes, then a read of every object.
+			l, ty := openTestLibrary(t, mk())
+			script := []workload.Op{{Kind: workload.QInsert, NewType: ty}}
+			for i := 0; i < 40; i++ {
+				script = append(script, workload.Op{Kind: workload.QInsert, NewType: ty, AttachTo: 1})
+			}
+			for id := model.ObjectID(2); id < 12; id++ {
+				script = append(script,
+					workload.Op{Kind: workload.QStructUpdate, Target: id + 20, AttachTo: id},
+					workload.Op{Kind: workload.QDelete, Target: id + 10})
+			}
+			for i, op := range script {
+				if err := applyLibrary(l, op); err != nil {
+					t.Fatalf("library step %d (%v): %v", i, op.Kind, err)
+				}
+			}
+			for id := model.ObjectID(1); id <= 41; id++ {
+				if err := l.Read(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("library", l.Results(), false, 41, 0)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"oodb/internal/core"
 	"oodb/internal/lock"
 	"oodb/internal/model"
-	"oodb/internal/obs"
 	"oodb/internal/ocb"
 	"oodb/internal/sim"
 	"oodb/internal/storage"
@@ -53,8 +52,8 @@ type world struct {
 // buffer.Pool and buffer.ConcurrentPool already have every method.
 type framePool interface {
 	buffer.Frames
-	SetRecorder(r obs.Recorder)
 	SetPageIO(io storage.PageIO)
+	Shards() int
 	Stats() buffer.Stats
 	ResetStats()
 	Resident() int
@@ -112,7 +111,6 @@ func (w *world) open(g *model.Graph, mem *storage.Manager, order []model.ObjectI
 	lockShards int, newPool func(*world) (framePool, error)) (err error) {
 	cfg := w.cfg
 	w.graph = g
-	mem.SetRecorder(cfg.Recorder)
 
 	// Replacement policies come from the name registry; the Table 4.1 enum's
 	// own names are registered there (an out-of-range value is not, and
@@ -125,7 +123,6 @@ func (w *world) open(g *model.Graph, mem *storage.Manager, order []model.ObjectI
 	if w.frames, err = newPool(w); err != nil {
 		return err
 	}
-	w.frames.SetRecorder(cfg.Recorder)
 
 	// The storage backend wraps the in-memory manager: "memory" is the
 	// identity wrapping, "file" journals every placement to a WAL and bears
@@ -134,14 +131,11 @@ func (w *world) open(g *model.Graph, mem *storage.Manager, order []model.ObjectI
 	if err != nil {
 		return err
 	}
-	w.store, err = storage.NewBackendByName(cfg.Backend, mem, storage.BackendOptions{
-		Dir: cfg.DataDir, Fsync: fsync, Recorder: cfg.Recorder,
-	})
+	w.store, err = storage.NewBackendByName(cfg.Backend, mem, storage.BackendOptions{Dir: cfg.DataDir, Fsync: fsync})
 	if err != nil {
 		return err
 	}
 	w.log = txlog.NewManager(logBufBytes)
-	w.log.SetRecorder(cfg.Recorder)
 	// A persistent backend is discovered by capability, the same pattern as
 	// the cluster strategies' PolicyTuner: the pool gets real page I/O, the
 	// txlog gets durable transaction boundaries, the memory path pays nothing.
@@ -168,14 +162,12 @@ func (w *world) open(g *model.Graph, mem *storage.Manager, order []model.ObjectI
 		Hints: cfg.Hints, Hint: userHint,
 		PageSize:            cfg.PageSize,
 		NoSiblingCandidates: cfg.NoSiblingCandidates,
-		Recorder:            cfg.Recorder,
 	})
 	if err != nil {
 		return err
 	}
 	if cfg.Locking {
 		w.locks = lock.NewManagerSharded(lockShards)
-		w.locks.SetRecorder(cfg.Recorder)
 	}
 
 	if err := w.constructDatabase(order); err != nil {
@@ -245,7 +237,6 @@ func (w *world) newStack(gen workload.Source, nameSeq int) *stack {
 		Graph: w.graph, Store: w.store, Pool: w.frames,
 		Policy: cfg.Prefetch, Hints: cfg.Hints, Hint: userHint,
 	}
-	pf.SetRecorder(cfg.Recorder)
 	// Dynamic clustering strategies consume the access-pattern feed; the
 	// capability is discovered like PolicyTuner and storage.Durable. Stacks
 	// share the one strategy instance, which AccessObserver contracts to be
@@ -254,7 +245,6 @@ func (w *world) newStack(gen workload.Source, nameSeq int) *stack {
 	st := &stack{
 		graph: w.graph, store: w.store, pool: w.frames,
 		clust: w.clust, pf: pf, log: w.log, gen: gen,
-		rec:          cfg.Recorder,
 		obsv:         obsv,
 		boostContext: w.boostContext,
 		boostLimit:   cfg.ContextBoostLimit,

@@ -29,7 +29,6 @@ import (
 	"sync"
 
 	"oodb/internal/model"
-	"oodb/internal/obs"
 )
 
 // Mode is a lock mode.
@@ -148,11 +147,7 @@ type Manager struct {
 	shards []tableShard
 	heldSh []heldShard
 	mask   uint64
-	rec    obs.Recorder // nil = uninstrumented
 }
-
-// SetRecorder installs the instrumentation hook; nil disables it.
-func (m *Manager) SetRecorder(r obs.Recorder) { m.rec = r }
 
 // NewManager returns an empty single-shard lock manager (the default for
 // the paper-scale tier, where the table holds tens of entries).
@@ -280,9 +275,6 @@ func (m *Manager) acquire(txn int, obj model.ObjectID, mode Mode, grant func(), 
 		if newHold {
 			m.recordHeld(txn, obj)
 		}
-		if m.rec != nil {
-			m.rec.Count(obs.LockGrant, 1)
-		}
 		return true, nil, nil
 	}
 	if park {
@@ -297,9 +289,6 @@ func (m *Manager) acquire(txn int, obj model.ObjectID, mode Mode, grant func(), 
 		sh.stats.MaxWaiters = len(e.queue)
 	}
 	sh.mu.Unlock()
-	if m.rec != nil {
-		m.rec.Count(obs.LockConflict, 1)
-	}
 	return false, wake, nil
 }
 
@@ -372,11 +361,6 @@ func (m *Manager) ReleaseAll(txn int) {
 		for _, w := range admitted {
 			if w.newHold {
 				m.recordHeld(w.txn, obj)
-			}
-		}
-		if m.rec != nil {
-			for range admitted {
-				m.rec.Count(obs.LockGrant, 1)
 			}
 		}
 		for _, w := range admitted {

@@ -1,3 +1,6 @@
+// Package obs holds the CLIs' profiling hook. Run accounting is not here:
+// each layer's Stats is its instrumentation, and the drivers' results carry
+// every layer's.
 package obs
 
 import (

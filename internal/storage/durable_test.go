@@ -322,7 +322,7 @@ func TestRecoverWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := RecoverWAL(bytes.NewReader(walBytes), nil)
+	st, err := RecoverWAL(bytes.NewReader(walBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestRecoverWALTruncatedTail(t *testing.T) {
 	// Every truncation length must recover to the digest of the last commit
 	// that fully survived the cut.
 	for cut := 12; cut <= len(walBytes); cut += 7 {
-		st, err := RecoverWAL(bytes.NewReader(walBytes[:cut]), nil)
+		st, err := RecoverWAL(bytes.NewReader(walBytes[:cut]))
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"oodb/internal/model"
-	"oodb/internal/obs"
 )
 
 // PageIO is the physical page-transfer seam the buffer pool drives: the
@@ -108,7 +107,6 @@ type FileBackend struct {
 
 	dir    string
 	policy FsyncPolicy
-	rec    obs.Recorder
 
 	mu  sync.Mutex // serializes WAL appends and commit bookkeeping
 	wal *walWriter
@@ -147,7 +145,7 @@ func NewFileBackend(m *Manager, opt BackendOptions) (*FileBackend, error) {
 	if fi, err := os.Stat(walPath); err == nil && fi.Size() > 0 {
 		return nil, fmt.Errorf("storage: %s already holds a WAL; recover it with RecoverDir or point the run at a fresh directory", opt.Dir)
 	}
-	wal, err := newWALWriter(walPath, m.PageSize(), opt.Recorder)
+	wal, err := newWALWriter(walPath, m.PageSize())
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +163,6 @@ func NewFileBackend(m *Manager, opt BackendOptions) (*FileBackend, error) {
 		Manager: m,
 		dir:     opt.Dir,
 		policy:  opt.Fsync,
-		rec:     opt.Recorder,
 		wal:     wal,
 		pages:   pf,
 	}, nil
@@ -330,9 +327,6 @@ func (fb *FileBackend) ReadPage(pg PageID) error {
 		return err
 	}
 	fb.pageReads.Add(1)
-	if fb.rec != nil {
-		fb.rec.Count(obs.StorePageRead, 1)
-	}
 	return nil
 }
 
@@ -350,9 +344,6 @@ func (fb *FileBackend) WritePage(pg PageID) error {
 		return err
 	}
 	fb.pageWrites.Add(1)
-	if fb.rec != nil {
-		fb.rec.Count(obs.StorePageWrite, 1)
-	}
 	return nil
 }
 

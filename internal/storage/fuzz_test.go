@@ -94,7 +94,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		// Recovery must never panic; when it succeeds its bookkeeping must
 		// be internally consistent.
-		st, err := RecoverWAL(bytes.NewReader(data), nil)
+		st, err := RecoverWAL(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 
 	"oodb/internal/model"
-	"oodb/internal/obs"
 )
 
 // Crash recovery replays the write-ahead log's valid prefix and applies
@@ -56,7 +55,7 @@ type recoveredObject struct {
 // transactions contribute nothing. Structural violations (double place,
 // remove of an absent object, page overflow, digest mismatch) are
 // reported as errors, never panics.
-func RecoverWAL(r io.Reader, rec obs.Recorder) (*RecoveredState, error) {
+func RecoverWAL(r io.Reader) (*RecoveredState, error) {
 	var records []WALRecord
 	n, pageSize, err := ReplayWAL(r, func(rec WALRecord) error {
 		records = append(records, rec)
@@ -101,9 +100,6 @@ func RecoverWAL(r io.Reader, rec obs.Recorder) (*RecoveredState, error) {
 			return nil, fmt.Errorf("storage: WAL replay record %d: %w", i, err)
 		}
 		st.Applied++
-		if rec != nil {
-			rec.Count(obs.WALRecoveryReplayed, 1)
-		}
 	}
 	st.Objects = len(placed)
 
@@ -180,14 +176,15 @@ func applyRecovered(st *RecoveredState, placed map[model.ObjectID]recoveredObjec
 // the page file's frames against their CRCs. Frame corruption is reported
 // in the result, not as an error: the page file is derived state and the
 // WAL alone determines the recovered placement.
-func RecoverDir(dir string, rec obs.Recorder) (*RecoveredState, error) {
+// The second argument is ignored; bench/run.go still passes one (ROADMAP 4(a)).
+func RecoverDir(dir string, _ any) (*RecoveredState, error) {
 	f, err := os.Open(filepath.Join(dir, WALFileName))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close() // errscan:ok read-only handle
 
-	st, err := RecoverWAL(bufio.NewReaderSize(f, 1<<16), rec)
+	st, err := RecoverWAL(bufio.NewReaderSize(f, 1<<16))
 	if err != nil {
 		return nil, err
 	}

@@ -1,20 +1,14 @@
 package storage
 
-import (
-	"oodb/internal/obs"
-	"oodb/internal/registry"
-)
+import "oodb/internal/registry"
 
 // BackendOptions carries the construction context a storage backend may
-// need: the data directory and fsync policy for persistent backends, and
-// the instrumentation recorder.
+// need: the data directory and fsync policy for persistent backends.
 type BackendOptions struct {
 	// Dir is the data directory for file-backed backends ("" for memory).
 	Dir string
 	// Fsync selects the WAL sync policy for file-backed backends.
 	Fsync FsyncPolicy
-	// Recorder is the instrumentation hook; nil disables it.
-	Recorder obs.Recorder
 }
 
 // BackendFactory wraps (or returns) a storage backend over the in-memory

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"oodb/internal/model"
-	"oodb/internal/obs"
 )
 
 // PageID identifies a page. The zero value (NilPage) is "no page".
@@ -99,12 +98,7 @@ type Manager struct {
 	// digest is the incremental XOR of PlacementHash over every placed
 	// object, maintained by setWhere (see digest.go).
 	digest uint64
-
-	rec obs.Recorder // nil = uninstrumented
 }
-
-// SetRecorder installs the instrumentation hook; nil disables it.
-func (m *Manager) SetRecorder(r obs.Recorder) { m.rec = r }
 
 // NewManager creates a storage manager over graph with the given page size
 // in bytes.
@@ -131,9 +125,6 @@ func (m *Manager) NumPlaced() int { return m.objects }
 // AllocatePage returns an empty page, reusing a previously emptied one
 // when available.
 func (m *Manager) AllocatePage() PageID {
-	if m.rec != nil {
-		m.rec.Count(obs.StoreAllocPage, 1)
-	}
 	for len(m.free) > 0 {
 		id := m.free[len(m.free)-1]
 		m.free = m.free[:len(m.free)-1]
@@ -283,9 +274,6 @@ func (m *Manager) Move(obj model.ObjectID, pg PageID) error {
 	}
 	if err := m.Remove(obj); err != nil {
 		return err
-	}
-	if m.rec != nil {
-		m.rec.Count(obs.StoreMove, 1)
 	}
 	return m.Place(obj, pg)
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"oodb/internal/model"
-	"oodb/internal/obs"
 )
 
 // The write-ahead log is the file backend's recovery authority: every
@@ -142,8 +141,6 @@ type walWriter struct {
 	// from then on: Linux reports a lost write-back once and then clears
 	// it, so a retry that "succeeds" proves nothing about what is on disk.
 	failed atomic.Pointer[error]
-
-	rec obs.Recorder // nil = uninstrumented
 }
 
 // fail poisons the log with err unless an earlier failure already has,
@@ -154,7 +151,7 @@ func (w *walWriter) fail(err error) error {
 }
 
 // newWALWriter creates (truncating) the log file and writes the header.
-func newWALWriter(path string, pageSize int, rec obs.Recorder) (*walWriter, error) {
+func newWALWriter(path string, pageSize int) (*walWriter, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
@@ -165,7 +162,7 @@ func newWALWriter(path string, pageSize int, rec obs.Recorder) (*walWriter, erro
 		f.Close() // errscan:ok best-effort cleanup after a failed header write
 		return nil, err
 	}
-	return &walWriter{f: f, buf: make([]byte, 0, 64), rec: rec}, nil
+	return &walWriter{f: f, buf: make([]byte, 0, 64)}, nil
 }
 
 // append frames and writes one record. Callers serialize.
@@ -198,9 +195,6 @@ func (w *walWriter) append(rec WALRecord) error {
 	}
 	w.appends++
 	w.bytes += int64(len(b))
-	if w.rec != nil {
-		w.rec.Count(obs.WALAppend, 1)
-	}
 	return nil
 }
 
@@ -210,9 +204,6 @@ func (w *walWriter) sync() error {
 		return *p
 	}
 	w.syncs.Add(1)
-	if w.rec != nil {
-		w.rec.Count(obs.WALFsync, 1)
-	}
 	if err := w.f.Sync(); err != nil {
 		return w.fail(err)
 	}

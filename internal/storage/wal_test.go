@@ -28,7 +28,7 @@ var walSample = []WALRecord{
 func writeWAL(t *testing.T, recs []WALRecord) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := newWALWriter(path, 4096, nil)
+	w, err := newWALWriter(path, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestFileBackendFailStop(t *testing.T) {
 // The WAL append path is on every mutation; it must not allocate.
 func TestWALAppendAllocs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := newWALWriter(path, 4096, nil)
+	w, err := newWALWriter(path, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ package txlog
 import (
 	"fmt"
 
-	"oodb/internal/obs"
 	"oodb/internal/storage"
 )
 
@@ -47,12 +46,7 @@ type Manager struct {
 	// aborts become durable write-ahead-log records. Nil (the default)
 	// keeps the manager a pure accounting model.
 	dur storage.TxnLog
-
-	rec obs.Recorder // nil = uninstrumented
 }
-
-// SetRecorder installs the instrumentation hook; nil disables it.
-func (m *Manager) SetRecorder(r obs.Recorder) { m.rec = r }
 
 // SetDurable forwards transaction boundaries to a durable log; nil
 // disables forwarding.
@@ -96,18 +90,13 @@ func (m *Manager) Append(txn int, objSize int, pg storage.PageID) (ios int, err 
 	if !ok {
 		return 0, fmt.Errorf("txlog: transaction %d not open", txn)
 	}
+	// A repeat update to an already-imaged page rides for free — the
+	// coalescing clustering is supposed to produce (Figure 5.5).
 	if pg != storage.NilPage {
 		if _, seen := set[pg]; !seen {
 			set[pg] = struct{}{}
 			m.stats.BeforeImageIOs++
 			ios++
-			if m.rec != nil {
-				m.rec.Count(obs.LogBeforeImage, 1)
-			}
-		} else if m.rec != nil {
-			// A repeat update to an already-imaged page rides for free — the
-			// coalescing clustering is supposed to produce (Figure 5.5).
-			m.rec.Count(obs.LogCoalesce, 1)
 		}
 	}
 	rec := recordHeader + objSize
@@ -117,9 +106,6 @@ func (m *Manager) Append(txn int, objSize int, pg storage.PageID) (ios int, err 
 		m.stats.BufferFlushes++
 		ios++
 		m.used = 0
-		if m.rec != nil {
-			m.rec.Count(obs.LogBufferFlush, 1)
-		}
 	}
 	m.used += rec
 	return ios, nil

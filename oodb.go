@@ -28,7 +28,6 @@ import (
 	"oodb/internal/core"
 	"oodb/internal/engine"
 	"oodb/internal/model"
-	"oodb/internal/obs"
 	"oodb/internal/storage"
 )
 
@@ -100,19 +99,6 @@ const (
 	ReplLRU     = core.ReplLRU
 	ReplContext = core.ReplContext
 	ReplRandom  = core.ReplRandom
-)
-
-// Instrumentation seam (internal/obs re-exports).
-type (
-	// Recorder receives per-layer instrumentation events from every
-	// component of the storage stack. Implementations must be cheap; the
-	// engine invokes them on hot paths. A nil Recorder disables recording
-	// entirely (zero-cost beyond one branch per site).
-	Recorder = obs.Recorder
-	// EventCounters is the standard counting Recorder; its Render method
-	// formats the non-zero counters as a report (what the -observe CLI
-	// flag prints).
-	EventCounters = obs.Counters
 )
 
 // Durability (file-backed storage) re-exports.
@@ -414,16 +400,15 @@ func (db *DB) NumPages() int { return db.store.NumPages() }
 
 // Stats returns cumulative I/O accounting.
 func (db *DB) Stats() IOStats {
-	ops := db.lib.Counts()
-	cs := db.clust.Stats()
+	r := db.lib.Results()
 	return IOStats{
-		LogicalReads:  ops.LogicalOps,
-		PageReads:     ops.PhysReads,
-		PageWrites:    ops.PhysWrites,
-		HitRatio:      db.lib.PoolStats().HitRatio(),
-		ClusterMoves:  cs.Moves,
-		Splits:        cs.Splits,
-		CandidateIOs:  cs.CandidateIOs,
+		LogicalReads:  r.LogicalOps,
+		PageReads:     r.PhysReads,
+		PageWrites:    r.PhysWrites,
+		HitRatio:      r.HitRatio,
+		ClusterMoves:  r.Cluster.Moves,
+		Splits:        r.Cluster.Splits,
+		CandidateIOs:  r.Cluster.CandidateIOs,
 		PrefetchReads: db.pf.PrefetchReads,
 	}
 }
@@ -432,7 +417,7 @@ func (db *DB) Stats() IOStats {
 // one page, page capacities respected) and that no write has left the
 // placed-object count different from the live-object count.
 func (db *DB) CheckInvariants() error {
-	if n := db.lib.ConservationViolations(); n != 0 {
+	if n := db.lib.Results().ConservationViolations; n != 0 {
 		return fmt.Errorf("oodb: %d writes left placed objects != live objects", n)
 	}
 	return db.store.CheckInvariants()
