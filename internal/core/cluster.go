@@ -17,8 +17,10 @@ type ClusterStats struct {
 	SplitInfeasible int
 	FrontierFalls   int // placements that fell back to the frontier
 
-	// Cut-cost bookkeeping for Figure 5.10: at every split both partitions
-	// are computed so the policies can be compared on identical inputs.
+	// Cut-cost bookkeeping for Figure 5.10: under NP_Split every split
+	// attempt computes both partitions, so the policies are compared on
+	// identical inputs. Linear_Split runs only the greedy one and leaves
+	// these zero.
 	GreedyCutTotal  float64
 	OptimalCutTotal float64
 	SplitsCompared  int
@@ -357,29 +359,34 @@ func (c *Clusterer) placeFallback(o *model.Object, ios []PhysIO) (Placement, err
 // trySplit evaluates splitting full page pg to admit o, against the
 // alternative of placing o on the next best candidate (whose affinity is
 // given). It performs the split when favorable.
+//
+// Expected access cost of a split = broken-arc cost + overhead; cost of
+// settling for the next candidate = the affinity to this page we forgo.
+// Arc weights are positive, so the cut is never negative: when the overhead
+// alone reaches the settle cost no partition can win, and Linear_Split
+// declines without building the partition graph. NP_Split still builds it
+// and runs both partitioners on every attempt, because Figure 5.10 reads the
+// cut totals of every feasible comparison, winnable or not.
 func (c *Clusterer) trySplit(o *model.Object, pg storage.PageID, nextAffinity float64, ios []PhysIO) (Placement, bool, error) {
-	ids := append(c.scr.ids[:0], o.ID)
-	ids = append(ids, c.Store.ObjectsOn(pg)...)
-	c.scr.ids = ids
-	graph := &c.scr.part
-	graph.Build(c.Graph, ids)
+	settleCost := c.Affinity(o, pg) - nextAffinity
 	cap := c.Store.PageSize()
-
-	greedy, gok := GreedySplit(graph, cap)
-	opt, ook := OptimalSplit(graph, cap)
-	if gok && ook {
-		c.stats.GreedyCutTotal += greedy.Cut
-		c.stats.OptimalCutTotal += opt.Cut
-		c.stats.SplitsCompared++
-	}
-
 	var part Partition
 	var ok bool
 	switch c.Split {
 	case LinearSplit:
-		part, ok = greedy, gok
+		if c.splitCannotWin(settleCost) {
+			return Placement{}, false, nil
+		}
+		part, ok = GreedySplit(c.partGraph(o, pg), cap)
 	case NPSplit:
-		part, ok = opt, ook
+		graph := c.partGraph(o, pg)
+		greedy, gok := GreedySplit(graph, cap)
+		part, ok = OptimalSplit(graph, cap)
+		if gok && ok {
+			c.stats.GreedyCutTotal += greedy.Cut
+			c.stats.OptimalCutTotal += part.Cut
+			c.stats.SplitsCompared++
+		}
 	default:
 		return Placement{}, false, nil
 	}
@@ -387,13 +394,7 @@ func (c *Clusterer) trySplit(o *model.Object, pg storage.PageID, nextAffinity fl
 		c.stats.SplitInfeasible++
 		return Placement{}, false, nil
 	}
-
-	// Expected access cost of the split = broken-arc cost + overhead; cost of
-	// settling for the next candidate = the affinity to this page we forgo.
-	hereAffinity := c.Affinity(o, pg)
-	splitCost := part.Cut + c.SplitOverhead
-	settleCost := hereAffinity - nextAffinity
-	if splitCost >= settleCost {
+	if part.Cut+c.SplitOverhead >= settleCost {
 		return Placement{}, false, nil
 	}
 
@@ -404,7 +405,7 @@ func (c *Clusterer) trySplit(o *model.Object, pg storage.PageID, nextAffinity fl
 	}
 	// Evacuate side B to the new page first, then place the incoming object
 	// on its side — placing first could transiently overflow the old page.
-	for i, id := range ids {
+	for i, id := range c.scr.part.Nodes {
 		if id == o.ID || !part.Side[i] {
 			continue
 		}
@@ -430,6 +431,22 @@ func (c *Clusterer) trySplit(o *model.Object, pg storage.PageID, nextAffinity fl
 		Split:      true,
 		NewPage:    newPg,
 	}, true, nil
+}
+
+// splitCannotWin reports that no partition can beat settling: a split costs
+// its cut plus SplitOverhead, and the cut is never negative.
+func (c *Clusterer) splitCannotWin(settleCost float64) bool {
+	return c.SplitOverhead >= settleCost
+}
+
+// partGraph rebuilds the scratch partition graph over o and the objects on
+// pg; o is node 0.
+func (c *Clusterer) partGraph(o *model.Object, pg storage.PageID) *PartGraph {
+	ids := append(c.scr.ids[:0], o.ID)
+	ids = append(ids, c.Store.ObjectsOn(pg)...)
+	c.scr.ids = ids
+	c.scr.part.Build(c.Graph, ids)
+	return &c.scr.part
 }
 
 // Recluster re-evaluates the placement of an existing object after its

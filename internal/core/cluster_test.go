@@ -254,31 +254,47 @@ func TestReclusterStaysWhenCurrentBest(t *testing.T) {
 	}
 }
 
+// TestSplitTriggersAndRelocates fills a page past capacity under each split
+// policy. NP_Split cost-compares every split it performs (the Figure 5.10
+// bookkeeping); Linear_Split runs only the greedy partition and compares
+// nothing.
 func TestSplitTriggersAndRelocates(t *testing.T) {
-	f := newFixture(t, 1024, 16)
-	f.c.Split = LinearSplit
-	root, _ := f.g.NewObject("R", 1, f.rootT)
-	f.mustPlace(t, root)
-	// Fill the root page, then insert one more leaf: with no alternative
-	// candidate carrying affinity, the split decision compares cut cost
-	// against the full affinity loss and should split.
-	var last Placement
-	for i := 0; i < 12; i++ {
-		leaf := f.newLeafUnder(t, root.ID, i)
-		last = f.mustPlace(t, leaf)
-	}
-	st := f.c.Stats()
-	if st.Splits == 0 {
-		t.Fatalf("expected at least one split; last placement %+v, stats %+v", last, st)
-	}
-	if st.SplitsCompared != st.Splits {
-		t.Fatalf("every performed split must also be cost-compared: %+v", st)
-	}
-	if st.OptimalCutTotal > st.GreedyCutTotal+1e-9 {
-		t.Fatalf("NP cut total exceeds greedy: %+v", st)
-	}
-	if err := f.st.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, sp := range []SplitPolicy{LinearSplit, NPSplit} {
+		t.Run(sp.String(), func(t *testing.T) {
+			f := newFixture(t, 1024, 16)
+			f.c.Split = sp
+			root, _ := f.g.NewObject("R", 1, f.rootT)
+			f.mustPlace(t, root)
+			// Fill the root page, then insert one more leaf: with no
+			// alternative candidate carrying affinity, the split decision
+			// compares cut cost against the full affinity loss and should
+			// split.
+			var last Placement
+			for i := 0; i < 12; i++ {
+				leaf := f.newLeafUnder(t, root.ID, i)
+				last = f.mustPlace(t, leaf)
+			}
+			st := f.c.Stats()
+			if st.Splits == 0 {
+				t.Fatalf("expected at least one split; last placement %+v, stats %+v", last, st)
+			}
+			switch sp {
+			case NPSplit:
+				if st.SplitsCompared != st.Splits {
+					t.Fatalf("every performed split must also be cost-compared: %+v", st)
+				}
+				if st.OptimalCutTotal > st.GreedyCutTotal+1e-9 {
+					t.Fatalf("NP cut total exceeds greedy: %+v", st)
+				}
+			case LinearSplit:
+				if st.SplitsCompared != 0 || st.GreedyCutTotal != 0 || st.OptimalCutTotal != 0 {
+					t.Fatalf("Linear_Split must not run the NP comparison: %+v", st)
+				}
+			}
+			if err := f.st.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -276,6 +276,8 @@ func TestReplacementPoliciesRun(t *testing.T) {
 
 // TestSplitPoliciesRun exercises the split paths and checks the Figure 5.10
 // invariant on live data: the optimal cut total never exceeds the greedy's.
+// Only NP_Split runs the comparison, so it must have compared some splits
+// for the invariant to mean anything; Linear_Split compares none.
 func TestSplitPoliciesRun(t *testing.T) {
 	for _, sp := range []core.SplitPolicy{core.NoSplit, core.LinearSplit, core.NPSplit} {
 		cfg := quickConfig(1000)
@@ -286,6 +288,12 @@ func TestSplitPoliciesRun(t *testing.T) {
 		cs := res.Cluster
 		if sp == core.NoSplit && cs.Splits != 0 {
 			t.Fatalf("NoSplit performed %d splits", cs.Splits)
+		}
+		if sp == core.NPSplit && cs.SplitsCompared == 0 {
+			t.Fatalf("NP_Split compared no splits: %+v", cs)
+		}
+		if sp != core.NPSplit && cs.SplitsCompared != 0 {
+			t.Fatalf("%v compared %d splits; only NP_Split runs the comparison", sp, cs.SplitsCompared)
 		}
 		if cs.OptimalCutTotal > cs.GreedyCutTotal+1e-9 {
 			t.Fatalf("%v: optimal cut total %.3f exceeds greedy %.3f",

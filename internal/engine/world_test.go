@@ -9,6 +9,7 @@ import (
 	"oodb/internal/buffer"
 	"oodb/internal/core"
 	"oodb/internal/model"
+	"oodb/internal/ocb"
 	"oodb/internal/storage"
 	"oodb/internal/txlog"
 )
@@ -205,6 +206,43 @@ func TestConstructorsCloseBackendOnError(t *testing.T) {
 	}
 	if backendOpens.Load() != opens {
 		t.Fatal("backend opened although the replay trace was rejected")
+	}
+}
+
+// TestConstructionPlacementPinned pins the physical database two builds
+// leave behind: the default tier and the 0.05-scale OCB base, both under
+// Linear_Split. Construction resets every statistic, so a split decision
+// that changed during the build would show nowhere else. Declining a split
+// that cannot win before building its partition graph must not move them.
+func TestConstructionPlacementPinned(t *testing.T) {
+	t.Parallel()
+	ocbBase := DefaultConfig(0.05)
+	ocbBase.Workload = WorkloadOCB
+	ocbBase.OCB = ocb.DefaultParams()
+	def, err := TierConfig(TierDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		digest uint64
+		pages  int
+	}{
+		{"default-tier", def, 0x7bbc6c62787f06f9, 8619},
+		{"ocb-0.05", ocbBase, 0xe1c1f74f9ce69162, 19325},
+	} {
+		e, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, n := placementDigest(e.store), e.store.NumPages(); d != tc.digest || n != tc.pages {
+			t.Errorf("%s: placement digest %#016x over %d pages, want %#016x over %d",
+				tc.name, d, n, tc.digest, tc.pages)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

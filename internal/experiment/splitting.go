@@ -54,9 +54,10 @@ func Fig59(h *Harness) (*Table, error) {
 
 // Fig510 regenerates Figure 5.10: the total cut-cost difference between the
 // Linear_Split heuristic and the optimal NP_Split partition across workload
-// classes. Both partitions are computed at every split on identical inputs
-// (the cluster manager tracks both), so the difference isolates partition
-// quality from policy trajectory.
+// classes. The runs use NP_Split, under which the cluster manager computes
+// both partitions at every split attempt on identical inputs (Linear_Split
+// runs only the greedy one), so the difference isolates partition quality
+// from policy trajectory.
 func Fig510(h *Harness) (*Table, error) {
 	t := &Table{
 		ID:      "fig5.10",
