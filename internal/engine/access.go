@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"strconv"
+
 	"oodb/internal/buffer"
 	"oodb/internal/core"
 	"oodb/internal/model"
@@ -15,8 +17,10 @@ import (
 // count, how many logical reads found their object already deleted, and how
 // many found its page resident.
 //
-// IOs and Background may be backed by the layer's reusable buffers: they are
-// valid until the next Execute call. Callers that need them longer must copy.
+// IOs and Background are backed by the layer's reusable buffers: they are
+// valid until the next Execute call. A caller that plays the program out
+// over time, as the serial driver does across other transactions' Execute
+// calls, copies it into a buffer of its own.
 type AccessResult struct {
 	IOs        []core.PhysIO
 	Background []core.PhysIO
@@ -80,9 +84,10 @@ type stack struct {
 	// differential oracle's logical-result fingerprint.
 	digest uint64
 
-	nameSeq  int // created-object name sequence
-	notFound int // per-Execute logical reads of deleted objects
-	hits     int // per-Execute logical reads whose page was resident
+	nameSeq  int    // created-object name sequence
+	nameBuf  []byte // newName's scratch
+	notFound int    // per-Execute logical reads of deleted objects
+	hits     int    // per-Execute logical reads whose page was resident
 
 	// pendingBG accumulates background (prefetch) I/Os generated while the
 	// current transaction executes.
@@ -90,9 +95,10 @@ type stack struct {
 
 	// Hot-path scratch. The functional layer runs atomically per transaction
 	// inside the single-threaded event loop, and these buffers are consumed
-	// before it yields, so one set per stack suffices. (The physical I/O
-	// program itself cannot be scratch-backed: it stays live across the timed
-	// disk callbacks while other transactions execute.)
+	// before it yields, so one set per stack suffices. iosBuf backs the
+	// physical I/O program Execute returns, which AccessResult's contract
+	// keeps valid only until the next Execute.
+	iosBuf    []core.PhysIO
 	boostBuf  []storage.PageID // context-boost targets, drained per read
 	expandBuf []model.ObjectID // readClosure expansion targets
 	blockBuf  []model.ObjectID // checkout first-level components
@@ -111,6 +117,9 @@ func (a *stack) Execute(txn int, req workload.Op) (AccessResult, error) {
 	a.pendingBG = a.pendingBG[:0]
 	a.notFound, a.hits = 0, 0
 	ios, logical, err := a.execute(txn, req)
+	if ios != nil {
+		a.iosBuf = ios[:0]
+	}
 	if err == nil && req.Kind.IsWrite() && a.store.NumPlaced() != a.graph.NumObjects() {
 		// Per-write conservation: every live object occupies exactly one
 		// page slot. Both counts are O(1), so checking every write is free.
@@ -123,4 +132,12 @@ func (a *stack) Execute(txn int, req workload.Op) (AccessResult, error) {
 		NotFound:   a.notFound,
 		Hits:       a.hits,
 	}, err
+}
+
+// newName returns the next created object's name, "n" and the sequence
+// number, built in a reused buffer so the string is the one allocation.
+func (a *stack) newName() string {
+	a.nameSeq++
+	a.nameBuf = strconv.AppendInt(append(a.nameBuf[:0], 'n'), int64(a.nameSeq), 10)
+	return string(a.nameBuf)
 }

@@ -85,8 +85,11 @@ func TestLockSetMapping(t *testing.T) {
 		{"derive", workload.Op{Kind: workload.QDerive, Target: 7},
 			[]lockRequest{{7, lock.Exclusive}}},
 	}
+	// One scratch serves every case, the way a serial user reuses its own.
+	var scratch []lockRequest
 	for _, c := range cases {
-		got := lockSet(c.req)
+		scratch = appendLockSet(scratch[:0], c.req)
+		got := scratch
 		if len(got) != len(c.want) {
 			t.Errorf("%s: got %v want %v", c.name, got, c.want)
 			continue
@@ -99,7 +102,7 @@ func TestLockSetMapping(t *testing.T) {
 		}
 	}
 	// Self re-link: the stronger mode wins on the merged entry.
-	got := lockSet(workload.Op{Kind: workload.QStructUpdate, Target: 4, AttachTo: 4})
+	got := appendLockSet(nil, workload.Op{Kind: workload.QStructUpdate, Target: 4, AttachTo: 4})
 	if len(got) != 1 || got[0].mode != lock.Exclusive {
 		t.Fatalf("merged lock set: %v", got)
 	}

@@ -11,7 +11,7 @@ import (
 // untimed; the measured region is the steady-state event loop — calendar
 // dispatch, lock traffic, buffer accesses, statistics. ns/op is wall time
 // per completed transaction; the events/sec metric is the kernel event rate
-// the tentpole tracks.
+// the tentpole tracks; allocs/op is reported without -benchmem.
 //
 // The large tier (100k users) takes minutes per iteration cycle, so it only
 // runs when OODB_BENCH_LARGE is set:
@@ -35,6 +35,7 @@ func BenchmarkSimThroughput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			done, err := e.RunN(b.N)
 			b.StopTimer()

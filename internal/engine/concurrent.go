@@ -286,7 +286,7 @@ func (c *Concurrent) quota(i int) int64 {
 // runSession is one client goroutine's think/submit loop. The bookkeeping
 // order — draw a session length when the burst is exhausted, check the
 // issue budget, then draw the transaction — mirrors the serial engine's
-// wakeUser exactly, so a one-session run consumes its RNG stream in the
+// user.onWake exactly, so a one-session run consumes its RNG stream in the
 // identical order.
 func (c *Concurrent) runSession(cs *csession, start time.Time) {
 	limit := c.quota(cs.id)
@@ -358,7 +358,7 @@ func (c *Concurrent) execute(cs *csession, txn int) error {
 
 	// Level 1: object locks, ascending object-ID order, nothing else held.
 	if c.locks != nil {
-		for _, lr := range lockSet(req) {
+		for _, lr := range appendLockSet(nil, req) {
 			if err := c.locks.AcquireWait(txn, lr.obj, lr.mode); err != nil {
 				return err
 			}

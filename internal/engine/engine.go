@@ -35,11 +35,10 @@ type Engine struct {
 	// when neither is configured.
 	adapt *adaptiveState
 
-	// remaining is each user's transactions left in the current session,
-	// indexed by user number.
-	remaining []int
-	think     *rand.Rand
-	started   bool
+	// users holds each user's loop state, indexed by user number.
+	users   []*user
+	think   *rand.Rand
+	started bool
 
 	// Trace record/replay on the logical transaction boundary.
 	record *trace.Writer
@@ -146,17 +145,43 @@ func (e *Engine) finish() (Results, error) {
 	return e.results(), nil
 }
 
-// start schedules the initial user wakes. It is idempotent, so RunN can
-// call it on every slice.
+// user is one closed-loop user: think, submit a transaction, wait for it,
+// think again. The loop is closed, so a user has at most one transaction in
+// flight, and its state lives here from submission to completion: the
+// request, its lock set and cursor, and its physical I/O program and
+// cursor. The continuations that resume it are bound once in start, so no
+// step of a transaction schedules a fresh closure.
+type user struct {
+	e         *Engine
+	remaining int // transactions left in the current session
+
+	txn   int
+	req   workload.Op
+	t0    sim.Time
+	locks []lockRequest
+	lock  int // next lock to acquire
+	ios   []core.PhysIO
+	io    int // next I/O to issue
+
+	wake    func() // think time over: submit the next transaction
+	granted func() // a queued lock was granted: acquire the rest
+	step    func() // CPU or disk service done: issue the next I/O
+}
+
+// start binds each user's continuations and schedules the initial wakes.
+// It is idempotent, so RunN can call it on every slice.
 func (e *Engine) start() {
 	if e.started {
 		return
 	}
 	e.started = true
 	e.think = e.sim.Stream("think")
-	e.remaining = make([]int, e.cfg.Users)
-	for u := range e.remaining {
-		e.scheduleWake(u, sim.Exp(e.think, e.thinkMean()))
+	e.users = make([]*user, e.cfg.Users)
+	for i := range e.users {
+		u := &user{e: e}
+		u.wake, u.granted, u.step = u.onWake, u.onGrant, u.playIO
+		e.users[i] = u
+		e.scheduleWake(u)
 	}
 }
 
@@ -173,31 +198,29 @@ func (e *Engine) thinkMean() float64 {
 	return e.cfg.ThinkTime
 }
 
-// scheduleWake schedules user u's next wake after delay.
-func (e *Engine) scheduleWake(u int, delay sim.Time) {
-	e.sim.After(delay, func() { e.wakeUser(u) })
+// scheduleWake draws u's think time and schedules its next wake.
+func (e *Engine) scheduleWake(u *user) {
+	e.sim.After(sim.Exp(e.think, e.thinkMean()), u.wake)
 }
 
-// wakeUser runs one step of a user's think/submit loop. Sessions group 5–20
+// onWake runs one step of the user's think/submit loop. Sessions group 5–20
 // transactions; the session boundary draws a fresh session length, matching
 // the paper's session model.
-func (e *Engine) wakeUser(u int) {
+func (u *user) onWake() {
+	e := u.e
 	if e.stopped {
 		return
 	}
-	if e.remaining[u] == 0 {
-		e.remaining[u] = e.gen.SessionLength()
+	if u.remaining == 0 {
+		u.remaining = e.gen.SessionLength()
 	}
 	if e.issued >= e.cfg.Transactions+e.cfg.Warmup {
 		e.stopped = true
 		return
 	}
 	e.issued++
-	e.remaining[u]--
-	e.startTxn(func() {
-		e.completed++
-		e.scheduleWake(u, sim.Exp(e.think, e.thinkMean()))
-	})
+	u.remaining--
+	e.startTxn(u)
 }
 
 // nextTxn draws the next transaction request: from the replay stream when
@@ -229,16 +252,15 @@ func (e *Engine) nextTxn() (workload.Op, error) {
 	return t, nil
 }
 
-// startTxn executes one transaction: the functional layer runs atomically
-// now (determining the logical operations and the physical I/O program),
-// then the timed layer plays CPU service followed by each physical I/O
-// through the disk queues; done fires when the transaction completes.
-func (e *Engine) startTxn(done func()) {
-	t0 := e.sim.Now()
-	txn := e.txnSeq
+// startTxn submits u's next transaction: it takes its object locks, then
+// the functional layer runs atomically (determining the logical operations
+// and the physical I/O program), then the timed layer plays CPU service
+// followed by each physical I/O through the disk queues.
+func (e *Engine) startTxn(u *user) {
+	u.t0, u.txn = e.sim.Now(), e.txnSeq
 	e.txnSeq++
 	if e.adapt != nil {
-		if rw := e.adapt.phaseRatio(txn); rw > 0 {
+		if rw := e.adapt.phaseRatio(u.txn); rw > 0 {
 			if !e.gen.SetReadWriteRatio(rw) {
 				// The source cannot honor the requested mix (e.g. a read-only
 				// OCB stream); surface the refusal instead of silently
@@ -261,16 +283,47 @@ func (e *Engine) startTxn(done func()) {
 		}
 	}
 
+	u.req = req
+
 	// Concurrency control first: the transaction queues on conflicting
 	// object locks, and that queueing delay is part of its response time.
-	e.withLocks(txn, lockSet(req), func() {
-		e.runLocked(txn, req, t0, done)
-	})
+	u.locks, u.lock = u.locks[:0], 0
+	if e.locks != nil {
+		u.locks = appendLockSet(u.locks, req)
+	}
+	u.acquire()
 }
 
-// runLocked executes a transaction that holds its locks.
-func (e *Engine) runLocked(txn int, req workload.Op, t0 sim.Time, done func()) {
-	res, err := e.transact(e.access, txn, req)
+// acquire takes u's remaining locks in order, then runs the transaction. A
+// lock wait suspends the chain until the manager fires u.granted, so
+// queueing delay lands in the transaction's response time.
+func (u *user) acquire() {
+	e := u.e
+	for ; u.lock < len(u.locks); u.lock++ {
+		lr := u.locks[u.lock]
+		granted, err := e.locks.Acquire(u.txn, lr.obj, lr.mode, u.granted)
+		if err != nil {
+			e.fail(err)
+			return
+		}
+		if !granted {
+			return // resumes via onGrant
+		}
+	}
+	e.runLocked(u)
+}
+
+// onGrant resumes u's lock chain after the lock it queued on. It runs
+// inside the releasing transaction's completion event, which is a valid
+// scheduling context.
+func (u *user) onGrant() {
+	u.lock++
+	u.acquire()
+}
+
+// runLocked executes u's transaction, which holds its locks.
+func (e *Engine) runLocked(u *user) {
+	res, err := e.transact(e.access, u.txn, u.req)
 	if err == nil {
 		err = e.awaitDurable()
 	}
@@ -279,26 +332,37 @@ func (e *Engine) runLocked(txn int, req workload.Op, t0 sim.Time, done func()) {
 		return
 	}
 
-	ios := res.IOs
-	e.metrics.note(req.Kind, res)
+	e.metrics.note(u.req.Kind, res)
 	// Background prefetch I/Os load the disks (and are accounted) but do
-	// not serialize into this transaction's response path. Copied because
-	// res.Background is scratch-backed and the disk callbacks outlive it.
-	bg := append([]core.PhysIO(nil), res.Background...)
-	for _, io := range bg {
+	// not serialize into this transaction's response path.
+	for _, io := range res.Background {
 		e.diskFor(io).Request(diskServiceTime, nil)
 	}
+	// The I/O program plays out across other transactions' Execute calls,
+	// so it is copied out of the access layer's buffer into u's own.
+	u.ios = append(u.ios[:0], res.IOs...)
+	u.io = 0
 
-	cpuTime := cpuPerLogicalOp*float64(res.Logical) + cpuPerPhysIO*float64(len(ios)+len(bg))
-	e.cpu.Request(cpuTime, func() {
-		e.playIOs(ios, 0, func() {
-			if e.locks != nil {
-				e.locks.ReleaseAll(txn)
-			}
-			e.metrics.complete(req.Kind, e.sim.Now()-t0)
-			done()
-		})
-	})
+	cpuTime := cpuPerLogicalOp*float64(res.Logical) + cpuPerPhysIO*float64(len(u.ios)+len(res.Background))
+	e.cpu.Request(cpuTime, u.step)
+}
+
+// playIO sends u's next physical I/O to its disk; once the program is
+// played out the transaction completes, releasing its locks, and u thinks.
+func (u *user) playIO() {
+	e := u.e
+	if u.io < len(u.ios) {
+		io := u.ios[u.io]
+		u.io++
+		e.diskFor(io).Request(diskServiceTime, u.step)
+		return
+	}
+	if e.locks != nil {
+		e.locks.ReleaseAll(u.txn)
+	}
+	e.metrics.complete(u.req.Kind, e.sim.Now()-u.t0)
+	e.completed++
+	e.scheduleWake(u)
 }
 
 func (e *Engine) fail(err error) {
@@ -315,13 +379,4 @@ func (e *Engine) diskFor(io core.PhysIO) *sim.Station {
 		return e.logDisk
 	}
 	return e.disks[int(io.Page)%len(e.disks)]
-}
-
-// playIOs sends each physical I/O to its disk in order.
-func (e *Engine) playIOs(ios []core.PhysIO, idx int, done func()) {
-	if idx >= len(ios) {
-		done()
-		return
-	}
-	e.diskFor(ios[idx]).Request(diskServiceTime, func() { e.playIOs(ios, idx+1, done) })
 }

@@ -126,7 +126,7 @@ func (a *stack) readObject(dst []core.PhysIO, id model.ObjectID, prefetch, boost
 // page containing it and the pages containing its immediate subcomponents
 // to be brought in").
 func (a *stack) readClosure(target model.ObjectID, kinds ...model.RelKind) ([]core.PhysIO, int, error) {
-	ios, err := a.readObject(nil, target, true, true)
+	ios, err := a.readObject(a.iosBuf[:0], target, true, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -272,15 +272,14 @@ func (a *stack) remove(ios []core.PhysIO, txn int, o *model.Object) ([]core.Phys
 
 func (a *stack) execInsert(txn int, req workload.Op) ([]core.PhysIO, int, error) {
 	parent := req.AttachTo
-	ios, err := a.readObject(nil, parent, true, true)
+	ios, err := a.readObject(a.iosBuf[:0], parent, true, true)
 	if err != nil {
 		return nil, 0, err
 	}
 	if a.graph.Object(parent) == nil {
 		return ios, 1, nil // composite deleted before the insert landed
 	}
-	a.nameSeq++
-	o, err := a.graph.NewObject(fmt.Sprintf("n%d", a.nameSeq), 1, req.NewType)
+	o, err := a.graph.NewObject(a.newName(), 1, req.NewType)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -295,7 +294,7 @@ func (a *stack) execInsert(txn int, req workload.Op) ([]core.PhysIO, int, error)
 }
 
 func (a *stack) execUpdate(txn int, req workload.Op) ([]core.PhysIO, int, error) {
-	ios, err := a.readObject(nil, req.Target, true, true)
+	ios, err := a.readObject(a.iosBuf[:0], req.Target, true, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -313,7 +312,7 @@ func (a *stack) execUpdate(txn int, req workload.Op) ([]core.PhysIO, int, error)
 // link already exists) and runs the run-time reclustering algorithm on the
 // restructured object.
 func (a *stack) execStructUpdate(txn int, req workload.Op) ([]core.PhysIO, int, error) {
-	ios, err := a.readObject(nil, req.Target, true, true)
+	ios, err := a.readObject(a.iosBuf[:0], req.Target, true, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -349,7 +348,7 @@ func (a *stack) execStructUpdate(txn int, req workload.Op) ([]core.PhysIO, int, 
 // prefetching and without asserting structural relevance to the buffer
 // manager.
 func (a *stack) execScan(req workload.Op) ([]core.PhysIO, int, error) {
-	var ios []core.PhysIO
+	ios := a.iosBuf[:0]
 	var err error
 	for _, id := range req.Targets {
 		if ios, err = a.readObject(ios, id, false, false); err != nil {
@@ -364,7 +363,7 @@ func (a *stack) execScan(req workload.Op) ([]core.PhysIO, int, error) {
 // "loading a large object hierarchy into memory" the paper's introduction
 // motivates. Prefetching fires per touched composite.
 func (a *stack) execCheckout(req workload.Op) ([]core.PhysIO, int, error) {
-	ios, err := a.readObject(nil, req.Target, true, true)
+	ios, err := a.readObject(a.iosBuf[:0], req.Target, true, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -411,7 +410,7 @@ func (a *stack) execDelete(txn int, req workload.Op) ([]core.PhysIO, int, error)
 	if len(o.Components) > 0 || len(o.Descendants) > 0 {
 		return a.execUpdate(txn, req)
 	}
-	ios, err := a.readObject(nil, req.Target, false, false)
+	ios, err := a.readObject(a.iosBuf[:0], req.Target, false, false)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -423,7 +422,7 @@ func (a *stack) execDelete(txn int, req workload.Op) ([]core.PhysIO, int, error)
 
 // execDerive checks in a new version of Target.
 func (a *stack) execDerive(txn int, req workload.Op) ([]core.PhysIO, int, error) {
-	ios, err := a.readObject(nil, req.Target, true, true)
+	ios, err := a.readObject(a.iosBuf[:0], req.Target, true, true)
 	if err != nil {
 		return nil, 0, err
 	}

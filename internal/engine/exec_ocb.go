@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"oodb/internal/core"
 	"oodb/internal/model"
 	"oodb/internal/workload"
@@ -53,7 +51,7 @@ func (a *stack) foldRead(id model.ObjectID, found bool) {
 // shared subobjects from being re-read. a.visitBuf holds the objects read,
 // in discovery order.
 func (a *stack) readSubtree(root model.ObjectID, maxDepth int, boost bool) ([]core.PhysIO, int, error) {
-	ios, err := a.readObject(nil, root, true, boost)
+	ios, err := a.readObject(a.iosBuf[:0], root, true, boost)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -106,7 +104,7 @@ func (a *stack) execOCBSimple(req workload.Op) ([]core.PhysIO, int, error) {
 // execOCBHierarchy walks the inheritance chain upward from the target —
 // OCB's hierarchy traversal, following the links version derivation created.
 func (a *stack) execOCBHierarchy(req workload.Op) ([]core.PhysIO, int, error) {
-	var ios []core.PhysIO
+	ios := a.iosBuf[:0]
 	var err error
 	logical := 0
 	cur := req.Target
@@ -128,7 +126,7 @@ func (a *stack) execOCBHierarchy(req workload.Op) ([]core.PhysIO, int, error) {
 // Prefetching fires on the walk's root, matching the navigation semantics of
 // the OCT read queries.
 func (a *stack) execOCBPath(req workload.Op) ([]core.PhysIO, int, error) {
-	var ios []core.PhysIO
+	ios := a.iosBuf[:0]
 	var err error
 	for i, id := range req.Targets {
 		if ios, err = a.readObject(ios, id, i == 0, true); err != nil {
@@ -172,7 +170,7 @@ func (a *stack) sizeFor(c workload.SizeClass, cur int) int {
 // journals every dirtied page. The source learns the new object via
 // NoteCreated, so later operations can target it.
 func (a *stack) execOCBInsert(txn int, req workload.Op) ([]core.PhysIO, int, error) {
-	var ios []core.PhysIO
+	ios := a.iosBuf[:0]
 	var err error
 	logical := 0
 	for i, id := range req.Targets {
@@ -181,8 +179,7 @@ func (a *stack) execOCBInsert(txn int, req workload.Op) ([]core.PhysIO, int, err
 		}
 		logical++
 	}
-	a.nameSeq++
-	o, err := a.graph.NewObject(fmt.Sprintf("n%d", a.nameSeq), 1, req.NewType)
+	o, err := a.graph.NewObject(a.newName(), 1, req.NewType)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -257,7 +254,7 @@ func (a *stack) execOCBDelete(txn int, req workload.Op) ([]core.PhysIO, int, err
 // clustering the way the full OCB intends. A same-size update dirties and
 // journals the page in place.
 func (a *stack) execOCBUpdate(txn int, req workload.Op) ([]core.PhysIO, int, error) {
-	ios, err := a.readObject(nil, req.Target, true, true)
+	ios, err := a.readObject(a.iosBuf[:0], req.Target, true, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -285,7 +282,7 @@ func (a *stack) execOCBUpdate(txn int, req workload.Op) ([]core.PhysIO, int, err
 // and runs run-time reclustering on the restructured target — the
 // graph-churning operation dynamic clustering policies exist for.
 func (a *stack) execOCBRewire(txn int, req workload.Op) ([]core.PhysIO, int, error) {
-	ios, err := a.readObject(nil, req.Target, true, true)
+	ios, err := a.readObject(a.iosBuf[:0], req.Target, true, true)
 	if err != nil {
 		return nil, 0, err
 	}

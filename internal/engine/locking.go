@@ -14,14 +14,15 @@ type lockRequest struct {
 	mode lock.Mode
 }
 
-// lockSet returns the locks transaction req must hold, in ascending object
-// order (the global acquisition order that makes the protocol
-// deadlock-free). Navigation queries lock the root of the navigated
-// structure — the paper's "object and composite object" granularity, a
-// hierarchical lock covering the expansion — while writes take exclusive
-// locks on every object they mutate.
-func lockSet(req workload.Op) []lockRequest {
-	var out []lockRequest
+// appendLockSet appends to out, which the caller passes empty, the locks
+// transaction req must hold, in ascending object order (the global
+// acquisition order that makes the protocol deadlock-free). Navigation
+// queries lock the root of the navigated structure — the paper's "object
+// and composite object" granularity, a hierarchical lock covering the
+// expansion — while writes take exclusive locks on every object they
+// mutate. The serial driver passes each user's scratch, which leaves
+// sort.Slice's interface conversion as its one allocation per transaction.
+func appendLockSet(out []lockRequest, req workload.Op) []lockRequest {
 	add := func(obj model.ObjectID, mode lock.Mode) {
 		if obj == model.NilObject {
 			return
@@ -55,35 +56,4 @@ func lockSet(req workload.Op) []lockRequest {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].obj < out[j].obj })
 	return out
-}
-
-// withLocks acquires the lock set for txn in order, then runs body. Lock
-// waits suspend the acquisition chain until the manager's grant callback
-// fires, so queueing delay lands in the transaction's response time.
-func (e *Engine) withLocks(txn int, reqs []lockRequest, body func()) {
-	if e.locks == nil || len(reqs) == 0 {
-		body()
-		return
-	}
-	var step func(i int)
-	step = func(i int) {
-		for i < len(reqs) {
-			granted, err := e.locks.Acquire(txn, reqs[i].obj, reqs[i].mode, func() {
-				// Granted later: resume with the next lock. The callback
-				// runs inside the releasing transaction's completion event,
-				// which is a valid scheduling context.
-				step(i + 1)
-			})
-			if err != nil {
-				e.fail(err)
-				return
-			}
-			if !granted {
-				return // resumes via the grant callback
-			}
-			i++
-		}
-		body()
-	}
-	step(0)
 }

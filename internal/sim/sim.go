@@ -4,10 +4,13 @@
 // service stations with queueing statistics, delay stations for think time,
 // and deterministic per-component random-number streams.
 //
-// Model code schedules closures on the calendar; long-running activities
-// (such as a transaction walking through its logical operations) are written
-// as resumable state machines whose steps re-schedule themselves via station
-// completion callbacks.
+// Model code schedules func values on the calendar with At and After.
+// Long-running activities (such as a transaction walking through its
+// physical I/O program) are resumable state machines whose steps are
+// continuations bound once and re-scheduled via station completion
+// callbacks: scheduling a func that already exists allocates nothing, so a
+// model that binds its continuations up front (each Station binds one
+// completion per server) runs its steady state without garbage.
 //
 // The event calendar is an inlined typed binary heap rather than
 // container/heap: Push/Pop through the standard interface box every event

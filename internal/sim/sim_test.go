@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -197,6 +198,50 @@ func TestStationMultiServer(t *testing.T) {
 	// Two at t=10, two at t=20.
 	if times[0] != 10 || times[1] != 10 || times[2] != 20 || times[3] != 20 {
 		t.Fatalf("times=%v", times)
+	}
+}
+
+// TestStationServerSlots: each server's completion finishes the request
+// that server holds. A queued request takes whichever server frees first.
+func TestStationServerSlots(t *testing.T) {
+	s := New(1)
+	st := NewStation(s, "cpu", 2)
+	var order []string
+	var times []Time
+	for _, r := range []struct {
+		name    string
+		service Time
+	}{{"a", 30}, {"b", 10}, {"c", 10}} {
+		st.Request(r.service, func() {
+			order = append(order, r.name)
+			times = append(times, s.Now())
+		})
+	}
+	s.RunAll()
+	if got := strings.Join(order, ""); got != "bca" || times[0] != 10 || times[1] != 20 || times[2] != 30 {
+		t.Fatalf("completions %q at %v, want \"bca\" at [10 20 30]", got, times)
+	}
+}
+
+// TestStationCycleAllocs: with a callback bound once, a request's trip
+// through the queue, a server and its completion allocates nothing.
+func TestStationCycleAllocs(t *testing.T) {
+	s := New(1)
+	st := NewStation(s, "disk", 2)
+	n := 0
+	done := func() { n++ }
+	cycle := func() {
+		for i := 0; i < 3; i++ { // one request queues behind the two servers
+			st.Request(0.01, done)
+		}
+		s.RunAll()
+	}
+	cycle()
+	if a := testing.AllocsPerRun(200, cycle); a != 0 {
+		t.Fatalf("station cycle allocates %v times, want 0", a)
+	}
+	if n != 3*202 {
+		t.Fatalf("%d completions, want %d", n, 3*202)
 	}
 }
 

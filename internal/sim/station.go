@@ -18,6 +18,14 @@ type Station struct {
 
 	queue []stationReq
 
+	// Each server has one request slot and one completion func, bound in
+	// NewStation: beginning service stores the request in a free server's
+	// slot and schedules that server's func, so the calendar never holds a
+	// closure made per request. idle lists the free servers.
+	slots  []stationReq
+	finish []func()
+	idle   []int
+
 	// Statistics. Wait and service tallies are moments-only: only their
 	// means are ever reported, and retaining per-request samples would make
 	// station memory O(arrivals) — millions of entries at the large scale
@@ -40,7 +48,17 @@ func NewStation(s *Sim, name string, servers int) *Station {
 	if servers < 1 {
 		servers = 1
 	}
-	st := &Station{sim: s, name: name, servers: servers}
+	st := &Station{
+		sim: s, name: name, servers: servers,
+		slots:  make([]stationReq, servers),
+		finish: make([]func(), servers),
+		idle:   make([]int, servers),
+	}
+	for i := range st.finish {
+		st.finish[i] = func() { st.complete(i) }
+		// Popped from the end, so server 0 serves first.
+		st.idle[i] = servers - 1 - i
+	}
 	st.util.Set(0, s.Now())
 	st.qlen.Set(0, s.Now())
 	return st
@@ -70,12 +88,19 @@ func (st *Station) begin(req stationReq) {
 	st.util.Set(float64(st.busy), st.sim.Now())
 	st.wait.Add(st.sim.Now() - req.arrived)
 	st.service.Add(req.service)
-	st.sim.After(req.service, func() {
-		st.complete(req)
-	})
+	i := st.idle[len(st.idle)-1]
+	st.idle = st.idle[:len(st.idle)-1]
+	st.slots[i] = req
+	st.sim.After(req.service, st.finish[i])
 }
 
-func (st *Station) complete(req stationReq) {
+// complete ends server i's service: the server is freed (and the slot
+// cleared, so it does not pin the callback), the next queued request
+// begins, then the finished request's callback runs.
+func (st *Station) complete(i int) {
+	req := st.slots[i]
+	st.slots[i] = stationReq{}
+	st.idle = append(st.idle, i)
 	st.busy--
 	st.util.Set(float64(st.busy), st.sim.Now())
 	if len(st.queue) > 0 {

@@ -41,6 +41,9 @@ type Manager struct {
 	// touched tracks, per open transaction, the set of pages whose original
 	// image has already been logged.
 	touched map[int]map[storage.PageID]struct{}
+	// free holds the cleared sets of ended transactions; Begin reuses one
+	// before making a new set.
+	free []map[storage.PageID]struct{}
 
 	// dur, when set, receives every transaction boundary so commits and
 	// aborts become durable write-ahead-log records. Nil (the default)
@@ -70,14 +73,30 @@ func (m *Manager) Begin(txn int) error {
 	if _, ok := m.touched[txn]; ok {
 		return fmt.Errorf("txlog: transaction %d already open", txn)
 	}
-	m.touched[txn] = make(map[storage.PageID]struct{}, 4)
+	var set map[storage.PageID]struct{}
+	if n := len(m.free); n > 0 {
+		set = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		set = make(map[storage.PageID]struct{}, 4)
+	}
+	m.touched[txn] = set
 	if m.dur != nil {
 		if err := m.dur.LogBegin(txn); err != nil {
-			delete(m.touched, txn) // the transaction never opened
+			m.close(txn) // the transaction never opened
 			return err
 		}
 	}
 	return nil
+}
+
+// close discards txn's coalescing set: it is cleared and kept for the
+// next Begin.
+func (m *Manager) close(txn int) {
+	set := m.touched[txn]
+	delete(m.touched, txn)
+	clear(set)
+	m.free = append(m.free, set)
 }
 
 // Append records that transaction txn created or modified an object of
@@ -111,7 +130,7 @@ func (m *Manager) Append(txn int, objSize int, pg storage.PageID) (ios int, err 
 	return ios, nil
 }
 
-// End commits transaction txn, discarding its coalescing set. With a
+// End commits transaction txn, recycling its coalescing set. With a
 // durable log installed, the commit record is appended before End returns;
 // flushing it is the caller's storage.TxnLog.WaitDurable, made once the
 // caller has released what serializes its writes.
@@ -119,7 +138,7 @@ func (m *Manager) End(txn int) error {
 	if _, ok := m.touched[txn]; !ok {
 		return fmt.Errorf("txlog: transaction %d not open", txn)
 	}
-	delete(m.touched, txn)
+	m.close(txn)
 	if m.dur != nil {
 		return m.dur.LogCommit(txn)
 	}
@@ -133,7 +152,7 @@ func (m *Manager) Abort(txn int) error {
 	if _, ok := m.touched[txn]; !ok {
 		return fmt.Errorf("txlog: transaction %d not open", txn)
 	}
-	delete(m.touched, txn)
+	m.close(txn)
 	m.stats.Aborts++
 	if m.dur != nil {
 		return m.dur.LogAbort(txn)

@@ -63,6 +63,55 @@ func TestBeforeImageCoalescing(t *testing.T) {
 	}
 }
 
+// TestRecycledSetStartsEmpty: End and Abort hand the coalescing set back
+// for reuse, and the next transaction must get it empty — every page it
+// touches pays its before-image again, however many the set held before.
+func TestRecycledSetStartsEmpty(t *testing.T) {
+	m := NewManager(1 << 20)
+	touch := func(txn int) (ios int) {
+		for pg := storage.PageID(1); pg <= 20; pg++ {
+			n, err := m.Append(txn, 10, pg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ios += n
+		}
+		return ios
+	}
+	for txn, end := range []func(int) error{m.End, m.Abort, m.End} {
+		if err := m.Begin(txn); err != nil {
+			t.Fatal(err)
+		}
+		if ios := touch(txn); ios != 20 {
+			t.Fatalf("txn %d: %d before-image I/Os over 20 pages, want 20", txn, ios)
+		}
+		if err := end(txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.free) != 1 || m.Open() != 0 {
+		t.Fatalf("%d recycled sets, %d open; want 1 and 0", len(m.free), m.Open())
+	}
+}
+
+// TestCycleAllocs: a Begin/Append/End cycle allocates nothing once a
+// coalescing set has been recycled.
+func TestCycleAllocs(t *testing.T) {
+	m := NewManager(1 << 20)
+	txn := 0
+	cycle := func() {
+		m.Begin(txn)         //nolint:errcheck
+		m.Append(txn, 10, 3) //nolint:errcheck
+		m.Append(txn, 10, 4) //nolint:errcheck
+		m.End(txn)           //nolint:errcheck
+		txn++
+	}
+	cycle()
+	if a := testing.AllocsPerRun(200, cycle); a != 0 {
+		t.Fatalf("Begin/Append/End cycle allocates %v times, want 0", a)
+	}
+}
+
 func TestCircularBufferFlush(t *testing.T) {
 	m := NewManager(100) // record = 16 + objSize
 	m.Begin(1)           //nolint:errcheck
