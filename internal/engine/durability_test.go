@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -273,5 +275,35 @@ func TestFingerprintExcludesBackend(t *testing.T) {
 	b := fileConfig(t, quickConfig(10), "never")
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("backend wiring changed the config fingerprint")
+	}
+}
+
+// TestWALBytesPinned pins the write-ahead log a small closed serial run
+// leaves behind, byte for byte: how records reach the file (one write per
+// record or one per batch) must never change what the file holds.
+func TestWALBytesPinned(t *testing.T) {
+	t.Parallel()
+	ocbMix := DefaultConfig(0.01)
+	ocbMix.Workload = WorkloadOCB
+	ocbMix.OCB.ReadWriteRatio = 2
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"oct", DefaultConfig(0.01), "c6a49ef9116348fb6e987d7bdc39438cd0dd1ddf5f423a82cf1585dbf197637f"},
+		{"ocb-rw2", ocbMix, "88d0a8ff3f1b4900ce80edadd75471f4506097d26fdab335e4f8de19546f0417"},
+	} {
+		cfg := tc.cfg
+		cfg.Transactions = 500
+		cfg = fileConfig(t, cfg, "never")
+		runClosed(t, cfg)
+		b, err := os.ReadFile(filepath.Join(cfg.DataDir, storage.WALFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.want {
+			t.Errorf("%s: wal.log (%d bytes) sha256 %s, want %s", tc.name, len(b), got, tc.want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -304,7 +305,10 @@ func TestRecoverWALRoundTrip(t *testing.T) {
 
 	// Txn 3: in-flight at the crash — journaled but never committed. The
 	// in-memory state must be compensated too (a real crash simply loses
-	// the process; here the same manager keeps living).
+	// the process; here the same manager keeps living). Its records wait
+	// in the log's tail: no boundary has written them to the file.
+	walPath := filepath.Join(dir, WALFileName)
+	sizeBefore := fileSize(t, walPath)
 	if err := fb.LogBegin(3); err != nil {
 		t.Fatal(err)
 	}
@@ -315,10 +319,13 @@ func TestRecoverWALRoundTrip(t *testing.T) {
 	if err := fb.Remove(y); err != nil {
 		t.Fatal(err)
 	}
+	if got := fileSize(t, walPath); got != sizeBefore {
+		t.Fatalf("wal.log grew %d -> %d bytes inside in-flight txn 3", sizeBefore, got)
+	}
 
 	// "Crash": read the WAL bytes as they exist right now, without Close's
 	// checkpoint record.
-	walBytes, err := os.ReadFile(filepath.Join(dir, WALFileName))
+	walBytes, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,13 +336,14 @@ func TestRecoverWALRoundTrip(t *testing.T) {
 	if st.Committed != 2 {
 		t.Fatalf("committed = %d, want 2", st.Committed)
 	}
-	// Applied: 8 bootstrap places + 4 moves + 2 removes. Skipped: the 4
-	// mutation records of txns 2 and 3.
+	// Applied: 8 bootstrap places + 4 moves + 2 removes. Skipped: the 2
+	// mutation records of aborted txn 2; in-flight txn 3 never reached the
+	// file.
 	if st.Applied != 14 {
 		t.Fatalf("applied = %d, want 14", st.Applied)
 	}
-	if st.Skipped != 4 {
-		t.Fatalf("skipped = %d, want 4", st.Skipped)
+	if st.Skipped != 2 {
+		t.Fatalf("skipped = %d, want 2", st.Skipped)
 	}
 	if st.Objects != 6 {
 		t.Fatalf("objects = %d, want 6", st.Objects)
@@ -366,6 +374,144 @@ func TestRecoverWALRoundTrip(t *testing.T) {
 	}
 	if st2.Digest != committedDigest {
 		t.Fatalf("RecoverDir digest %016x, want %016x", st2.Digest, committedDigest)
+	}
+}
+
+// fileSize returns the size of the file at path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// recoverFile replays the WAL at path as it stands, without closing the
+// backend that writes it: what a crash at this instant would leave.
+func recoverFile(t *testing.T, path string) *RecoveredState {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := RecoverWAL(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// Journal before dirty, literally: writing a page frame first writes the
+// log's tail, so the record that dirtied the page is already on wal.log
+// when the frame reaches pages.db.
+func TestWritePageWritesJournalFirst(t *testing.T) {
+	g, m, ty := setup(t, 4096)
+	dir := t.TempDir()
+	fb, err := NewFileBackend(m, BackendOptions{Dir: dir, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close() // errscan:ok test cleanup
+	pg := fb.AllocatePage()
+	if err := fb.CommitBootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.LogBegin(0); err != nil {
+		t.Fatal(err)
+	}
+	o := newObj(t, g, ty, 100)
+	if err := fb.Place(o, pg); err != nil {
+		t.Fatal(err)
+	}
+	// A page the tail holds no record of does not write it.
+	other := fb.AllocatePage()
+	writes := fb.DurableStats().WALAppends
+	if err := fb.WritePage(other); err != nil {
+		t.Fatal(err)
+	}
+	if got := fb.DurableStats().WALAppends; got != writes {
+		t.Fatalf("WritePage of an untouched page wrote the tail (%d -> %d writes)", writes, got)
+	}
+	if err := fb.WritePage(pg); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, WALFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var placed bool
+	if _, _, err := ReplayWAL(bytes.NewReader(b), func(r WALRecord) error {
+		placed = placed || r.Kind == WALPlace && r.Obj == o && r.Page == pg && r.Txn == 1
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !placed {
+		t.Fatal("wal.log lacks the place record of the page just written")
+	}
+}
+
+// Acknowledged means written: once LogCommit returns, the commit is on the
+// log file even under FsyncNever and without Close — a process crash (not
+// a power loss) right after it still recovers the commit.
+func TestLogCommitWritesTheTransaction(t *testing.T) {
+	g, m, ty := setup(t, 4096)
+	dir := t.TempDir()
+	fb, err := NewFileBackend(m, BackendOptions{Dir: dir, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close() // errscan:ok test cleanup
+	pg := fb.AllocatePage()
+	if err := fb.CommitBootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, WALFileName)
+	for txn := 0; txn < 3; txn++ {
+		if err := fb.LogBegin(txn); err != nil {
+			t.Fatal(err)
+		}
+		if err := fb.Place(newObj(t, g, ty, 100), pg); err != nil {
+			t.Fatal(err)
+		}
+		commit(t, fb, txn)
+		st := recoverFile(t, walPath)
+		if st.Committed != txn+1 || st.Digest != fb.StateDigest() {
+			t.Fatalf("after commit %d: recovered %d commits at %016x, want %d at %016x",
+				txn, st.Committed, st.Digest, txn+1, fb.StateDigest())
+		}
+	}
+	// One write per transaction: begin, place and commit leave together.
+	if got := fb.DurableStats().WALAppends; got != 4 {
+		t.Fatalf("WALAppends = %d, want 4 (bootstrap + 3 commits)", got)
+	}
+}
+
+// A read the page file fails is an error, not an absent frame: only the end
+// of the file means "never written".
+func TestReadPageReportsFailedRead(t *testing.T) {
+	g, m, ty := setup(t, 4096)
+	fb, err := NewFileBackend(m, BackendOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close() // errscan:ok test cleanup; the page file is closed below
+	pg := fb.AllocatePage()
+	if err := fb.Place(newObj(t, g, ty, 100), pg); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.WritePage(pg); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.pages.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.ReadPage(pg); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("ReadPage through a closed handle: got %v, want os.ErrClosed", err)
+	}
+	if got := fb.DurableStats().PageReads; got != 0 {
+		t.Fatalf("failed read counted: PageReads = %d", got)
 	}
 }
 

@@ -25,20 +25,25 @@ type PageIO interface {
 
 // TxnLog is the transaction-boundary seam the recovery log drives: the
 // txlog manager forwards begin/commit/abort so transaction boundaries
-// become durable WAL records.
+// become durable WAL records. Records between boundaries may wait in the
+// log's memory, so a failed write can surface at the next boundary rather
+// than at the mutation that journaled it.
 type TxnLog interface {
 	// LogBegin opens transaction txn in the durable log.
 	LogBegin(txn int) error
-	// LogCommit appends transaction txn's commit record. The caller still
-	// holds whatever serializes its writes, so commit records land in
-	// serialization order; the record is not yet on stable storage.
+	// LogCommit appends transaction txn's commit record and writes the
+	// transaction's records to the log file. The caller still holds
+	// whatever serializes its writes, so commit records land in
+	// serialization order; the record is written but not yet on stable
+	// storage.
 	LogCommit(txn int) error
 	// WaitDurable returns once the commit the caller last appended is as
 	// durable as the fsync policy makes it. It is called with nothing held
 	// and may run beside other transactions' appends; a transaction is
 	// acknowledged only after it returns nil.
 	WaitDurable() error
-	// LogAbort abandons transaction txn; its mutations will not replay.
+	// LogAbort abandons transaction txn, writing its records to the log
+	// file; its mutations will not replay.
 	LogAbort(txn int) error
 }
 
@@ -67,7 +72,10 @@ type Durable interface {
 
 // DurableStats counts the physical work a durable backend performed.
 type DurableStats struct {
-	WALAppends int64 // records appended to the write-ahead log
+	// WALAppends counts write(2) calls to the write-ahead log, not
+	// records: one per run transaction (at its commit or abort), one per
+	// 64 KiB of the construction bootstrap.
+	WALAppends int64
 	WALSyncs   int64 // fsyncs of the log file
 	WALBytes   int64 // bytes written to the log
 	PageReads  int64 // page frames read from the page file
@@ -90,25 +98,29 @@ const (
 // misses perform real frame I/O against a page file. The WAL is the
 // recovery authority; the page file is derived, write-behind state.
 //
-// WAL appends are serialized by mu. The engines uphold that guarantee
-// structurally — write transactions are fully serialized (the concurrent
+// WAL appends collect in the log's in-memory tail and reach the file in
+// one write at each transaction boundary, before the frame of a page they
+// touch is written, and at close (see walWriter). Appends are serialized by
+// mu. The engines uphold that guarantee structurally — write transactions
+// are fully serialized (the concurrent
 // engine holds the structure lock exclusively from LogBegin through
 // LogCommit) — which is also what makes the single current-transaction
 // register sound: records of distinct transactions never interleave in the
-// log, and commit records appear in serialization order. The flush is not
+// log, and commit records appear in serialization order. The fsync is not
 // under that lock: WaitDurable syncs with neither mu nor the engine's guard
 // held, beside later transactions' appends, and an fsync covers every byte
 // written before it — so whatever a crash leaves on disk is a prefix of the
 // commit order. The first failed write or sync poisons the log (see
-// walWriter.failed): every later journal, boundary and WaitDurable call
-// returns that error.
+// walWriter.failed): every later journal, boundary, page write and
+// WaitDurable call returns that error. Since a mutation's record may wait
+// in the tail, that first error usually surfaces at the boundary after it.
 type FileBackend struct {
 	*Manager
 
 	dir    string
 	policy FsyncPolicy
 
-	mu  sync.Mutex // serializes WAL appends and commit bookkeeping
+	mu  sync.Mutex // serializes WAL appends, flushes and commit bookkeeping
 	wal *walWriter
 	cur uint64 // WAL txn attributed to in-flight mutations; 0 = bootstrap
 	// committed is the digest the last commit record carried: the newest
@@ -228,13 +240,14 @@ func (fb *FileBackend) LogBegin(txn int) error {
 }
 
 // LogCommit appends the commit record, carrying the placement digest the
-// replayed state must reproduce. It does not sync: WaitDurable does, once
-// the caller has let go of what serializes its writes.
+// replayed state must reproduce, and writes the transaction's records to
+// the log file. It does not sync: WaitDurable does, once the caller has let
+// go of what serializes its writes.
 func (fb *FileBackend) LogCommit(txn int) error {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	fb.committed = fb.StateDigest()
-	err := fb.wal.append(WALRecord{Kind: WALCommit, Txn: uint64(txn) + 1, Digest: fb.committed})
+	err := fb.wal.seal(WALRecord{Kind: WALCommit, Txn: uint64(txn) + 1, Digest: fb.committed})
 	if err != nil {
 		return err
 	}
@@ -246,7 +259,8 @@ func (fb *FileBackend) LogCommit(txn int) error {
 
 // WaitDurable performs the fsync policy's sync for the commit the caller
 // just appended: one per commit under FsyncAlways, the period-completing
-// commit's under FsyncInterval, none under FsyncNever. It takes no lock.
+// commit's under FsyncInterval, none under FsyncNever. It takes no lock and
+// leaves the log's tail alone: LogCommit already wrote the commit.
 func (fb *FileBackend) WaitDurable() error {
 	if fb.policy == FsyncAlways || fb.policy == FsyncInterval && fb.syncDue.CompareAndSwap(true, false) {
 		return fb.wal.sync()
@@ -254,12 +268,12 @@ func (fb *FileBackend) WaitDurable() error {
 	return nil
 }
 
-// LogAbort appends the abort record; the transaction's mutation records
-// are dead weight recovery will skip.
+// LogAbort appends the abort record and writes the tail; the
+// transaction's mutation records are dead weight recovery will skip.
 func (fb *FileBackend) LogAbort(txn int) error {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	return fb.wal.append(WALRecord{Kind: WALAbort, Txn: uint64(txn) + 1})
+	return fb.wal.seal(WALRecord{Kind: WALAbort, Txn: uint64(txn) + 1})
 }
 
 // CommitBootstrap durably commits the construction pseudo-transaction
@@ -269,7 +283,7 @@ func (fb *FileBackend) CommitBootstrap() error {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	fb.committed = fb.StateDigest()
-	if err := fb.wal.append(WALRecord{Kind: WALCommit, Txn: 0, Digest: fb.committed}); err != nil {
+	if err := fb.wal.seal(WALRecord{Kind: WALCommit, Txn: 0, Digest: fb.committed}); err != nil {
 		return err
 	}
 	return fb.wal.sync()
@@ -280,7 +294,7 @@ func (fb *FileBackend) CommitBootstrap() error {
 func (fb *FileBackend) Checkpoint() error {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	if err := fb.wal.append(WALRecord{Kind: WALCheckpoint, Digest: fb.StateDigest()}); err != nil {
+	if err := fb.wal.seal(WALRecord{Kind: WALCheckpoint, Digest: fb.StateDigest()}); err != nil {
 		return err
 	}
 	if err := fb.wal.sync(); err != nil {
@@ -318,7 +332,7 @@ func (fb *FileBackend) Close() error {
 // ReadPage fetches page pg's frame from the page file, validating its
 // checksum. A frame that was never written back reads as absent, not as an
 // error — the in-memory manager is authoritative and the pool only needs
-// the physical transfer performed.
+// the physical transfer performed. A read the file fails is an error.
 func (fb *FileBackend) ReadPage(pg PageID) error {
 	fb.ioMu.Lock()
 	_, err := fb.pages.readPage(pg)
@@ -331,14 +345,23 @@ func (fb *FileBackend) ReadPage(pg PageID) error {
 }
 
 // WritePage writes page pg's current contents to its frame in the page
-// file. The pool calls this on dirty eviction and during FlushDirty.
+// file. The pool calls this on dirty eviction and during FlushDirty. If the
+// log's tail holds a record of the page, the tail is written first, so the
+// records that dirtied the page are on the log file before its frame is on
+// the page file (journal before dirty).
 func (fb *FileBackend) WritePage(pg PageID) error {
 	p := fb.Page(pg)
 	if p == nil {
 		return fmt.Errorf("storage: %w: page %d", ErrNoSuchPage, pg)
 	}
+	fb.mu.Lock()
+	err := fb.wal.flushPage(pg)
+	fb.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	fb.ioMu.Lock()
-	err := fb.pages.writePage(p, fb.sizeOf)
+	err = fb.pages.writePage(p, fb.sizeOf)
 	fb.ioMu.Unlock()
 	if err != nil {
 		return err
@@ -361,7 +384,7 @@ func (fb *FileBackend) Committed() int { return int(fb.commits.Load()) }
 func (fb *FileBackend) DurableStats() DurableStats {
 	fb.mu.Lock()
 	st := DurableStats{
-		WALAppends: fb.wal.appends,
+		WALAppends: fb.wal.writes,
 		WALSyncs:   fb.wal.syncs.Load(),
 		WALBytes:   fb.wal.bytes,
 	}

@@ -2,8 +2,10 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 
 	"oodb/internal/model"
@@ -81,17 +83,20 @@ func (pf *pageFile) writePage(p *Page, sizeOf func(model.ObjectID) int) error {
 	return nil
 }
 
-// readPage reads and validates page pg's frame. An all-zero frame (the
-// page was allocated but never written back) is valid and returns ok=false;
-// a frame with a bad magic, wrong page ID, or CRC mismatch is an error.
-// Callers serialize.
+// readPage reads and validates page pg's frame. A frame past the end of
+// the file or all zero (the page was allocated but never written back) is
+// valid and returns ok=false; a failed read, or a frame with a bad magic,
+// wrong page ID, or CRC mismatch, is an error. Callers serialize.
 func (pf *pageFile) readPage(pg PageID) (ok bool, err error) {
 	b := pf.buf[:pf.pageSize]
 	n, err := pf.f.ReadAt(b, int64(pg-1)*int64(pf.pageSize))
 	if n < len(b) {
-		// Short or failed read: the frame was never written (the file has
-		// not grown that far). Treat like an all-zero frame.
-		return false, nil
+		// Only the end of the file means "never written": the file has not
+		// grown that far. Any other short read is the device failing.
+		if errors.Is(err, io.EOF) {
+			return false, nil
+		}
+		return false, fmt.Errorf("storage: read page %d: %w", pg, err)
 	}
 	if isZero(b) {
 		return false, nil

@@ -337,10 +337,12 @@ func TestWaitDurableOverlapsAppend(t *testing.T) {
 	}
 }
 
-// The first failed write poisons the backend: every later journal, boundary
-// and WaitDurable call returns that same error, even once the file itself
-// would work again — a retry that succeeds proves nothing about the bytes
-// the failed call lost.
+// The first failed write poisons the backend: every later journal, boundary,
+// page write and WaitDurable call returns that same error, even once the
+// file itself would work again — a retry that succeeds proves nothing about
+// the bytes the failed call lost. Records wait in the log's tail until a
+// boundary writes them, so the failure surfaces at the commit, not at the
+// begin.
 func TestFileBackendFailStop(t *testing.T) {
 	g, m, ty := setup(t, 4096)
 	dir := t.TempDir()
@@ -363,9 +365,12 @@ func TestFileBackendFailStop(t *testing.T) {
 	}
 	defer broken.Close() // errscan:ok test cleanup
 	fb.wal.f = broken
-	first := fb.LogBegin(1)
+	if err := fb.LogBegin(1); err != nil {
+		t.Fatalf("LogBegin wrote to the file: %v", err)
+	}
+	first := fb.LogCommit(1)
 	if first == nil {
-		t.Fatal("append to a read-only log succeeded")
+		t.Fatal("commit to a read-only log succeeded")
 	}
 	fb.wal.f = healthy // the device "recovers"; the backend must not
 
@@ -373,6 +378,7 @@ func TestFileBackendFailStop(t *testing.T) {
 	for name, err := range map[string]error{
 		"LogBegin":        fb.LogBegin(2),
 		"Place":           fb.Place(newObj(t, g, ty, 10), pg),
+		"WritePage":       fb.WritePage(pg),
 		"LogCommit":       fb.LogCommit(2),
 		"LogAbort":        fb.LogAbort(2),
 		"WaitDurable":     fb.WaitDurable(),
