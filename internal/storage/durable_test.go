@@ -515,6 +515,71 @@ func TestReadPageReportsFailedRead(t *testing.T) {
 	}
 }
 
+// A page fault allocates nothing, whichever of the three outcomes it reads.
+func TestReadPageAllocs(t *testing.T) {
+	fb := readPageBackend(t)
+	for _, c := range readPageCases {
+		avg := testing.AllocsPerRun(200, func() {
+			if err := fb.ReadPage(c.pg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("ReadPage(%s) allocates %v per read, want 0", c.name, avg)
+		}
+	}
+}
+
+// The scrub counts only a frame that fails validation as corrupt. A read
+// the file fails is returned, not counted.
+func TestScrubReportsFailedRead(t *testing.T) {
+	fb := readPageBackend(t)
+	if err := fb.pages.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	valid, corrupt, err := fb.pages.scrub(2)
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("scrub through a closed handle: got %v, want os.ErrClosed", err)
+	}
+	if valid != 0 || corrupt != 0 {
+		t.Fatalf("scrub counted a failed read: %d valid, %d corrupt", valid, corrupt)
+	}
+}
+
+// Only a missing page file skips the scrub; any other stat error fails
+// recovery.
+func TestRecoverDirPageFileStatError(t *testing.T) {
+	g, m, ty := setup(t, 4096)
+	dir := t.TempDir()
+	fb, err := NewFileBackend(m, BackendOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.Place(newObj(t, g, ty, 100), fb.AllocatePage()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.CommitBootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pagePath := filepath.Join(dir, PageFileName)
+	if err := os.Remove(pagePath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RecoverDir(dir, nil); err != nil {
+		t.Fatalf("RecoverDir without a page file: %v", err)
+	}
+	// A symlink to itself: stat fails with ELOOP, not "does not exist".
+	if err := os.Symlink(PageFileName, pagePath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RecoverDir(dir, nil); err == nil {
+		t.Fatal("RecoverDir must report a page file it cannot stat")
+	}
+}
+
 // Truncating the WAL mid-transaction recovers the longest committed prefix:
 // chop the log anywhere and replay still lands on a commit-consistent state.
 func TestRecoverWALTruncatedTail(t *testing.T) {
@@ -674,6 +739,82 @@ func TestPageFileWriteReadScrub(t *testing.T) {
 	}
 	if rec.FramesValid != 0 || rec.FramesCorrupt != 1 {
 		t.Fatalf("scrub after corruption %d/%d, want 0 valid, 1 corrupt", rec.FramesValid, rec.FramesCorrupt)
+	}
+}
+
+// Slots inside the file's extent that were never written are holes: they
+// read as absent, count as page reads, and the scrub counts them as
+// neither valid nor corrupt. A slot that is zero but for one byte is a
+// corrupt frame wherever that byte lies, so telling a hole from a frame
+// must examine every byte.
+func TestPageFileHolesAndNearZeroFrames(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		poke int // byte of slot 1 set non-zero; -1 leaves the hole
+	}{{"holes", -1}, {"last byte", 4095}, {"byte 1", 1}} {
+		t.Run(c.name, func(t *testing.T) {
+			g, m, ty := setup(t, 4096)
+			dir := t.TempDir()
+			fb, err := NewFileBackend(m, BackendOptions{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb.AllocatePage()
+			fb.AllocatePage()
+			pg := fb.AllocatePage()
+			if err := fb.Place(newObj(t, g, ty, 100), pg); err != nil {
+				t.Fatal(err)
+			}
+			if err := fb.WritePage(pg); err != nil {
+				t.Fatal(err)
+			}
+			if err := fb.CommitBootstrap(); err != nil {
+				t.Fatal(err)
+			}
+			poked := c.poke >= 0
+			if poked {
+				slot := make([]byte, 4096)
+				slot[c.poke] = 1
+				f, err := os.OpenFile(filepath.Join(dir, PageFileName), os.O_WRONLY, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = f.WriteAt(slot, 0)
+				if err := errors.Join(err, f.Close()); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			err = fb.ReadPage(1)
+			if !poked && err != nil {
+				t.Fatalf("ReadPage of a hole: %v", err)
+			}
+			if poked && !errors.Is(err, errCorruptFrame) {
+				t.Fatalf("ReadPage of a slot zero but for byte %d: got %v, want a corrupt frame", c.poke, err)
+			}
+			if err := fb.ReadPage(2); err != nil {
+				t.Fatalf("ReadPage of a hole: %v", err)
+			}
+			wantReads, wantCorrupt := int64(2), 0
+			if poked {
+				wantReads, wantCorrupt = 1, 1
+			}
+			if got := fb.DurableStats().PageReads; got != wantReads {
+				t.Fatalf("PageReads = %d, want %d", got, wantReads)
+			}
+			if err := fb.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			rec, err := RecoverDir(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Pages != 3 || rec.FramesValid != 1 || rec.FramesCorrupt != wantCorrupt {
+				t.Fatalf("scrub of %d pages: %d valid, %d corrupt; want 3 pages, 1 valid, %d corrupt",
+					rec.Pages, rec.FramesValid, rec.FramesCorrupt, wantCorrupt)
+			}
+		})
 	}
 }
 

@@ -330,9 +330,11 @@ func (fb *FileBackend) Close() error {
 }
 
 // ReadPage fetches page pg's frame from the page file, validating its
-// checksum. A frame that was never written back reads as absent, not as an
-// error — the in-memory manager is authoritative and the pool only needs
-// the physical transfer performed. A read the file fails is an error.
+// checksum. A frame that was never written back (a hole, or a slot past
+// the end of the file) reads as absent, not as an error — the in-memory
+// manager is authoritative and the pool only needs the physical transfer
+// performed — and counts as a page read. A frame that fails validation and
+// a read the file fails are errors, and are not counted.
 func (fb *FileBackend) ReadPage(pg PageID) error {
 	fb.ioMu.Lock()
 	_, err := fb.pages.readPage(pg)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,10 +31,16 @@ import (
 // truncated. That is harmless — the WAL is the recovery authority and
 // frames are derived state; the frame exists to bear real page-granular
 // I/O and to let a CRC scrub detect torn page writes.
+//
+// The file is sparse: construction writes no frames and a run writes back
+// only the pages it evicts dirty, so most slots inside the file's extent
+// are holes that read as zeros. readPage tells a hole from a frame with
+// one compare against zero.
 type pageFile struct {
 	f        *os.File
 	pageSize int
 	buf      []byte // one frame of scratch; reused across calls
+	zero     []byte // one frame of zeros; never written
 }
 
 const (
@@ -53,8 +60,13 @@ func openPageFile(path string, pageSize int) (*pageFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &pageFile{f: f, pageSize: pageSize, buf: make([]byte, pageSize)}, nil
+	return &pageFile{f: f, pageSize: pageSize, buf: make([]byte, pageSize), zero: make([]byte, pageSize)}, nil
 }
+
+// errCorruptFrame marks a frame that was read in full but failed
+// validation (bad magic, wrong page ID or CRC), as opposed to a read the
+// file failed.
+var errCorruptFrame = errors.New("corrupt page frame")
 
 // writePage encodes the page's resident objects into its frame slot.
 // Callers serialize (the backend holds ioMu).
@@ -83,10 +95,11 @@ func (pf *pageFile) writePage(p *Page, sizeOf func(model.ObjectID) int) error {
 	return nil
 }
 
-// readPage reads and validates page pg's frame. A frame past the end of
+// readPage reads and validates page pg's frame. A slot past the end of
 // the file or all zero (the page was allocated but never written back) is
-// valid and returns ok=false; a failed read, or a frame with a bad magic,
-// wrong page ID, or CRC mismatch, is an error. Callers serialize.
+// a hole: valid, ok=false. A frame with a bad magic, wrong page ID or CRC
+// mismatch is an error wrapping errCorruptFrame; a failed read is an error
+// that does not. Callers serialize.
 func (pf *pageFile) readPage(pg PageID) (ok bool, err error) {
 	b := pf.buf[:pf.pageSize]
 	n, err := pf.f.ReadAt(b, int64(pg-1)*int64(pf.pageSize))
@@ -98,48 +111,40 @@ func (pf *pageFile) readPage(pg PageID) (ok bool, err error) {
 		}
 		return false, fmt.Errorf("storage: read page %d: %w", pg, err)
 	}
-	if isZero(b) {
+	if bytes.Equal(b, pf.zero) {
 		return false, nil
 	}
 	if binary.LittleEndian.Uint32(b[0:4]) != pageFrameMagic {
-		return false, fmt.Errorf("storage: page %d frame has bad magic", pg)
+		return false, fmt.Errorf("storage: page %d frame has bad magic: %w", pg, errCorruptFrame)
 	}
 	if got := PageID(binary.LittleEndian.Uint32(b[4:8])); got != pg {
-		return false, fmt.Errorf("storage: page %d frame claims page %d", pg, got)
+		return false, fmt.Errorf("storage: page %d frame claims page %d: %w", pg, got, errCorruptFrame)
 	}
 	crc := binary.LittleEndian.Uint32(b[16:20])
 	binary.LittleEndian.PutUint32(b[16:20], 0)
 	if crc32.Checksum(b, castagnoli) != crc {
-		return false, fmt.Errorf("storage: page %d frame failed CRC", pg)
+		return false, fmt.Errorf("storage: page %d frame failed CRC: %w", pg, errCorruptFrame)
 	}
 	return true, nil
 }
 
 // scrub validates every frame slot up to numPages, counting frames that
-// pass their CRC and frames that fail it. Never-written (all-zero) slots
-// count as neither.
-func (pf *pageFile) scrub(numPages int) (valid, corrupt int) {
+// pass their CRC and frames that fail validation. Holes count as neither.
+// A failed read is not a corrupt frame: scrub stops and returns it.
+func (pf *pageFile) scrub(numPages int) (valid, corrupt int, err error) {
 	for pg := PageID(1); int(pg) <= numPages; pg++ {
 		ok, err := pf.readPage(pg)
 		switch {
-		case err != nil:
+		case errors.Is(err, errCorruptFrame):
 			corrupt++
+		case err != nil:
+			return valid, corrupt, err
 		case ok:
 			valid++
 		}
 	}
-	return valid, corrupt
+	return valid, corrupt, nil
 }
 
 func (pf *pageFile) sync() error  { return pf.f.Sync() }
 func (pf *pageFile) close() error { return pf.f.Close() }
-
-// isZero reports whether b is all zero bytes.
-func isZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}

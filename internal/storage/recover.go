@@ -2,8 +2,10 @@ package storage
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -35,8 +37,9 @@ type RecoveredState struct {
 	CommitDigest uint64
 
 	// Page-file scrub results (RecoverDir only): frames that passed their
-	// CRC, frames that failed it. Corrupt frames do not fail recovery —
-	// the page file is derived state — but they are worth reporting.
+	// CRC, frames that failed validation. Corrupt frames do not fail
+	// recovery — the page file is derived state — but they are worth
+	// reporting. A failed read is not a corrupt frame; it fails RecoverDir.
 	FramesValid   int
 	FramesCorrupt int
 }
@@ -175,7 +178,8 @@ func applyRecovered(st *RecoveredState, placed map[model.ObjectID]recoveredObjec
 // RecoverDir replays the WAL in a file-backend data directory and scrubs
 // the page file's frames against their CRCs. Frame corruption is reported
 // in the result, not as an error: the page file is derived state and the
-// WAL alone determines the recovered placement.
+// WAL alone determines the recovered placement. A missing page file skips
+// the scrub; a page file that cannot be stat'ed or read is an error.
 // The second argument is ignored; bench/run.go still passes one (ROADMAP 4(a)).
 func RecoverDir(dir string, _ any) (*RecoveredState, error) {
 	f, err := os.Open(filepath.Join(dir, WALFileName))
@@ -190,13 +194,21 @@ func RecoverDir(dir string, _ any) (*RecoveredState, error) {
 	}
 
 	pagePath := filepath.Join(dir, PageFileName)
-	if _, statErr := os.Stat(pagePath); statErr == nil && st.Pages > 0 && st.PageSize >= minPageFrame {
+	if _, err := os.Stat(pagePath); errors.Is(err, fs.ErrNotExist) {
+		return st, nil
+	} else if err != nil {
+		return nil, err
+	}
+	if st.Pages > 0 && st.PageSize >= minPageFrame {
 		pf, err := openPageFile(pagePath, st.PageSize)
 		if err != nil {
 			return nil, err
 		}
 		defer pf.close() // errscan:ok read-side scrub handle
-		st.FramesValid, st.FramesCorrupt = pf.scrub(st.Pages)
+		st.FramesValid, st.FramesCorrupt, err = pf.scrub(st.Pages)
+		if err != nil {
+			return nil, err
+		}
 	}
 	return st, nil
 }

@@ -2,9 +2,10 @@
 # Crash-recovery gate: SIGKILL a file-backend run mid-flight, reopen the
 # data directory, replay the write-ahead log, and require the recovered
 # placement digest to equal the digest an uninterrupted reference run had
-# at the same commit point. Also checks the file backend is logically
-# invisible: the memory- and file-backend runs of the same configuration
-# print the same logical digest. The serial oodbsim is killed on five
+# at the same commit point, and the page-file scrub to find no corrupt
+# frame. Also checks the file backend is logically invisible: the memory-
+# and file-backend runs of the same configuration print the same logical
+# digest. The serial oodbsim is killed on five
 # workloads; the concurrent loadgen, which has no reproducible reference,
 # is killed once and checked against its own log.
 #
@@ -27,9 +28,10 @@ digest_line() {
 
 # kill_midflight TAG FLOOR CMD... starts CMD (given -data-dir itself) in the
 # background, SIGKILLs it once its WAL is 4 KiB past FLOOR bytes, and
-# recovers the directory, leaving $crash, $committed and $recovered set. If
-# the kill lands before any run commit was durable, retry a few times;
-# fsync=always makes the window wide.
+# recovers the directory, leaving $crash, $committed and $recovered set; a
+# recovery that scrubs any corrupt page frame fails the script. If the kill
+# lands before any run commit was durable, retry a few times; fsync=always
+# makes the window wide.
 kill_midflight() {
     tag="$1"; floor="$2"; shift 2
     attempt=0
@@ -69,8 +71,15 @@ kill_midflight() {
         echo "$out"
         committed=$(echo "$out" | sed -n 's/.*committed=\([0-9]*\).*/\1/p')
         recovered=$(echo "$out" | sed -n 's/.*digest=\([0-9a-f]*\).*/\1/p')
-        if [ -z "$committed" ] || [ -z "$recovered" ]; then
+        corrupt=$(echo "$out" | sed -n 's/.* ok\/\([0-9]*\) corrupt.*/\1/p')
+        if [ -z "$committed" ] || [ -z "$recovered" ] || [ -z "$corrupt" ]; then
             echo "crash_roundtrip: $tag: could not parse recovery output" >&2
+            exit 1
+        fi
+        # SIGKILL stops the process, not the kernel: every pwrite that
+        # returned is in the page cache, so no frame can be torn.
+        if [ "$corrupt" -ne 0 ]; then
+            echo "crash_roundtrip: $tag: recovery scrubbed $corrupt corrupt page frames, want 0" >&2
             exit 1
         fi
         if [ "$committed" -gt 0 ]; then
