@@ -1,70 +1,56 @@
-// Command oodbsim regenerates the paper's simulation experiments.
+// Command oodbsim regenerates the paper's experiments and drives single
+// runs of the serial simulator or the concurrent wall-clock engine.
 //
 // Usage:
 //
 //	oodbsim -list
+//	oodbsim -fig 3.2                                          # Section 3 OCT trace figure
 //	oodbsim -fig 5.1 [-scale 0.05] [-txns 3000] [-seed 1] [-parallel 8] [-v]
 //	oodbsim -table 5.1
 //	oodbsim -all
 //	oodbsim -run -density high-10 -rw 100 -cluster No_limit   # single run
 //	oodbsim -run -workload ocb -ocb-dist clustered            # OCB benchmark run
+//	oodbsim -run -clients 16 -workload ocb -ocb-rw 3          # 16 concurrent sessions, wall clock
+//	oodbsim -run -clients 16 -rate 5000                       # open loop, 5000 txn/s aggregate
 //	oodbsim -exp ocb.policies                                 # OCB experiment
 //
 // Experiment IDs follow the paper: fig3.2–fig3.4, fig5.1–fig5.14,
 // table5.1, fig6.1, fig6.2, the ocb.* benchmark experiments, and the ext.*
-// extension experiments.
+// extension experiments. A flag the chosen mode would ignore is refused by
+// name.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"oodb"
 	"oodb/internal/obs"
 )
 
 func main() {
-	runArgs := runFlags(flag.CommandLine)
-	var (
-		list   = flag.Bool("list", false, "list experiment IDs and exit")
-		fig    = flag.String("fig", "", "figure to regenerate (e.g. 5.1)")
-		table  = flag.String("table", "", "table to regenerate (e.g. 5.1)")
-		ext    = flag.String("ext", "", "extension experiment (e.g. buffersize)")
-		exp    = flag.String("exp", "", "experiment by full registry id (e.g. ocb.policies)")
-		all    = flag.Bool("all", false, "run every registered experiment")
-		reps   = flag.Int("reps", 1, "replications per configuration (averaged)")
-		par    = flag.Int("parallel", 0, "worker pool size for simulation runs (0 = GOMAXPROCS, 1 = serial)")
-		verb   = flag.Bool("v", false, "print per-run progress (concurrency-safe)")
-		asJSON = flag.Bool("json", false, "emit tables as JSON instead of text")
+	c, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
 
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
-
-		single  = flag.Bool("run", false, "run a single simulation instead of an experiment")
-		ckptDir = flag.String("ckpt-dir", "", "experiments: cache each finished configuration's results here; a restarted batch runs only the configurations not yet cached")
-
-		recoverDir  = flag.String("recover", "", "replay the write-ahead log in this data directory, print the recovered state, and exit")
-		walDigestAt = flag.Int("wal-digest-at", -1, "with -data-dir: print the placement digest at the k-th WAL commit record and exit (0 = construction bootstrap)")
-	)
-	flag.Parse()
-	runArgs.markExplicit(flag.CommandLine)
-
-	if *recoverDir != "" {
-		st, err := oodb.RecoverDataDir(*recoverDir)
+	if c.recoverDir != "" {
+		st, err := oodb.RecoverDataDir(c.recoverDir)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("recovered %s: committed=%d records=%d applied=%d skipped=%d objects=%d pages=%d frames=%d ok/%d corrupt digest=%016x\n",
-			*recoverDir, st.Committed, st.Records, st.Applied, st.Skipped,
+			c.recoverDir, st.Committed, st.Records, st.Applied, st.Skipped,
 			st.Objects, st.Pages, st.FramesValid, st.FramesCorrupt, st.Digest)
 		return
 	}
-	if *walDigestAt >= 0 {
-		if runArgs.dataDir == "" {
+	if c.walDigestAt >= 0 {
+		if c.dataDir == "" {
 			fatal(fmt.Errorf("-wal-digest-at requires -data-dir"))
 		}
-		d, err := oodb.WALDigestAt(runArgs.dataDir, *walDigestAt)
+		d, err := oodb.WALDigestAt(c.dataDir, c.walDigestAt)
 		if err != nil {
 			fatal(err)
 		}
@@ -72,31 +58,31 @@ func main() {
 		return
 	}
 
-	stop, err := obs.StartProfiles(*cpuProf, *memProf)
+	stop, err := obs.StartProfiles(c.cpuProf, c.memProf)
 	if err != nil {
 		fatal(err)
 	}
 	stopProfiles = stop
 	defer flushProfiles()
 
-	if *list {
+	if c.list {
 		for _, id := range oodb.Experiments() {
 			fmt.Println(id)
 		}
 		return
 	}
 
-	opt := oodb.ExperimentOptions{Scale: runArgs.scale, Transactions: runArgs.txns, Seed: runArgs.seed, Replications: *reps,
-		Workers: *par, CheckpointDir: *ckptDir}
-	if runArgs.workload != "oct" {
-		opt.Workload = runArgs.workload
+	opt := oodb.ExperimentOptions{Scale: c.scale, Transactions: c.txns, Seed: c.seed, Replications: c.reps,
+		Workers: c.par, CheckpointDir: c.ckptDir}
+	if c.workload != "oct" {
+		opt.Workload = c.workload
 	}
-	if *verb {
+	if c.verb {
 		opt.Verbose = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
 
-	if *single {
-		if err := runArgs.run(); err != nil {
+	if c.single {
+		if err := c.run(); err != nil {
 			fatal(err)
 		}
 		return
@@ -104,16 +90,16 @@ func main() {
 
 	var ids []string
 	switch {
-	case *all:
+	case c.all:
 		ids = oodb.Experiments()
-	case *fig != "":
-		ids = []string{"fig" + *fig}
-	case *table != "":
-		ids = []string{"table" + *table}
-	case *ext != "":
-		ids = []string{"ext." + *ext}
-	case *exp != "":
-		ids = []string{*exp}
+	case c.fig != "":
+		ids = []string{"fig" + c.fig}
+	case c.table != "":
+		ids = []string{"table" + c.table}
+	case c.ext != "":
+		ids = []string{"ext." + c.ext}
+	case c.exp != "":
+		ids = []string{c.exp}
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -124,7 +110,7 @@ func main() {
 		fatal(err)
 	}
 	for _, t := range tables {
-		if *asJSON {
+		if c.asJSON {
 			out, err := t.JSON()
 			if err != nil {
 				fatal(err)
@@ -134,6 +120,85 @@ func main() {
 		}
 		fmt.Println(t.Render())
 	}
+}
+
+// cli is the whole command line: the -run flag set plus the mode,
+// experiment and profiling flags.
+type cli struct {
+	*singleRun
+	list, all, single, verb, asJSON bool
+	fig, table, ext, exp, ckptDir   string
+	reps, par, walDigestAt          int
+	cpuProf, memProf, recoverDir    string
+}
+
+// sharedFlags are the runFlags the experiment modes read too; every other
+// runFlags flag is -run's alone.
+var sharedFlags = map[string]bool{"scale": true, "txns": true, "seed": true, "workload": true}
+
+// experimentFlags are read by the experiment modes and never by -run.
+var experimentFlags = map[string]bool{"json": true, "reps": true, "parallel": true, "v": true, "ckpt-dir": true}
+
+// parseArgs registers every flag on fs, parses args, and refuses a flag the
+// chosen mode would ignore, naming it — before any world is built.
+func parseArgs(fs *flag.FlagSet, args []string) (*cli, error) {
+	c := &cli{singleRun: runFlags(fs)}
+	runOnly := map[string]bool{}
+	fs.VisitAll(func(f *flag.Flag) {
+		if !sharedFlags[f.Name] {
+			runOnly[f.Name] = true
+		}
+	})
+
+	fs.BoolVar(&c.list, "list", false, "list experiment IDs and exit")
+	fs.StringVar(&c.fig, "fig", "", "figure to regenerate (e.g. 5.1)")
+	fs.StringVar(&c.table, "table", "", "table to regenerate (e.g. 5.1)")
+	fs.StringVar(&c.ext, "ext", "", "extension experiment (e.g. buffersize)")
+	fs.StringVar(&c.exp, "exp", "", "experiment by full registry id (e.g. ocb.policies)")
+	fs.BoolVar(&c.all, "all", false, "run every registered experiment")
+	fs.IntVar(&c.reps, "reps", 1, "replications per configuration (averaged)")
+	fs.IntVar(&c.par, "parallel", 0, "worker pool size for simulation runs (0 = GOMAXPROCS, 1 = serial)")
+	fs.BoolVar(&c.verb, "v", false, "print per-run progress (concurrency-safe)")
+	fs.BoolVar(&c.asJSON, "json", false, "emit tables as JSON instead of text")
+
+	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a CPU profile of the invocation to this file")
+	fs.StringVar(&c.memProf, "memprofile", "", "write a heap profile taken at exit to this file")
+
+	fs.BoolVar(&c.single, "run", false, "run a single simulation (with -clients, on the concurrent engine) instead of an experiment")
+	fs.StringVar(&c.ckptDir, "ckpt-dir", "", "experiments: cache each finished configuration's results here; a restarted batch runs only the configurations not yet cached")
+
+	fs.StringVar(&c.recoverDir, "recover", "", "replay the write-ahead log in this data directory, print the recovered state, and exit")
+	fs.IntVar(&c.walDigestAt, "wal-digest-at", -1, "with -data-dir: print the placement digest at the k-th WAL commit record and exit (0 = construction bootstrap)")
+
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	c.markExplicit(fs)
+
+	set := c.set
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch n := f.Name; {
+		case err != nil:
+		case runOnly[n] && !c.single && !(n == "data-dir" && set["wal-digest-at"]):
+			err = fmt.Errorf("-%s applies only to -run", n)
+		case experimentFlags[n] && c.single:
+			err = fmt.Errorf("-%s applies only to experiments, not to -run", n)
+		case (n == "think" || n == "rate") && !set["clients"]:
+			err = fmt.Errorf("-%s needs -clients", n)
+		case (n == "record" || n == "replay") && set["clients"]:
+			err = fmt.Errorf("-%s is serial-only; it cannot be combined with -clients", n)
+		case n == "clients" && c.clients < 1:
+			err = fmt.Errorf("-clients must be at least 1, got %d", c.clients)
+		}
+	})
+	if err == nil && set["record"] && set["replay"] {
+		err = fmt.Errorf("-record and -replay are mutually exclusive")
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // singleRun carries the -run flag set; -scale, -txns, -seed and -workload
@@ -165,6 +230,13 @@ type singleRun struct {
 	backend string
 	dataDir string
 	fsync   string
+
+	warmup  int
+	noLocks bool
+
+	clients int // > 0 runs the concurrent driver with this many sessions
+	think   time.Duration
+	rate    float64
 
 	tier string
 	set  map[string]bool // flags the user passed explicitly
@@ -205,6 +277,13 @@ func runFlags(fs *flag.FlagSet) *singleRun {
 	fs.StringVar(&s.backend, "backend", "", "single run: storage backend (memory | file; default memory)")
 	fs.StringVar(&s.dataDir, "data-dir", "", "single run: data directory for -backend file (write-ahead log + page file)")
 	fs.StringVar(&s.fsync, "fsync", "", "single run: WAL fsync policy for -backend file (always | interval | never; default always)")
+
+	fs.IntVar(&s.warmup, "warmup", 0, "single run: leading transactions excluded from the statistics")
+	fs.BoolVar(&s.noLocks, "no-locks", false, "single run: disable object-granularity locking")
+
+	fs.IntVar(&s.clients, "clients", 0, "single run: drive N concurrent client sessions over one shared store in wall-clock time (0 = the serial simulator)")
+	fs.DurationVar(&s.think, "think", 0, "with -clients: closed loop, mean exponential think time between a client's transactions (0 = back-to-back)")
+	fs.Float64Var(&s.rate, "rate", 0, "with -clients: open loop, aggregate arrival rate in txn/s (overrides -think)")
 	return s
 }
 
@@ -242,6 +321,12 @@ func (s singleRun) config() (oodb.SimConfig, error) {
 	}
 	if applies("seed") {
 		cfg.Seed = s.seed
+	}
+	if applies("warmup") {
+		cfg.Warmup = s.warmup
+	}
+	if applies("no-locks") {
+		cfg.Locking = !s.noLocks
 	}
 	if applies("rw") {
 		cfg.ReadWriteRatio = s.rw
@@ -312,13 +397,19 @@ func (s singleRun) config() (oodb.SimConfig, error) {
 	return cfg, nil
 }
 
+// concurrentOptions maps -clients, -think and -rate onto the concurrent
+// driver's options.
+func (s singleRun) concurrentOptions() oodb.ConcurrentOptions {
+	return oodb.ConcurrentOptions{Sessions: s.clients, ThinkTime: s.think, ArrivalRate: s.rate}
+}
+
 func (s singleRun) run() (err error) {
-	if s.record != "" && s.replay != "" {
-		return fmt.Errorf("-record and -replay are mutually exclusive")
-	}
 	cfg, err := s.config()
 	if err != nil {
 		return err
+	}
+	if s.clients > 0 {
+		return runConcurrent(cfg, s.concurrentOptions())
 	}
 	if s.record != "" {
 		f, cerr := os.Create(s.record)
@@ -359,6 +450,36 @@ func (s singleRun) run() (err error) {
 	fmt.Print(res.LayerLines())
 	return nil
 }
+
+// runConcurrent runs the concurrent driver: N client goroutines over one
+// shared buffer pool, lock table and storage backend, in wall-clock time.
+// Closed loop (-think) models interactive sessions; open loop (-rate)
+// measures latency from each transaction's intended arrival, so a saturated
+// system reports its queueing delay instead of suppressing arrivals.
+func runConcurrent(cfg oodb.SimConfig, opt oodb.ConcurrentOptions) error {
+	res, err := oodb.RunConcurrentLoad(cfg, opt)
+	if err != nil {
+		return err
+	}
+	fmt.Println(res.String())
+	fmt.Printf("  latency: mean=%s p50=%s p90=%s p99=%s p999=%s max=%s (n=%d)\n",
+		us(int64(res.Latency.Mean())), us(res.Latency.Quantile(0.50)),
+		us(res.Latency.Quantile(0.90)), us(res.Latency.Quantile(0.99)),
+		us(res.Latency.Quantile(0.999)), us(res.Latency.Max()), res.Latency.N())
+	fmt.Printf("  logical: ops=%d not-found=%d  physical: reads=%d writes=%d log=%d background=%d\n",
+		res.LogicalOps, res.NotFoundReads, res.PhysReads, res.PhysWrites, res.LogIOs, res.BackgroundIOs)
+	fmt.Print(res.LayerLines())
+	fmt.Printf("  digest: %016x\n", res.LogicalDigest)
+	if wt := res.KindCount["ocb-insert"] + res.KindCount["ocb-delete"] +
+		res.KindCount["ocb-update"] + res.KindCount["ocb-rewire"]; wt > 0 || res.ConservationViolations > 0 {
+		fmt.Printf("  writes: ocb=%d final-state=%016x objects(live/placed)=%d/%d conserve-violations=%d\n",
+			wt, res.FinalStateDigest, res.LiveObjects, res.PlacedObjects, res.ConservationViolations)
+	}
+	return nil
+}
+
+// us renders a microsecond count as a duration.
+func us(v int64) time.Duration { return time.Duration(v) * time.Microsecond }
 
 // stopProfiles ends the -cpuprofile/-memprofile output. It runs once: main
 // defers flushProfiles, and fatal calls it before os.Exit skips the defer.

@@ -6,22 +6,27 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"oodb"
 )
 
-// parseRun parses args with the -run flag set main registers, returning the
-// flag set as main would hand it to singleRun.config.
-func parseRun(t *testing.T, args ...string) singleRun {
-	t.Helper()
+// parse parses args with the flags main registers.
+func parse(args ...string) (*cli, error) {
 	fs := flag.NewFlagSet("oodbsim", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	s := runFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	return parseArgs(fs, args)
+}
+
+// parseRun parses -run followed by args, returning the flag set as main
+// would hand it to singleRun.config.
+func parseRun(t *testing.T, args ...string) singleRun {
+	t.Helper()
+	c, err := parse(append([]string{"-run"}, args...)...)
+	if err != nil {
 		t.Fatalf("parse %q: %v", args, err)
 	}
-	s.markExplicit(fs)
-	return *s
+	return *c.singleRun
 }
 
 // TestSingleRunConfig pins the flag → SimConfig mapping on both bases: the
@@ -68,6 +73,8 @@ func TestSingleRunConfig(t *testing.T) {
 			func(c *oodb.SimConfig) { c.Backend, c.DataDir, c.Fsync = "file", "/tmp/d", "never" }},
 		{"flash", []string{"-flash-factor", "8", "-flash-at", "10", "-flash-len", "20"},
 			func(c *oodb.SimConfig) { c.FlashFactor, c.FlashAt, c.FlashLen = 8, 10, 20 }},
+		{"warmup+no-locks", []string{"-warmup", "50", "-no-locks"},
+			func(c *oodb.SimConfig) { c.Warmup, c.Locking = 50, false }},
 	}
 	for _, b := range bases {
 		for _, o := range overlays {
@@ -110,6 +117,29 @@ func TestSingleRunConfig(t *testing.T) {
 		}
 	}
 
+	// -clients selects the concurrent driver on the same configuration;
+	// -think and -rate shape its sessions and nothing else.
+	for _, tc := range []struct {
+		args []string
+		cfg  func() oodb.SimConfig
+		opt  oodb.ConcurrentOptions
+	}{
+		{[]string{"-clients", "16", "-think", "2ms"}, defaultBase,
+			oodb.ConcurrentOptions{Sessions: 16, ThinkTime: 2 * time.Millisecond}},
+		{[]string{"-clients", "8", "-rate", "5000", "-txns", "1000"},
+			func() oodb.SimConfig { c := defaultBase(); c.Transactions = 1000; return c },
+			oodb.ConcurrentOptions{Sessions: 8, ArrivalRate: 5000}},
+		{[]string{"-tier", "medium", "-clients", "4"}, mediumBase, oodb.ConcurrentOptions{Sessions: 4}},
+	} {
+		s := parseRun(t, tc.args...)
+		cfg, err := s.config()
+		if err != nil {
+			t.Errorf("%q: %v", tc.args, err)
+		} else if !reflect.DeepEqual(cfg, tc.cfg()) || s.concurrentOptions() != tc.opt {
+			t.Errorf("%q:\n got %+v %+v\nwant %+v %+v", tc.args, cfg, s.concurrentOptions(), tc.cfg(), tc.opt)
+		}
+	}
+
 	for name, args := range map[string][]string{
 		"unknown tier":     {"-tier", "huge"},
 		"unknown repl":     {"-repl", "fifo"},
@@ -118,6 +148,58 @@ func TestSingleRunConfig(t *testing.T) {
 	} {
 		if _, err := parseRun(t, args...).config(); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestRefusedFlags pins that a flag the chosen mode would ignore is refused
+// at parse time, before any world is built, with an error naming it.
+func TestRefusedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		// Run-only flags without -run.
+		{[]string{"-fig", "5.5", "-scale", "0.005", "-txns", "100", "-backend", "file", "-tier", "medium", "-cluster", "bogus"}, "-backend"},
+		{[]string{"-fig", "5.5", "-tier", "medium"}, "-tier"},
+		{[]string{"-fig", "5.5", "-cluster", "bogus"}, "-cluster"},
+		{[]string{"-table", "5.1", "-clients", "4"}, "-clients"},
+		{[]string{"-all", "-warmup", "10"}, "-warmup"},
+		{[]string{"-exp", "ocb.policies", "-no-locks"}, "-no-locks"},
+		{[]string{"-list", "-ocb-rw", "3"}, "-ocb-rw"},
+		{[]string{"-recover", "d", "-data-dir", "d"}, "-data-dir"},
+		// Experiment-only flags with -run.
+		{[]string{"-run", "-json"}, "-json"},
+		{[]string{"-run", "-reps", "5"}, "-reps"},
+		{[]string{"-run", "-parallel", "3"}, "-parallel"},
+		{[]string{"-run", "-v"}, "-v"},
+		{[]string{"-run", "-ckpt-dir", "d"}, "-ckpt-dir"},
+		{[]string{"-run", "-clients", "4", "-json"}, "-json"},
+		// Concurrent-only flags without -clients, and bad -clients.
+		{[]string{"-run", "-think", "2ms"}, "-think"},
+		{[]string{"-run", "-rate", "5000"}, "-rate"},
+		{[]string{"-run", "-clients", "0"}, "-clients"},
+		{[]string{"-run", "-clients", "-3", "-think", "1ms"}, "-clients"},
+		// Trace record/replay is serial-only.
+		{[]string{"-run", "-clients", "4", "-record", "t.trc"}, "-record"},
+		{[]string{"-run", "-clients", "4", "-replay", "t.trc"}, "-replay"},
+		{[]string{"-run", "-record", "a.trc", "-replay", "b.trc"}, "-record"},
+	} {
+		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
+			t.Errorf("%q: got %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
+
+	// What each mode does read is accepted.
+	for _, args := range [][]string{
+		{"-fig", "5.5", "-scale", "0.005", "-txns", "100", "-seed", "3", "-workload", "ocb", "-json", "-reps", "2", "-parallel", "1", "-v", "-ckpt-dir", "d"},
+		{"-run", "-clients", "4", "-think", "1ms", "-rate", "100", "-warmup", "5", "-no-locks", "-tier", "medium", "-cluster", "No_limit"},
+		{"-run", "-record", "t.trc", "-warmup", "5", "-no-locks"},
+		{"-wal-digest-at", "3", "-data-dir", "d"},
+		{"-list", "-cpuprofile", "cpu.pb.gz"},
+	} {
+		if _, err := parse(args...); err != nil {
+			t.Errorf("%q refused: %v", args, err)
 		}
 	}
 }

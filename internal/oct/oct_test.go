@@ -204,18 +204,3 @@ func TestTraceDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestReportRenderers(t *testing.T) {
-	stats := Trace(2, 1)
-	for _, out := range []string{Fig32(stats), Fig33(stats), Fig34(stats)} {
-		if len(out) == 0 {
-			t.Fatal("empty report")
-		}
-	}
-	SortByRW(stats)
-	for i := 1; i < len(stats); i++ {
-		if stats[i].RWRatio > stats[i-1].RWRatio {
-			t.Fatal("SortByRW order wrong")
-		}
-	}
-}

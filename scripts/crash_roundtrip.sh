@@ -5,9 +5,9 @@
 # at the same commit point, and the page-file scrub to find no corrupt
 # frame. Also checks the file backend is logically invisible: the memory-
 # and file-backend runs of the same configuration print the same logical
-# digest. The serial oodbsim is killed on five
-# workloads; the concurrent loadgen, which has no reproducible reference,
-# is killed once and checked against its own log.
+# digest. The serial simulator is killed on five workloads; the concurrent
+# driver (-run -clients), which has no reproducible reference, is killed
+# once and checked against its own log.
 #
 # Usage: ./scripts/crash_roundtrip.sh [scale [txns]]
 set -eu
@@ -19,7 +19,6 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/oodbsim" ./cmd/oodbsim
-go build -o "$tmp/loadgen" ./cmd/loadgen
 
 # digest_line extracts the logical-digest line from a run's output.
 digest_line() {
@@ -147,13 +146,13 @@ crash_check dro -workload ocb -ocb-rw 1 -strategy dro
 # itself. Recovery must succeed (its replayed digest is checked against the
 # last commit record it found) and land on a commit prefix: the digest the
 # K-th commit record carries, for the K it reports.
-conc_flags="-clients 4 -workload ocb -ocb-rw 1 -scale $scale -backend file"
+conc_flags="-run -clients 4 -workload ocb -ocb-rw 1 -scale $scale -backend file"
 # shellcheck disable=SC2086 # word-splitting the flag list is the point
-"$tmp/loadgen" $conc_flags -txns 4 -fsync never -data-dir "$tmp/probe-conc" > /dev/null
+"$tmp/oodbsim" $conc_flags -txns 4 -fsync never -data-dir "$tmp/probe-conc" > /dev/null
 floor=$(wc -c < "$tmp/probe-conc/wal.log")
 # Far more transactions than the kill lets it finish.
 # shellcheck disable=SC2086
-kill_midflight concurrent "$floor" "$tmp/loadgen" $conc_flags -txns 2000000 -fsync always
+kill_midflight concurrent "$floor" "$tmp/oodbsim" $conc_flags -txns 2000000 -fsync always
 want=$("$tmp/oodbsim" -wal-digest-at "$committed" -data-dir "$crash" | sed 's/digest=//')
 if [ "$recovered" != "$want" ]; then
     echo "crash_roundtrip: concurrent: recovered digest $recovered != digest $want in commit record $committed" >&2
