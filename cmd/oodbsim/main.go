@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"oodb"
-	"oodb/internal/obs"
 )
 
 func main() {
@@ -58,7 +57,7 @@ func main() {
 		return
 	}
 
-	stop, err := obs.StartProfiles(c.cpuProf, c.memProf)
+	stop, err := startProfiles(c.cpuProf, c.memProf)
 	if err != nil {
 		fatal(err)
 	}
@@ -480,16 +479,6 @@ func runConcurrent(cfg oodb.SimConfig, opt oodb.ConcurrentOptions) error {
 
 // us renders a microsecond count as a duration.
 func us(v int64) time.Duration { return time.Duration(v) * time.Microsecond }
-
-// stopProfiles ends the -cpuprofile/-memprofile output. It runs once: main
-// defers flushProfiles, and fatal calls it before os.Exit skips the defer.
-var stopProfiles = func() error { return nil }
-
-func flushProfiles() {
-	if err := stopProfiles(); err != nil {
-		fmt.Fprintln(os.Stderr, "oodbsim:", err)
-	}
-}
 
 func fatal(err error) {
 	flushProfiles()

@@ -1,19 +1,27 @@
-// Package obs holds the CLIs' profiling hook. Run accounting is not here:
-// each layer's Stats is its instrumentation, and the drivers' results carry
-// every layer's.
-package obs
+package main
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
-// StartProfiles backs the command-line -cpuprofile/-memprofile flags: it
-// starts a CPU profile into cpuPath and returns stop, which ends it and
-// writes a heap profile (taken after a collection) to memPath. Either path
-// may be empty; stop reports the first failure and must be called once.
-func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
+// stopProfiles ends the -cpuprofile/-memprofile output. It runs once: main
+// defers flushProfiles, and fatal calls it before os.Exit skips the defer.
+var stopProfiles = func() error { return nil }
+
+func flushProfiles() {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "oodbsim:", err)
+	}
+}
+
+// startProfiles backs the -cpuprofile/-memprofile flags: it starts a CPU
+// profile into cpuPath and returns stop, which ends it and writes a heap
+// profile (taken after a collection) to memPath. Either path may be empty;
+// stop reports the first failure and must be called once.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	var cpu *os.File
 	if cpuPath != "" {
 		if cpu, err = os.Create(cpuPath); err != nil {

@@ -6,6 +6,8 @@ import (
 	"time"
 )
 
+// runConcurrent is run for the wall-clock engine: build, run, check the
+// invariants, close.
 func runConcurrent(t *testing.T, cfg Config, opt ConcurrentOptions) ConcurrentResults {
 	t.Helper()
 	c, err := NewConcurrent(cfg, opt)
@@ -18,6 +20,9 @@ func runConcurrent(t *testing.T, cfg Config, opt ConcurrentOptions) ConcurrentRe
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatalf("CheckInvariants: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 	return res
 }
@@ -59,7 +64,7 @@ func TestConcurrentSerialDigestOCB(t *testing.T) {
 	cfg.Users = 1
 	cfg.Warmup = 0
 
-	serial := runOCB(t, cfg)
+	serial := run(t, cfg)
 	conc := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 1})
 
 	if serial.LogicalDigest != conc.LogicalDigest {
@@ -85,7 +90,7 @@ func TestConcurrentSerialDigestOCBWrites(t *testing.T) {
 	cfg.Users = 1
 	cfg.Warmup = 0
 
-	serial := runOCB(t, cfg)
+	serial := run(t, cfg)
 	conc := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 1})
 
 	if serial.WriteTxns == 0 {

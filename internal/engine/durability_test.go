@@ -19,27 +19,6 @@ func fileConfig(t *testing.T, cfg Config, fsync string) Config {
 	return cfg
 }
 
-// runClosed runs cfg to completion and closes the engine, so a persistent
-// data directory is left checkpointed and recoverable.
-func runClosed(t *testing.T, cfg Config) Results {
-	t.Helper()
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := e.store.CheckInvariants(); err != nil {
-		t.Fatalf("storage invariants: %v", err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	return res
-}
-
 // The file backend must be logically invisible: the same configuration
 // produces byte-identical logical results whether the run journals and
 // performs real I/O or stays purely in memory.
@@ -51,8 +30,8 @@ func TestFileBackendDigestMatchesMemory(t *testing.T) {
 	}
 	for name, base := range cases {
 		t.Run(name, func(t *testing.T) {
-			mem := runClosed(t, base)
-			file := runClosed(t, fileConfig(t, base, "interval"))
+			mem := run(t, base)
+			file := run(t, fileConfig(t, base, "interval"))
 
 			if mem.LogicalDigest != file.LogicalDigest {
 				t.Fatalf("digest diverged: memory %016x, file %016x", mem.LogicalDigest, file.LogicalDigest)
@@ -92,11 +71,10 @@ func TestFileBackendCrashPrefixRecovery(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			refCfg := fileConfig(t, base, "always")
-			ref := runClosed(t, refCfg)
-			_ = ref
+			run(t, refCfg)
 
 			crashCfg := fileConfig(t, base, "always")
-			runClosed(t, crashCfg)
+			run(t, crashCfg)
 
 			walBytes, err := os.ReadFile(filepath.Join(crashCfg.DataDir, storage.WALFileName))
 			if err != nil {
@@ -139,7 +117,7 @@ func TestFileBackendCrashPrefixRecovery(t *testing.T) {
 // recovery reports the mutation records it replayed.
 func TestFileBackendObservability(t *testing.T) {
 	cfg := fileConfig(t, quickConfig(120), "always")
-	if d := runClosed(t, cfg).Durability; d.WALAppends == 0 || d.WALSyncs == 0 || d.PageReads == 0 {
+	if d := run(t, cfg).Durability; d.WALAppends == 0 || d.WALSyncs == 0 || d.PageReads == 0 {
 		t.Errorf("durability counters missing: %+v", d)
 	}
 	st, err := storage.RecoverDir(cfg.DataDir, nil)
@@ -158,7 +136,7 @@ func TestConcurrentFileBackendDurability(t *testing.T) {
 	base.Users = 1
 	base.Warmup = 0
 
-	serial := runClosed(t, base)
+	serial := run(t, base)
 
 	cfg := fileConfig(t, base, "interval")
 	c, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: 1})
@@ -297,7 +275,7 @@ func TestWALBytesPinned(t *testing.T) {
 		cfg := tc.cfg
 		cfg.Transactions = 500
 		cfg = fileConfig(t, cfg, "never")
-		runClosed(t, cfg)
+		run(t, cfg)
 		b, err := os.ReadFile(filepath.Join(cfg.DataDir, storage.WALFileName))
 		if err != nil {
 			t.Fatal(err)

@@ -136,7 +136,7 @@ func TestDynamicStrategiesActuallyReorganize(t *testing.T) {
 		t.Run(strat, func(t *testing.T) {
 			cfg := reorgConfig(strat)
 			cfg.ClusterStrategy = strat
-			res := runOCB(t, cfg)
+			res := run(t, cfg)
 			if res.WriteTxns == 0 {
 				t.Fatal("write-heavy run completed no writes")
 			}

@@ -16,6 +16,9 @@ func quickConfig(txns int) Config {
 	return cfg
 }
 
+// run builds cfg's serial engine, runs it to completion, checks the
+// store's invariants and closes the engine, so a persistent data directory
+// is left checkpointed and recoverable.
 func run(t *testing.T, cfg Config) Results {
 	t.Helper()
 	e, err := New(cfg)
@@ -28,6 +31,9 @@ func run(t *testing.T, cfg Config) Results {
 	}
 	if err := e.store.CheckInvariants(); err != nil {
 		t.Fatalf("storage invariants after run: %v", err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 	return res
 }

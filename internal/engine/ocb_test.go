@@ -16,19 +16,6 @@ func quickOCBConfig(txns int) Config {
 	return cfg
 }
 
-func runOCB(t *testing.T, cfg Config) Results {
-	t.Helper()
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return res
-}
-
 // readOnlyOCB is the run of quickOCBConfig(400), made once per test binary:
 // the same-seed test and the record/replay test's read-only case both hold
 // their runs of that configuration to it.
@@ -56,7 +43,7 @@ func TestOCBSameSeedIdentical(t *testing.T) {
 	t.Parallel()
 	cfg := quickOCBConfig(400)
 	a := readOnlyBase(t)
-	b := runOCB(t, cfg)
+	b := run(t, cfg)
 	if !reflect.DeepEqual(stripped(a), stripped(b)) {
 		t.Fatalf("same-seed OCB runs diverged:\n%v\n%v", a, b)
 	}
@@ -68,7 +55,7 @@ func TestOCBSameSeedIdentical(t *testing.T) {
 	}
 	other := cfg
 	other.Seed++
-	c := runOCB(t, other)
+	c := run(t, other)
 	if c.LogicalDigest == a.LogicalDigest {
 		t.Fatal("different seeds produced identical logical digests")
 	}
@@ -94,12 +81,12 @@ func TestOCBRecordReplayIdentity(t *testing.T) {
 			if cfg.PhasedRW == nil {
 				base = readOnlyBase(t)
 			} else {
-				base = runOCB(t, cfg)
+				base = run(t, cfg)
 				if base.WriteTxns == 0 || base.RatioChangesIgnored != 0 {
 					t.Fatalf("phased stream wrote %d times and refused %d ratio changes",
 						base.WriteTxns, base.RatioChangesIgnored)
 				}
-				if again := runOCB(t, cfg); !reflect.DeepEqual(stripped(again), stripped(base)) {
+				if again := run(t, cfg); !reflect.DeepEqual(stripped(again), stripped(base)) {
 					t.Fatal("same-seed runs diverged")
 				}
 			}
@@ -107,14 +94,14 @@ func TestOCBRecordReplayIdentity(t *testing.T) {
 			recCfg := cfg
 			var buf bytes.Buffer
 			recCfg.Record = &buf
-			rec := runOCB(t, recCfg)
+			rec := run(t, recCfg)
 			if !reflect.DeepEqual(stripped(rec), stripped(base)) {
 				t.Fatal("recording changed the run")
 			}
 
 			repCfg := cfg
 			repCfg.Replay = bytes.NewReader(buf.Bytes())
-			rep := runOCB(t, repCfg)
+			rep := run(t, repCfg)
 			if !reflect.DeepEqual(stripped(rep), stripped(base)) {
 				t.Fatal("same-config replay diverged from the recorded run")
 			}
@@ -122,7 +109,7 @@ func TestOCBRecordReplayIdentity(t *testing.T) {
 			polCfg := cfg
 			polCfg.Replay = bytes.NewReader(buf.Bytes())
 			polCfg.ReplacementName = "clock"
-			pol := runOCB(t, polCfg)
+			pol := run(t, polCfg)
 			if pol.LogicalDigest != base.LogicalDigest {
 				t.Fatalf("logical digest diverged across policies: %016x vs %016x",
 					pol.LogicalDigest, base.LogicalDigest)
@@ -183,7 +170,7 @@ func TestOCBWriteKindsInstrumented(t *testing.T) {
 	t.Parallel()
 	cfg := quickOCBConfig(400)
 	cfg.OCB.ReadWriteRatio = 2
-	res := runOCB(t, cfg)
+	res := run(t, cfg)
 	if res.WriteTxns == 0 {
 		t.Fatal("write-enabled OCB run completed no writes")
 	}
@@ -212,7 +199,7 @@ func TestOCBWriteKindsInstrumented(t *testing.T) {
 // transaction, and its response time and I/Os, to one of the four OCB kinds.
 func TestOCBPerKindAccounting(t *testing.T) {
 	t.Parallel()
-	res := runOCB(t, quickOCBConfig(400))
+	res := run(t, quickOCBConfig(400))
 	kinds := []workload.QueryKind{
 		workload.QOCBScan, workload.QOCBSimple,
 		workload.QOCBHierarchy, workload.QOCBStochastic,

@@ -135,7 +135,7 @@ func TestEveryDriverReportsEveryLayer(t *testing.T) {
 				check(driver, r, true, k["ocb-insert"], k["ocb-update"]+k["ocb-rewire"])
 			}
 
-			s := runClosed(t, mk())
+			s := run(t, mk())
 			checkEngine("serial", s.ResultCore)
 			for _, n := range []int{1, 4} {
 				c, err := NewConcurrent(mk(), ConcurrentOptions{Sessions: n})

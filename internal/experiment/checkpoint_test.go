@@ -14,7 +14,7 @@ import (
 // without executing anything. A corrupt file, or one holding another
 // configuration's results, means a fresh run with the same result.
 func TestCheckpointDirResume(t *testing.T) {
-	o := tinyOptions()
+	o := figure
 	o.CheckpointDir = t.TempDir()
 
 	first := NewHarness(o)
@@ -76,8 +76,7 @@ func TestCheckpointDirResume(t *testing.T) {
 // flash-crowd fields (the tournament varies them) are different runs — they
 // must share neither a memo slot nor a -ckpt-dir file.
 func TestFlashCrowdConfigsDistinct(t *testing.T) {
-	o := tinyOptions()
-	o.Transactions = 100
+	o := figure
 	o.CheckpointDir = t.TempDir()
 	h := NewHarness(o)
 	calm := h.baseConfig()

@@ -48,7 +48,7 @@ type Options struct {
 	Replications int
 	// Workers bounds how many simulation runs execute concurrently in the
 	// batch APIs (RunConfigs, RunAll) and across replications. Zero means
-	// runtime.GOMAXPROCS(0); 1 forces serial execution.
+	// runtime.GOMAXPROCS(0); 1 runs one simulation at a time.
 	Workers int
 	// Verbose, when non-nil, receives progress lines. The harness
 	// serializes calls, so the callback needs no locking of its own.
@@ -256,32 +256,22 @@ func (h *Harness) Executed() int64 { return h.executed.Load() }
 func (h *Harness) RunConfigs(cfgs []engine.Config) ([]engine.Results, error) {
 	out := make([]engine.Results, len(cfgs))
 	errs := make([]error, len(cfgs))
-	w := h.opt.Workers
-	if w > len(cfgs) {
-		w = len(cfgs)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := min(h.opt.Workers, len(cfgs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				out[i], errs[i] = h.Run(cfgs[i])
+			}
+		}()
 	}
-	if w <= 1 {
-		for i, cfg := range cfgs {
-			out[i], errs[i] = h.Run(cfg)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for j := 0; j < w; j++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					out[i], errs[i] = h.Run(cfgs[i])
-				}
-			}()
-		}
-		for i := range cfgs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	for i := range cfgs {
+		idx <- i
 	}
+	close(idx)
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

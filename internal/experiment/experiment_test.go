@@ -7,29 +7,40 @@ import (
 	"oodb/internal/engine"
 )
 
-// tinyOptions keeps unit-test runs fast.
-func tinyOptions() Options {
-	return Options{Scale: 0.01, Transactions: 400, Seed: 1}
-}
+// Fixture sizes. Every harness in this package's tests is built from one
+// of these; a new test takes the smallest whose "use for" fits it.
+var (
+	// figure renders every registered experiment in TestFigures (524 runs,
+	// ~4 s on two vCPUs) and pins fig6.1.txt and tournament.txt.
+	// Use for: shapes and invariants that hold at any size, and the
+	// harness mechanics (memo, dedup, order, errors, the results cache,
+	// replications). Not for: which policy wins, which 120 transactions
+	// cannot settle. Changing it rewrites two goldens.
+	figure = Options{Scale: 0.004, Transactions: 120, Seed: 1, Workers: 4}
 
+	// fig52Golden pins fig5.2.txt, the one golden cheap enough (15 runs)
+	// to render under -short. Use for: that golden only; changing it
+	// rewrites the file.
+	fig52Golden = Options{Scale: 0.005, Transactions: 200, Seed: 1}
+
+	// direction is where TestFig55LoggingDirection checks a paper claim's
+	// direction: at high density, clustering logs no more than no
+	// clustering. Use for: which policy wins. At figure size the claim
+	// holds by noise-sized margins (seed 3 clears the 5 % tolerance by
+	// 0.4 %). Not for: anything that holds at figure size.
+	direction = Options{Scale: 0.02, Transactions: 1200, Seed: 1}
+)
+
+// The registry and TestFigures' table of shapes name the same experiments.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{
-		"fig3.2", "fig3.3", "fig3.4",
-		"fig5.1", "fig5.2", "fig5.3", "fig5.4", "fig5.5", "fig5.6", "fig5.7",
-		"fig5.8", "fig5.9", "fig5.10", "fig5.11", "fig5.12", "fig5.13", "fig5.14",
-		"table5.1", "fig6.1", "fig6.2",
-		"ext.buffersize", "ext.hints",
-		"ocb.policies", "ocb.traversals",
-	}
 	ids := IDs()
-	have := map[string]bool{}
 	for _, id := range ids {
-		have[id] = true
-	}
-	for _, id := range want {
-		if !have[id] {
-			t.Errorf("experiment %s not registered", id)
+		if _, ok := figures[id]; !ok {
+			t.Errorf("experiment %s has no row in figures", id)
 		}
+	}
+	if len(ids) != len(figures) {
+		t.Errorf("%d experiments registered, figures has %d rows", len(ids), len(figures))
 	}
 	if _, ok := Lookup("fig5.1"); !ok {
 		t.Error("Lookup failed for registered id")
@@ -40,7 +51,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestHarnessMemoizes(t *testing.T) {
-	h := NewHarness(tinyOptions())
+	h := NewHarness(figure)
 	cfg := h.baseConfig()
 	a, err := h.Run(cfg)
 	if err != nil {
@@ -83,66 +94,8 @@ func TestTableCellAndRender(t *testing.T) {
 	}
 }
 
-func TestSection3Experiments(t *testing.T) {
-	h := NewHarness(tinyOptions())
-	for _, id := range []string{"fig3.2", "fig3.3", "fig3.4"} {
-		r, _ := Lookup(id)
-		tb, err := r(h)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(tb.Rows) != 10 {
-			t.Fatalf("%s: %d rows, want 10 tools", id, len(tb.Rows))
-		}
-	}
-	// Figure 3.2's headline: vem tops the ratio chart near 6000.
-	r, _ := Lookup("fig3.2")
-	tb, err := r(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vem, err := tb.Cell("vem", "R/W ratio")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vem < 4000 {
-		t.Fatalf("vem ratio %.0f", vem)
-	}
-	// Figure 3.4 rows are distributions summing to ~1.
-	r, _ = Lookup("fig3.4")
-	tb, err = r(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tb.Rows {
-		sum := row.Cells[0] + row.Cells[1] + row.Cells[2]
-		if sum < 0.99 || sum > 1.01 {
-			t.Fatalf("%s shares sum to %v", row.Label, sum)
-		}
-	}
-}
-
-func TestFig52Structure(t *testing.T) {
-	h := NewHarness(tinyOptions())
-	r, _ := Lookup("fig5.2")
-	tb, err := r(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 3 || len(tb.Columns) != 5 {
-		t.Fatalf("fig5.2 shape: %dx%d", len(tb.Rows), len(tb.Columns))
-	}
-	for _, row := range tb.Rows {
-		for i, v := range row.Cells {
-			if v <= 0 {
-				t.Fatalf("%s[%s] = %v", row.Label, tb.Columns[i], v)
-			}
-		}
-	}
-}
-
 func TestFig55LoggingDirection(t *testing.T) {
-	h := NewHarness(Options{Scale: 0.02, Transactions: 1200, Seed: 1})
+	h := NewHarness(direction)
 	tb, err := Fig55(h)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +149,7 @@ func TestImprovementHelper(t *testing.T) {
 }
 
 func TestFactorialConfigMapping(t *testing.T) {
-	h := NewHarness(tinyOptions())
+	h := NewHarness(figure)
 	lo := h.factorialConfig(0)
 	hi := h.factorialConfig(0xFF)
 	if lo.Density != 0 || hi.Density == lo.Density {
@@ -222,63 +175,6 @@ func TestFactorialConfigMapping(t *testing.T) {
 	}
 }
 
-// TestFullFigureSweep runs every registered experiment at tiny scale.
-// Skipped in -short; the factorial figures alone are 256 simulations.
-func TestFullFigureSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep is slow")
-	}
-	h := NewHarness(Options{Scale: 0.005, Transactions: 200, Seed: 1})
-	for _, id := range IDs() {
-		r, _ := Lookup(id)
-		tb, err := r(h)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(tb.Rows) == 0 || len(tb.Columns) == 0 {
-			t.Fatalf("%s: empty table", id)
-		}
-		for _, row := range tb.Rows {
-			if len(row.Cells) != len(tb.Columns) {
-				t.Fatalf("%s: ragged row %q", id, row.Label)
-			}
-		}
-		if tb.Render() == "" {
-			t.Fatalf("%s: empty render", id)
-		}
-	}
-}
-
-func TestExtensionExperimentStructures(t *testing.T) {
-	h := NewHarness(Options{Scale: 0.008, Transactions: 300, Seed: 1})
-	cases := map[string]struct{ rows, cols int }{
-		"ext.adaptive":         {3, 3},
-		"ext.ablation.sibling": {2, 3},
-		"ext.ablation.boost":   {4, 2},
-		"ext.buffersize":       {3, 2},
-	}
-	for id, want := range cases {
-		r, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("%s not registered", id)
-		}
-		tb, err := r(h)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(tb.Rows) != want.rows || len(tb.Columns) != want.cols {
-			t.Fatalf("%s: %dx%d, want %dx%d", id, len(tb.Rows), len(tb.Columns), want.rows, want.cols)
-		}
-		for _, row := range tb.Rows {
-			for _, v := range row.Cells {
-				if v < 0 {
-					t.Fatalf("%s: negative cell in %s", id, row.Label)
-				}
-			}
-		}
-	}
-}
-
 func TestTableJSON(t *testing.T) {
 	tb := &Table{ID: "figX", Columns: []string{"a"}, Rows: []Row{{Label: "r", Cells: []float64{1}}}}
 	out, err := tb.JSON()
@@ -286,17 +182,16 @@ func TestTableJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"ID": "figX"`, `"Label": "r"`} {
-		if !contains(string(out), want) {
+		if !strings.Contains(string(out), want) {
 			t.Fatalf("JSON missing %q:\n%s", want, out)
 		}
 	}
 }
 
-func contains(s, sub string) bool { return strings.Contains(s, sub) }
-
 func TestReplicationsAveraged(t *testing.T) {
-	one := NewHarness(Options{Scale: 0.008, Transactions: 200, Seed: 1})
-	three := NewHarness(Options{Scale: 0.008, Transactions: 200, Seed: 1, Replications: 3})
+	reps := figure
+	reps.Replications = 3
+	one, three := NewHarness(figure), NewHarness(reps)
 	cfg := one.baseConfig()
 	r1, err := one.Run(cfg)
 	if err != nil {

@@ -1,57 +1,11 @@
 package experiment
 
-import (
-	"strings"
-	"testing"
-)
-
-// TestOCBExperimentsRender: both OCB experiment tables build and render at
-// tiny scale, with the expected shapes — one row per reference distribution
-// for the policy sweep, one row per operation kind for the breakdown.
-func TestOCBExperimentsRender(t *testing.T) {
-	o := tinyOptions()
-	o.Transactions = 150
-	h := NewHarness(o)
-
-	tables, err := h.RunAll([]string{"ocb.policies", "ocb.traversals"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, trav := tables[0], tables[1]
-
-	if len(pol.Rows) != 3 {
-		t.Fatalf("ocb.policies: %d rows, want 3 (one per ref distribution)", len(pol.Rows))
-	}
-	for _, row := range pol.Rows {
-		for j, cell := range row.Cells {
-			if cell <= 0 {
-				t.Errorf("ocb.policies row %q column %q: non-positive mean response %v",
-					row.Label, pol.Columns[j], cell)
-			}
-		}
-	}
-
-	if len(trav.Rows) != 4 {
-		t.Fatalf("ocb.traversals: %d rows, want 4 (one per operation kind)", len(trav.Rows))
-	}
-	var txns float64
-	for _, row := range trav.Rows {
-		txns += row.Cells[0]
-	}
-	if int(txns) != o.Transactions {
-		t.Errorf("ocb.traversals: kind counts sum to %v, want %d", txns, o.Transactions)
-	}
-	if r := trav.Render(); !strings.Contains(r, "ocb-scan") {
-		t.Errorf("ocb.traversals render missing kind rows:\n%s", r)
-	}
-}
+import "testing"
 
 // TestOCBWorkloadMemoKeyDistinct: OCT and OCB runs at otherwise-identical
 // options must not share a memo entry.
 func TestOCBWorkloadMemoKeyDistinct(t *testing.T) {
-	o := tinyOptions()
-	o.Transactions = 100
-	h := NewHarness(o)
+	h := NewHarness(figure)
 	oct, err := h.Run(h.baseConfig())
 	if err != nil {
 		t.Fatal(err)

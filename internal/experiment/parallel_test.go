@@ -1,23 +1,13 @@
 package experiment
 
 import (
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
 	"oodb/internal/engine"
-	"oodb/internal/golden"
 	"oodb/internal/workload"
 )
-
-// parOptions forces a wide worker pool regardless of GOMAXPROCS so the
-// concurrency paths are exercised even on single-CPU machines.
-func parOptions() Options {
-	o := tinyOptions()
-	o.Workers = 4
-	return o
-}
 
 // sweepConfigs builds a small set of distinct configurations.
 func sweepConfigs(h *Harness, n int) []engine.Config {
@@ -39,7 +29,7 @@ func sweepConfigs(h *Harness, n int) []engine.Config {
 // RunConfigs must return results in input order: each batch result must
 // equal the (memoized) result of running its configuration individually.
 func TestRunConfigsInputOrder(t *testing.T) {
-	h := NewHarness(parOptions())
+	h := NewHarness(figure)
 	cfgs := sweepConfigs(h, 6)
 	// Reverse-ish shuffle so input order differs from any natural sweep order.
 	for i, j := 0, len(cfgs)-1; i < j; i, j = i+1, j-1 {
@@ -67,7 +57,7 @@ func TestRunConfigsInputOrder(t *testing.T) {
 // A configuration requested several times in one racing batch must execute
 // exactly once (in-flight deduplication), and everyone shares the result.
 func TestRunConfigsInflightDedup(t *testing.T) {
-	h := NewHarness(parOptions())
+	h := NewHarness(figure)
 	cfg := h.baseConfig()
 	cfgs := make([]engine.Config, 8)
 	for i := range cfgs {
@@ -90,7 +80,7 @@ func TestRunConfigsInflightDedup(t *testing.T) {
 // Concurrent direct Run calls for the same configuration must also dedup:
 // this is the singleflight guarantee independent of RunConfigs.
 func TestRunConcurrentCallersDedup(t *testing.T) {
-	h := NewHarness(parOptions())
+	h := NewHarness(figure)
 	cfg := h.baseConfig()
 	const callers = 8
 	results := make([]engine.Results, callers)
@@ -120,7 +110,7 @@ func TestRunConcurrentCallersDedup(t *testing.T) {
 // An invalid configuration's error must propagate out of the batch while
 // the valid configurations still complete.
 func TestRunConfigsErrorPropagation(t *testing.T) {
-	h := NewHarness(parOptions())
+	h := NewHarness(figure)
 	good := h.baseConfig()
 	bad := h.baseConfig()
 	bad.Buffers = -1 // rejected by engine validation
@@ -141,10 +131,7 @@ func TestRunConfigsErrorPropagation(t *testing.T) {
 // runs: Figure 5.2's grid is a subset of Figure 5.1's, so running both
 // concurrently costs exactly Figure 5.1's 45 simulations.
 func TestRunAllOverlapDedup(t *testing.T) {
-	opts := parOptions()
-	opts.Scale = 0.005
-	opts.Transactions = 200
-	h := NewHarness(opts)
+	h := NewHarness(figure)
 	tables, err := h.RunAll([]string{"fig5.1", "fig5.2"})
 	if err != nil {
 		t.Fatal(err)
@@ -160,95 +147,10 @@ func TestRunAllOverlapDedup(t *testing.T) {
 	}
 }
 
-// goldenCase is one figure fixture pinned under testdata/golden/: its id
-// renders byte-identically across serial and parallel execution, and the
-// render itself is pinned against the committed golden file so
-// cross-cutting refactors cannot silently drift the default wiring.
-type goldenCase struct {
-	id  string
-	opt Options
-}
-
-func goldenCases(short bool) []goldenCase {
-	cases := []goldenCase{
-		{"fig5.2", Options{Scale: 0.005, Transactions: 200, Seed: 1, Workers: 1}},
-	}
-	if !short {
-		cases = append(cases,
-			goldenCase{"fig6.1", Options{Scale: 0.004, Transactions: 120, Seed: 1, Workers: 1}},
-			goldenCase{"tournament", Options{Scale: 0.004, Transactions: 120, Seed: 1, Workers: 1}})
-	}
-	return cases
-}
-
-// plainRenders memoises each golden case's reference render, so the three
-// variant tests below compare against one serial run instead of re-running
-// it each.
-var plainRenders sync.Map // id -> *plainRender
-
-type plainRender struct {
-	once sync.Once
-	text string
-	err  error
-}
-
-// renderCase renders c under opt.
-func renderCase(c goldenCase, opt Options) (string, error) {
-	r, ok := Lookup(c.id)
-	if !ok {
-		return "", fmt.Errorf("%s not registered", c.id)
-	}
-	tb, err := r(NewHarness(opt))
-	if err != nil {
-		return "", err
-	}
-	return tb.Render(), nil
-}
-
-// plainRenderOf returns c's reference render: serial, default (heap)
-// calendar.
-func plainRenderOf(t *testing.T, c goldenCase) string {
-	t.Helper()
-	v, _ := plainRenders.LoadOrStore(c.id, &plainRender{})
-	p := v.(*plainRender)
-	p.once.Do(func() { p.text, p.err = renderCase(c, c.opt) })
-	if p.err != nil {
-		t.Fatalf("%s serial: %v", c.id, p.err)
-	}
-	return p.text
-}
-
-// assertMatchesPlain renders c under the variant options and requires the
-// result to be byte-identical to the reference render and the golden.
-func assertMatchesPlain(t *testing.T, c goldenCase, variant string, opt Options) {
-	t.Helper()
-	want := plainRenderOf(t, c)
-	got, err := renderCase(c, opt)
-	if err != nil {
-		t.Fatalf("%s %s: %v", c.id, variant, err)
-	}
-	if got != want {
-		t.Fatalf("%s: %s render differs from plain:\n--- plain ---\n%s--- %s ---\n%s", c.id, variant, want, variant, got)
-	}
-	golden.Assert(t, c.id+".txt", got)
-}
-
-// Parallel execution must be a pure wall-clock optimization: the rendered
-// tables are byte-identical to serial execution and to the committed golden
-// fixture. fig5.2 covers the clustering sweep path; fig6.1 covers the 2^8
-// factorial batch.
-func TestParallelMatchesSerialRender(t *testing.T) {
-	for _, c := range goldenCases(testing.Short()) {
-		opt := c.opt
-		opt.Workers = 4
-		assertMatchesPlain(t, c, "parallel", opt)
-	}
-}
-
 // Replications fan out across goroutines; the averaged result must be
 // identical to the serial replication loop.
 func TestReplicationFanoutDeterministic(t *testing.T) {
-	serial := tinyOptions()
+	serial := figure
 	serial.Replications = 3
 	serial.Workers = 1
 	parallel := serial

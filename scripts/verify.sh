@@ -5,7 +5,8 @@
 # flush runs beside other sessions' appends).
 #
 # Usage: ./scripts/verify.sh [-short]
-#   -short   forwarded to go test; skips the slow full-figure sweeps.
+#   -short   forwarded to go test; TestFigures then skips its sweep of every
+#            figure (its fig5.2 golden renders still run).
 set -eux
 
 go build ./...
@@ -48,9 +49,11 @@ run_tests() {
 }
 
 run_tests "$@" ./...
-# The race pass runs ~10x slower than native; on a single-CPU container the
-# experiment suite alone exceeds go test's default 10-minute per-package
-# timeout, so give it an explicit budget.
+# The race pass runs 6-9x slower than native. On two vCPUs internal/engine
+# takes ~3 min under it and internal/experiment ~40 s alone (~66 s beside
+# engine; 1m45 before its two figure sweeps became TestFigures). A slower
+# or single-CPU host can still reach go test's default 10-minute
+# per-package timeout, so give it an explicit budget.
 run_tests -race -timeout 30m "$@" ./internal/experiment/... ./internal/sim/... ./internal/oracle/... ./internal/engine/... ./internal/lock/... ./internal/buffer/... ./internal/storage/...
 # Bench smoke: every Go benchmark must run once without failing
 # (measurements come from bench/run.sh, the harness BENCHMARK.json declares).
