@@ -10,8 +10,8 @@ import (
 // Fixture sizes. Every harness in this package's tests is built from one
 // of these; a new test takes the smallest whose "use for" fits it.
 var (
-	// figure renders every registered experiment in TestFigures (524 runs,
-	// ~4 s on two vCPUs) and pins fig6.1.txt and tournament.txt.
+	// figure renders every registered experiment in the tests' shared
+	// sweep (524 runs, ~5 s on two vCPUs) and pins fig6.1.txt and tournament.txt.
 	// Use for: shapes and invariants that hold at any size, and the
 	// harness mechanics (memo, dedup, order, errors, the results cache,
 	// replications). Not for: which policy wins, which 120 transactions
@@ -31,7 +31,7 @@ var (
 	direction = Options{Scale: 0.02, Transactions: 1200, Seed: 1}
 )
 
-// The registry and TestFigures' table of shapes name the same experiments.
+// The registry and the table of figure shapes name the same experiments.
 func TestRegistryComplete(t *testing.T) {
 	ids := IDs()
 	for _, id := range ids {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"oodb/internal/golden"
@@ -52,42 +53,94 @@ var figures = map[string]figureShape{
 	"tournament":     {6, 4, positiveCells},
 }
 
-// TestFigures renders every registered experiment once, at the figure
-// size on the worker pool oodbsim -all uses, and holds each table to its
-// row of figures. fig6.1 and the tournament are pinned from those renders.
-// fig5.2's golden has its own size and also runs under -short, at one
-// worker and at four, so -race sees the pool at both widths.
-func TestFigures(t *testing.T) {
-	t.Run("fig5.2", func(t *testing.T) {
-		for _, workers := range []int{1, 4} {
-			o := fig52Golden
-			o.Workers = workers
-			tables, err := NewHarness(o).RunAll([]string{"fig5.2"})
-			if err != nil {
-				t.Fatalf("%d workers: %v", workers, err)
-			}
-			checkFigure(t, tables[0])
-			golden.Assert(t, "fig5.2.txt", tables[0].Render())
-		}
-	})
-	t.Run("sweep", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("the sweep runs 524 simulations")
-		}
-		tables, err := NewHarness(figure).RunAll(IDs())
+// sweep renders every registered experiment once, at the figure size on
+// the worker pool oodbsim -all uses; the tests below read their tables from
+// it, so the package pays for one sweep however many of them run.
+var sweep struct {
+	once   sync.Once
+	tables map[string]*Table
+	err    error
+}
+
+// swept returns the sweep's tables for ids, each held to its row of
+// figures. Under -short, which skips the sweep, it renders just ids at the
+// figure size instead.
+func swept(t *testing.T, ids ...string) []*Table {
+	t.Helper()
+	if testing.Short() {
+		tables, err := NewHarness(figure).RunAll(ids)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tb := range tables {
-			t.Run(tb.ID, func(t *testing.T) {
-				checkFigure(t, tb)
-				if tb.ID == "fig6.1" || tb.ID == "tournament" {
-					golden.Assert(t, tb.ID+".txt", tb.Render())
-				}
-			})
+			checkFigure(t, tb)
+		}
+		return tables
+	}
+	sweep.once.Do(func() {
+		tables, err := NewHarness(figure).RunAll(IDs())
+		sweep.tables, sweep.err = map[string]*Table{}, err
+		for _, tb := range tables {
+			sweep.tables[tb.ID] = tb
 		}
 	})
+	if sweep.err != nil {
+		t.Fatal(sweep.err)
+	}
+	out := make([]*Table, len(ids))
+	for i, id := range ids {
+		out[i] = sweep.tables[id]
+		checkFigure(t, out[i])
+	}
+	return out
 }
+
+// TestFullFigureSweep holds every registered experiment's table to its row
+// of figures.
+func TestFullFigureSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the sweep runs 524 simulations")
+	}
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) { swept(t, id) })
+	}
+}
+
+// TestParallelMatchesSerialRender pins the three goldens. fig5.2 has its
+// own size and renders at one worker and at four, also under -short, so
+// -race sees the pool at both widths; fig6.1 and the tournament come from
+// the sweep.
+func TestParallelMatchesSerialRender(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		o := fig52Golden
+		o.Workers = workers
+		tables, err := NewHarness(o).RunAll([]string{"fig5.2"})
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		checkFigure(t, tables[0])
+		golden.Assert(t, "fig5.2.txt", tables[0].Render())
+	}
+	if testing.Short() {
+		return
+	}
+	for _, tb := range swept(t, "fig6.1", "tournament") {
+		golden.Assert(t, tb.ID+".txt", tb.Render())
+	}
+}
+
+// The structure tests below name the figures whose shapes they own; the
+// checks themselves are those figures' rows of figures.
+
+func TestSection3Experiments(t *testing.T) { swept(t, "fig3.2", "fig3.3", "fig3.4") }
+
+func TestFig52Structure(t *testing.T) { swept(t, "fig5.2") }
+
+func TestExtensionExperimentStructures(t *testing.T) {
+	swept(t, "ext.adaptive", "ext.ablation.sibling", "ext.ablation.boost", "ext.buffersize", "ext.hints")
+}
+
+func TestOCBExperimentsRender(t *testing.T) { swept(t, "ocb.policies", "ocb.traversals") }
 
 // checkFigure holds tb to its row of figures: shape, no ragged row, and
 // the row's invariant.

@@ -5,8 +5,9 @@
 # flush runs beside other sessions' appends).
 #
 # Usage: ./scripts/verify.sh [-short]
-#   -short   forwarded to go test; TestFigures then skips its sweep of every
-#            figure (its fig5.2 golden renders still run).
+#   -short   forwarded to go test; the experiment tests then skip their
+#            shared sweep of every figure (the fig5.2 golden renders and
+#            the structure tests' own few figures still run).
 set -eux
 
 go build ./...
@@ -51,7 +52,7 @@ run_tests() {
 run_tests "$@" ./...
 # The race pass runs 6-9x slower than native. On two vCPUs internal/engine
 # takes ~3 min under it and internal/experiment ~40 s alone (~66 s beside
-# engine; 1m45 before its two figure sweeps became TestFigures). A slower
+# engine; 1m45 before its two figure sweeps became one shared sweep). A slower
 # or single-CPU host can still reach go test's default 10-minute
 # per-package timeout, so give it an explicit budget.
 run_tests -race -timeout 30m "$@" ./internal/experiment/... ./internal/sim/... ./internal/oracle/... ./internal/engine/... ./internal/lock/... ./internal/buffer/... ./internal/storage/...
