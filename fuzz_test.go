@@ -3,6 +3,8 @@ package oodb
 import (
 	"bytes"
 	"testing"
+
+	"oodb/internal/model"
 )
 
 // FuzzParse throws arbitrary strings at every flag parser. The contract:
@@ -48,7 +50,9 @@ func FuzzParse(f *testing.F) {
 
 // FuzzLoadSnapshot feeds arbitrary bytes to the database snapshot loader:
 // it must return an error or a database that passes its invariants — never
-// panic, never hang, never accept garbage silently.
+// panic, never hang, never accept garbage silently. An accepted object reads
+// a profile and records no implementation beyond its type's inherited
+// attributes.
 func FuzzLoadSnapshot(f *testing.F) {
 	// Seed with a valid snapshot and a few obvious corruptions.
 	db, err := Open(Options{BufferFrames: 16})
@@ -88,5 +92,14 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if err := db.CheckInvariants(); err != nil {
 			t.Fatalf("accepted snapshot violates invariants: %v", err)
 		}
+		db.graph.ForEachObject(func(o *Object) {
+			_ = o.Freq()
+			for i := len(db.graph.InheritedAttrs(o.Type)); i < model.MaxInheritedAttrs; i++ {
+				if o.AttrImpl(i) != model.ByCopy {
+					t.Fatalf("object %d implements attribute %d of %d by reference",
+						o.ID, i, len(db.graph.InheritedAttrs(o.Type)))
+				}
+			}
+		})
 	})
 }

@@ -55,7 +55,7 @@ func ChooseAttrImpls(g *model.Graph, o *model.Object, m AttrCostModel) int {
 	switched := 0
 	for i, a := range attrs {
 		refCost, copyCost := m.EvalAttr(a)
-		if refCost < copyCost && i < len(o.AttrImpls) && o.AttrImpls[i] != model.ByReference {
+		if refCost < copyCost && o.AttrImpl(i) != model.ByReference {
 			if err := g.SetAttrImpl(o.ID, i, model.ByReference); err == nil {
 				switched++
 			}

@@ -50,14 +50,14 @@ func TestChooseAttrImpls(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("switched %d attrs, want 1 (the cold large one)", n)
 	}
-	if d.AttrImpls[0] != model.ByCopy || d.AttrImpls[1] != model.ByReference {
-		t.Fatalf("impls: %v", d.AttrImpls)
+	if d.AttrImpl(0) != model.ByCopy || d.AttrImpl(1) != model.ByReference {
+		t.Fatalf("impls: %v %v", d.AttrImpl(0), d.AttrImpl(1))
 	}
 	if d.Size != sizeBefore-2048 {
 		t.Fatalf("size %d -> %d", sizeBefore, d.Size)
 	}
-	if d.Freq[model.InheritanceRef] != 0.02 {
-		t.Fatalf("inheritance frequency not augmented: %v", d.Freq[model.InheritanceRef])
+	if d.FreqOf(model.InheritanceRef) != 0.02 {
+		t.Fatalf("inheritance frequency not augmented: %v", d.FreqOf(model.InheritanceRef))
 	}
 	// Idempotent on a second pass.
 	if n := ChooseAttrImpls(g, d, DefaultAttrCostModel); n != 0 {

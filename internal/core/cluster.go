@@ -149,7 +149,7 @@ func (c *Clusterer) candidatePages(o *model.Object) []storage.PageID {
 	own := c.Store.PageOf(o.ID)
 	var kindBuf [model.NumRelKinds]model.RelKind
 	for _, kind := range rankKinds(&kindBuf, o, c.Hints, c.Hint) {
-		if o.Freq[kind] <= 0 && !(c.Hints == UserHints && c.Hint.Active && c.Hint.Kind == kind) {
+		if o.FreqOf(kind) <= 0 && !(c.Hints == UserHints && c.Hint.Active && c.Hint.Kind == kind) {
 			continue
 		}
 		for i, cnt := 0, o.NeighborCount(kind); i < cnt; i++ {
@@ -227,7 +227,7 @@ func (c *Clusterer) Affinity(o *model.Object, pg storage.PageID) float64 {
 	}
 	a := 0.0
 	for kind := model.RelKind(0); kind < model.NumRelKinds; kind++ {
-		w := o.Freq[kind]
+		w := o.FreqOf(kind)
 		if c.Hints == UserHints && c.Hint.Active && c.Hint.Kind == kind {
 			w *= 2 // hinted traversals dominate the application's access mix
 		}
@@ -242,7 +242,7 @@ func (c *Clusterer) Affinity(o *model.Object, pg storage.PageID) float64 {
 	}
 	// Sibling co-location: components retrieved together with o when their
 	// shared composite is expanded.
-	sw := o.Freq[model.ConfigUp] * siblingAffinityWeight
+	sw := o.FreqOf(model.ConfigUp) * siblingAffinityWeight
 	if c.NoSiblingCandidates {
 		sw = 0
 	}
@@ -349,7 +349,7 @@ func (c *Clusterer) PlaceNew(o *model.Object) (Placement, error) {
 // characterizes it as at best comparable to — never paying more space than
 // — sequential placement.
 func (c *Clusterer) placeFallback(o *model.Object, ios []PhysIO) (Placement, error) {
-	if c.Policy.Mode != ClusterWithinBuffer && o.Freq[model.ConfigDown] > 0 {
+	if c.Policy.Mode != ClusterWithinBuffer && o.FreqOf(model.ConfigDown) > 0 {
 		seed := storage.NilPage // a fill page of its own, so always fresh
 		return c.placeFill(o, ios, c.dirty[:0], &seed)
 	}

@@ -124,7 +124,7 @@ func checkSplitDecision(t *testing.T, seed int64, nodes, overhead uint8, np bool
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.Size = 16 + rng.Intn(200)
+		o.Size = int32(16 + rng.Intn(200))
 		return o
 	}
 	st := storage.NewManager(g, pageSize)

@@ -56,10 +56,11 @@ func rankKinds(buf *[model.NumRelKinds]model.RelKind, o *model.Object, hints Hin
 		buf[k] = k
 	}
 	kinds := buf[:]
+	freq := o.Freq()
 	for i := 1; i < len(kinds); i++ {
 		k := kinds[i]
 		j := i
-		for j > 0 && o.Freq[kinds[j-1]] < o.Freq[k] {
+		for j > 0 && freq[kinds[j-1]] < freq[k] {
 			kinds[j] = kinds[j-1]
 			j--
 		}
@@ -87,7 +88,7 @@ func rankKinds(buf *[model.NumRelKinds]model.RelKind, o *model.Object, hints Hin
 // inheritance, the inheritance source. Without an active hint, the object's
 // dominant relationship kind is used.
 func AppendPrefetchGroup(dst []storage.PageID, g *model.Graph, st storage.Backend, o *model.Object, hints HintPolicy, hint Hint) []storage.PageID {
-	kind := o.Freq.Dominant()
+	kind := o.Freq().Dominant()
 	if hints == UserHints && hint.Active {
 		kind = hint.Kind
 	}

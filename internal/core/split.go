@@ -101,7 +101,7 @@ func (pg *PartGraph) Build(g *model.Graph, ids []model.ObjectID) {
 	for _, id := range pg.Nodes {
 		sz := 0
 		if o := g.Object(id); o != nil {
-			sz = o.Size
+			sz = int(o.Size)
 		}
 		pg.Sizes = append(pg.Sizes, sz)
 	}
@@ -115,7 +115,7 @@ func (pg *PartGraph) Build(g *model.Graph, ids []model.ObjectID) {
 			continue
 		}
 		for kind := model.RelKind(0); kind < model.NumRelKinds; kind++ {
-			w := o.Freq[kind]
+			w := o.FreqOf(kind)
 			if w <= 0 {
 				continue
 			}

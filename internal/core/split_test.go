@@ -126,7 +126,7 @@ func randomPartGraph(rng *rand.Rand, n int) (*model.Graph, []model.ObjectID) {
 	ids := make([]model.ObjectID, n)
 	for i := 0; i < n; i++ {
 		o, _ := g.NewObject("o", i, ty)
-		o.Size = 40 + rng.Intn(120)
+		o.Size = int32(40 + rng.Intn(120))
 		ids[i] = o.ID
 	}
 	// Random tree plus extra arcs.

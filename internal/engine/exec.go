@@ -203,7 +203,7 @@ func (a *stack) place(ios []core.PhysIO, txn int, o *model.Object) ([]core.PhysI
 	if err != nil {
 		return nil, err
 	}
-	return a.dirtyLog(append(ios, pl.IOs...), txn, o.Size, pl.DirtyPages...)
+	return a.dirtyLog(append(ios, pl.IOs...), txn, int(o.Size), pl.DirtyPages...)
 }
 
 // create is the tail of every object-producing write: the new object o is
@@ -220,7 +220,7 @@ func (a *stack) create(ios []core.PhysIO, txn int, o *model.Object, linked ...mo
 		if lo == nil {
 			continue // deleted between generation and execution
 		}
-		if ios, err = a.dirtyLog(ios, txn, lo.Size, a.store.PageOf(id)); err != nil {
+		if ios, err = a.dirtyLog(ios, txn, int(lo.Size), a.store.PageOf(id)); err != nil {
 			return nil, err
 		}
 	}
@@ -241,16 +241,16 @@ func (a *stack) relink(ios []core.PhysIO, txn int, o, other *model.Object) ([]co
 	if len(dirty) == 0 {
 		dirty = []storage.PageID{a.store.PageOf(o.ID)}
 	}
-	if ios, err = a.dirtyLog(append(ios, pl.IOs...), txn, o.Size, dirty...); err != nil {
+	if ios, err = a.dirtyLog(append(ios, pl.IOs...), txn, int(o.Size), dirty...); err != nil {
 		return nil, err
 	}
-	return a.dirtyLog(ios, txn, other.Size, a.store.PageOf(other.ID))
+	return a.dirtyLog(ios, txn, int(other.Size), a.store.PageOf(other.ID))
 }
 
 // unplace takes o off its page: the page is journaled, the clusterer's
 // access-pattern feed hears of the removal first, then the slot is freed.
 func (a *stack) unplace(ios []core.PhysIO, txn int, o *model.Object) ([]core.PhysIO, error) {
-	ios, err := a.dirtyLog(ios, txn, o.Size, a.store.PageOf(o.ID))
+	ios, err := a.dirtyLog(ios, txn, int(o.Size), a.store.PageOf(o.ID))
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +302,7 @@ func (a *stack) execUpdate(txn int, req workload.Op) ([]core.PhysIO, int, error)
 	if o == nil {
 		return ios, 1, nil // deleted before the update landed
 	}
-	if ios, err = a.dirtyLog(ios, txn, o.Size, a.store.PageOf(req.Target)); err != nil {
+	if ios, err = a.dirtyLog(ios, txn, int(o.Size), a.store.PageOf(req.Target)); err != nil {
 		return nil, 0, err
 	}
 	return ios, 1, nil

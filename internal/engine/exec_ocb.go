@@ -156,11 +156,11 @@ func ocbSizeTable(baseSize int) [workload.NumSizeClasses]int {
 
 // sizeFor maps an operation's payload-size class to bytes, falling back to
 // cur when the class is unspecified or the stack has no size table (OCT).
-func (a *stack) sizeFor(c workload.SizeClass, cur int) int {
+func (a *stack) sizeFor(c workload.SizeClass, cur int32) int32 {
 	if c == workload.SizeUnspecified || a.sizeBytes[c] == 0 {
 		return cur
 	}
-	return a.sizeBytes[c]
+	return int32(a.sizeBytes[c])
 }
 
 // execOCBInsert creates a new instance of the pre-drawn class, reads and
@@ -241,7 +241,7 @@ func (a *stack) execOCBDelete(txn int, req workload.Op) ([]core.PhysIO, int, err
 	}
 	if deleted == 0 {
 		// Nothing deletable: mark the root obsolete instead.
-		if ios, err = a.dirtyLog(ios, txn, root.Size, a.store.PageOf(req.Target)); err != nil {
+		if ios, err = a.dirtyLog(ios, txn, int(root.Size), a.store.PageOf(req.Target)); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -269,7 +269,7 @@ func (a *stack) execOCBUpdate(txn int, req workload.Op) ([]core.PhysIO, int, err
 		o.Size = newSize
 		ios, err = a.place(ios, txn, o)
 	} else {
-		ios, err = a.dirtyLog(ios, txn, o.Size, a.store.PageOf(req.Target))
+		ios, err = a.dirtyLog(ios, txn, int(o.Size), a.store.PageOf(req.Target))
 	}
 	if err != nil {
 		return nil, 0, err

@@ -74,6 +74,36 @@ func TestScaleMemoryBounded(t *testing.T) {
 	}
 }
 
+// TestBytesPerObject is the memory ratchet for the object graph: the live
+// heap a built default-tier database holds, over its object count. The
+// objects, their relationship lists and the page map are nearly all of it,
+// so a wider model.Object or a per-object allocation shows up here. The
+// heap reading is a post-GC delta across New, so earlier tests' garbage
+// does not count.
+func TestBytesPerObject(t *testing.T) {
+	cfg, err := TierConfig("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	n := e.graph.NumObjects()
+	runtime.KeepAlive(e)
+	perObject := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
+	t.Logf("default tier: %d objects, %.0f live heap bytes per object", n, perObject)
+	const ceiling = 230
+	if perObject > ceiling {
+		t.Errorf("default tier holds %.0f bytes per object, above the %d B ratchet", perObject, ceiling)
+	}
+}
+
 // TestLargeTierMemory runs the full 100k-user large tier and enforces its
 // peak-memory budget. Minutes of wall clock, so it only runs when asked:
 //

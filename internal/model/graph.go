@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Graph holds the full object base: the type lattice and every object with
@@ -34,20 +35,48 @@ var (
 	ErrNoSuchObject  = errors.New("model: no such object")
 	ErrSelfRelation  = errors.New("model: object cannot relate to itself")
 	ErrDuplicateLink = errors.New("model: relationship already exists")
+	// ErrNoInheritanceSource is returned when an attribute of an object
+	// with neither a version ancestor nor an inheritance source is switched
+	// to by-reference.
+	ErrNoInheritanceSource = errors.New("model: object has no instance to inherit from")
+	// ErrAttrImpls is returned when restored attribute implementations do
+	// not match the type's inherited attributes.
+	ErrAttrImpls = errors.New("model: attribute implementations do not match the type")
 )
 
-// DefineType adds a type to the lattice. super may be NilType.
+// DefineType adds a type to the lattice. super may be NilType. The
+// flattened attribute list of the new type's chain may hold at most
+// MaxInheritedAttrs attributes, and an instance's size must fit an int32.
 func (g *Graph) DefineType(name string, super TypeID, baseSize int, freq FreqProfile, attrs []AttrDef) (TypeID, error) {
 	if super != NilType && int(super) >= len(g.types) {
 		return NilType, fmt.Errorf("%w: supertype %d", ErrNoSuchType, super)
+	}
+	inherited := append([]AttrDef(nil), attrs...)
+	if super != NilType {
+		inherited = append(inherited, g.types[super].inherited...)
+	}
+	if len(inherited) > MaxInheritedAttrs {
+		return NilType, fmt.Errorf("model: type %q inherits %d attributes, more than %d",
+			name, len(inherited), MaxInheritedAttrs)
+	}
+	size := baseSize
+	for _, a := range inherited {
+		size += a.Size
+	}
+	if !fitsInt32(size) {
+		return NilType, fmt.Errorf("model: type %q instance size %d out of range", name, size)
 	}
 	id := TypeID(len(g.types))
 	g.types = append(g.types, &Type{
 		ID: id, Name: name, Super: super,
 		Freq: freq, BaseSize: baseSize, Attrs: attrs,
+		inherited: inherited[:len(inherited):len(inherited)],
+		instSize:  int32(size),
 	})
 	return id, nil
 }
+
+func fitsInt32(n int) bool { return n >= math.MinInt32 && n <= math.MaxInt32 }
 
 // Type returns the type with the given ID, or nil.
 func (g *Graph) Type(id TypeID) *Type {
@@ -65,18 +94,13 @@ func (g *Graph) NumObjects() int { return len(g.objects) - 1 - g.deleted }
 
 // InheritedAttrs returns the full attribute list visible on instances of t:
 // the type's own attributes plus everything up the supertype chain, nearest
-// definitions first.
+// definitions first. The list is computed once, when t is defined; callers
+// must not modify it.
 func (g *Graph) InheritedAttrs(t TypeID) []AttrDef {
-	var out []AttrDef
-	for t != NilType {
-		tp := g.Type(t)
-		if tp == nil {
-			break
-		}
-		out = append(out, tp.Attrs...)
-		t = tp.Super
+	if tp := g.Type(t); tp != nil {
+		return tp.inherited
 	}
-	return out
+	return nil
 }
 
 // IsSubtype reports whether sub is t or a (transitive) subtype of t.
@@ -95,25 +119,21 @@ func (g *Graph) IsSubtype(sub, t TypeID) bool {
 }
 
 // NewObject creates version `version` of design object `name` with the given
-// type. The instance inherits the type's traversal-frequency profile and
-// base size; inherited attributes default to by-copy (the cluster manager
-// may revisit that choice via SetAttrImpl).
+// type. The instance shares the type's traversal-frequency profile and
+// starts at the type's base size plus every inherited attribute: inherited
+// attributes default to by-copy (the cluster manager may revisit that
+// choice via SetAttrImpl).
 func (g *Graph) NewObject(name string, version int, t TypeID) (*Object, error) {
 	tp := g.Type(t)
 	if tp == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchType, t)
 	}
-	id := ObjectID(len(g.objects))
-	attrs := g.InheritedAttrs(t)
-	size := tp.BaseSize
-	impls := make([]AttrImpl, len(attrs))
-	for i, a := range attrs {
-		impls[i] = ByCopy
-		size += a.Size
+	if !fitsInt32(version) {
+		return nil, fmt.Errorf("model: version %d out of range", version)
 	}
 	o := &Object{
-		ID: id, Name: name, Version: version, Type: t,
-		Size: size, Freq: tp.Freq, AttrImpls: impls,
+		ID: ObjectID(len(g.objects)), Name: name, Version: int32(version), Type: t,
+		Size: tp.instSize, freq: &tp.Freq,
 	}
 	g.objects = append(g.objects, o)
 	return o, nil
@@ -121,8 +141,9 @@ func (g *Graph) NewObject(name string, version int, t TypeID) (*Object, error) {
 
 // RestoreObject recreates an object under a specific ID — the hook
 // snapshot loading uses. IDs must be restored in increasing order; skipped
-// IDs become deleted tombstones. The caller owns the object's fields
-// (size, frequencies, relationships); they start zeroed except identity.
+// IDs become deleted tombstones. The caller owns the object's size and
+// relationships, which start zeroed; the object shares its type's profile
+// with every attribute by copy until RestoreInheritance says otherwise.
 func (g *Graph) RestoreObject(id ObjectID, name string, version int, t TypeID) (*Object, error) {
 	if id == NilObject {
 		return nil, ErrNoSuchObject
@@ -130,16 +151,55 @@ func (g *Graph) RestoreObject(id ObjectID, name string, version int, t TypeID) (
 	if int(id) < len(g.objects) {
 		return nil, fmt.Errorf("model: object %d already exists", id)
 	}
-	if g.Type(t) == nil {
+	tp := g.Type(t)
+	if tp == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchType, t)
+	}
+	if !fitsInt32(version) {
+		return nil, fmt.Errorf("model: version %d out of range", version)
 	}
 	for ObjectID(len(g.objects)) < id {
 		g.objects = append(g.objects, nil)
 		g.deleted++
 	}
-	o := &Object{ID: id, Name: name, Version: version, Type: t}
+	o := &Object{ID: id, Name: name, Version: int32(version), Type: t, freq: &tp.Freq}
 	g.objects = append(g.objects, o)
 	return o, nil
+}
+
+// RestoreInheritance sets a restored object's traversal-frequency profile
+// and attribute implementations. impls must hold one ByCopy or ByReference
+// per inherited attribute of the object's type, or ErrAttrImpls is
+// returned. A profile bit-identical to the type's is shared with it.
+func (g *Graph) RestoreInheritance(id ObjectID, freq FreqProfile, impls []AttrImpl) error {
+	o := g.Object(id)
+	if o == nil {
+		return ErrNoSuchObject
+	}
+	tp := g.types[o.Type]
+	if len(impls) != len(tp.inherited) {
+		return fmt.Errorf("%w: %d implementations for %d attributes", ErrAttrImpls, len(impls), len(tp.inherited))
+	}
+	var mask attrMask
+	for i, im := range impls {
+		switch im {
+		case ByCopy:
+		case ByReference:
+			mask |= 1 << uint(i)
+		default:
+			return fmt.Errorf("%w: attribute %d implementation %d", ErrAttrImpls, i, im)
+		}
+	}
+	o.byRef = mask
+	o.freq = &tp.Freq
+	for k, v := range freq {
+		if math.Float64bits(v) != math.Float64bits(tp.Freq[k]) {
+			own := freq
+			o.freq = &own
+			break
+		}
+	}
+	return nil
 }
 
 // Object returns the object with the given ID, or nil.
@@ -240,7 +300,7 @@ func (g *Graph) Derive(ancestor ObjectID) (*Object, error) {
 	if a == nil {
 		return nil, ErrNoSuchObject
 	}
-	o, err := g.NewObject(a.Name, a.Version+1, a.Type)
+	o, err := g.NewObject(a.Name, int(a.Version)+1, a.Type)
 	if err != nil {
 		return nil, err
 	}
@@ -281,34 +341,47 @@ func (g *Graph) Correspond(a, b ObjectID) error {
 // SetAttrImpl switches inherited attribute idx of object id to the given
 // implementation and adjusts the object's size and traversal-frequency
 // profile: by-reference attributes shrink the object but add their access
-// frequency to the inheritance-reference traversal frequency.
+// frequency to the inheritance-reference traversal frequency. The first
+// adjustment gives the object its own copy of the type's profile. Only an
+// object with a version ancestor or an inheritance source can implement an
+// attribute by reference (ErrNoInheritanceSource otherwise).
 func (g *Graph) SetAttrImpl(id ObjectID, idx int, impl AttrImpl) error {
 	o := g.Object(id)
 	if o == nil {
 		return ErrNoSuchObject
 	}
-	attrs := g.InheritedAttrs(o.Type)
-	if idx < 0 || idx >= len(attrs) || idx >= len(o.AttrImpls) {
+	tp := g.types[o.Type]
+	if idx < 0 || idx >= len(tp.inherited) {
 		return fmt.Errorf("model: attribute index %d out of range", idx)
 	}
-	if o.AttrImpls[idx] == impl {
+	if impl != ByCopy && impl != ByReference {
+		return fmt.Errorf("model: unknown attribute implementation %d", impl)
+	}
+	if o.AttrImpl(idx) == impl {
 		return nil
 	}
-	a := attrs[idx]
+	if impl == ByReference && o.Ancestor == NilObject && o.InheritsFrom == NilObject {
+		return ErrNoInheritanceSource
+	}
+	if o.freq == &tp.Freq {
+		own := tp.Freq
+		o.freq = &own
+	}
+	a := tp.inherited[idx]
 	if impl == ByReference {
-		o.Size -= a.Size
-		o.Freq[InheritanceRef] += a.AccessFreq
+		o.Size -= int32(a.Size)
+		o.freq[InheritanceRef] += a.AccessFreq
 		if o.InheritsFrom == NilObject {
 			o.InheritsFrom = o.Ancestor
 		}
 	} else {
-		o.Size += a.Size
-		o.Freq[InheritanceRef] -= a.AccessFreq
-		if o.Freq[InheritanceRef] < 0 {
-			o.Freq[InheritanceRef] = 0
+		o.Size += int32(a.Size)
+		o.freq[InheritanceRef] -= a.AccessFreq
+		if o.freq[InheritanceRef] < 0 {
+			o.freq[InheritanceRef] = 0
 		}
 	}
-	o.AttrImpls[idx] = impl
+	o.byRef ^= 1 << uint(idx)
 	return nil
 }
 

@@ -130,6 +130,8 @@ type Type struct {
 	Super TypeID // NilType for lattice roots
 
 	// Freq is the traversal-frequency profile instances inherit at creation.
+	// Instances share it by reference, so it must not change after the type
+	// is defined.
 	Freq FreqProfile
 
 	// BaseSize is the size in bytes of an instance before inherited
@@ -138,35 +140,33 @@ type Type struct {
 
 	// Attrs are the attributes defined directly on this type.
 	Attrs []AttrDef
+
+	// inherited is the flattened attribute list of the type chain, and
+	// instSize a new instance's size with all of it copied in; DefineType
+	// computes both once.
+	inherited []AttrDef
+	instSize  int32
 }
+
+// MaxInheritedAttrs is the widest flattened attribute list a type chain may
+// carry: an object records its attribute implementations in one bit each.
+const MaxInheritedAttrs = 16
+
+// attrMask holds one bit per inherited attribute, set when the attribute is
+// implemented by reference.
+type attrMask uint16
 
 // Object is a versioned design object, identified externally by the triple
 // name[version].type (for example ALU[4].layout).
+//
+// Fields are ordered hot-first: identity, scalar links and the profile the
+// clusterer reads on every placement, then the relationship lists, then the
+// name. Objects are made by a Graph (NewObject, Derive, RestoreObject).
 type Object struct {
-	ID      ObjectID
-	Name    string
-	Version int
-	Type    TypeID
+	ID ObjectID
 
-	// Size is the object's size in bytes, including any attributes
-	// materialized by copy.
-	Size int
-
-	// Freq is this instance's traversal-frequency profile. It starts as a
-	// copy of the type profile and is adjusted when inherited attributes are
-	// implemented by reference.
-	Freq FreqProfile
-
-	// Configuration relationships.
-	Components []ObjectID // ConfigDown targets
-	Composites []ObjectID // ConfigUp targets
-
-	// Version-history relationships.
-	Ancestor    ObjectID // NilObject for initial versions
-	Descendants []ObjectID
-
-	// Correspondence relationships (symmetric).
-	Correspondents []ObjectID
+	// Ancestor is the version-history parent; NilObject for initial versions.
+	Ancestor ObjectID
 
 	// InheritsFrom is the instance this object inherits attributes from when
 	// any attribute is implemented by reference (instance-to-instance
@@ -174,10 +174,45 @@ type Object struct {
 	// attributes are by copy or the object has no inheritance source.
 	InheritsFrom ObjectID
 
-	// AttrImpls records the implementation choice per inherited attribute,
-	// parallel to the flattened attribute list of the object's type chain.
-	AttrImpls []AttrImpl
+	Type TypeID
+
+	// byRef records the implementation choice per inherited attribute,
+	// indexed like the flattened attribute list of the object's type chain.
+	byRef attrMask
+
+	// freq is this instance's traversal-frequency profile. It points at the
+	// type's profile until an attribute is implemented by reference; the
+	// first such switch gives the instance its own copy.
+	freq *FreqProfile
+
+	// Size is the object's size in bytes, including any attributes
+	// materialized by copy.
+	Size    int32
+	Version int32
+
+	// Configuration relationships.
+	Components []ObjectID // ConfigDown targets
+	Composites []ObjectID // ConfigUp targets
+
+	// Version-history relationships.
+	Descendants []ObjectID
+
+	// Correspondence relationships (symmetric).
+	Correspondents []ObjectID
+
+	Name string
 }
+
+// Freq returns this instance's traversal-frequency profile: its type's,
+// adjusted for the attributes it implements by reference.
+func (o *Object) Freq() FreqProfile { return *o.freq }
+
+// FreqOf returns the instance's traversal frequency along one kind.
+func (o *Object) FreqOf(k RelKind) float64 { return o.freq[k] }
+
+// AttrImpl returns the implementation of inherited attribute i, indexed
+// like Graph.InheritedAttrs of the object's type.
+func (o *Object) AttrImpl(i int) AttrImpl { return AttrImpl(o.byRef >> uint(i) & 1) }
 
 // Triple renders the paper's name[i].type notation; the type name must be
 // resolved by the caller's Graph.

@@ -2,9 +2,11 @@ package model
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mustType(t *testing.T, g *Graph, name string, super TypeID, size int, freq FreqProfile, attrs []AttrDef) TypeID {
@@ -86,11 +88,8 @@ func TestNewObjectSizeIncludesAttrs(t *testing.T) {
 	if o.Size != 180 {
 		t.Fatalf("size=%d, want base+attrs=180", o.Size)
 	}
-	if len(o.AttrImpls) != 2 {
-		t.Fatalf("attr impls: %v", o.AttrImpls)
-	}
-	for _, im := range o.AttrImpls {
-		if im != ByCopy {
+	for i := range g.InheritedAttrs(ty) {
+		if o.AttrImpl(i) != ByCopy {
 			t.Fatal("attributes must default to by-copy")
 		}
 	}
@@ -197,15 +196,15 @@ func TestSetAttrImpl(t *testing.T) {
 	if d.Size != size0-400 {
 		t.Fatalf("by-reference should shrink object: %d -> %d", size0, d.Size)
 	}
-	if d.Freq[InheritanceRef] != 0.05 {
-		t.Fatalf("inheritance-ref freq not augmented: %v", d.Freq[InheritanceRef])
+	if d.FreqOf(InheritanceRef) != 0.05 || d.AttrImpl(0) != ByReference {
+		t.Fatalf("inheritance-ref freq not augmented: %v (%v)", d.FreqOf(InheritanceRef), d.AttrImpl(0))
 	}
 	// Switching back restores.
 	if err := g.SetAttrImpl(d.ID, 0, ByCopy); err != nil {
 		t.Fatal(err)
 	}
-	if d.Size != size0 || d.Freq[InheritanceRef] != 0 {
-		t.Fatalf("restore failed: size=%d freq=%v", d.Size, d.Freq[InheritanceRef])
+	if d.Size != size0 || d.FreqOf(InheritanceRef) != 0 || d.AttrImpl(0) != ByCopy {
+		t.Fatalf("restore failed: size=%d freq=%v", d.Size, d.FreqOf(InheritanceRef))
 	}
 	// Idempotent.
 	if err := g.SetAttrImpl(d.ID, 0, ByCopy); err != nil {
@@ -216,6 +215,142 @@ func TestSetAttrImpl(t *testing.T) {
 	}
 	if err := g.SetAttrImpl(d.ID, 5, ByCopy); err == nil {
 		t.Error("out-of-range attribute index must fail")
+	}
+	if err := g.SetAttrImpl(d.ID, 0, AttrImpl(7)); err == nil {
+		t.Error("unknown implementation must fail")
+	}
+	// An object with neither a version ancestor nor an inheritance source
+	// has nowhere to reference the attribute on: it must stay whole.
+	sizeA := a.Size
+	if err := g.SetAttrImpl(a.ID, 0, ByReference); !errors.Is(err, ErrNoInheritanceSource) {
+		t.Fatalf("by-reference without a source: %v", err)
+	}
+	if a.Size != sizeA || a.AttrImpl(0) != ByCopy || a.InheritsFrom != NilObject || a.FreqOf(InheritanceRef) != 0 {
+		t.Fatalf("refused switch changed the object: size=%d impl=%v from=%d", a.Size, a.AttrImpl(0), a.InheritsFrom)
+	}
+	if err := g.SetAttrImpl(a.ID, 0, ByCopy); err != nil {
+		t.Errorf("by-copy needs no source: %v", err)
+	}
+}
+
+// TestSetAttrImplCopyOnWrite: instances share their type's profile until an
+// attribute goes by reference. The switch moves that instance's
+// inheritance-reference frequency only, and switching back gives exactly
+// the value the old per-instance copy held: += then -= then the clamp.
+func TestSetAttrImplCopyOnWrite(t *testing.T) {
+	g := NewGraph()
+	var typeFreq FreqProfile
+	typeFreq[ConfigDown] = 0.6
+	typeFreq[InheritanceRef] = 0.1
+	ty := mustType(t, g, "t", NilType, 100, typeFreq, []AttrDef{
+		{Name: "hot", Size: 16, AccessFreq: 0.7},
+		{Name: "cold", Size: 400, AccessFreq: 0.3},
+	})
+	a := mustObject(t, g, "A", 1, ty)
+	d, err := g.Derive(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib, err := g.Derive(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetAttrImpl(d.ID, 1, ByReference); err != nil {
+		t.Fatal(err)
+	}
+	want := typeFreq
+	want[InheritanceRef] += 0.3
+	if d.Freq() != want {
+		t.Fatalf("switched instance: %v, want %v", d.Freq(), want)
+	}
+	if g.Type(ty).Freq != typeFreq || a.Freq() != typeFreq || sib.Freq() != typeFreq {
+		t.Fatalf("switch leaked: type %v, ancestor %v, sibling %v", g.Type(ty).Freq, a.Freq(), sib.Freq())
+	}
+	if err := g.SetAttrImpl(d.ID, 1, ByCopy); err != nil {
+		t.Fatal(err)
+	}
+	want[InheritanceRef] -= 0.3
+	if want[InheritanceRef] < 0 {
+		want[InheritanceRef] = 0
+	}
+	got := d.FreqOf(InheritanceRef)
+	if math.Float64bits(got) != math.Float64bits(want[InheritanceRef]) {
+		t.Fatalf("switch back: %v (%#x), want %v (%#x)", got, math.Float64bits(got),
+			want[InheritanceRef], math.Float64bits(want[InheritanceRef]))
+	}
+	if g.Type(ty).Freq != typeFreq || sib.Freq() != typeFreq {
+		t.Fatal("switching back moved the type's or a sibling's profile")
+	}
+	// The clamp: an access frequency larger than what the profile holds
+	// floors at zero on the way back, exactly as before.
+	var zero FreqProfile
+	ty2 := mustType(t, g, "u", NilType, 10, zero, []AttrDef{{Name: "x", Size: 8, AccessFreq: 0.2}})
+	b := mustObject(t, g, "B", 1, ty2)
+	b2, err := g.Derive(b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, impl := range []AttrImpl{ByReference, ByCopy} {
+		if err := g.SetAttrImpl(b2.ID, 0, impl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f := b2.FreqOf(InheritanceRef); f < 0 || g.Type(ty2).Freq != zero {
+		t.Fatalf("clamp: %v, type %v", f, g.Type(ty2).Freq)
+	}
+}
+
+// TestObjectSizeClass pins model.Object in the runtime's 144-byte malloc
+// size class. One object per design object is the bulk of the live heap,
+// so the next class up (160 B) costs every database 11 % more memory.
+func TestObjectSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Object{}); n > 144 {
+		t.Fatalf("model.Object is %d bytes; it must stay within the 144-byte size class", n)
+	}
+}
+
+func TestObjectAllocs(t *testing.T) {
+	g := NewGraph()
+	base := mustType(t, g, "design", NilType, 10, FreqProfile{}, []AttrDef{{Name: "a", Size: 8}})
+	ty := mustType(t, g, "layout", base, 20, FreqProfile{}, []AttrDef{{Name: "b", Size: 4}})
+	// NewGraph reserves 1024 object slots, so the slice never grows here.
+	if n := testing.AllocsPerRun(500, func() {
+		if _, err := g.NewObject("o", 1, ty); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("NewObject allocates %v times, want 1 (the object)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = g.InheritedAttrs(ty) }); n != 0 {
+		t.Errorf("InheritedAttrs allocates %v times, want 0", n)
+	}
+}
+
+func TestDefineTypeRefusesWideChain(t *testing.T) {
+	g := NewGraph()
+	attrs := make([]AttrDef, MaxInheritedAttrs)
+	base := mustType(t, g, "base", NilType, 10, FreqProfile{}, attrs[:MaxInheritedAttrs-1])
+	full := mustType(t, g, "full", base, 10, FreqProfile{}, attrs[:1])
+	if n := len(g.InheritedAttrs(full)); n != MaxInheritedAttrs {
+		t.Fatalf("full chain has %d attributes", n)
+	}
+	if _, err := g.DefineType("wide", full, 10, FreqProfile{}, attrs[:1]); err == nil {
+		t.Fatalf("a chain of %d attributes was accepted", MaxInheritedAttrs+1)
+	}
+	if g.NumTypes() != 2 {
+		t.Fatalf("refused type was defined: %d types", g.NumTypes())
+	}
+}
+
+func BenchmarkNewObject(b *testing.B) {
+	g := NewGraph()
+	base, _ := g.DefineType("design", NilType, 10, FreqProfile{}, []AttrDef{{Name: "a", Size: 8}})
+	ty, _ := g.DefineType("layout", base, 20, FreqProfile{}, []AttrDef{{Name: "b", Size: 4}})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.NewObject("o", 1, ty); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -425,7 +560,43 @@ func TestRestoreObject(t *testing.T) {
 	}
 	// Normal creation continues after the restored range.
 	o := mustObject(t, g, "C", 1, ty)
+	if o.Freq() != g.Type(ty).Freq {
+		t.Fatal("object does not share its type's profile")
+	}
 	if o.ID != 4 {
 		t.Fatalf("next ID %d", o.ID)
+	}
+}
+
+func TestRestoreInheritance(t *testing.T) {
+	g := NewGraph()
+	var tf FreqProfile
+	tf[ConfigUp] = 0.5
+	ty := mustType(t, g, "t", NilType, 10, tf, []AttrDef{{Name: "a", Size: 8}, {Name: "b", Size: 4}})
+	o, err := g.RestoreObject(1, "A", 2, ty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Freq() != tf || o.AttrImpl(0) != ByCopy || o.AttrImpl(1) != ByCopy {
+		t.Fatalf("restored object before RestoreInheritance: %v %v %v", o.Freq(), o.AttrImpl(0), o.AttrImpl(1))
+	}
+	own := tf
+	own[InheritanceRef] = 0.25
+	if err := g.RestoreInheritance(1, own, []AttrImpl{ByCopy, ByReference}); err != nil {
+		t.Fatal(err)
+	}
+	if o.Freq() != own || o.AttrImpl(0) != ByCopy || o.AttrImpl(1) != ByReference {
+		t.Fatalf("restored: %v %v %v", o.Freq(), o.AttrImpl(0), o.AttrImpl(1))
+	}
+	if g.Type(ty).Freq != tf {
+		t.Fatal("a restored profile overwrote the type's")
+	}
+	for _, bad := range [][]AttrImpl{nil, {ByCopy}, {ByCopy, ByCopy, ByCopy}, {ByCopy, AttrImpl(2)}} {
+		if err := g.RestoreInheritance(1, tf, bad); !errors.Is(err, ErrAttrImpls) {
+			t.Errorf("impls %v: %v, want ErrAttrImpls", bad, err)
+		}
+	}
+	if err := g.RestoreInheritance(7, tf, nil); !errors.Is(err, ErrNoSuchObject) {
+		t.Errorf("missing object: %v", err)
 	}
 }

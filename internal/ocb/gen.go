@@ -138,12 +138,12 @@ func Generate(p Params, targetBytes, pageSize int, seed int64) (*Base, error) {
 
 	add := func(o *model.Object, class int) {
 		if p.SizeSpread > 0 {
-			o.Size += rng.Intn(2*p.SizeSpread) - p.SizeSpread
+			o.Size += int32(rng.Intn(2*p.SizeSpread) - p.SizeSpread)
 			if o.Size < 32 {
 				o.Size = 32
 			}
 		}
-		base.Bytes += o.Size
+		base.Bytes += int(o.Size)
 		base.Order = append(base.Order, o.ID)
 		base.Extents[class] = append(base.Extents[class], o.ID)
 	}

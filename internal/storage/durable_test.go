@@ -135,7 +135,7 @@ func TestBackendConformanceRandom(t *testing.T) {
 		case 0:
 			om, _ := gm.NewObject("o", step, tym)
 			of, _ := gf.NewObject("o", step, tyf)
-			size := 16 + rng.Intn(200)
+			size := int32(16 + rng.Intn(200))
 			om.Size, of.Size = size, size
 			pg := pages[rng.Intn(len(pages))]
 			e1, e2 := mem.Place(om.ID, pg), fb.Place(of.ID, pg)
@@ -211,7 +211,7 @@ func TestStateDigestIncremental(t *testing.T) {
 		switch rng.Intn(3) {
 		case 0:
 			o, _ := g.NewObject("o", step, ty)
-			o.Size = 16 + rng.Intn(150)
+			o.Size = int32(16 + rng.Intn(150))
 			if m.Place(o.ID, pages[rng.Intn(len(pages))]) == nil {
 				objs = append(objs, o.ID)
 			}

@@ -199,7 +199,7 @@ func (fb *FileBackend) Place(obj model.ObjectID, pg PageID) error {
 	if err := fb.Manager.Place(obj, pg); err != nil {
 		return err
 	}
-	return fb.journal(WALRecord{Kind: WALPlace, Obj: obj, Page: pg, Size: fb.graph.Object(obj).Size})
+	return fb.journal(WALRecord{Kind: WALPlace, Obj: obj, Page: pg, Size: int(fb.graph.Object(obj).Size)})
 }
 
 // Remove applies the in-memory removal, then journals it.
@@ -210,7 +210,7 @@ func (fb *FileBackend) Remove(obj model.ObjectID) error {
 	}
 	size := 0
 	if o := fb.graph.Object(obj); o != nil {
-		size = o.Size
+		size = int(o.Size)
 	}
 	return fb.journal(WALRecord{Kind: WALRemove, Obj: obj, Page: pg, Size: size})
 }
@@ -226,7 +226,7 @@ func (fb *FileBackend) Move(obj model.ObjectID, pg PageID) error {
 	if from == pg {
 		return nil // no-op move; nothing happened, nothing to journal
 	}
-	return fb.journal(WALRecord{Kind: WALMove, Obj: obj, Page: from, To: pg, Size: fb.graph.Object(obj).Size})
+	return fb.journal(WALRecord{Kind: WALMove, Obj: obj, Page: from, To: pg, Size: int(fb.graph.Object(obj).Size)})
 }
 
 // LogBegin opens run transaction txn in the WAL and attributes subsequent
@@ -374,7 +374,7 @@ func (fb *FileBackend) WritePage(pg PageID) error {
 
 func (fb *FileBackend) sizeOf(obj model.ObjectID) int {
 	if o := fb.graph.Object(obj); o != nil {
-		return o.Size
+		return int(o.Size)
 	}
 	return 0
 }

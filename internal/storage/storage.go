@@ -72,7 +72,7 @@ type Backend interface {
 	// not fit.
 	Move(obj model.ObjectID, pg PageID) error
 	// Fits reports whether an object of the given size fits on page pg.
-	Fits(size int, pg PageID) bool
+	Fits(size int32, pg PageID) bool
 	// CheckInvariants returns the first internal-consistency violation found.
 	CheckInvariants() error
 }
@@ -209,14 +209,15 @@ func (m *Manager) Place(obj model.ObjectID, pg PageID) error {
 	if p == nil {
 		return ErrNoSuchPage
 	}
-	if o.Size > m.pageSize {
+	size := int(o.Size)
+	if size > m.pageSize {
 		return ErrObjectTooBig
 	}
-	if p.Used+o.Size > m.pageSize {
+	if p.Used+size > m.pageSize {
 		return ErrPageFull
 	}
 	p.Objects = append(p.Objects, obj)
-	p.Used += o.Size
+	p.Used += size
 	m.setWhere(obj, pg)
 	m.objects++
 	return nil
@@ -237,7 +238,7 @@ func (m *Manager) Remove(obj model.ObjectID) error {
 		}
 	}
 	if o != nil {
-		p.Used -= o.Size
+		p.Used -= int(o.Size)
 		if p.Used < 0 {
 			p.Used = 0
 		}
@@ -269,7 +270,7 @@ func (m *Manager) Move(obj model.ObjectID, pg PageID) error {
 	if p == nil {
 		return ErrNoSuchPage
 	}
-	if p.Used+o.Size > m.pageSize {
+	if p.Used+int(o.Size) > m.pageSize {
 		return ErrPageFull
 	}
 	if err := m.Remove(obj); err != nil {
@@ -279,9 +280,9 @@ func (m *Manager) Move(obj model.ObjectID, pg PageID) error {
 }
 
 // Fits reports whether an object of the given size fits on page pg.
-func (m *Manager) Fits(size int, pg PageID) bool {
+func (m *Manager) Fits(size int32, pg PageID) bool {
 	p := m.Page(pg)
-	return p != nil && p.Used+size <= m.pageSize
+	return p != nil && p.Used+int(size) <= m.pageSize
 }
 
 // CheckInvariants validates internal consistency: every placed object is on
@@ -305,7 +306,7 @@ func (m *Manager) CheckInvariants() error {
 			if o == nil {
 				return fmt.Errorf("storage: page %d holds unknown object %d", p.ID, obj)
 			}
-			used += o.Size
+			used += int(o.Size)
 		}
 		if used != p.Used {
 			return fmt.Errorf("storage: page %d used=%d but objects sum to %d", p.ID, p.Used, used)

@@ -25,7 +25,7 @@ func newObj(t *testing.T, g *model.Graph, ty model.TypeID, size int) model.Objec
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Size = size
+	o.Size = int32(size)
 	return o.ID
 }
 
@@ -174,7 +174,7 @@ func TestRandomOpsInvariants(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // create+place
 				o, _ := g.NewObject("o", step, ty)
-				o.Size = 16 + rng.Intn(120)
+				o.Size = int32(16 + rng.Intn(120))
 				pg := pages[rng.Intn(len(pages))]
 				if err := m.Place(o.ID, pg); err == nil {
 					objs = append(objs, o.ID)

@@ -163,12 +163,12 @@ func Generate(spec DBSpec, pageSize int) (*Database, error) {
 	var seq []model.ObjectID
 	jitter := func(o *model.Object) {
 		if spec.SizeSpread > 0 {
-			o.Size += rng.Intn(2*spec.SizeSpread) - spec.SizeSpread
+			o.Size += int32(rng.Intn(2*spec.SizeSpread) - spec.SizeSpread)
 			if o.Size < 32 {
 				o.Size = 32
 			}
 		}
-		db.Bytes += o.Size
+		db.Bytes += int(o.Size)
 		seq = append(seq, o.ID)
 	}
 

@@ -38,7 +38,11 @@ type (
 	ObjectID = model.ObjectID
 	// TypeID identifies a type in the lattice.
 	TypeID = model.TypeID
-	// Object is a versioned design object.
+	// Object is a versioned design object. Its traversal-frequency profile
+	// (Freq, FreqOf) is shared with its type and read-only: it changes only
+	// when the clusterer implements an inherited attribute by reference,
+	// which gives that one object its own copy. AttrImpl(i) reads the
+	// implementation of inherited attribute i.
 	Object = model.Object
 	// Type is a representation type.
 	Type = model.Type

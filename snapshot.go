@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"oodb/internal/model"
 )
@@ -85,17 +86,21 @@ func (db *DB) Save(w io.Writer) error {
 		})
 	}
 	db.graph.ForEachObject(func(o *Object) {
+		impls := make([]model.AttrImpl, len(db.graph.InheritedAttrs(o.Type)))
+		for i := range impls {
+			impls[i] = o.AttrImpl(i)
+		}
 		snap.Objects = append(snap.Objects, snapObject{
 			ID:   o.ID,
-			Name: o.Name, Version: o.Version, Type: o.Type, Size: o.Size,
-			Freq:           o.Freq,
+			Name: o.Name, Version: int(o.Version), Type: o.Type, Size: int(o.Size),
+			Freq:           o.Freq(),
 			Components:     o.Components,
 			Composites:     o.Composites,
 			Ancestor:       o.Ancestor,
 			Descendants:    o.Descendants,
 			Correspondents: o.Correspondents,
 			InheritsFrom:   o.InheritsFrom,
-			AttrImpls:      o.AttrImpls,
+			AttrImpls:      impls,
 			Page:           db.store.PageOf(o.ID),
 		})
 	})
@@ -131,19 +136,24 @@ func Load(r io.Reader, opt Options) (*DB, error) {
 	}
 	for _, st := range snap.Types {
 		if _, err := db.graph.DefineType(st.Name, st.Super, st.BaseSize, st.Freq, st.Attrs); err != nil {
-			return nil, fmt.Errorf("oodb: restoring type %q: %w", st.Name, err)
+			return nil, fmt.Errorf("oodb: %w: restoring type %q: %w", ErrCorruptSnapshot, st.Name, err)
 		}
 	}
 	// Pass 1: recreate objects under their original IDs so references line
-	// up; gaps left by deleted objects become tombstones.
+	// up; gaps left by deleted objects become tombstones. Each object needs
+	// one attribute implementation per inherited attribute of its type.
 	for _, so := range snap.Objects {
+		if so.Size < math.MinInt32 || so.Size > math.MaxInt32 {
+			return nil, fmt.Errorf("oodb: %w: object %d size %d out of range", ErrCorruptSnapshot, so.ID, so.Size)
+		}
 		o, err := db.graph.RestoreObject(so.ID, so.Name, so.Version, so.Type)
 		if err != nil {
-			return nil, fmt.Errorf("oodb: restoring object %d: %w", so.ID, err)
+			return nil, fmt.Errorf("oodb: %w: restoring object %d: %w", ErrCorruptSnapshot, so.ID, err)
 		}
-		o.Size = so.Size
-		o.Freq = so.Freq
-		o.AttrImpls = so.AttrImpls
+		o.Size = int32(so.Size)
+		if err := db.graph.RestoreInheritance(so.ID, so.Freq, so.AttrImpls); err != nil {
+			return nil, fmt.Errorf("oodb: %w: restoring object %d: %w", ErrCorruptSnapshot, so.ID, err)
+		}
 	}
 	// Pass 2: relationships (assigned directly — the graph mutators would
 	// re-derive side effects like correspondence inheritance).

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"oodb/internal/model"
 )
 
 // buildSnapshotFixture creates a database with every relationship kind and
@@ -61,7 +63,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if db2.NumPages() != db.NumPages() {
 		t.Fatalf("pages: %d vs %d", db2.NumPages(), db.NumPages())
 	}
-	// Identity, relationships, and physical placement survive.
+	// Identity, relationships, attribute implementations, profiles and
+	// physical placement survive.
+	byRef := 0
 	for id := ObjectID(1); int(id) <= db.NumObjects(); id++ {
 		a := db.graph.Object(id)
 		b := db2.graph.Object(id)
@@ -76,6 +80,20 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if db.PageOf(id) != db2.PageOf(id) {
 			t.Fatalf("object %d placement: page %d vs %d", id, db.PageOf(id), db2.PageOf(id))
 		}
+		if a.Freq() != b.Freq() {
+			t.Fatalf("object %d profile: %v vs %v", id, a.Freq(), b.Freq())
+		}
+		for i := 0; i < model.MaxInheritedAttrs; i++ {
+			if a.AttrImpl(i) != b.AttrImpl(i) {
+				t.Fatalf("object %d attribute %d: %v vs %v", id, i, a.AttrImpl(i), b.AttrImpl(i))
+			}
+			if a.AttrImpl(i) == model.ByReference {
+				byRef++
+			}
+		}
+	}
+	if byRef == 0 {
+		t.Fatal("fixture implements no attribute by reference")
 	}
 	if err := db2.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -152,6 +170,21 @@ func TestSnapshotLoadTypedErrors(t *testing.T) {
 		{"negative-pages", corruptSnapshot(t, func(s *snapshot) { s.NumPages = -1 }), ErrCorruptSnapshot},
 		{"zero-page-size", corruptSnapshot(t, func(s *snapshot) { s.PageSize = 0 }), ErrCorruptSnapshot},
 		{"placement-beyond-pages", corruptSnapshot(t, func(s *snapshot) { s.Objects[0].Page = PageID(s.NumPages + 5) }), ErrCorruptSnapshot},
+		{"attr-impls-short", corruptSnapshot(t, func(s *snapshot) {
+			o := withAttrImpls(t, s)
+			o.AttrImpls = o.AttrImpls[:len(o.AttrImpls)-1]
+		}), ErrCorruptSnapshot},
+		{"attr-impls-long", corruptSnapshot(t, func(s *snapshot) {
+			o := withAttrImpls(t, s)
+			o.AttrImpls = append(o.AttrImpls, model.ByCopy)
+		}), ErrCorruptSnapshot},
+		{"attr-impls-missing", corruptSnapshot(t, func(s *snapshot) { withAttrImpls(t, s).AttrImpls = nil }), ErrCorruptSnapshot},
+		{"attr-impl-unknown", corruptSnapshot(t, func(s *snapshot) { withAttrImpls(t, s).AttrImpls[0] = 9 }), ErrCorruptSnapshot},
+		{"chain-wider-than-mask", corruptSnapshot(t, func(s *snapshot) {
+			s.Types[0].Attrs = make([]AttrDef, model.MaxInheritedAttrs+1)
+		}), ErrCorruptSnapshot},
+		{"size-beyond-int32", corruptSnapshot(t, func(s *snapshot) { s.Objects[0].Size = 1 << 40 }), ErrCorruptSnapshot},
+		{"version-beyond-int32", corruptSnapshot(t, func(s *snapshot) { s.Objects[0].Version = -1 << 40 }), ErrCorruptSnapshot},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,6 +194,19 @@ func TestSnapshotLoadTypedErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// withAttrImpls returns the first snapshot object whose type inherits
+// attributes.
+func withAttrImpls(t *testing.T, s *snapshot) *snapObject {
+	t.Helper()
+	for i := range s.Objects {
+		if len(s.Objects[i].AttrImpls) > 0 {
+			return &s.Objects[i]
+		}
+	}
+	t.Fatal("fixture has no object with inherited attributes")
+	return nil
 }
 
 func TestSnapshotEmptyDB(t *testing.T) {
