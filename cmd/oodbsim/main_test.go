@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -201,5 +202,43 @@ func TestRefusedFlags(t *testing.T) {
 		if _, err := parse(args...); err != nil {
 			t.Errorf("%q refused: %v", args, err)
 		}
+	}
+}
+
+// TestReadmeCommands parses every `go run ./cmd/oodbsim` line in the README
+// with the real flag set, so the README cannot drift from the flags: each
+// must be accepted, and each -run line must map onto a valid configuration.
+// Nothing is run.
+func TestReadmeCommands(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "go run ./cmd/oodbsim "
+	n := 0
+	for _, line := range strings.Split(string(readme), "\n") {
+		cmd, ok := strings.CutPrefix(strings.TrimSpace(line), prefix)
+		if !ok {
+			continue
+		}
+		cmd, _, _ = strings.Cut(cmd, "#")
+		args := strings.Fields(cmd)
+		n++
+		c, err := parse(args...)
+		if err != nil {
+			t.Errorf("%q: %v", args, err)
+			continue
+		}
+		if !c.single {
+			continue
+		}
+		if cfg, err := c.config(); err != nil {
+			t.Errorf("%q: %v", args, err)
+		} else if err := cfg.Validate(); err != nil {
+			t.Errorf("%q: %v", args, err)
+		}
+	}
+	if n < 10 {
+		t.Errorf("found %d oodbsim commands in README.md, want at least 10", n)
 	}
 }

@@ -2,45 +2,64 @@ package oodb_test
 
 import (
 	"fmt"
-	"log"
 
 	"oodb"
 )
 
-// Example builds the paper's running example — ALU design objects with
-// configuration, correspondence, and version relationships — on a store
-// using the recommended policies, and shows that the clustering algorithm
-// co-locates the pieces.
-func Example() {
-	db, err := oodb.Open(oodb.Options{
-		BufferFrames: 64,
-		Replacement:  oodb.ReplContext,
-		Cluster:      oodb.PolicyNoLimit,
-		Split:        oodb.LinearSplit,
-	})
+// must returns v, panicking on err: an Example has no *testing.T to fail,
+// and a panic fails it all the same.
+func must[T any](v T, err error) T {
+	check(err)
+	return v
+}
+
+func check(err error) {
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
+}
+
+// Example builds the paper's running example — an ALU layout composed of
+// cells, with a derived version — on a store using the recommended
+// policies, shows that the clustering algorithm co-locates the pieces, and
+// reads the configuration back through the buffer pool.
+func Example() {
+	db := must(oodb.Open(oodb.Options{
+		BufferFrames: 64,
+		Replacement:  oodb.ReplContext,   // context-sensitive buffering
+		Cluster:      oodb.PolicyNoLimit, // run-time clustering, unbounded search
+		Split:        oodb.LinearSplit,
+	}))
 
 	var layoutFreq oodb.FreqProfile
-	layoutFreq[oodb.ConfigDown] = 0.6
+	layoutFreq[oodb.ConfigDown] = 0.6 // layouts are navigated downward
 	layoutFreq[oodb.Correspondence] = 0.2
-	layout, _ := db.DefineType("layout", oodb.NilType, 256, layoutFreq, nil)
-
+	layout := must(db.DefineType("layout", oodb.NilType, 256, layoutFreq, nil))
 	var cellFreq oodb.FreqProfile
 	cellFreq[oodb.ConfigUp] = 0.7
-	cell, _ := db.DefineType("cell", oodb.NilType, 128, cellFreq, nil)
+	cell := must(db.DefineType("cell", oodb.NilType, 128, cellFreq, nil))
 
-	alu, _ := db.CreateObject("ALU", 4, layout)
-	carry, _ := db.CreateAttached("CARRY-PROPAGATE", 2, cell, alu.ID)
+	alu := must(db.CreateObject("ALU", 4, layout))                       // ALU[4].layout
+	carry := must(db.CreateAttached("CARRY-PROPAGATE", 2, cell, alu.ID)) // placed near ALU
+	add := must(db.CreateObject("ADD", 1, cell))
+	check(db.Attach(alu.ID, add.ID))                      // composed after creation
+	alu5 := must(db.Derive(alu.ID))                       // ALU[5].layout, inherits
+	comps := must(db.GetClosure(alu.ID, oodb.ConfigDown)) // navigate, buffered
 
-	fmt.Println(db.Triple(alu.ID))
-	fmt.Println(db.Triple(carry.ID))
+	fmt.Println(db.Triple(alu.ID), "->", db.Triple(alu5.ID))
 	fmt.Println("co-located:", db.PageOf(alu.ID) == db.PageOf(carry.ID))
+	for _, c := range comps {
+		fmt.Println("component:", db.Triple(c.ID))
+	}
+	st := db.Stats() // modeled physical I/O, hit ratio, moves, splits
+	fmt.Printf("logical reads=%d page reads=%d hit ratio=%.2f\n", st.LogicalReads, st.PageReads, st.HitRatio)
+	check(db.CheckInvariants())
 	// Output:
-	// ALU[4].layout
-	// CARRY-PROPAGATE[2].cell
+	// ALU[4].layout -> ALU[5].layout
 	// co-located: true
+	// component: CARRY-PROPAGATE[2].cell
+	// component: ADD[1].cell
+	// logical reads=3 page reads=0 hit ratio=1.00
 }
 
 // ExampleDB_Derive demonstrates instance-to-instance inheritance: a derived
@@ -86,10 +105,7 @@ func ExampleDB_Checkout() {
 func ExampleRunSimulation() {
 	cfg := oodb.DefaultSimConfig(0.01)
 	cfg.Transactions = 200
-	res, err := oodb.RunSimulation(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	res := must(oodb.RunSimulation(cfg))
 	fmt.Println("completed:", res.Completed >= 200)
 	fmt.Println("measured response:", res.MeanResponse > 0)
 	// Output:

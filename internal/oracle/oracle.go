@@ -170,31 +170,3 @@ func CheckConservation(r engine.Results) error {
 	}
 	return nil
 }
-
-// Compare runs the full oracle for one policy pair: replay the stream under
-// both configurations, check conservation on each, and check equivalence
-// between them. The configurations must request the same transaction count
-// the stream was recorded with.
-func (s *Stream) Compare(a, b engine.Config) error {
-	ra, err := s.Replay(a)
-	if err != nil {
-		return fmt.Errorf("oracle: replaying %s: %w", a.Label(), err)
-	}
-	rb, err := s.Replay(b)
-	if err != nil {
-		return fmt.Errorf("oracle: replaying %s: %w", b.Label(), err)
-	}
-	if err := CheckConservation(ra); err != nil {
-		return fmt.Errorf("%w (under %s)", err, a.Label())
-	}
-	if err := CheckConservation(rb); err != nil {
-		return fmt.Errorf("%w (under %s)", err, b.Label())
-	}
-	if err := CheckEquivalence(ra, rb); err != nil {
-		return fmt.Errorf("%w (%s vs %s)", err, a.Label(), b.Label())
-	}
-	if err := CheckFinalState(ra, rb); err != nil {
-		return fmt.Errorf("%w (%s vs %s)", err, a.Label(), b.Label())
-	}
-	return nil
-}

@@ -3,12 +3,10 @@ package oodb
 import (
 	"oodb/internal/engine"
 	"oodb/internal/ocb"
-	"oodb/internal/oracle"
 )
 
 // OCB workload API: the synthetic object-base benchmark generator that runs
-// behind the same workload seam as the paper's OCT model, plus the
-// cross-policy differential oracle built on it.
+// behind the same workload seam as the paper's OCT model.
 
 type (
 	// OCBParams parameterizes the OCB-style synthetic object base (hierarchy
@@ -19,10 +17,6 @@ type (
 	// OCBRefDist selects the reference-target distribution (uniform, zipf,
 	// clustered).
 	OCBRefDist = ocb.RefDist
-
-	// SimStream is a recorded logical transaction stream replayable under
-	// any policy wiring.
-	SimStream = oracle.Stream
 )
 
 // Workload selector values for SimConfig.Workload.
@@ -37,16 +31,3 @@ func DefaultOCBParams() OCBParams { return ocb.DefaultParams() }
 // ParseOCBRefDist parses a reference-distribution name ("uniform", "zipf",
 // "clustered").
 func ParseOCBRefDist(s string) (OCBRefDist, error) { return ocb.ParseRefDist(s) }
-
-// RecordSimulationStream runs cfg once while recording its logical
-// transaction stream for later replay under other policy wirings.
-func RecordSimulationStream(cfg SimConfig) (*SimStream, error) { return oracle.Record(cfg) }
-
-// CompareSimulations replays a recorded stream under two configurations and
-// runs the differential oracle: conservation invariants on each run, logical
-// equivalence between them (read-only streams).
-func CompareSimulations(s *SimStream, a, b SimConfig) error { return s.Compare(a, b) }
-
-// CheckSimulationConservation asserts the physical-accounting invariants of
-// one run's results.
-func CheckSimulationConservation(r SimResults) error { return oracle.CheckConservation(r) }

@@ -115,14 +115,6 @@ type (
 	DurableStats = storage.DurableStats
 )
 
-// StorageBackends returns the registered storage backend names, sorted.
-// These are the values SimConfig.Backend and the CLI -backend flag accept.
-func StorageBackends() []string { return storage.BackendNames() }
-
-// HasStorageBackend reports whether name resolves in the storage backend
-// registry ("" resolves to "memory").
-func HasStorageBackend(name string) bool { return storage.HasBackend(name) }
-
 // RecoverDataDir replays the write-ahead log in a file-backend data
 // directory — for example one left behind by a crashed run — applying the
 // mutations of committed transactions and verifying the result against the

@@ -29,9 +29,6 @@ func DefaultSimConfig(scale float64) SimConfig { return engine.DefaultConfig(sca
 // mechanics — see engine.TierConfig.
 func TierSimConfig(name string) (SimConfig, error) { return engine.TierConfig(name) }
 
-// ScaleTiers lists the scale tier names in size order.
-func ScaleTiers() []string { return engine.TierNames() }
-
 // RunSimulation executes one simulation run. Under a persistent backend
 // the engine is closed afterwards — dirty buffers flushed, the WAL
 // checkpointed — so the data directory is left recoverable; a close
