@@ -76,7 +76,7 @@ func ExampleDB_Derive() {
 
 	descendant, _ := db.Derive(alu2.ID)
 	fmt.Println(db.Triple(descendant.ID))
-	fmt.Println("inherited correspondences:", len(descendant.Correspondents))
+	fmt.Println("inherited correspondences:", len(descendant.Correspondents()))
 	// Output:
 	// ALU[3].layout
 	// inherited correspondences: 1

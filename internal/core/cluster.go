@@ -174,12 +174,12 @@ func (c *Clusterer) candidatePages(o *model.Object) []storage.PageID {
 			// pages (tracked in local), whether or not an earlier tier
 			// already listed them.
 			local := c.scr.local[:0]
-			for _, comp := range o.Composites {
+			for _, comp := range o.Composites() {
 				co := c.Graph.Object(comp)
 				if co == nil {
 					continue
 				}
-				for _, sib := range co.Components {
+				for _, sib := range co.Components() {
 					if sib == o.ID {
 						continue
 					}
@@ -247,12 +247,12 @@ func (c *Clusterer) Affinity(o *model.Object, pg storage.PageID) float64 {
 		sw = 0
 	}
 	if sw > 0 {
-		for _, comp := range o.Composites {
+		for _, comp := range o.Composites() {
 			co := c.Graph.Object(comp)
 			if co == nil {
 				continue
 			}
-			for _, sib := range co.Components {
+			for _, sib := range co.Components() {
 				if sib != o.ID && c.Store.PageOf(sib) == pg {
 					a += sw
 				}

@@ -129,12 +129,12 @@ func AppendPrefetchGroup(dst []storage.PageID, g *model.Graph, st storage.Backen
 func AppendSiblingPages(dst []storage.PageID, g *model.Graph, st storage.Backend, o *model.Object, limit int) []storage.PageID {
 	own := st.PageOf(o.ID)
 	base := len(dst)
-	for _, comp := range o.Composites {
+	for _, comp := range o.Composites() {
 		co := g.Object(comp)
 		if co == nil {
 			continue
 		}
-		for _, sib := range co.Components {
+		for _, sib := range co.Components() {
 			if sib == o.ID {
 				continue
 			}

@@ -55,7 +55,7 @@ func TestPrefetchWithinBufferNeverIssuesIO(t *testing.T) {
 		t.Fatal("boost issued for non-resident page")
 	}
 	// Make the leaf page resident, then boost fires.
-	leafPg := f.st.PageOf(root.Components[0])
+	leafPg := f.st.PageOf(root.Components()[0])
 	f.pool.Access(leafPg) //nolint:errcheck
 	if _, err := pf.OnAccess(root); err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestPrefetchWithinDBFetches(t *testing.T) {
 	if pf.PrefetchReads == 0 || len(ios) == 0 {
 		t.Fatal("within-DB prefetch must fetch the group")
 	}
-	leafPg := f.st.PageOf(root.Components[0])
+	leafPg := f.st.PageOf(root.Components()[0])
 	if !f.pool.Contains(leafPg) {
 		t.Fatal("group page not resident after prefetch")
 	}

@@ -17,11 +17,11 @@ func componentSpread(e *Engine, composites []model.ObjectID) (float64, int) {
 	n := 0
 	for _, id := range composites {
 		o := e.graph.Object(id)
-		if o == nil || len(o.Components) < 2 {
+		if o == nil || len(o.Components()) < 2 {
 			continue
 		}
 		seen := map[storage.PageID]struct{}{}
-		for _, c := range o.Components {
+		for _, c := range o.Components() {
 			seen[e.store.PageOf(c)] = struct{}{}
 		}
 		sum += float64(len(seen))

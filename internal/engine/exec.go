@@ -372,7 +372,7 @@ func (a *stack) execCheckout(req workload.Op) ([]core.PhysIO, int, error) {
 	if root == nil {
 		return ios, logical, nil
 	}
-	blocks := append(a.blockBuf[:0], root.Components...)
+	blocks := append(a.blockBuf[:0], root.Components()...)
 	a.blockBuf = blocks
 	for _, b := range blocks {
 		if ios, err = a.readObject(ios, b, true, true); err != nil {
@@ -383,7 +383,7 @@ func (a *stack) execCheckout(req workload.Op) ([]core.PhysIO, int, error) {
 		if bo == nil {
 			continue
 		}
-		leaves := append(a.leafBuf[:0], bo.Components...)
+		leaves := append(a.leafBuf[:0], bo.Components()...)
 		a.leafBuf = leaves
 		for _, l := range leaves {
 			if ios, err = a.readObject(ios, l, false, true); err != nil {
@@ -407,7 +407,7 @@ func (a *stack) execDelete(txn int, req workload.Op) ([]core.PhysIO, int, error)
 		// execution; nothing to do but account the lookup attempt.
 		return nil, 1, nil
 	}
-	if len(o.Components) > 0 || len(o.Descendants) > 0 {
+	if len(o.Components()) > 0 || len(o.Descendants()) > 0 {
 		return a.execUpdate(txn, req)
 	}
 	ios, err := a.readObject(a.iosBuf[:0], req.Target, false, false)

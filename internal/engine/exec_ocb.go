@@ -77,7 +77,7 @@ func (a *stack) readSubtree(root model.ObjectID, maxDepth int, boost bool) ([]co
 		if o == nil {
 			continue
 		}
-		for _, c := range o.Components {
+		for _, c := range o.Components() {
 			if a.seen[c] {
 				continue
 			}
@@ -219,12 +219,12 @@ func (a *stack) execOCBDelete(txn int, req workload.Op) ([]core.PhysIO, int, err
 	for i := len(a.visitBuf) - 1; i >= 0; i-- {
 		id := a.visitBuf[i]
 		o := a.graph.Object(id)
-		if o == nil || len(o.Components) > 0 || len(o.Descendants) > 0 {
+		if o == nil || len(o.Components()) > 0 || len(o.Descendants()) > 0 {
 			continue
 		}
 		if id != req.Target {
 			shared := false
-			for _, comp := range o.Composites {
+			for _, comp := range o.Composites() {
 				if !a.seen[comp] {
 					shared = true
 					break
@@ -298,8 +298,8 @@ func (a *stack) execOCBRewire(txn int, req workload.Op) ([]core.PhysIO, int, err
 	if req.Target == req.AttachTo {
 		return a.execOCBUpdate(txn, req)
 	}
-	if len(o.Components) > 0 {
-		if err := a.graph.Detach(o.ID, o.Components[0]); err != nil {
+	if len(o.Components()) > 0 {
+		if err := a.graph.Detach(o.ID, o.Components()[0]); err != nil {
 			return nil, 0, err
 		}
 	}

@@ -70,8 +70,8 @@ func TestExecComponentRetrievalLogicalCount(t *testing.T) {
 	e := execFixture(t)
 	root := e.graph.Object(e.db.Roots[0])
 	_, logical := e.exec(t, workload.Op{Kind: workload.QComponentRetrieval, Target: root.ID})
-	if logical != 1+len(root.Components) {
-		t.Fatalf("logical=%d, want 1+%d components", logical, len(root.Components))
+	if logical != 1+len(root.Components()) {
+		t.Fatalf("logical=%d, want 1+%d components", logical, len(root.Components()))
 	}
 }
 
@@ -79,8 +79,8 @@ func TestExecCheckoutReadsWholeHierarchy(t *testing.T) {
 	e := execFixture(t)
 	root := e.graph.Object(e.db.Roots[0])
 	want := 1
-	for _, b := range root.Components {
-		want += 1 + len(e.graph.Object(b).Components)
+	for _, b := range root.Components() {
+		want += 1 + len(e.graph.Object(b).Components())
 	}
 	_, logical := e.exec(t, workload.Op{Kind: workload.QCheckout, Target: root.ID})
 	if logical != want {
@@ -108,13 +108,13 @@ func TestExecInsertCreatesAndAttaches(t *testing.T) {
 	parent := e.db.Blocks[0]
 	before := e.graph.NumObjects()
 	po := e.graph.Object(parent)
-	nComps := len(po.Components)
+	nComps := len(po.Components())
 	leafT := e.db.Schema.LeafTypes[0]
 	e.exec(t, workload.Op{Kind: workload.QInsert, AttachTo: parent, NewType: leafT})
 	if e.graph.NumObjects() != before+1 {
 		t.Fatal("no object created")
 	}
-	if len(po.Components) != nComps+1 {
+	if len(po.Components()) != nComps+1 {
 		t.Fatal("not attached to parent")
 	}
 	created := model.ObjectID(before + 1)
@@ -130,12 +130,12 @@ func TestExecDeriveCreatesVersion(t *testing.T) {
 	e := execFixture(t)
 	root := e.db.Roots[0]
 	ro := e.graph.Object(root)
-	nDesc := len(ro.Descendants)
+	nDesc := len(ro.Descendants())
 	e.exec(t, workload.Op{Kind: workload.QDerive, Target: root})
-	if len(ro.Descendants) != nDesc+1 {
+	if len(ro.Descendants()) != nDesc+1 {
 		t.Fatal("no descendant recorded")
 	}
-	d := e.graph.Object(ro.Descendants[len(ro.Descendants)-1])
+	d := e.graph.Object(ro.Descendants()[len(ro.Descendants())-1])
 	if d.Ancestor != root || d.Version != ro.Version+1 {
 		t.Fatalf("derived: %+v", d)
 	}
@@ -150,14 +150,14 @@ func TestExecStructUpdateTogglesLink(t *testing.T) {
 	newParent := e.db.Blocks[1]
 	lo := e.graph.Object(leaf)
 	hadLink := false
-	for _, c := range lo.Composites {
+	for _, c := range lo.Composites() {
 		if c == newParent {
 			hadLink = true
 		}
 	}
 	e.exec(t, workload.Op{Kind: workload.QStructUpdate, Target: leaf, AttachTo: newParent})
 	hasLink := false
-	for _, c := range lo.Composites {
+	for _, c := range lo.Composites() {
 		if c == newParent {
 			hasLink = true
 		}
@@ -168,7 +168,7 @@ func TestExecStructUpdateTogglesLink(t *testing.T) {
 	// Toggling back restores the original shape.
 	e.exec(t, workload.Op{Kind: workload.QStructUpdate, Target: leaf, AttachTo: newParent})
 	hasLink = false
-	for _, c := range lo.Composites {
+	for _, c := range lo.Composites() {
 		if c == newParent {
 			hasLink = true
 		}
@@ -206,7 +206,7 @@ func TestExecDelete(t *testing.T) {
 	var target model.ObjectID
 	for _, id := range e.db.Leaves {
 		o := e.graph.Object(id)
-		if o != nil && len(o.Components) == 0 && len(o.Descendants) == 0 {
+		if o != nil && len(o.Components()) == 0 && len(o.Descendants()) == 0 {
 			target = id
 			break
 		}
@@ -267,7 +267,7 @@ func TestWriteKindsLogWhatTheyDirty(t *testing.T) {
 	oct := execFixture(t)
 	leaf := func() model.ObjectID {
 		for _, id := range oct.db.Leaves {
-			if o := oct.graph.Object(id); o != nil && len(o.Components) == 0 && len(o.Descendants) == 0 {
+			if o := oct.graph.Object(id); o != nil && len(o.Components()) == 0 && len(o.Descendants()) == 0 {
 				return id
 			}
 		}

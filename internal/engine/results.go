@@ -332,8 +332,8 @@ func finalStateDigest(g *model.Graph) uint64 {
 		fold(uint64(o.Type))
 		fold(uint64(o.Size))
 		fold(uint64(o.InheritsFrom))
-		fold(uint64(len(o.Components)))
-		for _, c := range o.Components {
+		fold(uint64(len(o.Components())))
+		for _, c := range o.Components() {
 			fold(uint64(c))
 		}
 	})

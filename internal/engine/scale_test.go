@@ -98,7 +98,7 @@ func TestBytesPerObject(t *testing.T) {
 	runtime.KeepAlive(e)
 	perObject := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
 	t.Logf("default tier: %d objects, %.0f live heap bytes per object", n, perObject)
-	const ceiling = 230
+	const ceiling = 160
 	if perObject > ceiling {
 		t.Errorf("default tier holds %.0f bytes per object, above the %d B ratchet", perObject, ceiling)
 	}

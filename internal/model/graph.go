@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Graph holds the full object base: the type lattice and every object with
@@ -35,6 +36,9 @@ var (
 	ErrNoSuchObject  = errors.New("model: no such object")
 	ErrSelfRelation  = errors.New("model: object cannot relate to itself")
 	ErrDuplicateLink = errors.New("model: relationship already exists")
+	// ErrTooManyLinks is returned when a new relationship would give an
+	// object more than MaxLinks relationship-list entries.
+	ErrTooManyLinks = errors.New("model: object holds the most relationships it can")
 	// ErrNoInheritanceSource is returned when an attribute of an object
 	// with neither a version ancestor nor an inheritance source is switched
 	// to by-reference.
@@ -202,6 +206,36 @@ func (g *Graph) RestoreInheritance(id ObjectID, freq FreqProfile, impls []AttrIm
 	return nil
 }
 
+// RestoreRelations sets a restored object's four relationship lists in one
+// backing array. The lists are taken as given: CheckRelations verifies the
+// graph they form once every object is restored. More than MaxLinks IDs in
+// all returns ErrTooManyLinks.
+func (g *Graph) RestoreRelations(id ObjectID, components, composites, descendants, correspondents []ObjectID) error {
+	o := g.Object(id)
+	if o == nil {
+		return ErrNoSuchObject
+	}
+	lists := [numLists][]ObjectID{components, composites, descendants, correspondents}
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	if n > MaxLinks {
+		return fmt.Errorf("%w: object %d lists %d", ErrTooManyLinks, id, n)
+	}
+	o.rels = nil
+	if n > 0 {
+		o.rels = make([]ObjectID, 0, n)
+	}
+	for i, l := range lists {
+		o.rels = append(o.rels, l...)
+		if i < numLists-1 {
+			o.ends[i] = uint16(len(o.rels))
+		}
+	}
+	return nil
+}
+
 // Object returns the object with the given ID, or nil.
 func (g *Graph) Object(id ObjectID) *Object {
 	if id == NilObject || int(id) >= len(g.objects) {
@@ -247,6 +281,15 @@ func contains(s []ObjectID, id ObjectID) bool {
 	return false
 }
 
+// roomFor returns ErrTooManyLinks, naming the object, if o cannot take one
+// more relationship-list entry.
+func roomFor(o *Object) error {
+	if len(o.rels) >= MaxLinks {
+		return fmt.Errorf("%w: object %d holds %d", ErrTooManyLinks, o.ID, len(o.rels))
+	}
+	return nil
+}
+
 // Attach records that component is a part of composite (configuration
 // relationship). Both directions are maintained, as with OCT attachments.
 func (g *Graph) Attach(composite, component ObjectID) error {
@@ -257,11 +300,17 @@ func (g *Graph) Attach(composite, component ObjectID) error {
 	if co == nil || cp == nil {
 		return ErrNoSuchObject
 	}
-	if contains(co.Components, component) {
+	if contains(co.Components(), component) {
 		return ErrDuplicateLink
 	}
-	co.Components = append(co.Components, component)
-	cp.Composites = append(cp.Composites, composite)
+	if err := roomFor(co); err != nil {
+		return err
+	}
+	if err := roomFor(cp); err != nil {
+		return err
+	}
+	co.insert(listComponents, component)
+	cp.insert(listComposites, composite)
 	g.structureChanged(composite, component)
 	return nil
 }
@@ -272,45 +321,47 @@ func (g *Graph) Detach(composite, component ObjectID) error {
 	if co == nil || cp == nil {
 		return ErrNoSuchObject
 	}
-	if !contains(co.Components, component) {
+	if !co.drop(listComponents, component) {
 		return fmt.Errorf("model: %d is not a component of %d", component, composite)
 	}
-	co.Components = remove(co.Components, component)
-	cp.Composites = remove(cp.Composites, composite)
+	cp.drop(listComposites, composite)
 	g.structureChanged(composite, component)
 	return nil
-}
-
-func remove(s []ObjectID, id ObjectID) []ObjectID {
-	for i, x := range s {
-		if x == id {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
 }
 
 // Derive creates a new version of ancestor's design object: version number
 // ancestor.Version+1 (or the next free one), same name and type, linked into
 // the version history. Per the paper's instance-to-instance inheritance, the
 // descendant inherits the ancestor's correspondence relationships by default
-// and becomes an inheritance-reference client of the ancestor.
+// and becomes an inheritance-reference client of the ancestor. If the
+// ancestor or any of its correspondents is at MaxLinks, Derive returns
+// ErrTooManyLinks and creates nothing.
 func (g *Graph) Derive(ancestor ObjectID) (*Object, error) {
 	a := g.Object(ancestor)
 	if a == nil {
 		return nil, ErrNoSuchObject
+	}
+	if err := roomFor(a); err != nil {
+		return nil, err
+	}
+	for _, c := range a.Correspondents() {
+		if co := g.Object(c); co != nil {
+			if err := roomFor(co); err != nil {
+				return nil, err
+			}
+		}
 	}
 	o, err := g.NewObject(a.Name, int(a.Version)+1, a.Type)
 	if err != nil {
 		return nil, err
 	}
 	o.Ancestor = ancestor
-	a.Descendants = append(a.Descendants, o.ID)
+	a.insert(listDescendants, o.ID)
 	o.InheritsFrom = ancestor
 	// Instance-to-instance inheritance of correspondence relationships:
 	// a new descendant of ALU[2].layout inherits ALU[2].layout's
 	// correspondences by default.
-	for _, c := range a.Correspondents {
+	for _, c := range a.Correspondents() {
 		if err := g.Correspond(o.ID, c); err != nil && !errors.Is(err, ErrDuplicateLink) {
 			return nil, err
 		}
@@ -329,11 +380,17 @@ func (g *Graph) Correspond(a, b ObjectID) error {
 	if oa == nil || ob == nil {
 		return ErrNoSuchObject
 	}
-	if contains(oa.Correspondents, b) {
+	if contains(oa.Correspondents(), b) {
 		return ErrDuplicateLink
 	}
-	oa.Correspondents = append(oa.Correspondents, b)
-	ob.Correspondents = append(ob.Correspondents, a)
+	if err := roomFor(oa); err != nil {
+		return err
+	}
+	if err := roomFor(ob); err != nil {
+		return err
+	}
+	oa.insert(listCorrespondents, b)
+	ob.insert(listCorrespondents, a)
 	g.structureChanged(a, b)
 	return nil
 }
@@ -398,31 +455,112 @@ func (g *Graph) DeleteObject(id ObjectID) error {
 	if o == nil {
 		return ErrNoSuchObject
 	}
-	if len(o.Components) > 0 || len(o.Descendants) > 0 {
+	if len(o.Components()) > 0 || len(o.Descendants()) > 0 {
 		return ErrInUse
 	}
 	var touched []ObjectID
-	for _, c := range o.Composites {
+	for _, c := range o.Composites() {
 		if co := g.Object(c); co != nil {
-			co.Components = remove(co.Components, id)
+			co.drop(listComponents, id)
 			touched = append(touched, c)
 		}
 	}
-	for _, c := range o.Correspondents {
+	for _, c := range o.Correspondents() {
 		if co := g.Object(c); co != nil {
-			co.Correspondents = remove(co.Correspondents, id)
+			co.drop(listCorrespondents, id)
 			touched = append(touched, c)
 		}
 	}
 	if o.Ancestor != NilObject {
 		if a := g.Object(o.Ancestor); a != nil {
-			a.Descendants = remove(a.Descendants, id)
+			a.drop(listDescendants, id)
 			touched = append(touched, o.Ancestor)
 		}
 	}
 	g.objects[id] = nil
 	g.deleted++
 	g.structureChanged(touched...)
+	return nil
+}
+
+// CheckRelations verifies the relationship graph: every linked ID is a
+// live object other than the linking one, no list holds an ID twice, no
+// object holds more than MaxLinks list entries, and every link agrees with
+// its inverse — a component lists its composite, a descendant names its
+// ancestor (and every ancestor lists the descendant), and correspondence is
+// symmetric. It runs in O(L log L) for L list entries.
+func (g *Graph) CheckRelations() error {
+	// Each link is one (from, to) key; a relationship and its inverse must
+	// yield the same sorted key set.
+	var down, up, desc, anc, corr, back []uint64
+	key := func(from, to ObjectID) uint64 { return uint64(from)<<32 | uint64(to) }
+	for _, o := range g.objects {
+		if o == nil {
+			continue
+		}
+		if len(o.rels) > MaxLinks {
+			return fmt.Errorf("model: object %d holds %d relationship entries, more than %d", o.ID, len(o.rels), MaxLinks)
+		}
+		for _, id := range [...]ObjectID{o.Ancestor, o.InheritsFrom} {
+			if id != NilObject && (id == o.ID || g.Object(id) == nil) {
+				return fmt.Errorf("model: object %d links to %d, which is itself or not live", o.ID, id)
+			}
+		}
+		for _, id := range o.rels {
+			if id == o.ID || g.Object(id) == nil {
+				return fmt.Errorf("model: object %d lists %d, which is itself or not live", o.ID, id)
+			}
+		}
+		for _, id := range o.Components() {
+			down = append(down, key(o.ID, id))
+		}
+		for _, id := range o.Composites() {
+			up = append(up, key(id, o.ID))
+		}
+		for _, id := range o.Descendants() {
+			desc = append(desc, key(o.ID, id))
+		}
+		if o.Ancestor != NilObject {
+			anc = append(anc, key(o.Ancestor, o.ID))
+		}
+		for _, id := range o.Correspondents() {
+			corr = append(corr, key(o.ID, id))
+			back = append(back, key(id, o.ID))
+		}
+	}
+	for _, c := range [...]struct {
+		name     string
+		fwd, inv []uint64
+	}{
+		{"component", down, up},
+		{"descendant", desc, anc},
+		{"correspondent", corr, back},
+	} {
+		if err := sameLinks(c.name, c.fwd, c.inv); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sameLinks sorts two link-key sets and reports the first duplicate in fwd
+// or the first key present in only one of them.
+func sameLinks(name string, fwd, inv []uint64) error {
+	slices.Sort(fwd)
+	slices.Sort(inv)
+	for i := 1; i < len(fwd); i++ {
+		if fwd[i] == fwd[i-1] {
+			return fmt.Errorf("model: object %d lists %s %d twice", fwd[i]>>32, name, uint32(fwd[i]))
+		}
+	}
+	for i := 0; i < len(fwd) || i < len(inv); i++ {
+		if i >= len(inv) || (i < len(fwd) && fwd[i] < inv[i]) {
+			return fmt.Errorf("model: object %d lists %s %d without the inverse link", fwd[i]>>32, name, uint32(fwd[i]))
+		}
+		if i >= len(fwd) || inv[i] < fwd[i] {
+			return fmt.Errorf("model: object %d does not list %s %d, whose inverse link names it", inv[i]>>32, name, uint32(inv[i]))
+		}
+	}
 	return nil
 }
 

@@ -190,18 +190,92 @@ type Object struct {
 	Size    int32
 	Version int32
 
-	// Configuration relationships.
-	Components []ObjectID // ConfigDown targets
-	Composites []ObjectID // ConfigUp targets
-
-	// Version-history relationships.
-	Descendants []ObjectID
-
-	// Correspondence relationships (symmetric).
-	Correspondents []ObjectID
+	// rels holds the four relationship lists back to back — components,
+	// composites, descendants, correspondents — and ends[i] is where list i
+	// stops; the last list runs to len(rels). One backing array per object
+	// instead of four slice headers; at most MaxLinks IDs in all.
+	ends [numLists - 1]uint16
+	rels []ObjectID
 
 	Name string
 }
+
+// The relationship lists in the order Object.rels stores them.
+const (
+	listComponents = iota
+	listComposites
+	listDescendants
+	listCorrespondents
+	numLists
+)
+
+// MaxLinks is the most relationship-list entries (components, composites,
+// descendants and correspondents together) one object may hold: the list
+// bounds are 16-bit. Attach, Correspond and Derive return ErrTooManyLinks
+// rather than exceed it.
+const MaxLinks = 1<<16 - 1
+
+// bounds returns where relationship list i starts and stops in rels.
+func (o *Object) bounds(i int) (lo, hi int) {
+	lo, hi = 0, len(o.rels)
+	if i > 0 {
+		lo = int(o.ends[i-1])
+	}
+	if i < numLists-1 {
+		hi = int(o.ends[i])
+	}
+	return lo, hi
+}
+
+// list returns relationship list i, clipped to its own capacity so that an
+// append by the caller copies instead of overwriting the next list. The
+// slice is valid until the graph next changes this object's relationships.
+func (o *Object) list(i int) []ObjectID {
+	lo, hi := o.bounds(i)
+	return o.rels[lo:hi:hi]
+}
+
+// insert appends id to the end of list i, keeping every list's order.
+func (o *Object) insert(i int, id ObjectID) {
+	_, at := o.bounds(i)
+	o.rels = append(o.rels, 0)
+	copy(o.rels[at+1:], o.rels[at:])
+	o.rels[at] = id
+	for j := i; j < numLists-1; j++ {
+		o.ends[j]++
+	}
+}
+
+// drop removes id from list i in place, keeping every list's order, and
+// reports whether it was there.
+func (o *Object) drop(i int, id ObjectID) bool {
+	lo, hi := o.bounds(i)
+	for at := lo; at < hi; at++ {
+		if o.rels[at] == id {
+			copy(o.rels[at:], o.rels[at+1:])
+			o.rels = o.rels[:len(o.rels)-1]
+			for j := i; j < numLists-1; j++ {
+				o.ends[j]--
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// Components returns the objects this composite is configured from
+// (ConfigDown targets).
+func (o *Object) Components() []ObjectID { return o.list(listComponents) }
+
+// Composites returns the composites this object is a component of
+// (ConfigUp targets).
+func (o *Object) Composites() []ObjectID { return o.list(listComposites) }
+
+// Descendants returns the versions derived from this one.
+func (o *Object) Descendants() []ObjectID { return o.list(listDescendants) }
+
+// Correspondents returns the objects this one corresponds to (symmetric).
+func (o *Object) Correspondents() []ObjectID { return o.list(listCorrespondents) }
 
 // Freq returns this instance's traversal-frequency profile: its type's,
 // adjusted for the attributes it implements by reference.
@@ -220,30 +294,39 @@ func (o *Object) triple(typeName string) string {
 	return fmt.Sprintf("%s[%d].%s", o.Name, o.Version, typeName)
 }
 
+// kindLists maps the list-backed relationship kinds to their list in
+// Object.rels; the scalar-backed kinds map to -1.
+var kindLists = [NumRelKinds]int{
+	ConfigDown:        listComponents,
+	ConfigUp:          listComposites,
+	VersionAncestor:   -1,
+	VersionDescendant: listDescendants,
+	Correspondence:    listCorrespondents,
+	InheritanceRef:    -1,
+}
+
+// scalar returns the scalar link backing kind: the version ancestor or the
+// inheritance source.
+func (o *Object) scalar(kind RelKind) ObjectID {
+	if kind == VersionAncestor {
+		return o.Ancestor
+	}
+	return o.InheritsFrom
+}
+
 // Neighbors returns the object IDs reachable over one hop of the given
 // relationship kind. The scalar-backed kinds (version ancestor, inheritance
 // source) materialize a one-element slice; allocation-sensitive callers
 // should iterate with NeighborCount/NeighborAt instead.
 func (o *Object) Neighbors(kind RelKind) []ObjectID {
-	switch kind {
-	case ConfigDown:
-		return o.Components
-	case ConfigUp:
-		return o.Composites
-	case VersionAncestor:
-		if o.Ancestor == NilObject {
-			return nil
-		}
-		return []ObjectID{o.Ancestor}
-	case VersionDescendant:
-		return o.Descendants
-	case Correspondence:
-		return o.Correspondents
-	case InheritanceRef:
-		if o.InheritsFrom == NilObject {
-			return nil
-		}
-		return []ObjectID{o.InheritsFrom}
+	if kind >= NumRelKinds {
+		return nil
+	}
+	if l := kindLists[kind]; l >= 0 {
+		return o.list(l)
+	}
+	if id := o.scalar(kind); id != NilObject {
+		return []ObjectID{id}
 	}
 	return nil
 }
@@ -251,24 +334,14 @@ func (o *Object) Neighbors(kind RelKind) []ObjectID {
 // NeighborCount returns the number of one-hop neighbors along kind without
 // materializing a slice.
 func (o *Object) NeighborCount(kind RelKind) int {
-	switch kind {
-	case ConfigDown:
-		return len(o.Components)
-	case ConfigUp:
-		return len(o.Composites)
-	case VersionAncestor:
-		if o.Ancestor == NilObject {
-			return 0
-		}
-		return 1
-	case VersionDescendant:
-		return len(o.Descendants)
-	case Correspondence:
-		return len(o.Correspondents)
-	case InheritanceRef:
-		if o.InheritsFrom == NilObject {
-			return 0
-		}
+	if kind >= NumRelKinds {
+		return 0
+	}
+	if l := kindLists[kind]; l >= 0 {
+		lo, hi := o.bounds(l)
+		return hi - lo
+	}
+	if o.scalar(kind) != NilObject {
 		return 1
 	}
 	return 0
@@ -284,19 +357,11 @@ func (o *Object) NeighborCount(kind RelKind) int {
 //
 // i must be in [0, NeighborCount(kind)).
 func (o *Object) NeighborAt(kind RelKind, i int) ObjectID {
-	switch kind {
-	case ConfigDown:
-		return o.Components[i]
-	case ConfigUp:
-		return o.Composites[i]
-	case VersionAncestor:
-		return o.Ancestor
-	case VersionDescendant:
-		return o.Descendants[i]
-	case Correspondence:
-		return o.Correspondents[i]
-	case InheritanceRef:
-		return o.InheritsFrom
+	if kind >= NumRelKinds {
+		return NilObject
 	}
-	return NilObject
+	if l := kindLists[kind]; l >= 0 {
+		return o.list(l)[i]
+	}
+	return o.scalar(kind)
 }

@@ -68,7 +68,7 @@ func baseDigest(b *Base) uint64 {
 		fold(uint64(id))
 		fold(uint64(o.Size))
 		fold(uint64(o.InheritsFrom))
-		for _, c := range o.Components {
+		for _, c := range o.Components() {
 			fold(uint64(c))
 		}
 	}
@@ -127,7 +127,7 @@ func TestGenerateAcyclicAndConnected(t *testing.T) {
 
 		for i, id := range b.Order {
 			o := b.Graph.Object(id)
-			for _, c := range o.Components {
+			for _, c := range o.Components() {
 				j, ok := pos[c]
 				if !ok {
 					t.Fatalf("%s: %d references unknown object %d", d, id, c)
@@ -285,7 +285,7 @@ func TestGeneratorKindsValid(t *testing.T) {
 			for k := 1; k < len(tx.Targets); k++ {
 				o := b.Graph.Object(tx.Targets[k-1])
 				found := false
-				for _, c := range o.Components {
+				for _, c := range o.Components() {
 					if c == tx.Targets[k] {
 						found = true
 						break

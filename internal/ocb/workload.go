@@ -252,10 +252,10 @@ func (gen *Generator) nextStochastic() workload.Op {
 	path[0] = cur
 	for step := 0; step < gen.p.Depth; step++ {
 		o := gen.base.Graph.Object(cur)
-		if o == nil || len(o.Components) == 0 {
+		if o == nil || len(o.Components()) == 0 {
 			break
 		}
-		cur = o.Components[gen.rng.Intn(len(o.Components))]
+		cur = o.Components()[gen.rng.Intn(len(o.Components()))]
 		path = append(path, cur)
 	}
 	return workload.Op{Kind: workload.QOCBStochastic, Target: path[0], Targets: path}

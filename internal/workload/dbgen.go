@@ -237,7 +237,7 @@ func Generate(spec DBSpec, pageSize int) (*Database, error) {
 					return nil, err
 				}
 				jitter(next)
-				for _, c := range cur.Components {
+				for _, c := range cur.Components() {
 					if rng.Float64() < 0.7 {
 						if err := g.Attach(next.ID, c); err != nil {
 							return nil, err

@@ -158,7 +158,7 @@ func (gen *Generator) pickHot(accept func(model.ObjectID) bool) model.ObjectID {
 func (gen *Generator) pickComposite() model.ObjectID {
 	isComposite := func(id model.ObjectID) bool {
 		o := gen.db.Graph.Object(id)
-		return o != nil && len(o.Components) > 0
+		return o != nil && len(o.Components()) > 0
 	}
 	if id := gen.pickHot(isComposite); id != model.NilObject {
 		return id
@@ -177,7 +177,7 @@ func (gen *Generator) pickComposite() model.ObjectID {
 func (gen *Generator) pickComponent() model.ObjectID {
 	isComponent := func(id model.ObjectID) bool {
 		o := gen.db.Graph.Object(id)
-		return o != nil && len(o.Composites) > 0
+		return o != nil && len(o.Composites()) > 0
 	}
 	if id := gen.pickHot(isComponent); id != model.NilObject {
 		return id

@@ -67,17 +67,17 @@ func TestGenerateShape(t *testing.T) {
 	// Roots are composite, versioned where chains exist, and correspond to
 	// their sibling representations.
 	root := db.Graph.Object(db.Roots[0])
-	if root == nil || len(root.Components) == 0 {
+	if root == nil || len(root.Components()) == 0 {
 		t.Fatal("root has no components")
 	}
-	if len(root.Correspondents) == 0 {
+	if len(root.Correspondents()) == 0 {
 		t.Fatal("root has no correspondences")
 	}
 	// Fan-outs respect the density class at generation time.
 	for _, b := range db.Blocks[:50] {
 		o := db.Graph.Object(b)
-		if len(o.Components) > 16 {
-			t.Fatalf("block fanout %d out of range", len(o.Components))
+		if len(o.Components()) > 16 {
+			t.Fatalf("block fanout %d out of range", len(o.Components()))
 		}
 	}
 }
@@ -123,11 +123,11 @@ func TestConstructionOrder(t *testing.T) {
 	}
 	for _, id := range order {
 		o := db.Graph.Object(id)
-		if len(o.Composites) == 0 {
+		if len(o.Composites()) == 0 {
 			continue
 		}
 		earliest := len(order)
-		for _, comp := range o.Composites {
+		for _, comp := range o.Composites() {
 			if p, ok := pos[comp]; ok && p < earliest {
 				earliest = p
 			}

@@ -77,7 +77,7 @@ func (db *DB) Checkin(root ObjectID, newComponents ...ObjectID) (*Object, error)
 	if err != nil {
 		return nil, err
 	}
-	shared := append([]ObjectID(nil), old.Components...)
+	shared := append([]ObjectID(nil), old.Components()...)
 	next, err := db.Derive(root)
 	if err != nil {
 		return nil, err

@@ -124,8 +124,8 @@ func TestCheckoutCheckin(t *testing.T) {
 		t.Fatalf("checkin version: %+v", v2)
 	}
 	// v2 shares the old components and gains the new one.
-	if len(v2.Components) != 4 { // 3 shared blocks + 1 new
-		t.Fatalf("v2 components: %d", len(v2.Components))
+	if len(v2.Components()) != 4 { // 3 shared blocks + 1 new
+		t.Fatalf("v2 components: %d", len(v2.Components()))
 	}
 	objs2, err := db.Checkout(v2.ID)
 	if err != nil {

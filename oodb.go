@@ -354,7 +354,7 @@ func (db *DB) Delete(id ObjectID) error {
 	if o == nil {
 		return fmt.Errorf("oodb: %w: %d", model.ErrNoSuchObject, id)
 	}
-	if len(o.Components) > 0 || len(o.Descendants) > 0 {
+	if len(o.Components()) > 0 || len(o.Descendants()) > 0 {
 		return model.ErrInUse
 	}
 	if db.store.PageOf(id) == NilPage {
@@ -410,11 +410,15 @@ func (db *DB) Stats() IOStats {
 }
 
 // CheckInvariants validates storage consistency (every object on exactly
-// one page, page capacities respected) and that no write has left the
-// placed-object count different from the live-object count.
+// one page, page capacities respected), that no write has left the
+// placed-object count different from the live-object count, and the
+// relationship graph (model.Graph.CheckRelations).
 func (db *DB) CheckInvariants() error {
 	if n := db.lib.Results().ConservationViolations; n != 0 {
 		return fmt.Errorf("oodb: %d writes left placed objects != live objects", n)
+	}
+	if err := db.graph.CheckRelations(); err != nil {
+		return fmt.Errorf("oodb: %w", err)
 	}
 	return db.store.CheckInvariants()
 }

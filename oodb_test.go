@@ -127,7 +127,7 @@ func TestCorrespondAndRecluster(t *testing.T) {
 	if err := db.Correspond(a.ID, b.ID); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Correspondents) != 1 || len(b.Correspondents) != 1 {
+	if len(a.Correspondents()) != 1 || len(b.Correspondents()) != 1 {
 		t.Fatal("correspondence not recorded")
 	}
 	if err := db.CheckInvariants(); err != nil {
@@ -317,7 +317,7 @@ func TestDeleteAPI(t *testing.T) {
 	if db.NumObjects() != 1 {
 		t.Fatalf("objects=%d", db.NumObjects())
 	}
-	if len(r.Components) != 0 {
+	if len(r.Components()) != 0 {
 		t.Fatal("composite still lists deleted component")
 	}
 	if _, err := db.Get(l.ID); err == nil {
@@ -341,7 +341,7 @@ func TestSnapshotWithDeletions(t *testing.T) {
 	deleted := 0
 	for id := ObjectID(1); int(id) <= db.NumObjects()+deleted && deleted < 2; id++ {
 		o := db.graph.Object(id)
-		if o == nil || len(o.Components) > 0 || len(o.Descendants) > 0 {
+		if o == nil || len(o.Components()) > 0 || len(o.Descendants()) > 0 {
 			continue
 		}
 		if err := db.Delete(id); err == nil {

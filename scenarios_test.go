@@ -201,10 +201,10 @@ func Example_versionHistory() {
 		next := must(db.Derive(cur.ID))
 		fmt.Printf("%s: size=%d bytes, inherits from %s, page %d (ancestor on %d), correspondences %d\n",
 			db.Triple(next.ID), next.Size, db.Triple(next.InheritsFrom),
-			db.PageOf(next.ID), db.PageOf(cur.ID), len(next.Correspondents))
+			db.PageOf(next.ID), db.PageOf(cur.ID), len(next.Correspondents()))
 		cur = next
 	}
-	if len(cur.Correspondents) == 1 && cur.Correspondents[0] == aluNet.ID {
+	if len(cur.Correspondents()) == 1 && cur.Correspondents()[0] == aluNet.ID {
 		fmt.Println("instance-to-instance inheritance of correspondences: OK")
 	}
 

@@ -94,11 +94,11 @@ func (db *DB) Save(w io.Writer) error {
 			ID:   o.ID,
 			Name: o.Name, Version: int(o.Version), Type: o.Type, Size: int(o.Size),
 			Freq:           o.Freq(),
-			Components:     o.Components,
-			Composites:     o.Composites,
+			Components:     o.Components(),
+			Composites:     o.Composites(),
 			Ancestor:       o.Ancestor,
-			Descendants:    o.Descendants,
-			Correspondents: o.Correspondents,
+			Descendants:    o.Descendants(),
+			Correspondents: o.Correspondents(),
 			InheritsFrom:   o.InheritsFrom,
 			AttrImpls:      impls,
 			Page:           db.store.PageOf(o.ID),
@@ -155,16 +155,19 @@ func Load(r io.Reader, opt Options) (*DB, error) {
 			return nil, fmt.Errorf("oodb: %w: restoring object %d: %w", ErrCorruptSnapshot, so.ID, err)
 		}
 	}
-	// Pass 2: relationships (assigned directly — the graph mutators would
-	// re-derive side effects like correspondence inheritance).
+	// Pass 2: relationships (restored as stored — the graph mutators would
+	// re-derive side effects like correspondence inheritance), then checked
+	// as a whole: every link live and matched by its inverse.
 	for _, so := range snap.Objects {
 		o := db.graph.Object(so.ID)
-		o.Components = so.Components
-		o.Composites = so.Composites
 		o.Ancestor = so.Ancestor
-		o.Descendants = so.Descendants
-		o.Correspondents = so.Correspondents
 		o.InheritsFrom = so.InheritsFrom
+		if err := db.graph.RestoreRelations(so.ID, so.Components, so.Composites, so.Descendants, so.Correspondents); err != nil {
+			return nil, fmt.Errorf("oodb: %w: restoring object %d: %w", ErrCorruptSnapshot, so.ID, err)
+		}
+	}
+	if err := db.graph.CheckRelations(); err != nil {
+		return nil, fmt.Errorf("oodb: %w: %w", ErrCorruptSnapshot, err)
 	}
 	// Pass 3: physical layout.
 	for p := 0; p < snap.NumPages; p++ {

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"oodb/internal/model"
@@ -72,10 +73,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if db.Triple(id) != db2.Triple(id) {
 			t.Fatalf("object %d identity: %q vs %q", id, db.Triple(id), db2.Triple(id))
 		}
-		if a.Size != b.Size || len(a.Components) != len(b.Components) ||
-			len(a.Correspondents) != len(b.Correspondents) ||
-			a.Ancestor != b.Ancestor || a.InheritsFrom != b.InheritsFrom {
+		if a.Size != b.Size || a.Ancestor != b.Ancestor || a.InheritsFrom != b.InheritsFrom {
 			t.Fatalf("object %d state diverged", id)
+		}
+		for k := RelKind(0); k < model.NumRelKinds; k++ {
+			if !slices.Equal(a.Neighbors(k), b.Neighbors(k)) {
+				t.Fatalf("object %d %v: %v vs %v", id, k, a.Neighbors(k), b.Neighbors(k))
+			}
 		}
 		if db.PageOf(id) != db2.PageOf(id) {
 			t.Fatalf("object %d placement: page %d vs %d", id, db.PageOf(id), db2.PageOf(id))
@@ -185,6 +189,18 @@ func TestSnapshotLoadTypedErrors(t *testing.T) {
 		}), ErrCorruptSnapshot},
 		{"size-beyond-int32", corruptSnapshot(t, func(s *snapshot) { s.Objects[0].Size = 1 << 40 }), ErrCorruptSnapshot},
 		{"version-beyond-int32", corruptSnapshot(t, func(s *snapshot) { s.Objects[0].Version = -1 << 40 }), ErrCorruptSnapshot},
+		{"dangling-component", corruptSnapshot(t, func(s *snapshot) {
+			s.Objects[0].Components = append(s.Objects[0].Components, 999)
+		}), ErrCorruptSnapshot},
+		{"one-sided-correspondence", corruptSnapshot(t, func(s *snapshot) { s.Objects[0].Correspondents = nil }), ErrCorruptSnapshot},
+		{"descendant-without-ancestor", corruptSnapshot(t, func(s *snapshot) {
+			for i := range s.Objects {
+				s.Objects[i].Ancestor = NilObject
+			}
+		}), ErrCorruptSnapshot},
+		{"too-many-links", corruptSnapshot(t, func(s *snapshot) {
+			s.Objects[0].Composites = make([]ObjectID, model.MaxLinks+1)
+		}), ErrCorruptSnapshot},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -193,6 +209,53 @@ func TestSnapshotLoadTypedErrors(t *testing.T) {
 				t.Fatalf("got %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestSnapshotBrokenRelationsRejected is the regression test for a loader
+// that restored relationship lists unchecked: a composite listing a live
+// component and a missing object 999, plus a correspondence stored on one
+// side only, used to load and pass CheckInvariants; deleting the component
+// then left a dangling correspondent that made Checkin fail.
+func TestSnapshotBrokenRelationsRejected(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ty, err := db.DefineType("t", NilType, 100, FreqProfile{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := db.CreateObject("a", 1, ty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := db.CreateAttached("b", 1, ty, a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for i := range snap.Objects {
+		if so := &snap.Objects[i]; so.ID == a.ID {
+			so.Components = []ObjectID{b.ID, 999}
+			so.Correspondents = []ObjectID{b.ID}
+		}
+	}
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if db2, err := Load(&out, Options{}); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("broken relationship graph: got %v, want ErrCorruptSnapshot", err)
+	} else if db2 != nil {
+		t.Fatal("Load returned a database with an error")
 	}
 }
 
