@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"strconv"
-
 	"oodb/internal/buffer"
 	"oodb/internal/core"
 	"oodb/internal/model"
@@ -84,10 +82,8 @@ type stack struct {
 	// differential oracle's logical-result fingerprint.
 	digest uint64
 
-	nameSeq  int    // created-object name sequence
-	nameBuf  []byte // newName's scratch
-	notFound int    // per-Execute logical reads of deleted objects
-	hits     int    // per-Execute logical reads whose page was resident
+	notFound int // per-Execute logical reads of deleted objects
+	hits     int // per-Execute logical reads whose page was resident
 
 	// pendingBG accumulates background (prefetch) I/Os generated while the
 	// current transaction executes.
@@ -132,12 +128,4 @@ func (a *stack) Execute(txn int, req workload.Op) (AccessResult, error) {
 		NotFound:   a.notFound,
 		Hits:       a.hits,
 	}, err
-}
-
-// newName returns the next created object's name, "n" and the sequence
-// number, built in a reused buffer so the string is the one allocation.
-func (a *stack) newName() string {
-	a.nameSeq++
-	a.nameBuf = strconv.AppendInt(append(a.nameBuf[:0], 'n'), int64(a.nameSeq), 10)
-	return string(a.nameBuf)
 }

@@ -197,8 +197,7 @@ func NewConcurrent(cfg Config, opt ConcurrentOptions) (*Concurrent, error) {
 		// Session 0 draws the serial engine's own "workload" stream: a
 		// one-session run replays the identical transaction sequence, the
 		// digest-equality oracle the tests pin. Extra sessions get their
-		// own derived streams, and every session its own name space for the
-		// objects it creates.
+		// own derived streams.
 		wrkName := "workload"
 		if i > 0 {
 			wrkName = fmt.Sprintf("workload-%d", i)
@@ -206,7 +205,7 @@ func NewConcurrent(cfg Config, opt ConcurrentOptions) (*Concurrent, error) {
 		c.sessions[i] = &csession{
 			id:    i,
 			think: w.sim.Stream(fmt.Sprintf("think-%d", i)),
-			stack: w.newStack(w.newGenerator(wrkName), i<<32),
+			stack: w.newStack(w.newGenerator(wrkName)),
 		}
 		if w.durable != nil {
 			c.sessions[i].wait = new(stats.Hist)

@@ -77,7 +77,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.world = w
 	e.tuner, _ = w.clust.(core.PolicyTuner)
-	st := w.newStack(w.newGenerator("workload"), 0)
+	st := w.newStack(w.newGenerator("workload"))
 	e.access, e.gen = st, st.gen
 	e.metrics.warmup = cfg.Warmup
 

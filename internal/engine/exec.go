@@ -279,7 +279,7 @@ func (a *stack) execInsert(txn int, req workload.Op) ([]core.PhysIO, int, error)
 	if a.graph.Object(parent) == nil {
 		return ios, 1, nil // composite deleted before the insert landed
 	}
-	o, err := a.graph.NewObject(a.newName(), 1, req.NewType)
+	o, err := a.graph.NewObject("", 1, req.NewType)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -179,7 +179,7 @@ func (a *stack) execOCBInsert(txn int, req workload.Op) ([]core.PhysIO, int, err
 		}
 		logical++
 	}
-	o, err := a.graph.NewObject(a.newName(), 1, req.NewType)
+	o, err := a.graph.NewObject("", 1, req.NewType)
 	if err != nil {
 		return nil, 0, err
 	}

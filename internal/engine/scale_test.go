@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"oodb/internal/model"
 )
 
 // TestTierConfigsValid: every tier builds a configuration that passes
@@ -75,32 +77,68 @@ func TestScaleMemoryBounded(t *testing.T) {
 }
 
 // TestBytesPerObject is the memory ratchet for the object graph: the live
-// heap a built default-tier database holds, over its object count. The
-// objects, their relationship lists and the page map are nearly all of it,
-// so a wider model.Object or a per-object allocation shows up here. The
-// heap reading is a post-GC delta across New, so earlier tests' garbage
-// does not count.
+// heap a built default-tier database holds, over its object count, on
+// either workload family. The objects, their relationship lists and the
+// page map are nearly all of it, so a wider model.Object or a per-object
+// allocation shows up here, and so would construction-only state the world
+// kept. The heap reading is a post-GC delta across New, so earlier tests'
+// garbage does not count.
 func TestBytesPerObject(t *testing.T) {
-	cfg, err := TierConfig("")
+	oct, err := TierConfig("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	ocbCfg := oct
+	ocbCfg.Workload = WorkloadOCB
+	for _, leg := range []struct {
+		name    string
+		cfg     Config
+		ceiling float64
+	}{
+		{"oct", oct, 120},
+		{"ocb", ocbCfg, 140},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		e, err := New(leg.cfg)
+		if err != nil {
+			t.Fatalf("New(%s): %v", leg.name, err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		n := e.graph.NumObjects()
+		if e.db != nil && e.db.Families != nil {
+			t.Errorf("%s: the world keeps the construction-only family sequences", leg.name)
+		}
+		runtime.KeepAlive(e)
+		perObject := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
+		t.Logf("%s default tier: %d objects, %.0f live heap bytes per object", leg.name, n, perObject)
+		if perObject > leg.ceiling {
+			t.Errorf("%s default tier holds %.0f bytes per object, above the %.0f B ratchet", leg.name, perObject, leg.ceiling)
+		}
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	n := e.graph.NumObjects()
-	runtime.KeepAlive(e)
-	perObject := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
-	t.Logf("default tier: %d objects, %.0f live heap bytes per object", n, perObject)
-	const ceiling = 160
-	if perObject > ceiling {
-		t.Errorf("default tier holds %.0f bytes per object, above the %d B ratchet", perObject, ceiling)
+}
+
+// TestGeneratedObjectsUnnamed: neither workload generator nor a run's
+// creations name an object, so a generated graph never allocates its name
+// table. Naming them again costs 16 B plus the string on every object.
+func TestGeneratedObjectsUnnamed(t *testing.T) {
+	ocbMix := quickOCBConfig(300)
+	ocbMix.OCB.ReadWriteRatio = 2
+	for name, cfg := range map[string]Config{"oct": quickConfig(300), "ocb": ocbMix} {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New(%s): %v", name, err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatalf("Run(%s): %v", name, err)
+		}
+		e.graph.ForEachObject(func(o *model.Object) {
+			if n := e.graph.Name(o.ID); n != "" {
+				t.Fatalf("%s: object %d is named %q", name, o.ID, n)
+			}
+		})
 	}
 }
 

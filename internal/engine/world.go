@@ -91,6 +91,9 @@ func buildWorld(cfg Config, lockShards int, newPool func(*world) (framePool, err
 		}
 		w.db, g, mem = d, d.Graph, d.Store
 		order = d.ConstructionOrder(w.sim.Stream("construction"), 4)
+		// Nothing after construction reads the per-family sequences, and
+		// the world keeps d for the whole run.
+		d.Families = nil
 	}
 	if err := w.open(g, mem, order, lockShards, newPool); err != nil {
 		return nil, err
@@ -229,9 +232,8 @@ func (w *world) newGenerator(stream string) workload.Source {
 
 // newStack builds one access-layer stack over the shared world: its own
 // prefetcher (scratch buffers and counters), scratch and digest, telling
-// gen — the driver's operation source — of every object it creates. nameSeq
-// is the base of the stack's created-object name sequence.
-func (w *world) newStack(gen workload.Source, nameSeq int) *stack {
+// gen — the driver's operation source — of every object it creates.
+func (w *world) newStack(gen workload.Source) *stack {
 	cfg := w.cfg
 	pf := &core.Prefetcher{
 		Graph: w.graph, Store: w.store, Pool: w.frames,
@@ -249,7 +251,6 @@ func (w *world) newStack(gen workload.Source, nameSeq int) *stack {
 		boostContext: w.boostContext,
 		boostLimit:   cfg.ContextBoostLimit,
 		digest:       digestOffset,
-		nameSeq:      nameSeq,
 	}
 	if w.ocbBase != nil {
 		p := cfg.OCB.WithDefaults()

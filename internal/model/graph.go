@@ -16,6 +16,11 @@ type Graph struct {
 	objects []*Object // index 0 unused (NilObject); nil entries are deleted
 	deleted int
 
+	// names holds object names, indexed by ObjectID. It grows only when a
+	// non-empty name is set, so a graph of unnamed objects never allocates
+	// it; IDs past its end are unnamed.
+	names []string
+
 	// Structure-change listeners, notified when relationships are added to
 	// existing objects. The cluster manager registers here to drive run-time
 	// reclustering.
@@ -123,10 +128,10 @@ func (g *Graph) IsSubtype(sub, t TypeID) bool {
 }
 
 // NewObject creates version `version` of design object `name` with the given
-// type. The instance shares the type's traversal-frequency profile and
-// starts at the type's base size plus every inherited attribute: inherited
-// attributes default to by-copy (the cluster manager may revisit that
-// choice via SetAttrImpl).
+// type; an empty name leaves the object unnamed. The instance shares the
+// type's traversal-frequency profile and starts at the type's base size plus
+// every inherited attribute: inherited attributes default to by-copy (the
+// cluster manager may revisit that choice via SetAttrImpl).
 func (g *Graph) NewObject(name string, version int, t TypeID) (*Object, error) {
 	tp := g.Type(t)
 	if tp == nil {
@@ -136,10 +141,11 @@ func (g *Graph) NewObject(name string, version int, t TypeID) (*Object, error) {
 		return nil, fmt.Errorf("model: version %d out of range", version)
 	}
 	o := &Object{
-		ID: ObjectID(len(g.objects)), Name: name, Version: int32(version), Type: t,
+		ID: ObjectID(len(g.objects)), Version: int32(version), Type: t,
 		Size: tp.instSize, freq: &tp.Freq,
 	}
 	g.objects = append(g.objects, o)
+	g.setName(o.ID, name)
 	return o, nil
 }
 
@@ -166,8 +172,9 @@ func (g *Graph) RestoreObject(id ObjectID, name string, version int, t TypeID) (
 		g.objects = append(g.objects, nil)
 		g.deleted++
 	}
-	o := &Object{ID: id, Name: name, Version: int32(version), Type: t, freq: &tp.Freq}
+	o := &Object{ID: id, Version: int32(version), Type: t, freq: &tp.Freq}
 	g.objects = append(g.objects, o)
+	g.setName(id, name)
 	return o, nil
 }
 
@@ -244,7 +251,28 @@ func (g *Graph) Object(id ObjectID) *Object {
 	return g.objects[id]
 }
 
-// Triple renders name[i].type for an object.
+// setName records id's name; an empty name allocates nothing.
+func (g *Graph) setName(id ObjectID, name string) {
+	if int(id) >= len(g.names) {
+		if name == "" {
+			return
+		}
+		g.names = slices.Grow(g.names, int(id)+1-len(g.names))[:id+1]
+	}
+	g.names[id] = name
+}
+
+// Name returns the design-object name of id, or "" for an unnamed or
+// missing object.
+func (g *Graph) Name(id ObjectID) string {
+	if int(id) < len(g.names) {
+		return g.names[id]
+	}
+	return ""
+}
+
+// Triple renders the paper's name[i].type notation for an object, or
+// #id[i].type for an unnamed one. It is a rendering, not a key: see Object.
 func (g *Graph) Triple(id ObjectID) string {
 	o := g.Object(id)
 	if o == nil {
@@ -254,7 +282,10 @@ func (g *Graph) Triple(id ObjectID) string {
 	if tp := g.Type(o.Type); tp != nil {
 		tn = tp.Name
 	}
-	return o.triple(tn)
+	if name := g.Name(id); name != "" {
+		return fmt.Sprintf("%s[%d].%s", name, o.Version, tn)
+	}
+	return fmt.Sprintf("#%d[%d].%s", id, o.Version, tn)
 }
 
 // OnStructureChange registers fn to be called with the IDs of objects whose
@@ -330,12 +361,14 @@ func (g *Graph) Detach(composite, component ObjectID) error {
 }
 
 // Derive creates a new version of ancestor's design object: version number
-// ancestor.Version+1 (or the next free one), same name and type, linked into
-// the version history. Per the paper's instance-to-instance inheritance, the
-// descendant inherits the ancestor's correspondence relationships by default
-// and becomes an inheritance-reference client of the ancestor. If the
-// ancestor or any of its correspondents is at MaxLinks, Derive returns
-// ErrTooManyLinks and creates nothing.
+// ancestor.Version+1, same name and type, linked into the version history.
+// The number is not checked for uniqueness: deriving twice from one version
+// makes two branches that share a triple, told apart only by their IDs. Per
+// the paper's instance-to-instance inheritance, the descendant inherits the
+// ancestor's correspondence relationships by default and becomes an
+// inheritance-reference client of the ancestor. If the ancestor or any of
+// its correspondents is at MaxLinks, Derive returns ErrTooManyLinks and
+// creates nothing.
 func (g *Graph) Derive(ancestor ObjectID) (*Object, error) {
 	a := g.Object(ancestor)
 	if a == nil {
@@ -351,7 +384,7 @@ func (g *Graph) Derive(ancestor ObjectID) (*Object, error) {
 			}
 		}
 	}
-	o, err := g.NewObject(a.Name, int(a.Version)+1, a.Type)
+	o, err := g.NewObject(g.Name(ancestor), int(a.Version)+1, a.Type)
 	if err != nil {
 		return nil, err
 	}
@@ -478,6 +511,7 @@ func (g *Graph) DeleteObject(id ObjectID) error {
 		}
 	}
 	g.objects[id] = nil
+	g.setName(id, "")
 	g.deleted++
 	g.structureChanged(touched...)
 	return nil

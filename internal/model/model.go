@@ -7,6 +7,11 @@
 // The model is deliberately storage-free: it records objects, their sizes,
 // and the relationship graph. Physical placement lives in internal/storage,
 // and placement policy in internal/core.
+//
+// No clustering or buffering decision reads an object's name, so names are
+// optional: the library names every object it creates, while the generated
+// OCT and OCB databases leave theirs unnamed and Graph.Triple renders such an
+// object by ID (#17[1].layout).
 package model
 
 import "fmt"
@@ -156,12 +161,16 @@ const MaxInheritedAttrs = 16
 // implemented by reference.
 type attrMask uint16
 
-// Object is a versioned design object, identified externally by the triple
-// name[version].type (for example ALU[4].layout).
+// Object is a versioned design object. Its ID is its key; Graph.Triple
+// renders it in the paper's name[version].type notation (for example
+// ALU[4].layout), but that triple is not unique: Derive always numbers a new
+// version ancestor.Version+1, so two branches from one version share a
+// triple, and NewObject takes any name and version.
 //
 // Fields are ordered hot-first: identity, scalar links and the profile the
-// clusterer reads on every placement, then the relationship lists, then the
-// name. Objects are made by a Graph (NewObject, Derive, RestoreObject).
+// clusterer reads on every placement, then the relationship lists. The name
+// lives in the Graph, beside the object, so an unnamed object costs nothing
+// for it. Objects are made by a Graph (NewObject, Derive, RestoreObject).
 type Object struct {
 	ID ObjectID
 
@@ -196,8 +205,6 @@ type Object struct {
 	// instead of four slice headers; at most MaxLinks IDs in all.
 	ends [numLists - 1]uint16
 	rels []ObjectID
-
-	Name string
 }
 
 // The relationship lists in the order Object.rels stores them.
@@ -287,12 +294,6 @@ func (o *Object) FreqOf(k RelKind) float64 { return o.freq[k] }
 // AttrImpl returns the implementation of inherited attribute i, indexed
 // like Graph.InheritedAttrs of the object's type.
 func (o *Object) AttrImpl(i int) AttrImpl { return AttrImpl(o.byRef >> uint(i) & 1) }
-
-// Triple renders the paper's name[i].type notation; the type name must be
-// resolved by the caller's Graph.
-func (o *Object) triple(typeName string) string {
-	return fmt.Sprintf("%s[%d].%s", o.Name, o.Version, typeName)
-}
 
 // kindLists maps the list-backed relationship kinds to their list in
 // Object.rels; the scalar-backed kinds map to -1.

@@ -158,7 +158,7 @@ func TestDeriveInheritsCorrespondences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Version != 3 || d.Name != "ALU" || d.Type != lay {
+	if d.Version != 3 || g.Name(d.ID) != "ALU" || d.Type != lay {
 		t.Fatalf("derived identity wrong: %+v", d)
 	}
 	if d.Ancestor != a.ID {
@@ -300,13 +300,14 @@ func TestSetAttrImplCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestObjectSizeClass pins model.Object in the runtime's 80-byte malloc
+// TestObjectSizeClass pins model.Object in the runtime's 64-byte malloc
 // size class. One object per design object is the bulk of the live heap,
-// so the next class up (96 B) costs every database 20 % more object memory.
-// The struct holds 78 bytes of fields: a new one must replace one.
+// so the next class up (80 B) costs every database 25 % more object memory.
+// The struct holds 62 bytes of fields: a new one must replace one. A name
+// lives in Graph's side table, not here.
 func TestObjectSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Object{}); n > 80 {
-		t.Fatalf("model.Object is %d bytes; it must stay within the 80-byte size class", n)
+	if n := unsafe.Sizeof(Object{}); n > 64 {
+		t.Fatalf("model.Object is %d bytes; it must stay within the 64-byte size class", n)
 	}
 }
 
@@ -315,12 +316,16 @@ func TestObjectAllocs(t *testing.T) {
 	base := mustType(t, g, "design", NilType, 10, FreqProfile{}, []AttrDef{{Name: "a", Size: 8}})
 	ty := mustType(t, g, "layout", base, 20, FreqProfile{}, []AttrDef{{Name: "b", Size: 4}})
 	// NewGraph reserves 1024 object slots, so the slice never grows here.
-	if n := testing.AllocsPerRun(500, func() {
-		if _, err := g.NewObject("o", 1, ty); err != nil {
-			t.Fatal(err)
+	// An unnamed object never touches the name table; a named one grows it
+	// by appending, amortised below one allocation per object.
+	for _, name := range []string{"", "o"} {
+		if n := testing.AllocsPerRun(500, func() {
+			if _, err := g.NewObject(name, 1, ty); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("NewObject(%q) allocates %v times, want 1 (the object)", name, n)
 		}
-	}); n != 1 {
-		t.Errorf("NewObject allocates %v times, want 1 (the object)", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = g.InheritedAttrs(ty) }); n != 0 {
 		t.Errorf("InheritedAttrs allocates %v times, want 0", n)
@@ -454,6 +459,91 @@ func TestTripleAndLookupEdgeCases(t *testing.T) {
 	}
 	if g.Triple(12) != "<nil>" {
 		t.Errorf("triple of missing object: %q", g.Triple(12))
+	}
+}
+
+// TestNameLifecycle pins where names live: in the graph's side table,
+// which an unnamed object never grows, inherited by Derive and cleared by
+// DeleteObject.
+func TestNameLifecycle(t *testing.T) {
+	g := NewGraph()
+	lay := mustType(t, g, "layout", NilType, 10, FreqProfile{}, nil)
+	anon := mustObject(t, g, "", 1, lay)
+	anonNext, err := g.Derive(anon.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.names != nil {
+		t.Fatalf("unnamed objects allocated the name table: %q", g.names)
+	}
+	if g.Name(anon.ID) != "" || g.Name(anonNext.ID) != "" {
+		t.Fatalf("unnamed objects have names %q, %q", g.Name(anon.ID), g.Name(anonNext.ID))
+	}
+	if got := g.Triple(anonNext.ID); got != "#2[2].layout" {
+		t.Fatalf("unnamed triple %q", got)
+	}
+
+	alu := mustObject(t, g, "ALU", 4, lay)
+	next, err := g.Derive(alu.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Name(next.ID) != "ALU" || g.Triple(next.ID) != "ALU[5].layout" {
+		t.Fatalf("derived version is %q (%q), want ALU[5].layout", g.Name(next.ID), g.Triple(next.ID))
+	}
+	if g.Name(anon.ID) != "" || g.Name(999) != "" || g.Name(NilObject) != "" {
+		t.Fatal("an unnamed, missing or nil object has a name")
+	}
+
+	if err := g.DeleteObject(next.ID); err != nil {
+		t.Fatal(err)
+	}
+	if g.Name(next.ID) != "" {
+		t.Fatalf("deleted object keeps name %q", g.Name(next.ID))
+	}
+	if g.Name(alu.ID) != "ALU" {
+		t.Fatalf("deleting a version renamed its ancestor: %q", g.Name(alu.ID))
+	}
+
+	// RestoreObject stores a name the same way, past any gap of IDs.
+	if _, err := g.RestoreObject(9, "CPU", 1, lay); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.RestoreObject(10, "", 1, lay); err != nil {
+		t.Fatal(err)
+	}
+	if g.Triple(9) != "CPU[1].layout" || g.Triple(10) != "#10[1].layout" {
+		t.Fatalf("restored triples %q, %q", g.Triple(9), g.Triple(10))
+	}
+}
+
+// TestDeriveBranchesShareTriple pins that a triple is a rendering, not a
+// key: deriving twice from one version numbers both branches
+// ancestor.Version+1, and NewObject takes a triple already in use.
+func TestDeriveBranchesShareTriple(t *testing.T) {
+	g := NewGraph()
+	lay := mustType(t, g, "layout", NilType, 10, FreqProfile{}, nil)
+	a := mustObject(t, g, "ALU", 1, lay)
+	b1, err := g.Derive(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := g.Derive(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b1.ID == b2.ID || b1.Version != 2 || b2.Version != 2 {
+		t.Fatalf("branches %d v%d and %d v%d, want two IDs at version 2", b1.ID, b1.Version, b2.ID, b2.Version)
+	}
+	if g.Triple(b1.ID) != "ALU[2].layout" || g.Triple(b2.ID) != g.Triple(b1.ID) {
+		t.Fatalf("branch triples %q, %q", g.Triple(b1.ID), g.Triple(b2.ID))
+	}
+	if d := a.Descendants(); len(d) != 2 || d[0] != b1.ID || d[1] != b2.ID {
+		t.Fatalf("ancestor lists %v", d)
+	}
+	dup := mustObject(t, g, "ALU", 1, lay)
+	if dup.ID == a.ID || g.Triple(dup.ID) != g.Triple(a.ID) {
+		t.Fatalf("repeated NewObject: ID %d, triple %q", dup.ID, g.Triple(dup.ID))
 	}
 }
 

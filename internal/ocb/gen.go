@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 
 	"oodb/internal/model"
 	"oodb/internal/storage"
@@ -171,14 +170,10 @@ func Generate(p Params, targetBytes, pageSize int, seed int64) (*Base, error) {
 		return nil
 	}
 
-	// Names ("o0", "o1", …) are built in one reused buffer: fmt.Sprintf
-	// per object was a measurable share of generation.
-	nameBuf := []byte{'o'}
 	idx := 0
 	for base.Bytes < targetBytes {
 		class := idx % len(classes)
-		nameBuf = strconv.AppendInt(nameBuf[:1], int64(idx), 10)
-		o, err := g.NewObject(string(nameBuf), 1, classes[class])
+		o, err := g.NewObject("", 1, classes[class])
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"strconv"
 
 	"oodb/internal/model"
 	"oodb/internal/storage"
@@ -78,7 +77,8 @@ type Database struct {
 	// construct the physical database through the clustering policy under
 	// test, so every policy's database reflects what that policy would have
 	// built (Section 4.1's "sample database used by all the buffering and
-	// clustering algorithms").
+	// clustering algorithms"). Only ConstructionOrder reads it, so a
+	// caller that keeps the Database may drop it once it has the order.
 	Families [][]model.ObjectID
 
 	// Bytes is the total object volume generated.
@@ -172,20 +172,10 @@ func Generate(spec DBSpec, pageSize int) (*Database, error) {
 		seq = append(seq, o.ID)
 	}
 
-	// Names are built in one reused buffer ("D7", "D7.b2", "D7.b2.l5"):
-	// fmt.Sprintf per object was a measurable share of construction.
-	var nameBuf []byte
-	childName := func(prefix, sep string, i int) string {
-		nameBuf = append(append(nameBuf[:0], prefix...), sep...)
-		nameBuf = strconv.AppendInt(nameBuf, int64(i), 10)
-		return string(nameBuf)
-	}
-
 	family := 0
 	for db.Bytes < spec.TargetBytes {
 		family++
 		seq = nil
-		name := childName("D", "", family)
 		reps := spec.RepTypes
 		if reps < 1 {
 			reps = 1
@@ -195,7 +185,7 @@ func Generate(spec DBSpec, pageSize int) (*Database, error) {
 		}
 		var familyRoots []model.ObjectID
 		for r := 0; r < reps; r++ {
-			root, err := g.NewObject(name, 1, schema.RootTypes[r])
+			root, err := g.NewObject("", 1, schema.RootTypes[r])
 			if err != nil {
 				return nil, err
 			}
@@ -203,8 +193,7 @@ func Generate(spec DBSpec, pageSize int) (*Database, error) {
 			// Two-level configuration: root -> blocks -> leaves.
 			nblocks := spec.Density.FanOut(rng)
 			for b := 0; b < nblocks; b++ {
-				blkName := childName(name, ".b", b)
-				blk, err := g.NewObject(blkName, 1, schema.BlockType)
+				blk, err := g.NewObject("", 1, schema.BlockType)
 				if err != nil {
 					return nil, err
 				}
@@ -215,7 +204,7 @@ func Generate(spec DBSpec, pageSize int) (*Database, error) {
 				nleaves := spec.Density.FanOut(rng)
 				for l := 0; l < nleaves; l++ {
 					lt := schema.LeafTypes[rng.Intn(len(schema.LeafTypes))]
-					leaf, err := g.NewObject(childName(blkName, ".l", l), 1, lt)
+					leaf, err := g.NewObject("", 1, lt)
 					if err != nil {
 						return nil, err
 					}

@@ -71,7 +71,9 @@ func (db *DB) Checkout(root ObjectID) ([]*Object, error) {
 // (Section 4.1: "a checkin operation invokes some object insertions and
 // updating"): it derives a new version of root that shares root's
 // components, then attaches the given newly created components to the new
-// version. The derived version is returned.
+// version. The derived version is returned; it is always numbered
+// root's version plus one, so two checkins of one version make two branches
+// that share a triple and differ only in ID.
 func (db *DB) Checkin(root ObjectID, newComponents ...ObjectID) (*Object, error) {
 	old, err := db.Get(root)
 	if err != nil {

@@ -98,6 +98,39 @@ func TestTraverseCycleSafe(t *testing.T) {
 	}
 }
 
+// TestCheckinBranchesShareTriple pins that a triple is not a key: two
+// checkins of one version both come back as version 2, and CreateObject
+// accepts a triple already in use.
+func TestCheckinBranchesShareTriple(t *testing.T) {
+	db := openTest(t, Options{BufferFrames: 16, Cluster: PolicyNoLimit})
+	rootT, _ := schema(t, db)
+	a, err := db.CreateObject("ALU", 1, rootT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, err := db.Checkin(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := db.Checkin(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b1.ID == b2.ID || db.Triple(b1.ID) != "ALU[2].root" || db.Triple(b2.ID) != "ALU[2].root" {
+		t.Fatalf("checkins %d %q and %d %q", b1.ID, db.Triple(b1.ID), b2.ID, db.Triple(b2.ID))
+	}
+	dup, err := db.CreateObject("ALU", 1, rootT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dup.ID == a.ID || db.Triple(dup.ID) != db.Triple(a.ID) {
+		t.Fatalf("repeated CreateObject: ID %d, triple %q", dup.ID, db.Triple(dup.ID))
+	}
+	if err := db.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCheckoutCheckin(t *testing.T) {
 	db, root := buildHierarchy(t)
 	objs, err := db.Checkout(root)

@@ -42,7 +42,8 @@ type (
 	// (Freq, FreqOf) is shared with its type and read-only: it changes only
 	// when the clusterer implements an inherited attribute by reference,
 	// which gives that one object its own copy. AttrImpl(i) reads the
-	// implementation of inherited attribute i.
+	// implementation of inherited attribute i. The object's name is not a
+	// field: DB.Triple renders it.
 	Object = model.Object
 	// Type is a representation type.
 	Type = model.Type
@@ -385,7 +386,9 @@ func (db *DB) ClearHint() {
 // PageOf returns the page an object lives on.
 func (db *DB) PageOf(id ObjectID) PageID { return db.store.PageOf(id) }
 
-// Triple renders the paper's name[i].type notation for an object.
+// Triple renders the paper's name[i].type notation for an object, or
+// #id[i].type for an unnamed one. Two objects may share a triple: see
+// Checkin.
 func (db *DB) Triple(id ObjectID) string { return db.graph.Triple(id) }
 
 // NumObjects returns the number of objects.

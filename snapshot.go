@@ -92,7 +92,7 @@ func (db *DB) Save(w io.Writer) error {
 		}
 		snap.Objects = append(snap.Objects, snapObject{
 			ID:   o.ID,
-			Name: o.Name, Version: int(o.Version), Type: o.Type, Size: int(o.Size),
+			Name: db.graph.Name(o.ID), Version: int(o.Version), Type: o.Type, Size: int(o.Size),
 			Freq:           o.Freq(),
 			Components:     o.Components(),
 			Composites:     o.Composites(),

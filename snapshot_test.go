@@ -112,6 +112,48 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotKeepsNames round-trips named and unnamed objects: a name is
+// restored as saved, and an unnamed object stays unnamed.
+func TestSnapshotKeepsNames(t *testing.T) {
+	db := buildSnapshotFixture(t)
+	anonT, err := db.DefineType("anon", NilType, 100, FreqProfile{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anon, err := db.CreateObject("", 1, anonT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anonNext, err := db.Derive(anon.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Load(&buf, Options{BufferFrames: 32, Cluster: PolicyNoLimit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := 0
+	for id := ObjectID(1); int(id) <= db.NumObjects(); id++ {
+		if db.graph.Name(id) != db2.graph.Name(id) || db.Triple(id) != db2.Triple(id) {
+			t.Fatalf("object %d: %q %q saved, %q %q loaded", id, db.graph.Name(id), db.Triple(id), db2.graph.Name(id), db2.Triple(id))
+		}
+		if db.graph.Name(id) != "" {
+			named++
+		}
+	}
+	if named != db.NumObjects()-2 {
+		t.Fatalf("%d of %d objects named, want all but two", named, db.NumObjects())
+	}
+	want := fmt.Sprintf("#%d[2].anon", anonNext.ID)
+	if db2.graph.Name(anonNext.ID) != "" || db2.Triple(anonNext.ID) != want {
+		t.Fatalf("unnamed version loaded as %q, want %q", db2.Triple(anonNext.ID), want)
+	}
+}
+
 func TestSnapshotPageSizeMismatch(t *testing.T) {
 	db := buildSnapshotFixture(t)
 	var buf bytes.Buffer
