@@ -189,6 +189,10 @@ func parseArgs(fs *flag.FlagSet, args []string) (*cli, error) {
 			err = fmt.Errorf("-%s is serial-only; it cannot be combined with -clients", n)
 		case n == "clients" && c.clients < 1:
 			err = fmt.Errorf("-clients must be at least 1, got %d", c.clients)
+		case n == "scale" && !(c.scale > 0):
+			// The library reads a scale of 0 as "its default", which is the
+			// full paper database for -run and 0.02 for experiments.
+			err = fmt.Errorf("-scale must be above 0, got %v", c.scale)
 		}
 	})
 	if err == nil && set["record"] && set["replay"] {

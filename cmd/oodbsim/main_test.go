@@ -153,6 +153,32 @@ func TestSingleRunConfig(t *testing.T) {
 	}
 }
 
+// refusesScale fails t unless every -scale value at or below 0 (and NaN) is
+// refused on the given mode's command line, naming -scale.
+func refusesScale(t *testing.T, mode ...string) {
+	t.Helper()
+	for _, v := range []string{"0", "-0.5", "NaN"} {
+		args := append(append([]string(nil), mode...), "-scale", v)
+		if _, err := parse(args...); err == nil || !strings.Contains(err.Error(), "-scale ") {
+			t.Errorf("%q: got %v, want an error naming -scale", args, err)
+		}
+	}
+}
+
+// TestRunRefusesNonPositiveScale: -run -scale 0 would otherwise build the
+// full 3.06 M-object paper database (DefaultConfig's reading of 0).
+func TestRunRefusesNonPositiveScale(t *testing.T) {
+	refusesScale(t, "-run")
+	refusesScale(t, "-run", "-clients", "2")
+}
+
+// TestExperimentRefusesNonPositiveScale: -fig 5.2 -scale 0 would otherwise
+// run at the experiment default of 0.02.
+func TestExperimentRefusesNonPositiveScale(t *testing.T) {
+	refusesScale(t, "-fig", "5.2")
+	refusesScale(t, "-all")
+}
+
 // TestRefusedFlags pins that a flag the chosen mode would ignore is refused
 // at parse time, before any world is built, with an error naming it.
 func TestRefusedFlags(t *testing.T) {

@@ -7,7 +7,8 @@ import (
 )
 
 // The replacement-policy and pool hot paths must not allocate at steady
-// state: the intrusive PageList recycles nodes and frames are map values.
+// state: the intrusive PageList recycles nodes and the frame tables are
+// page-indexed slices that stop growing once every page has been seen.
 // These gates pin that down.
 
 func TestLRUSteadyStateAllocs(t *testing.T) {
@@ -34,9 +35,10 @@ func TestLRUSteadyStateAllocs(t *testing.T) {
 
 func TestPoolAccessSteadyStateAllocs(t *testing.T) {
 	pool := NewPool(32, NewLRU())
-	// Warm to capacity and beyond so every further miss runs the full
-	// evict+admit cycle and the resident map reaches its final size.
-	for pg := storage.PageID(1); pg <= 128; pg++ {
+	// Warm every page the loop below touches, so every further miss runs
+	// the full evict+admit cycle and the page-indexed tables have reached
+	// their final size.
+	for pg := storage.PageID(1); pg <= 4096; pg++ {
 		if _, err := pool.Access(pg); err != nil {
 			t.Fatal(err)
 		}

@@ -14,19 +14,18 @@ import "oodb/internal/storage"
 // CLOCK analogue of LRU's move-to-front.
 //
 // The circle is an index-backed slice with swap-delete removal (the sweep
-// order is approximate after removals, as with any resizable clock), and
-// the steady-state cycle allocates nothing.
+// order is approximate after removals, as with any resizable clock), each
+// page's place on it is a page-indexed PageTable of position+1 (0 for an
+// untracked page), and the steady-state cycle allocates nothing.
 type Clock struct {
 	pages []storage.PageID
 	ref   []bool
-	index map[storage.PageID]int
+	index PageTable[int32]
 	hand  int
 }
 
 // NewClock returns an empty CLOCK policy.
-func NewClock() *Clock {
-	return &Clock{index: make(map[storage.PageID]int)}
-}
+func NewClock() *Clock { return &Clock{} }
 
 // Name implements Policy.
 func (c *Clock) Name() string { return "CLOCK" }
@@ -34,15 +33,15 @@ func (c *Clock) Name() string { return "CLOCK" }
 // Admitted implements Policy: new pages enter with their reference bit set,
 // so a freshly admitted page always survives the sweep that admitted it.
 func (c *Clock) Admitted(pg storage.PageID) {
-	c.index[pg] = len(c.pages)
 	c.pages = append(c.pages, pg)
+	c.index.Set(pg, int32(len(c.pages)))
 	c.ref = append(c.ref, true)
 }
 
 // Touched implements Policy.
 func (c *Clock) Touched(pg storage.PageID) {
-	if i, ok := c.index[pg]; ok {
-		c.ref[i] = true
+	if i := c.index.Get(pg); i != 0 {
+		c.ref[i-1] = true
 	}
 }
 
@@ -51,17 +50,17 @@ func (c *Clock) Boosted(pg storage.PageID) { c.Touched(pg) }
 
 // Removed implements Policy.
 func (c *Clock) Removed(pg storage.PageID) {
-	i, ok := c.index[pg]
-	if !ok {
+	i := int(c.index.Get(pg)) - 1
+	if i < 0 {
 		return
 	}
 	last := len(c.pages) - 1
 	c.pages[i] = c.pages[last]
 	c.ref[i] = c.ref[last]
-	c.index[c.pages[i]] = i
+	c.index.Set(c.pages[i], int32(i+1))
 	c.pages = c.pages[:last]
 	c.ref = c.ref[:last]
-	delete(c.index, pg)
+	c.index.Set(pg, 0)
 	if last == 0 {
 		c.hand = 0
 	} else if c.hand >= last {

@@ -57,14 +57,19 @@ func TestClockRemovalKeepsIndexConsistent(t *testing.T) {
 	seen := map[storage.PageID]bool{}
 	for i := 0; i < c.Len(); i++ {
 		pg := c.pages[i]
-		if c.index[pg] != i {
-			t.Fatalf("index[%d] = %d, want %d", pg, c.index[pg], i)
+		if got := int(c.index.Get(pg)) - 1; got != i {
+			t.Fatalf("index[%d] = %d, want %d", pg, got, i)
 		}
 		seen[pg] = true
 	}
 	for _, pg := range []storage.PageID{2, 3, 5, 6, 7} {
 		if !seen[pg] {
 			t.Fatalf("page %d lost after removals", pg)
+		}
+	}
+	for _, pg := range []storage.PageID{1, 4, 8} {
+		if c.index.Get(pg) != 0 {
+			t.Fatalf("removed page %d still indexed", pg)
 		}
 	}
 }

@@ -134,12 +134,14 @@ func (p *ConcurrentPool) IsDirty(pg storage.PageID) bool {
 	return sh.Pool.IsDirty(pg)
 }
 
-// Boost raises pg's replacement priority if it is resident.
-func (p *ConcurrentPool) Boost(pg storage.PageID) {
+// Boost raises pg's replacement priority if it is resident and reports
+// whether it was. Probe and boost happen under one hold of the shard lock,
+// so a true answer means the boost landed: no eviction can come between.
+func (p *ConcurrentPool) Boost(pg storage.PageID) bool {
 	sh := p.shardFor(pg)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.Pool.Boost(pg)
+	return sh.Pool.Boost(pg)
 }
 
 // Resident returns the number of resident pages.

@@ -22,8 +22,9 @@ type Frames interface {
 	Contains(pg storage.PageID) bool
 	// MarkDirty flags a resident page as modified.
 	MarkDirty(pg storage.PageID) error
-	// Boost raises pg's replacement priority if it is resident.
-	Boost(pg storage.PageID)
+	// Boost raises pg's replacement priority if it is resident and reports
+	// whether it was: one probe where Contains-then-Boost takes two.
+	Boost(pg storage.PageID) bool
 }
 
 var (

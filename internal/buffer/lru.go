@@ -11,29 +11,28 @@ import "oodb/internal/storage"
 // "prefetch within buffer pool" interacts with an LRU pool.
 //
 // The recency order lives in an intrusive PageList whose nodes recycle
-// through a free list, so the steady-state Admitted/Touched/Removed cycle
-// allocates nothing.
+// through a free list, and each page's node handle in a page-indexed
+// PageTable (0, the nil handle, for an untracked page), so the steady-state
+// Admitted/Touched/Removed cycle allocates nothing.
 type LRU struct {
 	order PageList // front = MRU, back = LRU
-	pos   map[storage.PageID]int32
+	pos   PageTable[int32]
 }
 
 // NewLRU returns an empty LRU policy.
-func NewLRU() *LRU {
-	return &LRU{pos: make(map[storage.PageID]int32)}
-}
+func NewLRU() *LRU { return &LRU{} }
 
 // Name implements Policy.
 func (l *LRU) Name() string { return "LRU" }
 
 // Admitted implements Policy.
 func (l *LRU) Admitted(pg storage.PageID) {
-	l.pos[pg] = l.order.PushFront(pg)
+	l.pos.Set(pg, l.order.PushFront(pg))
 }
 
 // Touched implements Policy.
 func (l *LRU) Touched(pg storage.PageID) {
-	if h, ok := l.pos[pg]; ok {
+	if h := l.pos.Get(pg); h != 0 {
 		l.order.MoveToFront(h)
 	}
 }
@@ -43,9 +42,9 @@ func (l *LRU) Boosted(pg storage.PageID) { l.Touched(pg) }
 
 // Removed implements Policy.
 func (l *LRU) Removed(pg storage.PageID) {
-	if h, ok := l.pos[pg]; ok {
+	if h := l.pos.Get(pg); h != 0 {
 		l.order.Remove(h)
-		delete(l.pos, pg)
+		l.pos.Set(pg, 0)
 	}
 }
 

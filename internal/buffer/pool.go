@@ -66,19 +66,26 @@ func (s Stats) HitRatio() float64 {
 // Pool is the buffer pool: the one frame table and fault path in the
 // repository (ConcurrentPool is locked shards of it).
 //
-// Frames are stored by value in the resident table, so the steady-state
-// access/evict cycle allocates nothing.
+// The frame table is a page-indexed PageTable of one state byte per page
+// plus a resident count, so a residency probe is one load and the
+// steady-state access/evict cycle allocates nothing.
 type Pool struct {
 	capacity int
 	policy   Policy
-	resident map[storage.PageID]frame
+	frames   PageTable[frameState]
+	resident int
 	stats    Stats
 	io       storage.PageIO // nil = count only, no physical transfer
 }
 
-type frame struct {
-	dirty bool
-}
+// frameState is a page's entry in the frame table.
+type frameState uint8
+
+const (
+	absent frameState = iota // the zero value: not resident
+	clean
+	dirty
+)
 
 // NewPool creates a pool with the given frame count and replacement
 // policy. The pool is single-threaded, like the simulator that drives it;
@@ -87,24 +94,17 @@ func NewPool(capacity int, policy Policy) *Pool {
 	if capacity < 1 {
 		panic("buffer: capacity must be at least 1")
 	}
-	return &Pool{
-		capacity: capacity,
-		policy:   policy,
-		resident: make(map[storage.PageID]frame, capacity),
-	}
+	return &Pool{capacity: capacity, policy: policy}
 }
 
 // Capacity returns the frame count.
 func (p *Pool) Capacity() int { return p.capacity }
 
 // Resident returns the number of resident pages.
-func (p *Pool) Resident() int { return len(p.resident) }
+func (p *Pool) Resident() int { return p.resident }
 
 // Contains reports whether pg is resident.
-func (p *Pool) Contains(pg storage.PageID) bool {
-	_, ok := p.resident[pg]
-	return ok
-}
+func (p *Pool) Contains(pg storage.PageID) bool { return p.frames.Get(pg) != absent }
 
 // Shards returns 1: a Pool is one shard (ConcurrentPool reports its own).
 func (p *Pool) Shards() int { return 1 }
@@ -124,15 +124,15 @@ func (p *Pool) ResetStats() { p.stats = Stats{} }
 // admit evicts if the pool is full (recording the victim in res) and makes
 // pg resident.
 func (p *Pool) admit(pg storage.PageID, res *AccessResult) error {
-	if len(p.resident) >= p.capacity {
+	if p.resident >= p.capacity {
 		victim, ok := p.policy.Victim()
 		if !ok {
 			return fmt.Errorf("buffer: policy %s names no victim for a full pool", p.policy.Name())
 		}
-		vf := p.resident[victim]
+		vs := p.frames.Get(victim)
 		res.Victim = victim
-		res.VictimDirty = vf.dirty
-		if vf.dirty {
+		res.VictimDirty = vs == dirty
+		if vs == dirty {
 			// WAL ordering: the victim's mutations were journaled before the
 			// frame was marked dirty, so writing the frame here never puts
 			// unlogged state on disk.
@@ -144,12 +144,22 @@ func (p *Pool) admit(pg storage.PageID, res *AccessResult) error {
 			p.stats.Flushes++
 		}
 		p.stats.Evictions++
-		delete(p.resident, victim)
+		p.drop(victim)
 		p.policy.Removed(victim)
 	}
-	p.resident[pg] = frame{}
+	p.frames.Set(pg, clean)
+	p.resident++
 	p.policy.Admitted(pg)
 	return nil
+}
+
+// drop takes pg out of the frame table. A page that was never resident —
+// a faulty policy's victim — leaves the table and the count as they are.
+func (p *Pool) drop(pg storage.PageID) {
+	if p.frames.Get(pg) != absent {
+		p.frames.Set(pg, absent)
+		p.resident--
+	}
 }
 
 // Access brings pg into the pool (if needed) and touches it. The result
@@ -191,7 +201,7 @@ func (p *Pool) fault(pg storage.PageID, read bool) (AccessResult, error) {
 		if err := p.io.ReadPage(pg); err != nil {
 			// The frame never received its image: take pg back out so a
 			// retry is a miss that reads again, not a hit on nothing.
-			delete(p.resident, pg)
+			p.drop(pg)
 			p.policy.Removed(pg)
 			return res, err
 		}
@@ -202,56 +212,53 @@ func (p *Pool) fault(pg storage.PageID, read bool) (AccessResult, error) {
 // MarkDirty flags a resident page as modified. Marking a non-resident page
 // is a model bug and returns an error.
 func (p *Pool) MarkDirty(pg storage.PageID) error {
-	f, ok := p.resident[pg]
-	if !ok {
+	if !p.Contains(pg) {
 		return fmt.Errorf("buffer: MarkDirty on non-resident page %d", pg)
 	}
-	f.dirty = true
-	p.resident[pg] = f
+	p.frames.Set(pg, dirty)
 	return nil
 }
 
 // IsDirty reports whether pg is resident and dirty.
-func (p *Pool) IsDirty(pg storage.PageID) bool {
-	f, ok := p.resident[pg]
-	return ok && f.dirty
-}
+func (p *Pool) IsDirty(pg storage.PageID) bool { return p.frames.Get(pg) == dirty }
 
 // Clean clears the dirty flag (after an explicit write-back).
 func (p *Pool) Clean(pg storage.PageID) {
-	if f, ok := p.resident[pg]; ok {
-		f.dirty = false
-		p.resident[pg] = f
+	if p.IsDirty(pg) {
+		p.frames.Set(pg, clean)
 	}
 }
 
-// Boost raises pg's replacement priority if it is resident; non-resident
-// pages are ignored (prefetch-within-buffer never triggers I/O).
-func (p *Pool) Boost(pg storage.PageID) {
-	if p.Contains(pg) {
-		p.stats.Boosts++
-		p.policy.Boosted(pg)
+// Boost raises pg's replacement priority if it is resident and reports
+// whether it was; non-resident pages are ignored (prefetch-within-buffer
+// never triggers I/O). The answer is the residency probe, so a caller that
+// boosts whatever is resident needs no separate Contains.
+func (p *Pool) Boost(pg storage.PageID) bool {
+	if !p.Contains(pg) {
+		return false
 	}
+	p.stats.Boosts++
+	p.policy.Boosted(pg)
+	return true
 }
 
-// FlushDirty writes every dirty resident page through the PageIO backend
-// and clears its dirty flag — the shutdown/checkpoint sweep. Flush counts
-// are untouched: Stats.Flushes measures eviction-forced write-backs only.
-// Without a PageIO backend it only clears the flags.
+// FlushDirty writes every dirty resident page through the PageIO backend,
+// in ascending page order, and clears its dirty flag — the
+// shutdown/checkpoint sweep. Flush counts are untouched: Stats.Flushes
+// measures eviction-forced write-backs only. Without a PageIO backend it
+// only clears the flags.
 func (p *Pool) FlushDirty() error {
-	var dirty []storage.PageID
-	for pg, f := range p.resident {
-		if f.dirty {
-			dirty = append(dirty, pg)
+	for i := 0; i < p.frames.Len(); i++ {
+		pg := storage.PageID(i)
+		if !p.IsDirty(pg) {
+			continue
 		}
-	}
-	for _, pg := range dirty {
 		if p.io != nil {
 			if err := p.io.WritePage(pg); err != nil {
 				return fmt.Errorf("buffer: flush of page %d: %w", pg, err)
 			}
 		}
-		p.Clean(pg)
+		p.frames.Set(pg, clean)
 	}
 	return nil
 }

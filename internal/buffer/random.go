@@ -11,11 +11,14 @@ import (
 // influence it (Figure 5.14 shows it does), a Boosted page is protected from
 // random victim selection for a bounded number of subsequent evictions;
 // when every candidate is protected, protection is ignored.
+//
+// Each page's position+1 in pages (0 for an untracked page) and its
+// protection horizon (0 for none) live in page-indexed PageTables.
 type Random struct {
 	rng       *rand.Rand
 	pages     []storage.PageID
-	index     map[storage.PageID]int
-	protected map[storage.PageID]uint64 // page -> eviction counter horizon
+	index     PageTable[int32]
+	protected PageTable[uint64] // page -> eviction counter horizon
 	evictions uint64
 	// ProtectionWindow is how many evictions a boost shields a page for.
 	ProtectionWindow uint64
@@ -25,12 +28,7 @@ type Random struct {
 // roughly a quarter of the pool capacity works well; pass 0 to disable boost
 // protection entirely.
 func NewRandom(rng *rand.Rand, protectionWindow uint64) *Random {
-	return &Random{
-		rng:              rng,
-		index:            make(map[storage.PageID]int),
-		protected:        make(map[storage.PageID]uint64),
-		ProtectionWindow: protectionWindow,
-	}
+	return &Random{rng: rng, ProtectionWindow: protectionWindow}
 }
 
 // Name implements Policy.
@@ -38,8 +36,8 @@ func (r *Random) Name() string { return "Random" }
 
 // Admitted implements Policy.
 func (r *Random) Admitted(pg storage.PageID) {
-	r.index[pg] = len(r.pages)
 	r.pages = append(r.pages, pg)
+	r.index.Set(pg, int32(len(r.pages)))
 }
 
 // Touched implements Policy. Random ignores recency.
@@ -50,32 +48,32 @@ func (r *Random) Boosted(pg storage.PageID) {
 	if r.ProtectionWindow == 0 {
 		return
 	}
-	if _, ok := r.index[pg]; ok {
-		r.protected[pg] = r.evictions + r.ProtectionWindow
+	if r.index.Get(pg) != 0 {
+		r.protected.Set(pg, r.evictions+r.ProtectionWindow)
 	}
 }
 
 // Removed implements Policy.
 func (r *Random) Removed(pg storage.PageID) {
-	i, ok := r.index[pg]
-	if !ok {
+	i := int(r.index.Get(pg)) - 1
+	if i < 0 {
 		return
 	}
 	last := len(r.pages) - 1
 	r.pages[i] = r.pages[last]
-	r.index[r.pages[i]] = i
+	r.index.Set(r.pages[i], int32(i+1))
 	r.pages = r.pages[:last]
-	delete(r.index, pg)
-	delete(r.protected, pg)
+	r.index.Set(pg, 0)
+	r.protected.Set(pg, 0)
 }
 
 func (r *Random) isProtected(pg storage.PageID) bool {
-	h, ok := r.protected[pg]
-	if !ok {
+	h := r.protected.Get(pg)
+	if h == 0 {
 		return false
 	}
 	if r.evictions >= h {
-		delete(r.protected, pg)
+		r.protected.Set(pg, 0)
 		return false
 	}
 	return true

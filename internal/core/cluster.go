@@ -267,10 +267,10 @@ func (c *Clusterer) Affinity(o *model.Object, pg storage.PageID) float64 {
 // I/Os append to ios; the updated slice is returned along with whether the
 // page may be used.
 func (c *Clusterer) inspect(pg storage.PageID, budget *int, ios []PhysIO) ([]PhysIO, bool, error) {
-	if c.Pool.Contains(pg) {
-		// Examining a resident page is free; hint the buffer manager to keep
-		// it around for the rest of the clustering phase.
-		c.Pool.Boost(pg)
+	// Examining a resident page is free; the boost that finds it resident
+	// also hints the buffer manager to keep it around for the rest of the
+	// clustering phase.
+	if c.Pool.Boost(pg) {
 		return ios, true, nil
 	}
 	if *budget <= 0 {

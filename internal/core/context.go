@@ -26,16 +26,18 @@ import (
 // page back to probationary, so stale protections age out.
 //
 // Both levels are intrusive buffer.PageLists with pooled, free-listed
-// nodes, and the page index is a value map — the Admitted / Touched /
-// Boosted / Removed cycle allocates nothing at steady state.
+// nodes, and the page index is a page-indexed buffer.PageTable — the
+// Admitted / Touched / Boosted / Removed cycle allocates nothing at steady
+// state.
 type ContextPolicy struct {
 	capacity int             // protected-level bound
 	prot     buffer.PageList // high priority, front = MRU
 	prob     buffer.PageList // low priority, front = MRU
-	pos      map[storage.PageID]ctxSlot
+	pos      buffer.PageTable[ctxSlot]
 }
 
 // ctxSlot locates a tracked page: its node handle and which level it is on.
+// The zero slot (the nil handle) marks an untracked page.
 type ctxSlot struct {
 	h    int32
 	prot bool
@@ -49,10 +51,7 @@ func NewContextPolicy(protectedCap float64) *ContextPolicy {
 	if cap <= 0 {
 		cap = 64
 	}
-	return &ContextPolicy{
-		capacity: cap,
-		pos:      make(map[storage.PageID]ctxSlot),
-	}
+	return &ContextPolicy{capacity: cap}
 }
 
 // Name implements buffer.Policy.
@@ -60,14 +59,14 @@ func (c *ContextPolicy) Name() string { return "Context-sensitive" }
 
 // Admitted implements buffer.Policy: new pages start probationary.
 func (c *ContextPolicy) Admitted(pg storage.PageID) {
-	c.pos[pg] = ctxSlot{h: c.prob.PushFront(pg)}
+	c.pos.Set(pg, ctxSlot{h: c.prob.PushFront(pg)})
 }
 
 // Touched implements buffer.Policy: a re-reference while resident raises
 // the page to the protected level.
 func (c *ContextPolicy) Touched(pg storage.PageID) {
-	s, ok := c.pos[pg]
-	if !ok {
+	s := c.pos.Get(pg)
+	if s.h == 0 {
 		return
 	}
 	if s.prot {
@@ -85,20 +84,20 @@ func (c *ContextPolicy) Boosted(pg storage.PageID) {
 
 func (c *ContextPolicy) promote(pg storage.PageID, h int32) {
 	c.prob.Remove(h)
-	c.pos[pg] = ctxSlot{h: c.prot.PushFront(pg), prot: true}
+	c.pos.Set(pg, ctxSlot{h: c.prot.PushFront(pg), prot: true})
 	// Bounded protection: demote the coldest protected page.
 	if c.prot.Len() > c.capacity {
 		tail := c.prot.Back()
 		tp := c.prot.Page(tail)
 		c.prot.Remove(tail)
-		c.pos[tp] = ctxSlot{h: c.prob.PushFront(tp)}
+		c.pos.Set(tp, ctxSlot{h: c.prob.PushFront(tp)})
 	}
 }
 
 // Removed implements buffer.Policy.
 func (c *ContextPolicy) Removed(pg storage.PageID) {
-	s, ok := c.pos[pg]
-	if !ok {
+	s := c.pos.Get(pg)
+	if s.h == 0 {
 		return
 	}
 	if s.prot {
@@ -106,7 +105,7 @@ func (c *ContextPolicy) Removed(pg storage.PageID) {
 	} else {
 		c.prob.Remove(s.h)
 	}
-	delete(c.pos, pg)
+	c.pos.Set(pg, ctxSlot{})
 }
 
 // Victim implements buffer.Policy: the least-recently-used probationary
@@ -122,10 +121,10 @@ func (c *ContextPolicy) Victim() (storage.PageID, bool) {
 }
 
 // Protected reports whether pg currently holds high priority (for tests).
-func (c *ContextPolicy) Protected(pg storage.PageID) bool { return c.pos[pg].prot }
+func (c *ContextPolicy) Protected(pg storage.PageID) bool { return c.pos.Get(pg).prot }
 
 // Tracked returns the number of pages the policy knows about.
-func (c *ContextPolicy) Tracked() int { return len(c.pos) }
+func (c *ContextPolicy) Tracked() int { return c.prot.Len() + c.prob.Len() }
 
 // ProtectedLen returns the protected-level population.
 func (c *ContextPolicy) ProtectedLen() int { return c.prot.Len() }

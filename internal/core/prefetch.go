@@ -22,7 +22,7 @@ type Prefetcher struct {
 	// Activity counters.
 	GroupPages    int // pages in computed prefetch groups
 	PrefetchReads int // physical reads issued (within-DB only)
-	BoostsIssued  int // priority adjustments (within-buffer)
+	BoostsIssued  int // priority adjustments the pool performed (within-buffer)
 
 	groupBuf []storage.PageID // reusable prefetch-group buffer
 	iosBuf   []PhysIO         // reusable I/O accumulator (within-DB)
@@ -53,10 +53,10 @@ func (pf *Prefetcher) OnAccess(o *model.Object) ([]PhysIO, error) {
 	pf.GroupPages += len(group)
 	switch pf.Policy {
 	case PrefetchWithinBuffer:
-		// Priority adjustment only; never an I/O.
+		// Priority adjustment only; never an I/O. Only a boost the pool
+		// performed counts.
 		for _, pg := range group {
-			if pf.Pool.Contains(pg) {
-				pf.Pool.Boost(pg)
+			if pf.Pool.Boost(pg) {
 				pf.BoostsIssued++
 			}
 		}

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"oodb/internal/buffer"
 	"oodb/internal/model"
+	"oodb/internal/storage"
 )
 
 // prefetchFixture: a root whose leaves live on a different, non-resident
@@ -62,6 +64,24 @@ func TestPrefetchWithinBufferNeverIssuesIO(t *testing.T) {
 	}
 	if pf.BoostsIssued != 1 {
 		t.Fatalf("boosts=%d", pf.BoostsIssued)
+	}
+}
+
+// staleFrames answers Contains as a concurrent pool can when another
+// session evicts the page right after the probe: resident, though the
+// pool no longer holds it.
+type staleFrames struct{ buffer.Frames }
+
+func (staleFrames) Contains(storage.PageID) bool { return true }
+
+// TestPrefetchCountsOnlyPerformedBoosts: a group page the pool does not
+// hold is not counted as boosted, whatever a separate probe said.
+func TestPrefetchCountsOnlyPerformedBoosts(t *testing.T) {
+	_, root, pf := prefetchFixture(t)
+	pf.Policy = PrefetchWithinBuffer
+	pf.Pool = staleFrames{pf.Pool}
+	if _, err := pf.OnAccess(root); err != nil || pf.BoostsIssued != 0 {
+		t.Fatalf("boosts=%d err=%v for a group the pool does not hold", pf.BoostsIssued, err)
 	}
 }
 

@@ -95,8 +95,8 @@ func TestBytesPerObject(t *testing.T) {
 		cfg     Config
 		ceiling float64
 	}{
-		{"oct", oct, 120},
-		{"ocb", ocbCfg, 140},
+		{"oct", oct, 110},
+		{"ocb", ocbCfg, 135},
 	} {
 		var before, after runtime.MemStats
 		runtime.GC()

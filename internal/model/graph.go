@@ -11,9 +11,17 @@ import (
 // its structural relationships. ObjectIDs and TypeIDs are dense indices into
 // internal slices, so lookups are O(1) and the graph scales to millions of
 // objects.
+//
+// Objects are stored by value in fixed-size chunks: object id lives in slot
+// id%objChunk of chunk id/objChunk. A chunk never moves once allocated, so
+// an *Object stays valid for the graph's life, and creating an object
+// allocates only when it opens a new chunk. An empty slot — NilObject's, a
+// deleted object's, or a gap RestoreObject skipped — holds the zero Object;
+// a nil chunk holds only empty slots.
 type Graph struct {
-	types   []*Type   // index 0 unused (NilType)
-	objects []*Object // index 0 unused (NilObject); nil entries are deleted
+	types   []*Type // index 0 unused (NilType)
+	chunks  []*[objChunk]Object
+	next    ObjectID // the ID the next NewObject takes
 	deleted int
 
 	// names holds object names, indexed by ObjectID. It grows only when a
@@ -29,10 +37,30 @@ type Graph struct {
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
+	// Chunk 0 starts nil, so Object(NilObject) finds an empty chunk.
 	return &Graph{
-		types:   make([]*Type, 1, 64),
-		objects: make([]*Object, 1, 1024),
+		types:  make([]*Type, 1, 64),
+		chunks: make([]*[objChunk]Object, 1),
+		next:   1,
 	}
+}
+
+// objChunk is the number of objects one chunk holds: 64 KiB of 64-byte
+// objects, so the unused tail of the last chunk is small beside any
+// database worth chunking.
+const objChunk = 1024
+
+// slot returns the storage for object id, allocating its chunk if it has
+// none yet.
+func (g *Graph) slot(id ObjectID) *Object {
+	c := int(id / objChunk)
+	if c >= len(g.chunks) {
+		g.chunks = append(g.chunks, make([]*[objChunk]Object, c+1-len(g.chunks))...)
+	}
+	if g.chunks[c] == nil {
+		g.chunks[c] = new([objChunk]Object)
+	}
+	return &g.chunks[c][id%objChunk]
 }
 
 // Errors returned by graph mutations.
@@ -99,7 +127,7 @@ func (g *Graph) Type(id TypeID) *Type {
 func (g *Graph) NumTypes() int { return len(g.types) - 1 }
 
 // NumObjects returns the number of live objects.
-func (g *Graph) NumObjects() int { return len(g.objects) - 1 - g.deleted }
+func (g *Graph) NumObjects() int { return int(g.next) - 1 - g.deleted }
 
 // InheritedAttrs returns the full attribute list visible on instances of t:
 // the type's own attributes plus everything up the supertype chain, nearest
@@ -140,11 +168,12 @@ func (g *Graph) NewObject(name string, version int, t TypeID) (*Object, error) {
 	if !fitsInt32(version) {
 		return nil, fmt.Errorf("model: version %d out of range", version)
 	}
-	o := &Object{
-		ID: ObjectID(len(g.objects)), Version: int32(version), Type: t,
+	o := g.slot(g.next)
+	*o = Object{
+		ID: g.next, Version: int32(version), Type: t,
 		Size: tp.instSize, freq: &tp.Freq,
 	}
-	g.objects = append(g.objects, o)
+	g.next++
 	g.setName(o.ID, name)
 	return o, nil
 }
@@ -158,7 +187,7 @@ func (g *Graph) RestoreObject(id ObjectID, name string, version int, t TypeID) (
 	if id == NilObject {
 		return nil, ErrNoSuchObject
 	}
-	if int(id) < len(g.objects) {
+	if id < g.next {
 		return nil, fmt.Errorf("model: object %d already exists", id)
 	}
 	tp := g.Type(t)
@@ -168,12 +197,13 @@ func (g *Graph) RestoreObject(id ObjectID, name string, version int, t TypeID) (
 	if !fitsInt32(version) {
 		return nil, fmt.Errorf("model: version %d out of range", version)
 	}
-	for ObjectID(len(g.objects)) < id {
-		g.objects = append(g.objects, nil)
-		g.deleted++
+	if id == ^ObjectID(0) {
+		return nil, fmt.Errorf("model: object ID %d out of range", id)
 	}
-	o := &Object{ID: id, Version: int32(version), Type: t, freq: &tp.Freq}
-	g.objects = append(g.objects, o)
+	g.deleted += int(id - g.next)
+	o := g.slot(id)
+	*o = Object{ID: id, Version: int32(version), Type: t, freq: &tp.Freq}
+	g.next = id + 1
 	g.setName(id, name)
 	return o, nil
 }
@@ -245,10 +275,14 @@ func (g *Graph) RestoreRelations(id ObjectID, components, composites, descendant
 
 // Object returns the object with the given ID, or nil.
 func (g *Graph) Object(id ObjectID) *Object {
-	if id == NilObject || int(id) >= len(g.objects) {
+	if id >= g.next {
 		return nil
 	}
-	return g.objects[id]
+	c := g.chunks[id/objChunk]
+	if c == nil || c[id%objChunk].ID == NilObject {
+		return nil
+	}
+	return &c[id%objChunk]
 }
 
 // setName records id's name; an empty name allocates nothing.
@@ -482,7 +516,8 @@ var ErrInUse = errors.New("model: object still has components or descendants")
 // no structure — no components and no descendant versions — may be deleted;
 // composites must be dismantled bottom-up, and versioned ancestors are
 // immutable history. All relationships pointing at the object are unlinked.
-// The object ID is never reused.
+// The object ID is never reused, and its slot is emptied: a *Object still
+// held for it reads as the zero Object from then on.
 func (g *Graph) DeleteObject(id ObjectID) error {
 	o := g.Object(id)
 	if o == nil {
@@ -510,7 +545,7 @@ func (g *Graph) DeleteObject(id ObjectID) error {
 			touched = append(touched, o.Ancestor)
 		}
 	}
-	g.objects[id] = nil
+	*o = Object{}
 	g.setName(id, "")
 	g.deleted++
 	g.structureChanged(touched...)
@@ -528,7 +563,8 @@ func (g *Graph) CheckRelations() error {
 	// yield the same sorted key set.
 	var down, up, desc, anc, corr, back []uint64
 	key := func(from, to ObjectID) uint64 { return uint64(from)<<32 | uint64(to) }
-	for _, o := range g.objects {
+	for id := ObjectID(1); id < g.next; id++ {
+		o := g.Object(id)
 		if o == nil {
 			continue
 		}
@@ -622,9 +658,9 @@ func (g *Graph) VersionChainAcyclic(id ObjectID) bool {
 
 // ForEachObject calls fn for every live object in ID order.
 func (g *Graph) ForEachObject(fn func(*Object)) {
-	for i := 1; i < len(g.objects); i++ {
-		if g.objects[i] != nil {
-			fn(g.objects[i])
+	for id := ObjectID(1); id < g.next; id++ {
+		if o := g.Object(id); o != nil {
+			fn(o)
 		}
 	}
 }

@@ -43,7 +43,8 @@ type (
 	// when the clusterer implements an inherited attribute by reference,
 	// which gives that one object its own copy. AttrImpl(i) reads the
 	// implementation of inherited attribute i. The object's name is not a
-	// field: DB.Triple renders it.
+	// field: DB.Triple renders it. A *Object stays valid for the database's
+	// life; once Delete removes the object it reads as the zero Object.
 	Object = model.Object
 	// Type is a representation type.
 	Type = model.Type
