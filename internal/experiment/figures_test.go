@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -96,14 +97,16 @@ func swept(t *testing.T, ids ...string) []*Table {
 }
 
 // TestFullFigureSweep holds every registered experiment's table to its row
-// of figures.
+// of figures, and pins all of them, in IDs() order, to sweep.txt.
 func TestFullFigureSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the sweep runs 524 simulations")
 	}
+	renders := make([]string, 0, len(figures))
 	for _, id := range IDs() {
-		t.Run(id, func(t *testing.T) { swept(t, id) })
+		t.Run(id, func(t *testing.T) { renders = append(renders, swept(t, id)[0].Render()) })
 	}
+	golden.Assert(t, "sweep.txt", strings.Join(renders, "\n"))
 }
 
 // TestParallelMatchesSerialRender pins the three goldens. fig5.2 has its
