@@ -1,6 +1,10 @@
 package buffer
 
-import "oodb/internal/storage"
+import (
+	"slices"
+
+	"oodb/internal/storage"
+)
 
 // Clock is the classic second-chance replacement policy: resident pages sit
 // on a circular list with a reference bit, the hand sweeps the circle, and a
@@ -26,6 +30,11 @@ type Clock struct {
 
 // NewClock returns an empty CLOCK policy.
 func NewClock() *Clock { return &Clock{} }
+
+// ClonePolicy implements PolicyCloner: the same circle, bits and hand.
+func (c *Clock) ClonePolicy(PolicyConfig) Policy {
+	return &Clock{pages: slices.Clone(c.pages), ref: slices.Clone(c.ref), index: c.index.Clone(), hand: c.hand}
+}
 
 // Name implements Policy.
 func (c *Clock) Name() string { return "CLOCK" }

@@ -22,6 +22,11 @@ type LRU struct {
 // NewLRU returns an empty LRU policy.
 func NewLRU() *LRU { return &LRU{} }
 
+// ClonePolicy implements PolicyCloner.
+func (l *LRU) ClonePolicy(PolicyConfig) Policy {
+	return &LRU{order: l.order.Clone(), pos: l.pos.Clone()}
+}
+
 // Name implements Policy.
 func (l *LRU) Name() string { return "LRU" }
 

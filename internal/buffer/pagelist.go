@@ -1,6 +1,10 @@
 package buffer
 
-import "oodb/internal/storage"
+import (
+	"slices"
+
+	"oodb/internal/storage"
+)
 
 // PageList is a doubly-linked recency list of pages (front = MRU, back =
 // LRU) backed by an index-linked node pool. Removed nodes recycle through
@@ -23,6 +27,14 @@ type PageList struct {
 type pageNode struct {
 	page       storage.PageID
 	prev, next int32
+}
+
+// Clone returns an independent copy of l: the same pages in the same order,
+// under the same handles.
+func (l *PageList) Clone() PageList {
+	c := *l
+	c.nodes = slices.Clone(l.nodes)
+	return c
 }
 
 // Len returns the number of listed pages.

@@ -1,6 +1,10 @@
 package buffer
 
-import "oodb/internal/storage"
+import (
+	"slices"
+
+	"oodb/internal/storage"
+)
 
 // PageTable maps page IDs to values of T. Page IDs are dense — a store
 // numbers its pages 1, 2, 3, … — so the table is a slice indexed by page
@@ -46,6 +50,9 @@ func (t *PageTable[T]) grow(n int) {
 	copy(s, t.s)
 	t.s = s
 }
+
+// Clone returns an independent copy of t.
+func (t *PageTable[T]) Clone() PageTable[T] { return PageTable[T]{s: slices.Clone(t.s)} }
 
 // Len returns one past the highest page ID the table has room for; every
 // page at or beyond it reads as the zero value.

@@ -35,6 +35,15 @@ type Policy interface {
 	Victim() (pg storage.PageID, ok bool)
 }
 
+// PolicyCloner is the optional interface a Policy implements when a pool
+// holding it can be cloned (Pool.Clone). ClonePolicy returns an independent
+// policy in the same state; cfg is the clone's construction context, and a
+// stochastic policy takes its stream from cfg.RNG and brings it to the
+// position its own stream has reached.
+type PolicyCloner interface {
+	ClonePolicy(cfg PolicyConfig) Policy
+}
+
 // AccessResult describes what the pool did to satisfy an access, so the
 // caller (the simulation engine) can charge the right physical I/Os:
 // zero for a hit, one read for a miss, plus one write when a dirty victim
@@ -95,6 +104,27 @@ func NewPool(capacity int, policy Policy) *Pool {
 		panic("buffer: capacity must be at least 1")
 	}
 	return &Pool{capacity: capacity, policy: policy}
+}
+
+// Clone returns a pool in p's state — residency, dirty flags, statistics
+// and the policy's order — over a copy of its policy made with cfg. It
+// reports false, and copies nothing, when the policy is not a PolicyCloner
+// or the pool does physical page I/O, whose device state is not the pool's
+// to copy.
+func (p *Pool) Clone(cfg PolicyConfig) (*Pool, bool) {
+	if !p.Cloneable() {
+		return nil, false
+	}
+	c := *p
+	c.policy = p.policy.(PolicyCloner).ClonePolicy(cfg)
+	c.frames = p.frames.Clone()
+	return &c, true
+}
+
+// Cloneable reports whether Clone can copy p.
+func (p *Pool) Cloneable() bool {
+	_, ok := p.policy.(PolicyCloner)
+	return ok && p.io == nil
 }
 
 // Capacity returns the frame count.

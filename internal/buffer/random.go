@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"math/rand"
+	"slices"
 
 	"oodb/internal/storage"
 )
@@ -20,6 +21,9 @@ type Random struct {
 	index     PageTable[int32]
 	protected PageTable[uint64] // page -> eviction counter horizon
 	evictions uint64
+	// draws counts the values taken from rng, so a clone can bring its
+	// own stream to the same position.
+	draws uint64
 	// ProtectionWindow is how many evictions a boost shields a page for.
 	ProtectionWindow uint64
 }
@@ -29,6 +33,24 @@ type Random struct {
 // protection entirely.
 func NewRandom(rng *rand.Rand, protectionWindow uint64) *Random {
 	return &Random{rng: rng, ProtectionWindow: protectionWindow}
+}
+
+// ClonePolicy implements PolicyCloner: the clone draws from cfg.RNG's
+// stream, advanced past as many values as r has drawn from its own, so it
+// picks the victims r would pick.
+func (r *Random) ClonePolicy(cfg PolicyConfig) Policy {
+	c := *r
+	c.pages = slices.Clone(r.pages)
+	c.index = r.index.Clone()
+	c.protected = r.protected.Clone()
+	c.rng = nil
+	if cfg.RNG != nil {
+		c.rng = cfg.RNG()
+		for range r.draws {
+			c.rng.Int63()
+		}
+	}
+	return &c
 }
 
 // Name implements Policy.
@@ -88,12 +110,32 @@ func (r *Random) Victim() (storage.PageID, bool) {
 	}
 	r.evictions++
 	for try := 0; try < 2*n; try++ {
-		pg := r.pages[r.rng.Intn(n)]
+		pg := r.pages[r.intn(n)]
 		if !r.isProtected(pg) {
 			return pg, true
 		}
 	}
-	return r.pages[r.rng.Intn(n)], true
+	return r.pages[r.intn(n)], true
+}
+
+// intn is rand.Rand.Intn for n < 1<<31, the same draws in the same order,
+// taken one Int31 at a time so that draws counts them.
+func (r *Random) intn(n int) int {
+	m := int32(n)
+	if m&(m-1) == 0 {
+		return int(r.int31() & (m - 1))
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(m))
+	v := r.int31()
+	for v > max {
+		v = r.int31()
+	}
+	return int(v % m)
+}
+
+func (r *Random) int31() int32 {
+	r.draws++
+	return r.rng.Int31()
 }
 
 // Len returns the number of tracked pages.

@@ -120,6 +120,15 @@ func NewClusterer(g *model.Graph, st storage.Backend, pool buffer.Frames) *Clust
 	}
 }
 
+// CloneOnto implements StrategyCloner: the policy knobs, including a
+// policy the adaptive extension switched to, and the spill page.
+func (c *Clusterer) CloneOnto(g *model.Graph, st storage.Backend, pool buffer.Frames) ClusterStrategy {
+	n := *c
+	n.placer = c.placer.cloneOnto(g, st, pool)
+	n.scr = clusterScratch{}
+	return &n
+}
+
 // SetPolicy implements PolicyTuner: the adaptive extension switches the
 // candidate-pool policy at run time.
 func (c *Clusterer) SetPolicy(p ClusterPolicy) { c.Policy = p }

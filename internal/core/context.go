@@ -54,6 +54,12 @@ func NewContextPolicy(protectedCap float64) *ContextPolicy {
 	return &ContextPolicy{capacity: cap}
 }
 
+// ClonePolicy implements buffer.PolicyCloner: both levels in the same
+// order, every page on the level it was on.
+func (c *ContextPolicy) ClonePolicy(buffer.PolicyConfig) buffer.Policy {
+	return &ContextPolicy{capacity: c.capacity, prot: c.prot.Clone(), prob: c.prob.Clone(), pos: c.pos.Clone()}
+}
+
 // Name implements buffer.Policy.
 func (c *ContextPolicy) Name() string { return "Context-sensitive" }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"oodb/internal/buffer"
 	"oodb/internal/model"
@@ -53,6 +54,15 @@ func NewDROClusterer(g *model.Graph, st storage.Backend, pool buffer.Frames) *DR
 		MinLoad: 0.75,
 		MaxBad:  16,
 	}
+}
+
+// CloneOnto implements StrategyCloner: the removal count and the watchlist.
+func (d *DROClusterer) CloneOnto(g *model.Graph, st storage.Backend, pool buffer.Frames) ClusterStrategy {
+	n := *d
+	n.placer = d.placer.cloneOnto(g, st, pool)
+	n.bad = slices.Clone(d.bad)
+	n.evac = nil
+	return &n
 }
 
 // NoteAccess implements AccessObserver as a no-op: DRO keeps no access

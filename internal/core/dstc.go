@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"oodb/internal/buffer"
@@ -61,6 +62,16 @@ func NewDSTCClusterer(g *model.Graph, st storage.Backend, pool buffer.Frames) *D
 		HeatThreshold: 3,
 		MaxMoves:      4,
 	}
+}
+
+// CloneOnto implements StrategyCloner: the open window, the per-object
+// counters and the temperatures.
+func (s *DSTCClusterer) CloneOnto(g *model.Graph, st storage.Backend, pool buffer.Frames) ClusterStrategy {
+	n := *s
+	n.placer = s.placer.cloneOnto(g, st, pool)
+	n.heat = slices.Clone(s.heat)
+	n.temps = slices.Clone(s.temps)
+	return &n
 }
 
 // NoteAccess implements AccessObserver: one logical read of id. Atomic adds

@@ -58,9 +58,23 @@ type AccessObserver interface {
 	NoteRemoved(id model.ObjectID)
 }
 
+// StrategyCloner is the optional interface a ClusterStrategy implements
+// when the state it carries out of database construction can be copied
+// onto a clone of the layers below it. CloneOnto returns an independent
+// strategy over the given layers in the same state, statistics zeroed.
+// Strategies that cannot be copied do not implement it, and their worlds
+// are built afresh for every run.
+type StrategyCloner interface {
+	CloneOnto(g *model.Graph, st storage.Backend, pool buffer.Frames) ClusterStrategy
+}
+
 var (
 	_ ClusterStrategy = (*Clusterer)(nil)
 	_ PolicyTuner     = (*Clusterer)(nil)
+	_ StrategyCloner  = (*Clusterer)(nil)
+	_ StrategyCloner  = noCluster{}
+	_ StrategyCloner  = (*DSTCClusterer)(nil)
+	_ StrategyCloner  = (*DROClusterer)(nil)
 )
 
 // ClusterSeam carries the construction context a clustering strategy may
@@ -142,6 +156,12 @@ func (p *placer) setup(s ClusterSeam) {
 	}
 }
 
+// cloneOnto returns p's algorithm state — the cost model and the fill
+// page — over the given layers, with zeroed statistics and fresh scratch.
+func (p *placer) cloneOnto(g *model.Graph, st storage.Backend, pool buffer.Frames) placer {
+	return placer{Graph: g, Store: st, Pool: pool, AttrCost: p.AttrCost, frontier: p.frontier}
+}
+
 // Stats returns a copy of the clustering statistics.
 func (p *placer) Stats() ClusterStats { return p.stats }
 
@@ -221,6 +241,16 @@ func (p *placer) placeFill(o *model.Object, ios []PhysIO, dirty []storage.PageID
 	return Placement{IOs: ios, Page: pg, DirtyPages: dirty}, nil
 }
 
+// noCluster is the "noop" strategy, the paper's No_Cluster: the affinity
+// clusterer pinned to PolicyNoCluster, wrapped so the adaptive extension
+// finds no PolicyTuner to switch it into clustering.
+type noCluster struct{ ClusterStrategy }
+
+// CloneOnto implements StrategyCloner.
+func (n noCluster) CloneOnto(g *model.Graph, st storage.Backend, pool buffer.Frames) ClusterStrategy {
+	return noCluster{n.ClusterStrategy.(*Clusterer).CloneOnto(g, st, pool)}
+}
+
 // newAffinity builds the paper's clusterer from the seam.
 func newAffinity(s ClusterSeam) ClusterStrategy {
 	c := NewClusterer(s.Graph, s.Store, s.Pool)
@@ -235,12 +265,9 @@ func newAffinity(s ClusterSeam) ClusterStrategy {
 
 func init() {
 	RegisterClusterStrategy("affinity", newAffinity, "default")
-	// "noop" is the paper's No_Cluster: the affinity clusterer pinned to
-	// PolicyNoCluster, wrapped so the adaptive extension finds no
-	// PolicyTuner to switch it into clustering.
 	RegisterClusterStrategy("noop", func(s ClusterSeam) ClusterStrategy {
 		s.Policy = PolicyNoCluster
-		return struct{ ClusterStrategy }{newAffinity(s)}
+		return noCluster{newAffinity(s)}
 	}, "none")
 
 	// The context-sensitive replacement policy needs this package's

@@ -11,6 +11,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"reflect"
 
 	"oodb/internal/buffer"
 	"oodb/internal/core"
@@ -304,21 +305,95 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Fingerprint renders the behavior-determining configuration as a stable
-// string: the key of the experiment harness's memo and results caches. The
-// attachment-only fields (trace sinks and sources) are excluded — they do
-// not influence simulated behavior.
-func (c Config) Fingerprint() string {
-	c.Record = nil
-	c.Replay = nil
-	// The storage backend changes where state lives, not what the simulation
-	// computes — the file backend's logical digest is asserted equal to the
-	// memory backend's — so a cached result is valid for every backend.
-	c.Backend = ""
-	c.DataDir = ""
-	c.Fsync = ""
+// phase is when a Config field first changes what a run computes. A field
+// of one phase never changes what an earlier phase produced, so two
+// configurations that agree on every field up to a phase share that phase's
+// product.
+type phase uint8
+
+const (
+	// phaseGeneration fields shape the logical database the workload
+	// family generates.
+	phaseGeneration phase = iota + 1
+	// phaseConstruction fields shape the physical database built from it:
+	// placement and the pool the construction order runs through.
+	phaseConstruction
+	// phaseRun fields act only once the measured run starts.
+	phaseRun
+	// phaseOutput fields change where results or state go, not what the
+	// simulation computes: trace sinks and sources, and the storage backend,
+	// whose logical digest is asserted equal to the memory backend's.
+	phaseOutput
+)
+
+// configPhases names the phase of every Config field. TestConfigPhases
+// fails on a field it does not name, so a new field must be placed here.
+var configPhases = map[string]phase{
+	"DBBytes":  phaseGeneration,
+	"PageSize": phaseGeneration,
+	"Density":  phaseGeneration,
+	"Workload": phaseGeneration,
+	"OCB":      phaseGeneration, // its operation mix too: OCB counts as a whole
+	"Seed":     phaseGeneration,
+
+	"Cluster":             phaseConstruction,
+	"Split":               phaseConstruction,
+	"Hints":               phaseConstruction,
+	"Replacement":         phaseConstruction,
+	"Buffers":             phaseConstruction,
+	"NoSiblingCandidates": phaseConstruction,
+	"ReplacementName":     phaseConstruction,
+	"ClusterStrategy":     phaseConstruction,
+
+	"Users":              phaseRun,
+	"Disks":              phaseRun,
+	"ThinkTime":          phaseRun,
+	"ReadWriteRatio":     phaseRun,
+	"Prefetch":           phaseRun,
+	"Transactions":       phaseRun,
+	"Warmup":             phaseRun,
+	"Locking":            phaseRun,
+	"PhasedRW":           phaseRun,
+	"AdaptiveClustering": phaseRun,
+	"FlashFactor":        phaseRun,
+	"FlashAt":            phaseRun,
+	"FlashLen":           phaseRun,
+	"ContextBoostLimit":  phaseRun,
+
+	"Record":  phaseOutput,
+	"Replay":  phaseOutput,
+	"Backend": phaseOutput,
+	"DataDir": phaseOutput,
+	"Fsync":   phaseOutput,
+}
+
+// through renders c with every field of a phase after last zeroed.
+func (c Config) through(last phase) string {
+	v := reflect.ValueOf(&c).Elem()
+	for i, f := range reflect.VisibleFields(v.Type()) {
+		if configPhases[f.Name] > last {
+			v.Field(i).SetZero()
+		}
+	}
 	return fmt.Sprintf("%+v", c)
 }
+
+// Fingerprint renders the behavior-determining configuration — every field
+// but the output-only ones — as a stable string: the key of the experiment
+// harness's memo and results caches.
+func (c Config) Fingerprint() string { return c.through(phaseRun) }
+
+// constructionKey renders the fields up to construction: configurations
+// with equal keys build identical worlds.
+func (c Config) constructionKey() string { return c.through(phaseConstruction) }
+
+// WorldKey identifies the world a configuration constructs. Configurations
+// with equal keys build identical worlds, so any of them may run on a clone
+// of another's (see Template).
+type WorldKey struct{ key string }
+
+// WorldKey returns c's world key.
+func (c Config) WorldKey() WorldKey { return WorldKey{c.constructionKey()} }
 
 // Label summarizes the control parameters for report rows.
 func (c Config) Label() string {

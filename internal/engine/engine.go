@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 
 	"oodb/internal/buffer"
 	"oodb/internal/core"
@@ -53,6 +54,11 @@ type Engine struct {
 // New builds the world (see buildWorld) over the serial pool and attaches
 // the timed layer to it.
 func New(cfg Config) (*Engine, error) {
+	return newEngine(cfg, func() (*world, error) { return buildWorld(cfg, 1, serialPool) })
+}
+
+// newEngine attaches the timed layer to the world newWorld returns for cfg.
+func newEngine(cfg Config, newWorld func() (*world, error)) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -71,7 +77,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 
-	w, err := buildWorld(cfg, 1, serialPool)
+	w, err := newWorld()
 	if err != nil {
 		return nil, err
 	}
@@ -92,13 +98,87 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
+// Template is a constructed world kept so that every configuration sharing
+// its world key runs on a clone of it instead of building its own. A clone
+// starts in exactly the state a fresh build of its configuration would:
+// the same placement, the same warm pool in the same replacement order,
+// zeroed statistics. A world that cannot be cloned (see world.clone) is
+// built afresh for every engine, as New would.
+type Template struct {
+	key WorldKey
+	// mu is held shared while a clone copies w, and for good by Take, so
+	// the world is never run while it is being copied.
+	mu sync.RWMutex
+	w  *world // nil once taken
+}
+
+// errTemplateTaken is returned by a Template whose world Take handed out.
+var errTemplateTaken = errors.New("engine: template already taken")
+
+// NewTemplate validates cfg and builds its world on the serial pool.
+func NewTemplate(cfg Config) (*Template, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	w, err := buildWorld(cfg, 1, serialPool)
+	if err != nil {
+		return nil, err
+	}
+	return &Template{key: cfg.WorldKey(), w: w}, nil
+}
+
+// Cloneable reports whether Engine runs on clones; if not, each call
+// builds its world afresh. It is false once the template is taken.
+func (t *Template) Cloneable() bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.w != nil && t.w.cloneable()
+}
+
+// Engine returns an engine for cfg on a clone of the template's world; cfg
+// must share the template's world key. It is safe for concurrent use.
+func (t *Template) Engine(cfg Config) (*Engine, error) {
+	if cfg.WorldKey() != t.key {
+		return nil, errors.New("engine: configuration builds another world than the template's")
+	}
+	t.mu.RLock()
+	if t.w == nil {
+		t.mu.RUnlock()
+		return nil, errTemplateTaken
+	}
+	w, ok := t.w.clone(cfg)
+	t.mu.RUnlock()
+	if !ok {
+		return New(cfg)
+	}
+	return newEngine(cfg, func() (*world, error) { return w, nil })
+}
+
+// Take returns an engine for cfg on the template's own world, once every
+// clone in progress is done; cfg must share the template's world key. The
+// template is spent: later calls to Engine or Take fail.
+func (t *Template) Take(cfg Config) (*Engine, error) {
+	if cfg.WorldKey() != t.key {
+		return nil, errors.New("engine: configuration builds another world than the template's")
+	}
+	t.mu.Lock()
+	w := t.w
+	t.w = nil
+	t.mu.Unlock()
+	if w == nil {
+		return nil, errTemplateTaken
+	}
+	w.runAs(cfg)
+	return newEngine(cfg, func() (*world, error) { return w, nil })
+}
+
 // serialPool is the newPool of the single-goroutine drivers. One pool, one
 // global policy: victim order is observable behavior on the simulated path,
 // and a single goroutine has no use for shard locks.
 func serialPool(w *world) (framePool, error) {
 	// The stream is created lazily so deterministic replays are unaffected
 	// unless a stochastic policy actually draws from it.
-	policy, err := w.newPolicy(w.cfg.Buffers, func() *rand.Rand { return w.sim.Stream("random-replacement") })
+	policy, err := w.newPolicy(w.cfg.Buffers, w.replacementStream)
 	if err != nil {
 		return nil, err
 	}

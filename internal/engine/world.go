@@ -187,6 +187,75 @@ func (w *world) open(g *model.Graph, mem *storage.Manager, order []model.ObjectI
 	return nil
 }
 
+// clone returns a copy of w in the state construction left it, to run cfg,
+// which must share w's construction key. It copies what construction
+// leaves behind — the graph, the store's page map, the pool's frame table
+// and its policy's state, the clustering strategy's state — and starts the
+// rest afresh: the kernel's streams, the log, the lock table. A layer that
+// cannot be copied (a persistent backend, a policy that is not a
+// buffer.PolicyCloner, a strategy that is not a core.StrategyCloner) makes
+// clone report false.
+//
+// clone only reads w, so clones of one world may be taken concurrently.
+func (w *world) clone(cfg Config) (*world, bool) {
+	if !w.cloneable() {
+		return nil, false
+	}
+	c := &world{sim: sim.New(cfg.Seed), replName: w.replName, boostContext: w.boostContext}
+	c.frames, _ = w.frames.(*buffer.Pool).Clone(buffer.PolicyConfig{Frames: cfg.Buffers, RNG: c.replacementStream})
+	c.graph = w.graph.Clone()
+	store := w.store.(*storage.Manager).Clone(c.graph)
+	c.store = store
+	c.clust = w.clust.(core.StrategyCloner).CloneOnto(c.graph, store, c.frames)
+	c.log = txlog.NewManager(logBufBytes)
+	c.runAs(cfg)
+	// The workload generators append to the family's object lists, so the
+	// clone's lists are clipped: its first append copies.
+	if w.db != nil {
+		d := *w.db
+		d.Graph, d.Store = c.graph, store
+		d.Roots, d.Blocks, d.Leaves = clip(d.Roots), clip(d.Blocks), clip(d.Leaves)
+		c.db = &d
+	}
+	if w.ocbBase != nil {
+		b := *w.ocbBase
+		b.Graph, b.Store = c.graph, store
+		b.Order, b.Versioned = clip(b.Order), clip(b.Versioned)
+		b.Extents = make([][]model.ObjectID, len(b.Extents))
+		for i, ext := range w.ocbBase.Extents {
+			b.Extents[i] = clip(ext)
+		}
+		c.ocbBase = &b
+	}
+	return c, true
+}
+
+// cloneable reports whether clone can copy w.
+func (w *world) cloneable() bool {
+	_, mem := w.store.(*storage.Manager)
+	pool, serial := w.frames.(*buffer.Pool)
+	_, strat := w.clust.(core.StrategyCloner)
+	return w.durable == nil && mem && serial && pool.Cloneable() && strat
+}
+
+// runAs points a serial world at cfg, which shares its construction key:
+// the fields that differ are run fields, which nothing reads before the
+// run but the lock table's existence.
+func (w *world) runAs(cfg Config) {
+	w.cfg = cfg
+	w.locks = nil
+	if cfg.Locking {
+		w.locks = lock.NewManagerSharded(1)
+	}
+}
+
+// clip returns s with its capacity cut to its length.
+func clip(s []model.ObjectID) []model.ObjectID { return s[:len(s):len(s)] }
+
+// replacementStream is the stream a stochastic replacement policy of the
+// serial pool draws from.
+func (w *world) replacementStream() *rand.Rand { return w.sim.Stream("random-replacement") }
+
 // newPolicy instantiates the configured replacement policy for a pool (or
 // pool shard) of the given frame count; rng supplies the stream a
 // stochastic policy draws from.

@@ -93,40 +93,49 @@ func (o Options) withDefaults() Options {
 // the memo cache is mutex-guarded, and an in-flight table deduplicates
 // concurrent requests for the same configuration (singleflight), so a run
 // shared by overlapping figures executes exactly once even when the figures
-// race.
+// race. Runs execute on the harness's scheduler (schedule.go), which builds
+// each distinct world once and runs every configuration that shares it on
+// a clone.
 type Harness struct {
 	opt Options
 
+	// mu guards the memo, the in-flight table and the scheduler's state.
 	mu       sync.Mutex
 	cache    map[string]engine.Results
 	inflight map[string]*inflightRun
-
-	// sem bounds concurrent engine executions across all batch calls and
-	// replication fan-outs; it is sized by Options.Workers.
-	sem chan struct{}
+	sched    scheduler
 
 	verboseMu sync.Mutex
 	executed  atomic.Int64 // actual engine runs, for tests and benchmarks
 	cached    atomic.Int64 // runs served from the CheckpointDir cache
+	built     atomic.Int64 // worlds built: templates and single runs
+	cloned    atomic.Int64 // runs on a clone of a template
 }
 
 // inflightRun is a singleflight slot: the first requester of a configuration
-// executes it, later requesters block on done and share the result.
+// submits it, later requesters block on done and share the result. Its
+// replications complete into reps; the last one to finish fills res and err.
 type inflightRun struct {
+	key  string
 	done chan struct{}
 	res  engine.Results
 	err  error
+
+	reps []engine.Results
+	errs []error
+	left int // replications not yet finished
 }
 
 // NewHarness returns a harness for the given options.
 func NewHarness(opt Options) *Harness {
 	o := opt.withDefaults()
-	return &Harness{
+	h := &Harness{
 		opt:      o,
 		cache:    make(map[string]engine.Results),
 		inflight: make(map[string]*inflightRun),
-		sem:      make(chan struct{}, o.Workers),
 	}
+	h.sched.init(&h.mu)
+	return h
 }
 
 // Options returns the harness options (with defaults applied).
@@ -147,90 +156,115 @@ func (h *Harness) baseConfig() engine.Config {
 // deduplicated so the simulation executes once and all callers share the
 // result.
 func (h *Harness) Run(cfg engine.Config) (engine.Results, error) {
-	k := cfg.Fingerprint()
-	h.mu.Lock()
-	if r, ok := h.cache[k]; ok {
-		h.mu.Unlock()
-		return r, nil
-	}
-	if f, ok := h.inflight[k]; ok {
-		// Another goroutine is already running this configuration; wait
-		// for it rather than duplicating the work.
-		h.mu.Unlock()
-		<-f.done
-		return f.res, f.err
-	}
-	f := &inflightRun{done: make(chan struct{})}
-	h.inflight[k] = f
-	h.mu.Unlock()
-
-	f.res, f.err = h.runUncached(cfg)
-
-	h.mu.Lock()
-	if f.err == nil {
-		h.cache[k] = f.res
-	}
-	delete(h.inflight, k)
-	h.mu.Unlock()
-	close(f.done)
-	return f.res, f.err
-}
-
-// runUncached executes all replications of cfg. Replications run on their
-// own goroutines (bounded, like every engine execution, by the worker
-// semaphore) and are averaged in seed order, so the result is independent of
-// completion order.
-func (h *Harness) runUncached(cfg engine.Config) (engine.Results, error) {
-	h.progress("run " + cfg.Label())
-	n := h.opt.Replications
-	if n == 1 {
-		return h.runOne(cfg)
-	}
-	reps := make([]engine.Results, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := cfg
-			c.Seed = cfg.Seed + int64(i)
-			reps[i], errs[i] = h.runOne(c)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return engine.Results{}, err
-		}
-	}
-	return averageResults(reps), nil
-}
-
-// runOne executes a single simulation, holding a worker-semaphore slot for
-// the duration, unless the CheckpointDir cache already holds its results.
-// Only runOne acquires the semaphore — callers never hold a slot while
-// waiting on other runs, so fan-out cannot deadlock.
-func (h *Harness) runOne(cfg engine.Config) (engine.Results, error) {
-	if h.opt.CheckpointDir != "" {
-		if res, ok := h.loadCached(cfg); ok {
-			h.cached.Add(1)
-			h.progress("cached " + cfg.Label())
-			return res, nil
-		}
-	}
-	h.sem <- struct{}{}
-	defer func() { <-h.sem }()
-	h.executed.Add(1)
-	e, err := engine.New(cfg)
+	res, err := h.RunConfigs([]engine.Config{cfg})
 	if err != nil {
 		return engine.Results{}, err
 	}
-	res, err := e.Run()
-	if err == nil && h.opt.CheckpointDir != "" {
-		err = h.storeCached(cfg, res)
+	return res[0], nil
+}
+
+// RunConfigs executes a batch of configurations on the worker pool and
+// returns their results in input order. Duplicate configurations in one
+// batch — or concurrently submitted by another batch — run once and share
+// the result. The first error (by input order) is returned; a failing
+// configuration does not cancel the others.
+func (h *Harness) RunConfigs(cfgs []engine.Config) ([]engine.Results, error) {
+	slots := make([]*inflightRun, len(cfgs))
+	var fresh []*inflightRun
+	var freshCfgs []engine.Config
+	h.mu.Lock()
+	for i, cfg := range cfgs {
+		k := cfg.Fingerprint()
+		if r, ok := h.cache[k]; ok {
+			slots[i] = &inflightRun{res: r}
+			continue
+		}
+		if f, ok := h.inflight[k]; ok {
+			slots[i] = f
+			continue
+		}
+		f := &inflightRun{key: k, done: make(chan struct{})}
+		h.inflight[k] = f
+		slots[i] = f
+		fresh, freshCfgs = append(fresh, f), append(freshCfgs, cfg)
 	}
-	return res, err
+	h.mu.Unlock()
+	h.submit(freshCfgs, fresh)
+
+	out := make([]engine.Results, len(cfgs))
+	var first error
+	for i, f := range slots {
+		if f.done != nil {
+			<-f.done
+		}
+		out[i] = f.res
+		if f.err != nil && first == nil {
+			first = f.err
+		}
+	}
+	if first != nil {
+		return nil, first
+	}
+	return out, nil
+}
+
+// submit plans every replication of each configuration: one served from
+// the CheckpointDir cache completes at once, the rest go to the scheduler
+// together, so the batch's members find each other's worlds.
+func (h *Harness) submit(cfgs []engine.Config, runs []*inflightRun) {
+	var jobs []job
+	for i, cfg := range cfgs {
+		f := runs[i]
+		h.progress("run " + cfg.Label())
+		n := h.opt.Replications
+		f.reps, f.errs, f.left = make([]engine.Results, n), make([]error, n), n
+		for rep := 0; rep < n; rep++ {
+			c := cfg
+			c.Seed = cfg.Seed + int64(rep)
+			if h.opt.CheckpointDir != "" {
+				if res, ok := h.loadCached(c); ok {
+					h.cached.Add(1)
+					h.progress("cached " + c.Label())
+					h.finish(job{cfg: c, run: f, rep: rep}, res, nil)
+					continue
+				}
+			}
+			jobs = append(jobs, job{cfg: c, run: f, rep: rep})
+		}
+	}
+	h.sched.add(h, jobs)
+}
+
+// finish records one replication's outcome. The last replication of a run
+// averages them (in seed order, so the result does not depend on which
+// finished first), memoizes a success and releases the run's waiters.
+func (h *Harness) finish(j job, res engine.Results, err error) {
+	if err == nil && h.opt.CheckpointDir != "" {
+		err = h.storeCached(j.cfg, res)
+	}
+	f := j.run
+	h.mu.Lock()
+	f.reps[j.rep], f.errs[j.rep] = res, err
+	f.left--
+	last := f.left == 0
+	if last {
+		for _, e := range f.errs {
+			if e != nil {
+				f.err = e
+				break
+			}
+		}
+		if f.err == nil {
+			f.res = averageResults(f.reps)
+			h.cache[f.key] = f.res
+		}
+		f.reps, f.errs = nil, nil
+		delete(h.inflight, f.key)
+	}
+	h.mu.Unlock()
+	if last {
+		close(f.done)
+	}
 }
 
 // progress emits a Verbose line; calls are serialized so concurrent runs do
@@ -247,38 +281,6 @@ func (h *Harness) progress(line string) {
 // Executed returns the number of engine runs actually performed (cache and
 // in-flight hits excluded).
 func (h *Harness) Executed() int64 { return h.executed.Load() }
-
-// RunConfigs executes a batch of configurations on the worker pool and
-// returns their results in input order. Duplicate configurations in one
-// batch — or concurrently submitted by another batch — run once and share
-// the result. The first error (by input order) is returned; a failing
-// configuration does not cancel the others.
-func (h *Harness) RunConfigs(cfgs []engine.Config) ([]engine.Results, error) {
-	out := make([]engine.Results, len(cfgs))
-	errs := make([]error, len(cfgs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := min(h.opt.Workers, len(cfgs)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i], errs[i] = h.Run(cfgs[i])
-			}
-		}()
-	}
-	for i := range cfgs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
 
 // RunAll looks up and runs several experiments over the shared harness,
 // returning their tables in input order. Experiments run concurrently on the
@@ -305,6 +307,7 @@ func (h *Harness) RunAll(ids []string) ([]*Table, error) {
 		}(i)
 	}
 	wg.Wait()
+	h.progress(fmt.Sprintf("built %d worlds for %d runs, %d of them on clones", h.built.Load(), h.Executed(), h.cloned.Load()))
 	h.progress(fmt.Sprintf("executed %d runs, %d served from the results cache", h.Executed(), h.cached.Load()))
 	for i, err := range errs {
 		if err != nil {

@@ -322,6 +322,66 @@ func (g *Graph) Triple(id ObjectID) string {
 	return fmt.Sprintf("#%d[%d].%s", id, o.Version, tn)
 }
 
+// Clone returns a copy of g that shares nothing it or g will write: every
+// object, its relationship lists and its own traversal profile, and the
+// names. Types never change once defined, so the copy shares them (and
+// their profiles, which objects without their own point at). The lists go
+// into one array, each clipped to its length, so the first insert on a list
+// of the copy reallocates it instead of writing into its neighbor's.
+// Structure-change listeners stay with g: they are bound to whatever
+// registered them there.
+func (g *Graph) Clone() *Graph {
+	nrels, nown := 0, 0
+	for _, ch := range g.chunks {
+		if ch == nil {
+			continue
+		}
+		for i := range ch {
+			o := &ch[i]
+			nrels += len(o.rels)
+			if o.ownsFreq(g) {
+				nown++
+			}
+		}
+	}
+	rels := make([]ObjectID, 0, nrels)
+	own := make([]FreqProfile, 0, nown)
+	c := &Graph{
+		types:   g.types[:len(g.types):len(g.types)],
+		chunks:  make([]*[objChunk]Object, len(g.chunks)),
+		next:    g.next,
+		deleted: g.deleted,
+		names:   slices.Clone(g.names),
+	}
+	for k, ch := range g.chunks {
+		if ch == nil {
+			continue
+		}
+		cc := new([objChunk]Object)
+		*cc = *ch
+		for i := range cc {
+			o := &cc[i]
+			if o.rels != nil {
+				n := len(rels)
+				rels = append(rels, o.rels...)
+				o.rels = rels[n:len(rels):len(rels)]
+			}
+			if o.ownsFreq(g) {
+				own = append(own, *o.freq)
+				o.freq = &own[len(own)-1]
+			}
+		}
+		c.chunks[k] = cc
+	}
+	return c
+}
+
+// ownsFreq reports whether o has its own traversal profile rather than
+// pointing at its type's.
+func (o *Object) ownsFreq(g *Graph) bool {
+	return o.freq != nil && o.freq != &g.types[o.Type].Freq
+}
+
 // OnStructureChange registers fn to be called with the IDs of objects whose
 // structural relationships change after creation. This is the hook the
 // run-time reclustering algorithm uses.

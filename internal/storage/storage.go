@@ -11,6 +11,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"oodb/internal/model"
 )
@@ -111,6 +112,36 @@ func NewManager(graph *model.Graph, pageSize int) *Manager {
 		pageSize: pageSize,
 		pages:    make([]*Page, 1, 256),
 	}
+}
+
+// Clone returns a copy of m over g, which must be a clone of m's graph: the
+// pages, the object-to-page map, the free list and the placement digest.
+// Page object lists go into one array, each clipped to its length, so the
+// copy's first Place on a page reallocates its list instead of writing into
+// the next page's.
+func (m *Manager) Clone(g *model.Graph) *Manager {
+	n := 0
+	for _, p := range m.pages[1:] {
+		n += len(p.Objects)
+	}
+	ids := make([]model.ObjectID, 0, n)
+	pages := make([]Page, len(m.pages)-1)
+	c := &Manager{
+		graph:    g,
+		pageSize: m.pageSize,
+		pages:    make([]*Page, len(m.pages)),
+		where:    slices.Clone(m.where),
+		objects:  m.objects,
+		free:     slices.Clone(m.free),
+		digest:   m.digest,
+	}
+	for i, p := range m.pages[1:] {
+		k := len(ids)
+		ids = append(ids, p.Objects...)
+		pages[i] = Page{ID: p.ID, Objects: ids[k:len(ids):len(ids)], Used: p.Used}
+		c.pages[i+1] = &pages[i]
+	}
+	return c
 }
 
 // PageSize returns the page capacity in bytes.
