@@ -193,6 +193,12 @@ func parseArgs(fs *flag.FlagSet, args []string) (*cli, error) {
 			// The library reads a scale of 0 as "its default", which is the
 			// full paper database for -run and 0.02 for experiments.
 			err = fmt.Errorf("-scale must be above 0, got %v", c.scale)
+		case ocbCounts[n] && f.Value.(flag.Getter).Get().(int) < 0:
+			err = fmt.Errorf("-%s must not be negative (0 = default), got %v", n, f.Value)
+		case n == "ocb-rw" && !(c.ocbRW >= 0):
+			err = fmt.Errorf("-ocb-rw must not be negative (0 = read-only), got %v", c.ocbRW)
+		case n == "ocb-skew" && c.ocbSkew != 0 && !(c.ocbSkew > 1):
+			err = fmt.Errorf("-ocb-skew must exceed 1 (0 = default 2), got %v", c.ocbSkew)
 		}
 	})
 	if err == nil && set["record"] && set["replay"] {
@@ -202,6 +208,11 @@ func parseArgs(fs *flag.FlagSet, args []string) (*cli, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// ocbCounts names the integer -ocb-* flags, where 0 means the default.
+var ocbCounts = map[string]bool{
+	"ocb-refs": true, "ocb-depth": true, "ocb-scan": true, "ocb-tenants": true, "ocb-drift": true,
 }
 
 // singleRun carries the -run flag set; -scale, -txns, -seed and -workload

@@ -179,6 +179,38 @@ func TestExperimentRefusesNonPositiveScale(t *testing.T) {
 	refusesScale(t, "-all")
 }
 
+// TestOCBFlagsRefuseSubstitutedValues: each of these values used to run
+// with the flag's default in its place (-ocb-depth -3 printed what no
+// -ocb-depth printed). Zero still means the default.
+func TestOCBFlagsRefuseSubstitutedValues(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		bad  []string
+	}{
+		{"-ocb-refs", []string{"-2"}},
+		{"-ocb-depth", []string{"-3"}},
+		{"-ocb-scan", []string{"-1"}},
+		{"-ocb-rw", []string{"-0.5", "NaN"}},
+		{"-ocb-tenants", []string{"-4"}},
+		{"-ocb-drift", []string{"-7"}},
+		{"-ocb-skew", []string{"0.5", "1", "-3", "NaN"}},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			base := []string{"-run", "-workload", "ocb", "-ocb-tenants", "4"}
+			for _, v := range tc.bad {
+				args := append(append([]string(nil), base...), tc.flag, v)
+				if _, err := parse(args...); err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
+					t.Errorf("%q: got %v, want an error naming %s", args, err, tc.flag)
+				}
+			}
+			ok := append(append([]string(nil), base...), tc.flag, "0")
+			if _, err := parse(ok...); err != nil {
+				t.Errorf("%q: %v; 0 means the default", ok, err)
+			}
+		})
+	}
+}
+
 // TestRefusedFlags pins that a flag the chosen mode would ignore is refused
 // at parse time, before any world is built, with an error naming it.
 func TestRefusedFlags(t *testing.T) {

@@ -66,7 +66,9 @@ func perturb(t *testing.T, v reflect.Value) {
 }
 
 // TestCloneRunsLikeFreshBuild runs every registered replacement policy ×
-// clustering strategy, on OCT and on OCB with writes on, three ways: two
+// clustering strategy, on OCT and on OCB with writes on, and on OCT under
+// Within_Buffer clustering, whose fallback placements all go to the
+// clusterer's spill page. Each combination runs three ways: two
 // clones of one template back to back, the template itself, and a fresh
 // build. The template is built under other run fields than the runs use,
 // as a harness batch's first member would build it. Every run must match
@@ -77,7 +79,9 @@ func TestCloneRunsLikeFreshBuild(t *testing.T) {
 	ocbWrites := oct
 	ocbWrites.Workload = WorkloadOCB
 	ocbWrites.OCB.ReadWriteRatio = 3
-	for _, base := range []Config{oct, ocbWrites} {
+	withinBuffer := oct
+	withinBuffer.Cluster = core.PolicyWithinBuffer
+	for _, base := range []Config{oct, ocbWrites, withinBuffer} {
 		for _, repl := range buffer.PolicyNames() {
 			for _, strat := range core.ClusterStrategyNames() {
 				cfg := base

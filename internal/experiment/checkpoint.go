@@ -2,26 +2,63 @@ package experiment
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
+	"time"
 
 	"oodb/internal/engine"
 )
 
 // The results cache behind Options.CheckpointDir. A serial run is a pure
-// function of its configuration (seed included), so a finished run's
-// Results are all there is to keep: a killed batch restarts by reading the
-// configurations that finished and running the rest from the start.
+// function of its configuration (seed included) and of the simulator that
+// ran it, so a finished run's Results are all there is to keep: a killed
+// batch restarts by reading the configurations that finished and running
+// the rest from the start.
 
 // cachedResult is one cache file: the finished results plus the full
-// fingerprint they were produced under, so a hash collision or a file from
-// another configuration reads as a miss rather than as wrong results.
+// fingerprint and the build they were produced under, so a hash collision,
+// a file from another configuration or one written by another build of the
+// simulator reads as a miss rather than as wrong results.
 type cachedResult struct {
 	Fingerprint string
+	Build       string
 	Results     engine.Results
+}
+
+// buildID identifies the running build: the SHA-256 of its executable,
+// computed once per process. A VCS revision would miss uncommitted edits.
+// An executable that cannot be read gets an identity of this process
+// alone, so its cache entries are never served to another process.
+var buildID = sync.OnceValue(func() string {
+	sum, err := hashExecutable()
+	if err != nil {
+		return fmt.Sprintf("unhashed pid %d at %d", os.Getpid(), time.Now().UnixNano())
+	}
+	return sum
+})
+
+func hashExecutable() (string, error) {
+	path, err := os.Executable()
+	if err != nil {
+		return "", err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close() // errscan:ok read-only file; the read error is what counts
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // checkpointPath names a configuration's cache file: a stable hash of the
@@ -50,6 +87,10 @@ func (h *Harness) loadCached(cfg engine.Config) (engine.Results, bool) {
 		h.progress(fmt.Sprintf("cached result for %s belongs to another configuration, running fresh", cfg.Label()))
 		return engine.Results{}, false
 	}
+	if c.Build != h.build {
+		h.progress(fmt.Sprintf("cached result for %s comes from another build, running fresh", cfg.Label()))
+		return engine.Results{}, false
+	}
 	return c.Results, true
 }
 
@@ -57,7 +98,7 @@ func (h *Harness) loadCached(cfg engine.Config) (engine.Results, bool) {
 // rename), so a kill mid-write cannot leave a half-written file behind.
 func (h *Harness) storeCached(cfg engine.Config, res engine.Results) error {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cachedResult{Fingerprint: cfg.Fingerprint(), Results: res}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(cachedResult{Fingerprint: cfg.Fingerprint(), Build: h.build, Results: res}); err != nil {
 		return fmt.Errorf("experiment: encoding cached result: %w", err)
 	}
 	if err := os.MkdirAll(h.opt.CheckpointDir, 0o755); err != nil {

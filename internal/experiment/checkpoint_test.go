@@ -72,6 +72,31 @@ func TestCheckpointDirResume(t *testing.T) {
 	rerun("file of another configuration")
 }
 
+// TestCheckpointDirKeyedByBuild: a results cache written by one build of
+// the simulator is not served to another. The other build's fresh result
+// overwrites the entry, which that build then serves, and the first build
+// no longer finds its own.
+func TestCheckpointDirKeyedByBuild(t *testing.T) {
+	o := figure
+	o.CheckpointDir = t.TempDir()
+	run := func(build string, wantExecuted int64) {
+		t.Helper()
+		h := NewHarness(o)
+		h.build = build
+		if _, err := h.Run(h.baseConfig()); err != nil {
+			t.Fatal(err)
+		}
+		if n := h.Executed(); n != wantExecuted {
+			t.Fatalf("build %s executed %d runs, want %d", build, n, wantExecuted)
+		}
+	}
+	run("a", 1)
+	run("a", 0)
+	run("b", 1)
+	run("b", 0)
+	run("a", 1)
+}
+
 // TestFlashCrowdConfigsDistinct: two configurations differing only in the
 // flash-crowd fields (the tournament varies them) are different runs — they
 // must share neither a memo slot nor a -ckpt-dir file.

@@ -64,9 +64,10 @@ type Options struct {
 	// <dir>/<config-hash>.ckpt and, on a later invocation, returns a cached
 	// configuration's results without running it — so a killed batch
 	// restarts by re-running only the configurations that had not
-	// finished. A missing, corrupt or mismatched file means a fresh run
-	// that overwrites it. The cache is keyed by configuration, not by
-	// code: empty the directory after changing the simulator.
+	// finished. Each entry records the configuration and the build that
+	// wrote it (the executable's SHA-256). A missing or corrupt file, or
+	// one from another configuration or another build, means a fresh run
+	// that overwrites it.
 	CheckpointDir string
 }
 
@@ -98,6 +99,9 @@ func (o Options) withDefaults() Options {
 // a clone.
 type Harness struct {
 	opt Options
+	// build is the build identity results-cache entries are written and
+	// served under (buildID, unless a test sets another).
+	build string
 
 	// mu guards the memo, the in-flight table and the scheduler's state.
 	mu       sync.Mutex
@@ -133,6 +137,9 @@ func NewHarness(opt Options) *Harness {
 		opt:      o,
 		cache:    make(map[string]engine.Results),
 		inflight: make(map[string]*inflightRun),
+	}
+	if o.CheckpointDir != "" {
+		h.build = buildID()
 	}
 	h.sched.init(&h.mu)
 	return h

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -130,6 +131,42 @@ func TestParallelMatchesSerialRender(t *testing.T) {
 	for _, tb := range swept(t, "fig6.1", "tournament") {
 		golden.Assert(t, tb.ID+".txt", tb.Render())
 	}
+}
+
+// TestClonedBatchMatchesSweep renders fig5.6, whose 25 runs share 5 worlds
+// at the figure size, on a fresh harness of four workers, also under
+// -short, so -race sees runs on clones. It must build each world once and
+// render what the sweep golden holds for it.
+func TestClonedBatchMatchesSweep(t *testing.T) {
+	h := NewHarness(figure)
+	tables, err := h.RunAll([]string{"fig5.6"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFigure(t, tables[0])
+	if built, cloned := h.built.Load(), h.cloned.Load(); built != 5 || cloned != 20 || h.Executed() != 25 {
+		t.Errorf("built %d worlds for %d runs, %d on clones; want 5 for 25, 20 on clones", built, h.Executed(), cloned)
+	}
+	if got, want := tables[0].Render(), sweepSection(t, "fig5.6"); got != want {
+		t.Errorf("fig5.6 diverges from its section of sweep.txt:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// sweepSection returns the render of experiment id held in sweep.txt.
+func sweepSection(t *testing.T, id string) string {
+	t.Helper()
+	data, err := os.ReadFile(golden.Path("sweep.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := strings.ToUpper(id[:1]) + id[1:] + " -- "
+	for _, sec := range strings.Split(string(data), "\n\n") {
+		if strings.HasPrefix(sec, head) {
+			return strings.TrimSuffix(sec, "\n") + "\n"
+		}
+	}
+	t.Fatalf("sweep.txt has no section for %s", id)
+	return ""
 }
 
 // The structure tests below name the figures whose shapes they own; the

@@ -3,6 +3,7 @@ package ocb
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"oodb/internal/model"
@@ -295,6 +296,24 @@ func TestGeneratorKindsValid(t *testing.T) {
 					t.Fatalf("op %d: stochastic step %d does not follow a configuration reference", i, k)
 				}
 			}
+		}
+	}
+}
+
+// TestValidateSeesRawValues: WithDefaults fills only zero values of the
+// fields the CLI's -ocb-* flags set, so Validate refuses a negative one (or
+// a skew at most 1) instead of running it as the default.
+func TestValidateSeesRawValues(t *testing.T) {
+	for name, p := range map[string]Params{
+		"RefsPerObject": {RefsPerObject: -2},
+		"Depth":         {Depth: -3},
+		"ScanSample":    {ScanSample: -1},
+		"Tenants":       {Tenants: -4},
+		"TenantSkew":    {TenantSkew: 0.5},
+		"DriftPeriod":   {DriftPeriod: -7},
+	} {
+		if err := p.WithDefaults().Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%+v: got %v, want an error naming %s", p, err, name)
 		}
 	}
 }

@@ -153,7 +153,10 @@ type Params struct {
 // DefaultParams returns the fully defaulted parameter set.
 func DefaultParams() Params { return Params{}.WithDefaults() }
 
-// WithDefaults fills every unset field with its default.
+// WithDefaults fills every unset field with its default. RefsPerObject,
+// Depth, ScanSample, Tenants, TenantSkew and DriftPeriod are unset only at
+// zero: a negative value (or a skew at most 1) is left for Validate to
+// refuse, not replaced.
 func (p Params) WithDefaults() Params {
 	if p.HierarchyDepth <= 0 {
 		p.HierarchyDepth = 3
@@ -169,7 +172,7 @@ func (p Params) WithDefaults() Params {
 	} else if p.SizeSpread == 0 {
 		p.SizeSpread = 80
 	}
-	if p.RefsPerObject <= 0 {
+	if p.RefsPerObject == 0 {
 		p.RefsPerObject = 3
 	}
 	if p.ZipfS <= 1 {
@@ -184,10 +187,10 @@ func (p Params) WithDefaults() Params {
 	if p.VersionFraction <= 0 {
 		p.VersionFraction = 0.15
 	}
-	if p.Depth <= 0 {
+	if p.Depth == 0 {
 		p.Depth = 3
 	}
-	if p.ScanSample <= 0 {
+	if p.ScanSample == 0 {
 		p.ScanSample = 30
 	}
 	if p.WeightScan+p.WeightSimple+p.WeightHierarchy+p.WeightStochastic <= 0 {
@@ -205,14 +208,11 @@ func (p Params) WithDefaults() Params {
 	if p.WeightInsert+p.WeightDelete+p.WeightUpdate+p.WeightRewire <= 0 {
 		p.WeightInsert, p.WeightDelete, p.WeightUpdate, p.WeightRewire = 3, 1, 4, 2
 	}
-	if p.Tenants <= 0 {
+	if p.Tenants == 0 {
 		p.Tenants = 1
 	}
-	if p.TenantSkew <= 1 {
+	if p.TenantSkew == 0 {
 		p.TenantSkew = 2
-	}
-	if p.DriftPeriod < 0 {
-		p.DriftPeriod = 0
 	}
 	return p
 }
