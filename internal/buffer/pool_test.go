@@ -297,3 +297,63 @@ func TestResidencyInvariant(t *testing.T) {
 		})
 	}
 }
+
+// Random draws through its own counted intn; it must pick exactly what
+// rand.Rand.Intn picks from the same stream, or every figure run under
+// Random would move.
+func TestRandomIntnMatchesRand(t *testing.T) {
+	want := rand.New(rand.NewSource(7))
+	r := NewRandom(rand.New(rand.NewSource(7)), 0)
+	for i := 1; i < 5000; i++ {
+		n := 1 + i%1500
+		if got, w := r.intn(n), want.Intn(n); got != w {
+			t.Fatalf("draw %d of [0,%d): intn %d, rand.Intn %d", i, n, got, w)
+		}
+	}
+}
+
+// A cloned pool evicts exactly what the original evicts from then on,
+// whatever policy it holds: residency, dirty flags, the policy's order and
+// Random's stream position all carry over, and the two share no state.
+func TestPoolCloneEvictsLikeOriginal(t *testing.T) {
+	for name, newPolicy := range map[string]func(seed int64) Policy{
+		"lru":    func(int64) Policy { return NewLRU() },
+		"clock":  func(int64) Policy { return NewClock() },
+		"random": func(seed int64) Policy { return NewRandom(rand.New(rand.NewSource(seed)), 2) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			orig := NewPool(8, newPolicy(3))
+			drive := func(p *Pool, from, to int) []storage.PageID {
+				var victims []storage.PageID
+				for i := from; i < to; i++ {
+					pg := storage.PageID(1 + (i*7)%23)
+					res, err := p.Access(pg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i%3 == 0 {
+						if err := p.MarkDirty(pg); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if i%5 == 0 {
+						p.Boost(storage.PageID(1 + i%23))
+					}
+					victims = append(victims, res.Victim)
+				}
+				return victims
+			}
+			drive(orig, 0, 200)
+			clone, ok := orig.Clone(PolicyConfig{RNG: func() *rand.Rand { return rand.New(rand.NewSource(3)) }})
+			if !ok {
+				t.Fatal("pool did not clone")
+			}
+			got, want := drive(clone, 200, 400), drive(orig, 200, 400)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("access %d: clone evicted %d, original %d", 200+i, got[i], want[i])
+				}
+			}
+		})
+	}
+}

@@ -125,9 +125,9 @@ func (r *Random) intn(n int) int {
 	if m&(m-1) == 0 {
 		return int(r.int31() & (m - 1))
 	}
-	max := int32((1 << 31) - 1 - (1<<31)%uint32(m))
+	limit := int32((1 << 31) - 1 - (1<<31)%uint32(m))
 	v := r.int31()
-	for v > max {
+	for v > limit {
 		v = r.int31()
 	}
 	return int(v % m)

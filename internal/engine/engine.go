@@ -138,8 +138,8 @@ func (t *Template) Cloneable() bool {
 // Engine returns an engine for cfg on a clone of the template's world; cfg
 // must share the template's world key. It is safe for concurrent use.
 func (t *Template) Engine(cfg Config) (*Engine, error) {
-	if cfg.WorldKey() != t.key {
-		return nil, errors.New("engine: configuration builds another world than the template's")
+	if err := t.fits(cfg); err != nil {
+		return nil, err
 	}
 	t.mu.RLock()
 	if t.w == nil {
@@ -158,8 +158,8 @@ func (t *Template) Engine(cfg Config) (*Engine, error) {
 // clone in progress is done; cfg must share the template's world key. The
 // template is spent: later calls to Engine or Take fail.
 func (t *Template) Take(cfg Config) (*Engine, error) {
-	if cfg.WorldKey() != t.key {
-		return nil, errors.New("engine: configuration builds another world than the template's")
+	if err := t.fits(cfg); err != nil {
+		return nil, err
 	}
 	t.mu.Lock()
 	w := t.w
@@ -170,6 +170,14 @@ func (t *Template) Take(cfg Config) (*Engine, error) {
 	}
 	w.runAs(cfg)
 	return newEngine(cfg, func() (*world, error) { return w, nil })
+}
+
+// fits refuses a configuration that builds another world than t's.
+func (t *Template) fits(cfg Config) error {
+	if cfg.WorldKey() != t.key {
+		return errors.New("engine: configuration builds another world than the template's")
+	}
+	return nil
 }
 
 // serialPool is the newPool of the single-goroutine drivers. One pool, one

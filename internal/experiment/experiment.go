@@ -47,7 +47,8 @@ type Options struct {
 	// smoothing a single run's noise. Default 1.
 	Replications int
 	// Workers bounds how many simulation runs execute concurrently in the
-	// batch APIs (RunConfigs, RunAll) and across replications. Zero means
+	// batch APIs (RunConfigs, RunAll) and across replications, and how
+	// many built worlds are kept for cloning at once. Zero means
 	// runtime.GOMAXPROCS(0); 1 runs one simulation at a time.
 	Workers int
 	// Verbose, when non-nil, receives progress lines. The harness
@@ -120,6 +121,7 @@ type Harness struct {
 // submits it, later requesters block on done and share the result. Its
 // replications complete into reps; the last one to finish fills res and err.
 type inflightRun struct {
+	cfg  engine.Config
 	key  string
 	done chan struct{}
 	res  engine.Results
@@ -176,12 +178,14 @@ func (h *Harness) Run(cfg engine.Config) (engine.Results, error) {
 // the result. The first error (by input order) is returned; a failing
 // configuration does not cancel the others.
 func (h *Harness) RunConfigs(cfgs []engine.Config) ([]engine.Results, error) {
+	keys := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		keys[i] = cfg.Fingerprint()
+	}
 	slots := make([]*inflightRun, len(cfgs))
 	var fresh []*inflightRun
-	var freshCfgs []engine.Config
 	h.mu.Lock()
-	for i, cfg := range cfgs {
-		k := cfg.Fingerprint()
+	for i, k := range keys {
 		if r, ok := h.cache[k]; ok {
 			slots[i] = &inflightRun{res: r}
 			continue
@@ -190,13 +194,13 @@ func (h *Harness) RunConfigs(cfgs []engine.Config) ([]engine.Results, error) {
 			slots[i] = f
 			continue
 		}
-		f := &inflightRun{key: k, done: make(chan struct{})}
+		f := &inflightRun{cfg: cfgs[i], key: k, done: make(chan struct{})}
 		h.inflight[k] = f
 		slots[i] = f
-		fresh, freshCfgs = append(fresh, f), append(freshCfgs, cfg)
+		fresh = append(fresh, f)
 	}
 	h.mu.Unlock()
-	h.submit(freshCfgs, fresh)
+	h.submit(fresh)
 
 	out := make([]engine.Results, len(cfgs))
 	var first error
@@ -218,10 +222,10 @@ func (h *Harness) RunConfigs(cfgs []engine.Config) ([]engine.Results, error) {
 // submit plans every replication of each configuration: one served from
 // the CheckpointDir cache completes at once, the rest go to the scheduler
 // together, so the batch's members find each other's worlds.
-func (h *Harness) submit(cfgs []engine.Config, runs []*inflightRun) {
+func (h *Harness) submit(runs []*inflightRun) {
 	var jobs []job
-	for i, cfg := range cfgs {
-		f := runs[i]
+	for _, f := range runs {
+		cfg := f.cfg
 		h.progress("run " + cfg.Label())
 		n := h.opt.Replications
 		f.reps, f.errs, f.left = make([]engine.Results, n), make([]error, n), n

@@ -12,7 +12,7 @@ import (
 // groups the runs it owes by world key (engine.Config.WorldKey), builds
 // each group's world once as an engine.Template, runs every member but the
 // last on a clone of it and the last on the template itself. A group of
-// one builds and runs exactly as engine.New does.
+// one builds its world and runs on it, exactly as engine.New does.
 //
 // Options.Workers workers execute the runs, and at most that many
 // templates are live at once: a worker starts a new template only when no
@@ -95,7 +95,6 @@ const (
 	build      // build g's template
 	clone      // run j on a clone of g's template
 	take       // run j, g's last member, on g's template
-	alone      // build and run j, g's only member
 )
 
 // next picks a worker's next step: a member of a group whose template is
@@ -115,12 +114,7 @@ func (s *scheduler) next(h *Harness) (step, *group, job) {
 		return take, g, j
 	}
 	for _, g := range s.groups {
-		switch {
-		case g.building:
-		case len(g.jobs) == 1:
-			s.close(g)
-			return alone, g, g.jobs[0]
-		case s.live < h.opt.Workers:
+		if !g.building && s.live < h.opt.Workers {
 			g.building = true
 			s.live++
 			return build, g, g.jobs[0]
@@ -204,9 +198,6 @@ func (s *scheduler) run(h *Harness, st step, g *group, j job) (engine.Results, e
 	case take:
 		g.copying.Wait()
 		e, err = g.tmpl.Take(j.cfg)
-	case alone:
-		h.built.Add(1)
-		e, err = engine.New(j.cfg)
 	}
 	if err != nil {
 		return engine.Results{}, err
