@@ -14,12 +14,14 @@ import (
 // last on a clone of it and the last on the template itself. A group of
 // one builds its world and runs on it, exactly as engine.New does.
 //
-// Options.Workers workers execute the runs, and at most that many
-// templates are live at once: a worker starts a new template only when no
-// live one has a member waiting, so templates die as soon as they can and
-// memory stays within a template plus its running clone per worker. Groups
-// are harness-wide: a member that another batch submits while its world's
-// template is live joins that template.
+// Options.Workers workers execute the runs, at most that many templates
+// are live at once, and the worlds held — templates plus the worlds of
+// runs in progress — are at most one more than the workers, the parent's
+// one running world per worker plus one template. A worker prefers the
+// step that frees a template (the last member's take), then a clone of a
+// live template, then a new build, so templates die as soon as they can.
+// Groups are harness-wide: a member that another batch submits while its
+// world's template is live joins that template.
 
 // job is one replication of one configuration and the run it completes.
 type job struct {
@@ -49,6 +51,7 @@ type scheduler struct {
 	groups  []*group // open groups in order of opening
 	byKey   map[engine.WorldKey]*group
 	live    int // templates built or being built and not yet taken
+	worlds  int // templates plus the worlds of runs in progress
 	workers int // running worker goroutines
 }
 
@@ -97,26 +100,36 @@ const (
 	take       // run j, g's last member, on g's template
 )
 
-// next picks a worker's next step: a member of a group whose template is
-// ready, else a new template if fewer than Workers are live, else idle.
+// next picks a worker's next step: the last member of a group whose
+// template is ready; else, while fewer than Workers+1 worlds are held, a
+// clone of a ready template or a new template if fewer than Workers are
+// live; else idle. A take holds no world the template did not.
 func (s *scheduler) next(h *Harness) (step, *group, job) {
 	for _, g := range s.groups {
-		if g.tmpl == nil {
-			continue
+		if g.tmpl != nil && len(g.jobs) == 1 {
+			j := g.jobs[0]
+			g.jobs = nil
+			s.close(g)
+			return take, g, j
 		}
-		j := g.jobs[0]
-		g.jobs = g.jobs[1:]
-		if len(g.jobs) > 0 {
+	}
+	if s.worlds > h.opt.Workers {
+		return idle, nil, job{}
+	}
+	for _, g := range s.groups {
+		if g.tmpl != nil {
+			j := g.jobs[0]
+			g.jobs = g.jobs[1:]
 			g.copying.Add(1)
+			s.worlds++
 			return clone, g, j
 		}
-		s.close(g)
-		return take, g, j
 	}
 	for _, g := range s.groups {
 		if !g.building && s.live < h.opt.Workers {
 			g.building = true
 			s.live++
+			s.worlds++
 			return build, g, g.jobs[0]
 		}
 	}
@@ -160,6 +173,7 @@ func (s *scheduler) work(h *Harness) {
 				g.jobs = nil
 				g.building = false
 				s.live--
+				s.worlds--
 				s.close(g)
 				h.mu.Unlock()
 				for _, j := range failed {
@@ -175,6 +189,7 @@ func (s *scheduler) work(h *Harness) {
 		res, err := s.run(h, st, g, j)
 		h.finish(j, res, err)
 		h.mu.Lock()
+		s.worlds--
 		s.wake.Broadcast()
 	}
 	s.workers--
