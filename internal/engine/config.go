@@ -384,8 +384,15 @@ func (c Config) through(last phase) string {
 func (c Config) Fingerprint() string { return c.through(phaseRun) }
 
 // constructionKey renders the fields up to construction: configurations
-// with equal keys build identical worlds.
-func (c Config) constructionKey() string { return c.through(phaseConstruction) }
+// with equal keys build identical worlds. A persistent backend's world
+// lives in its data directory, so there the storage fields count too.
+func (c Config) constructionKey() string {
+	k := c.through(phaseConstruction)
+	if !storage.IsMemoryBackend(c.Backend) {
+		k += fmt.Sprintf(" in %q at %q, fsync %q", c.Backend, c.DataDir, c.Fsync)
+	}
+	return k
+}
 
 // WorldKey identifies the world a configuration constructs. Configurations
 // with equal keys build identical worlds, so any of them may run on a clone

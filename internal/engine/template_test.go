@@ -8,6 +8,7 @@ import (
 	"oodb/internal/buffer"
 	"oodb/internal/core"
 	"oodb/internal/registry"
+	"oodb/internal/storage"
 )
 
 // TestConfigPhases holds configPhases to Config: every field is named, no
@@ -33,9 +34,19 @@ func TestConfigPhases(t *testing.T) {
 		if got := c.Fingerprint() != base.Fingerprint(); got != (ph < phaseOutput) {
 			t.Errorf("Config.%s (phase %d): changes Fingerprint = %v", f.Name, ph, got)
 		}
-		if got := c.WorldKey() != base.WorldKey(); got != (ph <= phaseConstruction) {
+		persistent := !storage.IsMemoryBackend(c.Backend)
+		if got := c.WorldKey() != base.WorldKey(); got != (ph <= phaseConstruction || persistent) {
 			t.Errorf("Config.%s (phase %d): changes the world key = %v", f.Name, ph, got)
 		}
+	}
+
+	// A file-backed world lives in its data directory: two directories
+	// are two worlds.
+	a, b := base, base
+	a.Backend, a.DataDir = "file", "a"
+	b.Backend, b.DataDir = "file", "b"
+	if a.WorldKey() == b.WorldKey() {
+		t.Error("file-backed configurations in different data directories share a world key")
 	}
 }
 

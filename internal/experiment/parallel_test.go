@@ -1,11 +1,14 @@
 package experiment
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
 	"oodb/internal/engine"
+	"oodb/internal/storage"
 	"oodb/internal/workload"
 )
 
@@ -197,6 +200,42 @@ func TestAverageResultsRoundsHalfUp(t *testing.T) {
 	for in, want := range map[float64]int{0: 0, 0.4: 0, 0.5: 1, 1.49: 1, 1.5: 2, 2.5: 3} {
 		if got := roundCount(in); got != want {
 			t.Fatalf("roundCount(%v) = %d, want %d", in, got, want)
+		}
+	}
+}
+
+// A file-backed world lives in its data directory, so file-backed
+// configurations that differ only in run fields and directory are separate
+// worlds: each runs in its own directory and computes what the memory
+// backend computes.
+func TestFileBackedBatchRunsEachInItsDirectory(t *testing.T) {
+	h := NewHarness(figure)
+	var cfgs []engine.Config
+	for _, rw := range []float64{5, 50} {
+		cfg := h.baseConfig()
+		cfg.ReadWriteRatio = rw
+		cfg.Backend, cfg.DataDir, cfg.Fsync = "file", t.TempDir(), "never"
+		cfgs = append(cfgs, cfg)
+	}
+	got, err := h.RunConfigs(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		if fi, err := os.Stat(filepath.Join(cfg.DataDir, storage.WALFileName)); err != nil || fi.Size() == 0 {
+			t.Errorf("config %d left no log in its directory: %v", i, err)
+		}
+		cfg.Backend, cfg.DataDir, cfg.Fsync = "", "", ""
+		e, err := engine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].LogicalDigest != want.LogicalDigest || got[i].MeanResponse != want.MeanResponse {
+			t.Errorf("config %d: file-backed batch run differs from the memory backend's", i)
 		}
 	}
 }

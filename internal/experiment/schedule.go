@@ -217,5 +217,10 @@ func (s *scheduler) run(h *Harness, st step, g *group, j job) (engine.Results, e
 	if err != nil {
 		return engine.Results{}, err
 	}
-	return e.Run()
+	res, err := e.Run()
+	// A file-backed world holds its data directory's files open.
+	if cerr := e.Close(); err == nil {
+		err = cerr
+	}
+	return res, err
 }
