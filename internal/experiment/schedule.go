@@ -16,8 +16,8 @@ import (
 //
 // Options.Workers workers execute the runs, at most that many templates
 // are live at once, and the worlds held — templates plus the worlds of
-// runs in progress — are at most one more than the workers, the parent's
-// one running world per worker plus one template. A worker prefers the
+// runs in progress — are at most one more than the workers: a running
+// world per worker plus one template. A worker prefers the
 // step that frees a template (the last member's take), then a clone of a
 // live template, then a new build, so templates die as soon as they can.
 // Groups are harness-wide: a member that another batch submits while its
