@@ -364,3 +364,94 @@ func FuzzRelations(f *testing.F) {
 
 // errNotLinked stands for Detach's untyped "not a component" error.
 var errNotLinked = errors.New("not linked")
+
+// TestCloneIsIndependent: a clone and its original share nothing either
+// writes. Every mutation the graph offers runs on the clone — list inserts
+// and in-place drops, a by-reference switch that gives an object its own
+// profile, a delete, a new object — and the original must read as it did,
+// while the clone holds consistent relations of its own.
+func TestCloneIsIndependent(t *testing.T) {
+	g := NewGraph()
+	ty := mustType(t, g, "t", NilType, 10, FreqProfile{ConfigDown: 0.5},
+		[]AttrDef{{Name: "big", Size: 100, AccessFreq: 0.2}})
+	var ids []ObjectID
+	for i := 0; i < 6; i++ {
+		ids = append(ids, mustObject(t, g, "", 1, ty).ID)
+	}
+	for _, link := range [][2]ObjectID{{ids[0], ids[1]}, {ids[0], ids[2]}, {ids[1], ids[3]}, {ids[2], ids[3]}} {
+		if err := g.Attach(link[0], link[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Correspond(ids[4], ids[5]); err != nil {
+		t.Fatal(err)
+	}
+	v, err := g.Derive(ids[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetAttrImpl(v.ID, 0, ByReference); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(g *Graph) (out []Object, rels [][numLists][]ObjectID, freqs []FreqProfile) {
+		g.ForEachObject(func(o *Object) {
+			out = append(out, *o)
+			l := lists(o)
+			for i := range l {
+				l[i] = slices.Clone(l[i])
+			}
+			rels = append(rels, l)
+			freqs = append(freqs, o.Freq())
+		})
+		return out, rels, freqs
+	}
+	objs, rels, freqs := snapshot(g)
+
+	c := g.Clone()
+	if err := c.Attach(ids[1], ids[2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Detach(ids[0], ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Correspond(ids[3], ids[4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetAttrImpl(v.ID, 0, ByCopy); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetAttrImpl(ids[5], 0, ByReference); err == nil {
+		t.Fatal("an object with no inheritance source switched to by-reference")
+	}
+	if err := c.DeleteObject(ids[5]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.NewObject("n", 1, ty); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckRelations(); err != nil {
+		t.Fatalf("clone after mutation: %v", err)
+	}
+	if c.NumObjects() != g.NumObjects() {
+		t.Fatalf("clone holds %d objects after a delete and a create, original %d", c.NumObjects(), g.NumObjects())
+	}
+
+	gotObjs, gotRels, gotFreqs := snapshot(g)
+	if len(gotObjs) != len(objs) {
+		t.Fatalf("original holds %d objects, had %d", len(gotObjs), len(objs))
+	}
+	for i := range objs {
+		if gotObjs[i].ID != objs[i].ID || gotObjs[i].Size != objs[i].Size || gotObjs[i].byRef != objs[i].byRef ||
+			gotFreqs[i] != freqs[i] {
+			t.Errorf("original object %d changed: %+v, was %+v", objs[i].ID, gotObjs[i], objs[i])
+		}
+		for l := range rels[i] {
+			if !slices.Equal(gotRels[i][l], rels[i][l]) {
+				t.Errorf("original object %d list %d: %v, was %v", objs[i].ID, l, gotRels[i][l], rels[i][l])
+			}
+		}
+	}
+	if err := g.CheckRelations(); err != nil {
+		t.Fatalf("original after the clone's mutations: %v", err)
+	}
+}

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -209,5 +210,85 @@ func TestRandomOpsInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloneIsIndependent: a clone of the manager over a clone of its graph
+// shares no page list, map or free list with the original. Removals
+// (which shift a page's list in place), moves, placements and page reuse
+// on the clone leave the original as it was.
+func TestCloneIsIndependent(t *testing.T) {
+	g, m, ty := setup(t, 100)
+	var ids []model.ObjectID
+	for i := 0; i < 12; i++ {
+		ids = append(ids, newObj(t, g, ty, 30))
+	}
+	var pages []PageID
+	for i, id := range ids[:9] {
+		if i%3 == 0 {
+			pages = append(pages, m.AllocatePage())
+		}
+		if err := m.Place(id, pages[len(pages)-1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type pageState struct {
+		objs []model.ObjectID
+		free int
+	}
+	state := func(m *Manager) (map[PageID]pageState, map[model.ObjectID]PageID, uint64) {
+		ps := map[PageID]pageState{}
+		for id := PageID(1); int(id) <= m.NumPages(); id++ {
+			ps[id] = pageState{append([]model.ObjectID(nil), m.ObjectsOn(id)...), m.FreeSpace(id)}
+		}
+		where := map[model.ObjectID]PageID{}
+		for _, id := range ids {
+			where[id] = m.PageOf(id)
+		}
+		return ps, where, m.StateDigest()
+	}
+	wantPages, wantWhere, wantDigest := state(m)
+
+	c := m.Clone(g.Clone())
+	for _, id := range ids[:3] {
+		if err := c.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Move(ids[4], pages[2]); err == nil {
+		t.Fatal("moved onto a full page")
+	}
+	if err := c.Remove(ids[7]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Move(ids[4], pages[2]); err != nil {
+		t.Fatal(err)
+	}
+	reused := c.AllocatePage()
+	for _, id := range ids[9:] {
+		if err := c.Place(id, reused); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("clone: %v", err)
+	}
+
+	gotPages, gotWhere, gotDigest := state(m)
+	if gotDigest != wantDigest {
+		t.Errorf("original digest %x, was %x", gotDigest, wantDigest)
+	}
+	for id, w := range wantPages {
+		if g := gotPages[id]; g.free != w.free || !slices.Equal(g.objs, w.objs) {
+			t.Errorf("original page %d: %v (free %d), was %v (free %d)", id, g.objs, g.free, w.objs, w.free)
+		}
+	}
+	for id, w := range wantWhere {
+		if gotWhere[id] != w {
+			t.Errorf("original object %d on page %d, was on %d", id, gotWhere[id], w)
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("original: %v", err)
 	}
 }
