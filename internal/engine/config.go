@@ -370,8 +370,8 @@ var configPhases = map[string]phase{
 // through renders c with every field of a phase after last zeroed.
 func (c Config) through(last phase) string {
 	v := reflect.ValueOf(&c).Elem()
-	for i, f := range reflect.VisibleFields(v.Type()) {
-		if configPhases[f.Name] > last {
+	for i := 0; i < v.NumField(); i++ {
+		if configPhases[v.Type().Field(i).Name] > last {
 			v.Field(i).SetZero()
 		}
 	}

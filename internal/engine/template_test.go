@@ -17,6 +17,9 @@ import (
 // construction key only if it is a generation or construction field.
 func TestConfigPhases(t *testing.T) {
 	fields := reflect.VisibleFields(reflect.TypeOf(Config{}))
+	if got := reflect.TypeOf(Config{}).NumField(); got != len(fields) {
+		t.Fatalf("Config embeds a struct (%d fields, %d visible); configPhases names direct fields only", got, len(fields))
+	}
 	for _, f := range fields {
 		if _, ok := configPhases[f.Name]; !ok {
 			t.Errorf("Config.%s has no phase in configPhases", f.Name)
