@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"oodb"
@@ -40,9 +41,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("recovered %s: committed=%d records=%d applied=%d skipped=%d objects=%d pages=%d frames=%d ok/%d corrupt digest=%016x\n",
+		fmt.Printf("recovered %s: committed=%d records=%d applied=%d skipped=%d objects=%d pages=%d digest=%016x\n",
 			c.recoverDir, st.Committed, st.Records, st.Applied, st.Skipped,
-			st.Objects, st.Pages, st.FramesValid, st.FramesCorrupt, st.Digest)
+			st.Objects, st.Pages, st.Digest)
 		return
 	}
 	if c.walDigestAt >= 0 {
@@ -189,6 +190,10 @@ func parseArgs(fs *flag.FlagSet, args []string) (*cli, error) {
 			err = fmt.Errorf("-%s is serial-only; it cannot be combined with -clients", n)
 		case n == "clients" && c.clients < 1:
 			err = fmt.Errorf("-clients must be at least 1, got %d", c.clients)
+		case strings.HasPrefix(n, "ocb-") && !set["tier"] && (c.workload == "" || c.workload == "oct"):
+			// config reads the -ocb-* flags only for the OCB workload; a
+			// tier refuses them itself.
+			err = fmt.Errorf("-%s applies only to -workload ocb", n)
 		case n == "scale" && !(c.scale > 0):
 			// The library reads a scale of 0 as "its default", which is the
 			// full paper database for -run and 0.02 for experiments.
@@ -289,7 +294,7 @@ func runFlags(fs *flag.FlagSet) *singleRun {
 	fs.StringVar(&s.replay, "replay", "", "single run: drive the run from a recorded trace file instead of the generator")
 
 	fs.StringVar(&s.backend, "backend", "", "single run: storage backend (memory | file; default memory)")
-	fs.StringVar(&s.dataDir, "data-dir", "", "single run: data directory for -backend file (write-ahead log + page file)")
+	fs.StringVar(&s.dataDir, "data-dir", "", "single run: data directory for -backend file (holds the write-ahead log)")
 	fs.StringVar(&s.fsync, "fsync", "", "single run: WAL fsync policy for -backend file (always | interval | never; default always)")
 
 	fs.IntVar(&s.warmup, "warmup", 0, "single run: leading transactions excluded from the statistics")

@@ -211,6 +211,37 @@ func TestOCBFlagsRefuseSubstitutedValues(t *testing.T) {
 	}
 }
 
+// TestOCBFlagsRefusedUnderOCT: the OCT workload reads no -ocb-* flag, so a
+// run given one would print what the run without it prints. Each is
+// refused by name unless -workload ocb.
+func TestOCBFlagsRefusedUnderOCT(t *testing.T) {
+	values := map[string]string{
+		"ocb-dist": "uniform", "ocb-refs": "3", "ocb-depth": "5", "ocb-scan": "10",
+		"ocb-rw": "2", "ocb-tenants": "4", "ocb-skew": "3", "ocb-drift": "100",
+	}
+	fs := flag.NewFlagSet("oodbsim", flag.ContinueOnError)
+	runFlags(fs)
+	fs.VisitAll(func(f *flag.Flag) {
+		if _, ok := values[f.Name]; strings.HasPrefix(f.Name, "ocb-") && !ok {
+			t.Errorf("-%s has no case here", f.Name)
+		}
+	})
+	for name, v := range values {
+		t.Run(name, func(t *testing.T) {
+			for _, base := range [][]string{{"-run"}, {"-run", "-workload", "oct"}} {
+				args := append(append([]string(nil), base...), "-"+name, v)
+				if _, err := parse(args...); err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
+					t.Errorf("%q: got %v, want an error naming -%s", args, err, name)
+				}
+			}
+			ok := []string{"-run", "-workload", "ocb", "-" + name, v}
+			if _, err := parse(ok...); err != nil {
+				t.Errorf("%q: %v", ok, err)
+			}
+		})
+	}
+}
+
 // TestRefusedFlags pins that a flag the chosen mode would ignore is refused
 // at parse time, before any world is built, with an error naming it.
 func TestRefusedFlags(t *testing.T) {

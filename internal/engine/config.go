@@ -155,8 +155,8 @@ type Config struct {
 	// "memory" for the in-memory manager (the default; byte-identical to
 	// the pre-durability engine), "file" for the WAL-backed file backend.
 	Backend string
-	// DataDir is the data directory for the file backend (WAL + page
-	// file). Required when Backend is "file"; must be empty otherwise.
+	// DataDir is the data directory for the file backend, which holds its
+	// WAL. Required when Backend is "file"; must be empty otherwise.
 	DataDir string
 	// Fsync names the WAL sync policy for the file backend: "" or
 	// "always", "interval", "never". Must be empty for in-memory wiring.
@@ -259,6 +259,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: Transactions must be positive")
 	case c.ReadWriteRatio <= 0:
 		return fmt.Errorf("engine: ReadWriteRatio must be positive")
+	case c.Density > workload.HighDensity:
+		return fmt.Errorf("engine: Density %d is out of range", c.Density)
+	case c.Cluster.Mode > core.ClusterNoLimit || c.Cluster.IOLimit < 0:
+		return fmt.Errorf("engine: Cluster {Mode %d, IOLimit %d} is out of range", c.Cluster.Mode, c.Cluster.IOLimit)
+	case c.Split > core.NPSplit:
+		return fmt.Errorf("engine: Split %d is out of range", c.Split)
+	case c.Hints > core.UserHints:
+		return fmt.Errorf("engine: Hints %d is out of range", c.Hints)
+	case c.Replacement > core.ReplRandom:
+		return fmt.Errorf("engine: Replacement %d is out of range", c.Replacement)
+	case c.Prefetch > core.PrefetchWithinDB:
+		return fmt.Errorf("engine: Prefetch %d is out of range", c.Prefetch)
 	case c.ReplacementName != "" && !buffer.HasPolicy(c.ReplacementName):
 		return fmt.Errorf("engine: unknown replacement policy %q (have %v)",
 			c.ReplacementName, buffer.PolicyNames())

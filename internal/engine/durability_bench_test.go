@@ -3,11 +3,11 @@ package engine
 import "testing"
 
 // BenchmarkFileBackendThroughput is the real-I/O macro-benchmark: the
-// serial simulation with the file backend journaling
-// every placement mutation to a write-ahead log and faulting page frames
-// through a page file, across the three fsync policies. The spread between
-// never/interval/always is the price of the durability guarantee itself —
-// the WAL append path is identical, only the fsync cadence changes.
+// serial simulation with the file backend journaling every placement
+// mutation to a write-ahead log, across the three fsync policies. The
+// spread between never/interval/always is the price of the durability
+// guarantee itself — the WAL append path is identical, only the fsync
+// cadence changes.
 func BenchmarkFileBackendThroughput(b *testing.B) {
 	for _, fsync := range []string{"never", "interval", "always"} {
 		b.Run("fsync="+fsync, func(b *testing.B) {

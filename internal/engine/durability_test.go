@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"oodb/internal/storage"
+	"oodb/internal/workload"
 )
 
 // fileConfig wires cfg to the file backend in a fresh directory.
@@ -126,6 +127,68 @@ func TestFileBackendObservability(t *testing.T) {
 	}
 	if st.Applied == 0 {
 		t.Error("recovery replayed no records")
+	}
+}
+
+// TestDataDirHoldsOnlyTheLog: a file-backed run on every driver leaves
+// only wal.log in its data directory, while the pool's page transfers are
+// still counted through the backend.
+func TestDataDirHoldsOnlyTheLog(t *testing.T) {
+	t.Parallel()
+	base := quickOCBConfig(150)
+	base.OCB.ReadWriteRatio = 2
+	drivers := map[string]func(t *testing.T, cfg Config) storage.DurableStats{
+		"serial": func(t *testing.T, cfg Config) storage.DurableStats { return run(t, cfg).Durability },
+		"concurrent": func(t *testing.T, cfg Config) storage.DurableStats {
+			c, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Run()
+			if cerr := c.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Durability
+		},
+		"library": func(t *testing.T, cfg Config) storage.DurableStats {
+			// More pages than the pool has frames, so the read faults.
+			l, ty := openTestLibrary(t, cfg)
+			for i := 0; i < 300; i++ {
+				if err := applyLibrary(l, workload.Op{Kind: workload.QInsert, NewType: ty}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Read(1); err != nil {
+				t.Fatal(err)
+			}
+			d := l.Results().Durability
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return d
+		},
+	}
+	for name, drive := range drivers {
+		t.Run(name, func(t *testing.T) {
+			cfg := fileConfig(t, base, "never")
+			if d := drive(t, cfg); d.PageReads == 0 {
+				t.Errorf("no page transfers counted: %+v", d)
+			}
+			entries, err := os.ReadDir(cfg.DataDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+			if len(names) != 1 || names[0] != storage.WALFileName {
+				t.Fatalf("data directory holds %q, want only %s", names, storage.WALFileName)
+			}
+		})
 	}
 }
 

@@ -82,6 +82,49 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRefusesOutOfRangeEnums: an enum value past the last one would
+// run as some other value (Hints 3 as NoHints, sharing its Fingerprint), so
+// each is refused naming the field; the last valid value of each passes.
+func TestConfigRefusesOutOfRangeEnums(t *testing.T) {
+	for _, tc := range []struct {
+		field     string
+		last, bad func(*Config)
+	}{
+		{"Density",
+			func(c *Config) { c.Density = workload.HighDensity },
+			func(c *Config) { c.Density = workload.HighDensity + 1 }},
+		{"Cluster",
+			func(c *Config) { c.Cluster = core.PolicyNoLimit },
+			func(c *Config) { c.Cluster.Mode = core.ClusterNoLimit + 1 }},
+		{"Cluster",
+			func(c *Config) { c.Cluster = core.PolicyIOLimit2 },
+			func(c *Config) { c.Cluster = core.ClusterPolicy{Mode: core.ClusterIOLimit, IOLimit: -1} }},
+		{"Split",
+			func(c *Config) { c.Split = core.NPSplit },
+			func(c *Config) { c.Split = 9 }},
+		{"Hints",
+			func(c *Config) { c.Hints = core.UserHints },
+			func(c *Config) { c.Hints = core.HintPolicy(3) }},
+		{"Replacement",
+			func(c *Config) { c.Replacement = core.ReplRandom },
+			func(c *Config) { c.Replacement = core.ReplRandom + 1 }},
+		{"Prefetch",
+			func(c *Config) { c.Prefetch = core.PrefetchWithinDB },
+			func(c *Config) { c.Prefetch = core.PrefetchWithinDB + 1 }},
+	} {
+		cfg := quickConfig(10)
+		tc.last(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: last valid value refused: %v", tc.field, err)
+		}
+		cfg = quickConfig(10)
+		tc.bad(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.field+" ") {
+			t.Errorf("%s: out-of-range value: got %v, want an error naming the field", tc.field, err)
+		}
+	}
+}
+
 func TestDefaultConfigScaling(t *testing.T) {
 	full := DefaultConfig(1.0)
 	if full.DBBytes != 500<<20 || full.Buffers != 1000 {

@@ -178,8 +178,8 @@ type ResultCore struct {
 	LiveObjects   int
 	PlacedObjects int
 
-	// Durability reports the real physical I/O a persistent backend
-	// performed (zero value under the in-memory backend).
+	// Durability reports a persistent backend's log I/O and the page
+	// transfers it counted (zero value under the in-memory backend).
 	Durability storage.DurableStats
 }
 

@@ -179,13 +179,24 @@ func (h *Harness) Run(cfg engine.Config) (engine.Results, error) {
 // configuration does not cancel the others.
 func (h *Harness) RunConfigs(cfgs []engine.Config) ([]engine.Results, error) {
 	keys := make([]string, len(cfgs))
+	slots := make([]*inflightRun, len(cfgs))
 	for i, cfg := range cfgs {
+		// An invalid configuration fails before it is keyed: its Fingerprint
+		// may equal a valid one's (an out-of-range enum renders through the
+		// enum's String method), which would serve it that memo slot or
+		// results-cache entry.
+		if err := cfg.Validate(); err != nil {
+			slots[i] = &inflightRun{err: err}
+			continue
+		}
 		keys[i] = cfg.Fingerprint()
 	}
-	slots := make([]*inflightRun, len(cfgs))
 	var fresh []*inflightRun
 	h.mu.Lock()
 	for i, k := range keys {
+		if slots[i] != nil {
+			continue
+		}
 		if r, ok := h.cache[k]; ok {
 			slots[i] = &inflightRun{res: r}
 			continue

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"oodb/internal/core"
 	"oodb/internal/engine"
 	"oodb/internal/storage"
 	"oodb/internal/workload"
@@ -127,6 +128,13 @@ func TestRunConfigsErrorPropagation(t *testing.T) {
 	}
 	if _, err := h.Run(bad); err == nil {
 		t.Fatal("bad config cached a success")
+	}
+	// Out-of-range Hints renders like NoHints, so its Fingerprint is the
+	// good config's: it must be refused, not served the memoized result.
+	shadow := good
+	shadow.Hints = core.HintPolicy(3)
+	if _, err := h.Run(shadow); err == nil {
+		t.Fatal("out-of-range Hints served the valid config's memoized result")
 	}
 }
 

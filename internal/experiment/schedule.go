@@ -61,16 +61,12 @@ func (s *scheduler) init(mu *sync.Mutex) {
 }
 
 // add queues jobs, joining each to the open group of its world, and starts
-// workers up to Options.Workers. An invalid configuration fails at once:
-// it must not become the configuration a group's template is built from.
+// workers up to Options.Workers. RunConfigs submits only valid
+// configurations, so none becomes the configuration a group's template is
+// built from.
 func (s *scheduler) add(h *Harness, jobs []job) {
-	var invalid []job
 	h.mu.Lock()
 	for _, j := range jobs {
-		if j.cfg.Validate() != nil {
-			invalid = append(invalid, j)
-			continue
-		}
 		k := j.cfg.WorldKey()
 		g := s.byKey[k]
 		if g == nil {
@@ -85,9 +81,6 @@ func (s *scheduler) add(h *Harness, jobs []job) {
 	}
 	s.wake.Broadcast()
 	h.mu.Unlock()
-	for _, j := range invalid {
-		h.finish(j, engine.Results{}, j.cfg.Validate())
-	}
 }
 
 // step is one unit of a worker's work.

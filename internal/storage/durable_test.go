@@ -402,56 +402,6 @@ func recoverFile(t *testing.T, path string) *RecoveredState {
 	return st
 }
 
-// Journal before dirty, literally: writing a page frame first writes the
-// log's tail, so the record that dirtied the page is already on wal.log
-// when the frame reaches pages.db.
-func TestWritePageWritesJournalFirst(t *testing.T) {
-	g, m, ty := setup(t, 4096)
-	dir := t.TempDir()
-	fb, err := NewFileBackend(m, BackendOptions{Dir: dir, Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb.Close() // errscan:ok test cleanup
-	pg := fb.AllocatePage()
-	if err := fb.CommitBootstrap(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.LogBegin(0); err != nil {
-		t.Fatal(err)
-	}
-	o := newObj(t, g, ty, 100)
-	if err := fb.Place(o, pg); err != nil {
-		t.Fatal(err)
-	}
-	// A page the tail holds no record of does not write it.
-	other := fb.AllocatePage()
-	writes := fb.DurableStats().WALAppends
-	if err := fb.WritePage(other); err != nil {
-		t.Fatal(err)
-	}
-	if got := fb.DurableStats().WALAppends; got != writes {
-		t.Fatalf("WritePage of an untouched page wrote the tail (%d -> %d writes)", writes, got)
-	}
-	if err := fb.WritePage(pg); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(filepath.Join(dir, WALFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var placed bool
-	if _, _, err := ReplayWAL(bytes.NewReader(b), func(r WALRecord) error {
-		placed = placed || r.Kind == WALPlace && r.Obj == o && r.Page == pg && r.Txn == 1
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !placed {
-		t.Fatal("wal.log lacks the place record of the page just written")
-	}
-}
-
 // Acknowledged means written: once LogCommit returns, the commit is on the
 // log file even under FsyncNever and without Close — a process crash (not
 // a power loss) right after it still recovers the commit.
@@ -488,95 +438,49 @@ func TestLogCommitWritesTheTransaction(t *testing.T) {
 	}
 }
 
-// A read the page file fails is an error, not an absent frame: only the end
-// of the file means "never written".
-func TestReadPageReportsFailedRead(t *testing.T) {
-	g, m, ty := setup(t, 4096)
-	fb, err := NewFileBackend(m, BackendOptions{Dir: t.TempDir()})
+// The file backend counts the pool's page transfers and touches no file
+// for them: a fault reads nothing, a write-back writes nothing. Writing
+// back a page that was never allocated is still refused, and not counted.
+func TestPageTransfersCounted(t *testing.T) {
+	_, m, _ := setup(t, 4096)
+	fb, err := NewFileBackend(m, BackendOptions{Dir: t.TempDir(), Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fb.Close() // errscan:ok test cleanup; the page file is closed below
+	defer fb.Close() // errscan:ok test cleanup
 	pg := fb.AllocatePage()
-	if err := fb.Place(newObj(t, g, ty, 100), pg); err != nil {
-		t.Fatal(err)
+	for _, pg := range []PageID{pg, pg + 1} {
+		if err := fb.ReadPage(pg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := fb.WritePage(pg); err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.pages.f.Close(); err != nil {
-		t.Fatal(err)
+	if err := fb.WritePage(pg + 1); !errors.Is(err, ErrNoSuchPage) {
+		t.Fatalf("WritePage of an unallocated page: got %v, want ErrNoSuchPage", err)
 	}
-	if err := fb.ReadPage(pg); !errors.Is(err, os.ErrClosed) {
-		t.Fatalf("ReadPage through a closed handle: got %v, want os.ErrClosed", err)
-	}
-	if got := fb.DurableStats().PageReads; got != 0 {
-		t.Fatalf("failed read counted: PageReads = %d", got)
+	if st := fb.DurableStats(); st.PageReads != 2 || st.PageWrites != 1 || st.WALAppends != 0 {
+		t.Fatalf("after 2 reads and 1 write: %+v", st)
 	}
 }
 
-// A page fault allocates nothing, whichever of the three outcomes it reads.
+// A page fault allocates nothing.
 func TestReadPageAllocs(t *testing.T) {
-	fb := readPageBackend(t)
-	for _, c := range readPageCases {
-		avg := testing.AllocsPerRun(200, func() {
-			if err := fb.ReadPage(c.pg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg != 0 {
-			t.Errorf("ReadPage(%s) allocates %v per read, want 0", c.name, avg)
-		}
-	}
-}
-
-// The scrub counts only a frame that fails validation as corrupt. A read
-// the file fails is returned, not counted.
-func TestScrubReportsFailedRead(t *testing.T) {
-	fb := readPageBackend(t)
-	if err := fb.pages.f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	valid, corrupt, err := fb.pages.scrub(2)
-	if !errors.Is(err, os.ErrClosed) {
-		t.Fatalf("scrub through a closed handle: got %v, want os.ErrClosed", err)
-	}
-	if valid != 0 || corrupt != 0 {
-		t.Fatalf("scrub counted a failed read: %d valid, %d corrupt", valid, corrupt)
-	}
-}
-
-// Only a missing page file skips the scrub; any other stat error fails
-// recovery.
-func TestRecoverDirPageFileStatError(t *testing.T) {
-	g, m, ty := setup(t, 4096)
-	dir := t.TempDir()
-	fb, err := NewFileBackend(m, BackendOptions{Dir: dir})
+	_, m, _ := setup(t, 4096)
+	fb, err := NewFileBackend(m, BackendOptions{Dir: t.TempDir(), Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.Place(newObj(t, g, ty, 100), fb.AllocatePage()); err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.CommitBootstrap(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	pagePath := filepath.Join(dir, PageFileName)
-	if err := os.Remove(pagePath); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RecoverDir(dir, nil); err != nil {
-		t.Fatalf("RecoverDir without a page file: %v", err)
-	}
-	// A symlink to itself: stat fails with ELOOP, not "does not exist".
-	if err := os.Symlink(PageFileName, pagePath); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RecoverDir(dir, nil); err == nil {
-		t.Fatal("RecoverDir must report a page file it cannot stat")
+	defer fb.Close() // errscan:ok test cleanup
+	pg := fb.AllocatePage()
+	avg := testing.AllocsPerRun(200, func() {
+		if err := fb.ReadPage(pg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("ReadPage allocates %v per read, want 0", avg)
 	}
 }
 
@@ -670,151 +574,6 @@ func TestFileBackendRequiresDir(t *testing.T) {
 	_, m, _ := setup(t, 4096)
 	if _, err := NewFileBackend(m, BackendOptions{}); err == nil {
 		t.Fatal("empty data dir must be refused")
-	}
-}
-
-// WritePage persists a frame the page file can read back and scrub;
-// corrupting it on disk is detected by CRC.
-func TestPageFileWriteReadScrub(t *testing.T) {
-	g, m, ty := setup(t, 4096)
-	dir := t.TempDir()
-	fb, err := NewFileBackend(m, BackendOptions{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg := fb.AllocatePage()
-	for i := 0; i < 5; i++ {
-		if err := fb.Place(newObj(t, g, ty, 100), pg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fb.WritePage(pg); err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.ReadPage(pg); err != nil {
-		t.Fatal(err)
-	}
-	// Reading a page that was never written back is not an error.
-	empty := fb.AllocatePage()
-	if err := fb.ReadPage(empty); err != nil {
-		t.Fatal(err)
-	}
-	// Writing an unallocated page is.
-	if err := fb.WritePage(PageID(99)); err == nil {
-		t.Fatal("WritePage of an unknown page must fail")
-	}
-	st := fb.DurableStats()
-	if st.PageWrites != 1 || st.PageReads != 2 {
-		t.Fatalf("page I/O counters %d/%d, want 1 write, 2 reads", st.PageWrites, st.PageReads)
-	}
-	if err := fb.CommitBootstrap(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rec, err := RecoverDir(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.FramesValid != 1 || rec.FramesCorrupt != 0 {
-		t.Fatalf("scrub %d/%d, want 1 valid, 0 corrupt", rec.FramesValid, rec.FramesCorrupt)
-	}
-
-	// Flip a byte inside the frame: the scrub must report it, and recovery
-	// must still succeed — the page file is derived state.
-	pagePath := filepath.Join(dir, PageFileName)
-	b, err := os.ReadFile(pagePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[pageFrameHeader+1] ^= 0xFF
-	if err := os.WriteFile(pagePath, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err = RecoverDir(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.FramesValid != 0 || rec.FramesCorrupt != 1 {
-		t.Fatalf("scrub after corruption %d/%d, want 0 valid, 1 corrupt", rec.FramesValid, rec.FramesCorrupt)
-	}
-}
-
-// Slots inside the file's extent that were never written are holes: they
-// read as absent, count as page reads, and the scrub counts them as
-// neither valid nor corrupt. A slot that is zero but for one byte is a
-// corrupt frame wherever that byte lies, so telling a hole from a frame
-// must examine every byte.
-func TestPageFileHolesAndNearZeroFrames(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		poke int // byte of slot 1 set non-zero; -1 leaves the hole
-	}{{"holes", -1}, {"last byte", 4095}, {"byte 1", 1}} {
-		t.Run(c.name, func(t *testing.T) {
-			g, m, ty := setup(t, 4096)
-			dir := t.TempDir()
-			fb, err := NewFileBackend(m, BackendOptions{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fb.AllocatePage()
-			fb.AllocatePage()
-			pg := fb.AllocatePage()
-			if err := fb.Place(newObj(t, g, ty, 100), pg); err != nil {
-				t.Fatal(err)
-			}
-			if err := fb.WritePage(pg); err != nil {
-				t.Fatal(err)
-			}
-			if err := fb.CommitBootstrap(); err != nil {
-				t.Fatal(err)
-			}
-			poked := c.poke >= 0
-			if poked {
-				slot := make([]byte, 4096)
-				slot[c.poke] = 1
-				f, err := os.OpenFile(filepath.Join(dir, PageFileName), os.O_WRONLY, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, err = f.WriteAt(slot, 0)
-				if err := errors.Join(err, f.Close()); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			err = fb.ReadPage(1)
-			if !poked && err != nil {
-				t.Fatalf("ReadPage of a hole: %v", err)
-			}
-			if poked && !errors.Is(err, errCorruptFrame) {
-				t.Fatalf("ReadPage of a slot zero but for byte %d: got %v, want a corrupt frame", c.poke, err)
-			}
-			if err := fb.ReadPage(2); err != nil {
-				t.Fatalf("ReadPage of a hole: %v", err)
-			}
-			wantReads, wantCorrupt := int64(2), 0
-			if poked {
-				wantReads, wantCorrupt = 1, 1
-			}
-			if got := fb.DurableStats().PageReads; got != wantReads {
-				t.Fatalf("PageReads = %d, want %d", got, wantReads)
-			}
-			if err := fb.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			rec, err := RecoverDir(dir, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rec.Pages != 3 || rec.FramesValid != 1 || rec.FramesCorrupt != wantCorrupt {
-				t.Fatalf("scrub of %d pages: %d valid, %d corrupt; want 3 pages, 1 valid, %d corrupt",
-					rec.Pages, rec.FramesValid, rec.FramesCorrupt, wantCorrupt)
-			}
-		})
 	}
 }
 

@@ -2,10 +2,8 @@ package storage
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -35,13 +33,6 @@ type RecoveredState struct {
 	// CommitDigest is the digest carried by the last commit or checkpoint
 	// record in the prefix; replay verifies Digest matches it.
 	CommitDigest uint64
-
-	// Page-file scrub results (RecoverDir only): frames that passed their
-	// CRC, frames that failed validation. Corrupt frames do not fail
-	// recovery — the page file is derived state — but they are worth
-	// reporting. A failed read is not a corrupt frame; it fails RecoverDir.
-	FramesValid   int
-	FramesCorrupt int
 }
 
 // recoveredObject is one placement rebuilt by replay.
@@ -175,12 +166,9 @@ func applyRecovered(st *RecoveredState, placed map[model.ObjectID]recoveredObjec
 	return nil
 }
 
-// RecoverDir replays the WAL in a file-backend data directory and scrubs
-// the page file's frames against their CRCs. Frame corruption is reported
-// in the result, not as an error: the page file is derived state and the
-// WAL alone determines the recovered placement. A missing page file skips
-// the scrub; a page file that cannot be stat'ed or read is an error.
-// The second argument is ignored; bench/run.go still passes one (ROADMAP 4(a)).
+// RecoverDir replays the WAL in a file-backend data directory (see
+// RecoverWAL). The second argument is ignored; bench/run.go still passes
+// one (ROADMAP 4(a)).
 func RecoverDir(dir string, _ any) (*RecoveredState, error) {
 	f, err := os.Open(filepath.Join(dir, WALFileName))
 	if err != nil {
@@ -188,29 +176,7 @@ func RecoverDir(dir string, _ any) (*RecoveredState, error) {
 	}
 	defer f.Close() // errscan:ok read-only handle
 
-	st, err := RecoverWAL(bufio.NewReaderSize(f, 1<<16))
-	if err != nil {
-		return nil, err
-	}
-
-	pagePath := filepath.Join(dir, PageFileName)
-	if _, err := os.Stat(pagePath); errors.Is(err, fs.ErrNotExist) {
-		return st, nil
-	} else if err != nil {
-		return nil, err
-	}
-	if st.Pages > 0 && st.PageSize >= minPageFrame {
-		pf, err := openPageFile(pagePath, st.PageSize)
-		if err != nil {
-			return nil, err
-		}
-		defer pf.close() // errscan:ok read-side scrub handle
-		st.FramesValid, st.FramesCorrupt, err = pf.scrub(st.Pages)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
+	return RecoverWAL(bufio.NewReaderSize(f, 1<<16))
 }
 
 // WALDigestAt returns the digest carried by the k-th commit record

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"slices"
 	"sync/atomic"
 
 	"oodb/internal/model"
@@ -17,9 +16,8 @@ import (
 // placement mutation and every transaction boundary appends one
 // length-prefixed, CRC-checked record, and recovery replays the records of
 // committed transactions in log order (the goDB-filestore shape: rebuild
-// state by replaying committed transactions). The page file is derived
-// state — it bears the physical page I/O but is never consulted during
-// recovery.
+// state by replaying committed transactions). It is the only file in a
+// data directory.
 //
 // On-disk layout:
 //
@@ -141,8 +139,8 @@ const maxWALFrame = 8 + 1 + 5*binary.MaxVarintLen64
 // to the log file in one write(2) per flush: the log's own buffer, as the
 // paper's log manager keeps one. append flushes by itself only once the
 // tail reaches walTailFlush; every other flush is the caller's, at the
-// points where the bytes must be on the file (transaction boundaries,
-// before a page frame is written, close). The tail's capacity is reserved
+// points where the bytes must be on the file (transaction boundaries and
+// close). The tail's capacity is reserved
 // up front, so the append path allocates nothing.
 //
 // append and flush are serialized by the caller. sync may run beside them
@@ -152,14 +150,6 @@ const maxWALFrame = 8 + 1 + 5*binary.MaxVarintLen64
 type walWriter struct {
 	f    *os.File
 	tail []byte // framed records not yet written to f
-
-	// tailPages names the pages the tail's records place on, remove from
-	// or move between, while there are at most len(tailPages) of them (a
-	// run transaction touches a few); tailWide is set once there are more
-	// (construction), and then the tail may hold any page's record.
-	tailPages  [8]PageID
-	nTailPages int
-	tailWide   bool
 
 	writes int64 // write(2) calls that reached f, the header's excluded
 	syncs  atomic.Int64
@@ -208,14 +198,11 @@ func (w *walWriter) append(rec WALRecord) error {
 		b = binary.AppendUvarint(b, uint64(rec.Obj))
 		b = binary.AppendUvarint(b, uint64(rec.Page))
 		b = binary.AppendUvarint(b, uint64(rec.Size))
-		w.notePage(rec.Page)
 	case WALMove:
 		b = binary.AppendUvarint(b, uint64(rec.Obj))
 		b = binary.AppendUvarint(b, uint64(rec.Page))
 		b = binary.AppendUvarint(b, uint64(rec.To))
 		b = binary.AppendUvarint(b, uint64(rec.Size))
-		w.notePage(rec.Page)
-		w.notePage(rec.To)
 	case WALCommit, WALCheckpoint:
 		b = binary.AppendUvarint(b, rec.Digest)
 	}
@@ -244,40 +231,7 @@ func (w *walWriter) flush() error {
 	w.writes++
 	w.bytes += int64(len(w.tail))
 	w.tail = w.tail[:0]
-	w.nTailPages, w.tailWide = 0, false
 	return nil
-}
-
-// holds reports whether the tail may carry a record of page pg.
-func (w *walWriter) holds(pg PageID) bool {
-	return w.tailWide || slices.Contains(w.tailPages[:w.nTailPages], pg)
-}
-
-// notePage records that the tail holds a record of page pg.
-func (w *walWriter) notePage(pg PageID) {
-	if w.holds(pg) {
-		return
-	}
-	if w.nTailPages == len(w.tailPages) {
-		w.tailWide = true
-		return
-	}
-	w.tailPages[w.nTailPages] = pg
-	w.nTailPages++
-}
-
-// flushPage writes the tail if it may hold a record of page pg, so the
-// records that changed a page reach the file before its frame is written
-// (journal before dirty). Records of other pages stay in the tail for the
-// transaction's boundary. Callers serialize.
-func (w *walWriter) flushPage(pg PageID) error {
-	if p := w.failed.Load(); p != nil {
-		return *p
-	}
-	if !w.holds(pg) {
-		return nil
-	}
-	return w.flush()
 }
 
 // seal appends a boundary record and flushes: the record reaches the file

@@ -337,10 +337,10 @@ func TestWaitDurableOverlapsAppend(t *testing.T) {
 	}
 }
 
-// The first failed write poisons the backend: every later journal, boundary,
-// page write and WaitDurable call returns that same error, even once the
-// file itself would work again — a retry that succeeds proves nothing about
-// the bytes the failed call lost. Records wait in the log's tail until a
+// The first failed write poisons the backend: every later journal, boundary
+// and WaitDurable call returns that same error, even once the file itself
+// would work again — a retry that succeeds proves nothing about the bytes
+// the failed call lost. Records wait in the log's tail until a
 // boundary writes them, so the failure surfaces at the commit, not at the
 // begin.
 func TestFileBackendFailStop(t *testing.T) {
@@ -378,7 +378,6 @@ func TestFileBackendFailStop(t *testing.T) {
 	for name, err := range map[string]error{
 		"LogBegin":        fb.LogBegin(2),
 		"Place":           fb.Place(newObj(t, g, ty, 10), pg),
-		"WritePage":       fb.WritePage(pg),
 		"LogCommit":       fb.LogCommit(2),
 		"LogAbort":        fb.LogAbort(2),
 		"WaitDurable":     fb.WaitDurable(),

@@ -113,16 +113,16 @@ type (
 	// transactions committed, mutations applied, and the rebuilt placement
 	// state with its verified digest.
 	RecoveredState = storage.RecoveredState
-	// DurableStats counts the physical I/O a persistent backend performed.
+	// DurableStats counts a persistent backend's log I/O and the page
+	// transfers the buffer pool asked of it.
 	DurableStats = storage.DurableStats
 )
 
 // RecoverDataDir replays the write-ahead log in a file-backend data
 // directory — for example one left behind by a crashed run — applying the
 // mutations of committed transactions and verifying the result against the
-// digest the log committed. It also scrubs the page file's frame checksums,
-// reporting (not failing on) corruption there: the WAL alone is the
-// recovery authority.
+// digest the log committed. The log is the directory's only file and the
+// sole recovery authority.
 func RecoverDataDir(dir string) (*RecoveredState, error) {
 	return storage.RecoverDir(dir, nil)
 }
