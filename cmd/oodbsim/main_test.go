@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -294,40 +295,55 @@ func TestRefusedFlags(t *testing.T) {
 	}
 }
 
+// designCommand matches a backticked `oodbsim …` or `cmd/oodbsim …`
+// command in DESIGN.md and captures its arguments.
+var designCommand = regexp.MustCompile("`(?:cmd/)?oodbsim ([^`]+)`")
+
 // TestReadmeCommands parses every `go run ./cmd/oodbsim` line in the README
-// with the real flag set, so the README cannot drift from the flags: each
-// must be accepted, and each -run line must map onto a valid configuration.
-// Nothing is run.
+// and every backticked oodbsim command in DESIGN.md with the real flag set,
+// so neither document can drift from the flags: each must be accepted, and
+// each -run command must map onto a valid configuration. Nothing is run.
 func TestReadmeCommands(t *testing.T) {
-	readme, err := os.ReadFile("../../README.md")
+	var readme, design []string
+	for _, line := range strings.Split(readDoc(t, "README.md"), "\n") {
+		if cmd, ok := strings.CutPrefix(strings.TrimSpace(line), "go run ./cmd/oodbsim "); ok {
+			cmd, _, _ = strings.Cut(cmd, "#")
+			readme = append(readme, cmd)
+		}
+	}
+	for _, m := range designCommand.FindAllStringSubmatch(readDoc(t, "DESIGN.md"), -1) {
+		design = append(design, m[1])
+	}
+	for _, doc := range []struct {
+		name string
+		cmds []string
+		min  int
+	}{{"README.md", readme, 10}, {"DESIGN.md", design, 20}} {
+		if len(doc.cmds) < doc.min {
+			t.Errorf("found %d oodbsim commands in %s, want at least %d", len(doc.cmds), doc.name, doc.min)
+		}
+		for _, cmd := range doc.cmds {
+			args := strings.Fields(cmd)
+			c, err := parse(args...)
+			if err == nil && c.single {
+				var cfg oodb.SimConfig
+				if cfg, err = c.config(); err == nil {
+					err = cfg.Validate()
+				}
+			}
+			if err != nil {
+				t.Errorf("%s: %q: %v", doc.name, args, err)
+			}
+		}
+	}
+}
+
+// readDoc returns the repository document name.
+func readDoc(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile("../../" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const prefix = "go run ./cmd/oodbsim "
-	n := 0
-	for _, line := range strings.Split(string(readme), "\n") {
-		cmd, ok := strings.CutPrefix(strings.TrimSpace(line), prefix)
-		if !ok {
-			continue
-		}
-		cmd, _, _ = strings.Cut(cmd, "#")
-		args := strings.Fields(cmd)
-		n++
-		c, err := parse(args...)
-		if err != nil {
-			t.Errorf("%q: %v", args, err)
-			continue
-		}
-		if !c.single {
-			continue
-		}
-		if cfg, err := c.config(); err != nil {
-			t.Errorf("%q: %v", args, err)
-		} else if err := cfg.Validate(); err != nil {
-			t.Errorf("%q: %v", args, err)
-		}
-	}
-	if n < 10 {
-		t.Errorf("found %d oodbsim commands in README.md, want at least 10", n)
-	}
+	return string(b)
 }

@@ -67,11 +67,11 @@ func TestPageListOrder(t *testing.T) {
 	h1 := l.PushFront(1)
 	h2 := l.PushFront(2)
 	h3 := l.PushFront(3)
-	if l.Len() != 3 || l.Page(l.Front()) != 3 || l.Page(l.Back()) != 1 {
-		t.Fatalf("unexpected order: len=%d front=%d back=%d", l.Len(), l.Page(l.Front()), l.Page(l.Back()))
+	if l.Len() != 3 || l.Page(l.head) != 3 || l.Page(l.Back()) != 1 {
+		t.Fatalf("unexpected order: len=%d front=%d back=%d", l.Len(), l.Page(l.head), l.Page(l.Back()))
 	}
 	l.MoveToFront(h1)
-	if l.Page(l.Front()) != 1 || l.Page(l.Back()) != 2 {
+	if l.Page(l.head) != 1 || l.Page(l.Back()) != 2 {
 		t.Fatal("MoveToFront failed")
 	}
 	l.Remove(h2)
@@ -84,7 +84,7 @@ func TestPageListOrder(t *testing.T) {
 		t.Fatalf("expected node reuse: got handle %d, want %d", h4, h2)
 	}
 	got := []storage.PageID{}
-	for h := l.Back(); h != 0; h = l.Prev(h) {
+	for h := l.Back(); h != 0; h = l.nodes[h].prev {
 		got = append(got, l.Page(h))
 	}
 	want := []storage.PageID{3, 1, 4}

@@ -149,13 +149,7 @@ func runPoolOps(t *testing.T, p fuzzTarget, ghost *ghostPolicy, ops []byte) {
 			if resident {
 				ref.dirty[pg] = true
 			}
-		case 4: // Clean: Pool only; ConcurrentPool has no Clean
-			if c, ok := p.(interface{ Clean(storage.PageID) }); ok {
-				c.Clean(pg)
-				if resident {
-					ref.dirty[pg] = false
-				}
-			}
+		// Op 4 changes nothing: the step only re-checks the pool.
 		case 5: // Boost
 			if got := p.Boost(pg); got != resident {
 				t.Fatalf("Boost(%d) = %v, reference resident=%v", pg, got, resident)

@@ -40,14 +40,8 @@ func (l *PageList) Clone() PageList {
 // Len returns the number of listed pages.
 func (l *PageList) Len() int { return l.count }
 
-// Front returns the handle of the MRU page, or 0 when empty.
-func (l *PageList) Front() int32 { return l.head }
-
 // Back returns the handle of the LRU page, or 0 when empty.
 func (l *PageList) Back() int32 { return l.tail }
-
-// Prev returns the handle one step toward the MRU end, or 0 at the front.
-func (l *PageList) Prev(h int32) int32 { return l.nodes[h].prev }
 
 // Next returns the handle one step toward the LRU end, or 0 at the back.
 func (l *PageList) Next(h int32) int32 { return l.nodes[h].next }

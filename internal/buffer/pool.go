@@ -252,13 +252,6 @@ func (p *Pool) MarkDirty(pg storage.PageID) error {
 // IsDirty reports whether pg is resident and dirty.
 func (p *Pool) IsDirty(pg storage.PageID) bool { return p.frames.Get(pg) == dirty }
 
-// Clean clears the dirty flag (after an explicit write-back).
-func (p *Pool) Clean(pg storage.PageID) {
-	if p.IsDirty(pg) {
-		p.frames.Set(pg, clean)
-	}
-}
-
 // Boost raises pg's replacement priority if it is resident and reports
 // whether it was; non-resident pages are ignored (prefetch-within-buffer
 // never triggers I/O). The answer is the residency probe, so a caller that

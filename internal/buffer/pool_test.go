@@ -82,10 +82,6 @@ func TestDirtyLifecycle(t *testing.T) {
 	if !p.IsDirty(1) {
 		t.Fatal("MarkDirty lost")
 	}
-	p.Clean(1)
-	if p.IsDirty(1) {
-		t.Fatal("Clean lost")
-	}
 	if err := p.MarkDirty(9); err == nil {
 		t.Fatal("MarkDirty on non-resident page must fail")
 	}

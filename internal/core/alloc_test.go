@@ -81,7 +81,6 @@ func TestAppendHelpersAllocFree(t *testing.T) {
 	dst := make([]storage.PageID, 0, 32)
 	allocs := testing.AllocsPerRun(100, func() {
 		dst = AppendNeighborPages(dst[:0], g, st, leaf, model.ConfigUp, 0)
-		dst = AppendSiblingPages(dst[:0], g, st, leaf, 0)
 		dst = AppendContextBoostPages(dst[:0], g, st, leaf, ContextNeighborLimit)
 		dst = AppendPrefetchGroup(dst[:0], g, st, leaf, NoHints, Hint{})
 	})
@@ -117,7 +116,7 @@ func TestContextPolicySteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("context policy steady state allocates %.1f per run, want 0", allocs)
 	}
-	if pol.Tracked() != 16 {
-		t.Fatalf("tracked=%d, want 16", pol.Tracked())
+	if tracked(pol) != 16 {
+		t.Fatalf("tracked=%d, want 16", tracked(pol))
 	}
 }

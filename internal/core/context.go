@@ -125,12 +125,3 @@ func (c *ContextPolicy) Victim() (storage.PageID, bool) {
 	}
 	return storage.NilPage, false
 }
-
-// Protected reports whether pg currently holds high priority (for tests).
-func (c *ContextPolicy) Protected(pg storage.PageID) bool { return c.pos.Get(pg).prot }
-
-// Tracked returns the number of pages the policy knows about.
-func (c *ContextPolicy) Tracked() int { return c.prot.Len() + c.prob.Len() }
-
-// ProtectedLen returns the protected-level population.
-func (c *ContextPolicy) ProtectedLen() int { return c.prot.Len() }

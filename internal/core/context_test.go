@@ -7,6 +7,12 @@ import (
 	"oodb/internal/storage"
 )
 
+// protected reports whether pg holds high priority in c.
+func protected(c *ContextPolicy, pg storage.PageID) bool { return c.pos.Get(pg).prot }
+
+// tracked returns the number of pages c knows about.
+func tracked(c *ContextPolicy) int { return c.prot.Len() + c.prob.Len() }
+
 func TestContextAdmitAndVictimLRUOrder(t *testing.T) {
 	c := NewContextPolicy(8)
 	p := buffer.NewPool(3, c)
@@ -26,7 +32,7 @@ func TestContextReReferencePromotes(t *testing.T) {
 	p.Access(1) //nolint:errcheck
 	p.Access(2) //nolint:errcheck
 	p.Access(1) //nolint:errcheck — re-reference: promoted
-	if !c.Protected(1) {
+	if !protected(c, 1) {
 		t.Fatal("re-referenced page must be protected")
 	}
 	p.Access(3) //nolint:errcheck
@@ -77,11 +83,11 @@ func TestContextProtectedOverflowDemotes(t *testing.T) {
 		p.Access(pg) //nolint:errcheck
 		p.Boost(pg)
 	}
-	if c.ProtectedLen() != 2 {
-		t.Fatalf("protected=%d, want capacity 2", c.ProtectedLen())
+	if c.prot.Len() != 2 {
+		t.Fatalf("protected=%d, want capacity 2", c.prot.Len())
 	}
 	// 1 and 2 were demoted (oldest protections); 3 and 4 remain.
-	if c.Protected(1) || c.Protected(2) || !c.Protected(3) || !c.Protected(4) {
+	if protected(c, 1) || protected(c, 2) || !protected(c, 3) || !protected(c, 4) {
 		t.Fatal("demotion order wrong")
 	}
 }
@@ -109,12 +115,12 @@ func TestContextRemovedCleansUp(t *testing.T) {
 	p.Access(1) //nolint:errcheck
 	p.Access(2) //nolint:errcheck
 	p.Access(3) //nolint:errcheck — evicts 1
-	if c.Tracked() != 2 {
-		t.Fatalf("tracked=%d", c.Tracked())
+	if tracked(c) != 2 {
+		t.Fatalf("tracked=%d", tracked(c))
 	}
 	c.Boosted(1) // non-resident: must be ignored
 	c.Touched(1)
-	if c.Tracked() != 2 || c.Protected(1) {
+	if tracked(c) != 2 || protected(c, 1) {
 		t.Fatal("operations on evicted pages must be ignored")
 	}
 }

@@ -238,8 +238,8 @@ func FuzzContextPolicy(f *testing.F) {
 					delete(resident, pg)
 				}
 			}
-			if c.Tracked() != len(resident) {
-				t.Fatalf("tracked %d != resident %d", c.Tracked(), len(resident))
+			if tracked(c) != len(resident) {
+				t.Fatalf("tracked %d != resident %d", tracked(c), len(resident))
 			}
 		}
 		// Victim selection must return a resident page while any exist.

@@ -119,41 +119,6 @@ func AppendPrefetchGroup(dst []storage.PageID, g *model.Graph, st storage.Backen
 	return dst
 }
 
-// AppendSiblingPages appends to dst the distinct pages holding o's siblings
-// — the other components of o's composites — excluding o's own page and
-// deduplicating the appended pages against each other. Siblings are
-// co-retrieved whenever the composite is expanded, so placing an object with
-// its siblings is as valuable as placing it with its composite once the
-// composite's page is full; sibling pages are the "next best candidates" of
-// Section 2.1.
-func AppendSiblingPages(dst []storage.PageID, g *model.Graph, st storage.Backend, o *model.Object, limit int) []storage.PageID {
-	own := st.PageOf(o.ID)
-	base := len(dst)
-	for _, comp := range o.Composites() {
-		co := g.Object(comp)
-		if co == nil {
-			continue
-		}
-		for _, sib := range co.Components() {
-			if sib == o.ID {
-				continue
-			}
-			pg := st.PageOf(sib)
-			if pg == storage.NilPage || pg == own {
-				continue
-			}
-			if containsPage(dst[base:], pg) {
-				continue
-			}
-			dst = append(dst, pg)
-			if limit > 0 && len(dst)-base >= limit {
-				return dst
-			}
-		}
-	}
-	return dst
-}
-
 // ContextNeighborLimit bounds how many related pages the context-sensitive
 // replacement policy boosts per access. Keeping it modest is what leaves
 // room for prefetch-within-buffer to add value at high structure density

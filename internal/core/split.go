@@ -271,31 +271,11 @@ func growAdj(s []adjArc, n int) []adjArc {
 	return s[:n]
 }
 
-// TotalWeight returns the sum of all arc weights.
-func (pg *PartGraph) TotalWeight() float64 {
-	t := 0.0
-	for _, a := range pg.Arcs {
-		t += a.W
-	}
-	return t
-}
-
 // Partition is a two-way split of a PartGraph. Side false stays on the
 // original page, side true moves to the new page.
 type Partition struct {
 	Side []bool
 	Cut  float64
-}
-
-// SideObjects returns the object IDs on the given side.
-func (p Partition) SideObjects(pg *PartGraph, side bool) []model.ObjectID {
-	var out []model.ObjectID
-	for i, s := range p.Side {
-		if s == side {
-			out = append(out, pg.Nodes[i])
-		}
-	}
-	return out
 }
 
 func (pg *PartGraph) cutOf(side []bool) float64 {

@@ -111,7 +111,7 @@ func TestLockSetMapping(t *testing.T) {
 // TestAblationKnobs: both ablation switches run end to end and the sibling
 // knob changes physical layout.
 func TestAblationKnobs(t *testing.T) {
-	cfg := quickConfig(300)
+	cfg := octSmall.config(300)
 	cfg.Replacement = core.ReplContext
 	cfg.ContextBoostLimit = -1 // boosting disabled
 	res := run(t, cfg)
@@ -119,7 +119,7 @@ func TestAblationKnobs(t *testing.T) {
 		t.Fatal("boost-off run incomplete")
 	}
 
-	cfg2 := quickConfig(300)
+	cfg2 := octSmall.config(300)
 	cfg2.Density = workload.HighDensity
 	cfg2.NoSiblingCandidates = true
 	res2 := run(t, cfg2)

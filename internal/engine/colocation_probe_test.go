@@ -43,10 +43,7 @@ func TestColocationProbe(t *testing.T) {
 		cfg.Density = workload.HighDensity
 		cfg.Cluster = cl
 		cfg.Split = core.NoSplit
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := fresh(t, cfg)
 		blockSpread, bn := componentSpread(e, e.db.Blocks)
 		rootSpread, rn := componentSpread(e, e.db.Roots)
 		t.Logf("%-22s block children span %.2f pages (n=%d); root children span %.2f pages (n=%d)",

@@ -80,7 +80,7 @@ func (s *scripted) SessionLength() int {
 // still held. Nothing here sleeps or polls.
 func TestCommitWaitOverlap(t *testing.T) {
 	const reads = 100
-	cfg := fileConfig(t, quickConfig(2*(reads+1)), "always")
+	cfg := fileConfig(t, octSmall.config(2*(reads+1)), "always")
 	cfg.Backend = gatedBackend
 	cfg.Warmup = 0
 	c, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: 2})
@@ -191,7 +191,7 @@ func TestCommitWaitOverlap(t *testing.T) {
 // A memory-backed run has no commit to wait for and says nothing about one.
 func TestCommitWaitAbsentOnMemory(t *testing.T) {
 	t.Parallel()
-	c, err := NewConcurrent(quickConfig(200), ConcurrentOptions{Sessions: 2})
+	c, err := NewConcurrent(octSmall.config(200), ConcurrentOptions{Sessions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +224,10 @@ func TestDurableWaitFailureStopsTheRun(t *testing.T) {
 	}
 
 	t.Run("serial", func(t *testing.T) {
-		cfg := fileConfig(t, quickConfig(400), "always")
+		cfg := fileConfig(t, octSmall.config(400), "always")
 		cfg.Backend = gatedBackend
 		setWaitGate(t, failing(func() { t.Error("serial engine committed again after a failed flush") }))
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := fresh(t, cfg)
 		defer e.Close() // errscan:ok test cleanup
 		if _, err := e.Run(); !errors.Is(err, errInjected) {
 			t.Fatalf("Run returned %v, want the injected fault", err)
@@ -259,7 +256,7 @@ func TestDurableWaitFailureStopsTheRun(t *testing.T) {
 
 	t.Run("concurrent", func(t *testing.T) {
 		const sessions = 4
-		cfg := fileConfig(t, quickOCBConfig(4000), "always")
+		cfg := fileConfig(t, ocbSmall.config(4000), "always")
 		cfg.Backend = gatedBackend
 		cfg.OCB.ReadWriteRatio = 1
 		cfg.Warmup = 0

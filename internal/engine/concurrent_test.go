@@ -35,11 +35,11 @@ func runConcurrent(t *testing.T, cfg Config, opt ConcurrentOptions) ConcurrentRe
 // exactly, even though the two engines share nothing below the workload
 // seam (event calendar vs goroutines, deterministic pool vs sharded pool).
 func TestConcurrentSerialDigestOCT(t *testing.T) {
-	cfg := quickConfig(400)
+	cfg := octSmall.config(400)
 	cfg.Users = 1
 	cfg.Warmup = 0
 
-	serial := run(t, cfg)
+	serial := octSmall.run(t, cfg)
 	conc := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 1})
 
 	if serial.LogicalDigest != conc.LogicalDigest {
@@ -60,11 +60,11 @@ func TestConcurrentSerialDigestOCT(t *testing.T) {
 // TestConcurrentSerialDigestOCB: the same oracle over the OCB workload
 // family (read-only mix, traversal-heavy operations).
 func TestConcurrentSerialDigestOCB(t *testing.T) {
-	cfg := quickOCBConfig(400)
+	cfg := ocbSmall.config(400)
 	cfg.Users = 1
 	cfg.Warmup = 0
 
-	serial := run(t, cfg)
+	serial := ocbSmall.run(t, cfg)
 	conc := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 1})
 
 	if serial.LogicalDigest != conc.LogicalDigest {
@@ -84,13 +84,11 @@ func TestConcurrentSerialDigestOCB(t *testing.T) {
 // database must match — and both engines must conserve placement
 // (every live object on exactly one page) after every write.
 func TestConcurrentSerialDigestOCBWrites(t *testing.T) {
-	cfg := quickOCBConfig(400)
-	cfg.OCB.ReadWriteRatio = 2
-	cfg.Locking = false
+	cfg := noLocking(ocbWrites.cfg, 400)
 	cfg.Users = 1
 	cfg.Warmup = 0
 
-	serial := run(t, cfg)
+	serial := ocbWrites.run(t, cfg)
 	conc := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 1})
 
 	if serial.WriteTxns == 0 {
@@ -127,8 +125,7 @@ func TestConcurrentSerialDigestOCBWrites(t *testing.T) {
 // every transaction completes, placement is conserved at end of run, and
 // the shared structures pass their invariants.
 func TestConcurrentManyWriteSessions(t *testing.T) {
-	cfg := quickOCBConfig(600)
-	cfg.OCB.ReadWriteRatio = 2
+	cfg := ocbWrites.config(600)
 	res := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 8})
 	if res.Completed != cfg.Transactions {
 		t.Fatalf("completed %d transactions, want %d", res.Completed, cfg.Transactions)
@@ -154,8 +151,8 @@ func TestConcurrentManySessions(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"oct", quickConfig(600)},
-		{"ocb", quickOCBConfig(600)},
+		{"oct", octSmall.config(600)},
+		{"ocb", ocbSmall.config(600)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -187,7 +184,7 @@ func TestConcurrentManySessions(t *testing.T) {
 // so repeat runs of a read-only (OCB) configuration must agree on the
 // order-independent logical observables.
 func TestConcurrentSameSeedLogicalInvariants(t *testing.T) {
-	cfg := quickOCBConfig(400)
+	cfg := ocbSmall.config(400)
 	a := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 4})
 	b := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 4})
 	if a.LogicalDigest != b.LogicalDigest {
@@ -209,7 +206,7 @@ func TestConcurrentAutoSharding(t *testing.T) {
 		want *= 2
 	}
 
-	cfg := quickConfig(50)
+	cfg := octSmall.config(50)
 	res := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 2})
 	if res.LockShards != want {
 		t.Fatalf("lock shards = %d, want %d", res.LockShards, want)
@@ -223,7 +220,7 @@ func TestConcurrentAutoSharding(t *testing.T) {
 		t.Fatalf("lock shards = %d with locking off, want 0", res.LockShards)
 	}
 
-	tiny := quickConfig(50)
+	tiny := octSmall.config(50)
 	tiny.Buffers = 3
 	res = runConcurrent(t, tiny, ConcurrentOptions{Sessions: 1})
 	if wantBuf := min(want, 2); res.PoolShards != wantBuf {
@@ -235,7 +232,7 @@ func TestConcurrentAutoSharding(t *testing.T) {
 // rate the system easily sustains, the run's wall time is governed by the
 // arrival schedule and every transaction still completes.
 func TestConcurrentOpenLoop(t *testing.T) {
-	cfg := quickConfig(60)
+	cfg := octSmall.config(60)
 	res := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 4, ArrivalRate: 2000})
 	if res.Completed != cfg.Transactions {
 		t.Fatalf("completed %d, want %d", res.Completed, cfg.Transactions)
@@ -249,12 +246,12 @@ func TestConcurrentOpenLoop(t *testing.T) {
 // TestConcurrentRejectsSerialOnlyAttachments: trace sinks and record/replay
 // depend on a deterministic schedule and must be refused.
 func TestConcurrentRejectsSerialOnlyAttachments(t *testing.T) {
-	cfg := quickConfig(50)
+	cfg := octSmall.config(50)
 	cfg.Record = &discard{}
 	if _, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: 1}); err == nil {
 		t.Fatal("NewConcurrent accepted a trace recorder")
 	}
-	cfg = quickConfig(50)
+	cfg = octSmall.config(50)
 	if _, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: 0}); err == nil {
 		t.Fatal("NewConcurrent accepted zero sessions")
 	}

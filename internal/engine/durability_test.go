@@ -25,13 +25,10 @@ func fileConfig(t *testing.T, cfg Config, fsync string) Config {
 // performs real I/O or stays purely in memory.
 func TestFileBackendDigestMatchesMemory(t *testing.T) {
 	t.Parallel()
-	cases := map[string]Config{
-		"oct": quickConfig(300),
-		"ocb": quickOCBConfig(300),
-	}
-	for name, base := range cases {
+	for name, w := range map[string]*fixture{"oct": octSmall, "ocb": ocbSmall} {
 		t.Run(name, func(t *testing.T) {
-			mem := run(t, base)
+			base := w.config(300)
+			mem := w.run(t, base)
 			file := run(t, fileConfig(t, base, "interval"))
 
 			if mem.LogicalDigest != file.LogicalDigest {
@@ -67,8 +64,8 @@ func TestFileBackendDigestMatchesMemory(t *testing.T) {
 func TestFileBackendCrashPrefixRecovery(t *testing.T) {
 	t.Parallel()
 	for name, base := range map[string]Config{
-		"oct": quickConfig(250),
-		"ocb": quickOCBConfig(250),
+		"oct": octSmall.config(250),
+		"ocb": ocbSmall.config(250),
 	} {
 		t.Run(name, func(t *testing.T) {
 			refCfg := fileConfig(t, base, "always")
@@ -117,7 +114,7 @@ func TestFileBackendCrashPrefixRecovery(t *testing.T) {
 // A file-backed engine run reports its durability counters in Results, and
 // recovery reports the mutation records it replayed.
 func TestFileBackendObservability(t *testing.T) {
-	cfg := fileConfig(t, quickConfig(120), "always")
+	cfg := fileConfig(t, octSmall.config(120), "always")
 	if d := run(t, cfg).Durability; d.WALAppends == 0 || d.WALSyncs == 0 || d.PageReads == 0 {
 		t.Errorf("durability counters missing: %+v", d)
 	}
@@ -135,8 +132,7 @@ func TestFileBackendObservability(t *testing.T) {
 // still counted through the backend.
 func TestDataDirHoldsOnlyTheLog(t *testing.T) {
 	t.Parallel()
-	base := quickOCBConfig(150)
-	base.OCB.ReadWriteRatio = 2
+	base := ocbWrites.config(150)
 	drivers := map[string]func(t *testing.T, cfg Config) storage.DurableStats{
 		"serial": func(t *testing.T, cfg Config) storage.DurableStats { return run(t, cfg).Durability },
 		"concurrent": func(t *testing.T, cfg Config) storage.DurableStats {
@@ -195,11 +191,11 @@ func TestDataDirHoldsOnlyTheLog(t *testing.T) {
 // The concurrent engine drives the same durable seam: one session matches
 // the serial digest, and the WAL recovers. Runs under -race in CI.
 func TestConcurrentFileBackendDurability(t *testing.T) {
-	base := quickConfig(300)
+	base := octSmall.config(300)
 	base.Users = 1
 	base.Warmup = 0
 
-	serial := run(t, base)
+	serial := octSmall.run(t, base)
 
 	cfg := fileConfig(t, base, "interval")
 	c, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: 1})
@@ -234,7 +230,7 @@ func TestConcurrentFileBackendDurability(t *testing.T) {
 // Multi-session file-backed run: real parallel load over one WAL. The
 // serialized write path must keep the log commit-consistent.
 func TestConcurrentFileBackendParallelSessions(t *testing.T) {
-	cfg := fileConfig(t, quickConfig(400), "never")
+	cfg := fileConfig(t, octSmall.config(400), "never")
 	cfg.Users = 4
 	c, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: 4})
 	if err != nil {
@@ -259,10 +255,7 @@ func TestConcurrentFileBackendParallelSessions(t *testing.T) {
 }
 
 func TestEngineCloseIdempotent(t *testing.T) {
-	e, err := New(fileConfig(t, quickConfig(30), "never"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := fresh(t, fileConfig(t, octSmall.config(30), "never"))
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +266,7 @@ func TestEngineCloseIdempotent(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	// A memory engine closes as a no-op.
-	m, err := New(quickConfig(30))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := octSmall.engine(t, octSmall.config(30))
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -294,13 +284,13 @@ func TestConfigValidationBackend(t *testing.T) {
 		{"Fsync without persistent backend", func(c *Config) { c.Fsync = "always" }},
 	}
 	for _, tc := range bad {
-		cfg := quickConfig(10)
+		cfg := octSmall.config(10)
 		tc.mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: invalid config accepted", tc.field)
 		}
 	}
-	good := quickConfig(10)
+	good := octSmall.config(10)
 	good.Backend = "file"
 	good.DataDir = t.TempDir()
 	good.Fsync = "interval"
@@ -312,8 +302,8 @@ func TestConfigValidationBackend(t *testing.T) {
 // Backend wiring is a physical-realization knob, not a logical parameter:
 // the fingerprint (the memo and results-cache key) must not change with it.
 func TestFingerprintExcludesBackend(t *testing.T) {
-	a := quickConfig(10)
-	b := fileConfig(t, quickConfig(10), "never")
+	a := octSmall.config(10)
+	b := fileConfig(t, octSmall.config(10), "never")
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("backend wiring changed the config fingerprint")
 	}

@@ -15,40 +15,6 @@ import (
 // dynamicStrategies are the PR 10 contenders with mid-run reorganization.
 var dynamicStrategies = []string{"dstc", "dro"}
 
-// dynamicConfigs returns the three workload shapes the gates run under:
-// OCT, read-only OCB, and a write-enabled OCB mix (locking off so the
-// stream executes synchronously and digests are strategy-comparable).
-func dynamicConfigs(txns int) map[string]Config {
-	writes := quickOCBConfig(txns)
-	writes.OCB.ReadWriteRatio = 2
-	writes.Locking = false
-	return map[string]Config{
-		"oct":       quickConfig(txns),
-		"ocb":       quickOCBConfig(txns),
-		"ocb-write": writes,
-	}
-}
-
-// reorgConfig is the write-heavy stream that provokes strat's
-// reorganization. Each strategy gets its own shape: dstc's heat windows
-// consolidate under any sustained mix, while dro's sweep needs enough
-// deletions on a small database to drag pages below its load floor
-// (deletions spread too thin across a larger store).
-func reorgConfig(strat string) Config {
-	if strat == "dro" {
-		cfg := DefaultConfig(0.005)
-		cfg.Workload = WorkloadOCB
-		cfg.OCB.ReadWriteRatio = 1
-		cfg.Locking = false
-		cfg.Transactions = 2000
-		return cfg
-	}
-	cfg := quickOCBConfig(900)
-	cfg.OCB.ReadWriteRatio = 1.5
-	cfg.Locking = false
-	return cfg
-}
-
 // TestDynamicStrategyTraceIdentity: live == recorded == replayed for each
 // dynamic strategy, on the read-only and the write-enabled stream, and on
 // the stream that makes the strategy reorganize. The trace captures the
@@ -56,16 +22,18 @@ func reorgConfig(strat string) Config {
 // not perturb reorganization and replay must reproduce every dynamic move.
 // It is also the strategies' same-seed gate: the live and recorded runs
 // are two runs of one configuration, and the reorganizing stream carries
-// the heat-window (dstc) and sweep (dro) state from window to window.
+// the heat-window (dstc) and sweep (dro) state from window to window. Each
+// case builds its world once and runs three clones of it.
 func TestDynamicStrategyTraceIdentity(t *testing.T) {
 	t.Parallel()
 	for _, strat := range dynamicStrategies {
-		cfgs := dynamicConfigs(300)
-		cfgs["reorg"] = reorgConfig(strat)
+		cfgs := dynamicStreams(300)
+		cfgs["reorg"] = reorgStreams[strat]
 		for wl, base := range cfgs {
 			t.Run(strat+"/"+wl, func(t *testing.T) {
 				base.ClusterStrategy = strat
-				live := run(t, base)
+				w := newFixture(base)
+				live := w.run(t, base)
 				if wl == "reorg" && live.Cluster.DynMoves == 0 {
 					t.Fatalf("%s made no dynamic moves on its reorganizing stream", strat)
 				}
@@ -73,14 +41,14 @@ func TestDynamicStrategyTraceIdentity(t *testing.T) {
 				var traceBuf bytes.Buffer
 				rec := base
 				rec.Record = &traceBuf
-				recorded := run(t, rec)
+				recorded := w.run(t, rec)
 				if !reflect.DeepEqual(stripped(recorded), stripped(live)) {
 					t.Fatalf("recording perturbed the run:\n%v\n%v", recorded, live)
 				}
 
 				rep := base
 				rep.Replay = bytes.NewReader(traceBuf.Bytes())
-				replayed := run(t, rep)
+				replayed := w.run(t, rep)
 				if !reflect.DeepEqual(stripped(replayed), stripped(live)) {
 					t.Fatalf("replay diverged from live run:\n%v\n%v", replayed, live)
 				}
@@ -97,7 +65,7 @@ func TestDynamicStrategyTraceIdentity(t *testing.T) {
 // concurrent pool.
 func TestDynamicStrategyConcurrentSerialDigest(t *testing.T) {
 	for _, strat := range dynamicStrategies {
-		for wl, cfg := range dynamicConfigs(400) {
+		for wl, cfg := range dynamicStreams(400) {
 			t.Run(strat+"/"+wl, func(t *testing.T) {
 				cfg.ClusterStrategy = strat
 				cfg.Users = 1
@@ -134,7 +102,7 @@ func TestDynamicStrategyConcurrentSerialDigest(t *testing.T) {
 func TestDynamicStrategiesActuallyReorganize(t *testing.T) {
 	for _, strat := range dynamicStrategies {
 		t.Run(strat, func(t *testing.T) {
-			cfg := reorgConfig(strat)
+			cfg := reorgStreams[strat]
 			cfg.ClusterStrategy = strat
 			res := run(t, cfg)
 			if res.WriteTxns == 0 {

@@ -9,35 +9,6 @@ import (
 	"oodb/internal/workload"
 )
 
-// quickConfig is a small-but-meaningful configuration for tests.
-func quickConfig(txns int) Config {
-	cfg := DefaultConfig(0.02)
-	cfg.Transactions = txns
-	return cfg
-}
-
-// run builds cfg's serial engine, runs it to completion, checks the
-// store's invariants and closes the engine, so a persistent data directory
-// is left checkpointed and recoverable.
-func run(t *testing.T, cfg Config) Results {
-	t.Helper()
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := e.store.CheckInvariants(); err != nil {
-		t.Fatalf("storage invariants after run: %v", err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	return res
-}
-
 func TestConfigValidation(t *testing.T) {
 	// Each case invalidates exactly one field; the error must name it, so a
 	// misconfigured run fails with a diagnosis rather than a generic refusal.
@@ -56,7 +27,7 @@ func TestConfigValidation(t *testing.T) {
 		{"cluster strategy", func(c *Config) { c.ClusterStrategy = "bogus" }},
 	}
 	for _, tc := range bad {
-		cfg := quickConfig(10)
+		cfg := octSmall.config(10)
 		tc.mutate(&cfg)
 		err := cfg.Validate()
 		if err == nil {
@@ -67,14 +38,14 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%s: error %q does not name the field", tc.field, err)
 		}
 	}
-	if err := quickConfig(10).Validate(); err != nil {
+	if err := octSmall.config(10).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
-	if !strings.Contains(quickConfig(10).Label(), "med5") {
+	if !strings.Contains(octSmall.config(10).Label(), "med5") {
 		t.Error("label missing density")
 	}
 	// Registered names pass validation without constructing an engine.
-	cfg := quickConfig(10)
+	cfg := octSmall.config(10)
 	cfg.ReplacementName = "clock"
 	cfg.ClusterStrategy = "noop"
 	if err := cfg.Validate(); err != nil {
@@ -112,12 +83,12 @@ func TestConfigRefusesOutOfRangeEnums(t *testing.T) {
 			func(c *Config) { c.Prefetch = core.PrefetchWithinDB },
 			func(c *Config) { c.Prefetch = core.PrefetchWithinDB + 1 }},
 	} {
-		cfg := quickConfig(10)
+		cfg := octSmall.config(10)
 		tc.last(&cfg)
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: last valid value refused: %v", tc.field, err)
 		}
-		cfg = quickConfig(10)
+		cfg = octSmall.config(10)
 		tc.bad(&cfg)
 		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.field+" ") {
 			t.Errorf("%s: out-of-range value: got %v, want an error naming the field", tc.field, err)
@@ -145,8 +116,8 @@ func TestDefaultConfigScaling(t *testing.T) {
 }
 
 func TestRunCompletesRequestedTransactions(t *testing.T) {
-	cfg := quickConfig(400)
-	res := run(t, cfg)
+	cfg := octSmall.config(400)
+	res := octSmall.run(t, cfg)
 	if res.Completed < cfg.Transactions {
 		t.Fatalf("completed %d of %d", res.Completed, cfg.Transactions)
 	}
@@ -171,9 +142,9 @@ func TestRunCompletesRequestedTransactions(t *testing.T) {
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	cfg := quickConfig(300)
-	a := run(t, cfg)
-	b := run(t, cfg)
+	cfg := octSmall.config(300)
+	a := octSmall.run(t, cfg)
+	b := octSmall.run(t, cfg)
 	if a.MeanResponse != b.MeanResponse || a.PhysReads != b.PhysReads ||
 		a.LogIOs != b.LogIOs || a.Completed != b.Completed {
 		t.Fatalf("replay diverged:\n%v\n%v", a, b)
@@ -194,13 +165,13 @@ func TestSerialRunPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	def.Transactions = 3000
-	writes := DefaultConfig(0.02)
+	writes := octSmall.config(1500)
 	writes.ReadWriteRatio = 2
-	writes.Transactions = 1500
-	phased := quickConfig(1000)
+	phased := octSmall.config(1000)
 	phased.PhasedRW = []float64{100, 2}
 	for _, tc := range []struct {
 		name       string
+		engine     func(*testing.T, Config) *Engine
 		cfg        Config
 		meanBits   uint64
 		events     uint64
@@ -210,14 +181,11 @@ func TestSerialRunPinned(t *testing.T) {
 		physWrites int
 		conflicts  bool
 	}{
-		{"default-tier", def, 0x3fb586c094d208d6, 14998, 0x709bf0910f6ea2d3, 0x78991fe4bfc01e59, 8140, 430, false},
-		{"oct-writes", writes, 0x3fba26fc5352284f, 8606, 0x3a64111fb34cb4d7, 0x6d04a948c1eb30d1, 4095, 733, true},
-		{"phased-rw", phased, 0x3fb72f23353d418f, 5253, 0x68b2015427bf6c6b, 0xd464d077d14bd7fb, 2723, 264, false},
+		{"default-tier", fresh, def, 0x3fb586c094d208d6, 14998, 0x709bf0910f6ea2d3, 0x78991fe4bfc01e59, 8140, 430, false},
+		{"oct-writes", octSmall.engine, writes, 0x3fba26fc5352284f, 8606, 0x3a64111fb34cb4d7, 0x6d04a948c1eb30d1, 4095, 733, true},
+		{"phased-rw", octSmall.engine, phased, 0x3fb72f23353d418f, 5253, 0x68b2015427bf6c6b, 0xd464d077d14bd7fb, 2723, 264, false},
 	} {
-		e, err := New(tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := tc.engine(t, tc.cfg)
 		r, err := e.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -276,8 +244,8 @@ func TestSerialTxnAllocs(t *testing.T) {
 }
 
 func TestSeedChangesRun(t *testing.T) {
-	cfg := quickConfig(300)
-	a := run(t, cfg)
+	cfg := octSmall.config(300)
+	a := octSmall.run(t, cfg)
 	cfg.Seed = 2
 	b := run(t, cfg)
 	if a.MeanResponse == b.MeanResponse && a.PhysReads == b.PhysReads {
@@ -289,7 +257,7 @@ func TestSeedChangesRun(t *testing.T) {
 // density and high read/write ratio, run-time clustering substantially
 // improves mean response time over no clustering (Figure 5.1).
 func TestClusteringHeadline(t *testing.T) {
-	base := quickConfig(1200)
+	base := octSmall.config(1200)
 	base.Density = workload.HighDensity
 	base.ReadWriteRatio = 100
 	base.Split = core.NoSplit
@@ -316,7 +284,7 @@ func TestClusteringHeadline(t *testing.T) {
 // TestClusteringDegradesWriters asserts the flip side the paper discusses:
 // clustering costs writers (candidate searches, moves, splits).
 func TestClusteringDegradesWriters(t *testing.T) {
-	base := quickConfig(1500)
+	base := octSmall.config(1500)
 	base.Density = workload.HighDensity
 	base.ReadWriteRatio = 5
 	base.Split = core.NoSplit
@@ -341,7 +309,7 @@ func TestClusteringDegradesWriters(t *testing.T) {
 // TestWithinBufferNoCandidateIOs asserts the Within_Buffer invariant at the
 // engine level.
 func TestWithinBufferNoCandidateIOs(t *testing.T) {
-	cfg := quickConfig(500)
+	cfg := octSmall.config(500)
 	cfg.Cluster = core.PolicyWithinBuffer
 	res := run(t, cfg)
 	if res.Cluster.CandidateIOs != 0 {
@@ -351,7 +319,7 @@ func TestWithinBufferNoCandidateIOs(t *testing.T) {
 
 // TestIOLimitRespected: candidate I/Os per placement never exceed the limit.
 func TestIOLimitRespected(t *testing.T) {
-	cfg := quickConfig(800)
+	cfg := octSmall.config(800)
 	cfg.Cluster = core.PolicyIOLimit2
 	res := run(t, cfg)
 	ops := res.Cluster.Placements + res.Cluster.Reclusterings
@@ -367,7 +335,7 @@ func TestIOLimitRespected(t *testing.T) {
 // TestLoggingCoalescing asserts Figure 5.5's direction: clustering reduces
 // physical logging I/Os per transaction by coalescing same-page updates.
 func TestLoggingCoalescing(t *testing.T) {
-	base := quickConfig(1500)
+	base := octSmall.config(1500)
 	base.Density = workload.MedDensity
 	base.ReadWriteRatio = 5
 
@@ -377,7 +345,7 @@ func TestLoggingCoalescing(t *testing.T) {
 
 	clustered := base
 	clustered.Cluster = core.PolicyNoLimit
-	rc := run(t, clustered)
+	rc := octSmall.run(t, clustered)
 
 	perTxnN := float64(rn.Log.IOs()) / float64(rn.Completed)
 	perTxnC := float64(rc.Log.IOs()) / float64(rc.Completed)
@@ -389,32 +357,35 @@ func TestLoggingCoalescing(t *testing.T) {
 // TestPrefetchBackground: within-DB prefetch produces background I/Os;
 // the other policies produce none.
 func TestPrefetchBackground(t *testing.T) {
-	cfg := quickConfig(400)
+	cfg := octSmall.config(400)
 	cfg.Prefetch = core.PrefetchWithinDB
-	res := run(t, cfg)
+	res := octSmall.run(t, cfg)
 	if res.BackgroundIOs == 0 {
 		t.Fatal("within-DB prefetch issued no background I/O")
 	}
 	cfg.Prefetch = core.PrefetchWithinBuffer
-	res = run(t, cfg)
+	res = octSmall.run(t, cfg)
 	if res.BackgroundIOs != 0 {
 		t.Fatal("within-buffer prefetch must not issue I/O")
 	}
 	cfg.Prefetch = core.NoPrefetch
-	res = run(t, cfg)
+	res = octSmall.run(t, cfg)
 	if res.BackgroundIOs != 0 {
 		t.Fatal("no-prefetch issued I/O")
 	}
 }
 
 // TestReplacementPoliciesRun exercises all three replacement policies.
+// LRU is octSmall's own policy; the others build their worlds.
 func TestReplacementPoliciesRun(t *testing.T) {
-	for _, repl := range []core.Replacement{core.ReplLRU, core.ReplContext, core.ReplRandom} {
-		cfg := quickConfig(300)
-		cfg.Replacement = repl
-		res := run(t, cfg)
-		if res.Completed < cfg.Transactions {
-			t.Fatalf("%v: completed %d", repl, res.Completed)
+	for _, tc := range []struct {
+		repl core.Replacement
+		run  func(*testing.T, Config) Results
+	}{{core.ReplLRU, octSmall.run}, {core.ReplContext, run}, {core.ReplRandom, run}} {
+		cfg := octSmall.config(300)
+		cfg.Replacement = tc.repl
+		if res := tc.run(t, cfg); res.Completed < cfg.Transactions {
+			t.Fatalf("%v: completed %d", tc.repl, res.Completed)
 		}
 	}
 }
@@ -425,7 +396,7 @@ func TestReplacementPoliciesRun(t *testing.T) {
 // for the invariant to mean anything; Linear_Split compares none.
 func TestSplitPoliciesRun(t *testing.T) {
 	for _, sp := range []core.SplitPolicy{core.NoSplit, core.LinearSplit, core.NPSplit} {
-		cfg := quickConfig(1000)
+		cfg := octSmall.config(1000)
 		cfg.Density = workload.HighDensity
 		cfg.ReadWriteRatio = 5
 		cfg.Split = sp
@@ -449,7 +420,7 @@ func TestSplitPoliciesRun(t *testing.T) {
 
 // TestUserHintsRun exercises the hint path end to end.
 func TestUserHintsRun(t *testing.T) {
-	cfg := quickConfig(400)
+	cfg := octSmall.config(400)
 	cfg.Hints = core.UserHints
 	res := run(t, cfg)
 	if res.Completed < cfg.Transactions {
@@ -462,12 +433,9 @@ func TestUserHintsRun(t *testing.T) {
 // the OCB workload.
 func TestAllQueryKindsExecuted(t *testing.T) {
 	t.Parallel()
-	cfg := quickConfig(3000)
+	cfg := octSmall.config(3000)
 	cfg.ReadWriteRatio = 5 // enough writes for the write kinds
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := octSmall.engine(t, cfg)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -477,13 +445,8 @@ func TestAllQueryKindsExecuted(t *testing.T) {
 		}
 	}
 
-	ocbCfg := quickConfig(800)
-	ocbCfg.Workload = WorkloadOCB
-	ocbCfg.OCB.ReadWriteRatio = 3 // enable the OCB write kinds
-	e2, err := New(ocbCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ocbCfg := ocbAt(octSmall.config(800), 3) // enable the OCB write kinds
+	e2 := fresh(t, ocbCfg)
 	if _, err := e2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -498,14 +461,11 @@ func TestAllQueryKindsExecuted(t *testing.T) {
 // component sets while the unclustered one scatters them.
 func TestConstructionColocation(t *testing.T) {
 	spread := func(cl core.ClusterPolicy) float64 {
-		cfg := quickConfig(1)
+		cfg := octSmall.config(1)
 		cfg.Density = workload.HighDensity
 		cfg.Cluster = cl
 		cfg.Split = core.NoSplit
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := fresh(t, cfg)
 		s, n := componentSpread(e, e.db.Blocks)
 		if n == 0 {
 			t.Fatal("no composites to measure")
@@ -537,13 +497,9 @@ func TestLargerScaleSmoke(t *testing.T) {
 // TestPhasedRWChangesMix: the phased extension actually swings the
 // generated read/write mix across the run.
 func TestPhasedRWChangesMix(t *testing.T) {
-	cfg := quickConfig(1000)
+	cfg := octSmall.config(1000)
 	cfg.PhasedRW = []float64{100, 2}
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run()
+	res, err := octSmall.engine(t, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,14 +514,11 @@ func TestPhasedRWChangesMix(t *testing.T) {
 // TestAdaptiveClusteringSwitches: the adaptive policy reacts to phase
 // changes by switching the clustering policy.
 func TestAdaptiveClusteringSwitches(t *testing.T) {
-	cfg := quickConfig(2000)
+	cfg := octSmall.config(2000)
 	cfg.Density = workload.HighDensity
 	cfg.PhasedRW = []float64{100, 2, 100, 2}
 	cfg.AdaptiveClustering = true
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := fresh(t, cfg)
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -582,12 +535,9 @@ func TestAdaptiveClusteringSwitches(t *testing.T) {
 // under hot-set contention, the lock table drains by end of run, and
 // disabling locking still runs.
 func TestLockingIntegration(t *testing.T) {
-	cfg := quickConfig(1500)
+	cfg := octSmall.config(1500)
 	cfg.ReadWriteRatio = 5 // writes take exclusive locks
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := octSmall.engine(t, cfg)
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -603,7 +553,7 @@ func TestLockingIntegration(t *testing.T) {
 	}
 
 	cfg.Locking = false
-	res2 := run(t, cfg)
+	res2 := octSmall.run(t, cfg)
 	if res2.Locks.Requests != 0 {
 		t.Fatal("locking disabled but requests recorded")
 	}
@@ -611,9 +561,9 @@ func TestLockingIntegration(t *testing.T) {
 
 // TestWarmupExcluded: warmup transactions execute but are not measured.
 func TestWarmupExcluded(t *testing.T) {
-	cfg := quickConfig(300)
+	cfg := octSmall.config(300)
 	cfg.Warmup = 100
-	res := run(t, cfg)
+	res := octSmall.run(t, cfg)
 	if res.Completed != cfg.Transactions {
 		t.Fatalf("measured %d, want exactly %d post-warmup", res.Completed, cfg.Transactions)
 	}
@@ -635,12 +585,9 @@ func TestWarmupExcluded(t *testing.T) {
 // the metrics charge corresponds to exactly one buffer-pool miss — the
 // engine neither invents nor drops I/Os.
 func TestIOConservation(t *testing.T) {
-	cfg := quickConfig(800)
+	cfg := octSmall.config(800)
 	cfg.Prefetch = core.NoPrefetch
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := octSmall.engine(t, cfg)
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -10,19 +10,11 @@ import (
 	"oodb/internal/workload"
 )
 
-// execFixture builds an engine without running the user loop, so execute
-// can be driven directly.
+// execFixture returns an engine on octTiny's world without running the
+// user loop, so execute can be driven directly.
 func execFixture(t *testing.T) *Engine {
 	t.Helper()
-	cfg := DefaultConfig(0.01)
-	cfg.Transactions = 1
-	cfg.Cluster = core.PolicyNoLimit
-	cfg.Split = core.LinearSplit
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return octTiny.engine(t, octTiny.config(1))
 }
 
 // exec runs one transaction through the functional layer with logging
@@ -274,10 +266,7 @@ func TestWriteKindsLogWhatTheyDirty(t *testing.T) {
 		t.Fatal("no deletable leaf")
 		return model.NilObject
 	}
-	cfg := DefaultConfig(0.01)
-	cfg.Transactions = 1
-	cfg.Workload = WorkloadOCB
-	ocbEng, err := New(cfg)
+	ocbEng, err := New(ocbAt(octTiny.config(1), 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func applyLibrary(l *Library, op workload.Op) error {
 // on the last good commit, exactly as for an engine transaction
 // (TestFailedTransactionAborts).
 func TestLibraryFailedWriteAborts(t *testing.T) {
-	cfg := fileConfig(t, quickConfig(1), "never")
+	cfg := fileConfig(t, octSmall.config(1), "never")
 	cfg.ClusterStrategy = failingStrategy
 	placeCountdown.Store(0)
 	l, ty := openTestLibrary(t, cfg)
@@ -117,7 +117,7 @@ func TestLibraryFailedWriteAborts(t *testing.T) {
 // steer a placement.
 func TestLibraryMatchesExecute(t *testing.T) {
 	t.Parallel()
-	cfg := quickConfig(1)
+	cfg := octSmall.config(1)
 	cfg.Cluster = core.PolicyNoLimit
 	cfg.Split = core.LinearSplit
 	cfg.Buffers = 512

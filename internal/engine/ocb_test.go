@@ -3,47 +3,20 @@ package engine
 import (
 	"bytes"
 	"reflect"
-	"sync"
 	"testing"
 
 	"oodb/internal/model"
 	"oodb/internal/workload"
 )
 
-func quickOCBConfig(txns int) Config {
-	cfg := quickConfig(txns)
-	cfg.Workload = WorkloadOCB
-	return cfg
-}
-
-// readOnlyOCB is the run of quickOCBConfig(400), made once per test binary:
-// the same-seed test and the record/replay test's read-only case both hold
-// their runs of that configuration to it.
-var readOnlyOCB = sync.OnceValues(func() (Results, error) {
-	e, err := New(quickOCBConfig(400))
-	if err != nil {
-		return Results{}, err
-	}
-	return e.Run()
-})
-
-func readOnlyBase(t *testing.T) Results {
-	t.Helper()
-	res, err := readOnlyOCB()
-	if err != nil {
-		t.Fatalf("read-only OCB run: %v", err)
-	}
-	return res
-}
-
 // TestOCBSameSeedIdentical: an OCB run is a deterministic function of its
 // configuration — two runs of the same config produce identical results,
 // while a different seed draws a different stream.
 func TestOCBSameSeedIdentical(t *testing.T) {
 	t.Parallel()
-	cfg := quickOCBConfig(400)
-	a := readOnlyBase(t)
-	b := run(t, cfg)
+	cfg := ocbSmall.config(400)
+	a := ocbSmall.run(t, cfg)
+	b := ocbSmall.run(t, cfg)
 	if !reflect.DeepEqual(stripped(a), stripped(b)) {
 		t.Fatalf("same-seed OCB runs diverged:\n%v\n%v", a, b)
 	}
@@ -69,44 +42,49 @@ func TestOCBSameSeedIdentical(t *testing.T) {
 // The phased case is a write-enabled stream whose read/write ratio shifts
 // mid-run: the generator must carry its ratio and object-base tail across
 // the phase boundaries identically in every run, so it also runs twice. The
-// read-only case's same-seed run is TestOCBSameSeedIdentical's.
+// read-only case's same-seed run is TestOCBSameSeedIdentical's. Each case
+// builds its world once; the runs under another replacement policy build
+// their own.
 func TestOCBRecordReplayIdentity(t *testing.T) {
 	t.Parallel()
-	phased := quickOCBConfig(300)
-	phased.OCB.ReadWriteRatio = 4
+	phased := ocbAt(octSmall.config(300), 4)
 	phased.PhasedRW = []float64{8, 1.5, 30}
-	for name, cfg := range map[string]Config{"read-only": quickOCBConfig(400), "phased-writes": phased} {
-		t.Run(name, func(t *testing.T) {
-			var base Results
-			if cfg.PhasedRW == nil {
-				base = readOnlyBase(t)
-			} else {
-				base = run(t, cfg)
+	for _, tc := range []struct {
+		name string
+		w    *fixture
+		cfg  Config
+	}{
+		{"read-only", ocbSmall, ocbSmall.config(400)},
+		{"phased-writes", newFixture(phased), phased},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := tc.w.run(t, tc.cfg)
+			if tc.cfg.PhasedRW != nil {
 				if base.WriteTxns == 0 || base.RatioChangesIgnored != 0 {
 					t.Fatalf("phased stream wrote %d times and refused %d ratio changes",
 						base.WriteTxns, base.RatioChangesIgnored)
 				}
-				if again := run(t, cfg); !reflect.DeepEqual(stripped(again), stripped(base)) {
+				if again := tc.w.run(t, tc.cfg); !reflect.DeepEqual(stripped(again), stripped(base)) {
 					t.Fatal("same-seed runs diverged")
 				}
 			}
 
-			recCfg := cfg
+			recCfg := tc.cfg
 			var buf bytes.Buffer
 			recCfg.Record = &buf
-			rec := run(t, recCfg)
+			rec := tc.w.run(t, recCfg)
 			if !reflect.DeepEqual(stripped(rec), stripped(base)) {
 				t.Fatal("recording changed the run")
 			}
 
-			repCfg := cfg
+			repCfg := tc.cfg
 			repCfg.Replay = bytes.NewReader(buf.Bytes())
-			rep := run(t, repCfg)
+			rep := tc.w.run(t, repCfg)
 			if !reflect.DeepEqual(stripped(rep), stripped(base)) {
 				t.Fatal("same-config replay diverged from the recorded run")
 			}
 
-			polCfg := cfg
+			polCfg := tc.cfg
 			polCfg.Replay = bytes.NewReader(buf.Bytes())
 			polCfg.ReplacementName = "clock"
 			pol := run(t, polCfg)
@@ -127,7 +105,7 @@ func TestOCBRecordReplayIdentity(t *testing.T) {
 // per-kind fold alike. The access layer sits under every buffer touch, so
 // any allocation here would be per-I/O overhead.
 func TestNoteOCBAccessAllocFree(t *testing.T) {
-	e, err := New(quickOCBConfig(1))
+	e, err := New(ocbSmall.config(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,9 +146,7 @@ func TestNoteOCBAccessAllocFree(t *testing.T) {
 // hits and physical I/O to the write kinds end to end, in Results.
 func TestOCBWriteKindsInstrumented(t *testing.T) {
 	t.Parallel()
-	cfg := quickOCBConfig(400)
-	cfg.OCB.ReadWriteRatio = 2
-	res := run(t, cfg)
+	res := ocbWrites.run(t, ocbWrites.config(400))
 	if res.WriteTxns == 0 {
 		t.Fatal("write-enabled OCB run completed no writes")
 	}
@@ -199,7 +175,7 @@ func TestOCBWriteKindsInstrumented(t *testing.T) {
 // transaction, and its response time and I/Os, to one of the four OCB kinds.
 func TestOCBPerKindAccounting(t *testing.T) {
 	t.Parallel()
-	res := run(t, quickOCBConfig(400))
+	res := ocbSmall.run(t, ocbSmall.config(400))
 	kinds := []workload.QueryKind{
 		workload.QOCBScan, workload.QOCBSimple,
 		workload.QOCBHierarchy, workload.QOCBStochastic,

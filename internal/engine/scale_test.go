@@ -124,13 +124,8 @@ func TestBytesPerObject(t *testing.T) {
 // creations name an object, so a generated graph never allocates its name
 // table. Naming them again costs 16 B plus the string on every object.
 func TestGeneratedObjectsUnnamed(t *testing.T) {
-	ocbMix := quickOCBConfig(300)
-	ocbMix.OCB.ReadWriteRatio = 2
-	for name, cfg := range map[string]Config{"oct": quickConfig(300), "ocb": ocbMix} {
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatalf("New(%s): %v", name, err)
-		}
+	for name, w := range map[string]*fixture{"oct": octSmall, "ocb": ocbWrites} {
+		e := w.engine(t, w.config(300))
 		if _, err := e.Run(); err != nil {
 			t.Fatalf("Run(%s): %v", name, err)
 		}

@@ -10,24 +10,14 @@ import (
 	"oodb/internal/workload"
 )
 
-// seamConfig is a tiny but complete run for exercising the layer seams.
-func seamConfig() Config {
-	cfg := DefaultConfig(0.01)
-	cfg.Transactions = 150
-	return cfg
-}
-
 // TestRegistrySelectedStack drives a full simulation through the same path
 // the CLI flags use: replacement policy and clustering strategy chosen by
 // registry name instead of by enum.
 func TestRegistrySelectedStack(t *testing.T) {
-	cfg := seamConfig()
+	cfg := octTiny.config(150)
 	cfg.ReplacementName = "clock"
 	cfg.ClusterStrategy = "noop"
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := fresh(t, cfg)
 	if e.tuner != nil {
 		// noop is the affinity clusterer pinned to No_Cluster; the adaptive
 		// extension must not be able to switch it into clustering.
@@ -55,9 +45,7 @@ func TestRegistrySelectedStack(t *testing.T) {
 // candidate-pool policy in its Config: the strategy must ignore it.
 func TestNoopIsAffinityNoCluster(t *testing.T) {
 	t.Parallel()
-	writes := quickOCBConfig(300)
-	writes.OCB.ReadWriteRatio = 2
-	for name, base := range map[string]Config{"oct": quickConfig(300), "ocb-write": writes} {
+	for name, base := range map[string]Config{"oct": octSmall.config(300), "ocb-write": ocbWrites.config(300)} {
 		t.Run(name, func(t *testing.T) {
 			base.Locking = true
 			noop := base
@@ -78,12 +66,12 @@ func TestNoopIsAffinityNoCluster(t *testing.T) {
 
 // TestRegistryRejectsUnknownNames covers the Validate path the CLIs rely on.
 func TestRegistryRejectsUnknownNames(t *testing.T) {
-	cfg := seamConfig()
+	cfg := octTiny.config(150)
 	cfg.ReplacementName = "no-such-policy"
 	if _, err := New(cfg); err == nil {
 		t.Fatal("unknown replacement name accepted")
 	}
-	cfg = seamConfig()
+	cfg = octTiny.config(150)
 	cfg.ClusterStrategy = "no-such-strategy"
 	if _, err := New(cfg); err == nil {
 		t.Fatal("unknown cluster strategy accepted")
@@ -99,8 +87,7 @@ func TestRegistryRejectsUnknownNames(t *testing.T) {
 // calls.
 func TestEveryDriverReportsEveryLayer(t *testing.T) {
 	t.Parallel()
-	base := quickOCBConfig(300)
-	base.OCB.ReadWriteRatio = 2
+	base := ocbWrites.config(300)
 	for _, backend := range []string{"memory", "file"} {
 		t.Run(backend, func(t *testing.T) {
 			mk := func() Config {
@@ -135,7 +122,12 @@ func TestEveryDriverReportsEveryLayer(t *testing.T) {
 				check(driver, r, true, k["ocb-insert"], k["ocb-update"]+k["ocb-rewire"])
 			}
 
-			s := run(t, mk())
+			var s Results
+			if backend == "file" {
+				s = run(t, mk())
+			} else {
+				s = ocbWrites.run(t, base)
+			}
 			checkEngine("serial", s.ResultCore)
 			for _, n := range []int{1, 4} {
 				c, err := NewConcurrent(mk(), ConcurrentOptions{Sessions: n})

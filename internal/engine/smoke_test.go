@@ -1,25 +1,12 @@
 package engine
 
-import (
-	"testing"
-
-	"oodb/internal/core"
-	"oodb/internal/workload"
-)
+import "testing"
 
 // TestSmokeRun drives a small configuration end to end and sanity-checks
 // the results.
 func TestSmokeRun(t *testing.T) {
-	cfg := DefaultConfig(0.01) // ~5 MB, 10 buffers
-	cfg.Transactions = 500
-	cfg.Density = workload.MedDensity
-	cfg.ReadWriteRatio = 10
-	cfg.Cluster = core.PolicyNoLimit
-	cfg.Split = core.LinearSplit
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	cfg := octTiny.config(500) // ~5 MB, 10 buffers
+	e := octTiny.engine(t, cfg)
 	res, err := e.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -21,19 +21,19 @@ func stripped(r Results) Results {
 // byte-identical to a live one, and replaying the recorded trace under the
 // same wiring reproduces the run a third time.
 func TestTraceRecordLiveReplayIdentity(t *testing.T) {
-	live := run(t, quickConfig(300))
+	live := octSmall.run(t, octSmall.config(300))
 
 	var traceBuf bytes.Buffer
-	rec := quickConfig(300)
+	rec := octSmall.config(300)
 	rec.Record = &traceBuf
-	recorded := run(t, rec)
+	recorded := octSmall.run(t, rec)
 	if !reflect.DeepEqual(stripped(recorded), stripped(live)) {
 		t.Fatalf("recording perturbed the run:\n%v\n%v", recorded, live)
 	}
 
-	rep := quickConfig(300)
+	rep := octSmall.config(300)
 	rep.Replay = bytes.NewReader(traceBuf.Bytes())
-	replayed := run(t, rep)
+	replayed := octSmall.run(t, rep)
 	if !reflect.DeepEqual(stripped(replayed), stripped(live)) {
 		t.Fatalf("replay diverged from live run:\n%v\n%v", replayed, live)
 	}
@@ -45,18 +45,17 @@ func TestTraceRecordLiveReplayIdentity(t *testing.T) {
 // transaction stream while their physical behavior differs.
 func TestTraceReplayComparesPolicies(t *testing.T) {
 	var traceBuf bytes.Buffer
-	rec := quickConfig(300)
+	rec := octSmall.config(300)
 	rec.Record = &traceBuf
-	run(t, rec)
+	octSmall.run(t, rec)
 
-	results := make([]Results, 0, 2)
-	for _, repl := range []core.Replacement{core.ReplLRU, core.ReplRandom} {
-		cfg := quickConfig(300)
-		cfg.Replacement = repl
-		cfg.Replay = bytes.NewReader(traceBuf.Bytes())
-		results = append(results, run(t, cfg))
-	}
-	a, b := results[0], results[1]
+	// The recording's own world runs LRU; Random replacement is another.
+	lru := octSmall.config(300)
+	lru.Replay = bytes.NewReader(traceBuf.Bytes())
+	random := lru
+	random.Replacement = core.ReplRandom
+	random.Replay = bytes.NewReader(traceBuf.Bytes())
+	a, b := octSmall.run(t, lru), run(t, random)
 	if a.Completed != b.Completed || !reflect.DeepEqual(a.KindCount, b.KindCount) {
 		t.Fatalf("replays diverged on the logical stream:\n%v\n%v", a.KindCount, b.KindCount)
 	}
@@ -70,30 +69,22 @@ func TestTraceReplayComparesPolicies(t *testing.T) {
 
 func TestTraceReplayExhaustion(t *testing.T) {
 	var traceBuf bytes.Buffer
-	rec := quickConfig(100)
+	rec := octSmall.config(100)
 	rec.Record = &traceBuf
-	run(t, rec)
+	octSmall.run(t, rec)
 
-	cfg := quickConfig(200) // needs more transactions than the trace holds
+	cfg := octSmall.config(200) // needs more transactions than the trace holds
 	cfg.Replay = bytes.NewReader(traceBuf.Bytes())
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := e.Run(); err == nil {
+	if _, err := octSmall.engine(t, cfg).Run(); err == nil {
 		t.Fatal("run on an exhausted trace succeeded")
 	}
 }
 
 func TestTraceRecordCountsAllTransactions(t *testing.T) {
 	var traceBuf bytes.Buffer
-	cfg := quickConfig(100)
+	cfg := octSmall.config(100)
 	cfg.Record = &traceBuf
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := e.Run(); err != nil {
+	if _, err := octSmall.engine(t, cfg).Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	r, err := trace.NewReader(bytes.NewReader(traceBuf.Bytes()))
@@ -118,10 +109,9 @@ func TestTraceRecordCountsAllTransactions(t *testing.T) {
 // silently dropped.
 func TestPhasedRatioRefusedByReadOnlyOCB(t *testing.T) {
 	t.Parallel()
-	cfg := quickConfig(200)
-	cfg.Workload = WorkloadOCB
+	cfg := ocbSmall.config(200)
 	cfg.PhasedRW = []float64{2, 60}
-	res := run(t, cfg)
+	res := ocbSmall.run(t, cfg)
 	if res.RatioChangesIgnored == 0 {
 		t.Fatal("read-only OCB stream silently accepted phased ratio changes")
 	}
@@ -135,15 +125,13 @@ func TestPhasedRatioRefusedByReadOnlyOCB(t *testing.T) {
 // completes more writes than the same run held at the read-heavy ratio.
 func TestPhasedWriteRatioShiftsOCBMix(t *testing.T) {
 	t.Parallel()
-	flat := quickConfig(400)
-	flat.Workload = WorkloadOCB
-	flat.OCB.ReadWriteRatio = 20
-
+	flat := ocbAt(octSmall.config(400), 20)
 	phased := flat
 	phased.PhasedRW = []float64{20, 0.25}
 
-	flatRes := run(t, flat)
-	phasedRes := run(t, phased)
+	w := newFixture(flat)
+	flatRes := w.run(t, flat)
+	phasedRes := w.run(t, phased)
 	if phasedRes.RatioChangesIgnored != 0 {
 		t.Fatalf("write-enabled generator refused %d ratio changes",
 			phasedRes.RatioChangesIgnored)

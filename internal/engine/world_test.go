@@ -124,7 +124,7 @@ var drivers = map[string]func(Config) (run func() error, closeFn func() error, e
 func TestFailedTransactionAborts(t *testing.T) {
 	for name, build := range drivers {
 		t.Run(name, func(t *testing.T) {
-			cfg := fileConfig(t, quickConfig(400), "never")
+			cfg := fileConfig(t, octSmall.config(400), "never")
 			cfg.ClusterStrategy = failingStrategy
 			cfg.Users = 1
 
@@ -174,7 +174,7 @@ func TestConstructorsCloseBackendOnError(t *testing.T) {
 	for driver, build := range drivers {
 		for fault, inject := range faults {
 			t.Run(driver+"/"+fault, func(t *testing.T) {
-				cfg := fileConfig(t, quickConfig(50), "never")
+				cfg := fileConfig(t, octSmall.config(50), "never")
 				cfg.Backend = countingBackend
 				inject(&cfg)
 				defer func() {
@@ -197,7 +197,7 @@ func TestConstructorsCloseBackendOnError(t *testing.T) {
 	}
 
 	// A bad replay trace is rejected before the backend ever opens.
-	cfg := fileConfig(t, quickConfig(50), "never")
+	cfg := fileConfig(t, octSmall.config(50), "never")
 	cfg.Backend = countingBackend
 	cfg.Replay = strings.NewReader("not a trace")
 	opens := backendOpens.Load()
@@ -251,12 +251,10 @@ func TestConstructionPlacementPinned(t *testing.T) {
 // physical database with every statistic zeroed.
 func TestDriversShareConstruction(t *testing.T) {
 	t.Parallel()
-	ocbRW := quickOCBConfig(50)
-	ocbRW.OCB.ReadWriteRatio = 2
 	workloads := map[string]Config{
-		"oct":          quickConfig(50),
-		"ocb-readonly": quickOCBConfig(50),
-		"ocb-rw":       ocbRW,
+		"oct":          octSmall.config(50),
+		"ocb-readonly": ocbSmall.config(50),
+		"ocb-rw":       ocbWrites.config(50),
 	}
 	for wl, base := range workloads {
 		for _, backend := range []string{"memory", "file"} {

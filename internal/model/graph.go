@@ -28,11 +28,6 @@ type Graph struct {
 	// non-empty name is set, so a graph of unnamed objects never allocates
 	// it; IDs past its end are unnamed.
 	names []string
-
-	// Structure-change listeners, notified when relationships are added to
-	// existing objects. The cluster manager registers here to drive run-time
-	// reclustering.
-	onStructureChange []func(ObjectID)
 }
 
 // NewGraph returns an empty graph.
@@ -138,21 +133,6 @@ func (g *Graph) InheritedAttrs(t TypeID) []AttrDef {
 		return tp.inherited
 	}
 	return nil
-}
-
-// IsSubtype reports whether sub is t or a (transitive) subtype of t.
-func (g *Graph) IsSubtype(sub, t TypeID) bool {
-	for sub != NilType {
-		if sub == t {
-			return true
-		}
-		tp := g.Type(sub)
-		if tp == nil {
-			return false
-		}
-		sub = tp.Super
-	}
-	return false
 }
 
 // NewObject creates version `version` of design object `name` with the given
@@ -328,8 +308,6 @@ func (g *Graph) Triple(id ObjectID) string {
 // their profiles, which objects without their own point at). The lists go
 // into one array, each clipped to its length, so the first insert on a list
 // of the copy reallocates it instead of writing into its neighbor's.
-// Structure-change listeners stay with g: they are bound to whatever
-// registered them there.
 func (g *Graph) Clone() *Graph {
 	nrels, nown := 0, 0
 	for _, ch := range g.chunks {
@@ -382,21 +360,6 @@ func (o *Object) ownsFreq(g *Graph) bool {
 	return o.freq != nil && o.freq != &g.types[o.Type].Freq
 }
 
-// OnStructureChange registers fn to be called with the IDs of objects whose
-// structural relationships change after creation. This is the hook the
-// run-time reclustering algorithm uses.
-func (g *Graph) OnStructureChange(fn func(ObjectID)) {
-	g.onStructureChange = append(g.onStructureChange, fn)
-}
-
-func (g *Graph) structureChanged(ids ...ObjectID) {
-	for _, fn := range g.onStructureChange {
-		for _, id := range ids {
-			fn(id)
-		}
-	}
-}
-
 func contains(s []ObjectID, id ObjectID) bool {
 	for _, x := range s {
 		if x == id {
@@ -436,7 +399,6 @@ func (g *Graph) Attach(composite, component ObjectID) error {
 	}
 	co.insert(listComponents, component)
 	cp.insert(listComposites, composite)
-	g.structureChanged(composite, component)
 	return nil
 }
 
@@ -450,7 +412,6 @@ func (g *Graph) Detach(composite, component ObjectID) error {
 		return fmt.Errorf("model: %d is not a component of %d", component, composite)
 	}
 	cp.drop(listComposites, composite)
-	g.structureChanged(composite, component)
 	return nil
 }
 
@@ -493,7 +454,6 @@ func (g *Graph) Derive(ancestor ObjectID) (*Object, error) {
 			return nil, err
 		}
 	}
-	g.structureChanged(ancestor, o.ID)
 	return o, nil
 }
 
@@ -518,7 +478,6 @@ func (g *Graph) Correspond(a, b ObjectID) error {
 	}
 	oa.insert(listCorrespondents, b)
 	ob.insert(listCorrespondents, a)
-	g.structureChanged(a, b)
 	return nil
 }
 
@@ -586,29 +545,24 @@ func (g *Graph) DeleteObject(id ObjectID) error {
 	if len(o.Components()) > 0 || len(o.Descendants()) > 0 {
 		return ErrInUse
 	}
-	var touched []ObjectID
 	for _, c := range o.Composites() {
 		if co := g.Object(c); co != nil {
 			co.drop(listComponents, id)
-			touched = append(touched, c)
 		}
 	}
 	for _, c := range o.Correspondents() {
 		if co := g.Object(c); co != nil {
 			co.drop(listCorrespondents, id)
-			touched = append(touched, c)
 		}
 	}
 	if o.Ancestor != NilObject {
 		if a := g.Object(o.Ancestor); a != nil {
 			a.drop(listDescendants, id)
-			touched = append(touched, o.Ancestor)
 		}
 	}
 	*o = Object{}
 	g.setName(id, "")
 	g.deleted++
-	g.structureChanged(touched...)
 	return nil
 }
 
@@ -692,28 +646,6 @@ func sameLinks(name string, fwd, inv []uint64) error {
 		}
 	}
 	return nil
-}
-
-// VersionChainAcyclic verifies that following Ancestor links from id
-// terminates. It is used by tests and integrity checks.
-func (g *Graph) VersionChainAcyclic(id ObjectID) bool {
-	slow, fast := id, id
-	for {
-		fo := g.Object(fast)
-		if fo == nil || fo.Ancestor == NilObject {
-			return true
-		}
-		fast = fo.Ancestor
-		fo = g.Object(fast)
-		if fo == nil || fo.Ancestor == NilObject {
-			return true
-		}
-		fast = fo.Ancestor
-		slow = g.Object(slow).Ancestor
-		if slow == fast {
-			return false
-		}
-	}
 }
 
 // ForEachObject calls fn for every live object in ID order.

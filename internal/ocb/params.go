@@ -83,7 +83,8 @@ type Params struct {
 	// BaseSize is the mean object size in bytes before jitter (default 200).
 	BaseSize int
 	// SizeSpread is the +/- uniform jitter applied to object sizes
-	// (default 80).
+	// (default 80). Zero means the default, so a negative value is how to
+	// ask for no jitter at all.
 	SizeSpread int
 	// RefsPerObject is the number of configuration references each object
 	// holds to earlier-created objects (default 3). References always point
@@ -153,18 +154,19 @@ type Params struct {
 // DefaultParams returns the fully defaulted parameter set.
 func DefaultParams() Params { return Params{}.WithDefaults() }
 
-// WithDefaults fills every unset field with its default. RefsPerObject,
-// Depth, ScanSample, Tenants, TenantSkew and DriftPeriod are unset only at
-// zero: a negative value (or a skew at most 1) is left for Validate to
-// refuse, not replaced.
+// WithDefaults fills every field left at zero with its default; a field
+// is unset only at zero. Any other value is kept as given, for Validate to
+// refuse if it is out of range. SizeSpread is the one exception: any
+// negative value means "no jitter". Each operation mix is defaulted as a
+// whole, when all four of its weights are zero.
 func (p Params) WithDefaults() Params {
-	if p.HierarchyDepth <= 0 {
+	if p.HierarchyDepth == 0 {
 		p.HierarchyDepth = 3
 	}
-	if p.HierarchyFanout <= 0 {
+	if p.HierarchyFanout == 0 {
 		p.HierarchyFanout = 2
 	}
-	if p.BaseSize <= 0 {
+	if p.BaseSize == 0 {
 		p.BaseSize = 200
 	}
 	if p.SizeSpread < 0 {
@@ -175,16 +177,16 @@ func (p Params) WithDefaults() Params {
 	if p.RefsPerObject == 0 {
 		p.RefsPerObject = 3
 	}
-	if p.ZipfS <= 1 {
+	if p.ZipfS == 0 {
 		p.ZipfS = 2
 	}
-	if p.LocalityWindow <= 0 {
+	if p.LocalityWindow == 0 {
 		p.LocalityWindow = 64
 	}
-	if p.VersionChainMax <= 0 {
+	if p.VersionChainMax == 0 {
 		p.VersionChainMax = 3
 	}
-	if p.VersionFraction <= 0 {
+	if p.VersionFraction == 0 {
 		p.VersionFraction = 0.15
 	}
 	if p.Depth == 0 {
@@ -193,19 +195,16 @@ func (p Params) WithDefaults() Params {
 	if p.ScanSample == 0 {
 		p.ScanSample = 30
 	}
-	if p.WeightScan+p.WeightSimple+p.WeightHierarchy+p.WeightStochastic <= 0 {
+	if p.WeightScan == 0 && p.WeightSimple == 0 && p.WeightHierarchy == 0 && p.WeightStochastic == 0 {
 		p.WeightScan, p.WeightSimple, p.WeightHierarchy, p.WeightStochastic = 1, 4, 2, 3
 	}
-	if p.SessionMin <= 0 {
+	if p.SessionMin == 0 {
 		p.SessionMin = 5
 	}
-	if p.SessionMax < p.SessionMin {
-		p.SessionMax = 20
-		if p.SessionMax < p.SessionMin {
-			p.SessionMax = p.SessionMin
-		}
+	if p.SessionMax == 0 {
+		p.SessionMax = max(20, p.SessionMin)
 	}
-	if p.WeightInsert+p.WeightDelete+p.WeightUpdate+p.WeightRewire <= 0 {
+	if p.WeightInsert == 0 && p.WeightDelete == 0 && p.WeightUpdate == 0 && p.WeightRewire == 0 {
 		p.WeightInsert, p.WeightDelete, p.WeightUpdate, p.WeightRewire = 3, 1, 4, 2
 	}
 	if p.Tenants == 0 {
@@ -217,7 +216,8 @@ func (p Params) WithDefaults() Params {
 	return p
 }
 
-// Validate reports parameter errors. Call it on a defaulted copy.
+// Validate reports parameter errors, naming the field. Call it on a
+// defaulted copy.
 func (p Params) Validate() error {
 	switch {
 	case p.HierarchyDepth < 1 || p.HierarchyDepth > 6:
@@ -230,8 +230,14 @@ func (p Params) Validate() error {
 		return fmt.Errorf("ocb: RefsPerObject %d out of range [1,16]", p.RefsPerObject)
 	case p.RefDist >= numRefDists:
 		return fmt.Errorf("ocb: unknown RefDist %d", p.RefDist)
-	case p.ZipfS <= 1:
+	case !(p.ZipfS > 1):
 		return fmt.Errorf("ocb: ZipfS %g must exceed 1", p.ZipfS)
+	case p.LocalityWindow < 1:
+		return fmt.Errorf("ocb: LocalityWindow %d must be positive", p.LocalityWindow)
+	case p.VersionChainMax < 1:
+		return fmt.Errorf("ocb: VersionChainMax %d must be positive", p.VersionChainMax)
+	case !(p.VersionFraction > 0 && p.VersionFraction <= 1):
+		return fmt.Errorf("ocb: VersionFraction %g out of range (0,1]", p.VersionFraction)
 	case p.Depth < 1 || p.Depth > 8:
 		return fmt.Errorf("ocb: Depth %d out of range [1,8]", p.Depth)
 	case p.ScanSample < 1:
@@ -240,9 +246,11 @@ func (p Params) Validate() error {
 		return fmt.Errorf("ocb: operation weights must be non-negative")
 	case p.WeightScan+p.WeightSimple+p.WeightHierarchy+p.WeightStochastic == 0:
 		return fmt.Errorf("ocb: at least one operation weight must be positive")
-	case p.SessionMin < 1 || p.SessionMax < p.SessionMin:
-		return fmt.Errorf("ocb: session bounds [%d,%d] invalid", p.SessionMin, p.SessionMax)
-	case p.ReadWriteRatio < 0:
+	case p.SessionMin < 1:
+		return fmt.Errorf("ocb: SessionMin %d must be positive", p.SessionMin)
+	case p.SessionMax < p.SessionMin:
+		return fmt.Errorf("ocb: SessionMax %d below SessionMin %d", p.SessionMax, p.SessionMin)
+	case !(p.ReadWriteRatio >= 0):
 		return fmt.Errorf("ocb: ReadWriteRatio %g must be non-negative", p.ReadWriteRatio)
 	case p.WeightInsert < 0 || p.WeightDelete < 0 || p.WeightUpdate < 0 || p.WeightRewire < 0:
 		return fmt.Errorf("ocb: write-operation weights must be non-negative")
@@ -250,7 +258,7 @@ func (p Params) Validate() error {
 		return fmt.Errorf("ocb: writes enabled but every write-operation weight is zero")
 	case p.Tenants < 1 || p.Tenants > 1024:
 		return fmt.Errorf("ocb: Tenants %d out of range [1,1024]", p.Tenants)
-	case p.TenantSkew <= 1:
+	case !(p.TenantSkew > 1):
 		return fmt.Errorf("ocb: TenantSkew %g must exceed 1", p.TenantSkew)
 	case p.DriftPeriod < 0:
 		return fmt.Errorf("ocb: DriftPeriod %d must be non-negative", p.DriftPeriod)

@@ -27,8 +27,6 @@ type Session struct {
 
 	// PerTypeReads counts reads by object type.
 	PerTypeReads [NumObjTypes]int
-
-	ended bool
 }
 
 // Begin opens an instrumented session for the named tool (octBegin()).
@@ -40,12 +38,6 @@ func (m *Manager) Begin(tool string) *Session {
 		Up:   stats.NewHistogram(64),
 	}
 }
-
-// End closes the session (octEnd()).
-func (s *Session) End() { s.ended = true }
-
-// Ended reports whether End was called.
-func (s *Session) Ended() bool { return s.ended }
 
 // Spend accrues session time in seconds.
 func (s *Session) Spend(seconds float64) { s.Seconds += seconds }

@@ -147,7 +147,6 @@ func (p ToolProfile) Run(m *Manager, rng *rand.Rand) *Session {
 	if p.IORate > 0 {
 		s.Spend(total / p.IORate)
 	}
-	s.End()
 	return s
 }
 

@@ -193,9 +193,6 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// Pending returns the number of scheduled events.
-func (s *Sim) Pending() int { return s.cal.len() }
-
 // Stream returns a deterministic random stream derived from the simulator
 // seed and the given name. Distinct names give independent streams, so the
 // workload a policy sees does not change when another component draws more
@@ -221,12 +218,4 @@ func Exp(r *rand.Rand, mean float64) float64 {
 		return 0
 	}
 	return r.ExpFloat64() * mean
-}
-
-// UniformInt draws an integer uniformly from [lo, hi].
-func UniformInt(r *rand.Rand, lo, hi int) int {
-	if hi <= lo {
-		return lo
-	}
-	return lo + r.Intn(hi-lo+1)
 }

@@ -79,8 +79,8 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 5 {
 		t.Fatalf("now=%v, want clamp to until", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending=%d", s.Pending())
+	if s.cal.len() != 1 {
+		t.Fatalf("pending=%d", s.cal.len())
 	}
 	s.RunAll()
 	if ran != 2 {
@@ -137,24 +137,6 @@ func TestExp(t *testing.T) {
 	}
 	if Exp(r, 0) != 0 || Exp(r, -1) != 0 {
 		t.Fatal("non-positive mean must yield 0")
-	}
-}
-
-func TestUniformInt(t *testing.T) {
-	r := New(7).Stream("u")
-	seen := map[int]bool{}
-	for i := 0; i < 1000; i++ {
-		v := UniformInt(r, 5, 20)
-		if v < 5 || v > 20 {
-			t.Fatalf("out of range: %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 16 {
-		t.Fatalf("saw %d distinct values, want 16", len(seen))
-	}
-	if UniformInt(r, 9, 9) != 9 || UniformInt(r, 9, 3) != 9 {
-		t.Fatal("degenerate ranges must return lo")
 	}
 }
 
@@ -254,7 +236,7 @@ func TestStationUtilization(t *testing.T) {
 	if u := st.Utilization(); math.Abs(u-1) > 1e-9 {
 		t.Fatalf("util=%v", u)
 	}
-	if st.Arrivals() != 1 || st.Busy() != 0 || st.QueueLen() != 0 {
+	if st.arrivals != 1 || st.busy != 0 || len(st.queue) != 0 {
 		t.Fatal("station counters wrong after drain")
 	}
 }

@@ -26,14 +26,12 @@ type Station struct {
 	finish []func()
 	idle   []int
 
-	// Statistics. Wait and service tallies are moments-only: only their
-	// means are ever reported, and retaining per-request samples would make
-	// station memory O(arrivals) — millions of entries at the large scale
-	// tier.
+	// Statistics. The wait tally is moments-only: only its mean is ever
+	// reported, and retaining per-request samples would make station memory
+	// O(arrivals) — millions of entries at the large scale tier.
 	util     stats.TimeWeighted // busy servers over time
 	qlen     stats.TimeWeighted // waiting requests over time
 	wait     stats.Tally        // queueing delay per request
-	service  stats.Tally        // service time per request
 	arrivals int
 }
 
@@ -87,7 +85,6 @@ func (st *Station) begin(req stationReq) {
 	st.busy++
 	st.util.Set(float64(st.busy), st.sim.Now())
 	st.wait.Add(st.sim.Now() - req.arrived)
-	st.service.Add(req.service)
 	i := st.idle[len(st.idle)-1]
 	st.idle = st.idle[:len(st.idle)-1]
 	st.slots[i] = req
@@ -116,15 +113,6 @@ func (st *Station) complete(i int) {
 	}
 }
 
-// Arrivals returns the number of requests received.
-func (st *Station) Arrivals() int { return st.arrivals }
-
-// QueueLen returns the current number of waiting (not in-service) requests.
-func (st *Station) QueueLen() int { return len(st.queue) }
-
-// Busy returns the number of busy servers.
-func (st *Station) Busy() int { return st.busy }
-
 // Utilization returns the time-averaged fraction of busy servers through now.
 func (st *Station) Utilization() float64 {
 	return st.util.Mean(st.sim.Now()) / float64(st.servers)
@@ -135,9 +123,6 @@ func (st *Station) MeanWait() float64 { return st.wait.Mean() }
 
 // MeanQueueLen returns the time-averaged queue length.
 func (st *Station) MeanQueueLen() float64 { return st.qlen.Mean(st.sim.Now()) }
-
-// MeanService returns the average service time of started requests.
-func (st *Station) MeanService() float64 { return st.service.Mean() }
 
 // String summarizes the station.
 func (st *Station) String() string {

@@ -163,9 +163,6 @@ func (m *Manager) Abort(txn int) error {
 // Open returns the number of open transactions.
 func (m *Manager) Open() int { return len(m.touched) }
 
-// BufferUsed returns the bytes currently in the circular buffer.
-func (m *Manager) BufferUsed() int { return m.used }
-
 // Stats returns a copy of the statistics.
 func (m *Manager) Stats() Stats { return m.stats }
 

@@ -131,8 +131,8 @@ func TestCircularBufferFlush(t *testing.T) {
 	if m.Stats().BufferFlushes != 2 {
 		t.Fatalf("stats: %+v", m.Stats())
 	}
-	if m.BufferUsed() != 50 {
-		t.Fatalf("used=%d", m.BufferUsed())
+	if m.used != 50 {
+		t.Fatalf("used=%d", m.used)
 	}
 }
 
@@ -148,16 +148,16 @@ func TestCircularBufferExactFit(t *testing.T) {
 	if ios != 0 {
 		t.Fatalf("exact-fit record flushed: ios=%d", ios)
 	}
-	if m.BufferUsed() != 100 {
-		t.Fatalf("used=%d, want 100", m.BufferUsed())
+	if m.used != 100 {
+		t.Fatalf("used=%d, want 100", m.used)
 	}
 	// The very next record, however small, wraps the buffer.
 	ios, _ = m.Append(1, 0, storage.NilPage) // record = 16
 	if ios != 1 {
 		t.Fatalf("post-boundary record did not flush: ios=%d", ios)
 	}
-	if m.BufferUsed() != 16 {
-		t.Fatalf("used=%d after wrap, want 16", m.BufferUsed())
+	if m.used != 16 {
+		t.Fatalf("used=%d after wrap, want 16", m.used)
 	}
 }
 
@@ -202,8 +202,8 @@ func TestCircularBufferManyWraps(t *testing.T) {
 		t.Fatalf("flushes=%d, want %d", flushes, wantFlushes)
 	}
 	wantUsed := rec * (1 + (n-1)%perBuf)
-	if m.BufferUsed() != wantUsed {
-		t.Fatalf("used=%d, want %d", m.BufferUsed(), wantUsed)
+	if m.used != wantUsed {
+		t.Fatalf("used=%d, want %d", m.used, wantUsed)
 	}
 	if got := m.Stats().BytesLogged; got != n*rec {
 		t.Fatalf("bytes logged=%d, want %d", got, n*rec)

@@ -50,9 +50,11 @@ run_tests() {
 }
 
 run_tests "$@" ./...
-# The race pass runs 6-9x slower than native. On two vCPUs internal/engine
-# takes ~3 min under it and internal/experiment ~40 s alone (~66 s beside
-# engine; 1m45 before its two figure sweeps became one shared sweep). A slower
+# The race pass runs 6-9x slower than native. On two vCPUs
+# `go test -race -timeout 30m ./internal/engine` takes 149-159 s (207 s
+# before its tests cloned their worlds from one fixture table) and
+# internal/experiment ~40 s alone (~66 s beside engine; 1m45 before its two
+# figure sweeps became one shared sweep). A slower
 # or single-CPU host can still reach go test's default 10-minute
 # per-package timeout, so give it an explicit budget.
 run_tests -race -timeout 30m "$@" ./internal/experiment/... ./internal/sim/... ./internal/oracle/... ./internal/engine/... ./internal/lock/... ./internal/buffer/... ./internal/storage/...
