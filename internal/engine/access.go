@@ -101,9 +101,9 @@ type stack struct {
 	leafBuf   []model.ObjectID // checkout second-level components
 
 	// readSubtree state (OCB simple traversal and subtree delete).
-	walkBuf  []ocbFrame              // DFS stack
-	seen     map[model.ObjectID]bool // visited set
-	visitBuf []model.ObjectID        // objects read, in discovery order
+	walkBuf  []ocbFrame       // DFS stack
+	seen     *visitSet        // visited set, allocated on first use
+	visitBuf []model.ObjectID // objects read, in discovery order
 }
 
 var _ AccessLayer = (*stack)(nil)

@@ -122,7 +122,8 @@ type csession struct {
 	stack *stack
 	think *rand.Rand
 
-	remaining int // transactions left in the current session burst
+	remaining int           // transactions left in the current session burst
+	locks     []lockRequest // lock-set scratch, rebuilt per transaction
 
 	hist stats.Hist  // latency in microseconds
 	wait *stats.Hist // durable-commit wait in microseconds; nil on memory runs
@@ -357,7 +358,8 @@ func (c *Concurrent) execute(cs *csession, txn int) error {
 
 	// Level 1: object locks, ascending object-ID order, nothing else held.
 	if c.locks != nil {
-		for _, lr := range appendLockSet(nil, req) {
+		cs.locks = appendLockSet(cs.locks[:0], req)
+		for _, lr := range cs.locks {
 			if err := c.locks.AcquireWait(txn, lr.obj, lr.mode); err != nil {
 				return err
 			}

@@ -257,8 +257,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: Buffers must be positive")
 	case c.Transactions <= 0:
 		return fmt.Errorf("engine: Transactions must be positive")
-	case c.ReadWriteRatio <= 0:
-		return fmt.Errorf("engine: ReadWriteRatio must be positive")
+	case !(c.ReadWriteRatio > 0): // NaN compares false both ways
+		return fmt.Errorf("engine: ReadWriteRatio must be positive, not %v", c.ReadWriteRatio)
+	case !(c.ThinkTime >= 0):
+		return fmt.Errorf("engine: ThinkTime must be non-negative, not %v", c.ThinkTime)
 	case c.Density > workload.HighDensity:
 		return fmt.Errorf("engine: Density %d is out of range", c.Density)
 	case c.Cluster.Mode > core.ClusterNoLimit || c.Cluster.IOLimit < 0:

@@ -45,27 +45,85 @@ func (a *stack) foldRead(id model.ObjectID, found bool) {
 	a.digest = (a.digest ^ x) * digestPrime
 }
 
+// visitBits sizes readSubtree's visited set: 1<<visitBits slots, at least
+// twice ocbVisitCap (the conversion below fails to compile otherwise), so
+// the table is never more than half full and a linear probe stays short.
+const (
+	visitBits  = 10
+	visitSlots = 1 << visitBits
+	_          = uint(visitSlots - 2*ocbVisitCap)
+)
+
+// visitSet is readSubtree's visited set: an open-addressed table of
+// visitSlots slots, each stamped with the traversal that marked it. A
+// slot stamped by an earlier traversal reads as empty, so a reset is one
+// increment whatever the previous traversal marked, and the set's memory is
+// bounded by ocbVisitCap whatever the database's size.
+type visitSet struct {
+	slots [visitSlots]visitSlot
+	epoch uint32
+}
+
+type visitSlot struct {
+	id    model.ObjectID
+	epoch uint32
+}
+
+// reset empties the set. The table is cleared for real only when the epoch
+// wraps, once per 2^32 traversals.
+func (s *visitSet) reset() {
+	if s.epoch++; s.epoch == 0 {
+		s.slots = [visitSlots]visitSlot{}
+		s.epoch = 1
+	}
+}
+
+// slot returns the index holding id, or the empty slot where it belongs.
+// The table is never full, so the probe ends.
+func (s *visitSet) slot(id model.ObjectID) int {
+	i := int(uint32(id) * 0x9e3779b9 >> (32 - visitBits)) // Fibonacci hashing
+	for {
+		if sl := &s.slots[i]; sl.epoch != s.epoch || sl.id == id {
+			return i
+		}
+		i = (i + 1) & (visitSlots - 1)
+	}
+}
+
+// add marks id and reports whether it was new.
+func (s *visitSet) add(id model.ObjectID) bool {
+	sl := &s.slots[s.slot(id)]
+	if sl.epoch == s.epoch {
+		return false
+	}
+	*sl = visitSlot{id, s.epoch}
+	return true
+}
+
+// has reports whether id is marked.
+func (s *visitSet) has(id model.ObjectID) bool {
+	return s.slots[s.slot(id)].epoch == s.epoch
+}
+
 // readSubtree reads root and then the configuration subtree under it:
 // depth-first along Components in slice order (deterministic), at most
 // maxDepth levels and ocbVisitCap objects, the visited set a.seen keeping
 // shared subobjects from being re-read. a.visitBuf holds the objects read,
-// in discovery order.
+// in discovery order, and a.seen holds exactly those on every return.
 func (a *stack) readSubtree(root model.ObjectID, maxDepth int, boost bool) ([]core.PhysIO, int, error) {
+	if a.seen == nil {
+		a.seen = new(visitSet)
+	}
+	a.seen.reset()
+	a.seen.add(root)
+	a.visitBuf = append(a.visitBuf[:0], root)
 	ios, err := a.readObject(a.iosBuf[:0], root, true, boost)
 	if err != nil {
 		return nil, 0, err
 	}
-	a.visitBuf = append(a.visitBuf[:0], root)
 	if a.graph.Object(root) == nil || maxDepth <= 0 {
 		return ios, 1, nil
 	}
-	if a.seen == nil {
-		a.seen = make(map[model.ObjectID]bool, ocbVisitCap)
-	}
-	for k := range a.seen {
-		delete(a.seen, k)
-	}
-	a.seen[root] = true
 	a.walkBuf = append(a.walkBuf[:0], ocbFrame{root, 0})
 	for len(a.walkBuf) > 0 && len(a.visitBuf) < ocbVisitCap {
 		f := a.walkBuf[len(a.walkBuf)-1]
@@ -78,14 +136,13 @@ func (a *stack) readSubtree(root model.ObjectID, maxDepth int, boost bool) ([]co
 			continue
 		}
 		for _, c := range o.Components() {
-			if a.seen[c] {
+			if !a.seen.add(c) {
 				continue
 			}
-			a.seen[c] = true
+			a.visitBuf = append(a.visitBuf, c)
 			if ios, err = a.readObject(ios, c, false, boost); err != nil {
 				return nil, 0, err
 			}
-			a.visitBuf = append(a.visitBuf, c)
 			a.walkBuf = append(a.walkBuf, ocbFrame{c, f.depth + 1})
 			if len(a.visitBuf) >= ocbVisitCap {
 				break
@@ -225,7 +282,7 @@ func (a *stack) execOCBDelete(txn int, req workload.Op) ([]core.PhysIO, int, err
 		if id != req.Target {
 			shared := false
 			for _, comp := range o.Composites() {
-				if !a.seen[comp] {
+				if !a.seen.has(comp) {
 					shared = true
 					break
 				}

@@ -1,7 +1,8 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"oodb/internal/lock"
 	"oodb/internal/model"
@@ -20,8 +21,8 @@ type lockRequest struct {
 // queries lock the root of the navigated structure — the paper's "object
 // and composite object" granularity, a hierarchical lock covering the
 // expansion — while writes take exclusive locks on every object they
-// mutate. The serial driver passes each user's scratch, which leaves
-// sort.Slice's interface conversion as its one allocation per transaction.
+// mutate. Both drivers pass per-user or per-session scratch, so building a
+// lock set allocates nothing once the scratch has grown.
 func appendLockSet(out []lockRequest, req workload.Op) []lockRequest {
 	add := func(obj model.ObjectID, mode lock.Mode) {
 		if obj == model.NilObject {
@@ -54,6 +55,6 @@ func appendLockSet(out []lockRequest, req workload.Op) []lockRequest {
 	default: // the six read query types
 		add(req.Target, lock.Shared)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].obj < out[j].obj })
+	slices.SortFunc(out, func(a, b lockRequest) int { return cmp.Compare(a.obj, b.obj) })
 	return out
 }
