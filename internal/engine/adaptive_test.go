@@ -70,23 +70,26 @@ func TestLockSetMapping(t *testing.T) {
 	cases := []struct {
 		name string
 		req  workload.Op
-		want []lockRequest
+		want []lock.Request
 	}{
 		{"read", workload.Op{Kind: workload.QComponentRetrieval, Target: 5},
-			[]lockRequest{{5, lock.Shared}}},
+			[]lock.Request{{Obj: 5, Mode: lock.Shared}}},
 		{"update", workload.Op{Kind: workload.QUpdate, Target: 5},
-			[]lockRequest{{5, lock.Exclusive}}},
+			[]lock.Request{{Obj: 5, Mode: lock.Exclusive}}},
 		{"insert", workload.Op{Kind: workload.QInsert, AttachTo: 9},
-			[]lockRequest{{9, lock.Exclusive}}},
+			[]lock.Request{{Obj: 9, Mode: lock.Exclusive}}},
 		{"struct-update sorted", workload.Op{Kind: workload.QStructUpdate, Target: 9, AttachTo: 3},
-			[]lockRequest{{3, lock.Exclusive}, {9, lock.Exclusive}}},
+			[]lock.Request{{Obj: 3, Mode: lock.Exclusive}, {Obj: 9, Mode: lock.Exclusive}}},
 		{"scan", workload.Op{Kind: workload.QScan, Targets: []model.ObjectID{4, 2, 4}},
-			[]lockRequest{{2, lock.Shared}, {4, lock.Shared}}},
+			[]lock.Request{{Obj: 2, Mode: lock.Shared}, {Obj: 4, Mode: lock.Shared}}},
+		{"scan with repeated targets", workload.Op{Kind: workload.QOCBScan,
+			Targets: []model.ObjectID{8, 3, 8, 0, 5, 3, 8, 1, 5, 3, 8, 8, 1, 0, 5}},
+			[]lock.Request{{Obj: 1, Mode: lock.Shared}, {Obj: 3, Mode: lock.Shared}, {Obj: 5, Mode: lock.Shared}, {Obj: 8, Mode: lock.Shared}}},
 		{"derive", workload.Op{Kind: workload.QDerive, Target: 7},
-			[]lockRequest{{7, lock.Exclusive}}},
+			[]lock.Request{{Obj: 7, Mode: lock.Exclusive}}},
 	}
 	// One scratch serves every case, the way a serial user reuses its own.
-	var scratch []lockRequest
+	var scratch []lock.Request
 	for _, c := range cases {
 		scratch = appendLockSet(scratch[:0], c.req)
 		got := scratch
@@ -103,7 +106,7 @@ func TestLockSetMapping(t *testing.T) {
 	}
 	// Self re-link: the stronger mode wins on the merged entry.
 	got := appendLockSet(nil, workload.Op{Kind: workload.QStructUpdate, Target: 4, AttachTo: 4})
-	if len(got) != 1 || got[0].mode != lock.Exclusive {
+	if len(got) != 1 || got[0].Mode != lock.Exclusive {
 		t.Fatalf("merged lock set: %v", got)
 	}
 }

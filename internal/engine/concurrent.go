@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"oodb/internal/buffer"
+	"oodb/internal/lock"
 	"oodb/internal/sim"
 	"oodb/internal/stats"
 	"oodb/internal/workload"
@@ -122,8 +123,8 @@ type csession struct {
 	stack *stack
 	think *rand.Rand
 
-	remaining int           // transactions left in the current session burst
-	locks     []lockRequest // lock-set scratch, rebuilt per transaction
+	remaining int            // transactions left in the current session burst
+	locks     []lock.Request // lock set, rebuilt per transaction and released as is
 
 	hist stats.Hist  // latency in microseconds
 	wait *stats.Hist // durable-commit wait in microseconds; nil on memory runs
@@ -152,18 +153,23 @@ func NewConcurrent(cfg Config, opt ConcurrentOptions) (*Concurrent, error) {
 		return nil, fmt.Errorf("engine: trace record/replay is serial-only (the concurrent schedule is not reproducible)")
 	}
 
-	// The sharded structures size themselves to the machine: the next power
-	// of two >= GOMAXPROCS spreads P simultaneously running sessions over at
-	// least P shards (the lock table rounds up itself). Every pool shard
-	// must own at least one frame.
+	// The sharded structures size themselves to the machine. The pool takes
+	// the next power of two >= GOMAXPROCS, spreading P simultaneously running
+	// sessions over at least P shards; every pool shard must own at least
+	// one frame. The lock table takes one shard per lock.ProcsPerShard Ps
+	// (rounded up, and to a power of two by the table itself): its critical
+	// sections are a few dozen instructions, so what a transaction pays for
+	// is the shard lines another session dirtied, and fewer, busier shards
+	// cost fewer misses than one per session.
 	procs := runtime.GOMAXPROCS(0)
+	lockShards := (procs + lock.ProcsPerShard - 1) / lock.ProcsPerShard
 	bufShards := 1
 	for bufShards < procs && bufShards*2 <= cfg.Buffers {
 		bufShards *= 2
 	}
 
 	c := &Concurrent{opt: opt}
-	w, err := buildWorld(cfg, procs, func(w *world) (framePool, error) {
+	w, err := buildWorld(cfg, lockShards, func(w *world) (framePool, error) {
 		// One policy instance per pool shard, each sized to its shard's frame
 		// quota with its own RNG stream — victim selection runs under the
 		// shard lock, so per-shard state needs no further synchronization.
@@ -359,12 +365,15 @@ func (c *Concurrent) execute(cs *csession, txn int) error {
 	// Level 1: object locks, ascending object-ID order, nothing else held.
 	if c.locks != nil {
 		cs.locks = appendLockSet(cs.locks[:0], req)
-		for _, lr := range cs.locks {
-			if err := c.locks.AcquireWait(txn, lr.obj, lr.mode); err != nil {
+		for i, lr := range cs.locks {
+			if err := c.locks.AcquireWait(txn, lr.Obj, lr.Mode); err != nil {
+				// Free the prefix already granted, or a session parked
+				// behind it would never wake and Run would hang.
+				c.locks.Release(txn, cs.locks[:i])
 				return err
 			}
 		}
-		defer c.locks.ReleaseAll(txn)
+		defer c.locks.Release(txn, cs.locks)
 	}
 
 	// Level 2: the structure guard. A target deleted between draw and

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"oodb/internal/lock"
 )
 
 // runConcurrent is run for the wall-clock engine: build, run, check the
@@ -205,11 +207,15 @@ func TestConcurrentAutoSharding(t *testing.T) {
 	for want < runtime.GOMAXPROCS(0) {
 		want *= 2
 	}
+	wantLock := 1 // the next power of two >= GOMAXPROCS / lock.ProcsPerShard
+	for wantLock*lock.ProcsPerShard < runtime.GOMAXPROCS(0) {
+		wantLock *= 2
+	}
 
 	cfg := octSmall.config(50)
 	res := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 2})
-	if res.LockShards != want {
-		t.Fatalf("lock shards = %d, want %d", res.LockShards, want)
+	if res.LockShards != wantLock {
+		t.Fatalf("lock shards = %d, want %d", res.LockShards, wantLock)
 	}
 	if wantBuf := min(want, cfg.Buffers); res.PoolShards != wantBuf {
 		t.Fatalf("pool shards = %d, want %d", res.PoolShards, wantBuf)

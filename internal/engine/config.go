@@ -11,6 +11,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 
 	"oodb/internal/buffer"
@@ -259,8 +260,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: Transactions must be positive")
 	case !(c.ReadWriteRatio > 0): // NaN compares false both ways
 		return fmt.Errorf("engine: ReadWriteRatio must be positive, not %v", c.ReadWriteRatio)
-	case !(c.ThinkTime >= 0):
-		return fmt.Errorf("engine: ThinkTime must be non-negative, not %v", c.ThinkTime)
+	case !(c.ThinkTime >= 0) || math.IsInf(c.ThinkTime, 1):
+		return fmt.Errorf("engine: ThinkTime must be non-negative and finite, not %v", c.ThinkTime)
 	case c.Density > workload.HighDensity:
 		return fmt.Errorf("engine: Density %d is out of range", c.Density)
 	case c.Cluster.Mode > core.ClusterNoLimit || c.Cluster.IOLimit < 0:
@@ -289,6 +290,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: FlashAt must be non-negative")
 	case c.FlashFactor <= 1 && (c.FlashAt != 0 || c.FlashLen != 0):
 		return fmt.Errorf("engine: FlashAt/FlashLen are only meaningful with FlashFactor > 1")
+	}
+	for i, rw := range c.PhasedRW {
+		// The engine skips a phase whose ratio is not positive, silently
+		// keeping the previous phase's mix.
+		if !(rw > 0) {
+			return fmt.Errorf("engine: PhasedRW[%d] must be positive, not %v", i, rw)
+		}
 	}
 	switch c.Workload {
 	case "", WorkloadOCT:

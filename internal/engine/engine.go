@@ -9,6 +9,7 @@ import (
 
 	"oodb/internal/buffer"
 	"oodb/internal/core"
+	"oodb/internal/lock"
 	"oodb/internal/model"
 	"oodb/internal/sim"
 	"oodb/internal/trace"
@@ -246,7 +247,7 @@ type user struct {
 	txn   int
 	req   workload.Op
 	t0    sim.Time
-	locks []lockRequest
+	locks []lock.Request
 	lock  int // next lock to acquire
 	ios   []core.PhysIO
 	io    int // next I/O to issue
@@ -389,7 +390,7 @@ func (u *user) acquire() {
 	e := u.e
 	for ; u.lock < len(u.locks); u.lock++ {
 		lr := u.locks[u.lock]
-		granted, err := e.locks.Acquire(u.txn, lr.obj, lr.mode, u.granted)
+		granted, err := e.locks.Acquire(u.txn, lr.Obj, lr.Mode, u.granted)
 		if err != nil {
 			e.fail(err)
 			return
@@ -446,7 +447,7 @@ func (u *user) playIO() {
 		return
 	}
 	if e.locks != nil {
-		e.locks.ReleaseAll(u.txn)
+		e.locks.Release(u.txn, u.locks)
 	}
 	e.metrics.complete(u.req.Kind, e.sim.Now()-u.t0)
 	e.completed++

@@ -28,6 +28,10 @@ func TestConfigValidation(t *testing.T) {
 		{"ReadWriteRatio", func(c *Config) { c.ReadWriteRatio = math.NaN() }},
 		{"ThinkTime", func(c *Config) { c.ThinkTime = -1 }},
 		{"ThinkTime", func(c *Config) { c.ThinkTime = math.NaN() }},
+		{"ThinkTime", func(c *Config) { c.ThinkTime = math.Inf(1) }},
+		{"PhasedRW", func(c *Config) { c.PhasedRW = []float64{100, math.NaN(), 5} }},
+		{"PhasedRW", func(c *Config) { c.PhasedRW = []float64{100, 10, -5} }},
+		{"PhasedRW", func(c *Config) { c.PhasedRW = []float64{0} }},
 		{"replacement policy", func(c *Config) { c.ReplacementName = "bogus" }},
 		{"cluster strategy", func(c *Config) { c.ClusterStrategy = "bogus" }},
 	}
@@ -60,6 +64,12 @@ func TestConfigValidation(t *testing.T) {
 	cfg.ThinkTime = 0
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("zero think time rejected: %v", err)
+	}
+	// Positive phase ratios pass, +Inf (all reads) among them, as for
+	// ReadWriteRatio.
+	cfg.PhasedRW = []float64{0.5, 170, math.Inf(1)}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("positive phase ratios rejected: %v", err)
 	}
 }
 

@@ -9,34 +9,21 @@ import (
 	"oodb/internal/workload"
 )
 
-// lockRequest is one object/mode pair a transaction needs.
-type lockRequest struct {
-	obj  model.ObjectID
-	mode lock.Mode
-}
-
 // appendLockSet appends to out, which the caller passes empty, the locks
 // transaction req must hold, in ascending object order (the global
-// acquisition order that makes the protocol deadlock-free). Navigation
+// acquisition order that makes the protocol deadlock-free) with each
+// object once, in the strongest mode requested for it. Navigation
 // queries lock the root of the navigated structure — the paper's "object
 // and composite object" granularity, a hierarchical lock covering the
 // expansion — while writes take exclusive locks on every object they
 // mutate. Both drivers pass per-user or per-session scratch, so building a
-// lock set allocates nothing once the scratch has grown.
-func appendLockSet(out []lockRequest, req workload.Op) []lockRequest {
+// lock set allocates nothing once the scratch has grown; the set they get
+// back is the one they hand to lock.Manager.Release.
+func appendLockSet(out []lock.Request, req workload.Op) []lock.Request {
 	add := func(obj model.ObjectID, mode lock.Mode) {
-		if obj == model.NilObject {
-			return
+		if obj != model.NilObject {
+			out = append(out, lock.Request{Obj: obj, Mode: mode})
 		}
-		for i := range out {
-			if out[i].obj == obj {
-				if mode > out[i].mode {
-					out[i].mode = mode
-				}
-				return
-			}
-		}
-		out = append(out, lockRequest{obj, mode})
 	}
 	switch req.Kind {
 	case workload.QInsert:
@@ -55,6 +42,17 @@ func appendLockSet(out []lockRequest, req workload.Op) []lockRequest {
 	default: // the six read query types
 		add(req.Target, lock.Shared)
 	}
-	slices.SortFunc(out, func(a, b lockRequest) int { return cmp.Compare(a.obj, b.obj) })
-	return out
+	slices.SortFunc(out, func(a, b lock.Request) int { return cmp.Compare(a.Obj, b.Obj) })
+	// Sorting put each object's requests side by side; keep one per object,
+	// in the stronger mode.
+	k := 0
+	for _, r := range out {
+		if k > 0 && out[k-1].Obj == r.Obj {
+			out[k-1].Mode = max(out[k-1].Mode, r.Mode)
+			continue
+		}
+		out[k] = r
+		k++
+	}
+	return out[:k]
 }

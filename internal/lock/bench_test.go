@@ -10,13 +10,14 @@ import (
 func BenchmarkAcquireRelease(b *testing.B) {
 	b.ReportAllocs()
 	m := NewManager()
+	held := make([]Request, 1)
 	for i := 0; i < b.N; i++ {
 		txn := i
-		obj := model.ObjectID(1 + i%512)
-		if _, err := m.Acquire(txn, obj, Exclusive, nil); err != nil {
+		held[0] = Request{model.ObjectID(1 + i%512), Exclusive}
+		if _, err := m.Acquire(txn, held[0].Obj, held[0].Mode, nil); err != nil {
 			b.Fatal(err)
 		}
-		m.ReleaseAll(txn)
+		m.Release(txn, held)
 	}
 }
 
@@ -25,6 +26,7 @@ func BenchmarkContendedQueue(b *testing.B) {
 	b.ReportAllocs()
 	m := NewManager()
 	const obj = model.ObjectID(1)
+	held := []Request{{obj, Exclusive}}
 	m.Acquire(0, obj, Exclusive, nil) //nolint:errcheck
 	prev := 0
 	b.ResetTimer()
@@ -33,8 +35,8 @@ func BenchmarkContendedQueue(b *testing.B) {
 		if _, err := m.Acquire(txn, obj, Exclusive, func() {}); err != nil {
 			b.Fatal(err)
 		}
-		m.ReleaseAll(prev) // hands the lock to txn
+		m.Release(prev, held) // hands the lock to txn
 		prev = txn
 	}
-	m.ReleaseAll(prev)
+	m.Release(prev, held)
 }

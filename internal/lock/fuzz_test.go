@@ -9,12 +9,11 @@ import (
 )
 
 // refManager is the reference lock table FuzzLockTable checks the real one
-// against: one unsharded table with map holders, no free lists, and grant
-// callbacks fired as the queue is popped — the representation the
-// slice-and-free-list table replaced.
+// against: one unsharded Go map of entries with map holders, no free lists,
+// and grant callbacks fired as the queue is popped — the representation the
+// probed slice-and-free-list table replaced.
 type refManager struct {
 	table map[model.ObjectID]*refEntry
-	held  map[int][]model.ObjectID
 	stats Stats
 }
 
@@ -30,7 +29,7 @@ type refWaiter struct {
 }
 
 func newRefManager() *refManager {
-	return &refManager{table: map[model.ObjectID]*refEntry{}, held: map[int][]model.ObjectID{}}
+	return &refManager{table: map[model.ObjectID]*refEntry{}}
 }
 
 func (r *refManager) compatible(e *refEntry, txn int, mode Mode, guard bool) bool {
@@ -58,12 +57,8 @@ func (r *refManager) compatible(e *refEntry, txn int, mode Mode, guard bool) boo
 	return true
 }
 
-func (r *refManager) grantTo(e *refEntry, txn int, obj model.ObjectID, mode Mode) {
-	prev, ok := e.holders[txn]
-	if !ok {
-		r.held[txn] = append(r.held[txn], obj)
-	}
-	if !ok || mode > prev {
+func (r *refManager) grantTo(e *refEntry, txn int, mode Mode) {
+	if prev, ok := e.holders[txn]; !ok || mode > prev {
 		e.holders[txn] = mode
 	}
 	r.stats.Granted++
@@ -77,7 +72,7 @@ func (r *refManager) acquire(txn int, obj model.ObjectID, mode Mode, grant func(
 		r.table[obj] = e
 	}
 	if r.compatible(e, txn, mode, true) {
-		r.grantTo(e, txn, obj, mode)
+		r.grantTo(e, txn, mode)
 		return true
 	}
 	r.stats.Conflicts++
@@ -86,11 +81,15 @@ func (r *refManager) acquire(txn int, obj model.ObjectID, mode Mode, grant func(
 	return false
 }
 
-func (r *refManager) releaseAll(txn int) {
-	objs := r.held[txn]
-	delete(r.held, txn)
-	for _, obj := range objs {
+// release drops txn's hold on each object of the set the caller acquired,
+// in set order.
+func (r *refManager) release(txn int, set []Request) {
+	for _, req := range set {
+		obj := req.Obj
 		e := r.table[obj]
+		if e == nil {
+			continue
+		}
 		if _, ok := e.holders[txn]; !ok {
 			continue
 		}
@@ -100,7 +99,7 @@ func (r *refManager) releaseAll(txn int) {
 		for len(e.queue) > 0 && r.compatible(e, e.queue[0].txn, e.queue[0].mode, false) {
 			w := e.queue[0]
 			e.queue = e.queue[1:]
-			r.grantTo(e, w.txn, obj, w.mode)
+			r.grantTo(e, w.txn, w.mode)
 			grants = append(grants, w.grant)
 		}
 		if len(e.holders) == 0 && len(e.queue) == 0 {
@@ -127,14 +126,16 @@ const (
 )
 
 // FuzzLockTable decodes each byte into one call — Acquire Shared, Acquire
-// Exclusive, ReleaseAll or Holds (top two bits) by one of 8 transactions
+// Exclusive, release or Holds (top two bits) by one of 8 transactions
 // (next three) on one of 6 objects (low three, mod 6) — and runs the
-// sequence on a one-shard manager, a four-shard manager and refManager.
+// sequence on a one-shard and a four-shard manager that release through
+// Release, a 64-shard one that releases through ReleaseAll, and refManager.
 // Calls follow the engine's protocol: a transaction waiting for a grant
 // issues nothing, and each one acquires objects in ascending order (the
-// same object again is a re-entrant request or an upgrade) until it
-// releases everything. Grant results, callback order, Stats, Holds and
-// Locked must agree after every call, and CheckInvariants must pass.
+// same object again is a re-entrant request or an upgrade, which the
+// caller's set records as one request in the stronger mode) until it
+// releases its set. Grant results, callback order, Stats, Holds and Locked
+// must agree after every call, and CheckInvariants must pass.
 func FuzzLockTable(f *testing.F) {
 	f.Add([]byte{0x40, 0x08, 0x10, 0x80, 0x88, 0x90})       // X by 1, S by 2 and 3 queue, releases
 	f.Add([]byte{0x00, 0x08, 0x40, 0x88, 0xc0, 0x80})       // S by 1 and 2, 1's upgrade waits on 2
@@ -144,11 +145,12 @@ func FuzzLockTable(f *testing.F) {
 			data = data[:256]
 		}
 		var (
-			logs    [3][]string
+			logs    [4][]string
 			waiting [fuzzTxns + 1]bool
-			last    [fuzzTxns + 1]model.ObjectID
+			sets    [fuzzTxns + 1][]Request // each transaction's lock set
 		)
-		mgrs := []*Manager{NewManager(), NewManagerSharded(4)}
+		mgrs := []*Manager{NewManager(), NewManagerSharded(4), NewManagerSharded(64)}
+		const refLog = 3
 		ref := newRefManager()
 		for step, b := range data {
 			txn := int(b>>3&7) + 1
@@ -156,17 +158,22 @@ func FuzzLockTable(f *testing.F) {
 			call := fmt.Sprintf("step %d: txn %d obj %d op %d", step, txn, obj, b>>6)
 			switch op := b >> 6; {
 			case op <= 1:
-				if waiting[txn] || obj < last[txn] {
+				set := sets[txn]
+				if waiting[txn] || len(set) > 0 && obj < set[len(set)-1].Obj {
 					continue
 				}
-				last[txn] = obj
 				mode := Mode(op)
+				if n := len(set); n > 0 && set[n-1].Obj == obj {
+					set[n-1].Mode = max(set[n-1].Mode, mode)
+				} else {
+					sets[txn] = append(set, Request{obj, mode})
+				}
 				grant := func(i int) func() {
 					return func() { logs[i] = append(logs[i], fmt.Sprintf("%d@%d", txn, obj)) }
 				}
 				want := ref.acquire(txn, obj, mode, func() {
 					waiting[txn] = false
-					grant(2)()
+					grant(refLog)()
 				})
 				waiting[txn] = !want
 				for i, m := range mgrs {
@@ -179,11 +186,15 @@ func FuzzLockTable(f *testing.F) {
 				if waiting[txn] {
 					continue
 				}
-				last[txn] = 0
-				ref.releaseAll(txn)
-				for _, m := range mgrs {
-					m.ReleaseAll(txn)
+				ref.release(txn, sets[txn])
+				for i, m := range mgrs {
+					if i < 2 {
+						m.Release(txn, sets[txn])
+					} else {
+						m.ReleaseAll(txn)
+					}
 				}
+				sets[txn] = sets[txn][:0]
 			default:
 				for _, m := range mgrs {
 					if got, want := m.Holds(txn, obj), ref.holds(txn, obj); got != want {
@@ -192,8 +203,8 @@ func FuzzLockTable(f *testing.F) {
 				}
 			}
 			for i, m := range mgrs {
-				if !slices.Equal(logs[i], logs[2]) {
-					t.Fatalf("%s: shards=%d grants %v, reference %v", call, m.Shards(), logs[i], logs[2])
+				if !slices.Equal(logs[i], logs[refLog]) {
+					t.Fatalf("%s: shards=%d grants %v, reference %v", call, m.Shards(), logs[i], logs[refLog])
 				}
 				if got := m.Stats(); got != ref.stats {
 					t.Fatalf("%s: shards=%d stats %+v, reference %+v", call, m.Shards(), got, ref.stats)

@@ -10,23 +10,28 @@
 // FIFO fairness, not deadlock detection.
 //
 // The lock table is sharded by object-ID hash: each shard owns its own
-// mutex, entry map, and statistics, so per-operation cost stays flat as the
-// table grows and independent transactions on different shards can proceed
-// concurrently (the server roadmap item). Per-transaction held-lock lists
-// shard separately by transaction ID. No operation ever holds two shard
-// mutexes at once, and grant callbacks always fire with no mutex held —
-// a callback is free to re-enter the manager. Sharding never changes
-// observable behavior: single-threaded runs are byte-identical at any
-// shard count.
+// mutex, entry table, and statistics, padded to its own cache lines, so
+// per-operation cost stays flat as the table grows and transactions on
+// different shards proceed without sharing a line. The manager keeps no
+// per-transaction index: a caller keeps the set it acquired and hands it
+// back to Release. No operation ever holds two shard mutexes at once, and
+// grant callbacks always fire with no mutex held — a callback is free to
+// re-enter the manager. Sharding never changes observable behavior:
+// single-threaded runs are byte-identical at any shard count.
 //
-// Entries and held lists are recycled through per-shard free lists, so an
-// uncontended acquire → release cycle allocates nothing; only a request
-// that queues does (AcquireWait's wake channel, a growing queue).
+// A shard's entries live in an open-addressed table and are recycled
+// through a per-shard free list, so an uncontended acquire → release cycle
+// allocates nothing; only a request that queues does (AcquireWait's wake
+// channel, a growing queue).
 package lock
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"oodb/internal/model"
 )
@@ -49,6 +54,14 @@ func (m Mode) String() string {
 	return "X"
 }
 
+// Request is one object and the mode a transaction needs on it. A lock set
+// is a slice of them, sorted by object and without duplicates: the order a
+// transaction acquires in and the order Release releases in.
+type Request struct {
+	Obj  model.ObjectID
+	Mode Mode
+}
+
 // Stats aggregates lock activity.
 type Stats struct {
 	Requests   int
@@ -58,25 +71,13 @@ type Stats struct {
 	MaxWaiters int // longest queue observed on one object
 }
 
-// merge folds o into s: counters add, high-water marks take the max.
-func (s *Stats) merge(o Stats) {
-	s.Requests += o.Requests
-	s.Granted += o.Granted
-	s.Conflicts += o.Conflicts
-	s.Releases += o.Releases
-	if o.MaxWaiters > s.MaxWaiters {
-		s.MaxWaiters = o.MaxWaiters
-	}
-}
-
 // waiter is one queued request. A callback request (Acquire) carries grant;
 // a parked one (AcquireWait) carries wake, which is closed on grant.
 type waiter struct {
-	txn     int
-	mode    Mode
-	newHold bool // set by admit: txn was not already a holder
-	grant   func()
-	wake    chan struct{}
+	txn   int
+	mode  Mode
+	grant func()
+	wake  chan struct{}
 }
 
 // holder is one transaction's hold on an object.
@@ -93,35 +94,88 @@ type entry struct {
 	queue   []waiter
 }
 
-// find returns txn's index in e.holders, or -1.
+// find returns txn's index in e.holders, or -1 (always, on a nil entry).
 func (e *entry) find(txn int) int {
-	for i := range e.holders {
-		if e.holders[i].txn == txn {
-			return i
+	if e != nil {
+		for i := range e.holders {
+			if e.holders[i].txn == txn {
+				return i
+			}
 		}
 	}
 	return -1
 }
 
-// tableShard is one slice of the lock table, self-contained under its own
-// mutex: entries, recycled entries, and the statistics for operations that
-// landed here.
-type tableShard struct {
+// slot is one cell of a shard's entry table; obj is NilObject when empty.
+type slot struct {
+	obj model.ObjectID
+	e   *entry
+}
+
+// shardState is one slice of the lock table, self-contained under its own
+// mutex: an open-addressed entry table (Fibonacci hashing, linear probing,
+// at most half full, backward-shift deletion so there are no tombstones),
+// recycled entries, and the statistics for operations that landed here.
+type shardState struct {
 	mu    sync.Mutex
-	table map[model.ObjectID]*entry
-	// free holds entries deleted from table, with no holders or waiters
-	// but their holder and queue backing arrays kept for reuse.
+	slots []slot // power-of-two length
+	shift uint8  // 64 - log2(len(slots))
+	n     int    // occupied slots
+	// free holds entries removed from the table, with no holders or
+	// waiters but their holder and queue backing arrays kept for reuse.
 	free  []*entry
 	stats Stats
 }
 
+// tableShard pads a shard to whole 128-byte blocks: neighbouring shards'
+// mutexes and counters share no cache line nor adjacent-line pair.
+type tableShard struct {
+	shardState
+	_ [(128 - unsafe.Sizeof(shardState{})%128) % 128]byte
+}
+
+// fibMix spreads sequential IDs (Fibonacci hashing). Bits 32 and up of the
+// product pick the shard, the top bits the slot within it.
+const fibMix = 0x9E3779B97F4A7C15
+
+func hash(obj model.ObjectID) uint64 { return uint64(obj) * fibMix }
+
+// index returns the slot holding obj, or the empty slot where it belongs.
+// The table is never full, so the probe ends. Caller holds the mutex.
+func (sh *shardState) index(obj model.ObjectID) int {
+	mask := len(sh.slots) - 1
+	i := int(hash(obj) >> sh.shift)
+	for sh.slots[i].obj != obj && sh.slots[i].obj != model.NilObject {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// reset gives the shard a table of n empty slots, n a power of two; the
+// caller accounts for sh.n.
+func (sh *shardState) reset(n int) {
+	sh.slots = make([]slot, n)
+	sh.shift = uint8(65 - bits.Len(uint(n)))
+}
+
 // entry returns obj's entry, taking a recycled one (or, with none left, a
-// new one) if obj has none. Caller holds the shard mutex.
-func (sh *tableShard) entry(obj model.ObjectID) *entry {
-	e := sh.table[obj]
-	if e != nil {
+// new one) if obj has none. Caller holds the mutex.
+func (sh *shardState) entry(obj model.ObjectID) *entry {
+	i := sh.index(obj)
+	if e := sh.slots[i].e; e != nil {
 		return e
 	}
+	if 2*(sh.n+1) > len(sh.slots) {
+		old := sh.slots
+		sh.reset(2 * len(old))
+		for _, s := range old {
+			if s.e != nil {
+				sh.slots[sh.index(s.obj)] = s
+			}
+		}
+		i = sh.index(obj)
+	}
+	var e *entry
 	if n := len(sh.free); n > 0 {
 		e = sh.free[n-1]
 		sh.free[n-1] = nil
@@ -129,25 +183,38 @@ func (sh *tableShard) entry(obj model.ObjectID) *entry {
 	} else {
 		e = &entry{holders: make([]holder, 0, 2)}
 	}
-	sh.table[obj] = e
+	sh.slots[i] = slot{obj, e}
+	sh.n++
 	return e
 }
 
-// heldShard is one slice of the per-transaction held-lock index.
-type heldShard struct {
-	mu   sync.Mutex
-	held map[int][]model.ObjectID
-	// free holds lists ReleaseAll detached, emptied, for transactions not
-	// yet seen.
-	free [][]model.ObjectID
+// remove empties slot i and moves its entry to the free list. Each later
+// slot of the probe run shifts back into the hole unless that would move
+// it before its home slot. Caller holds the mutex.
+func (sh *shardState) remove(i int) {
+	sh.free = append(sh.free, sh.slots[i].e)
+	mask := len(sh.slots) - 1
+	for j := (i + 1) & mask; sh.slots[j].obj != model.NilObject; j = (j + 1) & mask {
+		if home := int(hash(sh.slots[j].obj) >> sh.shift); (j-home)&mask >= (j-i)&mask {
+			sh.slots[i] = sh.slots[j]
+			i = j
+		}
+	}
+	sh.slots[i] = slot{}
+	sh.n--
 }
 
 // Manager is the lock manager.
 type Manager struct {
 	shards []tableShard
-	heldSh []heldShard
 	mask   uint64
 }
+
+// ProcsPerShard sizes the concurrent engine's lock table: one shard per
+// this many GOMAXPROCS, rounded up. A transaction's requests touch every
+// shard its objects hash to, and each shard line another session wrote
+// since is a cache miss, so fewer shards than sessions measured fastest.
+const ProcsPerShard = 2
 
 // NewManager returns an empty single-shard lock manager (the default for
 // the paper-scale tier, where the table holds tens of entries).
@@ -157,14 +224,9 @@ func NewManager() *Manager { return NewManagerSharded(1) }
 // count, rounded up to a power of two; n < 1 selects one shard.
 func NewManagerSharded(n int) *Manager {
 	n = ceilPow2(n)
-	m := &Manager{
-		shards: make([]tableShard, n),
-		heldSh: make([]heldShard, n),
-		mask:   uint64(n - 1),
-	}
+	m := &Manager{shards: make([]tableShard, n), mask: uint64(n - 1)}
 	for i := range m.shards {
-		m.shards[i].table = make(map[model.ObjectID]*entry)
-		m.heldSh[i].held = make(map[int][]model.ObjectID)
+		m.shards[i].reset(8)
 	}
 	return m
 }
@@ -183,25 +245,24 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// fibMix spreads sequential IDs across shards (Fibonacci hashing).
-const fibMix = 0x9E3779B97F4A7C15
-
-func (m *Manager) shardFor(obj model.ObjectID) *tableShard {
-	return &m.shards[(uint64(obj)*fibMix>>32)&m.mask]
+func (m *Manager) shardFor(obj model.ObjectID) *shardState {
+	return &m.shards[(hash(obj)>>32)&m.mask].shardState
 }
 
-func (m *Manager) heldFor(txn int) *heldShard {
-	return &m.heldSh[(uint64(txn)*fibMix>>32)&m.mask]
-}
-
-// Stats returns the statistics merged across shards.
+// Stats returns the statistics merged across shards: counters add,
+// high-water marks take the max.
 func (m *Manager) Stats() Stats {
 	var s Stats
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		s.merge(sh.stats)
+		o := sh.stats
 		sh.mu.Unlock()
+		s.Requests += o.Requests
+		s.Granted += o.Granted
+		s.Conflicts += o.Conflicts
+		s.Releases += o.Releases
+		s.MaxWaiters = max(s.MaxWaiters, o.MaxWaiters)
 	}
 	return s
 }
@@ -266,21 +327,17 @@ func (m *Manager) acquire(txn int, obj model.ObjectID, mode Mode, grant func(), 
 	}
 	sh := m.shardFor(obj)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	sh.stats.Requests++
 	e := sh.entry(obj)
 	if compatible(e, txn, mode, false) {
-		newHold := grantTo(e, txn, mode)
+		grantTo(e, txn, mode)
 		sh.stats.Granted++
-		sh.mu.Unlock()
-		if newHold {
-			m.recordHeld(txn, obj)
-		}
 		return true, nil, nil
 	}
 	if park {
 		wake = make(chan struct{})
 	} else if grant == nil {
-		sh.mu.Unlock()
 		return false, nil, fmt.Errorf("lock: conflicting request without grant callback")
 	}
 	sh.stats.Conflicts++
@@ -288,81 +345,47 @@ func (m *Manager) acquire(txn int, obj model.ObjectID, mode Mode, grant func(), 
 	if len(e.queue) > sh.stats.MaxWaiters {
 		sh.stats.MaxWaiters = len(e.queue)
 	}
-	sh.mu.Unlock()
 	return false, wake, nil
 }
 
-// grantTo records the grant on the entry and reports whether txn is a new
-// holder (and so must be added to its held list). Caller holds the shard
-// mutex.
-func grantTo(e *entry, txn int, mode Mode) (newHold bool) {
+// grantTo records the grant on the entry. Caller holds the shard mutex.
+func grantTo(e *entry, txn int, mode Mode) {
 	if i := e.find(txn); i >= 0 {
 		if mode > e.holders[i].mode {
 			e.holders[i].mode = mode
 		}
-		return false
-	}
-	e.holders = append(e.holders, holder{txn: txn, mode: mode})
-	return true
-}
-
-// recordHeld appends obj to txn's held list; a transaction with no list yet
-// takes a recycled one.
-func (m *Manager) recordHeld(txn int, obj model.ObjectID) {
-	hs := m.heldFor(txn)
-	hs.mu.Lock()
-	objs, ok := hs.held[txn]
-	if n := len(hs.free); !ok && n > 0 {
-		objs = hs.free[n-1]
-		hs.free[n-1] = nil
-		hs.free = hs.free[:n-1]
-	}
-	hs.held[txn] = append(objs, obj)
-	hs.mu.Unlock()
-}
-
-// ReleaseAll drops every lock txn holds and grants eligible waiters in FIFO
-// order (a released exclusive lock may admit a batch of shared waiters).
-// Grant callbacks run synchronously, after all bookkeeping for that object
-// is updated and with no shard mutex held.
-func (m *Manager) ReleaseAll(txn int) {
-	hs := m.heldFor(txn)
-	hs.mu.Lock()
-	objs, ok := hs.held[txn]
-	delete(hs.held, txn)
-	hs.mu.Unlock()
-	if !ok {
 		return
 	}
+	e.holders = append(e.holders, holder{txn: txn, mode: mode})
+}
+
+// Release drops txn's lock on each object of set, in set order, and grants
+// eligible waiters in FIFO order (a released exclusive lock may admit a
+// batch of shared waiters). An object txn does not hold is skipped, so a
+// caller whose acquisition stopped part-way may pass the whole set or the
+// prefix it acquired. Grant callbacks run synchronously, after all
+// bookkeeping for that object is updated and with no shard mutex held.
+func (m *Manager) Release(txn int, set []Request) {
 	var buf [4]waiter // admitted waiters; a longer batch spills to the heap
-	for _, obj := range objs {
-		sh := m.shardFor(obj)
+	for _, r := range set {
+		sh := m.shardFor(r.Obj)
 		sh.mu.Lock()
-		e := sh.table[obj]
-		if e == nil {
-			sh.mu.Unlock()
-			continue
-		}
-		i := e.find(txn)
-		if i < 0 {
+		i := sh.index(r.Obj)
+		e := sh.slots[i].e
+		h := e.find(txn)
+		if h < 0 {
 			sh.mu.Unlock()
 			continue
 		}
 		last := len(e.holders) - 1
-		e.holders[i] = e.holders[last]
+		e.holders[h] = e.holders[last]
 		e.holders = e.holders[:last]
 		sh.stats.Releases++
 		admitted := sh.admit(e, buf[:0])
 		if len(e.holders) == 0 && len(e.queue) == 0 {
-			delete(sh.table, obj)
-			sh.free = append(sh.free, e)
+			sh.remove(i)
 		}
 		sh.mu.Unlock()
-		for _, w := range admitted {
-			if w.newHold {
-				m.recordHeld(w.txn, obj)
-			}
-		}
 		for _, w := range admitted {
 			if w.grant != nil {
 				w.grant()
@@ -371,24 +394,38 @@ func (m *Manager) ReleaseAll(txn int) {
 			}
 		}
 	}
-	// objs was detached above, so no one else can reach it now.
-	hs.mu.Lock()
-	hs.free = append(hs.free, objs[:0])
-	hs.mu.Unlock()
+}
+
+// ReleaseAll releases every lock txn holds in ascending object order, the
+// protocol's acquisition order, found by scanning the whole table. The
+// drivers keep their sets and call Release instead.
+func (m *Manager) ReleaseAll(txn int) {
+	var set []Request
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		for _, s := range sh.slots {
+			if s.e.find(txn) >= 0 {
+				set = append(set, Request{Obj: s.obj})
+			}
+		}
+		sh.mu.Unlock()
+	}
+	slices.SortFunc(set, func(a, b Request) int { return cmp.Compare(a.Obj, b.Obj) })
+	m.Release(txn, set)
 }
 
 // admit grants queued waiters that have become compatible, in FIFO order,
-// and appends them to out for the caller to record and fire after
-// unlocking. The queue keeps its backing array. Caller holds the shard
-// mutex.
-func (sh *tableShard) admit(e *entry, out []waiter) []waiter {
+// and appends them to out for the caller to fire after unlocking. The
+// queue keeps its backing array. Caller holds the shard mutex.
+func (sh *shardState) admit(e *entry, out []waiter) []waiter {
 	k := 0
 	for ; k < len(e.queue); k++ {
 		w := e.queue[k]
 		if !compatible(e, w.txn, w.mode, true) {
 			break
 		}
-		w.newHold = grantTo(e, w.txn, w.mode)
+		grantTo(e, w.txn, w.mode)
 		sh.stats.Granted++
 		out = append(out, w)
 	}
@@ -405,8 +442,7 @@ func (m *Manager) Holds(txn int, obj model.ObjectID) bool {
 	sh := m.shardFor(obj)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.table[obj]
-	return e != nil && e.find(txn) >= 0
+	return sh.slots[sh.index(obj)].e.find(txn) >= 0
 }
 
 // Locked returns the number of objects with at least one holder or waiter.
@@ -415,98 +451,62 @@ func (m *Manager) Locked() int {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		n += len(sh.table)
+		n += sh.n
 		sh.mu.Unlock()
 	}
 	return n
 }
 
-// hold is one (transaction, object) pair CheckInvariants cross-checks.
-type hold struct {
-	txn int
-	obj model.ObjectID
-}
-
-// CheckInvariants validates internal consistency: no object has both an
-// exclusive holder and another holder, lists a transaction twice, or has
-// waiters but no holders; no recycled entry carries holders or waiters; and
-// the held lists and the table agree in both directions. Between the table
-// update and the held-list update of an operation in flight the two briefly
-// disagree, so call it on a quiescent manager.
+// CheckInvariants validates internal consistency: every occupied slot is
+// where a probe for its object finds it and the occupancy count is right;
+// no object has both an exclusive holder and another holder, lists a
+// transaction twice, or has waiters but no holders; and no recycled entry
+// carries holders or waiters. Call it on a quiescent manager.
 func (m *Manager) CheckInvariants() error {
-	var holds []hold
 	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		var err error
-		holds, err = sh.check(holds)
-		sh.mu.Unlock()
-		if err != nil {
+		if err := m.shards[i].check(); err != nil {
 			return err
-		}
-	}
-	for _, h := range holds {
-		if !m.listed(h.txn, h.obj) {
-			return fmt.Errorf("lock: txn %d holds object %d missing from its held list", h.txn, h.obj)
-		}
-	}
-	for i := range m.heldSh {
-		hs := &m.heldSh[i]
-		hs.mu.Lock()
-		claims := make(map[int][]model.ObjectID, len(hs.held))
-		for txn, objs := range hs.held {
-			claims[txn] = append([]model.ObjectID(nil), objs...)
-		}
-		hs.mu.Unlock()
-		for txn, objs := range claims {
-			for _, obj := range objs {
-				if !m.Holds(txn, obj) {
-					return fmt.Errorf("lock: txn %d claims object %d it does not hold", txn, obj)
-				}
-			}
 		}
 	}
 	return nil
 }
 
-// check validates the shard's entries and free list and appends every hold
-// it finds to holds. Caller holds the shard mutex.
-func (sh *tableShard) check(holds []hold) ([]hold, error) {
-	for obj, e := range sh.table {
+// check validates the shard's table, entries and free list under its mutex.
+func (sh *shardState) check() error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	n := 0
+	for i, s := range sh.slots {
+		if s.e == nil {
+			continue
+		}
+		n++
+		if sh.index(s.obj) != i {
+			return fmt.Errorf("lock: object %d sits in slot %d, off its probe path", s.obj, i)
+		}
 		exclusives := 0
-		for i, h := range e.holders {
+		for j, h := range s.e.holders {
 			if h.mode == Exclusive {
 				exclusives++
 			}
-			if e.find(h.txn) != i {
-				return holds, fmt.Errorf("lock: object %d lists txn %d twice among its holders", obj, h.txn)
+			if s.e.find(h.txn) != j {
+				return fmt.Errorf("lock: object %d lists txn %d twice among its holders", s.obj, h.txn)
 			}
-			holds = append(holds, hold{h.txn, obj})
 		}
-		if exclusives > 0 && len(e.holders) > 1 {
-			return holds, fmt.Errorf("lock: object %d has an exclusive holder plus others", obj)
+		if exclusives > 0 && len(s.e.holders) > 1 {
+			return fmt.Errorf("lock: object %d has an exclusive holder plus others", s.obj)
 		}
-		if len(e.holders) == 0 && len(e.queue) > 0 {
-			return holds, fmt.Errorf("lock: object %d has waiters but no holders", obj)
+		if len(s.e.holders) == 0 && len(s.e.queue) > 0 {
+			return fmt.Errorf("lock: object %d has waiters but no holders", s.obj)
 		}
+	}
+	if n != sh.n {
+		return fmt.Errorf("lock: shard counts %d occupied slots, has %d", sh.n, n)
 	}
 	for _, e := range sh.free {
 		if len(e.holders) > 0 || len(e.queue) > 0 {
-			return holds, fmt.Errorf("lock: recycled entry still carries %d holders and %d waiters", len(e.holders), len(e.queue))
+			return fmt.Errorf("lock: recycled entry still carries %d holders and %d waiters", len(e.holders), len(e.queue))
 		}
 	}
-	return holds, nil
-}
-
-// listed reports whether obj is on txn's held list.
-func (m *Manager) listed(txn int, obj model.ObjectID) bool {
-	hs := m.heldFor(txn)
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	for _, o := range hs.held[txn] {
-		if o == obj {
-			return true
-		}
-	}
-	return false
+	return nil
 }

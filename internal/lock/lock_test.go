@@ -2,12 +2,24 @@ package lock
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"oodb/internal/model"
 )
+
+// lockSet is a lock set over objs, the way a caller hands one to Release
+// (Release reads only the objects).
+func lockSet(objs ...model.ObjectID) []Request {
+	s := make([]Request, len(objs))
+	for i, obj := range objs {
+		s[i] = Request{Obj: obj}
+	}
+	return s
+}
 
 func TestSharedCompatible(t *testing.T) {
 	m := NewManager()
@@ -38,7 +50,7 @@ func TestExclusiveConflicts(t *testing.T) {
 	if granted {
 		t.Fatal("grant callback ran synchronously")
 	}
-	m.ReleaseAll(1)
+	m.Release(1, lockSet(10))
 	if !granted {
 		t.Fatal("waiter not granted on release")
 	}
@@ -60,7 +72,7 @@ func TestSharedBlockedByExclusive(t *testing.T) {
 	if calls != 0 {
 		t.Fatal("shared granted under exclusive")
 	}
-	m.ReleaseAll(1)
+	m.Release(1, lockSet(10))
 	// Both shared waiters batch in.
 	if calls != 2 {
 		t.Fatalf("granted %d of 2 shared waiters", calls)
@@ -79,11 +91,11 @@ func TestWriterNotStarved(t *testing.T) {
 	if g {
 		t.Fatal("shared jumped the exclusive waiter")
 	}
-	m.ReleaseAll(1)
+	m.Release(1, lockSet(10))
 	if !xGranted || sGranted {
 		t.Fatalf("exclusive should be granted first: x=%v s=%v", xGranted, sGranted)
 	}
-	m.ReleaseAll(2)
+	m.Release(2, lockSet(10))
 	if !sGranted {
 		t.Fatal("shared waiter never granted")
 	}
@@ -111,7 +123,7 @@ func TestReentrantAndUpgrade(t *testing.T) {
 	if g {
 		t.Fatal("upgrade granted despite second holder")
 	}
-	m2.ReleaseAll(2)
+	m2.Release(2, lockSet(10))
 	if !up {
 		t.Fatal("upgrade not granted after other holder left")
 	}
@@ -128,20 +140,78 @@ func TestAcquireErrors(t *testing.T) {
 	}
 }
 
+// TestReleaseAllCleansTable: the table-scanning wrapper releases every lock the
+// transaction holds, in ascending object order whatever the shards, and
+// leaves the table clean.
 func TestReleaseAllCleansTable(t *testing.T) {
-	m := NewManager()
+	m := NewManagerSharded(4)
+	var grants []model.ObjectID
 	for obj := model.ObjectID(1); obj <= 5; obj++ {
-		m.Acquire(7, obj, Exclusive, nil) //nolint:errcheck
+		m.Acquire(7, obj, Exclusive, nil)                                  //nolint:errcheck
+		m.Acquire(8, obj, Shared, func() { grants = append(grants, obj) }) //nolint:errcheck
 	}
 	if m.Locked() != 5 {
 		t.Fatalf("locked=%d", m.Locked())
 	}
 	m.ReleaseAll(7)
+	if !slices.Equal(grants, []model.ObjectID{1, 2, 3, 4, 5}) {
+		t.Fatalf("waiters granted in order %v, want ascending", grants)
+	}
+	m.ReleaseAll(8)
 	if m.Locked() != 0 {
 		t.Fatalf("table not cleaned: %d", m.Locked())
 	}
 	// Releasing a transaction with no locks is a no-op.
 	m.ReleaseAll(99)
+	if st := m.Stats(); st.Releases != 10 {
+		t.Fatalf("releases = %d, want 10", st.Releases)
+	}
+}
+
+// TestReleasePartlyHeldSet: a caller whose acquisition stopped part-way
+// releases its whole set. Exactly the prefix it holds is freed (a waiter
+// queued behind it is granted); objects further on, held or awaited by
+// other transactions, are left as they were.
+func TestReleasePartlyHeldSet(t *testing.T) {
+	m := NewManagerSharded(4)
+	acquire := func(txn int, obj model.ObjectID, mode Mode, grant func()) bool {
+		t.Helper()
+		ok, err := m.Acquire(txn, obj, mode, grant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	var granted []int
+	acquire(1, 1, Exclusive, nil)
+	acquire(1, 2, Exclusive, nil) // txn 1's set is {1,2,3,5}; it stopped before 3
+	acquire(2, 3, Shared, nil)
+	acquire(2, 5, Shared, nil)
+	if acquire(3, 3, Exclusive, func() { granted = append(granted, 3) }) ||
+		acquire(4, 2, Shared, func() { granted = append(granted, 4) }) {
+		t.Fatal("conflicting request granted")
+	}
+
+	m.Release(1, lockSet(1, 2, 3, 5))
+	if m.Holds(1, 1) || m.Holds(1, 2) {
+		t.Fatal("txn 1 still holds its acquired prefix")
+	}
+	if !slices.Equal(granted, []int{4}) || !m.Holds(4, 2) {
+		t.Fatalf("grants %v: want only txn 4's, on object 2", granted)
+	}
+	if !m.Holds(2, 3) || !m.Holds(2, 5) || m.Holds(3, 3) {
+		t.Fatal("another transaction's holds or queue changed")
+	}
+	if st := m.Stats(); st.Releases != 2 || m.Locked() != 3 {
+		t.Fatalf("releases=%d locked=%d, want 2 and 3", st.Releases, m.Locked())
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	m.Release(2, lockSet(3, 5)) // the queue on 3 is intact: txn 3 is next
+	if !slices.Equal(granted, []int{4, 3}) || !m.Holds(3, 3) {
+		t.Fatalf("grants %v: txn 3's queued request was lost", granted)
+	}
 }
 
 func TestModeString(t *testing.T) {
@@ -162,6 +232,7 @@ func TestRandomTrafficInvariants(t *testing.T) {
 			id      int
 			pending int // locks not yet granted
 			active  bool
+			set     []Request // requested so far, in order
 		}
 		txns := map[int]*txnState{}
 		next := 1
@@ -177,7 +248,7 @@ func TestRandomTrafficInvariants(t *testing.T) {
 				for i := 0; i < n; i++ {
 					objs[model.ObjectID(1+rng.Intn(6))] = Mode(rng.Intn(2))
 				}
-				var order []model.ObjectID
+				var order []model.ObjectID // the transaction's lock set
 				for o := range objs {
 					order = append(order, o)
 				}
@@ -189,6 +260,7 @@ func TestRandomTrafficInvariants(t *testing.T) {
 					}
 				}
 				for _, o := range order {
+					ts.set = append(ts.set, Request{o, objs[o]})
 					ts.pending++
 					g, err := m.Acquire(ts.id, o, objs[o], func() {
 						ts.pending--
@@ -208,7 +280,7 @@ func TestRandomTrafficInvariants(t *testing.T) {
 				// Finish a random fully-granted transaction.
 				for id, ts := range txns {
 					if ts.pending == 0 {
-						m.ReleaseAll(id)
+						m.Release(id, ts.set)
 						delete(txns, id)
 						break
 					}
@@ -224,7 +296,7 @@ func TestRandomTrafficInvariants(t *testing.T) {
 			progressed := false
 			for id, ts := range txns {
 				if ts.pending == 0 {
-					m.ReleaseAll(id)
+					m.Release(id, ts.set)
 					delete(txns, id)
 					progressed = true
 					break
@@ -242,11 +314,12 @@ func TestRandomTrafficInvariants(t *testing.T) {
 }
 
 // TestAcquireReleaseAllocs: on a warmed manager the uncontended acquire →
-// release cycle allocates nothing. Entries, holder slots and held lists
-// come back from the per-shard free lists, and AcquireWait makes its
-// channel only when it queues.
+// Release cycle allocates nothing, at one shard, at eight and at the
+// concurrent engine's count. Entries and holder slots come back from the
+// per-shard free lists, the entry table has grown to its peak, and
+// AcquireWait makes its channel only when it queues.
 func TestAcquireReleaseAllocs(t *testing.T) {
-	for _, shards := range []int{1, 8} {
+	for _, shards := range []int{1, 8, (runtime.GOMAXPROCS(0) + ProcsPerShard - 1) / ProcsPerShard} {
 		m := NewManagerSharded(shards)
 		acquire := func(txn int, obj model.ObjectID, mode Mode) {
 			if ok, err := m.Acquire(txn, obj, mode, nil); err != nil || !ok {
@@ -270,13 +343,15 @@ func TestAcquireReleaseAllocs(t *testing.T) {
 			}},
 		}
 		txn := 0
+		held := make([]Request, 1)
 		for _, c := range cases {
 			cycle := func() {
 				txn++
-				c.op(txn, model.ObjectID(1+txn%64))
-				m.ReleaseAll(txn)
+				held[0].Obj = model.ObjectID(1 + txn%64)
+				c.op(txn, held[0].Obj)
+				m.Release(txn, held)
 			}
-			for i := 0; i < 256; i++ { // warm every shard's maps and free lists
+			for i := 0; i < 256; i++ { // warm every shard's table and free list
 				cycle()
 			}
 			if a := testing.AllocsPerRun(200, cycle); a != 0 {
@@ -289,26 +364,32 @@ func TestAcquireReleaseAllocs(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsCatchesCorruption: a holder slice and a free list
-// allow states a holder map did not, and the check must flag each one.
+// TestCheckInvariantsCatchesCorruption: a holder slice, a probed table and
+// a free list allow states a holder map did not, and the check must flag
+// each one.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	setup := func() *Manager {
 		m := NewManagerSharded(4)
 		m.Acquire(1, 10, Shared, nil)    //nolint:errcheck
 		m.Acquire(2, 20, Exclusive, nil) //nolint:errcheck
-		m.ReleaseAll(2)                  // 20's entry goes to its shard's free list
+		m.Release(2, lockSet(20))        // 20's entry goes to its shard's free list
 		if err := m.CheckInvariants(); err != nil {
 			t.Fatalf("before corruption: %v", err)
 		}
 		return m
 	}
 	recycled := func(m *Manager) *entry { return m.shardFor(20).free[0] }
+	live := func(m *Manager) (*shardState, int) {
+		sh := m.shardFor(10)
+		return sh, sh.index(10)
+	}
 	for _, c := range []struct {
 		name, want string
 		corrupt    func(m *Manager)
 	}{
 		{"txn listed twice", "twice", func(m *Manager) {
-			e := m.shardFor(10).table[10]
+			sh, i := live(m)
+			e := sh.slots[i].e
 			e.holders = append(e.holders, holder{txn: 1, mode: Shared})
 		}},
 		{"recycled entry keeps a holder", "recycled", func(m *Manager) {
@@ -319,8 +400,14 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			e := recycled(m)
 			e.queue = append(e.queue, waiter{txn: 3, mode: Exclusive})
 		}},
-		{"holder missing from its held list", "held list", func(m *Manager) {
-			delete(m.heldFor(1).held, 1)
+		{"entry off its probe path", "probe path", func(m *Manager) {
+			sh, i := live(m)
+			j := (i + len(sh.slots)/2) % len(sh.slots) // the table is at most half full
+			sh.slots[i], sh.slots[j] = sh.slots[j], sh.slots[i]
+		}},
+		{"occupancy miscounted", "occupied", func(m *Manager) {
+			sh, _ := live(m)
+			sh.n++
 		}},
 	} {
 		m := setup()

@@ -1,8 +1,11 @@
 package lock
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"oodb/internal/model"
 )
@@ -82,6 +85,7 @@ func TestConcurrentDisjointTxns(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 200; round++ {
 				txn := w*1000 + round
+				var held []Request
 				for i := 0; i < 10; i++ {
 					// Overlapping object space across workers forces real
 					// conflicts; deadlock-free because every transaction
@@ -101,8 +105,9 @@ func TestConcurrentDisjointTxns(t *testing.T) {
 					if !granted {
 						<-ch
 					}
+					held = append(held, Request{obj, mode})
 				}
-				m.ReleaseAll(txn)
+				m.Release(txn, held)
 			}
 		}()
 	}
@@ -119,5 +124,54 @@ func TestConcurrentDisjointTxns(t *testing.T) {
 	}
 	if s.Granted != s.Requests {
 		t.Fatalf("granted %d != requests %d (every queued request must eventually grant)", s.Granted, s.Requests)
+	}
+}
+
+// TestShardPadding: a shard fills whole 128-byte blocks, so neighbouring
+// shards' mutexes and counters never share a cache line.
+func TestShardPadding(t *testing.T) {
+	if size := unsafe.Sizeof(tableShard{}); size%128 != 0 {
+		t.Fatalf("tableShard is %d bytes, not a multiple of 128", size)
+	}
+}
+
+// TestProbedTableChurn drives one shard's open-addressed table through
+// several doublings and then empties it in a random order, so backward-
+// shift deletion moves entries across long probe runs and around the end
+// of the slot array. After every release each held object must still be
+// found where a probe for it looks, and the table must end empty.
+func TestProbedTableChurn(t *testing.T) {
+	m := NewManager()
+	rng := rand.New(rand.NewSource(7))
+	const n = 300
+	objs := make([]model.ObjectID, n)
+	for i := range objs {
+		objs[i] = model.ObjectID(1 + rng.Intn(1<<20))
+		if _, err := m.Acquire(1, objs[i], Shared, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.Sort(objs)
+	objs = slices.Compact(objs)
+	if got := m.Locked(); got != len(objs) {
+		t.Fatalf("Locked = %d, want %d", got, len(objs))
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	rng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
+	for i, obj := range objs {
+		m.Release(1, []Request{{Obj: obj}})
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("after %d releases: %v", i+1, err)
+		}
+		for _, rest := range objs[i+1:] {
+			if !m.Holds(1, rest) {
+				t.Fatalf("after releasing %d, object %d is no longer found", obj, rest)
+			}
+		}
+	}
+	if got := m.Locked(); got != 0 {
+		t.Fatalf("%d objects still locked", got)
 	}
 }

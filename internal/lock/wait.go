@@ -6,7 +6,7 @@ import "oodb/internal/model"
 // until the lock is granted. It is the concurrent-engine counterpart of
 // Acquire's callback protocol: where the simulator resumes a suspended
 // transaction from the releasing transaction's completion event, a real
-// session goroutine parks on a channel and the releaser's ReleaseAll wakes
+// session goroutine parks on a channel and the releaser's Release wakes
 // it. FIFO grant order is the manager's, unchanged; only the wait mechanism
 // differs, and the channel is made only when the request queues.
 //

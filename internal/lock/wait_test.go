@@ -21,11 +21,11 @@ func TestAcquireWaitGrantsImmediately(t *testing.T) {
 	if !m.Holds(1, 10) {
 		t.Fatal("lock not held after AcquireWait")
 	}
-	m.ReleaseAll(1)
+	m.Release(1, lockSet(10))
 }
 
 // TestAcquireWaitBlocksUntilRelease: a conflicting request parks the
-// goroutine and the holder's ReleaseAll wakes it.
+// goroutine and the holder's Release wakes it.
 func TestAcquireWaitBlocksUntilRelease(t *testing.T) {
 	m := NewManager()
 	if err := m.AcquireWait(1, 10, Exclusive); err != nil {
@@ -41,13 +41,13 @@ func TestAcquireWaitBlocksUntilRelease(t *testing.T) {
 			return
 		}
 		acquired.Store(true)
-		m.ReleaseAll(2)
+		m.Release(2, lockSet(10))
 	}()
 
 	if acquired.Load() {
 		t.Fatal("waiter acquired while the conflicting lock was held")
 	}
-	m.ReleaseAll(1)
+	m.Release(1, lockSet(10))
 	<-done
 	if !acquired.Load() {
 		t.Fatal("waiter never acquired after release")
@@ -115,7 +115,7 @@ func TestAcquireWaitStress(t *testing.T) {
 						atomic.AddInt64(&counters[obj], -1)
 					}
 				}
-				m.ReleaseAll(txn)
+				m.Release(txn, lockSet(objs...))
 			}
 		}(g)
 	}
@@ -134,10 +134,11 @@ func TestAcquireWaitStress(t *testing.T) {
 }
 
 // TestAcquireWaitRecycleStress crowds 16 goroutines onto three objects, so
-// nearly every release empties an entry or a held list onto its shard's
+// nearly every release empties an entry out of its shard's table onto the
 // free list while other requests are queued and parked. A recycled entry
-// or list still reachable from an earlier owner shows up here as a race,
-// a lost grant (the test hangs) or a broken mutual exclusion check.
+// still reachable from an earlier owner, or a table slot shifted under a
+// request in flight, shows up here as a race, a lost grant (the test
+// hangs) or a broken mutual exclusion check.
 func TestAcquireWaitRecycleStress(t *testing.T) {
 	const (
 		goroutines = 16
@@ -196,7 +197,7 @@ func TestAcquireWaitRecycleStress(t *testing.T) {
 						state[obj].Store(0)
 					}
 				}
-				m.ReleaseAll(txn)
+				m.Release(txn, lockSet(objs...))
 			}
 		}(g)
 	}
