@@ -62,6 +62,37 @@ func TestPoolAccessSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestViewHitAllocs: a view's lock-free hit and the drain a full touch
+// list triggers allocate nothing once the stamp table covers the hot set.
+func TestViewHitAllocs(t *testing.T) {
+	p := newTestConcurrentPool(t, 64, 2)
+	v := p.NewView()
+	for pg := storage.PageID(1); pg <= 32; pg++ {
+		if _, err := v.Access(pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := storage.PageID(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		// Three touch lists' worth per run: every run drains.
+		for i := 0; i < 3*touchBatch; i++ {
+			if res, err := v.Access(next); err != nil || !res.Hit {
+				t.Fatalf("Access(%d) = %+v, %v", next, res, err)
+			}
+			if next++; next > 32 {
+				next = 1
+			}
+		}
+		v.Drain()
+	})
+	if allocs != 0 {
+		t.Fatalf("view hits allocate %.1f per run, want 0", allocs)
+	}
+	if s := p.Stats(); s.Misses != 32 || s.Hits == 0 {
+		t.Fatalf("hot set left residency: %+v", s)
+	}
+}
+
 func TestPageListOrder(t *testing.T) {
 	var l PageList
 	h1 := l.PushFront(1)

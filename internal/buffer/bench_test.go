@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"oodb/internal/storage"
@@ -42,5 +43,41 @@ func BenchmarkPoolHit(b *testing.B) {
 		if _, err := p.Access(1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkConcurrentPoolHit: parallel hits on a resident hot set, each
+// goroutine on pages of its own, through the pool's locked Access and
+// through a view per goroutine.
+func BenchmarkConcurrentPoolHit(b *testing.B) {
+	const hot, shards = 32, 8 // pages per goroutine, pool shards
+	for _, mode := range []string{"eager", "view"} {
+		b.Run(mode, func(b *testing.B) {
+			ps := make([]Policy, shards)
+			for i := range ps {
+				ps[i] = NewLRU()
+			}
+			p, err := NewConcurrentPool(64*hot, ps)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var goroutine atomic.Int64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				base := storage.PageID(1 + goroutine.Add(1)*hot)
+				access := p.Access
+				if mode == "view" {
+					v := p.NewView()
+					defer v.Drain()
+					access = v.Access
+				}
+				for i := 0; pb.Next(); i++ {
+					if _, err := access(base + storage.PageID(i%hot)); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
 	}
 }

@@ -3,6 +3,8 @@ package buffer
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"oodb/internal/storage"
 )
@@ -17,17 +19,33 @@ import (
 // session faulting a page on one shard never blocks a session hitting on
 // another.
 //
-// Contains and IsDirty take the shard's read lock; everything else mutates
-// residency, policy bookkeeping or statistics and takes the write lock.
+// Every method takes the shard's lock. A session that calls through its own
+// View (NewView) serves most hits without it: see View.
 type ConcurrentPool struct {
 	shards []cshard
 	mask   uint64
 	cap    int
 }
 
-// cshard is one slice of the pool: a Pool and the lock that guards it.
+// cshard pads a shard to whole 128-byte blocks: neighbouring shards'
+// mutexes and counters share no cache line nor adjacent-line pair. The pad
+// is never empty: Go sizes a struct ending in a zero-length field one word
+// past its last real field.
 type cshard struct {
-	mu sync.RWMutex
+	shardState
+	_ [128 - unsafe.Sizeof(shardState{})%128]byte
+}
+
+// shardState is one slice of the pool: a Pool, the lock that guards it, and
+// its eviction epoch.
+type shardState struct {
+	// epoch counts the pages that have left this shard's frame table. The
+	// Pool bumps it under mu before a page leaves; views load it without the
+	// lock on every hit, so it keeps a 128-byte block of its own, away from
+	// the lines every locked operation writes.
+	epoch atomic.Uint64
+	_     [128 - 8]byte
+	mu    sync.Mutex
 	Pool
 }
 
@@ -50,7 +68,9 @@ func NewConcurrentPool(capacity int, policies []Policy) (*ConcurrentPool, error)
 		cap:    capacity,
 	}
 	for i := range p.shards {
-		p.shards[i].Pool = *NewPool(ShardCapacity(capacity, n, i), policies[i])
+		sh := &p.shards[i]
+		sh.Pool = *NewPool(ShardCapacity(capacity, n, i), policies[i])
+		sh.Pool.epoch = &sh.epoch
 	}
 	return p, nil
 }
@@ -66,12 +86,10 @@ func ShardCapacity(capacity, n, i int) int {
 	return c
 }
 
-// SetPageIO installs the physical page-transfer backend on every shard; nil
-// (the default) keeps the pool a pure counting model. The transfers run
-// under the shard lock so the frame leaves residency and reaches the page
-// file atomically with respect to other faults on the shard — the
-// straightforward ordering, paid for by holding the shard during the I/O.
-// Only that one shard stalls; the others keep serving hits.
+// SetPageIO installs the page-transfer counter on every shard; nil (the
+// default) counts nothing. A transfer is a counter increment under the
+// shard lock: frames carry no bytes, so there is no I/O to hold the shard
+// through.
 func (p *ConcurrentPool) SetPageIO(io storage.PageIO) {
 	for i := range p.shards {
 		sh := &p.shards[i]
@@ -91,7 +109,11 @@ func (p *ConcurrentPool) Capacity() int { return p.cap }
 const fibMix = 0x9E3779B97F4A7C15
 
 func (p *ConcurrentPool) shardFor(pg storage.PageID) *cshard {
-	return &p.shards[(uint64(pg)*fibMix>>32)&p.mask]
+	return &p.shards[p.shardIndex(pg)]
+}
+
+func (p *ConcurrentPool) shardIndex(pg storage.PageID) int {
+	return int((uint64(pg) * fibMix >> 32) & p.mask)
 }
 
 // Access brings pg into the pool (if needed) and touches it.
@@ -113,8 +135,8 @@ func (p *ConcurrentPool) Install(pg storage.PageID) (AccessResult, error) {
 // Contains reports whether pg is resident.
 func (p *ConcurrentPool) Contains(pg storage.PageID) bool {
 	sh := p.shardFor(pg)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	return sh.Pool.Contains(pg)
 }
 
@@ -124,14 +146,6 @@ func (p *ConcurrentPool) MarkDirty(pg storage.PageID) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.Pool.MarkDirty(pg)
-}
-
-// IsDirty reports whether pg is resident and dirty.
-func (p *ConcurrentPool) IsDirty(pg storage.PageID) bool {
-	sh := p.shardFor(pg)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.Pool.IsDirty(pg)
 }
 
 // Boost raises pg's replacement priority if it is resident and reports
@@ -149,9 +163,9 @@ func (p *ConcurrentPool) Resident() int {
 	n := 0
 	for i := range p.shards {
 		sh := &p.shards[i]
-		sh.mu.RLock()
+		sh.mu.Lock()
 		n += sh.Pool.Resident()
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 	return n
 }
@@ -161,9 +175,9 @@ func (p *ConcurrentPool) Stats() Stats {
 	var s Stats
 	for i := range p.shards {
 		sh := &p.shards[i]
-		sh.mu.RLock()
+		sh.mu.Lock()
 		o := sh.Pool.Stats()
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 		s.Hits += o.Hits
 		s.Misses += o.Misses
 		s.Evictions += o.Evictions
@@ -184,8 +198,8 @@ func (p *ConcurrentPool) ResetStats() {
 }
 
 // FlushDirty writes every dirty resident page through the PageIO backend
-// and clears its dirty flag, one shard at a time under that shard's write
-// lock — the shutdown/checkpoint sweep.
+// and clears its dirty flag, one shard at a time under that shard's lock —
+// the shutdown/checkpoint sweep.
 func (p *ConcurrentPool) FlushDirty() error {
 	for i := range p.shards {
 		sh := &p.shards[i]
@@ -204,9 +218,9 @@ func (p *ConcurrentPool) FlushDirty() error {
 func (p *ConcurrentPool) CheckInvariants() error {
 	for i := range p.shards {
 		sh := &p.shards[i]
-		sh.mu.RLock()
+		sh.mu.Lock()
 		n, quota := sh.Pool.Resident(), sh.Pool.Capacity()
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 		if n > quota {
 			return fmt.Errorf("buffer: shard %d holds %d frames over quota %d", i, n, quota)
 		}

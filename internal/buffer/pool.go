@@ -10,6 +10,7 @@ package buffer
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"oodb/internal/storage"
 )
@@ -85,6 +86,11 @@ type Pool struct {
 	resident int
 	stats    Stats
 	io       storage.PageIO // nil = count only, no physical transfer
+
+	// epoch, when set (a ConcurrentPool shard), is bumped before any page
+	// leaves the frame table: a view's residency stamp holds while it is
+	// unchanged.
+	epoch *atomic.Uint64
 }
 
 // frameState is a page's entry in the frame table.
@@ -163,9 +169,8 @@ func (p *Pool) admit(pg storage.PageID, res *AccessResult) error {
 		res.Victim = victim
 		res.VictimDirty = vs == dirty
 		if vs == dirty {
-			// WAL ordering: the victim's mutations were journaled before the
-			// frame was marked dirty, so writing the frame here never puts
-			// unlogged state on disk.
+			// The write-back is a transfer count: frames carry no bytes, and
+			// the victim's mutations are already in the log.
 			if p.io != nil {
 				if err := p.io.WritePage(victim); err != nil {
 					return fmt.Errorf("buffer: flush of victim page %d: %w", victim, err)
@@ -187,6 +192,9 @@ func (p *Pool) admit(pg storage.PageID, res *AccessResult) error {
 // a faulty policy's victim — leaves the table and the count as they are.
 func (p *Pool) drop(pg storage.PageID) {
 	if p.frames.Get(pg) != absent {
+		if p.epoch != nil {
+			p.epoch.Add(1)
+		}
 		p.frames.Set(pg, absent)
 		p.resident--
 	}
@@ -216,8 +224,7 @@ func (p *Pool) Install(pg storage.PageID) (AccessResult, error) {
 // and with a PageIO backend a physical fetch) from Install.
 func (p *Pool) fault(pg storage.PageID, read bool) (AccessResult, error) {
 	if p.Contains(pg) {
-		p.stats.Hits++
-		p.policy.Touched(pg)
+		p.hit(pg)
 		return AccessResult{Hit: true}, nil
 	}
 	if read {
@@ -237,6 +244,18 @@ func (p *Pool) fault(pg storage.PageID, read bool) (AccessResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// hit counts a hit on pg and, if pg is still resident, tells the policy;
+// it reports whether pg was. The fault path's hit and a View's deferred
+// touch, which pg may have outlived, both land here.
+func (p *Pool) hit(pg storage.PageID) bool {
+	p.stats.Hits++
+	if !p.Contains(pg) {
+		return false
+	}
+	p.policy.Touched(pg)
+	return true
 }
 
 // MarkDirty flags a resident page as modified. Marking a non-resident page

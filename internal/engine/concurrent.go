@@ -25,13 +25,15 @@ import (
 // throughput and tail latency come from real contention on the sharded
 // structures: the Fibonacci-hashed lock table and buffer.ConcurrentPool,
 // which is the serial engine's buffer.Pool in locked, hash-routed shards
-// (the same fault path; only victim order becomes shard-local). The
-// logical results stay checkable: the access layer's digest
-// folds per session and combines order-independently, and a
-// one-session run draws the identical transaction stream as the serial
-// engine (same seed-derived "workload" stream, same session-length
-// bookkeeping), so serial digest == 1-session concurrent digest is an
-// oracle invariant the tests assert.
+// (the same fault path; only victim order becomes shard-local). Each
+// session reaches the pool through its own buffer.View, which serves a hit
+// on a page it has seen resident without the shard lock and hands the
+// touch to the shard's policy later, in order. The logical results stay
+// checkable: the access layer's digest folds per session and combines
+// order-independently, and a one-session run draws the identical
+// transaction stream as the serial engine (same seed-derived "workload"
+// stream, same session-length bookkeeping), so serial digest == 1-session
+// concurrent digest is an oracle invariant the tests assert.
 //
 // Synchronization is two-level, and provably deadlock-free:
 //
@@ -123,6 +125,8 @@ type csession struct {
 	stack *stack
 	think *rand.Rand
 
+	view *buffer.View // the session's handle on the pool, its stack's frames
+
 	remaining int            // transactions left in the current session burst
 	locks     []lock.Request // lock set, rebuilt per transaction and released as is
 
@@ -183,10 +187,10 @@ func NewConcurrent(cfg Config, opt ConcurrentOptions) (*Concurrent, error) {
 			}
 			policies[i] = p
 		}
-		// Page I/O from this pool under a persistent backend is safe because
-		// every fault originates inside execute, which holds the structure
-		// guard — the manager state a frame write reads is stable for the
-		// duration.
+		// A page transfer under a persistent backend is a counter increment
+		// under the shard lock (frames carry no bytes), so a fault needs no
+		// more of the structure guard than the read guard every
+		// transaction holds.
 		pool, err := buffer.NewConcurrentPool(cfg.Buffers, policies)
 		if err != nil {
 			return nil, err
@@ -209,10 +213,12 @@ func NewConcurrent(cfg Config, opt ConcurrentOptions) (*Concurrent, error) {
 		if i > 0 {
 			wrkName = fmt.Sprintf("workload-%d", i)
 		}
+		view := c.pool.NewView()
 		c.sessions[i] = &csession{
 			id:    i,
 			think: w.sim.Stream(fmt.Sprintf("think-%d", i)),
-			stack: w.newStack(w.newGenerator(wrkName)),
+			stack: w.newStack(w.newGenerator(wrkName), view),
+			view:  view,
 		}
 		if w.durable != nil {
 			c.sessions[i].wait = new(stats.Hist)
@@ -295,6 +301,9 @@ func (c *Concurrent) quota(i int) int64 {
 // user.onWake exactly, so a one-session run consumes its RNG stream in the
 // identical order.
 func (c *Concurrent) runSession(cs *csession, start time.Time) {
+	// Hits the view deferred reach the pool's policy and statistics before
+	// Run reads them, whichever way the session ends.
+	defer cs.view.Drain()
 	limit := c.quota(cs.id)
 	warmup := int64(c.cfg.Warmup)
 
@@ -384,8 +393,13 @@ func (c *Concurrent) execute(cs *csession, txn int) error {
 		err error
 	)
 	if req.Kind.IsWrite() {
+		// The shared clusterer calls the pool directly, so the session's
+		// deferred hits drain first and its own calls run eagerly: every
+		// shard's policy sees the write's accesses in the order they occur.
 		c.mu.Lock()
+		cs.view.SetEager(true)
 		res, err = c.transact(cs.stack, txn, req)
+		cs.view.SetEager(false)
 		c.mu.Unlock()
 		// The commit record is in the log in guard order; the flush happens
 		// out here, beside other sessions' reads and appends, with only this

@@ -1,11 +1,16 @@
 package engine
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"oodb/internal/core"
 	"oodb/internal/lock"
+	"oodb/internal/workload"
 )
 
 // runConcurrent is run for the wall-clock engine: build, run, check the
@@ -179,6 +184,124 @@ func TestConcurrentManySessions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConcurrentPoolSessionHitsConserved: each session's buffer.View
+// defers its hits, so a touch left pending when a session stops would be
+// lost from the pool's statistics. On a read-only OCB run without
+// prefetch, every found logical read is one pool hit or one miss, and the
+// pool's hits are the ones the sessions counted — at any session count.
+// With several sessions, the last one raises the fail-stop flag early, so
+// every session stops on the flag instead of its quota.
+func TestConcurrentPoolSessionHitsConserved(t *testing.T) {
+	for _, sessions := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("sessions=%d", sessions), func(t *testing.T) {
+			cfg := ocbSmall.config(600)
+			c, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: sessions})
+			if err != nil {
+				t.Fatal(err)
+			}
+			failStop := sessions > 1
+			if failStop {
+				cs := c.sessions[sessions-1]
+				cs.stack.gen = &failAfter{Source: cs.stack.gen, n: 20, failed: &c.failed}
+			}
+			res, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if stopped := res.Completed < cfg.Transactions+cfg.Warmup; stopped != failStop {
+				t.Fatalf("completed %d of %d transactions, fail-stop %v",
+					res.Completed, cfg.Transactions+cfg.Warmup, failStop)
+			}
+			hits := 0
+			for _, h := range res.KindHits {
+				hits += h
+			}
+			if res.Pool.Hits != hits {
+				t.Fatalf("pool counted %d hits, sessions %d", res.Pool.Hits, hits)
+			}
+			if found := res.LogicalOps - res.NotFoundReads; res.Pool.Hits+res.Pool.Misses != found {
+				t.Fatalf("%d hits + %d misses for %d found logical reads",
+					res.Pool.Hits, res.Pool.Misses, found)
+			}
+		})
+	}
+}
+
+// TestConcurrentViewMatchesEagerPool: with one session, every shard's
+// policy sees through the session's view exactly the notifications the
+// pool's own methods would give it, so a run whose stack calls the pool
+// directly reports the same result in every layer — victims decide the
+// physical I/O counts, and under writes the clusterer's candidate pages.
+// Both streams write, driving the view's eager mode beside the
+// clusterer's own pool calls; the context-sensitive policy adds locked
+// boosts between deferred hits.
+func TestConcurrentViewMatchesEagerPool(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"ocb-write":   noLocking(ocbWrites.cfg, 400),
+		"oct-context": withContext(octSmall.config(400)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			run := func(eager bool) ResultCore {
+				c, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if eager {
+					st := c.sessions[0].stack
+					st.pool, st.pf.Pool = c.pool, c.pool
+				}
+				res, err := c.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+				res.Throughput = 0 // wall clock
+				return res.ResultCore
+			}
+			view, eager := run(false), run(true)
+			if view.Pool.Hits == 0 || view.Pool.Evictions == 0 {
+				t.Fatalf("run never hit or never evicted: %+v", view.Pool)
+			}
+			if !reflect.DeepEqual(view, eager) {
+				t.Fatalf("view run diverged from the eager pool:\n%+v\n%+v", view, eager)
+			}
+		})
+	}
+}
+
+// withContext returns cfg under the context-sensitive replacement policy,
+// whose per-read boosts are locked view calls between deferred hits.
+func withContext(cfg Config) Config {
+	cfg.Replacement = core.ReplContext
+	return cfg
+}
+
+// failAfter is a session's operation source that raises the fail-stop
+// flag on its nth draw, as a session whose transaction failed does.
+type failAfter struct {
+	workload.Source
+	n      int
+	failed *atomic.Bool
+}
+
+func (f *failAfter) Next() workload.Op {
+	if f.n--; f.n == 0 {
+		f.failed.Store(true)
+	}
+	return f.Source.Next()
 }
 
 // TestConcurrentSameSeedLogicalInvariants: wall-clock interleaving is not

@@ -24,8 +24,13 @@ var dynamicStrategies = []string{"dstc", "dro"}
 // are two runs of one configuration, and the reorganizing stream carries
 // the heat-window (dstc) and sweep (dro) state from window to window. On
 // that stream the live run must also show the reorganization itself
-// (checkReorganized). Each case builds its world once and runs three clones
-// of it.
+// (checkReorganized). It is also the cross-engine oracle for the dynamic
+// strategies: one concurrent session draws the serial engine's workload
+// stream, so a one-user serial run's logical digest — and for the write
+// streams, its final-state digest and placement conservation — must match
+// the concurrent engine's exactly, even though reorganization runs under
+// the sharded pool and the session's view of it. Each case builds its world
+// once and runs four clones of it, and the concurrent engine builds its own.
 func TestDynamicStrategyTraceIdentity(t *testing.T) {
 	t.Parallel()
 	for _, strat := range dynamicStrategies {
@@ -54,28 +59,11 @@ func TestDynamicStrategyTraceIdentity(t *testing.T) {
 				if !reflect.DeepEqual(stripped(replayed), stripped(live)) {
 					t.Fatalf("replay diverged from live run:\n%v\n%v", replayed, live)
 				}
-			})
-		}
-	}
-}
 
-// TestDynamicStrategyConcurrentSerialDigest: the cross-engine oracle for
-// the dynamic strategies. One concurrent session draws the serial engine's
-// workload stream, so the logical digest — and for the write mix, the
-// final-state digest and placement conservation — must match the serial
-// simulator exactly even though reorganization runs under the sharded
-// concurrent pool.
-func TestDynamicStrategyConcurrentSerialDigest(t *testing.T) {
-	for _, strat := range dynamicStrategies {
-		for wl, cfg := range dynamicStreams(400) {
-			t.Run(strat+"/"+wl, func(t *testing.T) {
-				cfg.ClusterStrategy = strat
-				cfg.Users = 1
-				cfg.Warmup = 0
-
-				serial := run(t, cfg)
-				conc := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 1})
-
+				one := base
+				one.Users, one.Warmup = 1, 0
+				serial := w.run(t, one)
+				conc := runConcurrent(t, one, ConcurrentOptions{Sessions: 1})
 				if serial.LogicalDigest != conc.LogicalDigest {
 					t.Fatalf("digest diverged: serial %016x, concurrent %016x",
 						serial.LogicalDigest, conc.LogicalDigest)

@@ -84,7 +84,7 @@ func newEngine(cfg Config, newWorld func() (*world, error)) (*Engine, error) {
 	}
 	e.world = w
 	e.tuner, _ = w.clust.(core.PolicyTuner)
-	st := w.newStack(w.newGenerator("workload"))
+	st := w.newStack(w.newGenerator("workload"), w.frames)
 	e.access, e.gen = st, st.gen
 	e.metrics.warmup = cfg.Warmup
 

@@ -48,7 +48,7 @@ func OpenLibrary(cfg Config, g *model.Graph, mem *storage.Manager) (*Library, er
 	if err := w.open(g, mem, nil, 1, serialPool); err != nil {
 		return nil, err
 	}
-	return &Library{world: w, stack: w.newStack(callerDriven{})}, nil
+	return &Library{world: w, stack: w.newStack(callerDriven{}, w.frames)}, nil
 }
 
 // Read performs one logical read of id — buffer access, context boosts and

@@ -301,11 +301,13 @@ func (w *world) newGenerator(stream string) workload.Source {
 
 // newStack builds one access-layer stack over the shared world: its own
 // prefetcher (scratch buffers and counters), scratch and digest, telling
-// gen — the driver's operation source — of every object it creates.
-func (w *world) newStack(gen workload.Source) *stack {
+// gen — the driver's operation source — of every object it creates. The
+// stack and its prefetcher reach the pool through frames: the world's own
+// pool, or a concurrent session's view of it.
+func (w *world) newStack(gen workload.Source, frames buffer.Frames) *stack {
 	cfg := w.cfg
 	pf := &core.Prefetcher{
-		Graph: w.graph, Store: w.store, Pool: w.frames,
+		Graph: w.graph, Store: w.store, Pool: frames,
 		Policy: cfg.Prefetch, Hints: cfg.Hints, Hint: userHint,
 	}
 	// Dynamic clustering strategies consume the access-pattern feed; the
@@ -314,7 +316,7 @@ func (w *world) newStack(gen workload.Source) *stack {
 	// race-free under the shared guard.
 	obsv, _ := w.clust.(core.AccessObserver)
 	st := &stack{
-		graph: w.graph, store: w.store, pool: w.frames,
+		graph: w.graph, store: w.store, pool: frames,
 		clust: w.clust, pf: pf, log: w.log, gen: gen,
 		obsv:         obsv,
 		boostContext: w.boostContext,
