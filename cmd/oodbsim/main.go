@@ -361,7 +361,7 @@ func (s singleRun) config() (oodb.SimConfig, error) {
 		}
 	}
 	if applies("repl") {
-		if err = oodb.SetReplacement(&cfg, s.repl); err != nil {
+		if cfg.Replacement, err = oodb.ParseReplacement(s.repl); err != nil {
 			return cfg, err
 		}
 	}

@@ -66,7 +66,9 @@ func TestSingleRunConfig(t *testing.T) {
 		{"repl-paper", []string{"-repl", "Context"},
 			func(c *oodb.SimConfig) { c.Replacement = oodb.ReplContext }},
 		{"repl-registry", []string{"-repl", "clock"},
-			func(c *oodb.SimConfig) { c.ReplacementName = "clock" }},
+			func(c *oodb.SimConfig) { c.Replacement = "clock" }},
+		{"aliases", []string{"-repl", "secondchance", "-strategy", "none", "-backend", "mem"},
+			func(c *oodb.SimConfig) { c.Replacement, c.ClusterStrategy, c.Backend = "secondchance", "none", "mem" }},
 		{"prefetch", []string{"-prefetch", "db"},
 			func(c *oodb.SimConfig) { c.Prefetch = oodb.PrefetchWithinDB }},
 		{"strategy", []string{"-strategy", "dstc"},

@@ -43,7 +43,8 @@ func NewPolicyByName(name string, cfg PolicyConfig) (Policy, error) {
 // HasPolicy reports whether name resolves to a registered policy.
 func HasPolicy(name string) bool { return policies.Has(name) }
 
-// PolicyNames returns the registered policy names (canonical form, sorted).
+// PolicyNames returns the registered policy names (one per registration,
+// canonical form, sorted).
 func PolicyNames() []string { return policies.Names() }
 
 func init() {

@@ -130,29 +130,26 @@ func (p PrefetchPolicy) String() string {
 	return fmt.Sprintf("PrefetchPolicy(%d)", p)
 }
 
-// Replacement selects the buffer replacement policy (control parameter K).
-type Replacement uint8
+// Replacement names the buffer replacement policy (control parameter K) in
+// the buffer package's policy registry. The constants are the paper's three
+// policies; any other registered name (e.g. "clock") selects that policy.
+type Replacement string
 
 const (
 	// ReplLRU is least-recently-used.
-	ReplLRU Replacement = iota
+	ReplLRU Replacement = "LRU"
 	// ReplContext is the context-sensitive priority policy.
-	ReplContext
+	ReplContext Replacement = "Context-sensitive"
 	// ReplRandom replaces a random page.
-	ReplRandom
+	ReplRandom Replacement = "Random"
 )
 
-// String names the replacement policy.
+// String names the replacement policy: the zero value is ReplLRU.
 func (r Replacement) String() string {
-	switch r {
-	case ReplLRU:
-		return "LRU"
-	case ReplContext:
-		return "Context-sensitive"
-	case ReplRandom:
-		return "Random"
+	if r == "" {
+		return string(ReplLRU)
 	}
-	return fmt.Sprintf("Replacement(%d)", r)
+	return string(r)
 }
 
 // HintPolicy selects whether user hints are honored (control parameter J).

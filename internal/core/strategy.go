@@ -120,8 +120,8 @@ func NewClusterStrategy(name string, seam ClusterSeam) (ClusterStrategy, error) 
 // HasClusterStrategy reports whether name resolves to a registered strategy.
 func HasClusterStrategy(name string) bool { return strategies.Has(name) }
 
-// ClusterStrategyNames returns the registered strategy names (canonical
-// form, sorted).
+// ClusterStrategyNames returns the registered strategy names (one per
+// registration, canonical form, sorted).
 func ClusterStrategyNames() []string { return strategies.Names() }
 
 // placer is what every clustering strategy shares: the layers below it, the

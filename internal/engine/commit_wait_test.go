@@ -232,7 +232,7 @@ func TestDurableWaitFailureStopsTheRun(t *testing.T) {
 		if _, err := e.Run(); !errors.Is(err, errInjected) {
 			t.Fatalf("Run returned %v, want the injected fault", err)
 		}
-		if got := e.durable.Committed(); got != failAt {
+		if got := int(e.durable.DurableStats().Committed); got != failAt {
 			t.Errorf("%d commits appended, want to stop at the %d-th", got, failAt)
 		}
 	})
@@ -276,7 +276,7 @@ func TestDurableWaitFailureStopsTheRun(t *testing.T) {
 		if _, err := c.Run(); !errors.Is(err, errInjected) {
 			t.Fatalf("Run returned %v, want the injected fault", err)
 		}
-		if got, max := c.durable.Committed(), failAt+sessions-1; got > max {
+		if got, max := int(c.durable.DurableStats().Committed), failAt+sessions-1; got > max {
 			t.Errorf("%d commits appended, want at most %d: sessions kept committing behind the failure", got, max)
 		}
 		if held := c.locks.Locked(); held != 0 {

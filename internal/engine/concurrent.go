@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -110,8 +111,9 @@ func (o ConcurrentOptions) Validate() error {
 		return fmt.Errorf("engine: Sessions must be positive")
 	case o.ThinkTime < 0:
 		return fmt.Errorf("engine: ThinkTime must be non-negative")
-	case o.ArrivalRate < 0:
-		return fmt.Errorf("engine: ArrivalRate must be non-negative")
+	case !(o.ArrivalRate >= 0) || math.IsInf(o.ArrivalRate, 1):
+		// A NaN rate compares false both ways and would run closed-loop.
+		return fmt.Errorf("engine: ArrivalRate must be non-negative and finite, not %v", o.ArrivalRate)
 	}
 	return nil
 }

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -383,6 +385,13 @@ func TestConcurrentRejectsSerialOnlyAttachments(t *testing.T) {
 	cfg = octSmall.config(50)
 	if _, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: 0}); err == nil {
 		t.Fatal("NewConcurrent accepted zero sessions")
+	}
+	// A NaN rate would run closed-loop and +Inf with no gap at all.
+	for _, rate := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := ConcurrentOptions{Sessions: 1, ArrivalRate: rate}.Validate()
+		if err == nil || !strings.Contains(err.Error(), "ArrivalRate") {
+			t.Errorf("ArrivalRate %v: got %v, want an error naming the field", rate, err)
+		}
 	}
 }
 

@@ -59,7 +59,9 @@ type Config struct {
 	Split core.SplitPolicy
 	// Hints is the user-hint policy (J).
 	Hints core.HintPolicy
-	// Replacement is the buffer replacement policy (K).
+	// Replacement names the buffer replacement policy (K) in the policy
+	// registry: one of the paper's three or any other registered policy
+	// (e.g. "clock"). Empty means LRU.
 	Replacement core.Replacement
 	// Buffers is the buffer-pool size in frames (L: 100/1000/10000, scaled).
 	Buffers int
@@ -165,12 +167,6 @@ type Config struct {
 
 	// --- Layer seams ---
 
-	// ReplacementName, when non-empty, selects the buffer replacement policy
-	// from the name registry (e.g. "clock"), overriding the Replacement
-	// enum. The enum stays authoritative for the paper's three policies so
-	// existing configurations replay byte-identically.
-	ReplacementName string
-
 	// ClusterStrategy, when non-empty, selects the clustering strategy from
 	// the name registry (e.g. "noop"); empty means "affinity", the paper's
 	// algorithm.
@@ -270,20 +266,19 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: Split %d is out of range", c.Split)
 	case c.Hints > core.UserHints:
 		return fmt.Errorf("engine: Hints %d is out of range", c.Hints)
-	case c.Replacement > core.ReplRandom:
-		return fmt.Errorf("engine: Replacement %d is out of range", c.Replacement)
 	case c.Prefetch > core.PrefetchWithinDB:
 		return fmt.Errorf("engine: Prefetch %d is out of range", c.Prefetch)
-	case c.ReplacementName != "" && !buffer.HasPolicy(c.ReplacementName):
-		return fmt.Errorf("engine: unknown replacement policy %q (have %v)",
-			c.ReplacementName, buffer.PolicyNames())
+	case !buffer.HasPolicy(c.Replacement.String()):
+		return fmt.Errorf("engine: Replacement %q is not a registered policy (have %v)",
+			c.Replacement, buffer.PolicyNames())
 	case c.ClusterStrategy != "" && !core.HasClusterStrategy(c.ClusterStrategy):
 		return fmt.Errorf("engine: unknown cluster strategy %q (have %v)",
 			c.ClusterStrategy, core.ClusterStrategyNames())
 	case c.Record != nil && c.Replay != nil:
 		return fmt.Errorf("engine: Record and Replay are mutually exclusive")
-	case c.FlashFactor < 0:
-		return fmt.Errorf("engine: FlashFactor must be non-negative")
+	case !(c.FlashFactor >= 0) || math.IsInf(c.FlashFactor, 1):
+		// A NaN factor compares false both ways and would run with no flash.
+		return fmt.Errorf("engine: FlashFactor must be non-negative and finite, not %v", c.FlashFactor)
 	case c.FlashFactor > 1 && c.FlashLen <= 0:
 		return fmt.Errorf("engine: FlashFactor > 1 requires a positive FlashLen")
 	case c.FlashFactor > 1 && c.FlashAt < 0:
@@ -364,7 +359,6 @@ var configPhases = map[string]phase{
 	"Replacement":         phaseConstruction,
 	"Buffers":             phaseConstruction,
 	"NoSiblingCandidates": phaseConstruction,
-	"ReplacementName":     phaseConstruction,
 	"ClusterStrategy":     phaseConstruction,
 
 	"Users":              phaseRun,
@@ -426,16 +420,12 @@ func (c Config) WorldKey() WorldKey { return WorldKey{c.constructionKey()} }
 
 // Label summarizes the control parameters for report rows.
 func (c Config) Label() string {
-	repl := c.Replacement.String()
-	if c.ReplacementName != "" {
-		repl = c.ReplacementName
-	}
 	head := fmt.Sprintf("%s-%g", c.Density.Short(), c.ReadWriteRatio)
 	if c.Workload == WorkloadOCB {
 		head = c.OCB.Label()
 	}
 	label := fmt.Sprintf("%s %s/%s/%s %s+%s buf=%d",
-		head, c.Cluster, c.Split, c.Hints, repl, c.Prefetch, c.Buffers)
+		head, c.Cluster, c.Split, c.Hints, c.Replacement, c.Prefetch, c.Buffers)
 	if c.ClusterStrategy != "" {
 		label += " strat=" + c.ClusterStrategy
 	}

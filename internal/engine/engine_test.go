@@ -32,20 +32,24 @@ func TestConfigValidation(t *testing.T) {
 		{"PhasedRW", func(c *Config) { c.PhasedRW = []float64{100, math.NaN(), 5} }},
 		{"PhasedRW", func(c *Config) { c.PhasedRW = []float64{100, 10, -5} }},
 		{"PhasedRW", func(c *Config) { c.PhasedRW = []float64{0} }},
-		{"replacement policy", func(c *Config) { c.ReplacementName = "bogus" }},
+		{"FlashFactor", func(c *Config) { c.FlashFactor, c.FlashLen = math.NaN(), 10 }},
+		{"FlashFactor", func(c *Config) { c.FlashFactor, c.FlashLen = math.Inf(1), 10 }},
+		{"FlashFactor", func(c *Config) { c.FlashFactor, c.FlashLen = math.Inf(-1), 10 }},
+		{"Replacement", func(c *Config) { c.Replacement = "bogus" }},
 		{"cluster strategy", func(c *Config) { c.ClusterStrategy = "bogus" }},
 	}
 	for _, tc := range bad {
-		cfg := octSmall.config(10)
-		tc.mutate(&cfg)
-		err := cfg.Validate()
-		if err == nil {
-			t.Errorf("%s: invalid config accepted", tc.field)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("%s: error %q does not name the field", tc.field, err)
-		}
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := octSmall.config(10)
+			tc.mutate(&cfg)
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatal("invalid config accepted")
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("error %q does not name the field", err)
+			}
+		})
 	}
 	if err := octSmall.config(10).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
@@ -55,7 +59,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	// Registered names pass validation without constructing an engine.
 	cfg := octSmall.config(10)
-	cfg.ReplacementName = "clock"
+	cfg.Replacement = "clock"
 	cfg.ClusterStrategy = "noop"
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("registry names rejected: %v", err)
@@ -96,9 +100,6 @@ func TestConfigRefusesOutOfRangeEnums(t *testing.T) {
 		{"Hints",
 			func(c *Config) { c.Hints = core.UserHints },
 			func(c *Config) { c.Hints = core.HintPolicy(3) }},
-		{"Replacement",
-			func(c *Config) { c.Replacement = core.ReplRandom },
-			func(c *Config) { c.Replacement = core.ReplRandom + 1 }},
 		{"Prefetch",
 			func(c *Config) { c.Prefetch = core.PrefetchWithinDB },
 			func(c *Config) { c.Prefetch = core.PrefetchWithinDB + 1 }},

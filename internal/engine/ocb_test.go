@@ -86,7 +86,7 @@ func TestOCBRecordReplayIdentity(t *testing.T) {
 
 			polCfg := tc.cfg
 			polCfg.Replay = bytes.NewReader(buf.Bytes())
-			polCfg.ReplacementName = "clock"
+			polCfg.Replacement = "clock"
 			pol := run(t, polCfg)
 			if pol.LogicalDigest != base.LogicalDigest {
 				t.Fatalf("logical digest diverged across policies: %016x vs %016x",

@@ -27,7 +27,7 @@ func TestRandomConfigurations(t *testing.T) {
 		}[rng.Intn(5)]
 		cfg.Split = core.SplitPolicy(rng.Intn(3))
 		cfg.Hints = core.HintPolicy(rng.Intn(2))
-		cfg.Replacement = core.Replacement(rng.Intn(3))
+		cfg.Replacement = []core.Replacement{core.ReplLRU, core.ReplContext, core.ReplRandom}[rng.Intn(3)]
 		cfg.Prefetch = core.PrefetchPolicy(rng.Intn(3))
 		cfg.Locking = rng.Intn(2) == 0
 		cfg.Warmup = rng.Intn(50)

@@ -5,17 +5,19 @@ import (
 	"reflect"
 	"testing"
 
+	"oodb/internal/buffer"
 	"oodb/internal/core"
 	"oodb/internal/model"
+	"oodb/internal/storage"
 	"oodb/internal/workload"
 )
 
 // TestRegistrySelectedStack drives a full simulation through the same path
 // the CLI flags use: replacement policy and clustering strategy chosen by
-// registry name instead of by enum.
+// registry name.
 func TestRegistrySelectedStack(t *testing.T) {
 	cfg := octTiny.config(150)
-	cfg.ReplacementName = "clock"
+	cfg.Replacement = "clock"
 	cfg.ClusterStrategy = "noop"
 	e := fresh(t, cfg)
 	if e.tuner != nil {
@@ -64,10 +66,67 @@ func TestNoopIsAffinityNoCluster(t *testing.T) {
 	}
 }
 
+// TestRegistryAliasesResolve: the registries list each registration once,
+// under its primary name, yet every alias the CLI accepts still resolves to
+// the same implementation as that name.
+func TestRegistryAliasesResolve(t *testing.T) {
+	policyName := func(name string) string {
+		p, err := buffer.NewPolicyByName(name, buffer.PolicyConfig{Frames: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Name()
+	}
+	strategyType := func(name string) string {
+		s, err := core.NewClusterStrategy(name, core.ClusterSeam{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reflect.TypeOf(s).String()
+	}
+	backendType := func(name string) string {
+		mem := storage.NewManager(model.NewGraph(), 4096)
+		b, err := storage.NewBackendByName(name, mem, storage.BackendOptions{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, ok := b.(storage.Durable); ok {
+			defer d.Close() // errscan:ok test cleanup
+		}
+		return reflect.TypeOf(b).String()
+	}
+	for _, tc := range []struct {
+		alias, primary string
+		names          []string
+		impl           func(string) string
+	}{
+		{"context", "contextsensitive", buffer.PolicyNames(), policyName},
+		{"rand", "random", buffer.PolicyNames(), policyName},
+		{"secondchance", "clock", buffer.PolicyNames(), policyName},
+		{"default", "affinity", core.ClusterStrategyNames(), strategyType},
+		{"none", "noop", core.ClusterStrategyNames(), strategyType},
+		{"mem", "memory", storage.BackendNames(), backendType},
+		{"disk", "file", storage.BackendNames(), backendType},
+	} {
+		t.Run(tc.alias, func(t *testing.T) {
+			listed := map[string]bool{}
+			for _, n := range tc.names {
+				listed[n] = true
+			}
+			if listed[tc.alias] || !listed[tc.primary] {
+				t.Fatalf("names %v: want %q listed and %q not", tc.names, tc.primary, tc.alias)
+			}
+			if got, want := tc.impl(tc.alias), tc.impl(tc.primary); got != want {
+				t.Errorf("alias builds %s, primary %s", got, want)
+			}
+		})
+	}
+}
+
 // TestRegistryRejectsUnknownNames covers the Validate path the CLIs rely on.
 func TestRegistryRejectsUnknownNames(t *testing.T) {
 	cfg := octTiny.config(150)
-	cfg.ReplacementName = "no-such-policy"
+	cfg.Replacement = "no-such-policy"
 	if _, err := New(cfg); err == nil {
 		t.Fatal("unknown replacement name accepted")
 	}

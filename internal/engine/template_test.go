@@ -96,41 +96,14 @@ func TestCloneRunsLikeFreshBuild(t *testing.T) {
 	withinBuffer := oct
 	withinBuffer.Cluster = core.PolicyWithinBuffer
 	for _, base := range []Config{oct, ocbWrites, withinBuffer} {
-		for _, repl := range registered(buffer.PolicyNames(), func(name string) any {
-			p, err := buffer.NewPolicyByName(name, buffer.PolicyConfig{Frames: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p.Name()
-		}) {
-			for _, strat := range registered(core.ClusterStrategyNames(), func(name string) any {
-				s, err := core.NewClusterStrategy(name, core.ClusterSeam{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return reflect.TypeOf(s)
-			}) {
+		for _, repl := range buffer.PolicyNames() {
+			for _, strat := range core.ClusterStrategyNames() {
 				cfg := base
-				cfg.ReplacementName, cfg.ClusterStrategy = repl, strat
+				cfg.Replacement, cfg.ClusterStrategy = core.Replacement(repl), strat
 				t.Run(cfg.Label(), func(t *testing.T) { checkClones(t, cfg) })
 			}
 		}
 	}
-}
-
-// registered returns one name per distinct implementation among a
-// registry's names, which list aliases beside canonical names; identity
-// tells the implementation a name builds.
-func registered(names []string, identity func(string) any) []string {
-	seen := map[any]bool{}
-	var out []string
-	for _, n := range names {
-		if id := identity(n); !seen[id] {
-			seen[id] = true
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 func checkClones(t *testing.T, cfg Config) {

@@ -39,9 +39,6 @@ type world struct {
 	log     *txlog.Manager
 	locks   *lock.Manager // nil when cfg.Locking is false
 
-	// replName is the registry name the Table 4.1 replacement enum (or
-	// Config.ReplacementName) resolved to.
-	replName string
 	// boostContext is set when the pool runs the context-sensitive policy,
 	// the only one that consumes per-read structural boosts; stacks under
 	// any other policy skip computing the boost set entirely.
@@ -115,14 +112,6 @@ func (w *world) open(g *model.Graph, mem *storage.Manager, order []model.ObjectI
 	cfg := w.cfg
 	w.graph = g
 
-	// Replacement policies come from the name registry; the Table 4.1 enum's
-	// own names are registered there (an out-of-range value is not, and
-	// fails as an unknown policy) and Config.ReplacementName may select any
-	// other registered policy (e.g. "clock") directly.
-	w.replName = cfg.ReplacementName
-	if w.replName == "" {
-		w.replName = cfg.Replacement.String()
-	}
 	if w.frames, err = newPool(w); err != nil {
 		return err
 	}
@@ -201,7 +190,7 @@ func (w *world) clone(cfg Config) (*world, bool) {
 	if !w.cloneable() {
 		return nil, false
 	}
-	c := &world{sim: sim.New(cfg.Seed), replName: w.replName, boostContext: w.boostContext}
+	c := &world{sim: sim.New(cfg.Seed), boostContext: w.boostContext}
 	c.frames, _ = w.frames.(*buffer.Pool).Clone(buffer.PolicyConfig{Frames: cfg.Buffers, RNG: c.replacementStream})
 	c.graph = w.graph.Clone()
 	store := w.store.(*storage.Manager).Clone(c.graph)
@@ -260,7 +249,7 @@ func (w *world) replacementStream() *rand.Rand { return w.sim.Stream("random-rep
 // pool shard) of the given frame count; rng supplies the stream a
 // stochastic policy draws from.
 func (w *world) newPolicy(frames int, rng func() *rand.Rand) (buffer.Policy, error) {
-	p, err := buffer.NewPolicyByName(w.replName, buffer.PolicyConfig{Frames: frames, RNG: rng})
+	p, err := buffer.NewPolicyByName(w.cfg.Replacement.String(), buffer.PolicyConfig{Frames: frames, RNG: rng})
 	if _, ok := p.(*core.ContextPolicy); ok {
 		w.boostContext = true
 	}

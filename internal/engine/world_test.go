@@ -50,7 +50,7 @@ func (f *failingPlacer) PlaceNew(o *model.Object) (core.Placement, error) {
 		return f.ClusterStrategy.PlaceNew(o)
 	}
 	if d, ok := f.store.(storage.Durable); ok {
-		atFailure.committed = d.Committed()
+		atFailure.committed = int(d.DurableStats().Committed)
 	}
 	atFailure.digest = placementDigest(f.store)
 	// Fail with the placement applied (and journaled): a half-done

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"oodb/internal/core"
 	"oodb/internal/engine"
 	"oodb/internal/ocb"
 	"oodb/internal/workload"
@@ -45,7 +46,7 @@ func runOCBPolicies(h *Harness) (*Table, error) {
 		for j, p := range policies {
 			cfg := h.ocbConfig()
 			cfg.OCB.RefDist = d
-			cfg.ReplacementName = p
+			cfg.Replacement = core.Replacement(p)
 			i, j := i, j
 			b.add(cfg, func(r engine.Results) { rows[i].Cells[j] = r.MeanResponse })
 		}

@@ -60,7 +60,7 @@ func wirings(base engine.Config) []wiring {
 	for _, name := range buffer.PolicyNames() {
 		if !isTestPolicy(name) {
 			cfg := base
-			cfg.ReplacementName = name
+			cfg.Replacement = core.Replacement(name)
 			out = append(out, wiring{"replacement=" + name, cfg})
 		}
 	}
@@ -182,7 +182,7 @@ func TestOCTStreamConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	variant := cfg
-	variant.ReplacementName = "clock"
+	variant.Replacement = "clock"
 	res, err := s.Replay(variant)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func init() {
 func TestBrokenPolicyCaughtByConservation(t *testing.T) {
 	s := stream(t)
 	cfg := tinyOCBConfig()
-	cfg.ReplacementName = "test-broken"
+	cfg.Replacement = "test-broken"
 	res, err := s.Replay(cfg)
 	if err != nil {
 		t.Fatalf("replay under broken policy: %v", err)

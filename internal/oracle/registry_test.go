@@ -27,6 +27,11 @@ func runOnce(t *testing.T, cfg engine.Config) engine.Results {
 	if err != nil {
 		t.Fatalf("constructing engine: %v", err)
 	}
+	return run(t, e)
+}
+
+func run(t *testing.T, e *engine.Engine) engine.Results {
+	t.Helper()
 	res, err := e.Run()
 	if err != nil {
 		t.Fatalf("running engine: %v", err)
@@ -47,26 +52,44 @@ func TestRegistryPoliciesRunBothWorkloads(t *testing.T) {
 			t.Run(wl+"/"+name, func(t *testing.T) {
 				t.Parallel()
 				cfg := registryConfig(wl)
-				cfg.ReplacementName = name
+				cfg.Replacement = core.Replacement(name)
 				runOnce(t, cfg)
 			})
 		}
 	}
 }
 
+// TestRegistryClusterStrategiesRunBothWorkloads builds each (workload,
+// strategy) world once and runs the three prefetch levels, a run field, on
+// it: the first two on clones, the last on the template itself.
 func TestRegistryClusterStrategiesRunBothWorkloads(t *testing.T) {
+	levels := []core.PrefetchPolicy{core.NoPrefetch, core.PrefetchWithinBuffer, core.PrefetchWithinDB}
 	for _, wl := range []string{engine.WorkloadOCT, engine.WorkloadOCB} {
 		for _, name := range core.ClusterStrategyNames() {
-			for _, pf := range []core.PrefetchPolicy{core.NoPrefetch, core.PrefetchWithinBuffer, core.PrefetchWithinDB} {
-				wl, name, pf := wl, name, pf
-				t.Run(wl+"/"+name+"/"+pf.String(), func(t *testing.T) {
-					t.Parallel()
-					cfg := registryConfig(wl)
-					cfg.ClusterStrategy = name
-					cfg.Prefetch = pf
-					runOnce(t, cfg)
-				})
-			}
+			wl, name := wl, name
+			t.Run(wl+"/"+name, func(t *testing.T) {
+				t.Parallel()
+				cfg := registryConfig(wl)
+				cfg.ClusterStrategy = name
+				tmpl, err := engine.NewTemplate(cfg)
+				if err != nil {
+					t.Fatalf("building world: %v", err)
+				}
+				for i, pf := range levels {
+					t.Run(pf.String(), func(t *testing.T) {
+						cfg.Prefetch = pf
+						engineFor := tmpl.Engine
+						if i == len(levels)-1 {
+							engineFor = tmpl.Take
+						}
+						e, err := engineFor(cfg)
+						if err != nil {
+							t.Fatalf("constructing engine: %v", err)
+						}
+						run(t, e)
+					})
+				}
+			})
 		}
 	}
 }

@@ -28,11 +28,19 @@ func TestRegistrySweepNeverSkips(t *testing.T) {
 			t.Fatalf("strategy %q missing from registry sweep %v", want, names)
 		}
 	}
-	// affinity, default, dro, dstc, noop, none as of PR 10. A shrinking
+	// affinity, dro, dstc and noop, one name per registration. A shrinking
 	// registry means a strategy was de-registered and every sweep that
 	// ranges over ClusterStrategyNames() quietly lost coverage.
-	if len(names) < 6 {
+	if len(names) < 4 {
 		t.Fatalf("registry shrank to %d strategies (%v); sweeps lost coverage", len(names), names)
+	}
+	// The aliases are not listed, so no sweep runs them twice, but they
+	// still resolve: -strategy default and -strategy none stay accepted.
+	for _, alias := range []string{"default", "none"} {
+		if !core.HasClusterStrategy(alias) || have[alias] {
+			t.Errorf("alias %q: resolves %v, listed %v; want resolved and unlisted",
+				alias, core.HasClusterStrategy(alias), have[alias])
+		}
 	}
 
 	read, write := wirings(tinyOCBConfig()), wirings(tinyWriteConfig())

@@ -19,8 +19,9 @@ type Registry[F any] struct {
 	// its Register function, and what is being registered.
 	pkg, fn, kind string
 
-	mu sync.RWMutex
-	m  map[string]F
+	mu    sync.RWMutex
+	m     map[string]F // every folded name and alias
+	names []string     // each registration's folded primary name, sorted
 }
 
 // New returns an empty registry whose messages read "pkg: fn with nil
@@ -58,6 +59,8 @@ func (r *Registry[F]) Register(name string, f F, aliases ...string) {
 		}
 		r.m[key] = f
 	}
+	r.names = append(r.names, Canonical(name))
+	sort.Strings(r.names)
 }
 
 // Lookup returns the factory registered under name, or an error listing the
@@ -81,14 +84,11 @@ func (r *Registry[F]) Has(name string) bool {
 	return ok
 }
 
-// Names returns the registered names (canonical form, sorted).
+// Names returns each registration once, under its primary name (canonical
+// form, sorted). Aliases resolve through Lookup and Has but are not listed,
+// so a sweep over Names runs each implementation once.
 func (r *Registry[F]) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.m))
-	for n := range r.m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), r.names...)
 }

@@ -56,10 +56,10 @@ func TestLookupFoldsNames(t *testing.T) {
 		t.Fatal(`Has("second") = true`)
 	}
 	_, err := r.Lookup("second")
-	if want := `pkg: unknown thing "second" (have firstthing, one)`; err == nil || err.Error() != want {
+	if want := `pkg: unknown thing "second" (have firstthing)`; err == nil || err.Error() != want {
 		t.Fatalf("Lookup error = %v, want %q", err, want)
 	}
-	if got, want := r.Names(), []string{"firstthing", "one"}; !reflect.DeepEqual(got, want) {
+	if got, want := r.Names(), []string{"firstthing"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
 }

@@ -58,13 +58,8 @@ type Durable interface {
 	// CommitBootstrap durably commits the database-construction pseudo-
 	// transaction (WAL txn 0) once initial placement is complete.
 	CommitBootstrap() error
-	// Checkpoint records a durable point: a checkpoint record, then the
-	// log forced to stable storage.
-	Checkpoint() error
 	// Close checkpoints and releases the log. Idempotent.
 	Close() error
-	// Committed returns the number of committed run transactions.
-	Committed() int
 	// DurableStats snapshots the log and page-transfer counters.
 	DurableStats() DurableStats
 }
@@ -270,17 +265,6 @@ func (fb *FileBackend) CommitBootstrap() error {
 	return fb.wal.sync()
 }
 
-// Checkpoint records a durable point: a checkpoint record carrying the
-// current digest, then the log forced to stable storage.
-func (fb *FileBackend) Checkpoint() error {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	if err := fb.wal.seal(WALRecord{Kind: WALCheckpoint, Digest: fb.StateDigest()}); err != nil {
-		return err
-	}
-	return fb.wal.sync()
-}
-
 // Close checkpoints and releases the log. Idempotent: a second Close is
 // a no-op, so engines can close defensively. The checkpoint record is
 // skipped when the in-memory state is not the last committed one — a
@@ -317,9 +301,6 @@ func (fb *FileBackend) WritePage(pg PageID) error {
 	fb.pageWrites.Add(1)
 	return nil
 }
-
-// Committed returns the number of committed run transactions.
-func (fb *FileBackend) Committed() int { return int(fb.commits.Load()) }
 
 // DurableStats snapshots the log and page-transfer counters.
 func (fb *FileBackend) DurableStats() DurableStats {

@@ -52,8 +52,8 @@ func IsMemoryBackend(name string) bool {
 	return false
 }
 
-// BackendNames returns the registered backend names (canonical form,
-// sorted).
+// BackendNames returns the registered backend names (one per
+// registration, canonical form, sorted).
 func BackendNames() []string { return backends.Names() }
 
 func init() {

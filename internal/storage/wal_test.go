@@ -280,7 +280,7 @@ func TestFsyncPolicySyncCounts(t *testing.T) {
 			if got := fb.DurableStats().WALSyncs - base; got != c.want {
 				t.Fatalf("syncs = %d, want %d", got, c.want)
 			}
-			if got := fb.Committed(); got != commits {
+			if got := int(fb.DurableStats().Committed); got != commits {
 				t.Fatalf("committed = %d, want %d", got, commits)
 			}
 			if err := fb.Close(); err != nil {
@@ -381,7 +381,6 @@ func TestFileBackendFailStop(t *testing.T) {
 		"LogCommit":       fb.LogCommit(2),
 		"LogAbort":        fb.LogAbort(2),
 		"WaitDurable":     fb.WaitDurable(),
-		"Checkpoint":      fb.Checkpoint(),
 		"CommitBootstrap": fb.CommitBootstrap(),
 	} {
 		if err != first {

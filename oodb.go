@@ -63,7 +63,7 @@ type (
 	SplitPolicy = core.SplitPolicy
 	// PrefetchPolicy selects the prefetch scope.
 	PrefetchPolicy = core.PrefetchPolicy
-	// Replacement selects the buffer replacement policy.
+	// Replacement names the buffer replacement policy.
 	Replacement = core.Replacement
 	// Hint is a user access hint.
 	Hint = core.Hint
@@ -137,8 +137,8 @@ func WALDigestAt(dir string, k int) (uint64, error) {
 }
 
 // ReplacementPolicies returns the registered buffer replacement policy
-// names, sorted. These are the values Config.ReplacementName and the CLI
-// -repl flag accept beyond the paper's enum.
+// names, sorted. These are the values Config.Replacement, Options.Replacement
+// and the CLI -repl flag accept beyond the paper's spellings.
 func ReplacementPolicies() []string { return buffer.PolicyNames() }
 
 // HasReplacementPolicy reports whether name resolves in the replacement
@@ -160,8 +160,9 @@ type Options struct {
 	PageSize int
 	// BufferFrames is the buffer-pool size in pages (default 1000).
 	BufferFrames int
-	// Replacement selects the buffer replacement policy. The zero value is
-	// ReplLRU; the paper recommends ReplContext.
+	// Replacement selects the buffer replacement policy: ReplLRU,
+	// ReplContext, ReplRandom or any registered name (ReplacementPolicies).
+	// The zero value is ReplLRU; the paper recommends ReplContext.
 	Replacement Replacement
 	// Cluster selects the clustering policy. The zero value is
 	// PolicyNoCluster (objects placed in creation order); the paper

@@ -42,7 +42,7 @@ func TestOpenDefaults(t *testing.T) {
 	if db.opt.PageSize != 4096 || db.opt.BufferFrames != 1000 {
 		t.Fatalf("defaults: %+v", db.opt)
 	}
-	if _, err := Open(Options{Replacement: Replacement(9)}); err == nil {
+	if _, err := Open(Options{Replacement: "fifo"}); err == nil {
 		t.Fatal("bad replacement accepted")
 	}
 }
@@ -248,7 +248,8 @@ func errorsAs(err error, target **UnknownExperimentError) bool {
 }
 
 func TestReplacementOptionsWork(t *testing.T) {
-	for _, repl := range []Replacement{ReplLRU, ReplContext, ReplRandom} {
+	// Beyond the paper's three, any registered policy opens by name.
+	for _, repl := range []Replacement{ReplLRU, ReplContext, ReplRandom, "clock"} {
 		db := openTest(t, Options{BufferFrames: 8, Replacement: repl, Cluster: PolicyNoLimit})
 		rootT, _ := schema(t, db)
 		for i := 0; i < 30; i++ {

@@ -57,7 +57,9 @@ func ParseSplitPolicy(s string) (SplitPolicy, error) {
 	return 0, fmt.Errorf("oodb: unknown split policy %q", s)
 }
 
-// ParseReplacement parses "LRU", "Context"/"Context-sensitive", or "Random".
+// ParseReplacement parses a replacement policy: the paper's "LRU",
+// "Context"/"Context-sensitive" or "Random", or any other registered policy
+// name (e.g. "clock"; see ReplacementPolicies).
 func ParseReplacement(s string) (Replacement, error) {
 	switch strings.ToLower(s) {
 	case "lru":
@@ -67,24 +69,10 @@ func ParseReplacement(s string) (Replacement, error) {
 	case "random", "rand":
 		return core.ReplRandom, nil
 	}
-	return 0, fmt.Errorf("oodb: unknown replacement policy %q", s)
-}
-
-// SetReplacement points cfg at the replacement policy spelled s, as the
-// command-line -repl flags do: the paper's names resolve through
-// ParseReplacement; anything else must be a registered policy name (e.g.
-// "clock") and is selected through cfg.ReplacementName, so registered extras
-// work without touching the enum parser.
-func SetReplacement(cfg *SimConfig, s string) error {
-	r, err := ParseReplacement(s)
-	if err != nil {
-		if !HasReplacementPolicy(s) {
-			return fmt.Errorf("unknown replacement policy %q (registered: %v)", s, ReplacementPolicies())
-		}
-		cfg.ReplacementName = s
+	if !HasReplacementPolicy(s) {
+		return "", fmt.Errorf("oodb: unknown replacement policy %q (registered: %v)", s, ReplacementPolicies())
 	}
-	cfg.Replacement = r
-	return nil
+	return Replacement(s), nil
 }
 
 // ParsePrefetchPolicy parses "No_prefetch"/"none",

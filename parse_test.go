@@ -68,16 +68,14 @@ func TestParseSplitReplacementPrefetch(t *testing.T) {
 	}
 }
 
-func TestSetReplacement(t *testing.T) {
-	cfg := DefaultSimConfig(0.01)
-	if err := SetReplacement(&cfg, "Context"); err != nil || cfg.Replacement != ReplContext || cfg.ReplacementName != "" {
-		t.Errorf("paper name: %v %q %v", cfg.Replacement, cfg.ReplacementName, err)
+func TestParseReplacementRegistryNames(t *testing.T) {
+	if r, err := ParseReplacement("Context"); err != nil || r != ReplContext {
+		t.Errorf("paper name: %v %v", r, err)
 	}
-	cfg = DefaultSimConfig(0.01)
-	if err := SetReplacement(&cfg, "clock"); err != nil || cfg.ReplacementName != "clock" {
-		t.Errorf("registry name: %q %v", cfg.ReplacementName, err)
+	if r, err := ParseReplacement("clock"); err != nil || r != "clock" {
+		t.Errorf("registry name: %q %v", r, err)
 	}
-	if err := SetReplacement(&cfg, "fifo"); err == nil || !strings.Contains(err.Error(), "registered:") {
+	if _, err := ParseReplacement("fifo"); err == nil || !strings.Contains(err.Error(), "registered:") {
 		t.Errorf("unknown policy: %v", err)
 	}
 }

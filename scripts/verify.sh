@@ -24,8 +24,8 @@ fi
 # engine.Config's exported field count only moves down on purpose: every
 # independent option multiplies what goldens, digests and bench/ must cover.
 fields=$(awk '/^type Config struct {/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z][A-Za-z0-9]* /{n++} END{print n+0}' internal/engine/config.go)
-if [ "$fields" -gt 33 ]; then
-    echo "verify.sh: engine.Config has $fields exported fields, ceiling is 33" >&2
+if [ "$fields" -gt 32 ]; then
+    echo "verify.sh: engine.Config has $fields exported fields, ceiling is 32" >&2
     exit 1
 fi
 # One set of counters: each layer's Stats is its instrumentation. The
