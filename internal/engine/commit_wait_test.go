@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"oodb/internal/model"
 	"oodb/internal/storage"
@@ -46,6 +47,49 @@ func setWaitGate(t *testing.T, gate func(wait func() error) error) {
 	t.Helper()
 	waitGate.Store(&gate)
 	t.Cleanup(func() { waitGate.Store(nil) })
+}
+
+// runOutcome is a concurrent run's result, delivered by startRun.
+type runOutcome struct {
+	res ConcurrentResults
+	err error
+}
+
+// startRun runs c in its own goroutine; the channel delivers the outcome.
+func startRun(c *Concurrent) <-chan runOutcome {
+	done := make(chan runOutcome, 1)
+	go func() {
+		res, err := c.Run()
+		done <- runOutcome{res, err}
+	}()
+	return done
+}
+
+// checkDurableRun checks a finished durable run end to end: the shared
+// structures' invariants (no object left locked), placement conservation,
+// then Close and a recovery of the data directory that must reach the same
+// commit count and placement digest.
+func checkDurableRun(t *testing.T, c *Concurrent, res ConcurrentResults) {
+	t.Helper()
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if res.ConservationViolations != 0 || res.LiveObjects != res.PlacedObjects {
+		t.Errorf("conservation: %d violations, live=%d placed=%d",
+			res.ConservationViolations, res.LiveObjects, res.PlacedObjects)
+	}
+	want := placementDigest(c.store)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := storage.RecoverDir(c.cfg.DataDir, nil) // cross-checks replayed vs in-log digest
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(rec.Committed) != res.Durability.Committed || rec.Digest != want {
+		t.Errorf("recovered %d commits at digest %016x, want %d at %016x",
+			rec.Committed, rec.Digest, res.Durability.Committed, want)
+	}
 }
 
 // scripted is a session's operation source playing a fixed list (the rest
@@ -109,16 +153,7 @@ func TestCommitWaitOverlap(t *testing.T) {
 		return wait()
 	})
 	syncsBefore := c.durable.DurableStats().WALSyncs
-
-	type outcome struct {
-		res ConcurrentResults
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := c.Run()
-		done <- outcome{res, err}
-	}()
+	done := startRun(c)
 
 	<-parked[0]
 	<-parked[1]
@@ -167,25 +202,99 @@ func TestCommitWaitOverlap(t *testing.T) {
 	if got := res.Durability.WALSyncs - syncsBefore; got != 2 {
 		t.Errorf("%d commit syncs, want exactly one per commit", got)
 	}
-	if err := c.CheckInvariants(); err != nil { // includes: no object left locked
-		t.Fatal(err)
+	checkDurableRun(t, c, res)
+}
+
+// doneAfter is a scripted source that closes done at its session's second
+// SessionLength call: the session makes it with nothing held, after its
+// first burst's last transaction has been acknowledged.
+type doneAfter struct {
+	scripted
+	calls int
+	done  chan struct{}
+}
+
+func (s *doneAfter) SessionLength() int {
+	if s.calls++; s.calls == 2 {
+		close(s.done)
 	}
-	if res.ConservationViolations != 0 || res.LiveObjects != res.PlacedObjects {
-		t.Errorf("conservation: %d violations, live=%d placed=%d",
-			res.ConservationViolations, res.LiveObjects, res.PlacedObjects)
-	}
-	want := placementDigest(c.store)
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := storage.RecoverDir(cfg.DataDir, nil) // cross-checks replayed vs in-log digest
+	return s.scripted.SessionLength()
+}
+
+// TestConcurrentReadBesideDurableWait pins the concurrent read rule at the
+// one place it differs from a locked read: a read sees every appended
+// commit, a write's that is not yet durable too. Session 0 deletes leaf A
+// and parks in WaitDurable, still holding X(A). Session 1, held back until
+// then, looks A up: the lookup completes while the delete is parked and
+// finds A gone. A read that took S(A) would block behind the parked
+// writer, which the timeout turns into a failure instead of a hang.
+func TestConcurrentReadBesideDurableWait(t *testing.T) {
+	cfg := fileConfig(t, octSmall.config(2), "always")
+	cfg.Backend = gatedBackend
+	cfg.Warmup = 0
+	c, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(rec.Committed) != res.Durability.Committed || rec.Digest != want {
-		t.Errorf("recovered %d commits at digest %016x, want %d at %016x",
-			rec.Committed, rec.Digest, res.Durability.Committed, want)
+	defer c.Close() // errscan:ok the success path checks Close; closing twice is a no-op
+
+	leaf := model.NilObject // a leaf execDelete removes rather than updates
+	for _, id := range c.db.Leaves {
+		if o := c.graph.Object(id); len(o.Components()) == 0 && len(o.Descendants()) == 0 {
+			leaf = id
+			break
+		}
 	}
+	if leaf == model.NilObject {
+		t.Fatal("no deletable leaf in the database")
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	reader := &doneAfter{done: make(chan struct{})}
+	reader.ops = []workload.Op{{Kind: workload.QSimpleLookup, Target: leaf}}
+	reader.start = parked
+	c.sessions[0].stack.gen = &scripted{ops: []workload.Op{{Kind: workload.QDelete, Target: leaf}}}
+	c.sessions[1].stack.gen = reader
+	setWaitGate(t, func(wait func() error) error {
+		close(parked)
+		<-release
+		return wait()
+	})
+
+	done := startRun(c)
+
+	<-parked
+	select {
+	case <-reader.done:
+	case <-time.After(10 * time.Second):
+		close(release) // let the writer finish, or Run never returns
+		<-done
+		t.Fatal("the lookup of the deleted leaf waited on its parked writer's object lock")
+	}
+	// The writer is parked inside the gate and the reader has finished, so
+	// both sessions' state is ordered before these reads by the channels.
+	if !c.locks.Holds(0, leaf) {
+		t.Error("parked writer released X(A) before its commit was durable")
+	}
+	if s0 := c.sessions[0]; s0.completed != 0 {
+		t.Errorf("parked writer already acknowledged: completed=%d", s0.completed)
+	}
+	if s1 := c.sessions[1]; s1.completed != 1 || s1.ops.NotFoundReads != 1 {
+		t.Errorf("reader: completed=%d not-found=%d, want its one lookup to find A deleted",
+			s1.completed, s1.ops.NotFoundReads)
+	}
+	if got := c.durable.DurableStats().Committed; got != 1 {
+		t.Errorf("%d commit records appended, want the delete's", got)
+	}
+
+	close(release)
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if res := out.res; res.Completed != 2 || res.NotFoundReads != 1 {
+		t.Errorf("completed=%d not-found=%d, want 2 and 1", res.Completed, res.NotFoundReads)
+	}
+	checkDurableRun(t, c, out.res)
 }
 
 // A memory-backed run has no commit to wait for and says nothing about one.

@@ -38,10 +38,11 @@ import (
 //
 // Synchronization is two-level, and provably deadlock-free:
 //
-//  1. Object locks first. Each transaction acquires its lock set in
+//  1. A write's object locks first. Each write acquires its lock set in
 //     ascending object-ID order through lock.Manager.AcquireWait, holding
 //     no other lock — so lock waits cannot cycle (global order) and cannot
-//     entangle with level 2 (nothing else is held while parked).
+//     entangle with level 2 (nothing else is held while parked). A read
+//     takes no object lock.
 //  2. A structure guard second. Reads take mu.RLock and run concurrently
 //     — readObject and the traversals only read the graph and storage
 //     mapping, and the ConcurrentPool is internally synchronized. Writes
@@ -50,12 +51,17 @@ import (
 //     guard is never held while waiting on an object lock, so the writer
 //     cannot be starved into a cycle.
 //
+// A read is one operation under the shared guard, and no writer mutates
+// without the guard held exclusively, so the guard alone isolates it: a
+// read sees every appended commit. The serial engine still locks reads,
+// because there lock waits are part of the simulated response time.
+//
 // The guard covers a write up to its appended commit record and no further.
 // Under a persistent backend the writer then waits for the log flush
 // (world.awaitDurable) holding only its object locks, so one designer's
-// disk flush stalls nobody who does not want those objects — the paper
+// disk flush stalls no reader and no writer of other objects — the paper
 // gives logging its own buffer and disk for the same reason. A commit is
-// therefore visible to other sessions before it is durable, but is
+// therefore visible to every read before it is durable, but is
 // acknowledged (counted, latency-sampled, its locks released) only after;
 // and since there is one log appended in guard order, whatever survives a
 // crash is a prefix of the commit order.
@@ -130,7 +136,7 @@ type csession struct {
 	view *buffer.View // the session's handle on the pool, its stack's frames
 
 	remaining int            // transactions left in the current session burst
-	locks     []lock.Request // lock set, rebuilt per transaction and released as is
+	locks     []lock.Request // a write's lock set, rebuilt per write and released as is
 
 	hist stats.Hist  // latency in microseconds
 	wait *stats.Hist // durable-commit wait in microseconds; nil on memory runs
@@ -373,8 +379,11 @@ func (c *Concurrent) execute(cs *csession, txn int) error {
 	req := cs.stack.gen.Next()
 	c.mu.RUnlock()
 
-	// Level 1: object locks, ascending object-ID order, nothing else held.
-	if c.locks != nil {
+	// Level 1: a write's object locks, ascending object-ID order, nothing
+	// else held. A read takes none: it runs wholly under the shared guard,
+	// which no writer holds while it mutates.
+	write := req.Kind.IsWrite()
+	if c.locks != nil && write {
 		cs.locks = appendLockSet(cs.locks[:0], req)
 		for i, lr := range cs.locks {
 			if err := c.locks.AcquireWait(txn, lr.Obj, lr.Mode); err != nil {
@@ -394,7 +403,7 @@ func (c *Concurrent) execute(cs *csession, txn int) error {
 		res AccessResult
 		err error
 	)
-	if req.Kind.IsWrite() {
+	if write {
 		// The shared clusterer calls the pool directly, so the session's
 		// deferred hits drain first and its own calls run eagerly: every
 		// shard's policy sees the write's accesses in the order they occur.

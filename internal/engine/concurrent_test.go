@@ -188,6 +188,56 @@ func TestConcurrentManySessions(t *testing.T) {
 	}
 }
 
+// TestConcurrentReadsTakeNoLocks pins the concurrent read rule: a read runs
+// wholly under the shared structure guard and takes no object lock, while a
+// write still acquires its lock set, one request per object it locks. The
+// serial driver keeps the read locks, whose waits are part of the paper's
+// simulated response time.
+func TestConcurrentReadsTakeNoLocks(t *testing.T) {
+	readOnlyOCT := octSmall.config(400)
+	readOnlyOCT.ReadWriteRatio = math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		f    *fixture
+		cfg  Config
+	}{
+		{"oct", octSmall, readOnlyOCT},
+		{"ocb", ocbSmall, ocbSmall.config(400)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conc := runConcurrent(t, tc.cfg, ConcurrentOptions{Sessions: 2})
+			if conc.LogicalOps == 0 {
+				t.Fatal("read-only run read nothing")
+			}
+			if got := conc.Locks.Requests; got != 0 {
+				t.Errorf("read-only concurrent run made %d lock requests, want 0", got)
+			}
+			if serial := tc.f.run(t, tc.cfg); serial.Locks.Requests == 0 || serial.WriteTxns != 0 {
+				t.Errorf("serial run of the same stream: %d lock requests, %d writes; want its reads locked and no write",
+					serial.Locks.Requests, serial.WriteTxns)
+			}
+		})
+	}
+
+	t.Run("oct-writes", func(t *testing.T) {
+		res := runConcurrent(t, octSmall.config(400), ConcurrentOptions{Sessions: 2})
+		writes := 0
+		for k := workload.QueryKind(0); k < workload.NumQueryKinds; k++ {
+			if k.IsWrite() {
+				writes += res.KindCount[k.String()]
+			}
+		}
+		if writes == 0 {
+			t.Fatal("OCT write mix committed no write")
+		}
+		// An OCT write locks its target, its parent or both (a structure
+		// update); at ten reads per write, locked reads would pass 2 per write.
+		if got := res.Locks.Requests; got == 0 || got > 2*writes {
+			t.Errorf("%d lock requests for %d writes, want between 1 and %d", got, writes, 2*writes)
+		}
+	})
+}
+
 // TestConcurrentPoolSessionHitsConserved: each session's buffer.View
 // defers its hits, so a touch left pending when a session stops would be
 // lost from the pool's statistics. On a read-only OCB run without

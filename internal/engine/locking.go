@@ -16,7 +16,8 @@ import (
 // queries lock the root of the navigated structure — the paper's "object
 // and composite object" granularity, a hierarchical lock covering the
 // expansion — while writes take exclusive locks on every object they
-// mutate. Both drivers pass per-user or per-session scratch, so building a
+// mutate. The serial driver locks every transaction, the concurrent driver
+// writes only. Both pass per-user or per-session scratch, so building a
 // lock set allocates nothing once the scratch has grown; the set they get
 // back is the one they hand to lock.Manager.Release.
 func appendLockSet(out []lock.Request, req workload.Op) []lock.Request {

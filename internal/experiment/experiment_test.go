@@ -11,7 +11,7 @@ import (
 // of these; a new test takes the smallest whose "use for" fits it.
 var (
 	// figure renders every registered experiment in the tests' shared
-	// sweep (524 runs, ~5 s on two vCPUs) and pins fig6.1.txt and tournament.txt.
+	// sweep (523 runs, ~5 s on two vCPUs) and pins fig6.1.txt and tournament.txt.
 	// Use for: shapes and invariants that hold at any size, and the
 	// harness mechanics (memo, dedup, order, errors, the results cache,
 	// replications). Not for: which policy wins, which 120 transactions

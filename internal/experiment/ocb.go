@@ -30,13 +30,15 @@ func (h *Harness) ocbConfig() engine.Config {
 // the OCB workload, one row per reference distribution: the skew of the
 // reference graph decides how much a policy's structural knowledge is worth.
 func runOCBPolicies(h *Harness) (*Table, error) {
-	policies := []string{"lru", "clock", "random", "context-sensitive"}
+	// The registry names, so a cell shares its world with every other
+	// experiment's run of the same policy; the columns keep their labels.
+	policies := []core.Replacement{core.ReplLRU, "clock", core.ReplRandom, core.ReplContext}
 	t := &Table{
 		ID:      "ocb.policies",
 		Title:   "OCB Workload -- Replacement Policy by Reference Distribution",
 		XLabel:  "ref-dist",
 		Unit:    "s (mean response time)",
-		Columns: policies,
+		Columns: []string{"lru", "clock", "random", "context-sensitive"},
 	}
 	rows := make([]Row, len(ocb.RefDists))
 	b := h.batch()
@@ -46,7 +48,7 @@ func runOCBPolicies(h *Harness) (*Table, error) {
 		for j, p := range policies {
 			cfg := h.ocbConfig()
 			cfg.OCB.RefDist = d
-			cfg.Replacement = core.Replacement(p)
+			cfg.Replacement = p
 			i, j := i, j
 			b.add(cfg, func(r engine.Results) { rows[i].Cells[j] = r.MeanResponse })
 		}
