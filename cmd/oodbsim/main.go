@@ -186,7 +186,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (*cli, error) {
 			err = fmt.Errorf("-%s applies only to experiments, not to -run", n)
 		case (n == "think" || n == "rate") && !set["clients"]:
 			err = fmt.Errorf("-%s needs -clients", n)
-		case (n == "record" || n == "replay") && set["clients"]:
+		case (n == "record" || n == "replay" || n == "no-locks") && set["clients"]:
 			err = fmt.Errorf("-%s is serial-only; it cannot be combined with -clients", n)
 		case n == "clients" && c.clients < 1:
 			err = fmt.Errorf("-clients must be at least 1, got %d", c.clients)
@@ -298,7 +298,7 @@ func runFlags(fs *flag.FlagSet) *singleRun {
 	fs.StringVar(&s.fsync, "fsync", "", "single run: WAL fsync policy for -backend file (always | interval | never; default always)")
 
 	fs.IntVar(&s.warmup, "warmup", 0, "single run: leading transactions excluded from the statistics")
-	fs.BoolVar(&s.noLocks, "no-locks", false, "single run: disable object-granularity locking")
+	fs.BoolVar(&s.noLocks, "no-locks", false, "single run: disable object-granularity locking, the serial simulator's model (refused with -clients)")
 
 	fs.IntVar(&s.clients, "clients", 0, "single run: drive N concurrent client sessions over one shared store in wall-clock time (0 = the serial simulator)")
 	fs.DurationVar(&s.think, "think", 0, "with -clients: closed loop, mean exponential think time between a client's transactions (0 = back-to-back)")
@@ -471,7 +471,7 @@ func (s singleRun) run() (err error) {
 }
 
 // runConcurrent runs the concurrent driver: N client goroutines over one
-// shared buffer pool, lock table and storage backend, in wall-clock time.
+// shared buffer pool, log and storage backend, in wall-clock time.
 // Closed loop (-think) models interactive sessions; open loop (-rate)
 // measures latency from each transaction's intended arrival, so a saturated
 // system reports its queueing delay instead of suppressing arrivals.

@@ -273,8 +273,9 @@ func TestRefusedFlags(t *testing.T) {
 		{[]string{"-run", "-rate", "5000"}, "-rate"},
 		{[]string{"-run", "-clients", "0"}, "-clients"},
 		{[]string{"-run", "-clients", "-3", "-think", "1ms"}, "-clients"},
-		// Trace record/replay is serial-only.
+		// Trace record/replay and object locking are serial-only.
 		{[]string{"-run", "-clients", "4", "-record", "t.trc"}, "-record"},
+		{[]string{"-run", "-clients", "4", "-no-locks"}, "-no-locks"},
 		{[]string{"-run", "-clients", "4", "-replay", "t.trc"}, "-replay"},
 		{[]string{"-run", "-record", "a.trc", "-replay", "b.trc"}, "-record"},
 	} {
@@ -286,7 +287,7 @@ func TestRefusedFlags(t *testing.T) {
 	// What each mode does read is accepted.
 	for _, args := range [][]string{
 		{"-fig", "5.5", "-scale", "0.005", "-txns", "100", "-seed", "3", "-workload", "ocb", "-json", "-reps", "2", "-parallel", "1", "-v", "-ckpt-dir", "d"},
-		{"-run", "-clients", "4", "-think", "1ms", "-rate", "100", "-warmup", "5", "-no-locks", "-tier", "medium", "-cluster", "No_limit"},
+		{"-run", "-clients", "4", "-think", "1ms", "-rate", "100", "-warmup", "5", "-tier", "medium", "-cluster", "No_limit"},
 		{"-run", "-record", "t.trc", "-warmup", "5", "-no-locks"},
 		{"-wal-digest-at", "3", "-data-dir", "d"},
 		{"-list", "-cpuprofile", "cpu.pb.gz"},

@@ -66,7 +66,7 @@ func startRun(c *Concurrent) <-chan runOutcome {
 }
 
 // checkDurableRun checks a finished durable run end to end: the shared
-// structures' invariants (no object left locked), placement conservation,
+// structures' invariants, placement conservation,
 // then Close and a recovery of the data directory that must reach the same
 // commit count and placement digest.
 func checkDurableRun(t *testing.T, c *Concurrent, res ConcurrentResults) {
@@ -115,13 +115,18 @@ func (s *scripted) SessionLength() int {
 	return len(s.ops)
 }
 
-// TestCommitWaitOverlap pins what moved out of the structure guard. Session
-// 0's first transaction is an insert whose WaitDurable parks on a channel.
-// With it parked, session 1 — held back until then — runs 100 reads and an
-// insert of its own, which parks too. At that point both commit records are
-// in the log and neither is flushed; the 100 reads are acknowledged and
-// neither write is: no completion counted, no latency sample, object locks
-// still held. Nothing here sleeps or polls.
+// TestCommitWaitOverlap pins what moved out of the structure guard, and
+// what stands in for the object locks that are gone: the log's prefix rule.
+// Session 0's first transaction is an insert under parent P whose
+// WaitDurable parks on a channel. With it parked, session 1 — held back
+// until then — runs 100 reads and an insert under the same P, which parks
+// too: the second writer of P commits on top of the first's unflushed
+// commit. At that point both commit records are in the log, the first
+// one first, and neither is flushed; the 100 reads are acknowledged and
+// neither write is: no completion counted, no latency sample. Released
+// alone, the second writer is acknowledged once its own sync — which covers
+// the first commit too — has run, while the first writer stays parked and
+// unacknowledged. Nothing here sleeps or polls.
 func TestCommitWaitOverlap(t *testing.T) {
 	const reads = 100
 	cfg := fileConfig(t, octSmall.config(2*(reads+1)), "always")
@@ -133,30 +138,41 @@ func TestCommitWaitOverlap(t *testing.T) {
 	}
 	defer c.Close() // errscan:ok the success path checks Close; closing twice is a no-op
 
-	insert := func(parent model.ObjectID) workload.Op {
-		return workload.Op{Kind: workload.QInsert, AttachTo: parent, NewType: c.db.Schema.LeafTypes[0]}
-	}
+	parent := c.db.Blocks[0]
+	insert := workload.Op{Kind: workload.QInsert, AttachTo: parent, NewType: c.db.Schema.LeafTypes[0]}
 	var lookups []workload.Op
 	for i := 0; i < reads; i++ {
 		lookups = append(lookups, workload.Op{Kind: workload.QSimpleLookup, Target: c.db.Leaves[i%len(c.db.Leaves)]})
 	}
-	parent0, parent1 := c.db.Blocks[0], c.db.Blocks[1]
 	parked := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
-	release := make(chan struct{})
-	c.sessions[0].stack.gen = &scripted{ops: append([]workload.Op{insert(parent0)}, lookups...)}
-	c.sessions[1].stack.gen = &scripted{ops: append(lookups[:reads:reads], insert(parent1)), start: parked[0]}
+	release := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var appendedAtPark [2]int64 // commit records in the log when each writer parked
+	second := &doneAfter{done: make(chan struct{})}
+	second.ops = append(lookups[:reads:reads], insert)
+	second.start = parked[0]
+	c.sessions[0].stack.gen = &scripted{ops: append([]workload.Op{insert}, lookups...)}
+	c.sessions[1].stack.gen = second
 
 	var calls atomic.Int32
 	setWaitGate(t, func(wait func() error) error {
-		close(parked[calls.Add(1)-1])
-		<-release
+		n := calls.Add(1) - 1
+		appendedAtPark[n] = c.durable.DurableStats().Committed
+		close(parked[n])
+		<-release[n]
 		return wait()
 	})
 	syncsBefore := c.durable.DurableStats().WALSyncs
 	done := startRun(c)
 
 	<-parked[0]
-	<-parked[1]
+	select {
+	case <-parked[1]:
+	case <-time.After(10 * time.Second):
+		close(release[0]) // let both writers finish, or Run never returns
+		close(release[1])
+		<-done
+		t.Fatal("the second writer of the parent waited on the first writer's durable wait")
+	}
 	// Both sessions are blocked inside the gate, so their state is stable
 	// and ordered before these reads by the channel closes.
 	s0, s1 := c.sessions[0], c.sessions[1]
@@ -164,17 +180,14 @@ func TestCommitWaitOverlap(t *testing.T) {
 		t.Errorf("acknowledged %d transactions with both commits unflushed, want the %d reads", got, reads)
 	}
 	if s0.completed != 0 || s0.hist.N() != 0 {
-		t.Errorf("parked writer already acknowledged: completed=%d latency samples=%d", s0.completed, s0.hist.N())
+		t.Errorf("first writer acknowledged while parked: completed=%d latency samples=%d", s0.completed, s0.hist.N())
 	}
 	if s1.completed != reads || s1.hist.N() != reads {
-		t.Errorf("second session: completed=%d latency samples=%d, want %d reads beside the parked commit",
+		t.Errorf("second session: completed=%d latency samples=%d, want its %d reads and not its parked write",
 			s1.completed, s1.hist.N(), reads)
 	}
-	if !c.locks.Holds(0, parent0) {
-		t.Error("parked writer released its object lock before its commit was durable")
-	}
-	if got := c.locks.Locked(); got != 2 {
-		t.Errorf("%d objects locked, want both unflushed writers' parents", got)
+	if appendedAtPark != [2]int64{1, 2} {
+		t.Errorf("commit records in the log as each writer parked: %v, want [1 2] (the first writer's first)", appendedAtPark)
 	}
 	st := c.durable.DurableStats()
 	if st.Committed != 2 {
@@ -184,7 +197,23 @@ func TestCommitWaitOverlap(t *testing.T) {
 		t.Errorf("%d syncs before any WaitDurable ran: the append still flushes", got)
 	}
 
-	close(release)
+	close(release[1])
+	<-second.done
+	// The second session has acknowledged its last transaction and the first
+	// is still parked, so both are ordered before these reads.
+	if got := c.durable.DurableStats().WALSyncs - syncsBefore; got < 1 {
+		t.Errorf("second writer acknowledged after %d syncs, want its own", got)
+	}
+	if s1.completed != reads+1 || s1.hist.N() != reads+1 {
+		t.Errorf("second session after its flush: completed=%d latency samples=%d, want %d",
+			s1.completed, s1.hist.N(), reads+1)
+	}
+	if s0.completed != 0 || s0.hist.N() != 0 || c.completed.Load() != reads+1 {
+		t.Errorf("first writer acknowledged before its own flush: completed=%d latency samples=%d (run %d)",
+			s0.completed, s0.hist.N(), c.completed.Load())
+	}
+
+	close(release[0])
 	out := <-done
 	if out.err != nil {
 		t.Fatal(out.err)
@@ -224,10 +253,10 @@ func (s *doneAfter) SessionLength() int {
 // TestConcurrentReadBesideDurableWait pins the concurrent read rule at the
 // one place it differs from a locked read: a read sees every appended
 // commit, a write's that is not yet durable too. Session 0 deletes leaf A
-// and parks in WaitDurable, still holding X(A). Session 1, held back until
-// then, looks A up: the lookup completes while the delete is parked and
-// finds A gone. A read that took S(A) would block behind the parked
-// writer, which the timeout turns into a failure instead of a hang.
+// and parks in WaitDurable. Session 1, held back until then, looks A up:
+// the lookup completes while the delete is parked and finds A gone. A read
+// that waited for the writer's acknowledgment would block behind it, which
+// the timeout turns into a failure instead of a hang.
 func TestConcurrentReadBesideDurableWait(t *testing.T) {
 	cfg := fileConfig(t, octSmall.config(2), "always")
 	cfg.Backend = gatedBackend
@@ -268,13 +297,10 @@ func TestConcurrentReadBesideDurableWait(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		close(release) // let the writer finish, or Run never returns
 		<-done
-		t.Fatal("the lookup of the deleted leaf waited on its parked writer's object lock")
+		t.Fatal("the lookup of the deleted leaf waited on its parked writer")
 	}
 	// The writer is parked inside the gate and the reader has finished, so
 	// both sessions' state is ordered before these reads by the channels.
-	if !c.locks.Holds(0, leaf) {
-		t.Error("parked writer released X(A) before its commit was durable")
-	}
 	if s0 := c.sessions[0]; s0.completed != 0 {
 		t.Errorf("parked writer already acknowledged: completed=%d", s0.completed)
 	}
@@ -387,9 +413,6 @@ func TestDurableWaitFailureStopsTheRun(t *testing.T) {
 		}
 		if got, max := int(c.durable.DurableStats().Committed), failAt+sessions-1; got > max {
 			t.Errorf("%d commits appended, want at most %d: sessions kept committing behind the failure", got, max)
-		}
-		if held := c.locks.Locked(); held != 0 {
-			t.Errorf("%d objects still locked after the failed run", held)
 		}
 	})
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"oodb/internal/core"
-	"oodb/internal/lock"
 	"oodb/internal/workload"
 )
 
@@ -188,12 +187,12 @@ func TestConcurrentManySessions(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadsTakeNoLocks pins the concurrent read rule: a read runs
-// wholly under the shared structure guard and takes no object lock, while a
-// write still acquires its lock set, one request per object it locks. The
-// serial driver keeps the read locks, whose waits are part of the paper's
-// simulated response time.
-func TestConcurrentReadsTakeNoLocks(t *testing.T) {
+// TestConcurrentTakesNoLocks pins that object locks are the serial driver's
+// model: the concurrent driver makes no lock request at all, on read-only
+// streams and on a write mix, and reports the configuration it ran, locking
+// off. The serial driver locks the same read-only streams, whose waits are
+// part of the paper's simulated response time.
+func TestConcurrentTakesNoLocks(t *testing.T) {
 	readOnlyOCT := octSmall.config(400)
 	readOnlyOCT.ReadWriteRatio = math.Inf(1)
 	for _, tc := range []struct {
@@ -203,14 +202,28 @@ func TestConcurrentReadsTakeNoLocks(t *testing.T) {
 	}{
 		{"oct", octSmall, readOnlyOCT},
 		{"ocb", ocbSmall, ocbSmall.config(400)},
+		{"oct-writes", octSmall, octSmall.config(400)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conc := runConcurrent(t, tc.cfg, ConcurrentOptions{Sessions: 2})
 			if conc.LogicalOps == 0 {
-				t.Fatal("read-only run read nothing")
+				t.Fatal("run read nothing")
 			}
-			if got := conc.Locks.Requests; got != 0 {
-				t.Errorf("read-only concurrent run made %d lock requests, want 0", got)
+			if got := conc.Locks.Requests; got != 0 || conc.Config.Locking {
+				t.Errorf("concurrent run made %d lock requests, reports locking=%v; want 0 and off",
+					got, conc.Config.Locking)
+			}
+			writes := 0
+			for k := workload.QueryKind(0); k < workload.NumQueryKinds; k++ {
+				if k.IsWrite() {
+					writes += conc.KindCount[k.String()]
+				}
+			}
+			if wantWrites := tc.name == "oct-writes"; (writes > 0) != wantWrites {
+				t.Fatalf("%d writes committed, want writes %v", writes, wantWrites)
+			}
+			if tc.name == "oct-writes" {
+				return
 			}
 			if serial := tc.f.run(t, tc.cfg); serial.Locks.Requests == 0 || serial.WriteTxns != 0 {
 				t.Errorf("serial run of the same stream: %d lock requests, %d writes; want its reads locked and no write",
@@ -218,24 +231,6 @@ func TestConcurrentReadsTakeNoLocks(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("oct-writes", func(t *testing.T) {
-		res := runConcurrent(t, octSmall.config(400), ConcurrentOptions{Sessions: 2})
-		writes := 0
-		for k := workload.QueryKind(0); k < workload.NumQueryKinds; k++ {
-			if k.IsWrite() {
-				writes += res.KindCount[k.String()]
-			}
-		}
-		if writes == 0 {
-			t.Fatal("OCT write mix committed no write")
-		}
-		// An OCT write locks its target, its parent or both (a structure
-		// update); at ten reads per write, locked reads would pass 2 per write.
-		if got := res.Locks.Requests; got == 0 || got > 2*writes {
-			t.Errorf("%d lock requests for %d writes, want between 1 and %d", got, writes, 2*writes)
-		}
-	})
 }
 
 // TestConcurrentPoolSessionHitsConserved: each session's buffer.View
@@ -374,31 +369,19 @@ func TestConcurrentSameSeedLogicalInvariants(t *testing.T) {
 	}
 }
 
-// TestConcurrentAutoSharding: the pool and lock table size themselves to
-// the machine, a tiny pool clamps its shard count down to keep a frame per
-// shard, and the run reports what it chose.
+// TestConcurrentAutoSharding: the pool sizes itself to the machine, a tiny
+// pool clamps its shard count down to keep a frame per shard, and the run
+// reports what it chose.
 func TestConcurrentAutoSharding(t *testing.T) {
 	want := 1 // the next power of two >= GOMAXPROCS
 	for want < runtime.GOMAXPROCS(0) {
 		want *= 2
 	}
-	wantLock := 1 // the next power of two >= GOMAXPROCS / lock.ProcsPerShard
-	for wantLock*lock.ProcsPerShard < runtime.GOMAXPROCS(0) {
-		wantLock *= 2
-	}
 
 	cfg := octSmall.config(50)
 	res := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 2})
-	if res.LockShards != wantLock {
-		t.Fatalf("lock shards = %d, want %d", res.LockShards, wantLock)
-	}
 	if wantBuf := min(want, cfg.Buffers); res.PoolShards != wantBuf {
 		t.Fatalf("pool shards = %d, want %d", res.PoolShards, wantBuf)
-	}
-
-	cfg.Locking = false
-	if res := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 2}); res.LockShards != 0 {
-		t.Fatalf("lock shards = %d with locking off, want 0", res.LockShards)
 	}
 
 	tiny := octSmall.config(50)

@@ -93,7 +93,9 @@ type Config struct {
 	// take shared/exclusive locks on their primary objects (the composite
 	// root of a navigation, the objects a write touches) and queue on
 	// conflict. The paper's model locks at object granularity; disable only
-	// to isolate storage effects.
+	// to isolate storage effects. Locking is the serial driver's model: the
+	// concurrent driver and the library take no object locks and run with
+	// it cleared.
 	Locking bool
 
 	// --- Extensions (the paper's Section 6 future-work directions) ---

@@ -26,6 +26,7 @@ type Engine struct {
 	tuner  core.PolicyTuner // clust's run-time tuning hook; nil if untunable
 	gen    workload.Source
 	access AccessLayer
+	locks  *lock.Manager // the object-lock table when cfg.Locking is set; else nil
 
 	cpu     *sim.Station
 	disks   []*sim.Station
@@ -55,7 +56,7 @@ type Engine struct {
 // New builds the world (see buildWorld) over the serial pool and attaches
 // the timed layer to it.
 func New(cfg Config) (*Engine, error) {
-	return newEngine(cfg, func() (*world, error) { return buildWorld(cfg, 1, serialPool) })
+	return newEngine(cfg, func() (*world, error) { return buildWorld(cfg, serialPool) })
 }
 
 // newEngine attaches the timed layer to the world newWorld returns for cfg.
@@ -87,6 +88,9 @@ func newEngine(cfg Config, newWorld func() (*world, error)) (*Engine, error) {
 	st := w.newStack(w.newGenerator("workload"), w.frames)
 	e.access, e.gen = st, st.gen
 	e.metrics.warmup = cfg.Warmup
+	if cfg.Locking {
+		e.locks = lock.NewManager()
+	}
 
 	e.cpu = sim.NewStation(w.sim, "cpu", 1)
 	for d := 0; d < cfg.Disks; d++ {
@@ -121,7 +125,7 @@ func NewTemplate(cfg Config) (*Template, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	w, err := buildWorld(cfg, 1, serialPool)
+	w, err := buildWorld(cfg, serialPool)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +173,7 @@ func (t *Template) Take(cfg Config) (*Engine, error) {
 	if w == nil {
 		return nil, errTemplateTaken
 	}
-	w.runAs(cfg)
+	w.cfg = cfg
 	return newEngine(cfg, func() (*world, error) { return w, nil })
 }
 

@@ -39,13 +39,15 @@ func (callerDriven) SetReadWriteRatio(float64) bool           { return false }
 // serial pool. The pair is the caller's to populate: an empty one opens an
 // empty database, and objects placed on it directly (a snapshot restore)
 // are the database's from then on. The workload-generation and timing
-// fields of cfg are unused.
+// fields of cfg are unused, and Locking is cleared: one caller at a time
+// has nothing to lock against.
 func OpenLibrary(cfg Config, g *model.Graph, mem *storage.Manager) (*Library, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.Locking = false
 	w := &world{cfg: cfg, sim: sim.New(cfg.Seed)}
-	if err := w.open(g, mem, nil, 1, serialPool); err != nil {
+	if err := w.open(g, mem, nil, serialPool); err != nil {
 		return nil, err
 	}
 	return &Library{world: w, stack: w.newStack(callerDriven{}, w.frames)}, nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"oodb/internal/buffer"
@@ -139,9 +140,10 @@ func TestRegistryRejectsUnknownNames(t *testing.T) {
 
 // TestEveryDriverReportsEveryLayer: the serial engine, the concurrent engine
 // at one and four sessions, and the library all report every layer's own
-// statistics — pool, cluster, log, locks when they take any, durability on
-// the file backend — and the cluster statistics count the run's placements
-// only, construction's having been reset. The engines run an OCB write mix;
+// statistics — pool, cluster, log, locks when they take any (the serial
+// engine alone does), durability on the file backend — and the cluster
+// statistics count the run's placements only, construction's having been
+// reset. The engines run an OCB write mix;
 // the library, which has no generator, makes the same kinds of writes as
 // calls.
 func TestEveryDriverReportsEveryLayer(t *testing.T) {
@@ -165,8 +167,8 @@ func TestEveryDriverReportsEveryLayer(t *testing.T) {
 				if r.Log.Records == 0 {
 					t.Errorf("%s: no log records", driver)
 				}
-				if locks && r.Locks.Requests == 0 {
-					t.Errorf("%s: no lock requests with locking on", driver)
+				if (r.Locks.Requests > 0) != locks || strings.Contains(r.LayerLines(), "locks:") != locks {
+					t.Errorf("%s: %d lock requests, layer lines %q; want locks %v", driver, r.Locks.Requests, r.LayerLines(), locks)
 				}
 				if durable := r.Durability.Committed > 0 && r.Durability.WALAppends > 0; durable != (backend == "file") {
 					t.Errorf("%s: durability %+v on the %s backend", driver, r.Durability, backend)
@@ -175,10 +177,10 @@ func TestEveryDriverReportsEveryLayer(t *testing.T) {
 					t.Errorf("%s: %d placements for %d inserts and at most %d re-placements", driver, p, inserts, replaces)
 				}
 			}
-			checkEngine := func(driver string, r ResultCore) {
+			checkEngine := func(driver string, r ResultCore, locks bool) {
 				t.Helper()
 				k := r.KindCount
-				check(driver, r, true, k["ocb-insert"], k["ocb-update"]+k["ocb-rewire"])
+				check(driver, r, locks, k["ocb-insert"], k["ocb-update"]+k["ocb-rewire"])
 			}
 
 			var s Results
@@ -187,7 +189,7 @@ func TestEveryDriverReportsEveryLayer(t *testing.T) {
 			} else {
 				s = ocbWrites.run(t, base)
 			}
-			checkEngine("serial", s.ResultCore)
+			checkEngine("serial", s.ResultCore, true)
 			for _, n := range []int{1, 4} {
 				c, err := NewConcurrent(mk(), ConcurrentOptions{Sessions: n})
 				if err != nil {
@@ -203,7 +205,7 @@ func TestEveryDriverReportsEveryLayer(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkEngine(fmt.Sprintf("concurrent/%d", n), res.ResultCore)
+				checkEngine(fmt.Sprintf("concurrent/%d", n), res.ResultCore, false)
 			}
 
 			// The library: a root and forty components under it (objects

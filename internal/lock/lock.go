@@ -210,12 +210,6 @@ type Manager struct {
 	mask   uint64
 }
 
-// ProcsPerShard sizes the concurrent engine's lock table: one shard per
-// this many GOMAXPROCS, rounded up. A transaction's requests touch every
-// shard its objects hash to, and each shard line another session wrote
-// since is a cache miss, so fewer shards than sessions measured fastest.
-const ProcsPerShard = 2
-
 // NewManager returns an empty single-shard lock manager (the default for
 // the paper-scale tier, where the table holds tens of entries).
 func NewManager() *Manager { return NewManagerSharded(1) }

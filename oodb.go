@@ -228,7 +228,6 @@ func Open(opt Options) (*DB, error) {
 	cfg.Split = opt.Split
 	cfg.Prefetch = opt.Prefetch
 	cfg.Seed = opt.Seed
-	cfg.Locking = false // one caller at a time: nothing to lock against
 
 	g := model.NewGraph()
 	st := storage.NewManager(g, opt.PageSize)
