@@ -87,6 +87,14 @@ func TestLockSetMapping(t *testing.T) {
 			[]lock.Request{{Obj: 1, Mode: lock.Shared}, {Obj: 3, Mode: lock.Shared}, {Obj: 5, Mode: lock.Shared}, {Obj: 8, Mode: lock.Shared}}},
 		{"derive", workload.Op{Kind: workload.QDerive, Target: 7},
 			[]lock.Request{{Obj: 7, Mode: lock.Exclusive}}},
+		{"ocb-insert", workload.Op{Kind: workload.QOCBInsert, Target: 6, Targets: []model.ObjectID{6, 2, 6}},
+			[]lock.Request{{Obj: 2, Mode: lock.Exclusive}, {Obj: 6, Mode: lock.Exclusive}}},
+		{"ocb-update", workload.Op{Kind: workload.QOCBUpdate, Target: 5},
+			[]lock.Request{{Obj: 5, Mode: lock.Exclusive}}},
+		{"ocb-delete", workload.Op{Kind: workload.QOCBDelete, Target: 5},
+			[]lock.Request{{Obj: 5, Mode: lock.Exclusive}}},
+		{"ocb-rewire", workload.Op{Kind: workload.QOCBRewire, Target: 9, AttachTo: 3},
+			[]lock.Request{{Obj: 3, Mode: lock.Exclusive}, {Obj: 9, Mode: lock.Exclusive}}},
 	}
 	// One scratch serves every case, the way a serial user reuses its own.
 	var scratch []lock.Request
